@@ -14,16 +14,19 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"substream/internal/core"
 	"substream/internal/estimator"
 	"substream/internal/experiments"
+	"substream/internal/levelset"
 	"substream/internal/pipeline"
 	"substream/internal/rng"
 	"substream/internal/sample"
 	"substream/internal/server"
+	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/window"
 	"substream/internal/workload"
@@ -400,6 +403,101 @@ func BenchmarkDecodeHH1(b *testing.B)      { benchmarkDecode(b, "hh1") }
 func BenchmarkDecodeHH2(b *testing.B)      { benchmarkDecode(b, "hh2") }
 func BenchmarkDecodeMonitor(b *testing.B)  { benchmarkDecode(b, "all") }
 func BenchmarkDecodeQuantile(b *testing.B) { benchmarkDecode(b, "quantile") }
+
+// --- fold kernels (the collector's query-time 16-way fold) ---
+
+// fleetSamples returns (building them once) 16 agents' Bernoulli(0.05) samples of disjoint
+// 200 000-item slices of one Zipf(1.1) stream over 2^20 items — the
+// shape of the retained table in the standing benchmark's
+// fleet_ship_query workload (benchmark/workloads.go).
+var fleetSamples = sync.OnceValue(func() []stream.Slice {
+	const agents, perAgent = 16, 200_000
+	all := stream.Collect(workload.Zipf(agents*perAgent, 1<<20, 1.1, 21).Stream)
+	out := make([]stream.Slice, agents)
+	for i := range out {
+		out[i] = sample.NewBernoulli(0.05).Apply(all[i*perAgent:(i+1)*perAgent], rng.New(uint64(100+i)))
+	}
+	return out
+})
+
+// BenchmarkSpaceSavingMerge folds the 16 agents' heavy summaries into a
+// fresh accumulator: one op is 16 SpaceSaving.Merge calls.
+func BenchmarkSpaceSavingMerge(b *testing.B) {
+	var states []*sketch.SpaceSaving
+	for _, L := range fleetSamples() {
+		ss := sketch.NewSpaceSaving(4096)
+		ss.UpdateBatch(L)
+		states = append(states, ss)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := sketch.NewSpaceSaving(4096)
+		for _, s := range states {
+			if err := acc.Merge(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLevelsetMerge folds the 16 agents' Theorem 2 level-set
+// counters (heavy summary + 5 universe-sampling repetitions) into a
+// fresh accumulator: one op is 16 levelset.Estimator.Merge calls.
+func BenchmarkLevelsetMerge(b *testing.B) {
+	cfg := levelset.Config{EpsPrime: 0.05, Budget: 4096}
+	var states []*levelset.Estimator
+	for _, L := range fleetSamples() {
+		e := levelset.New(cfg, rng.New(1))
+		e.UpdateBatch(L)
+		states = append(states, e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := levelset.New(cfg, rng.New(1))
+		for _, s := range states {
+			if err := acc.Merge(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCollectorEstimateFk16 prices one dashboard query against a
+// fleet-shaped table: Collector.Estimate folds 16 retained fk states
+// into a fresh accumulator and reports.
+func BenchmarkCollectorEstimateFk16(b *testing.B) {
+	cfg := server.StreamConfig{Stat: "fk", K: 2, P: 0.05, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 1}
+	c := server.NewCollector(server.CollectorConfig{})
+	for i, L := range fleetSamples() {
+		e, err := estimator.New(estimator.Spec{
+			Stat: cfg.Stat, P: cfg.P, K: cfg.K, Epsilon: cfg.Epsilon, Alpha: cfg.Alpha, Budget: cfg.Budget, Seed: cfg.Seed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.UpdateBatch(L)
+		payload, err := e.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Accept(server.Summary{
+			Agent: fmt.Sprintf("a%02d", i), Stream: "fk", Seq: 1, Config: cfg,
+			Fed: 200_000, Kept: uint64(len(L)), Payload: payload,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := c.Estimate("fk")
+		if err != nil || g.Agents != 16 {
+			b.Fatalf("estimate: %+v, %v", g, err)
+		}
+	}
+}
 
 // --- network monitoring daemon (internal/server) ---
 

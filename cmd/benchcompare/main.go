@@ -13,7 +13,7 @@
 //
 //	go test -bench ServerIngest -count 3 -json . > head.json
 //	benchcompare -best-of -match ServerIngest -max-regression 10 \
-//	  bench/BENCH_pr8.json head.json
+//	  bench/BENCH_pr12.json head.json
 //
 // Flags:
 //
@@ -22,7 +22,8 @@
 //   - -best-of keeps the LOWEST ns/op seen per benchmark instead of the
 //     last, so a `-count N` run (or several head files) gates on the
 //     best of N — the noise-robust statistic for a shared runner.
-//   - -match compares only benchmarks whose name contains the substring.
+//   - -match compares only benchmarks whose name matches the regular
+//     expression (unanchored, like go test -bench: 'A|B' gates both).
 //   - -max-regression (percent, default 0 = disabled) exits with status
 //     3 when any compared benchmark's ns/op regressed by more than the
 //     bound — the red-gate mode.
@@ -39,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,11 +63,16 @@ type testEvent struct {
 func main() {
 	threshold := flag.Float64("threshold", 5, "hide rows whose ns/op changed by less than this percentage (0 = show all)")
 	bestOf := flag.Bool("best-of", false, "keep the lowest ns/op per benchmark across repeated results (-count runs, multiple head files) instead of the last")
-	match := flag.String("match", "", "compare only benchmarks whose name contains this substring")
+	match := flag.String("match", "", "compare only benchmarks whose name matches this regular expression")
 	maxReg := flag.Float64("max-regression", 0, "exit 3 if any compared benchmark's ns/op regressed by more than this percentage (0 = never fail)")
 	flag.Parse()
 	if flag.NArg() < 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcompare [flags] BASE.json HEAD.json [HEAD2.json ...]")
+		os.Exit(2)
+	}
+	matchRE, err := regexp.Compile(*match)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcompare: -match:", err)
 		os.Exit(2)
 	}
 	base, err := parseFile(flag.Arg(0), *bestOf)
@@ -84,8 +91,8 @@ func main() {
 			merge(head, name, res, *bestOf)
 		}
 	}
-	filter(base, *match)
-	filter(head, *match)
+	filter(base, matchRE)
+	filter(head, matchRE)
 	if err := render(os.Stdout, base, head, *threshold); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcompare:", err)
 		os.Exit(1)
@@ -117,13 +124,11 @@ func merge(out map[string]benchResult, name string, res benchResult, bestOf bool
 	out[name] = res
 }
 
-// filter drops benchmarks whose name does not contain match.
-func filter(m map[string]benchResult, match string) {
-	if match == "" {
-		return
-	}
+// filter drops benchmarks whose name does not match (the empty
+// expression matches everything).
+func filter(m map[string]benchResult, match *regexp.Regexp) {
 	for name := range m {
-		if !strings.Contains(name, match) {
+		if !match.MatchString(name) {
 			delete(m, name)
 		}
 	}

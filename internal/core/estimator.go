@@ -87,12 +87,11 @@ func init() {
 // sampled length.
 func (e *FkEstimator) Estimates() map[string]float64 {
 	vals := map[string]float64{"sampled_length": float64(e.SampledLength())}
-	for l, phi := range e.Moments() {
-		if l >= 1 {
-			vals[fmt.Sprintf("f%d", l)] = phi
-		}
+	phi := e.Moments()
+	for l := 1; l <= e.k; l++ {
+		vals[fmt.Sprintf("f%d", l)] = phi[l]
 	}
-	vals["fk"] = e.Estimate()
+	vals["fk"] = phi[e.k]
 	return vals
 }
 

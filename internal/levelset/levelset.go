@@ -35,8 +35,10 @@
 package levelset
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"substream/internal/rng"
@@ -171,15 +173,12 @@ func (rs *repState) observe(it stream.Item) {
 // (which is within (1±ε') of the true g).
 func (e *Estimator) heavySet() map[stream.Item]float64 {
 	h := make(map[stream.Item]float64)
-	for _, c := range e.heavy.Counters() {
+	e.heavy.Each(func(c sketch.Counter) {
 		low := float64(c.Count - c.Err)
-		if low <= 0 {
-			continue
-		}
-		if float64(c.Err) <= e.epsPrime*low {
+		if low > 0 && float64(c.Err) <= e.epsPrime*low {
 			h[c.Item] = low
 		}
-	}
+	})
 	return h
 }
 
@@ -214,42 +213,45 @@ func (e *Estimator) repValue(i int) float64 {
 // sorted by band index.
 func (e *Estimator) Bands() []BandStats {
 	heavy := e.heavySet()
-	bandSet := make(map[int]struct{})
-
-	heavyBands := make(map[int]float64)
-	for _, g := range heavy {
+	// One row of cells per band seen: its heavy member count, then one
+	// light size estimate per repetition. Band indices are sparse — they
+	// grow like log(g)/ε′ — so rows are handed out on first sight and a
+	// single map finds them, instead of a map per repetition.
+	width := 1 + len(e.reps)
+	rowOf := make(map[int]int)
+	var bands []int
+	var cells []float64
+	cell := func(g float64, col int) *float64 {
 		b := e.bandOf(g)
-		heavyBands[b]++
-		bandSet[b] = struct{}{}
+		row, ok := rowOf[b]
+		if !ok {
+			row = len(bands)
+			rowOf[b] = row
+			bands = append(bands, b)
+			cells = append(cells, make([]float64, width)...)
+		}
+		return &cells[row*width+col]
 	}
-
-	perRep := make([]map[int]float64, len(e.reps))
+	for _, g := range heavy {
+		*cell(g, 0)++
+	}
 	for ri, rs := range e.reps {
-		m := make(map[int]float64)
 		scale := math.Pow(2, float64(rs.T))
 		for it, tr := range rs.counts {
-			if _, isHeavy := heavy[it]; isHeavy {
-				continue
+			if _, isHeavy := heavy[it]; !isHeavy {
+				*cell(float64(tr.count), 1+ri) += scale
 			}
-			b := e.bandOf(float64(tr.count))
-			m[b] += scale
-			bandSet[b] = struct{}{}
 		}
-		perRep[ri] = m
 	}
 
-	out := make([]BandStats, 0, len(bandSet))
-	vals := make([]float64, len(e.reps))
-	for b := range bandSet {
-		for ri := range e.reps {
-			vals[ri] = perRep[ri][b]
-		}
-		size := heavyBands[b] + median(vals)
-		if size > 0 {
+	out := make([]BandStats, 0, len(bands))
+	for row, b := range bands {
+		cs := cells[row*width : (row+1)*width]
+		if size := cs[0] + median(cs[1:]); size > 0 {
 			out = append(out, BandStats{Band: b, Rep: e.repValue(b), Size: size})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Band < out[j].Band })
+	slices.SortFunc(out, func(a, b BandStats) int { return cmp.Compare(a.Band, b.Band) })
 	return out
 }
 

@@ -94,40 +94,63 @@ func (e *Estimator) Merge(other *Estimator) error {
 	if err := e.heavy.Merge(other.heavy); err != nil {
 		return err
 	}
+	var fresh []freshItem
 	for i := range e.reps {
-		e.reps[i].merge(other.reps[i])
+		fresh = e.reps[i].merge(other.reps[i], fresh)
 	}
 	return nil
 }
 
-func (rs *repState) merge(os *repState) {
-	if os.T > rs.T {
-		rs.T = os.T
-		for it, tr := range rs.counts {
-			if int(tr.level) < rs.T {
-				delete(rs.counts, it)
-			}
-		}
-	}
+// merge folds os into rs, reusing fresh as scratch. Foreign entries the
+// receiver already tracks add in place; the rest wait in fresh until the
+// final threshold is known, so nothing is inserted only to be evicted.
+// T rises once — to the first level at which the union fits the budget,
+// read off the union's level histogram — and one pass evicts below it.
+func (rs *repState) merge(os *repState, fresh []freshItem) []freshItem {
+	T := max(rs.T, os.T)
+	var hist [maxLevel + 1]int
 	for it, tr := range os.counts {
-		if int(tr.level) < rs.T {
+		if int(tr.level) < T {
 			continue
 		}
 		if mine, ok := rs.counts[it]; ok {
 			mine.count += tr.count
 			rs.counts[it] = mine
 		} else {
-			rs.counts[it] = tr
+			fresh = append(fresh, freshItem{it, tr})
+			hist[tr.level]++
 		}
 	}
-	for len(rs.counts) > rs.budget && rs.T < maxLevel {
-		rs.T++
+	if T > rs.T || len(rs.counts)+len(fresh) > rs.budget {
+		for _, tr := range rs.counts {
+			hist[tr.level]++
+		}
+		size := 0
+		for _, n := range hist[T:] {
+			size += n
+		}
+		for ; size > rs.budget && T < maxLevel; T++ {
+			size -= hist[T]
+		}
+		rs.T = T
 		for it, tr := range rs.counts {
-			if int(tr.level) < rs.T {
+			if int(tr.level) < T {
 				delete(rs.counts, it)
 			}
 		}
 	}
+	for _, f := range fresh {
+		if int(f.tr.level) >= T {
+			rs.counts[f.item] = f.tr
+		}
+	}
+	return fresh[:0]
+}
+
+// freshItem is a foreign tracked item the receiver does not hold yet.
+type freshItem struct {
+	item stream.Item
+	tr   trackedItem
 }
 
 // MergeCounter implements MergeableCounter.

@@ -1,0 +1,241 @@
+package levelset
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"substream/internal/rng"
+	"substream/internal/stream"
+)
+
+// refRepMerge is repState.merge as it stood before the one-pass kernel
+// (insert everything, then raise T one level at a time with a full
+// eviction pass per level), kept verbatim as the differential
+// reference: the kernel must leave byte-identical state.
+func refRepMerge(rs, os *repState) {
+	if os.T > rs.T {
+		rs.T = os.T
+		for it, tr := range rs.counts {
+			if int(tr.level) < rs.T {
+				delete(rs.counts, it)
+			}
+		}
+	}
+	for it, tr := range os.counts {
+		if int(tr.level) < rs.T {
+			continue
+		}
+		if mine, ok := rs.counts[it]; ok {
+			mine.count += tr.count
+			rs.counts[it] = mine
+		} else {
+			rs.counts[it] = tr
+		}
+	}
+	for len(rs.counts) > rs.budget && rs.T < maxLevel {
+		rs.T++
+		for it, tr := range rs.counts {
+			if int(tr.level) < rs.T {
+				delete(rs.counts, it)
+			}
+		}
+	}
+}
+
+// refMerge is Estimator.Merge with the light repetitions folded by the
+// reference (the heavy summary has its own reference in
+// internal/sketch).
+func refMerge(t *testing.T, e, other *Estimator) {
+	t.Helper()
+	if err := e.heavy.Merge(other.heavy); err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.reps {
+		refRepMerge(e.reps[i], other.reps[i])
+	}
+}
+
+func lsOf(budget int, s stream.Slice) *Estimator {
+	e := New(Config{EpsPrime: 0.05, Budget: budget}, rng.New(11))
+	e.UpdateBatch(s)
+	return e
+}
+
+func lsBytes(t *testing.T, e *Estimator) []byte {
+	t.Helper()
+	b, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func lsClone(t *testing.T, e *Estimator) *Estimator {
+	t.Helper()
+	c, err := UnmarshalEstimator(lsBytes(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkLSMerge folds b into a with both implementations and requires
+// byte-identical state (heavy heap layout, every T, every tracked map).
+func checkLSMerge(t *testing.T, a, b *Estimator) *Estimator {
+	t.Helper()
+	want := lsClone(t, a)
+	refMerge(t, want, b)
+	bBefore := lsBytes(t, b)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lsBytes(t, a), lsBytes(t, want)) {
+		t.Fatalf("merged state differs from the reference: T %v vs %v", a.ThresholdLevels(), want.ThresholdLevels())
+	}
+	if !bytes.Equal(lsBytes(t, b), bBefore) {
+		t.Fatal("Merge mutated its argument")
+	}
+	return a
+}
+
+// runOfItems is n distinct items starting at base: every tracked count
+// is 1, the tie-heavy shape.
+func runOfItems(base, n int) stream.Slice {
+	out := make(stream.Slice, n)
+	for i := range out {
+		out[i] = stream.Item(base + i)
+	}
+	return out
+}
+
+func TestEstimatorMergeMatchesReference(t *testing.T) {
+	const budget = 256
+	cases := map[string][2]stream.Slice{
+		"random":           {zipfStream(30000, 5000, 1.1, 1), zipfStream(30000, 5000, 1.1, 2)},
+		"tie-heavy":        {runOfItems(0, 3000), runOfItems(1500, 3000)},
+		"under-capacity":   {zipfStream(200, 100, 1.1, 3), zipfStream(200, 100, 1.1, 4)},
+		"one-sided-full-a": {zipfStream(30000, 5000, 1.1, 5), zipfStream(50, 5000, 1.1, 6)},
+		"one-sided-full-b": {zipfStream(50, 5000, 1.1, 7), zipfStream(30000, 5000, 1.1, 8)},
+		"empty-receiver":   {nil, zipfStream(30000, 5000, 1.1, 9)},
+		"empty-argument":   {zipfStream(30000, 5000, 1.1, 10), nil},
+		"both-empty":       {nil, nil},
+		"same-items":       {zipfStream(30000, 5000, 1.1, 11), zipfStream(30000, 5000, 1.1, 11)},
+		"disjoint":         {runOfItems(0, 2000), runOfItems(1<<30, 2000)},
+		"foreign-T-higher": {runOfItems(0, 300), runOfItems(0, 20000)},
+		"many-raises":      {runOfItems(0, 250), runOfItems(1<<20, 250)},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkLSMerge(t, lsOf(budget, c[0]), lsOf(budget, c[1]))
+		})
+	}
+	t.Run("self", func(t *testing.T) {
+		a := lsOf(budget, zipfStream(30000, 5000, 1.1, 12))
+		want := lsClone(t, a)
+		refMerge(t, want, lsClone(t, a))
+		if err := a.Merge(a); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lsBytes(t, a), lsBytes(t, want)) {
+			t.Fatal("self-merge differs from the reference")
+		}
+	})
+	t.Run("random-shapes", func(t *testing.T) {
+		r := rng.New(77)
+		for trial := 0; trial < 150; trial++ {
+			budget := 1 + int(r.Uint64n(48))
+			na, nb := int(r.Uint64n(600)), int(r.Uint64n(600))
+			m := 1 + int(r.Uint64n(400))
+			checkLSMerge(t, lsOf(budget, zipfStream(na, m, 1.1, r.Uint64())), lsOf(budget, zipfStream(nb, m, 1.1, r.Uint64())))
+		}
+	})
+}
+
+// TestEstimatorFold16MatchesReference is the collector's shape: 16
+// states folded sequentially into a fresh accumulator, checked against
+// the reference after every step.
+func TestEstimatorFold16MatchesReference(t *testing.T) {
+	const budget = 512
+	acc := New(Config{EpsPrime: 0.05, Budget: budget}, rng.New(11))
+	for i := 0; i < 16; i++ {
+		acc = checkLSMerge(t, acc, lsOf(budget, zipfStream(8000, 1<<16, 1.1, uint64(30+i))))
+	}
+	for _, T := range acc.ThresholdLevels() {
+		if T == 0 {
+			t.Fatalf("fold never raised a threshold: %v", acc.ThresholdLevels())
+		}
+	}
+}
+
+// refBands is Bands as it stood before the single-map accumulation (a
+// map[int]float64 per repetition plus a band set), kept verbatim: the
+// level-set sizes, and so every F_k estimate, must not move by a bit.
+func refBands(e *Estimator) []BandStats {
+	heavy := e.heavySet()
+	bandSet := make(map[int]struct{})
+
+	heavyBands := make(map[int]float64)
+	for _, g := range heavy {
+		b := e.bandOf(g)
+		heavyBands[b]++
+		bandSet[b] = struct{}{}
+	}
+
+	perRep := make([]map[int]float64, len(e.reps))
+	for ri, rs := range e.reps {
+		m := make(map[int]float64)
+		scale := math.Pow(2, float64(rs.T))
+		for it, tr := range rs.counts {
+			if _, isHeavy := heavy[it]; isHeavy {
+				continue
+			}
+			b := e.bandOf(float64(tr.count))
+			m[b] += scale
+			bandSet[b] = struct{}{}
+		}
+		perRep[ri] = m
+	}
+
+	out := make([]BandStats, 0, len(bandSet))
+	vals := make([]float64, len(e.reps))
+	for b := range bandSet {
+		for ri := range e.reps {
+			vals[ri] = perRep[ri][b]
+		}
+		size := heavyBands[b] + median(vals)
+		if size > 0 {
+			out = append(out, BandStats{Band: b, Rep: e.repValue(b), Size: size})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Band < out[j].Band })
+	return out
+}
+
+func TestBandsMatchReference(t *testing.T) {
+	for i, e := range []*Estimator{
+		lsOf(256, nil),
+		lsOf(256, zipfStream(200, 100, 1.1, 1)),
+		lsOf(256, zipfStream(30000, 5000, 1.1, 2)),
+		lsOf(4096, zipfStream(100000, 1<<16, 1.1, 3)),
+		lsOf(64, runOfItems(0, 5000)),
+	} {
+		got, want := e.Bands(), refBands(e)
+		if !slices.Equal(got, want) {
+			t.Fatalf("estimator %d: Bands differ from the reference:\n got %v\nwant %v", i, got, want)
+		}
+		if l := 2; e.EstimateCollisions(l) != refCollisions(e, l) {
+			t.Fatalf("estimator %d: C_2 differs from the reference", i)
+		}
+	}
+}
+
+func refCollisions(e *Estimator, l int) float64 {
+	var total float64
+	for _, b := range refBands(e) {
+		total += b.Size * stream.BinomialCoeffFloat(b.Rep, l)
+	}
+	return total
+}

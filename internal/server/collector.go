@@ -245,7 +245,10 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 	// stat, or one whose estimator disagrees with the declared config
 	// (wrong p, foreign hash seeds, mismatched window shape) is rejected
 	// at the door rather than poisoning every later estimate query. The
-	// decoded estimator — not the bytes — is what the collector retains.
+	// trial fold validates by merge only — Merge is where every one of
+	// those checks lives, so no report is computed just to be dropped.
+	// The decoded estimator — not the bytes — is what the collector
+	// retains.
 	fold := buildFolder(cfg)
 	t0 := time.Now()
 	decoded, err := estimator.Decode(sum.Payload)
@@ -255,7 +258,7 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 		return causePayload, fmt.Errorf("summary payload: %w", err)
 	}
 	t0 = time.Now()
-	_, foldErr := fold.foldDecoded([]estimator.Estimator{decoded})
+	_, foldErr := fold.foldStates([]estimator.Estimator{decoded})
 	span.FoldNs = time.Since(t0).Nanoseconds()
 	c.metrics.CollectFold.Since(t0)
 	if foldErr != nil {

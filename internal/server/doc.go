@@ -10,7 +10,10 @@
 //
 // A COLLECTOR accepts shipped summaries, keeps the latest summary per
 // (stream, agent) pair, and answers global estimate queries by folding
-// the retained summaries with the estimators' Merge paths. Because each
+// the retained summaries with the estimators' Merge paths. An arriving
+// summary is validated by a trial fold that is merge only — Merge is
+// where kind, config and hash-seed agreement are checked — so no report
+// is computed at the door; reports are a query-time cost. Because each
 // agent ships its full cumulative state ("latest wins": within one Boot
 // incarnation summaries are ordered by Seq, and any Boot change is
 // adopted as a new incarnation), shipping is idempotent: a lost or
@@ -67,7 +70,7 @@
 //
 // The CRC trailer is verified before any parsing and every entry
 // re-passes the live collect path's validation (config validate,
-// registry decode, trial fold, config pinning), so a torn, truncated,
+// registry decode, merge-only trial fold, config pinning), so a torn, truncated,
 // or bit-flipped snapshot fails whole into "start empty + warn" — never
 // a panic, never a partial table. Restored entries count as sightings
 // for -max-summary-age staleness, letting a long-dead collector answer

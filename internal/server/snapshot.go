@@ -55,38 +55,46 @@ type snapEntry struct {
 	lastSeen time.Time
 }
 
-// encodeSnapshot serializes the retained table under the read lock, in
-// sorted (stream, agent) order so identical tables encode identically.
+// encodeSnapshot serializes the retained table in sorted (stream, agent)
+// order so identical tables encode identically. Only the row copy runs
+// under the read lock; the marshal + JSON work happens outside it
+// (retained estimators are never mutated), so a checkpoint never stalls
+// Accept — nor, through RWMutex writer preference, every Estimate
+// queued behind that Accept.
 func (c *Collector) encodeSnapshot(now time.Time) ([]byte, error) {
+	type row struct {
+		stream, agent string
+		state         agentState
+	}
 	c.mu.RLock()
-	defer c.mu.RUnlock()
+	var rows []row
+	for _, name := range sortedKeys(c.streams) {
+		st := c.streams[name]
+		for _, id := range sortedKeys(st.agents) {
+			rows = append(rows, row{name, id, st.agents[id]})
+		}
+	}
+	c.mu.RUnlock()
+
 	w := &sketch.Writer{}
 	w.U8(snapshotMagic0)
 	w.U8(snapshotMagic1)
 	w.U8(snapshotVersion)
 	w.I64(now.UnixNano())
-	entries := 0
-	for _, st := range c.streams {
-		entries += len(st.agents)
-	}
-	w.U32(uint32(entries))
-	for _, name := range sortedKeys(c.streams) {
-		st := c.streams[name]
-		for _, id := range sortedKeys(st.agents) {
-			state := st.agents[id]
-			payload, err := state.decoded.MarshalBinary()
-			if err != nil {
-				return nil, fmt.Errorf("stream %q agent %q: %w", name, id, err)
-			}
-			sum := state.sum
-			sum.Payload = payload
-			js, err := json.Marshal(sum)
-			if err != nil {
-				return nil, fmt.Errorf("stream %q agent %q: %w", name, id, err)
-			}
-			w.Nested(js)
-			w.I64(state.lastSeen.UnixNano())
+	w.U32(uint32(len(rows)))
+	for _, r := range rows {
+		payload, err := r.state.decoded.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("stream %q agent %q: %w", r.stream, r.agent, err)
 		}
+		sum := r.state.sum
+		sum.Payload = payload
+		js, err := json.Marshal(sum)
+		if err != nil {
+			return nil, fmt.Errorf("stream %q agent %q: %w", r.stream, r.agent, err)
+		}
+		w.Nested(js)
+		w.I64(r.state.lastSeen.UnixNano())
 	}
 	buf := w.Bytes()
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
@@ -244,7 +252,7 @@ func stageSummary(staging map[string]*collectorStream, sum Summary, lastSeen tim
 	if err != nil {
 		return fmt.Errorf("summary payload: %w", err)
 	}
-	if _, err := fold.foldDecoded([]estimator.Estimator{decoded}); err != nil {
+	if _, err := fold.foldStates([]estimator.Estimator{decoded}); err != nil {
 		return fmt.Errorf("summary payload does not match its declared config: %w", err)
 	}
 	sum.Payload = nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"substream/internal/estimator"
 	"substream/internal/sketch"
 )
 
@@ -255,5 +256,66 @@ func TestSnapshotRunWritesPeriodically(t *testing.T) {
 	c2 := NewCollector(CollectorConfig{SnapshotDir: dir})
 	if !reflect.DeepEqual(estimateAll(t, c2, "flows", "bytes"), estimateAll(t, c, "flows", "bytes")) {
 		t.Fatal("restored estimates diverge from the live collector's")
+	}
+}
+
+// parkedEstimator is a retained state whose MarshalBinary parks until
+// released, standing in for a slow (multi-megabyte) snapshot encode.
+type parkedEstimator struct {
+	estimator.Estimator
+	entered, release chan struct{}
+}
+
+func (p *parkedEstimator) MarshalBinary() ([]byte, error) {
+	close(p.entered)
+	<-p.release
+	return p.Estimator.MarshalBinary()
+}
+
+// TestSnapshotEncodeDoesNotHoldTableLock pins the checkpoint's locking:
+// with an encode parked mid-marshal, Accept (a writer) and an Estimate
+// arriving after it (a reader queued behind that writer under RWMutex
+// writer preference) must both complete — the table lock covers the row
+// copy only.
+func TestSnapshotEncodeDoesNotHoldTableLock(t *testing.T) {
+	c := NewCollector(CollectorConfig{SnapshotDir: t.TempDir()})
+	acceptWorkload(t, c)
+	c.mu.Lock()
+	state := c.streams["flows"].agents["a"]
+	parked := &parkedEstimator{Estimator: state.decoded, entered: make(chan struct{}), release: make(chan struct{})}
+	state.decoded = parked
+	c.streams["flows"].agents["a"] = state
+	c.mu.Unlock()
+
+	saved := make(chan error, 1)
+	go func() { saved <- c.SaveSnapshot() }()
+	<-parked.entered
+
+	done := make(chan error, 1)
+	go func() {
+		if err := c.Accept(f0Summary("c", "bytes", StreamConfig{Stat: "f0", P: 0.5, Seed: 7}, 1)); err != nil {
+			done <- err
+			return
+		}
+		_, err := c.Estimate("bytes")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Accept/Estimate blocked behind a parked snapshot encode")
+	}
+	close(parked.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint is the table as of the row copy: 4 entries, without
+	// the agent accepted while the encode was parked.
+	c2 := NewCollector(CollectorConfig{SnapshotDir: c.cfg.SnapshotDir})
+	if got := estimateAll(t, c2, "bytes")["bytes"].Agents; got != 2 {
+		t.Fatalf("restored %d agents of stream bytes, want 2", got)
 	}
 }

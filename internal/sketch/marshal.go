@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
@@ -643,6 +643,6 @@ func SortedKeys[V any](m map[stream.Item]V) []stream.Item {
 	for it := range m {
 		items = append(items, it)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	slices.Sort(items)
 	return items
 }

@@ -3,9 +3,6 @@ package sketch
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"substream/internal/stream"
 )
 
 // This file adds distributed merging: several monitors (e.g. line cards
@@ -185,56 +182,97 @@ func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 	if ss.k != other.k {
 		return fmt.Errorf("%w: SpaceSaving k %d vs %d", ErrIncompatible, ss.k, other.k)
 	}
-	floorOf := func(s *SpaceSaving) uint64 {
-		if len(s.h) < s.k {
-			return 0 // spare capacity: untracked means never seen
-		}
-		return s.h[0].count
-	}
-	floorA, floorB := floorOf(ss), floorOf(other)
-	merged := make(map[stream.Item]ssEntry, len(ss.h)+len(other.h))
-	for _, e := range ss.h {
-		merged[e.item] = e
-	}
+	floorA, floorB := ss.floor(), other.floor()
+	// One pass over the foreign heap, joined against the receiver's
+	// existing index: matches add in place, misses append past the
+	// receiver's own entries (whose positions the index still names).
+	matched := make([]bool, len(ss.h))
 	for _, e := range other.h {
-		if a, ok := merged[e.item]; ok {
-			a.count += e.count
-			a.err += e.err
-			merged[e.item] = a
+		if pos, ok := ss.index[e.item]; ok {
+			ss.h[pos].count += e.count
+			ss.h[pos].err += e.err
+			matched[pos] = true
 		} else {
-			merged[e.item] = ssEntry{item: e.item, count: e.count + floorA, err: e.err + floorA}
+			ss.h = append(ss.h, ssEntry{item: e.item, count: e.count + floorA, err: e.err + floorA})
 		}
 	}
-	for _, e := range ss.h {
-		if !other.Tracked(e.item) {
-			a := merged[e.item]
-			a.count += floorB
-			a.err += floorB
-			merged[e.item] = a
+	for i, m := range matched {
+		if !m {
+			ss.h[i].count += floorB
+			ss.h[i].err += floorB
 		}
 	}
-	entries := make([]ssEntry, 0, len(merged))
-	for _, e := range merged {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].count != entries[j].count {
-			return entries[i].count > entries[j].count
+	// Keep the k largest in canonical (count desc, item asc) order and
+	// rebuild the heap by sifting each up in that order — the layout
+	// MarshalBinary writes.
+	sorted := sortEntries(ss.h, make([]ssEntry, len(ss.h)))
+	ss.h = ss.h[:min(len(ss.h), ss.k)]
+	copy(ss.h, sorted)
+	for i, e := range ss.h {
+		for ; i > 0 && ss.h[(i-1)/2].count > e.count; i = (i - 1) / 2 {
+			ss.h[i] = ss.h[(i-1)/2]
 		}
-		return entries[i].item < entries[j].item
-	})
-	if len(entries) > ss.k {
-		entries = entries[:ss.k]
+		ss.h[i] = e
 	}
-	ss.h = ss.h[:0]
-	ss.index = make(map[stream.Item]int, ss.k)
-	for _, e := range entries {
-		ss.h = append(ss.h, e)
-		ss.index[e.item] = len(ss.h) - 1
-		ss.up(len(ss.h) - 1)
+	clear(ss.index)
+	for i, e := range ss.h {
+		ss.index[e.item] = i
 	}
 	ss.n += other.n
 	return nil
+}
+
+// sortEntries orders es by (count desc, item asc) with an LSD radix sort
+// over the 16 key bytes — item ascending below complemented count —
+// skipping every byte all entries agree on (the high bytes of real
+// counts and items), so a merge sorts in a handful of linear passes
+// whatever the input order. tmp is scratch of the same length; the
+// result is whichever of the two buffers the last pass wrote.
+func sortEntries(es, tmp []ssEntry) []ssEntry {
+	if len(es) == 0 {
+		return es
+	}
+	word := func(e ssEntry, w int) uint64 {
+		if w == 0 {
+			return uint64(e.item)
+		}
+		return ^e.count
+	}
+	for w := 0; w < 2; w++ {
+		var varies uint64
+		for _, e := range es {
+			varies |= word(e, w) ^ word(es[0], w)
+		}
+		for shift := 0; shift < 64; shift += 8 {
+			if varies>>shift&0xff == 0 {
+				continue
+			}
+			var next [256]int
+			for _, e := range es {
+				next[word(e, w)>>shift&0xff]++
+			}
+			sum := 0
+			for b, n := range next {
+				next[b], sum = sum, sum+n
+			}
+			for _, e := range es {
+				b := word(e, w) >> shift & 0xff
+				tmp[next[b]] = e
+				next[b]++
+			}
+			es, tmp = tmp, es
+		}
+	}
+	return es
+}
+
+// floor bounds the count of any item ss does not track: its minimum
+// counter, or 0 while spare capacity means untracked is never seen.
+func (ss *SpaceSaving) floor() uint64 {
+	if len(ss.h) < ss.k {
+		return 0
+	}
+	return ss.h[0].count
 }
 
 // Merge folds other into t: counts of items tracked on both sides add

@@ -1,7 +1,8 @@
 package sketch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"substream/internal/stream"
 )
@@ -114,13 +115,21 @@ func (ss *SpaceSaving) Counters() []Counter {
 	for _, e := range ss.h {
 		out = append(out, Counter{Item: e.item, Count: e.count, Err: e.err})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b Counter) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Item < out[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 	return out
+}
+
+// Each calls fn for every tracked counter in unspecified (heap) order,
+// without the copy and sort Counters pays.
+func (ss *SpaceSaving) Each(fn func(Counter)) {
+	for _, e := range ss.h {
+		fn(Counter{Item: e.item, Count: e.count, Err: e.err})
+	}
 }
 
 // Estimate returns the (over-)estimate for item, 0 if untracked.

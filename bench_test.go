@@ -499,6 +499,37 @@ func BenchmarkCollectorEstimateFk16(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorUpdate prices the `update` layer the way the standing
+// benchmark's ingest_bin_presampled workload pays it: one Zipf(1.1)
+// stream over 2^20 items, P = 1 (every item reaches the estimator),
+// fed in 8192-item batches. One op is one pass over the 2^20-item
+// stream into a state already warmed by one pass, so ns/item is the
+// steady-state cost; "all" is the full Monitor, the rest its parts.
+func BenchmarkMonitorUpdate(b *testing.B) {
+	const n, batch = 1 << 20, 8192
+	items := stream.Collect(workload.Zipf(n, 1<<20, 1.1, 21).Stream)
+	for _, stat := range []string{"all", "fk", "hh1", "hh2"} {
+		b.Run(stat, func(b *testing.B) {
+			e, err := estimator.New(estimator.Spec{Stat: stat, K: 2, P: 1, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pass := func() {
+				for i := 0; i < n; i += batch {
+					e.UpdateBatch(items[i : i+batch])
+				}
+			}
+			pass()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
+		})
+	}
+}
+
 // --- network monitoring daemon (internal/server) ---
 
 // benchmarkServerIngest measures the daemon's end-to-end ingest path:

@@ -13,7 +13,7 @@
 //
 //	go test -bench ServerIngest -count 3 -json . > head.json
 //	benchcompare -best-of -match ServerIngest -max-regression 10 \
-//	  bench/BENCH_pr12.json head.json
+//	  bench/BASELINE.json head.json
 //
 // Flags:
 //

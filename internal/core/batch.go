@@ -60,33 +60,20 @@ func (e *EntropyEstimator) UpdateBatch(items []stream.Item) {
 // UpdateBatch feeds a batch of sampled-stream elements. The candidate
 // tracker's scores depend on the sketch state at each item's own
 // observation, so sketch update and tracker re-score stay interleaved
-// per item — batching's win here comes from the divide-free point-query
-// kernels, not from reordering — and the batched state is bit-identical
-// to per-item observation.
+// per item — batching's win here comes from the fused one-hash-per-row
+// ObserveEstimate kernels, not from reordering — and the batched state
+// is bit-identical to per-item observation.
 func (h *F1HeavyHitters) UpdateBatch(items []stream.Item) {
-	h.observed += uint64(len(items))
-	if h.cm != nil {
-		for _, it := range items {
-			h.cm.Observe(it)
-			h.tracker.Update(it, float64(h.cm.Estimate(it)))
-		}
-		return
-	}
 	for _, it := range items {
-		h.mg.Observe(it)
-		h.tracker.Update(it, float64(h.mg.Estimate(it)))
+		h.Observe(it)
 	}
 }
 
 // UpdateBatch feeds a batch of sampled-stream elements, interleaved per
 // item like F1HeavyHitters.UpdateBatch.
 func (h *F2HeavyHitters) UpdateBatch(items []stream.Item) {
-	h.nL += uint64(len(items))
 	for _, it := range items {
-		h.cs.Observe(it)
-		if est := h.cs.Estimate(it); est > 0 {
-			h.tracker.Update(it, float64(est))
-		}
+		h.Observe(it)
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"substream/internal/estimator"
 	"substream/internal/rng"
@@ -117,8 +118,7 @@ func trackerCapacity(alpha float64) int {
 func (h *F1HeavyHitters) Observe(it stream.Item) {
 	h.observed++
 	if h.cm != nil {
-		h.cm.Observe(it)
-		h.tracker.Update(it, float64(h.cm.Estimate(it)))
+		h.tracker.Update(it, float64(h.cm.ObserveEstimate(it)))
 	} else {
 		h.mg.Observe(it)
 		h.tracker.Update(it, float64(h.mg.Estimate(it)))
@@ -148,13 +148,16 @@ func (h *F1HeavyHitters) Report() []ReportedHitter {
 			out = append(out, ReportedHitter{Item: e.Item, Freq: est / h.p})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Item < out[j].Item
-	})
+	sortHitters(out)
 	return out
+}
+
+// sortHitters orders a report by decreasing frequency, ties by
+// increasing item.
+func sortHitters(out []ReportedHitter) {
+	slices.SortFunc(out, func(a, b ReportedHitter) int {
+		return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.Item, b.Item))
+	})
 }
 
 // MinStreamLength returns Theorem 6's premise: the F₁(P) floor
@@ -165,7 +168,7 @@ func (h *F1HeavyHitters) MinStreamLength(n uint64, delta float64) float64 {
 
 // SpaceBytes returns the approximate memory footprint.
 func (h *F1HeavyHitters) SpaceBytes() int {
-	s := 48 * h.tracker.Len()
+	s := h.tracker.SpaceBytes()
 	if h.cm != nil {
 		s += h.cm.SpaceBytes()
 	} else {
@@ -249,8 +252,7 @@ func NewF2HeavyHitters(cfg F2HHConfig, r *rng.Xoshiro256) *F2HeavyHitters {
 // Observe feeds one element of the sampled stream L.
 func (h *F2HeavyHitters) Observe(it stream.Item) {
 	h.nL++
-	h.cs.Observe(it)
-	if est := h.cs.Estimate(it); est > 0 {
+	if est := h.cs.ObserveEstimate(it); est > 0 {
 		h.tracker.Update(it, float64(est))
 	}
 }
@@ -267,12 +269,7 @@ func (h *F2HeavyHitters) Report() []ReportedHitter {
 			out = append(out, ReportedHitter{Item: e.Item, Freq: est / h.p})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Item < out[j].Item
-	})
+	sortHitters(out)
 	return out
 }
 
@@ -284,5 +281,5 @@ func (h *F2HeavyHitters) MinF2(n uint64, delta float64) float64 {
 
 // SpaceBytes returns the approximate memory footprint.
 func (h *F2HeavyHitters) SpaceBytes() int {
-	return h.cs.SpaceBytes() + 48*h.tracker.Len()
+	return h.cs.SpaceBytes() + h.tracker.SpaceBytes()
 }

@@ -127,6 +127,21 @@ func FuzzBatchSplit(f *testing.F) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(it))
 	}
 	f.Add(buf, uint64(5))
+	// The shapes the slab/index update kernels special-case: long runs of
+	// one item, more distinct items than any budget (replace-min and
+	// eviction storms at one shared count), and keys that differ only in
+	// their high bits.
+	for _, shape := range []func(i int) uint64{
+		func(i int) uint64 { return uint64(3 + i/29) },
+		func(i int) uint64 { return uint64(1000 + i) },
+		func(i int) uint64 { return uint64(i%41+1)<<56 | 1 },
+	} {
+		buf = buf[:0]
+		for i := 0; i < 128; i++ {
+			buf = binary.LittleEndian.AppendUint64(buf, shape(i))
+		}
+		f.Add(bytes.Clone(buf), uint64(11))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, splitSeed uint64) {
 		items := make(stream.Slice, 0, len(data)/8)
 		for off := 0; off+8 <= len(data) && len(items) < 128; off += 8 {

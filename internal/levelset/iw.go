@@ -113,8 +113,7 @@ func (e *IWEstimator) Observe(it stream.Item) {
 	for t := 0; t <= deepest; t++ {
 		lvl := &e.levels[t]
 		lvl.count++
-		lvl.cs.Observe(it)
-		if est := lvl.cs.Estimate(it); est > 0 {
+		if est := lvl.cs.ObserveEstimate(it); est > 0 {
 			lvl.cands.Update(it, float64(est))
 		}
 	}
@@ -208,7 +207,7 @@ func (e *IWEstimator) EstimateCollisions(l int) float64 {
 func (e *IWEstimator) SpaceBytes() int {
 	total := 64
 	for i := range e.levels {
-		total += e.levels[i].cs.SpaceBytes() + 48*e.levels[i].cands.Len()
+		total += e.levels[i].cs.SpaceBytes() + e.levels[i].cands.SpaceBytes()
 	}
 	return total
 }

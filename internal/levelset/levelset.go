@@ -32,6 +32,16 @@
 // H membership is decided by item identity, so the heavy and light parts
 // partition the support of g: no item is counted twice and none is lost
 // to classification disagreements near the heaviness threshold.
+//
+// Layout and update order. A repetition keeps its tracked items in a
+// dense slab (parallel items/counts/levels slices, unordered) plus a
+// sketch.ItemIndex from item to slab position; Merge, Bands and marshal
+// walk the slab, only admission, eviction and merge touch the index.
+// Two facts hold at all times: a tracked item has level ≥ T (eviction
+// removes everything below T, admission requires level ≥ T), and T only
+// rises. So an element whose level is below T cannot be tracked, and the
+// update computes the level first — through the 4-lane hash kernel in
+// UpdateBatch — and probes the index only for the 2^(−T) survivors.
 package levelset
 
 import (
@@ -39,7 +49,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"substream/internal/rng"
 	"substream/internal/sketch"
@@ -62,17 +71,18 @@ type Estimator struct {
 }
 
 // repState is one independent repetition of the universe-sampling
-// structure.
+// structure: the tracked items in a dense slab (items/counts/levels by
+// slab id, unordered; every reader — Merge, Bands, marshal — walks it)
+// and an index from item to slab id, which only observe, evict and
+// merge touch.
 type repState struct {
 	hash   rng.Hash2
-	counts map[stream.Item]trackedItem
+	items  []stream.Item
+	counts []uint64
+	levels []uint8
+	index  sketch.ItemIndex
 	T      int // current threshold level
 	budget int
-}
-
-type trackedItem struct {
-	level uint8
-	count uint64
 }
 
 // Config configures an Estimator.
@@ -112,58 +122,68 @@ func New(cfg Config, r *rng.Xoshiro256) *Estimator {
 		reps:     make([]*repState, reps),
 	}
 	for i := range e.reps {
-		e.reps[i] = &repState{
-			hash:   rng.NewHash2(r),
-			counts: make(map[stream.Item]trackedItem),
-			budget: cfg.Budget,
-		}
+		e.reps[i] = &repState{hash: rng.NewHash2(r), budget: cfg.Budget}
 	}
 	return e
 }
 
-// levelOf maps an item to its sampling level: Pr[level ≥ t] = 2^(−t).
-func (rs *repState) levelOf(it stream.Item) int {
-	h := rs.hash.Hash(uint64(it)) // uniform in [0, 2^61−1)
-	if h == 0 {
-		return maxLevel
-	}
-	lvl := 61 - bits.Len64(h)
-	if lvl > maxLevel {
-		lvl = maxLevel
-	}
-	return lvl
+// levelOf maps a universe hash value, uniform in [0, 2^61−1), to a
+// sampling level: Pr[level ≥ t] = 2^(−t).
+func levelOf(h uint64) int {
+	return min(61-bits.Len64(h), maxLevel)
 }
 
 // Observe feeds one element of the sampled stream.
 func (e *Estimator) Observe(it stream.Item) {
 	e.heavy.Observe(it)
 	for _, rs := range e.reps {
-		rs.observe(it)
+		rs.observe(it, rs.hash.Hash(uint64(it)))
 	}
 }
 
-func (rs *repState) observe(it stream.Item) {
-	if tracked, ok := rs.counts[it]; ok {
-		tracked.count++
-		rs.counts[it] = tracked
-		return
-	}
-	lvl := rs.levelOf(it)
+// observe feeds one element given its universe hash. The level test
+// comes first and rejects 1−2^(−T) of the stream without a table probe:
+// a tracked item always has level ≥ T (see the package comment).
+func (rs *repState) observe(it stream.Item, h uint64) {
+	lvl := levelOf(h)
 	if lvl < rs.T {
 		return
 	}
-	rs.counts[it] = trackedItem{level: uint8(lvl), count: 1}
+	if id, ok := rs.index.Get(rs.items, it); ok {
+		rs.counts[id]++
+		return
+	}
+	rs.push(it, 1, uint8(lvl))
+	rs.index.Put(rs.items, int32(len(rs.items)-1))
 	// Raise the threshold and evict until the tracked set fits the budget.
-	for len(rs.counts) > rs.budget {
+	for len(rs.items) > rs.budget {
 		rs.T++
-		for key, tr := range rs.counts {
-			if int(tr.level) < rs.T {
-				delete(rs.counts, key)
-			}
-		}
+		rs.evict()
 		if rs.T >= maxLevel {
 			break
 		}
+	}
+}
+
+// push appends an entry to the slab, leaving the index to the caller.
+func (rs *repState) push(it stream.Item, count uint64, level uint8) {
+	rs.items, rs.counts, rs.levels = append(rs.items, it), append(rs.counts, count), append(rs.levels, level)
+}
+
+// evict drops every tracked item below the threshold, compacting the
+// slab in place and re-pointing the index at the survivors.
+func (rs *repState) evict() {
+	n := 0
+	for id, lvl := range rs.levels {
+		if int(lvl) >= rs.T {
+			rs.items[n], rs.counts[n], rs.levels[n] = rs.items[id], rs.counts[id], lvl
+			n++
+		}
+	}
+	rs.items, rs.counts, rs.levels = rs.items[:n], rs.counts[:n], rs.levels[:n]
+	rs.index.Reset(n)
+	for id := range rs.items {
+		rs.index.Put(rs.items, int32(id))
 	}
 }
 
@@ -237,9 +257,9 @@ func (e *Estimator) Bands() []BandStats {
 	}
 	for ri, rs := range e.reps {
 		scale := math.Pow(2, float64(rs.T))
-		for it, tr := range rs.counts {
+		for id, it := range rs.items {
 			if _, isHeavy := heavy[it]; !isHeavy {
-				*cell(float64(tr.count), 1+ri) += scale
+				*cell(float64(rs.counts[id]), 1+ri) += scale
 			}
 		}
 	}
@@ -257,7 +277,7 @@ func (e *Estimator) Bands() []BandStats {
 
 // median sorts vals in place and returns the median.
 func median(vals []float64) float64 {
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	mid := len(vals) / 2
 	if len(vals)%2 == 1 {
 		return vals[mid]
@@ -296,11 +316,10 @@ func (e *Estimator) DirectEstimateCollisions(l int) float64 {
 	for ri, rs := range e.reps {
 		scale := math.Pow(2, float64(rs.T))
 		var sum float64
-		for it, tr := range rs.counts {
-			if _, isHeavy := heavy[it]; isHeavy {
-				continue
+		for id, it := range rs.items {
+			if _, isHeavy := heavy[it]; !isHeavy {
+				sum += stream.BinomialCoeff(rs.counts[id], l)
 			}
-			sum += stream.BinomialCoeff(tr.count, l)
 		}
 		vals[ri] = scale * sum
 	}
@@ -321,11 +340,11 @@ func (e *Estimator) ThresholdLevels() []int {
 	return out
 }
 
-// SpaceBytes returns the approximate memory footprint.
+// SpaceBytes returns the bytes of the slices the estimator holds.
 func (e *Estimator) SpaceBytes() int {
 	total := e.heavy.SpaceBytes()
 	for _, rs := range e.reps {
-		total += 32*len(rs.counts) + 64
+		total += 8*cap(rs.items) + 8*cap(rs.counts) + cap(rs.levels) + rs.index.SpaceBytes()
 	}
 	return total
 }

@@ -198,9 +198,23 @@ func TestEstimatorSpaceBounded(t *testing.T) {
 	for i := 1; i <= 300000; i++ {
 		e.Observe(stream.Item(i))
 	}
-	// Heavy summary (48B/counter) + 3 light reps (32B/entry) + slack.
-	if e.SpaceBytes() > 48*budget+3*(32*budget+64)+1 {
-		t.Fatalf("space %d exceeds budget-implied bound", e.SpaceBytes())
+	// The figure is the bytes of the slices held, not a per-entry guess…
+	want := e.heavy.SpaceBytes()
+	for _, rs := range e.reps {
+		want += 8*cap(rs.items) + 8*cap(rs.counts) + cap(rs.levels) + rs.index.SpaceBytes()
+	}
+	if e.SpaceBytes() != want {
+		t.Fatalf("SpaceBytes = %d, want the %d bytes of the slices held", e.SpaceBytes(), want)
+	}
+	// …and the budget bounds it: a slab never exceeds budget+1 entries
+	// (its capacity at most doubles that), a 4-byte index slot table
+	// at most four times; the heavy summary adds 8 bytes of heap
+	// permutation per entry.
+	if bound := (budget + 1) * ((2*(24+8) + 4*4) + 3*(2*17+4*4)); want > bound {
+		t.Fatalf("space %d exceeds the budget-implied bound %d", want, bound)
+	}
+	if empty := New(Config{EpsPrime: 0.1, Budget: 1 << 20}, rng.New(12)).SpaceBytes(); empty != 0 {
+		t.Fatalf("an empty estimator reports %d bytes", empty)
 	}
 }
 

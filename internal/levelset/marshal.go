@@ -4,6 +4,7 @@ import (
 	"encoding"
 	"fmt"
 	"math"
+	"slices"
 
 	"substream/internal/estimator"
 	"substream/internal/sketch"
@@ -95,15 +96,20 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	}
 	w.Nested(heavy)
 	w.U32(uint32(len(e.reps)))
+	var items []stream.Item
 	for _, rs := range e.reps {
 		w.Hash2(rs.hash)
 		w.U32(uint32(rs.T))
-		w.U32(uint32(len(rs.counts)))
-		for _, it := range sketch.SortedKeys(rs.counts) {
-			tr := rs.counts[it]
+		w.U32(uint32(len(rs.items)))
+		// Increasing item order, so equal states serialize identically
+		// whatever order their slabs grew in.
+		items = append(items[:0], rs.items...)
+		slices.Sort(items)
+		for _, it := range items {
+			id, _ := rs.index.Get(rs.items, it)
 			w.U64(uint64(it))
-			w.U8(tr.level)
-			w.U64(tr.count)
+			w.U8(rs.levels[id])
+			w.U64(rs.counts[id])
 		}
 	}
 	return w.Bytes(), nil
@@ -145,8 +151,9 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		rs := &repState{hash: hash, T: T, budget: budget,
-			counts: make(map[stream.Item]trackedItem, count)}
+		rs := &repState{hash: hash, T: T, budget: budget, items: make([]stream.Item, 0, count),
+			counts: make([]uint64, 0, count), levels: make([]uint8, 0, count)}
+		rs.index.Reset(count)
 		var prev stream.Item
 		for j := 0; j < count; j++ {
 			it := stream.Item(r.U64())
@@ -162,7 +169,8 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 				return nil, r.Err()
 			}
 			prev = it
-			rs.counts[it] = trackedItem{level: level, count: cnt}
+			rs.push(it, cnt, level)
+			rs.index.Put(rs.items, int32(j))
 		}
 		e.reps[i] = rs
 	}

@@ -94,36 +94,35 @@ func (e *Estimator) Merge(other *Estimator) error {
 	if err := e.heavy.Merge(other.heavy); err != nil {
 		return err
 	}
-	var fresh []freshItem
 	for i := range e.reps {
-		fresh = e.reps[i].merge(other.reps[i], fresh)
+		e.reps[i].merge(other.reps[i])
 	}
 	return nil
 }
 
-// merge folds os into rs, reusing fresh as scratch. Foreign entries the
-// receiver already tracks add in place; the rest wait in fresh until the
-// final threshold is known, so nothing is inserted only to be evicted.
-// T rises once — to the first level at which the union fits the budget,
-// read off the union's level histogram — and one pass evicts below it.
-func (rs *repState) merge(os *repState, fresh []freshItem) []freshItem {
+// merge folds os into rs. Foreign entries the receiver already tracks
+// add in place; the rest append past the receiver's own (unindexed)
+// until the final threshold is known, so nothing is indexed only to be
+// evicted. T rises once — to the first level at which the union fits
+// the budget, read off the union's level histogram — and one pass
+// evicts below it.
+func (rs *repState) merge(os *repState) {
 	T := max(rs.T, os.T)
-	var hist [maxLevel + 1]int
-	for it, tr := range os.counts {
-		if int(tr.level) < T {
+	own := len(rs.items)
+	for oid, it := range os.items {
+		if int(os.levels[oid]) < T {
 			continue
 		}
-		if mine, ok := rs.counts[it]; ok {
-			mine.count += tr.count
-			rs.counts[it] = mine
+		if id, ok := rs.index.Get(rs.items, it); ok {
+			rs.counts[id] += os.counts[oid]
 		} else {
-			fresh = append(fresh, freshItem{it, tr})
-			hist[tr.level]++
+			rs.push(it, os.counts[oid], os.levels[oid])
 		}
 	}
-	if T > rs.T || len(rs.counts)+len(fresh) > rs.budget {
-		for _, tr := range rs.counts {
-			hist[tr.level]++
+	if T > rs.T || len(rs.items) > rs.budget {
+		var hist [maxLevel + 1]int
+		for _, lvl := range rs.levels {
+			hist[lvl]++
 		}
 		size := 0
 		for _, n := range hist[T:] {
@@ -133,24 +132,12 @@ func (rs *repState) merge(os *repState, fresh []freshItem) []freshItem {
 			size -= hist[T]
 		}
 		rs.T = T
-		for it, tr := range rs.counts {
-			if int(tr.level) < T {
-				delete(rs.counts, it)
-			}
-		}
+		rs.evict()
+		return
 	}
-	for _, f := range fresh {
-		if int(f.tr.level) >= T {
-			rs.counts[f.item] = f.tr
-		}
+	for id := own; id < len(rs.items); id++ {
+		rs.index.Put(rs.items, int32(id))
 	}
-	return fresh[:0]
-}
-
-// freshItem is a foreign tracked item the receiver does not hold yet.
-type freshItem struct {
-	item stream.Item
-	tr   trackedItem
 }
 
 // MergeCounter implements MergeableCounter.
@@ -163,13 +150,30 @@ func (e *Estimator) MergeCounter(other CollisionCounter) error {
 }
 
 // UpdateBatch feeds every item in items: the heavy summary first, then
-// each repetition scans the whole batch, keeping one map hot at a time.
+// each repetition scans the whole batch, keeping one table hot at a time.
 func (e *Estimator) UpdateBatch(items []stream.Item) {
 	e.heavy.UpdateBatch(items)
 	for _, rs := range e.reps {
-		for _, it := range items {
-			rs.observe(it)
-		}
+		rs.updateBatch(items)
+	}
+}
+
+// updateBatch feeds every item in items, hashing four per iteration
+// through the lane kernel; levels are tested in item order against the
+// live threshold, so the state is bit-identical to per-item observe.
+func (rs *repState) updateBatch(items []stream.Item) {
+	h := rs.hash
+	i := 0
+	for ; i+4 <= len(items); i += 4 {
+		h0, h1, h2, h3 := h.HashLanes4(
+			uint64(items[i]), uint64(items[i+1]), uint64(items[i+2]), uint64(items[i+3]))
+		rs.observe(items[i], h0)
+		rs.observe(items[i+1], h1)
+		rs.observe(items[i+2], h2)
+		rs.observe(items[i+3], h3)
+	}
+	for ; i < len(items); i++ {
+		rs.observe(items[i], h.Hash(uint64(items[i])))
 	}
 }
 
@@ -222,26 +226,13 @@ func (e *IWEstimator) MergeCounter(other CollisionCounter) error {
 	return e.Merge(o)
 }
 
-// UpdateBatch feeds every item in items with the per-item Observe body
-// inlined and the level array hoisted. The candidate re-score depends on
-// each level's sketch state at the item's own observation, so the
-// level/item loops cannot be reordered (bit-equivalence with Observe);
-// the batch win here comes from the flat universe/bucket/sign kernels
-// inside levelOf and the per-level CountSketch.
+// UpdateBatch feeds every item in items. The candidate re-score depends
+// on each level's sketch state at the item's own observation, so the
+// level/item loops cannot be reordered (bit-equivalence with Observe).
 func (e *IWEstimator) UpdateBatch(items []stream.Item) {
-	levels := e.levels
 	for _, it := range items {
-		deepest := e.levelOf(it)
-		for t := 0; t <= deepest; t++ {
-			lvl := &levels[t]
-			lvl.count++
-			lvl.cs.Observe(it)
-			if est := lvl.cs.Estimate(it); est > 0 {
-				lvl.cands.Update(it, float64(est))
-			}
-		}
+		e.Observe(it)
 	}
-	e.nL += uint64(len(items))
 }
 
 var (

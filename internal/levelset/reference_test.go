@@ -3,6 +3,7 @@ package levelset
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -11,11 +12,84 @@ import (
 	"substream/internal/stream"
 )
 
+// refRep is repState as it stood before the slab rewrite — a
+// map[Item] of tracked items, probed before the level is computed —
+// kept verbatim as the differential reference for observe and merge.
+type refRep struct {
+	hash   rng.Hash2
+	counts map[stream.Item]refTracked
+	T      int
+	budget int
+}
+
+type refTracked struct {
+	level uint8
+	count uint64
+}
+
+func (rs *refRep) levelOf(it stream.Item) int {
+	h := rs.hash.Hash(uint64(it)) // uniform in [0, 2^61−1)
+	if h == 0 {
+		return maxLevel
+	}
+	lvl := 61 - bits.Len64(h)
+	if lvl > maxLevel {
+		lvl = maxLevel
+	}
+	return lvl
+}
+
+func (rs *refRep) observe(it stream.Item) {
+	if tracked, ok := rs.counts[it]; ok {
+		tracked.count++
+		rs.counts[it] = tracked
+		return
+	}
+	lvl := rs.levelOf(it)
+	if lvl < rs.T {
+		return
+	}
+	rs.counts[it] = refTracked{level: uint8(lvl), count: 1}
+	// Raise the threshold and evict until the tracked set fits the budget.
+	for len(rs.counts) > rs.budget {
+		rs.T++
+		for key, tr := range rs.counts {
+			if int(tr.level) < rs.T {
+				delete(rs.counts, key)
+			}
+		}
+		if rs.T >= maxLevel {
+			break
+		}
+	}
+}
+
+// refRepOf copies a repetition into the reference layout.
+func refRepOf(rs *repState) *refRep {
+	ref := &refRep{hash: rs.hash, T: rs.T, budget: rs.budget,
+		counts: make(map[stream.Item]refTracked, len(rs.items))}
+	for id, it := range rs.items {
+		ref.counts[it] = refTracked{level: rs.levels[id], count: rs.counts[id]}
+	}
+	return ref
+}
+
+// rep copies the reference back into the slab layout (in map order: the
+// slab's order must not be observable).
+func (rs *refRep) rep() *repState {
+	out := &repState{hash: rs.hash, T: rs.T, budget: rs.budget}
+	for it, tr := range rs.counts {
+		out.push(it, tr.count, tr.level)
+		out.index.Put(out.items, int32(len(out.items)-1))
+	}
+	return out
+}
+
 // refRepMerge is repState.merge as it stood before the one-pass kernel
 // (insert everything, then raise T one level at a time with a full
 // eviction pass per level), kept verbatim as the differential
 // reference: the kernel must leave byte-identical state.
-func refRepMerge(rs, os *repState) {
+func refRepMerge(rs, os *refRep) {
 	if os.T > rs.T {
 		rs.T = os.T
 		for it, tr := range rs.counts {
@@ -54,7 +128,9 @@ func refMerge(t *testing.T, e, other *Estimator) {
 		t.Fatal(err)
 	}
 	for i := range e.reps {
-		refRepMerge(e.reps[i], other.reps[i])
+		ref := refRepOf(e.reps[i])
+		refRepMerge(ref, refRepOf(other.reps[i]))
+		e.reps[i] = ref.rep()
 	}
 }
 
@@ -188,7 +264,7 @@ func refBands(e *Estimator) []BandStats {
 	for ri, rs := range e.reps {
 		m := make(map[int]float64)
 		scale := math.Pow(2, float64(rs.T))
-		for it, tr := range rs.counts {
+		for it, tr := range refRepOf(rs).counts {
 			if _, isHeavy := heavy[it]; isHeavy {
 				continue
 			}

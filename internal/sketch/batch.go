@@ -14,7 +14,7 @@ import (
 // ingestion: interface dispatch at the call site, hash and row
 // bookkeeping for the table-based sketches (reorganized row-major on the
 // flat Hash2/Hash4 kernels so each row's coefficients stay in registers
-// across the whole batch), map lookups for the counter-based summaries
+// across the whole batch), index lookups for the counter-based summaries
 // (amortized across runs of equal items), and heap admission for KMV
 // (a threshold prefilter rejects most hashes before any map or heap
 // work).
@@ -220,41 +220,16 @@ func (mg *MisraGries) UpdateBatch(items []stream.Item) {
 	}
 }
 
-// UpdateBatch feeds every item in items, amortizing index-map lookups
-// across runs of equal items: within a run the item's heap position is
-// carried from sift to sift instead of re-queried, producing exactly the
-// per-item increment-and-sift sequence Observe would.
+// UpdateBatch feeds every item in items, one observeRun — one index
+// lookup, one sift — per run of equal items.
 func (ss *SpaceSaving) UpdateBatch(items []stream.Item) {
 	for i := 0; i < len(items); {
-		it := items[i]
 		j := i + 1
-		for j < len(items) && items[j] == it {
+		for j < len(items) && items[j] == items[i] {
 			j++
 		}
-		pos, ok := ss.index[it]
-		if !ok {
-			// Admission or replace-min: the Observe policy, inlined so
-			// the rest of the run can sift from the admitted position
-			// without a second index lookup.
-			ss.n++
-			i++
-			if len(ss.h) < ss.k {
-				ss.h = append(ss.h, ssEntry{item: it, count: 1})
-				ss.index[it] = len(ss.h) - 1
-				pos = ss.up(len(ss.h) - 1)
-			} else {
-				min := ss.h[0]
-				delete(ss.index, min.item)
-				ss.h[0] = ssEntry{item: it, count: min.count + 1, err: min.count}
-				ss.index[it] = 0
-				pos = ss.down(0)
-			}
-		}
-		for ; i < j; i++ {
-			ss.n++
-			ss.h[pos].count++
-			pos = ss.down(pos)
-		}
+		ss.observeRun(items[i], uint64(j-i))
+		i = j
 	}
 }
 

@@ -9,6 +9,15 @@
 // Every sketch is seeded explicitly from an rng.Xoshiro256 so experiments
 // are reproducible, and every sketch reports its approximate memory
 // footprint so the harness can compare space honestly.
+//
+// The counter-based summaries (SpaceSaving, TopK) share one store,
+// countHeap: a slab of entries with stable ids, a min-heap that is a
+// permutation of those ids, and one ItemIndex from item to id. Only
+// admission and replace-min move an item in or out of a slab slot, and
+// only they write the index; an update reads it once per run of equal
+// items, and sifts move ids without hashing. The heavy-hitter
+// estimators pair a table sketch with a TopK through ObserveEstimate,
+// which is Observe followed by Estimate at one hash evaluation per row.
 package sketch
 
 import (
@@ -76,6 +85,21 @@ func (cm *CountMin) Add(it stream.Item, count uint64) {
 
 // Observe records a single occurrence of item.
 func (cm *CountMin) Observe(it stream.Item) { cm.Add(it, 1) }
+
+// ObserveEstimate records one occurrence of item and returns its point
+// estimate, exactly as Observe followed by Estimate would — a row's cell
+// is touched by no other row — with one hash evaluation per row.
+func (cm *CountMin) ObserveEstimate(it stream.Item) uint64 {
+	x := rng.Mod61(uint64(it))
+	est := uint64(math.MaxUint64)
+	for row := range cm.rows {
+		cell := &cm.table[uint64(row*cm.width)+cm.rr.Bucket(cm.rows[row].Eval(x))]
+		*cell++
+		est = min(est, *cell)
+	}
+	cm.n++
+	return est
+}
 
 // Estimate returns the point estimate f̂_i = min over rows. It never
 // underestimates the true count.

@@ -76,6 +76,27 @@ func (cs *CountSketch) Estimate(it stream.Item) int64 {
 	return medianInt64(ests)
 }
 
+// ObserveEstimate records one occurrence of item and returns its point
+// estimate, exactly as Observe followed by Estimate would — a row's cell
+// is touched by no other row — with one bucket and one sign evaluation
+// per row.
+func (cs *CountSketch) ObserveEstimate(it stream.Item) int64 {
+	var buf [16]int64
+	ests := buf[:0]
+	if cs.depth > len(buf) {
+		ests = make([]int64, 0, cs.depth)
+	}
+	x := rng.Mod61(uint64(it))
+	for row := 0; row < cs.depth; row++ {
+		cell := &cs.table[uint64(row*cs.width)+cs.rr.Bucket(cs.buckets[row].Eval(x))]
+		sign := int64(cs.signs[row].Eval(x)&1)*2 - 1
+		*cell += sign
+		ests = append(ests, sign**cell)
+	}
+	cs.n++
+	return medianInt64(ests)
+}
+
 // medianInt64 sorts vals in place (insertion sort: the slice is one
 // sketch depth long and usually stack-backed) and returns the median.
 func medianInt64(vals []int64) int64 {

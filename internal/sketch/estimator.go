@@ -110,7 +110,7 @@ func (h *HLL) Estimates() map[string]float64 {
 // Estimates returns the observed element count and how many items the
 // summary currently tracks.
 func (ss *SpaceSaving) Estimates() map[string]float64 {
-	return map[string]float64{"n": float64(ss.n), "tracked": float64(len(ss.h))}
+	return map[string]float64{"n": float64(ss.n), "tracked": float64(len(ss.h.heap))}
 }
 
 // Estimates returns the observed element count and how many counters
@@ -122,5 +122,5 @@ func (mg *MisraGries) Estimates() map[string]float64 {
 // Estimates returns the tracked-entry count and the smallest tracked
 // count (the admission threshold).
 func (t *TopK) Estimates() map[string]float64 {
-	return map[string]float64{"tracked": float64(len(t.h)), "min_count": t.Min()}
+	return map[string]float64{"tracked": float64(t.Len()), "min_count": t.Min()}
 }

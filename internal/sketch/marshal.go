@@ -482,11 +482,11 @@ func (ss *SpaceSaving) MarshalBinary() ([]byte, error) {
 	w.Header(TagSpaceSaving)
 	w.U32(uint32(ss.k))
 	w.U64(ss.n)
-	w.U32(uint32(len(ss.h)))
-	for _, e := range ss.h {
-		w.U64(uint64(e.item))
-		w.U64(e.count)
-		w.U64(e.err)
+	w.U32(uint32(len(ss.h.heap)))
+	for _, id := range ss.h.heap {
+		w.U64(uint64(ss.h.items[id]))
+		w.U64(ss.h.counts[id])
+		w.U64(ss.errs[id])
 	}
 	return w.Bytes(), nil
 }
@@ -505,8 +505,8 @@ func UnmarshalSpaceSaving(data []byte) (*SpaceSaving, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	ss := &SpaceSaving{k: k, n: n, h: make(ssHeap, 0, count),
-		index: make(map[stream.Item]int, count)}
+	ss := &SpaceSaving{k: k, n: n, errs: make([]uint64, 0, count)}
+	ss.h.reset(count)
 	for i := 0; i < count; i++ {
 		it := stream.Item(r.U64())
 		c := r.U64()
@@ -517,17 +517,14 @@ func UnmarshalSpaceSaving(data []byte) (*SpaceSaving, error) {
 		// The per-item invariant is f ∈ [count−err, count] with f ≥ 1 for
 		// any tracked item; err > count would wrap the certified lower
 		// bound, and no counter can exceed the observation count.
-		if _, dup := ss.index[it]; dup || c < 1 || e >= c || c > n {
+		if _, dup := ss.h.find(it); dup || c < 1 || e >= c || c > n {
 			r.Fail()
 			return nil, r.err
 		}
-		ss.h = append(ss.h, ssEntry{item: it, count: c, err: e})
-		ss.index[it] = i
+		ss.h.load(it, c)
+		ss.errs = append(ss.errs, e)
 	}
-	// Restore the min-heap invariant regardless of serialized order.
-	for i := len(ss.h)/2 - 1; i >= 0; i-- {
-		ss.down(i)
-	}
+	ss.h.heapify()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -591,10 +588,10 @@ func (t *TopK) MarshalBinary() ([]byte, error) {
 	w := &Writer{}
 	w.Header(TagTopK)
 	w.U32(uint32(t.k))
-	w.U32(uint32(len(t.h)))
-	for _, e := range t.h {
-		w.U64(uint64(e.item))
-		w.F64(e.count)
+	w.U32(uint32(len(t.h.heap)))
+	for _, id := range t.h.heap {
+		w.U64(uint64(t.h.items[id]))
+		w.F64(t.h.counts[id])
 	}
 	return w.Bytes(), nil
 }
@@ -611,7 +608,8 @@ func UnmarshalTopK(data []byte) (*TopK, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	t := &TopK{k: k, h: make(tkHeap, 0, count), index: make(map[stream.Item]int, count)}
+	t := &TopK{k: k}
+	t.h.reset(count)
 	for i := 0; i < count; i++ {
 		it := stream.Item(r.U64())
 		c := r.F64()
@@ -619,16 +617,13 @@ func UnmarshalTopK(data []byte) (*TopK, error) {
 			return nil, r.err
 		}
 		// NaN counts would poison every heap comparison.
-		if _, dup := t.index[it]; dup || math.IsNaN(c) {
+		if _, dup := t.h.find(it); dup || math.IsNaN(c) {
 			r.Fail()
 			return nil, r.err
 		}
-		t.h = append(t.h, tkEntry{item: it, count: c})
-		t.index[it] = i
+		t.h.load(it, c)
 	}
-	for i := len(t.h)/2 - 1; i >= 0; i-- {
-		t.down(i)
-	}
+	t.h.heapify()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package sketch
 import (
 	"errors"
 	"fmt"
+
+	"substream/internal/stream"
 )
 
 // This file adds distributed merging: several monitors (e.g. line cards
@@ -183,43 +185,49 @@ func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 		return fmt.Errorf("%w: SpaceSaving k %d vs %d", ErrIncompatible, ss.k, other.k)
 	}
 	floorA, floorB := ss.floor(), other.floor()
-	// One pass over the foreign heap, joined against the receiver's
-	// existing index: matches add in place, misses append past the
-	// receiver's own entries (whose positions the index still names).
-	matched := make([]bool, len(ss.h))
-	for _, e := range other.h {
-		if pos, ok := ss.index[e.item]; ok {
-			ss.h[pos].count += e.count
-			ss.h[pos].err += e.err
-			matched[pos] = true
+	// One pass over the foreign counters, joined against the receiver's
+	// index: matches add to the receiver's entry, misses append past the
+	// receiver's own (es[id] is the receiver's slab entry id).
+	es := make([]ssEntry, len(ss.errs), len(ss.errs)+len(other.errs))
+	for id, it := range ss.h.items {
+		es[id] = ssEntry{it, ss.h.counts[id], ss.errs[id]}
+	}
+	matched := make([]bool, len(es))
+	for oid, it := range other.h.items {
+		c, e := other.h.counts[oid], other.errs[oid]
+		if id, ok := ss.h.find(it); ok {
+			es[id].count += c
+			es[id].err += e
+			matched[id] = true
 		} else {
-			ss.h = append(ss.h, ssEntry{item: e.item, count: e.count + floorA, err: e.err + floorA})
+			es = append(es, ssEntry{it, c + floorA, e + floorA})
 		}
 	}
-	for i, m := range matched {
+	for id, m := range matched {
 		if !m {
-			ss.h[i].count += floorB
-			ss.h[i].err += floorB
+			es[id].count += floorB
+			es[id].err += floorB
 		}
 	}
 	// Keep the k largest in canonical (count desc, item asc) order and
-	// rebuild the heap by sifting each up in that order — the layout
+	// rebuild the store by pushing each in that order — the heap layout
 	// MarshalBinary writes.
-	sorted := sortEntries(ss.h, make([]ssEntry, len(ss.h)))
-	ss.h = ss.h[:min(len(ss.h), ss.k)]
-	copy(ss.h, sorted)
-	for i, e := range ss.h {
-		for ; i > 0 && ss.h[(i-1)/2].count > e.count; i = (i - 1) / 2 {
-			ss.h[i] = ss.h[(i-1)/2]
-		}
-		ss.h[i] = e
-	}
-	clear(ss.index)
-	for i, e := range ss.h {
-		ss.index[e.item] = i
+	es = sortEntries(es, make([]ssEntry, len(es)))
+	es = es[:min(len(es), ss.k)]
+	ss.h.reset(len(es))
+	ss.errs = ss.errs[:0]
+	for _, e := range es {
+		ss.h.push(e.item, e.count)
+		ss.errs = append(ss.errs, e.err)
 	}
 	ss.n += other.n
 	return nil
+}
+
+// ssEntry is one counter in Merge's scratch list.
+type ssEntry struct {
+	item       stream.Item
+	count, err uint64
 }
 
 // sortEntries orders es by (count desc, item asc) with an LSD radix sort
@@ -269,10 +277,10 @@ func sortEntries(es, tmp []ssEntry) []ssEntry {
 // floor bounds the count of any item ss does not track: its minimum
 // counter, or 0 while spare capacity means untracked is never seen.
 func (ss *SpaceSaving) floor() uint64 {
-	if len(ss.h) < ss.k {
+	if len(ss.h.heap) < ss.k {
 		return 0
 	}
-	return ss.h[0].count
+	return ss.h.counts[ss.h.heap[0]]
 }
 
 // Merge folds other into t: counts of items tracked on both sides add
@@ -284,12 +292,13 @@ func (t *TopK) Merge(other *TopK) error {
 	if t.k != other.k {
 		return fmt.Errorf("%w: TopK k %d vs %d", ErrIncompatible, t.k, other.k)
 	}
-	for _, e := range other.h {
-		if pos, ok := t.index[e.item]; ok {
-			t.h[pos].count += e.count
-			t.fix(pos)
+	for _, oid := range other.h.heap {
+		it, c := other.h.items[oid], other.h.counts[oid]
+		if id, ok := t.h.find(it); ok {
+			t.h.counts[id] += c
+			t.h.fix(id)
 		} else {
-			t.Update(e.item, e.count)
+			t.admit(it, c)
 		}
 	}
 	return nil

@@ -16,11 +16,11 @@ import (
 // one-pass kernel (merged map, reflection sort, index-maintaining
 // sift), kept verbatim as the differential reference: the kernel must
 // leave byte-identical state.
-func refSpaceSavingMerge(ss, other *SpaceSaving) error {
+func refSpaceSavingMerge(ss, other *refSpaceSaving) error {
 	if ss.k != other.k {
 		return fmt.Errorf("%w: SpaceSaving k %d vs %d", ErrIncompatible, ss.k, other.k)
 	}
-	floorOf := func(s *SpaceSaving) uint64 {
+	floorOf := func(s *refSpaceSaving) uint64 {
 		if len(s.h) < s.k {
 			return 0 // spare capacity: untracked means never seen
 		}
@@ -41,7 +41,7 @@ func refSpaceSavingMerge(ss, other *SpaceSaving) error {
 		}
 	}
 	for _, e := range ss.h {
-		if !other.Tracked(e.item) {
+		if _, tracked := other.index[e.item]; !tracked {
 			a := merged[e.item]
 			a.count += floorB
 			a.err += floorB
@@ -133,28 +133,21 @@ func runOfItems(base, n int) stream.Slice {
 // byte-identical state plus a coherent index.
 func checkSSMerge(t *testing.T, a, b *SpaceSaving) *SpaceSaving {
 	t.Helper()
-	want := ssClone(t, a)
-	if err := refSpaceSavingMerge(want, b); err != nil {
+	want := refSSDecode(t, ssBytes(t, a))
+	bBefore := ssBytes(t, b)
+	if err := refSpaceSavingMerge(want, refSSDecode(t, bBefore)); err != nil {
 		t.Fatal(err)
 	}
-	bBefore := ssBytes(t, b)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ssBytes(t, a), ssBytes(t, want)) {
-		t.Fatalf("merged state differs from the reference (k=%d, |a|=%d, |b|=%d)", a.k, len(want.h), len(b.h))
+	if !bytes.Equal(ssBytes(t, a), want.bytes()) {
+		t.Fatalf("merged state differs from the reference (k=%d, |a|=%d, |b|=%d)", a.k, len(want.h), len(b.errs))
 	}
 	if !bytes.Equal(ssBytes(t, b), bBefore) {
 		t.Fatal("Merge mutated its argument")
 	}
-	if len(a.index) != len(a.h) {
-		t.Fatalf("index has %d entries for %d counters", len(a.index), len(a.h))
-	}
-	for i, e := range a.h {
-		if a.index[e.item] != i {
-			t.Fatalf("index[%d] = %d, want %d", e.item, a.index[e.item], i)
-		}
-	}
+	checkInvariants(t, &a.h)
 	return a
 }
 
@@ -180,14 +173,14 @@ func TestSpaceSavingMergeMatchesReference(t *testing.T) {
 	}
 	t.Run("self", func(t *testing.T) {
 		a := ssOf(k, zipfStream(40000, 5000, 1.1, 15))
-		want := ssClone(t, a)
-		if err := refSpaceSavingMerge(want, ssClone(t, a)); err != nil {
+		want := refSSDecode(t, ssBytes(t, a))
+		if err := refSpaceSavingMerge(want, refSSDecode(t, ssBytes(t, a))); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Merge(a); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ssBytes(t, a), ssBytes(t, want)) {
+		if !bytes.Equal(ssBytes(t, a), want.bytes()) {
 			t.Fatal("self-merge differs from the reference")
 		}
 	})

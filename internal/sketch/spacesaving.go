@@ -15,90 +15,46 @@ import (
 // ("guaranteed") counts — the property the level-set estimator's heavy
 // part needs to avoid double counting.
 type SpaceSaving struct {
-	k     int
-	h     ssHeap // min-heap on count
-	index map[stream.Item]int
-	n     uint64
+	k    int
+	h    countHeap[uint64] // min-heap on count
+	errs []uint64          // by slab id: count inherited on admission; true f ∈ [count−err, count]
+	n    uint64
 }
-
-type ssEntry struct {
-	item  stream.Item
-	count uint64
-	err   uint64 // count inherited on admission; true f ∈ [count−err, count]
-}
-
-type ssHeap []ssEntry
 
 // NewSpaceSaving returns a summary with k counters. It panics if k < 1.
 func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		panic("sketch: SpaceSaving requires k >= 1")
 	}
-	return &SpaceSaving{k: k, index: make(map[stream.Item]int, k)}
+	return &SpaceSaving{k: k}
 }
 
 // Observe feeds one item.
-func (ss *SpaceSaving) Observe(it stream.Item) {
-	ss.n++
-	if pos, ok := ss.index[it]; ok {
-		ss.h[pos].count++
-		ss.down(pos)
+func (ss *SpaceSaving) Observe(it stream.Item) { ss.observeRun(it, 1) }
+
+// observeRun feeds run consecutive occurrences of it with one index
+// lookup and one sift: a sift-down follows the smaller-child path,
+// which the moving entry's own count does not choose, so sinking once
+// at the final count lands where run single increments would.
+func (ss *SpaceSaving) observeRun(it stream.Item, run uint64) {
+	ss.n += run
+	h := &ss.h
+	id, ok := h.find(it)
+	switch {
+	case ok:
+		h.counts[id] += run
+	case len(h.heap) < ss.k:
+		// A new counter sifts up at count 1 before the rest of its run.
+		id = h.push(it, 1)
+		ss.errs = append(ss.errs, 0)
+		h.counts[id] += run - 1
+	default:
+		// Replace the minimum counter, inheriting its count as error.
+		min := h.counts[h.heap[0]]
+		ss.errs[h.replaceMin(it, min+run)] = min
 		return
 	}
-	if len(ss.h) < ss.k {
-		ss.h = append(ss.h, ssEntry{item: it, count: 1})
-		ss.index[it] = len(ss.h) - 1
-		ss.up(len(ss.h) - 1)
-		return
-	}
-	// Replace the minimum counter, inheriting its count as error.
-	min := ss.h[0]
-	delete(ss.index, min.item)
-	ss.h[0] = ssEntry{item: it, count: min.count + 1, err: min.count}
-	ss.index[it] = 0
-	ss.down(0)
-}
-
-// up restores the heap invariant toward the root from i and returns the
-// entry's final position (see down).
-func (ss *SpaceSaving) up(i int) int {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if ss.h[parent].count <= ss.h[i].count {
-			break
-		}
-		ss.swap(i, parent)
-		i = parent
-	}
-	return i
-}
-
-// down restores the heap invariant from i and returns the entry's final
-// position, so batched runs of one item can sift repeatedly without
-// re-querying the index map.
-func (ss *SpaceSaving) down(i int) int {
-	n := len(ss.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && ss.h[l].count < ss.h[smallest].count {
-			smallest = l
-		}
-		if r < n && ss.h[r].count < ss.h[smallest].count {
-			smallest = r
-		}
-		if smallest == i {
-			return i
-		}
-		ss.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (ss *SpaceSaving) swap(i, j int) {
-	ss.h[i], ss.h[j] = ss.h[j], ss.h[i]
-	ss.index[ss.h[i].item] = i
-	ss.index[ss.h[j].item] = j
+	h.down(int(h.pos[id]))
 }
 
 // Counter reports one tracked item: the true count lies in
@@ -111,10 +67,8 @@ type Counter struct {
 
 // Counters returns all tracked items sorted by decreasing count.
 func (ss *SpaceSaving) Counters() []Counter {
-	out := make([]Counter, 0, len(ss.h))
-	for _, e := range ss.h {
-		out = append(out, Counter{Item: e.item, Count: e.count, Err: e.err})
-	}
+	out := make([]Counter, 0, len(ss.errs))
+	ss.Each(func(c Counter) { out = append(out, c) })
 	slices.SortFunc(out, func(a, b Counter) int {
 		if a.Count != b.Count {
 			return cmp.Compare(b.Count, a.Count)
@@ -124,25 +78,25 @@ func (ss *SpaceSaving) Counters() []Counter {
 	return out
 }
 
-// Each calls fn for every tracked counter in unspecified (heap) order,
+// Each calls fn for every tracked counter in unspecified (slab) order,
 // without the copy and sort Counters pays.
 func (ss *SpaceSaving) Each(fn func(Counter)) {
-	for _, e := range ss.h {
-		fn(Counter{Item: e.item, Count: e.count, Err: e.err})
+	for id, it := range ss.h.items {
+		fn(Counter{Item: it, Count: ss.h.counts[id], Err: ss.errs[id]})
 	}
 }
 
 // Estimate returns the (over-)estimate for item, 0 if untracked.
 func (ss *SpaceSaving) Estimate(it stream.Item) uint64 {
-	if pos, ok := ss.index[it]; ok {
-		return ss.h[pos].count
+	if id, ok := ss.h.find(it); ok {
+		return ss.h.counts[id]
 	}
 	return 0
 }
 
 // Tracked reports whether the item currently holds a counter.
 func (ss *SpaceSaving) Tracked(it stream.Item) bool {
-	_, ok := ss.index[it]
+	_, ok := ss.h.find(it)
 	return ok
 }
 
@@ -152,5 +106,5 @@ func (ss *SpaceSaving) N() uint64 { return ss.n }
 // K returns the number of counters.
 func (ss *SpaceSaving) K() int { return ss.k }
 
-// SpaceBytes returns the approximate memory footprint.
-func (ss *SpaceSaving) SpaceBytes() int { return 48 * ss.k }
+// SpaceBytes returns the bytes of the slices the summary holds.
+func (ss *SpaceSaving) SpaceBytes() int { return ss.h.spaceBytes() + 8*cap(ss.errs) }

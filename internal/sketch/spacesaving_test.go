@@ -101,8 +101,13 @@ func TestSpaceSavingCapacity(t *testing.T) {
 	if len(ss.Counters()) > 5 {
 		t.Fatalf("tracked %d > 5 counters", len(ss.Counters()))
 	}
-	if ss.SpaceBytes() != 48*5 {
-		t.Fatalf("SpaceBytes = %d", ss.SpaceBytes())
+	h := &ss.h
+	if want := 8*(cap(h.items)+cap(h.counts)+cap(ss.errs)) +
+		4*(cap(h.heap)+cap(h.pos)+cap(h.index.ids)); ss.SpaceBytes() != want {
+		t.Fatalf("SpaceBytes = %d, want the %d bytes of the slices held", ss.SpaceBytes(), want)
+	}
+	if empty := NewSpaceSaving(1 << 20).SpaceBytes(); empty != 0 {
+		t.Fatalf("an empty summary reports %d bytes", empty)
 	}
 }
 

@@ -1,7 +1,8 @@
 package sketch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"substream/internal/stream"
 )
@@ -11,112 +12,58 @@ import (
 // heavy-hitter algorithms: the sketch answers point queries, TopK
 // remembers which items are currently worth reporting.
 type TopK struct {
-	k     int
-	h     tkHeap
-	index map[stream.Item]int // item → position in h
+	k int
+	h countHeap[float64] // min-heap on count
 }
-
-type tkEntry struct {
-	item  stream.Item
-	count float64
-}
-
-// tkHeap is a min-heap on count, maintained by the hand-rolled sift code
-// below (rather than container/heap) because every swap must also update
-// the index map.
-type tkHeap []tkEntry
 
 // NewTopK returns a tracker for the k largest counts. It panics if k < 1.
 func NewTopK(k int) *TopK {
 	if k < 1 {
 		panic("sketch: TopK requires k >= 1")
 	}
-	return &TopK{k: k, index: make(map[stream.Item]int, k)}
+	return &TopK{k: k}
 }
 
 // Update reports a (possibly revised) estimated count for item. The
 // tracker keeps the item if it is already tracked (updating its count) or
 // if its count beats the current minimum.
 func (t *TopK) Update(it stream.Item, count float64) {
-	if pos, ok := t.index[it]; ok {
-		t.h[pos].count = count
-		t.fix(pos)
-		return
-	}
-	if len(t.h) < t.k {
-		t.h = append(t.h, tkEntry{item: it, count: count})
-		t.index[it] = len(t.h) - 1
-		t.up(len(t.h) - 1)
-		return
-	}
-	if count > t.h[0].count {
-		delete(t.index, t.h[0].item)
-		t.h[0] = tkEntry{item: it, count: count}
-		t.index[it] = 0
-		t.down(0)
+	if id, ok := t.h.find(it); ok {
+		t.h.counts[id] = count
+		t.h.fix(id)
+	} else {
+		t.admit(it, count)
 	}
 }
 
-func (t *TopK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if t.h[parent].count <= t.h[i].count {
-			break
-		}
-		t.swap(i, parent)
-		i = parent
+// admit lets an untracked item compete for a slot.
+func (t *TopK) admit(it stream.Item, count float64) {
+	if len(t.h.heap) < t.k {
+		t.h.push(it, count)
+	} else if count > t.h.counts[t.h.heap[0]] {
+		t.h.replaceMin(it, count)
 	}
-}
-
-func (t *TopK) down(i int) {
-	n := len(t.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && t.h[l].count < t.h[smallest].count {
-			smallest = l
-		}
-		if r < n && t.h[r].count < t.h[smallest].count {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		t.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (t *TopK) fix(i int) {
-	t.up(i)
-	t.down(i)
-}
-
-func (t *TopK) swap(i, j int) {
-	t.h[i], t.h[j] = t.h[j], t.h[i]
-	t.index[t.h[i].item] = i
-	t.index[t.h[j].item] = j
 }
 
 // Contains reports whether item is currently tracked.
 func (t *TopK) Contains(it stream.Item) bool {
-	_, ok := t.index[it]
+	_, ok := t.h.find(it)
 	return ok
 }
 
 // Min returns the smallest tracked count, or 0 when empty.
 func (t *TopK) Min() float64 {
-	if len(t.h) == 0 {
+	if len(t.h.heap) == 0 {
 		return 0
 	}
-	return t.h[0].count
+	return t.h.counts[t.h.heap[0]]
 }
 
 // Len returns the number of tracked items.
-func (t *TopK) Len() int { return len(t.h) }
+func (t *TopK) Len() int { return len(t.h.heap) }
 
-// SpaceBytes returns the approximate memory footprint.
-func (t *TopK) SpaceBytes() int { return 48 * t.k }
+// SpaceBytes returns the bytes of the slices the tracker holds.
+func (t *TopK) SpaceBytes() int { return t.h.spaceBytes() }
 
 // Entry is a tracked item with its estimated count.
 type Entry struct {
@@ -127,15 +74,12 @@ type Entry struct {
 // Items returns the tracked items sorted by decreasing count (ties by
 // increasing item id).
 func (t *TopK) Items() []Entry {
-	out := make([]Entry, 0, len(t.h))
-	for _, e := range t.h {
-		out = append(out, Entry{Item: e.item, Count: e.count})
+	out := make([]Entry, len(t.h.items))
+	for id, it := range t.h.items {
+		out[id] = Entry{Item: it, Count: t.h.counts[id]}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Item < out[j].Item
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Item, b.Item))
 	})
 	return out
 }
@@ -148,12 +92,12 @@ func (t *TopK) Items() []Entry {
 // contract; for counting top-k from a raw stream use SpaceSaving, and
 // the heavy-hitter estimators drive Update with sketch-backed scores.
 func (t *TopK) Observe(it stream.Item) {
-	if pos, ok := t.index[it]; ok {
-		t.h[pos].count++
-		t.fix(pos)
-		return
+	if id, ok := t.h.find(it); ok {
+		t.h.counts[id]++
+		t.h.fix(id)
+	} else {
+		t.admit(it, 1)
 	}
-	t.Update(it, 1)
 }
 
 // UpdateBatch feeds a batch of single occurrences.

@@ -172,10 +172,7 @@ func run(w io.Writer, opt options) error {
 		if err != nil {
 			return err
 		}
-		s = make(stream.Slice, len(ws))
-		for i := range ws {
-			s[i] = ws[i].Key
-		}
+		s = ws.Keys()
 	} else {
 		s, err = stream.ReadText(in)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Package pipeline is the sharded, concurrent ingestion layer: it fans a
-// stream of items out to N shard workers over batched channels, runs an
-// independent estimator replica per shard, and merges the per-shard
-// states into a single estimate on demand.
+// stream of items out to N shard workers over bounded rings of batches,
+// runs an independent estimator replica per shard, and merges the
+// per-shard states into a single estimate on demand.
 //
 // # Why sharding is sound here
 //
@@ -22,8 +22,7 @@
 // stream-monitoring systems exploit ("Boosting the Basic Counting on
 // Distributed Streams"; Cohen et al.'s per-flow aggregation).
 //
-// The WEIGHTED lane (FeedWeighted and friends) needs a different
-// argument. VarOpt reservoir sampling does NOT commute with
+// WEIGHTED items (the FeedWeighted* feeds) need a different argument. VarOpt reservoir sampling does NOT commute with
 // partitioning: which items survive a full reservoir depends on the
 // weights of the items competing for the same k slots, so shard-local
 // reservoirs are not jointly distributed like one reservoir over the
@@ -64,30 +63,47 @@
 // full. On the uncontended fast path a hand-off is two atomic
 // operations and no lock, and push/pop allocate nothing.
 //
-// # Ownership transfer
+// # One lane, two primitives
 //
-// Feed/FeedSlice copy or re-batch their input; FeedOwned is the
-// zero-copy path. FeedOwned(items, release) transfers ownership of the
-// items slice to the pipeline: the caller must not read or write the
-// slice afterwards, and the pipeline calls release() exactly once when
-// the batch has been fully applied (or immediately, for an empty
-// slice). A pooled decoder can therefore hand chunks straight into the
-// shard queues and recycle each buffer when its release fires, with no
-// memcpy anywhere between the wire and the estimator. The chunk is
-// dispatched to one shard as a single batch — sound for the same
-// reason sharding itself is (Bernoulli sampling commutes with any
-// partitioning of the stream). Pending Feed items are flushed first,
-// so per-item and owned feeding interleave without reordering across a
-// Sync.
+// An item is a bare key (stream.Item) or a key with a weight column
+// (stream.WItem); weight 1 is the paper's model. Everything an item
+// passes through is written once, generically over that type: the
+// producer-side lane (the partial batch and its buffer pool), the
+// worker-side consume step (sample, count, apply, give the buffer back)
+// and the Bernoulli filter. Two entries per item type are all that
+// differ — which slot of the ring message a batch travels in, and how a
+// batch's weight is summed — so a weighted batch runs exactly the code
+// an unweighted one does. The exported feeds are thin instantiations,
+// three per item type, built from two primitives:
 //
-// The weighted lane mirrors the whole feeding surface — FeedWeighted,
-// FeedWeightedSlice, FeedWeightedCopy, FeedWeightedOwned — with the
-// same ownership and ordering contracts; switching lanes flushes the
-// other lane's partial batch so interleaved feeding never reorders a
-// shard's view. A pipeline that only ever uses the unweighted feeds
-// behaves bit-identically to one built before the weighted lane
-// existed (same batches, same sampler coin consumption, same replica
-// states).
+//   - copy in: FeedCopy / FeedWeightedCopy bulk-copy the caller's items
+//     into the pooled partial batch and dispatch it each time it reaches
+//     Config.BatchSize. The caller keeps its slice.
+//   - hand over: FeedOwned / FeedWeightedOwned dispatch the caller's
+//     slice itself, whole, as one batch. Ownership transfers to the
+//     pipeline: the caller must not read or write the slice afterwards,
+//     and the pipeline calls release() exactly once when the batch has
+//     been fully applied (or immediately, for an empty slice). A pooled
+//     decoder can therefore hand chunks straight into the shard queues
+//     and recycle each buffer when its release fires, with no memcpy
+//     anywhere between the wire and the estimator. The chunk lands on
+//     one shard — sound for the same reason sharding itself is.
+//
+// FeedSlice / FeedWeightedSlice are both at once: the head of the slice
+// is copied in to top up a pending partial batch, whole batch-sized
+// windows are handed over zero-copy (no release: the caller must leave
+// the slice alone until Close), and the tail is copied in.
+//
+// Order within a shard's view is the feeding order. A hand-over first
+// flushes the pending partial batch, and feeding one item type first
+// flushes the other's, so feeds of every shape and type interleave
+// without reordering and at most one partial batch exists at a time.
+// The sampler's rejection-run state is shared too: batches of both
+// types consume one coin sequence per shard, and the coins fall on
+// ITEMS — never steered by weights. Buffers are drawn on first use, so
+// a pipeline that only ever sees one item type never allocates for the
+// other, and behaves bit-identically to one built before weights
+// existed (same batches, same coin consumption, same replica states).
 //
 // # Mergeability contract
 //
@@ -97,8 +113,8 @@
 // examples/distributed). The estimators verify this at merge time and
 // return sketch.ErrIncompatible when violated.
 //
-// Feeding is single-producer: Feed/FeedSlice/FeedStream/FeedOwned must
-// be called from one goroutine (the SPSC rings rely on it). Shard
+// Feeding is single-producer: every Feed* method (and Sync, Close)
+// must be called from one goroutine (the SPSC rings rely on it). Shard
 // workers never share state; all synchronization is ring hand-off, so
 // the package is race-clean under `go test -race`.
 //

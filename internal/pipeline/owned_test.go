@@ -35,8 +35,8 @@ func TestFeedOwnedDeliversAndReleasesOnce(t *testing.T) {
 		t.Fatal("empty chunk dispatched a batch")
 	}
 
-	p.Feed(1)
-	p.Feed(2)
+	p.FeedCopy(stream.Slice{1})
+	p.FeedCopy(stream.Slice{2})
 	chunk := stream.Slice{10, 11, 12, 13, 14}
 	p.FeedOwned(chunk, func() { released++ })
 	p.Sync()

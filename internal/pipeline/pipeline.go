@@ -51,9 +51,10 @@ type Config struct {
 	// Shards is the number of workers (and estimator replicas).
 	// Default runtime.GOMAXPROCS(0).
 	Shards int
-	// BatchSize is the number of items handed to a worker at once.
-	// Larger batches amortize channel and dispatch overhead; smaller
-	// ones bound merge-time staleness. Default 1024.
+	// BatchSize is the number of items the copying and slicing feeds
+	// hand to a worker at once (an owned chunk is one batch whatever its
+	// length). Larger batches amortize the ring hand-off and dispatch
+	// overhead; smaller ones bound merge-time staleness. Default 1024.
 	BatchSize int
 	// QueueDepth is the number of batches buffered per shard ring
 	// before the feeder blocks (backpressure). Rounded up to a power of
@@ -85,13 +86,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// batchMsg is one unit of work, carrying either an unweighted or a
-// weighted batch (witems non-nil selects the weighted lane). Pooled
-// buffers are recycled by the worker after application; caller-owned
-// slices (zero-copy FeedSlice path) are not touched; FeedOwned messages
-// carry the release callback the worker invokes once the items have been
-// applied. A message with a non-nil ack is a synchronization barrier:
-// the worker acknowledges and applies nothing.
+// item is the type set the ingest spine is generic over: a bare key, or
+// the same key with a weight column. Every feed and worker mechanism
+// below is written once over it.
+type item interface {
+	stream.Item | stream.WItem
+}
+
+// batchMsg is one unit of work: the two-slot union the (non-generic)
+// shard rings carry, holding either an unweighted or a weighted batch
+// (witems non-nil selects the weighted lane; dispatched batches are never
+// empty). Pooled buffers are recycled by the worker after application;
+// caller-owned windows (zero-copy FeedSlice path) are not touched; owned
+// chunks carry the release callback the worker invokes once the items
+// have been applied. A message with a non-nil ack is a synchronization
+// barrier: the worker acknowledges and applies nothing.
 type batchMsg struct {
 	items   []stream.Item
 	witems  []stream.WItem
@@ -116,29 +125,147 @@ func (c *keptCell) addWeight(d float64) {
 	c.w.Store(math.Float64bits(math.Float64frombits(c.w.Load()) + d))
 }
 
+// lane is one item type's path through the pipeline. The two function
+// fields are everything that differs between the item types: wrap puts a
+// batch in its batchMsg slot, weigh adds a batch's weights onto acc in
+// item order (float addition does not re-associate, so FedWeight and
+// KeptWeight depend on that order; a bare key weighs 1). The pool is
+// shared with the shard workers; buf, the partial batch, belongs to the
+// producer and is drawn lazily, so a pipeline that never feeds a lane
+// never allocates a buffer for it.
+type lane[T item] struct {
+	wrap  func([]T) batchMsg
+	weigh func(acc float64, batch []T) float64
+	pool  sync.Pool
+	buf   []T
+}
+
+func (l *lane[T]) init(batchSize int, wrap func([]T) batchMsg, weigh func(float64, []T) float64) {
+	l.wrap, l.weigh = wrap, weigh
+	l.pool.New = func() any { return make([]T, 0, batchSize) }
+}
+
+// feeder is the producer side of a pipeline — everything the feeding
+// goroutine owns, none of it dependent on the replica type. Feeding one
+// lane first flushes the other's partial batch, so interleaved feeding
+// never reorders items within a shard's view and at most one lane holds
+// a partial batch at any time.
+type feeder struct {
+	batchSize int
+	rings     []*spscRing
+	next      int     // round-robin cursor
+	fed       uint64  // items fed
+	fedW      float64 // weight fed (1 per unweighted item)
+	batches   uint64  // batches dispatched
+	closed    bool
+	plain     lane[stream.Item]
+	weighted  lane[stream.WItem]
+}
+
+// enter is every feed's prologue: feeding a closed pipeline is a bug in
+// the caller.
+func (f *feeder) enter(name string) {
+	if f.closed {
+		panic("pipeline: " + name + " after Close")
+	}
+}
+
+// dispatch hands one batch to the next shard round-robin.
+func (f *feeder) dispatch(msg batchMsg) {
+	f.batches++
+	f.rings[f.next].push(msg)
+	f.next++
+	if f.next == len(f.rings) {
+		f.next = 0
+	}
+}
+
+// flush dispatches the buffered partial batch, if any.
+func (f *feeder) flush() {
+	f.plain.flush(f)
+	f.weighted.flush(f)
+}
+
+func (l *lane[T]) flush(f *feeder) {
+	if len(l.buf) > 0 {
+		msg := l.wrap(l.buf)
+		msg.pooled = true
+		f.dispatch(msg)
+		l.buf = nil
+	}
+}
+
+// copyIn is the first feeding primitive: bulk-copy items into the lane's
+// pooled partial batch, dispatching it each time it fills. The caller
+// keeps items.
+func (l *lane[T]) copyIn(f *feeder, items []T) {
+	for len(items) > 0 {
+		if l.buf == nil {
+			l.buf = l.pool.Get().([]T)
+		}
+		n := min(f.batchSize-len(l.buf), len(items))
+		l.buf = append(l.buf, items[:n]...)
+		f.fed += uint64(n)
+		f.fedW = l.weigh(f.fedW, items[:n])
+		items = items[n:]
+		if len(l.buf) == f.batchSize {
+			l.flush(f)
+		}
+	}
+}
+
+// hand is the second: dispatch items as one batch without copying. The
+// slice belongs to the pipeline until its worker has applied it, at
+// which point release (if non-nil) runs.
+func (l *lane[T]) hand(f *feeder, items []T, release func()) {
+	f.fed += uint64(len(items))
+	f.fedW = l.weigh(f.fedW, items)
+	msg := l.wrap(items)
+	msg.release = release
+	f.dispatch(msg)
+}
+
+// slice feeds a materialized stream zero-copy: the head tops up a
+// pending partial batch (stream order within each shard's view), whole
+// batch-sized windows are handed over as sub-slices, and the tail is
+// copied into the next partial batch.
+func (l *lane[T]) slice(f *feeder, items []T) {
+	if len(l.buf) > 0 {
+		n := min(f.batchSize-len(l.buf), len(items))
+		l.copyIn(f, items[:n])
+		items = items[n:]
+	}
+	for ; len(items) >= f.batchSize; items = items[f.batchSize:] {
+		l.hand(f, items[:f.batchSize], nil)
+	}
+	l.copyIn(f, items)
+}
+
+// owned feeds a whole chunk as a single batch behind any partial batch
+// (of either lane). An empty chunk releases immediately and dispatches
+// nothing.
+func (l *lane[T]) owned(f *feeder, items []T, release func()) {
+	if len(items) > 0 {
+		f.flush()
+		l.hand(f, items, release)
+	} else if release != nil {
+		release()
+	}
+}
+
 // Pipeline fans a single feed out to per-shard estimator replicas of type
 // E. Feeding is single-producer; Close (or Reduce/MergeAll) must be
 // called exactly once to stop the workers and collect the replicas.
 type Pipeline[E any] struct {
+	feeder // producer-side state, guarded by the single-producer discipline
 	cfg    Config
 	shards []E
-	rings  []*spscRing
 	wg     sync.WaitGroup
-	pool   sync.Pool
-	wpool  sync.Pool
-	buf    []stream.Item
-	wbuf   []stream.WItem // weighted batch buffer, nil until first weighted feed
-	next   int            // round-robin cursor
-	fed    uint64         // items fed by the producer
-	fedW   float64        // weight fed by the producer (1 per unweighted item)
 	kept   []keptCell
 	acks   chan struct{} // reusable Sync barrier (single-producer ⇒ no overlap)
-	closed bool
 
-	// Producer-side instrumentation, guarded by the same single-producer
-	// discipline as fed: batches dispatched, Sync rounds, and cumulative
-	// time the producer spent parked in Sync waiting for shard acks.
-	batches  uint64
+	// Sync rounds and cumulative time the producer spent parked in Sync
+	// waiting for shard acks; producer-side like the feeder's counters.
 	syncs    uint64
 	syncWait time.Duration
 }
@@ -153,27 +280,38 @@ func New[E any](cfg Config, newShard func(shard int) E) *Pipeline[E] {
 	p := &Pipeline[E]{
 		cfg:    cfg,
 		shards: make([]E, cfg.Shards),
-		rings:  make([]*spscRing, cfg.Shards),
 		kept:   make([]keptCell, cfg.Shards),
 		acks:   make(chan struct{}, cfg.Shards),
 	}
-	p.pool.New = func() any { return make([]stream.Item, 0, cfg.BatchSize) }
-	p.wpool.New = func() any { return make([]stream.WItem, 0, cfg.BatchSize) }
-	p.buf = p.pool.Get().([]stream.Item)
+	p.batchSize = cfg.BatchSize
+	p.rings = make([]*spscRing, cfg.Shards)
+	p.plain.init(cfg.BatchSize,
+		func(b []stream.Item) batchMsg { return batchMsg{items: b} },
+		func(acc float64, b []stream.Item) float64 { return acc + float64(len(b)) })
+	p.weighted.init(cfg.BatchSize,
+		func(b []stream.WItem) batchMsg { return batchMsg{witems: b} },
+		func(acc float64, b []stream.WItem) float64 {
+			for _, it := range b {
+				acc += it.Weight
+			}
+			return acc
+		})
 
 	master := rng.New(cfg.Seed)
 	for i := 0; i < cfg.Shards; i++ {
 		p.shards[i] = newShard(i)
 		apply := applyFunc(p.shards[i])
-		applyW := applyWeightedFunc(p.shards[i], apply)
-		p.rings[i] = newSPSCRing(cfg.QueueDepth)
-
-		var coins *rng.Xoshiro256
-		if cfg.SampleP > 0 {
-			coins = master.Split()
+		w := &worker{
+			kept:     &p.kept[i],
+			plain:    sink[stream.Item]{lane: &p.plain, apply: apply},
+			weighted: sink[stream.WItem]{lane: &p.weighted, apply: applyWeightedFunc(p.shards[i], apply)},
 		}
+		if cfg.SampleP > 0 {
+			w.sampler.init(cfg.SampleP, master.Split())
+		}
+		p.rings[i] = newSPSCRing(cfg.QueueDepth)
 		p.wg.Add(1)
-		go p.work(i, p.rings[i], apply, applyW, coins)
+		go w.run(p.rings[i], &p.wg)
 	}
 	return p
 }
@@ -229,65 +367,61 @@ func applyWeightedFunc(e any, plain func([]stream.Item)) func([]stream.WItem) {
 	}
 }
 
-// work is one shard worker: it owns its replica exclusively until Close
-// returns, so no locking is needed around estimator state.
-func (p *Pipeline[E]) work(shard int, r *spscRing, apply func([]stream.Item), applyW func([]stream.WItem), coins *rng.Xoshiro256) {
-	defer p.wg.Done()
-	var scratch []stream.Item
-	var wscratch []stream.WItem // allocated on the first sampled weighted batch
-	var sampler bernoulliSampler
-	if coins != nil {
-		scratch = make([]stream.Item, 0, p.cfg.BatchSize)
-		sampler.init(p.cfg.SampleP, coins)
-	}
+// worker is one shard worker: it owns its replica exclusively until
+// Close returns, so no locking is needed around estimator state. Both
+// lanes' batches pass through the one sampler, so weighted and
+// unweighted batches interleave under a single coin sequence.
+type worker struct {
+	sampler  bernoulliSampler // zero value: no sampling
+	kept     *keptCell
+	plain    sink[stream.Item]
+	weighted sink[stream.WItem]
+}
+
+func (w *worker) run(r *spscRing, wg *sync.WaitGroup) {
+	defer wg.Done()
 	for {
 		msg, ok := r.pop()
-		if !ok {
+		switch {
+		case !ok:
 			return
-		}
-		if msg.ack != nil {
+		case msg.ack != nil:
 			msg.ack <- struct{}{}
-			continue
+		case msg.witems != nil:
+			w.weighted.consume(w, msg.witems, msg)
+		default:
+			w.plain.consume(w, msg.items, msg)
 		}
-		if msg.witems != nil {
-			items := msg.witems
-			if coins != nil {
-				wscratch = sampler.filterW(wscratch[:0], items)
-				items = wscratch
-			}
-			p.kept[shard].n.Add(uint64(len(items)))
-			var kw float64
-			for _, it := range items {
-				kw += it.Weight
-			}
-			p.kept[shard].addWeight(kw)
-			if len(items) > 0 {
-				applyW(items)
-			}
-			if msg.pooled {
-				p.wpool.Put(msg.witems[:0])
-			} else if msg.release != nil {
-				msg.release()
-			}
-			continue
-		}
-		items := msg.items
-		if coins != nil {
-			scratch = sampler.filter(scratch[:0], items)
-			items = scratch
-		}
-		p.kept[shard].n.Add(uint64(len(items)))
-		p.kept[shard].addWeight(float64(len(items)))
-		if len(items) > 0 {
-			apply(items)
-		}
-		if msg.pooled {
-			p.pool.Put(msg.items[:0])
-		} else if msg.release != nil {
-			// FeedOwned contract: the buffer returns to its owner only
-			// after the batch is fully applied, never before.
-			msg.release()
-		}
+	}
+}
+
+// sink is the worker side of one lane: the replica's application path
+// for the lane's item type and the sampling scratch buffer, grown on the
+// first sampled batch.
+type sink[T item] struct {
+	lane    *lane[T]
+	apply   func([]T)
+	scratch []T
+}
+
+// consume runs one batch through the worker: sample, count, apply, then
+// give the buffer back — to the lane's pool, or to its owner, who gets
+// it only after the batch is fully applied, never before.
+func (s *sink[T]) consume(w *worker, batch []T, msg batchMsg) {
+	kept := batch
+	if w.sampler.coins != nil {
+		s.scratch = filter(&w.sampler, s.scratch[:0], batch)
+		kept = s.scratch
+	}
+	w.kept.n.Add(uint64(len(kept)))
+	w.kept.addWeight(s.lane.weigh(0, kept))
+	if len(kept) > 0 {
+		s.apply(kept)
+	}
+	if msg.pooled {
+		s.lane.pool.Put(batch[:0])
+	} else if msg.release != nil {
+		msg.release()
 	}
 }
 
@@ -328,8 +462,11 @@ func (s *bernoulliSampler) gap() uint64 {
 }
 
 // filter appends the sampled subsequence of items to dst, carrying the
-// current rejection run across batch boundaries.
-func (s *bernoulliSampler) filter(dst, items []stream.Item) []stream.Item {
+// current rejection run across batch boundaries. The Bernoulli process
+// runs on ITEMS whatever their type: weights ride along untouched (the
+// sampled substream keeps each survivor's true weight) and never steer
+// the coins.
+func filter[T item](s *bernoulliSampler, dst, items []T) []T {
 	if s.all {
 		return append(dst, items...)
 	}
@@ -340,132 +477,16 @@ func (s *bernoulliSampler) filter(dst, items []stream.Item) []stream.Item {
 	}
 	s.skip -= n
 	return dst
-}
-
-// filterW is filter over a weighted batch: the same Bernoulli process on
-// items (weights ride along untouched — the sampled substream keeps each
-// survivor's true weight), sharing the rejection-run state so weighted
-// and unweighted batches interleave under one coin sequence. A pipeline
-// that never feeds weighted batches consumes coins exactly as before.
-func (s *bernoulliSampler) filterW(dst, items []stream.WItem) []stream.WItem {
-	if s.all {
-		return append(dst, items...)
-	}
-	n := uint64(len(items))
-	for s.skip < n {
-		dst = append(dst, items[s.skip])
-		s.skip += 1 + s.gap()
-	}
-	s.skip -= n
-	return dst
-}
-
-// dispatch hands one batch to the next shard round-robin.
-func (p *Pipeline[E]) dispatch(msg batchMsg) {
-	p.batches++
-	p.rings[p.next].push(msg)
-	p.next++
-	if p.next == len(p.rings) {
-		p.next = 0
-	}
-}
-
-// Feed ingests one item. It buffers into the current batch and dispatches
-// when the batch fills.
-func (p *Pipeline[E]) Feed(it stream.Item) {
-	if p.closed {
-		panic("pipeline: Feed after Close")
-	}
-	if len(p.wbuf) > 0 {
-		p.flushWeighted()
-	}
-	p.fed++
-	p.fedW++
-	p.buf = append(p.buf, it)
-	if len(p.buf) == p.cfg.BatchSize {
-		p.dispatch(batchMsg{items: p.buf, pooled: true})
-		p.buf = p.pool.Get().([]stream.Item)
-	}
-}
-
-// FeedWeighted ingests one weighted item, buffering into the current
-// weighted batch. The unweighted and weighted buffered lanes flush each
-// other on a switch, so interleaved feeding never reorders items within
-// a shard's view.
-func (p *Pipeline[E]) FeedWeighted(it stream.Item, weight float64) {
-	if p.closed {
-		panic("pipeline: FeedWeighted after Close")
-	}
-	if len(p.buf) > 0 {
-		p.flushPlain()
-	}
-	p.fed++
-	p.fedW += weight
-	if p.wbuf == nil {
-		p.wbuf = p.wpool.Get().([]stream.WItem)
-	}
-	p.wbuf = append(p.wbuf, stream.WItem{Key: it, Weight: weight})
-	if len(p.wbuf) == p.cfg.BatchSize {
-		p.dispatch(batchMsg{witems: p.wbuf, pooled: true})
-		p.wbuf = p.wpool.Get().([]stream.WItem)
-	}
 }
 
 // FeedSlice ingests a materialized stream zero-copy: full batch-sized
 // windows of items are dispatched as sub-slices without copying, so the
-// caller must not mutate items until Close returns. The trailing partial
-// window goes through the buffered Feed path.
+// caller must not mutate items until Close returns. The head (topping up
+// a pending partial batch) and the trailing partial window are copied.
 func (p *Pipeline[E]) FeedSlice(items stream.Slice) {
-	if p.closed {
-		panic("pipeline: FeedSlice after Close")
-	}
-	b := p.cfg.BatchSize
-	if len(p.wbuf) > 0 {
-		p.flushWeighted()
-	}
-	// Flush any partial hand-fed batch first to preserve stream order
-	// within each shard's view.
-	i := 0
-	for len(p.buf) > 0 && i < len(items) {
-		p.Feed(items[i])
-		i++
-	}
-	for ; i+b <= len(items); i += b {
-		p.fed += uint64(b)
-		p.fedW += float64(b)
-		p.dispatch(batchMsg{items: items[i : i+b]})
-	}
-	for ; i < len(items); i++ {
-		p.Feed(items[i])
-	}
-}
-
-// FeedWeightedSlice ingests a materialized weighted stream zero-copy,
-// the weighted mirror of FeedSlice: full batch-sized windows dispatch as
-// sub-slices, the trailing partial window goes through FeedWeighted.
-func (p *Pipeline[E]) FeedWeightedSlice(items stream.WSlice) {
-	if p.closed {
-		panic("pipeline: FeedWeightedSlice after Close")
-	}
-	b := p.cfg.BatchSize
-	if len(p.buf) > 0 {
-		p.flushPlain()
-	}
-	i := 0
-	for len(p.wbuf) > 0 && i < len(items) {
-		p.FeedWeighted(items[i].Key, items[i].Weight)
-		i++
-	}
-	for ; i+b <= len(items); i += b {
-		p.fed += uint64(b)
-		for _, it := range items[i : i+b] {
-			p.fedW += it.Weight
-		}
-		p.dispatch(batchMsg{witems: items[i : i+b]})
-	}
-	for ; i < len(items); i++ {
-		p.FeedWeighted(items[i].Key, items[i].Weight)
-	}
+	p.enter("FeedSlice")
+	p.weighted.flush(&p.feeder)
+	p.plain.slice(&p.feeder, items)
 }
 
 // FeedCopy ingests a chunk of items by bulk-copying them into the
@@ -473,63 +494,12 @@ func (p *Pipeline[E]) FeedWeightedSlice(items stream.WSlice) {
 // fills). Unlike FeedSlice, the caller keeps ownership of items and may
 // reuse the backing array as soon as FeedCopy returns — the contract
 // the daemon's pooled, streaming request decode relies on. Steady-state
-// cost is one memcpy per item and zero allocations: batch buffers come
-// from (and return to) the pipeline's pool.
+// cost is one memcpy per item: batch buffers come from (and return to)
+// the pipeline's pool.
 func (p *Pipeline[E]) FeedCopy(items []stream.Item) {
-	if p.closed {
-		panic("pipeline: FeedCopy after Close")
-	}
-	if len(p.wbuf) > 0 {
-		p.flushWeighted()
-	}
-	b := p.cfg.BatchSize
-	for len(items) > 0 {
-		n := b - len(p.buf)
-		if n > len(items) {
-			n = len(items)
-		}
-		p.buf = append(p.buf, items[:n]...)
-		items = items[n:]
-		p.fed += uint64(n)
-		p.fedW += float64(n)
-		if len(p.buf) == b {
-			p.dispatch(batchMsg{items: p.buf, pooled: true})
-			p.buf = p.pool.Get().([]stream.Item)
-		}
-	}
-}
-
-// FeedWeightedCopy ingests a chunk of weighted items by bulk-copying
-// them into pooled weighted batch buffers — the weighted mirror of
-// FeedCopy, with the same ownership contract: the caller may reuse the
-// backing array as soon as the call returns.
-func (p *Pipeline[E]) FeedWeightedCopy(items []stream.WItem) {
-	if p.closed {
-		panic("pipeline: FeedWeightedCopy after Close")
-	}
-	if len(p.buf) > 0 {
-		p.flushPlain()
-	}
-	b := p.cfg.BatchSize
-	for len(items) > 0 {
-		if p.wbuf == nil {
-			p.wbuf = p.wpool.Get().([]stream.WItem)
-		}
-		n := b - len(p.wbuf)
-		if n > len(items) {
-			n = len(items)
-		}
-		p.wbuf = append(p.wbuf, items[:n]...)
-		for _, it := range items[:n] {
-			p.fedW += it.Weight
-		}
-		items = items[n:]
-		p.fed += uint64(n)
-		if len(p.wbuf) == b {
-			p.dispatch(batchMsg{witems: p.wbuf, pooled: true})
-			p.wbuf = p.wpool.Get().([]stream.WItem)
-		}
-	}
+	p.enter("FeedCopy")
+	p.weighted.flush(&p.feeder)
+	p.plain.copyIn(&p.feeder, items)
 }
 
 // FeedOwned transfers ownership of items to the pipeline: the whole
@@ -545,92 +515,51 @@ func (p *Pipeline[E]) FeedWeightedCopy(items []stream.WItem) {
 // as batch dispatch; Bernoulli sampling commutes with any partitioning
 // of the stream, so chunk-granular placement preserves the sampling
 // semantics (callers control balance by their chunk size — the daemon
-// decodes in chunks a few batches long). An empty chunk releases
-// immediately and dispatches nothing.
+// decodes in chunks a few batches long). A pending partial batch is
+// flushed first; an empty chunk releases immediately and dispatches
+// nothing.
 func (p *Pipeline[E]) FeedOwned(items stream.Slice, release func()) {
-	if p.closed {
-		panic("pipeline: FeedOwned after Close")
-	}
-	if len(items) == 0 {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	// Flush any partial hand-fed batch first to preserve stream order
-	// within each shard's view.
-	p.Flush()
-	p.fed += uint64(len(items))
-	p.fedW += float64(len(items))
-	p.dispatch(batchMsg{items: items, release: release})
+	p.enter("FeedOwned")
+	p.plain.owned(&p.feeder, items, release)
 }
 
-// FeedWeightedOwned transfers ownership of a weighted chunk to the
-// pipeline, the weighted mirror of FeedOwned: one shard receives the
-// whole chunk as a single batch and release — if non-nil — fires exactly
-// once after the last item is applied. Chunk-granular placement is safe
+// FeedWeightedSlice, FeedWeightedCopy and FeedWeightedOwned are FeedSlice,
+// FeedCopy and FeedOwned for (key, weight) items — the same mechanisms
+// instantiated at the other item type, with the same ownership and
+// ordering contracts. Chunk-granular FeedWeightedOwned placement is safe
 // for VarOpt replicas for the merge-based reason in doc.go (not the
 // commutation argument Bernoulli sampling enjoys): each shard holds a
 // valid sample of whatever sub-stream it received, and the merge path
 // folds shard samples into a sample of the union.
+func (p *Pipeline[E]) FeedWeightedSlice(items stream.WSlice) {
+	p.enter("FeedWeightedSlice")
+	p.plain.flush(&p.feeder)
+	p.weighted.slice(&p.feeder, items)
+}
+
+func (p *Pipeline[E]) FeedWeightedCopy(items []stream.WItem) {
+	p.enter("FeedWeightedCopy")
+	p.plain.flush(&p.feeder)
+	p.weighted.copyIn(&p.feeder, items)
+}
+
 func (p *Pipeline[E]) FeedWeightedOwned(items stream.WSlice, release func()) {
-	if p.closed {
-		panic("pipeline: FeedWeightedOwned after Close")
-	}
-	if len(items) == 0 {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	p.Flush()
-	p.fed += uint64(len(items))
-	for _, it := range items {
-		p.fedW += it.Weight
-	}
-	p.dispatch(batchMsg{witems: items, release: release})
-}
-
-// FeedStream ingests every item of s through the batching Feed path.
-func (p *Pipeline[E]) FeedStream(s stream.Stream) {
-	_ = s.ForEach(func(it stream.Item) error {
-		p.Feed(it)
-		return nil
-	})
-}
-
-// Flush dispatches the buffered partial batches (both lanes), if any.
-func (p *Pipeline[E]) Flush() {
-	if len(p.buf) > 0 {
-		p.flushPlain()
-	}
-	if len(p.wbuf) > 0 {
-		p.flushWeighted()
-	}
-}
-
-func (p *Pipeline[E]) flushPlain() {
-	p.dispatch(batchMsg{items: p.buf, pooled: true})
-	p.buf = p.pool.Get().([]stream.Item)
-}
-
-func (p *Pipeline[E]) flushWeighted() {
-	p.dispatch(batchMsg{witems: p.wbuf, pooled: true})
-	p.wbuf = p.wpool.Get().([]stream.WItem)
+	p.enter("FeedWeightedOwned")
+	p.weighted.owned(&p.feeder, items, release)
 }
 
 // Sync flushes the buffered partial batch and blocks until every batch
 // dispatched so far has been applied by its shard worker. Between Sync
-// returning and the next Feed/FeedSlice/Flush call the replicas are
-// quiescent — each worker is parked on an empty channel — so Replicas
-// may be read (or merged into a fresh accumulator) without a data race.
+// returning and the next feeding call the replicas are quiescent — each
+// worker is parked on its empty ring — so Replicas may be read (or
+// merged into a fresh accumulator) without a data race.
 // Unlike Close, the pipeline keeps accepting work afterwards; this is
 // the snapshot point a long-running daemon ships summaries from.
 func (p *Pipeline[E]) Sync() {
 	if p.closed {
 		return
 	}
-	p.Flush()
+	p.flush()
 	start := time.Now()
 	// The ack channel is allocated once at construction and reused:
 	// Sync runs on the single producer goroutine, so barriers never
@@ -647,7 +576,7 @@ func (p *Pipeline[E]) Sync() {
 
 // Replicas returns the shard replicas without stopping the workers. It
 // is only safe to read (or merge from) the replicas between a Sync and
-// the next feeding call, or after Close; the channel handshake in Sync
+// the next feeding call, or after Close; the ack handshake in Sync
 // orders every prior estimator write before the caller's reads.
 func (p *Pipeline[E]) Replicas() []E { return p.shards }
 
@@ -657,7 +586,7 @@ func (p *Pipeline[E]) Replicas() []E { return p.shards }
 // merging them is race-free. Close is idempotent.
 func (p *Pipeline[E]) Close() []E {
 	if !p.closed {
-		p.Flush()
+		p.flush()
 		for _, r := range p.rings {
 			r.close()
 		}
@@ -714,7 +643,7 @@ func (p *Pipeline[E]) KeptWeight() float64 {
 // shape (shards, batch size, queue capacity), the producer's progress
 // (items fed, batches dispatched, Sync rounds and cumulative Sync
 // stall), the workers' progress (items kept post-sampling), and the
-// current channel occupancy — the numbers the daemon's /metricsz gauges
+// current ring occupancy — the numbers the daemon's /metricsz gauges
 // surface per stream.
 type Stats struct {
 	Shards    int
@@ -739,7 +668,7 @@ type Stats struct {
 	Queued int
 }
 
-// Stats reads the snapshot. Like Feed and Fed it participates in the
+// Stats reads the snapshot. Like the feeds and Fed it participates in the
 // single-producer discipline: call it from the feeding goroutine or
 // under whatever lock serializes feeding (the daemon holds its runner
 // mutex). Queued and Kept are always safe; they read ring cursors

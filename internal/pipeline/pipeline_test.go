@@ -41,7 +41,7 @@ func TestFeedDeliversEveryItemOnce(t *testing.T) {
 	const n = 10_000
 	p := New(Config{Shards: 4, BatchSize: 64}, func(int) *countReplica { return &countReplica{} })
 	for i := 0; i < n; i++ {
-		p.Feed(stream.Item(i%97 + 1))
+		p.FeedCopy(stream.Slice{stream.Item(i%97 + 1)})
 	}
 	shards := p.Close()
 	var total uint64
@@ -60,7 +60,7 @@ func TestFeedSliceZeroCopyAndMixedFeeding(t *testing.T) {
 	const n = 9_999 // deliberately not a multiple of the batch size
 	items := zipfSlice(n, 3)
 	p := New(Config{Shards: 3, BatchSize: 128}, func(int) *batchReplica { return &batchReplica{} })
-	p.Feed(items[0]) // partial hand-fed batch before the bulk path
+	p.FeedCopy(stream.Slice{items[0]}) // partial hand-fed batch before the bulk path
 	p.FeedSlice(items[1:])
 	shards := p.Close()
 	var total uint64
@@ -125,7 +125,7 @@ func TestFeedCopyDeliversAndReleasesCallerBuffer(t *testing.T) {
 func TestFeedCopyMixesWithFeedAndFeedSlice(t *testing.T) {
 	items := zipfSlice(5_000, 9)
 	p := New(Config{Shards: 2, BatchSize: 64}, func(int) *batchReplica { return &batchReplica{} })
-	p.Feed(items[0])
+	p.FeedCopy(stream.Slice{items[0]})
 	p.FeedCopy(items[1:1500])
 	p.FeedSlice(items[1500:4000])
 	p.FeedCopy(items[4000:])
@@ -184,7 +184,7 @@ func TestDefaultsAndCloseIdempotent(t *testing.T) {
 	if p.NumShards() < 1 {
 		t.Fatalf("NumShards = %d", p.NumShards())
 	}
-	p.Feed(1)
+	p.FeedCopy(stream.Slice{1})
 	first := p.Close()
 	second := p.Close()
 	if &first[0] != &second[0] {
@@ -217,7 +217,7 @@ func TestMergeAllFoldsEveryShard(t *testing.T) {
 	const n = 5_000
 	p := New(Config{Shards: 4, BatchSize: 32}, func(int) *mergeReplica { return &mergeReplica{} })
 	for i := 0; i < n; i++ {
-		p.Feed(stream.Item(i + 1))
+		p.FeedCopy(stream.Slice{stream.Item(i + 1)})
 	}
 	merged, err := MergeAll(p)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestSyncQuiescesWithoutStopping(t *testing.T) {
 	p := New(Config{Shards: 4, BatchSize: 64}, func(int) *countReplica { return &countReplica{} })
 	for round := 1; round <= rounds; round++ {
 		for i := 0; i < perRound; i++ {
-			p.Feed(stream.Item(i%89 + 1))
+			p.FeedCopy(stream.Slice{stream.Item(i%89 + 1)})
 		}
 		p.Sync()
 		// Between Sync and the next Feed the replicas are quiescent: every
@@ -275,7 +275,7 @@ func TestSyncQuiescesWithoutStopping(t *testing.T) {
 
 func TestSyncAfterCloseIsNoop(t *testing.T) {
 	p := New(Config{Shards: 2}, func(int) *countReplica { return &countReplica{} })
-	p.Feed(1)
+	p.FeedCopy(stream.Slice{1})
 	p.Close()
 	p.Sync() // must not panic or deadlock on closed channels
 }
@@ -284,7 +284,7 @@ func TestStatsSnapshot(t *testing.T) {
 	p := New(Config{Shards: 2, BatchSize: 8, QueueDepth: 4},
 		func(int) *countReplica { return &countReplica{} })
 	for i := 0; i < 100; i++ {
-		p.Feed(stream.Item(i + 1))
+		p.FeedCopy(stream.Slice{stream.Item(i + 1)})
 	}
 	p.Sync()
 	s := p.Stats()

@@ -111,7 +111,7 @@ func TestPipelineStressConcurrentSync(t *testing.T) {
 	released := 0
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < 20; i++ {
-			p.Feed(stream.Item(i + 1))
+			p.FeedCopy(stream.Slice{stream.Item(i + 1)})
 			want++
 		}
 		p.FeedSlice(chunk)

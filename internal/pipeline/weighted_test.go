@@ -59,7 +59,7 @@ func TestWeightedFeedsDeliverAllWeight(t *testing.T) {
 	feeds := map[string]func(p *Pipeline[*wReplica]){
 		"item": func(p *Pipeline[*wReplica]) {
 			for _, it := range s {
-				p.FeedWeighted(it.Key, it.Weight)
+				p.FeedWeightedCopy(stream.WSlice{it})
 			}
 		},
 		"slice": func(p *Pipeline[*wReplica]) { p.FeedWeightedSlice(s) },
@@ -172,10 +172,10 @@ func TestWeightedInterleavingPreservesOrderAndCounts(t *testing.T) {
 	const rounds = 1_000
 	var wantWeight float64
 	for i := 0; i < rounds; i++ {
-		p.Feed(stream.Item(i%90 + 1))
+		p.FeedCopy(stream.Slice{stream.Item(i%90 + 1)})
 		wantWeight++
 		if i%3 == 0 {
-			p.FeedWeighted(stream.Item(i%90+1), 2.5)
+			p.FeedWeightedCopy(stream.WSlice{{Key: stream.Item(i%90 + 1), Weight: 2.5}})
 			wantWeight += 2.5
 		}
 	}
@@ -218,7 +218,7 @@ func TestWeightedSamplingSharesCoinStream(t *testing.T) {
 	sampler.init(sampleP, rng.New(7).Split())
 	var wantN uint64
 	var wantW float64
-	kept := sampler.filterW(nil, s)
+	kept := filter(&sampler, nil, s)
 	for _, it := range kept {
 		wantN++
 		wantW += it.Weight
@@ -228,6 +228,6 @@ func TestWeightedSamplingSharesCoinStream(t *testing.T) {
 			shards[0].n, shards[0].weight, wantN, wantW)
 	}
 	if float64(wantN) < 0.8*sampleP*n || float64(wantN) > 1.2*sampleP*n {
-		t.Fatalf("sampler kept %d of %d at p=%v — filterW broken", wantN, n, sampleP)
+		t.Fatalf("sampler kept %d of %d at p=%v — filter broken", wantN, n, sampleP)
 	}
 }

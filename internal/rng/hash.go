@@ -8,12 +8,10 @@ import "math/bits"
 // pairwise-independent bucket hashes plus 4-wise-independent sign hashes;
 // the AMS tug-of-war sketch needs 4-wise-independent signs; the level-set
 // estimator needs a pairwise-independent map to (0,1] for geometric
-// universe sampling. All are provided by two families:
-//
-//   - multiply–shift (Dietzfelbinger et al.): 2-universal, extremely fast,
-//     used where plain universality suffices (bucket selection);
-//   - degree-(k−1) polynomials over the Mersenne prime field GF(2^61−1):
-//     exactly k-wise independent, used where the analysis needs it.
+// universe sampling. All are degree-(k−1) polynomials over the Mersenne
+// prime field GF(2^61−1), exactly k-wise independent, flattened into the
+// Hash2 (k = 2) and Hash4 (k = 4) kernels; the general-k Horner form they
+// specialize lives on as the reference in hash_ref_test.go.
 
 // mersenne61 is the Mersenne prime 2^61 − 1, the field modulus for the
 // polynomial hash family.
@@ -40,86 +38,6 @@ func addmod61(a, b uint64) uint64 {
 		s -= mersenne61
 	}
 	return s
-}
-
-// PolyHash is a k-wise-independent hash function h: uint64 → [0, 2^61−1),
-// implemented as a random polynomial of degree k−1 over GF(2^61−1).
-type PolyHash struct {
-	coef []uint64 // coef[0] + coef[1]·x + … evaluated by Horner's rule
-}
-
-// NewPolyHash draws a fresh k-wise-independent hash function using r for
-// its coefficients. It panics if k < 1.
-func NewPolyHash(k int, r *Xoshiro256) *PolyHash {
-	if k < 1 {
-		panic("rng: NewPolyHash requires k >= 1")
-	}
-	coef := make([]uint64, k)
-	for i := range coef {
-		coef[i] = r.Uint64n(mersenne61)
-	}
-	// A zero leading coefficient only reduces the effective degree for a
-	// negligible fraction of draws; the family stays k-wise independent,
-	// so no correction is needed.
-	return &PolyHash{coef: coef}
-}
-
-// Coefficients returns a copy of the polynomial's coefficients, low
-// degree first. Together with NewPolyHashFromCoefficients it lets
-// serialized sketches reconstruct their exact hash functions.
-func (h *PolyHash) Coefficients() []uint64 {
-	out := make([]uint64, len(h.coef))
-	copy(out, h.coef)
-	return out
-}
-
-// NewPolyHashFromCoefficients reconstructs a hash function from
-// previously extracted coefficients. It panics on an empty slice or a
-// coefficient outside the field.
-func NewPolyHashFromCoefficients(coef []uint64) *PolyHash {
-	if len(coef) == 0 {
-		panic("rng: NewPolyHashFromCoefficients requires coefficients")
-	}
-	cp := make([]uint64, len(coef))
-	for i, c := range coef {
-		if c >= mersenne61 {
-			panic("rng: coefficient outside GF(2^61-1)")
-		}
-		cp[i] = c
-	}
-	return &PolyHash{coef: cp}
-}
-
-// Hash evaluates the polynomial at x mod 2^61−1 by Horner's rule.
-func (h *PolyHash) Hash(x uint64) uint64 {
-	// Reduce x into the field first.
-	x = x % mersenne61
-	acc := h.coef[len(h.coef)-1]
-	for i := len(h.coef) - 2; i >= 0; i-- {
-		acc = addmod61(mulmod61(acc, x), h.coef[i])
-	}
-	return acc
-}
-
-// Bucket maps x to [0, buckets) with k-wise independence (up to the
-// negligible non-uniformity of reducing a 61-bit value mod buckets).
-func (h *PolyHash) Bucket(x uint64, buckets int) int {
-	return int(h.Hash(x) % uint64(buckets))
-}
-
-// Sign maps x to ±1 with the independence of the underlying family;
-// constructed from the hash's low bit.
-func (h *PolyHash) Sign(x uint64) int {
-	if h.Hash(x)&1 == 1 {
-		return 1
-	}
-	return -1
-}
-
-// Unit maps x to a value in (0, 1], k-wise independently. It is the map
-// used to drive geometric universe sampling: Pr[Unit(x) ≤ q] ≈ q.
-func (h *PolyHash) Unit(x uint64) float64 {
-	return (float64(h.Hash(x)) + 1) / float64(mersenne61)
 }
 
 // Mod61 reduces an arbitrary 64-bit value into the field [0, 2^61−1)
@@ -162,8 +80,8 @@ func Mod61Lanes4(x0, x1, x2, x3 uint64) (r0, r1, r2, r3 uint64) {
 // GF(2^61−1): the pairwise-independent hash every bucket-choice and
 // universe-sampling site uses, stored as two plain words so sketches can
 // keep rows in contiguous arrays instead of chasing *PolyHash pointers.
-// It is bit-identical to NewPolyHash(2, r).Hash for the same coefficient
-// draws.
+// It is bit-identical to the reference NewPolyHash(2, r).Hash for the
+// same coefficient draws.
 type Hash2 struct {
 	A, B uint64 // h(x) = A·x + B; B is coefficient 0, A coefficient 1
 }
@@ -351,29 +269,6 @@ func (r Range) N() uint64 { return r.n }
 func (r Range) Bucket(h uint64) uint64 {
 	hi, lo := bits.Mul64(h, r.n)
 	return hi<<3 | lo>>61
-}
-
-// MultShift is a 2-universal multiply–shift hash for 64-bit keys:
-// h(x) = (a·x + b) >> (64 − outBits), with odd a. It is the fastest hash in
-// the package and is used for bucket selection where pairwise universality
-// is all the analysis requires.
-type MultShift struct {
-	a, b    uint64
-	outBits uint
-}
-
-// NewMultShift draws a multiply–shift function producing outBits-bit
-// outputs, 1 ≤ outBits ≤ 64.
-func NewMultShift(outBits uint, r *Xoshiro256) *MultShift {
-	if outBits < 1 || outBits > 64 {
-		panic("rng: NewMultShift outBits out of range")
-	}
-	return &MultShift{a: r.Uint64() | 1, b: r.Uint64(), outBits: outBits}
-}
-
-// Hash returns the outBits-bit hash of x.
-func (h *MultShift) Hash(x uint64) uint64 {
-	return (h.a*x + h.b) >> (64 - h.outBits)
 }
 
 // Mix64 is a fixed strong bit-mixer (the SplitMix64 finalizer). It is not

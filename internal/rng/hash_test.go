@@ -163,42 +163,6 @@ func TestNewPolyHashPanicsOnBadK(t *testing.T) {
 	NewPolyHash(0, New(1))
 }
 
-func TestMultShiftRangeAndUniformity(t *testing.T) {
-	r := New(6)
-	h := NewMultShift(4, r) // 16 buckets
-	const n = 320000
-	counts := make([]int, 16)
-	for i := uint64(0); i < n; i++ {
-		v := h.Hash(i)
-		if v >= 16 {
-			t.Fatalf("MultShift output %d exceeds 4 bits", v)
-		}
-		counts[v]++
-	}
-	expected := float64(n) / 16
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	if chi2 > 60 {
-		t.Fatalf("MultShift uniformity chi2 = %v (counts %v)", chi2, counts)
-	}
-}
-
-func TestMultShiftPanicsOnBadBits(t *testing.T) {
-	for _, bits := range []uint{0, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewMultShift(%d) did not panic", bits)
-				}
-			}()
-			NewMultShift(bits, New(1))
-		}()
-	}
-}
-
 func TestMix64Bijective(t *testing.T) {
 	// Mix64 must not collide on a modest sample (it is a bijection).
 	seen := make(map[uint64]uint64, 100000)
@@ -360,15 +324,6 @@ func BenchmarkPolyHash2BucketDivide(b *testing.B) {
 
 func BenchmarkPolyHash4Wise(b *testing.B) {
 	h := NewPolyHash(4, New(1))
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += h.Hash(uint64(i))
-	}
-	_ = sink
-}
-
-func BenchmarkMultShift(b *testing.B) {
-	h := NewMultShift(20, New(1))
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += h.Hash(uint64(i))

@@ -103,7 +103,7 @@ type Agent struct {
 type agentStream struct {
 	name   string
 	cfg    StreamConfig
-	run    streamRunner
+	run    *runner
 	shipMu sync.Mutex
 	seq    uint64
 	// items and bytes are this stream's children of the ingest_items /
@@ -446,73 +446,37 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if sampled {
 		start = time.Now()
 	}
+	// Bodies stream through pooled chunk buffers — no per-request
+	// allocation, no materialized request. Record bodies hand each chunk
+	// to the pipeline with ownership, so nothing is copied between the
+	// decoder and the shard queues and the buffer returns to the decode
+	// pool when its shard worker has applied it; text chunks are copied
+	// into the pipeline's batch buffers. A mid-body error cannot un-ingest
+	// earlier chunks, so the error reports how many items were already
+	// consumed. Feed time is accumulated inside runner.feed so the decode
+	// histogram isolates parsing from pipeline backpressure.
+	var wait *time.Duration
+	if sampled {
+		wait = &feed
+	}
 	var n int
 	switch format {
 	case formatBinary:
-		// Binary bodies stream through pooled chunk buffers that are
-		// handed to the pipeline with ownership — no per-request
-		// allocation, no materialized request, and no copy between the
-		// decoder and the shard queues; each chunk buffer returns to the
-		// decode pool when its shard worker has applied it. A mid-body
-		// error cannot un-ingest earlier chunks, so the error reports how
-		// many items were already consumed. Feed time is accumulated
-		// inside the sink so the decode histogram isolates parsing from
-		// pipeline backpressure.
-		sink := func(chunk stream.Slice, release func()) {
-			st.run.ingestOwned(chunk, release)
-		}
-		if sampled {
-			sink = func(chunk stream.Slice, release func()) {
-				t0 := time.Now()
-				st.run.ingestOwned(chunk, release)
-				feed += time.Since(t0)
-			}
-		}
-		n, err = decodeBinaryStreamOwned(body, sink)
+		n, err = decodeRecords(body, plainWire, func(c []stream.Item, release func()) {
+			st.run.feed(wait, release, func(pl *pipe) { pl.FeedOwned(c, release) })
+		})
 	case formatBinaryWeighted:
-		// Weighted binary bodies ride the same ownership-transfer shape
-		// through their own chunk pool (16-byte records halve the items
-		// per chunk, not the bytes).
-		sink := func(chunk stream.WSlice, release func()) {
-			st.run.ingestWeightedOwned(chunk, release)
-		}
-		if sampled {
-			sink = func(chunk stream.WSlice, release func()) {
-				t0 := time.Now()
-				st.run.ingestWeightedOwned(chunk, release)
-				feed += time.Since(t0)
-			}
-		}
-		n, err = decodeWeightedBinaryStreamOwned(body, sink)
+		n, err = decodeRecords(body, weightedWire, func(c []stream.WItem, release func()) {
+			st.run.feed(wait, release, func(pl *pipe) { pl.FeedWeightedOwned(c, release) })
+		})
 	case formatTextWeighted:
-		sink := func(chunk stream.WSlice) {
-			st.run.ingestWeightedCopy(chunk)
-		}
-		if sampled {
-			sink = func(chunk stream.WSlice) {
-				t0 := time.Now()
-				st.run.ingestWeightedCopy(chunk)
-				feed += time.Since(t0)
-			}
-		}
-		n, err = decodeWeightedTextStream(body, sink)
+		n, err = decodeLines(body, weightedWire, func(c []stream.WItem) {
+			st.run.feed(wait, nil, func(pl *pipe) { pl.FeedWeightedCopy(c) })
+		})
 	default:
-		// Text bodies stream through the same pooled chunk shape as
-		// binary ones (the whole-body materialization this path once did
-		// made text ingest allocation-bound); chunks are copied into the
-		// pipeline's batch buffers, so the decode buffers recycle per
-		// call.
-		sink := func(chunk stream.Slice) {
-			st.run.ingestCopy(chunk)
-		}
-		if sampled {
-			sink = func(chunk stream.Slice) {
-				t0 := time.Now()
-				st.run.ingestCopy(chunk)
-				feed += time.Since(t0)
-			}
-		}
-		n, err = decodeTextStream(body, sink)
+		n, err = decodeLines(body, plainWire, func(c []stream.Item) {
+			st.run.feed(wait, nil, func(pl *pipe) { pl.FeedCopy(c) })
+		})
 	}
 	if sampled {
 		a.metrics.IngestDecode.Observe((time.Since(start) - feed).Seconds())
@@ -521,12 +485,19 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	st.items.Add(uint64(n))
 	st.bytes.Add(uint64(body.n))
 	if err != nil {
-		cause := causeDecode
-		if errors.Is(err, errBadWeight) {
+		status, cause := http.StatusBadRequest, causeDecode
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.Is(err, stream.ErrBadWeight):
 			cause = causeBadWeight
+		case errors.As(err, &tooLarge):
+			// A body with no declared length that MaxBytesReader cut off
+			// mid-stream: the same refusal as the up-front gate, except
+			// that a prefix is already consumed.
+			status, cause = http.StatusRequestEntityTooLarge, causeTooLarge
 		}
 		a.metrics.IngestErrors.With(cause).Inc()
-		writeError(w, http.StatusBadRequest, "bad ingest body after %d items: %v", n, err)
+		writeError(w, status, "bad ingest body after %d items: %v", n, err)
 		return
 	}
 	writeIngested(w, n)

@@ -108,7 +108,7 @@ func TestChaosConvergenceWithCollectorRestart(t *testing.T) {
 				if !ok {
 					t.Fatalf("agent %d lost stream %q", i, name)
 				}
-				st.run.ingestCopy(chunks[e][i])
+				st.run.feed(nil, nil, func(pl *pipe) { pl.FeedCopy(chunks[e][i]) })
 			}
 		}
 		for _, a := range agents {
@@ -210,14 +210,14 @@ func TestChaosOutageRevival(t *testing.T) {
 
 	st, _ := agent.lookup("cum")
 	chunks := epochChunks(1, 1, 2000)
-	st.run.ingestCopy(chunks[0][0][:1000])
+	st.run.feed(nil, nil, func(pl *pipe) { pl.FeedCopy(chunks[0][0][:1000]) })
 	if _, err := agent.FlushAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// Outage: k ticks of total loss while ingest continues.
 	tr.SetDown(true)
-	st.run.ingestCopy(chunks[0][0][1000:])
+	st.run.feed(nil, nil, func(pl *pipe) { pl.FeedCopy(chunks[0][0][1000:]) })
 	for k := 0; k < 5; k++ {
 		if _, err := agent.FlushAll(ctx); err == nil {
 			t.Fatal("flush succeeded during the outage")

@@ -2,13 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -41,42 +37,6 @@ const (
 	formatBinaryWeighted
 )
 
-// errBadWeight marks a weighted record whose weight is unusable; the
-// ingest handler maps it to its own error cause (bad_weight) so a
-// misbehaving exporter is distinguishable from garbled framing.
-var errBadWeight = errors.New("weight is not positive and finite")
-
-// binaryChunkItems is the number of items decoded per pooled chunk: a
-// 64 KiB read buffer's worth, matching the old one-shot scratch size
-// while bounding per-request memory to one chunk regardless of body
-// size.
-const binaryChunkItems = 8192
-
-// The binary ingest path recycles its working memory across requests:
-// one read scratch buffer and one decoded-items buffer per in-flight
-// request, drawn from pools so steady-state decoding allocates nothing.
-// Both pools hold pointers (not slices) so Get/Put round trips stay
-// allocation-free.
-var (
-	scratchPool = sync.Pool{New: func() any {
-		b := make([]byte, 8*binaryChunkItems)
-		return &b
-	}}
-	itemsPool = sync.Pool{New: func() any {
-		s := make(stream.Slice, 0, binaryChunkItems)
-		return &s
-	}}
-	witemsPool = sync.Pool{New: func() any {
-		s := make(stream.WSlice, 0, weightedChunkItems)
-		return &s
-	}}
-)
-
-// weightedChunkItems is the weighted decode chunk size: records are 16
-// bytes, so half the unweighted count fills the same 64 KiB scratch
-// buffer — per-request memory stays one chunk in both formats.
-const weightedChunkItems = binaryChunkItems / 2
-
 // parseIngestType normalizes an ingest request's Content-Type: empty and
 // text/* select the text format, ContentTypeBinary the binary one, and
 // the two weighted types their weighted counterparts. The weighted text
@@ -105,232 +65,108 @@ func parseIngestType(contentType string) (ingestFormat, error) {
 	}
 }
 
-// ownedChunk is one pooled unit of the ownership-transfer decode path:
-// a decoded item buffer plus its hand-back closure, built once at pool
-// construction so the hot loop never allocates a closure. The chunk is
-// out of the pool from the moment decode fills it until the consuming
-// shard worker invokes release — so two chunks in flight never alias,
+// scratchBytes is the size of the pooled read buffers, and a pooled chunk
+// holds one read buffer's worth of records (8192 items, or 4096 weighted
+// ones), so per-request memory is bounded by one buffer and the chunks
+// in flight regardless of body size.
+const scratchBytes = 64 << 10
+
+// scratchPool recycles the read buffers. It holds pointers (not slices)
+// so Get/Put round trips stay allocation-free.
+var scratchPool = sync.Pool{New: func() any {
+	b := make([]byte, scratchBytes)
+	return &b
+}}
+
+// chunk is one pooled buffer of decoded items plus its hand-back
+// closure, built once at pool construction so the hot loop never
+// allocates a closure. A chunk is out of the pool from the moment a
+// decoder draws it until release is invoked — for record bodies by the
+// shard worker that consumed it — so two chunks in flight never alias,
 // which is what lets the decoder run ahead of the pipeline without a
 // copy.
-type ownedChunk struct {
-	items   stream.Slice
+type chunk[T any] struct {
+	items   []T
 	release func()
 }
 
-// ownedWChunk is ownedChunk's weighted twin, backing the zero-copy
-// weighted binary ingest path with the same aliasing guarantee.
-type ownedWChunk struct {
-	items   stream.WSlice
-	release func()
+type chunkPool[T any] struct{ pool sync.Pool }
+
+func newChunkPool[T any](capacity int) *chunkPool[T] {
+	p := new(chunkPool[T])
+	p.pool.New = func() any {
+		c := &chunk[T]{items: make([]T, 0, capacity)}
+		c.release = func() { p.pool.Put(c) }
+		return c
+	}
+	return p
+}
+
+func (p *chunkPool[T]) get() *chunk[T] { return p.pool.Get().(*chunk[T]) }
+
+// wire is everything the decode loops need to know about one item type:
+// its chunk pool and stream's parsers for its two body formats.
+// Unweighted requests never pay for the weight column — 8-byte records,
+// 8-byte items, their own pool.
+type wire[T any] struct {
+	chunks     *chunkPool[T]
+	recordSize int
+	records    func(buf []byte, dst []T) ([]T, error)
+	line       func(line []byte) (T, bool, error)
 }
 
 var (
-	chunkPool  sync.Pool
-	wchunkPool sync.Pool
+	plainWire = wire[stream.Item]{
+		chunks:     newChunkPool[stream.Item](scratchBytes / stream.RecordSize),
+		recordSize: stream.RecordSize,
+		records:    stream.ParseRecords,
+		line:       stream.ParseLine,
+	}
+	weightedWire = wire[stream.WItem]{
+		chunks:     newChunkPool[stream.WItem](scratchBytes / stream.WeightedRecordSize),
+		recordSize: stream.WeightedRecordSize,
+		records:    stream.ParseWeightedRecords,
+		line:       stream.ParseWeightedLine,
+	}
 )
 
-func init() {
-	// Assigned in init: the release closures mention their pools, which a
-	// composite-literal initializer would report as an initialization
-	// cycle.
-	chunkPool.New = func() any {
-		c := &ownedChunk{items: make(stream.Slice, 0, binaryChunkItems)}
-		c.release = func() { chunkPool.Put(c) }
-		return c
-	}
-	wchunkPool.New = func() any {
-		c := &ownedWChunk{items: make(stream.WSlice, 0, weightedChunkItems)}
-		c.release = func() { wchunkPool.Put(c) }
-		return c
-	}
-}
-
-// decodeTextStream reads a one-decimal-item-per-line text body and hands
-// the items to sink in pooled chunks of at most binaryChunkItems,
-// mirroring decodeBinaryStream's shape: working memory is one pooled
-// read buffer plus one pooled item buffer, recycled afterwards, so the
-// body is never materialized. Blank lines are skipped; a trailing \r is
-// tolerated (CRLF bodies); the final line may omit its newline. sink
-// owns its argument only for the duration of the call. Returns how many
-// items reached the sink; on a parse error, chunks already handed to
-// sink stay consumed.
-func decodeTextStream(body io.Reader, sink func(stream.Slice)) (int, error) {
-	bufp := scratchPool.Get().(*[]byte)
-	itemsp := itemsPool.Get().(*stream.Slice)
-	total, err := decodeTextChunks(body, *bufp, (*itemsp)[:0], sink)
-	scratchPool.Put(bufp)
-	itemsPool.Put(itemsp)
-	return total, err
-}
-
-func decodeTextChunks(body io.Reader, buf []byte, items stream.Slice, sink func(stream.Slice)) (int, error) {
-	total, line, fill := 0, 0, 0
-	flush := func() {
-		if len(items) > 0 {
-			sink(items)
-			total += len(items)
-			items = items[:0]
-		}
-	}
-	for {
-		n, rerr := body.Read(buf[fill:])
-		end := fill + n
-		pos := 0
-		for {
-			idx := bytes.IndexByte(buf[pos:end], '\n')
-			if idx < 0 {
-				break
-			}
-			line++
-			v, ok, err := parseTextLine(buf[pos:pos+idx], line)
-			pos += idx + 1
-			if err != nil {
-				flush()
-				return total, err
-			}
-			if !ok {
-				continue
-			}
-			items = append(items, stream.Item(v))
-			if len(items) == cap(items) {
-				flush()
-			}
-		}
-		fill = copy(buf, buf[pos:end])
-		switch {
-		case rerr == io.EOF:
-			if fill > 0 { // final line without a newline
-				line++
-				v, ok, err := parseTextLine(buf[:fill], line)
-				if err != nil {
-					flush()
-					return total, err
-				}
-				if ok {
-					items = append(items, stream.Item(v))
-				}
-			}
-			flush()
-			return total, nil
-		case rerr != nil:
-			flush()
-			return total, rerr
-		case fill == len(buf):
-			flush()
-			return total, fmt.Errorf("line %d exceeds the %d-byte line limit", line+1, len(buf))
-		}
-		// Hand off what this read produced before the buffer is reused.
-		flush()
-	}
-}
-
-// parseTextLine parses one line: a decimal item, a blank (ok == false),
-// or an error. A trailing \r is stripped so CRLF bodies parse.
-func parseTextLine(b []byte, line int) (v uint64, ok bool, err error) {
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	if len(b) == 0 {
-		return 0, false, nil
-	}
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false, fmt.Errorf("line %d: invalid decimal item %q", line, b)
-		}
-		d := uint64(c - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, false, fmt.Errorf("line %d: item %q overflows uint64", line, b)
-		}
-		v = v*10 + d
-	}
-	if v == 0 {
-		return 0, false, fmt.Errorf("line %d: item 0 is outside the 1-based universe", line)
-	}
-	return v, true, nil
-}
-
-// decodeBinaryStream reads fixed 8-byte little-endian items and hands
-// them to sink in chunks of at most binaryChunkItems, without ever
+// decodeRecords reads a body of fixed-size little-endian records and
+// hands the items to sink one pooled chunk at a time, without ever
 // materializing the request: working memory is one pooled scratch buffer
-// plus one pooled item buffer, both recycled afterwards, so the steady
-// state allocates nothing. sink owns its argument only for the duration
-// of the call (the buffer is reused for the next chunk). Returns how
-// many items reached the sink; on a mid-body error (zero item,
-// truncated record, read failure) chunks already handed to sink stay
-// consumed — HTTP cannot roll them back — and the count says how many.
-func decodeBinaryStream(body io.Reader, sink func(stream.Slice)) (int, error) {
+// plus the chunks in flight, so the steady state allocates nothing. Each
+// chunk is handed over TOGETHER with its release closure, so sink may
+// pass the slice downstream zero-copy (pipeline.FeedOwned) and the
+// buffer returns to the pool only when the eventual consumer releases
+// it; sink must guarantee release is eventually called exactly once per
+// chunk, on any path. Returns how many items reached the sink; on a
+// mid-body error (zero key, bad weight, truncated record, read failure)
+// chunks already handed to sink stay consumed — HTTP cannot roll them
+// back — and the count says how many.
+func decodeRecords[T any](body io.Reader, w wire[T], sink func(items []T, release func())) (int, error) {
 	bufp := scratchPool.Get().(*[]byte)
-	itemsp := itemsPool.Get().(*stream.Slice)
-	total, err := decodeBinaryChunks(body, *bufp, (*itemsp)[:0], sink)
-	scratchPool.Put(bufp)
-	itemsPool.Put(itemsp)
-	return total, err
-}
-
-func decodeBinaryChunks(body io.Reader, buf []byte, items stream.Slice, sink func(stream.Slice)) (int, error) {
+	defer scratchPool.Put(bufp)
+	buf := *bufp
 	total := 0
 	fill := 0 // bytes of a partial trailing record carried between reads
 	for {
 		n, err := io.ReadFull(body, buf[fill:])
 		n += fill
-		complete := n - n%8
-		var perr error
-		items, perr = parseBinaryItems(buf[:complete], items[:0])
-		if perr != nil {
-			return total, perr
-		}
-		if len(items) > 0 {
-			sink(items)
-			total += len(items)
-		}
-		fill = copy(buf, buf[complete:n])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			if fill != 0 {
-				return total, fmt.Errorf("binary item stream truncated mid-item (%d trailing bytes)", fill)
-			}
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
-
-// decodeBinaryStreamOwned is the ownership-transfer variant of
-// decodeBinaryStream: each chunk of decoded items comes from the chunk
-// pool and is handed to sink TOGETHER with its release closure, so sink
-// may pass the slice downstream zero-copy (pipeline.FeedOwned) and the
-// buffer returns to the pool only when the eventual consumer releases
-// it. Chunks in flight never alias — the pool hands each Get a chunk no
-// worker still holds. sink must guarantee release is eventually called
-// exactly once per chunk, on any path.
-func decodeBinaryStreamOwned(body io.Reader, sink func(items stream.Slice, release func())) (int, error) {
-	bufp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(bufp)
-	buf := *bufp
-	total := 0
-	fill := 0
-	for {
-		n, err := io.ReadFull(body, buf[fill:])
-		n += fill
-		complete := n - n%8
-		c := chunkPool.Get().(*ownedChunk)
-		items, perr := parseBinaryItems(buf[:complete], c.items[:0])
-		c.items = items[:0]
-		if perr != nil {
+		complete := n - n%w.recordSize
+		c := w.chunks.get()
+		items, perr := w.records(buf[:complete], c.items[:0])
+		if perr != nil || len(items) == 0 {
 			c.release()
-			return total, perr
-		}
-		if len(items) > 0 {
+		} else {
 			total += len(items)
 			sink(items, c.release)
-		} else {
-			c.release()
+		}
+		if perr != nil {
+			return total, perr
 		}
 		fill = copy(buf, buf[complete:n])
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			if fill != 0 {
-				return total, fmt.Errorf("binary item stream truncated mid-item (%d trailing bytes)", fill)
+				return total, fmt.Errorf("record stream truncated mid-record (%d trailing bytes)", fill)
 			}
 			return total, nil
 		}
@@ -340,57 +176,43 @@ func decodeBinaryStreamOwned(body io.Reader, sink func(items stream.Slice, relea
 	}
 }
 
-// parseBinaryItems appends the 8-byte little-endian records of buf
-// (whose length must be a multiple of 8) to items. The main loop
-// decodes four records per iteration from one re-sliced window — four
-// independent loads the CPU overlaps, with one bounds check instead of
-// four — matching the 4-lane shape of the hash kernels downstream.
-func parseBinaryItems(buf []byte, items stream.Slice) (stream.Slice, error) {
-	off := 0
-	for ; off+32 <= len(buf); off += 32 {
-		b := buf[off : off+32 : off+32]
-		v0 := binary.LittleEndian.Uint64(b[0:8])
-		v1 := binary.LittleEndian.Uint64(b[8:16])
-		v2 := binary.LittleEndian.Uint64(b[16:24])
-		v3 := binary.LittleEndian.Uint64(b[24:32])
-		if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
-			return items, fmt.Errorf("item 0 is outside the 1-based universe")
-		}
-		items = append(items, stream.Item(v0), stream.Item(v1), stream.Item(v2), stream.Item(v3))
-	}
-	for ; off < len(buf); off += 8 {
-		v := binary.LittleEndian.Uint64(buf[off:])
-		if v == 0 {
-			return items, fmt.Errorf("item 0 is outside the 1-based universe")
-		}
-		items = append(items, stream.Item(v))
-	}
-	return items, nil
-}
-
-// decodeWeightedTextStream reads a "key weight"-per-line text body (the
-// weight column optional, defaulting to 1, so unweighted files parse
-// too) and hands the pairs to sink in pooled chunks, mirroring
-// decodeTextStream's shape and contracts: sink owns its argument only
-// for the duration of the call, chunks already handed to sink stay
-// consumed on a mid-body error.
-func decodeWeightedTextStream(body io.Reader, sink func(stream.WSlice)) (int, error) {
+// decodeLines reads a one-item-per-line text body and hands the items to
+// sink in chunks of at most one pooled chunk, with decodeRecords' shape:
+// working memory is one pooled read buffer plus one pooled chunk, both
+// recycled afterwards, so the body is never materialized. The final line
+// may omit its newline. sink owns its argument only for the duration of
+// the call (text chunks are copied into the pipeline's batch buffers).
+// Returns how many items reached the sink; on a parse error, chunks
+// already handed to sink stay consumed.
+func decodeLines[T any](body io.Reader, w wire[T], sink func(items []T)) (total int, err error) {
 	bufp := scratchPool.Get().(*[]byte)
-	itemsp := witemsPool.Get().(*stream.WSlice)
-	total, err := decodeWeightedTextChunks(body, *bufp, (*itemsp)[:0], sink)
-	scratchPool.Put(bufp)
-	witemsPool.Put(itemsp)
-	return total, err
-}
-
-func decodeWeightedTextChunks(body io.Reader, buf []byte, items stream.WSlice, sink func(stream.WSlice)) (int, error) {
-	total, line, fill := 0, 0, 0
+	defer scratchPool.Put(bufp)
+	c := w.chunks.get()
+	defer c.release()
+	buf, items := *bufp, c.items[:0]
 	flush := func() {
 		if len(items) > 0 {
 			sink(items)
 			total += len(items)
 			items = items[:0]
 		}
+	}
+	// However the body ends, the items parsed before that reach the sink
+	// and the count.
+	defer flush()
+	line, fill := 0, 0
+	add := func(b []byte) error {
+		line++
+		it, ok, err := w.line(b)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		if ok {
+			if items = append(items, it); len(items) == cap(items) {
+				flush()
+			}
+		}
+		return nil
 	}
 	for {
 		n, rerr := body.Read(buf[fill:])
@@ -401,174 +223,24 @@ func decodeWeightedTextChunks(body io.Reader, buf []byte, items stream.WSlice, s
 			if idx < 0 {
 				break
 			}
-			line++
-			it, ok, err := parseWeightedTextLine(buf[pos:pos+idx], line)
-			pos += idx + 1
-			if err != nil {
-				flush()
+			if err := add(buf[pos : pos+idx]); err != nil {
 				return total, err
 			}
-			if !ok {
-				continue
-			}
-			items = append(items, it)
-			if len(items) == cap(items) {
-				flush()
-			}
+			pos += idx + 1
 		}
 		fill = copy(buf, buf[pos:end])
 		switch {
 		case rerr == io.EOF:
 			if fill > 0 { // final line without a newline
-				line++
-				it, ok, err := parseWeightedTextLine(buf[:fill], line)
-				if err != nil {
-					flush()
-					return total, err
-				}
-				if ok {
-					items = append(items, it)
-				}
+				err = add(buf[:fill])
 			}
-			flush()
-			return total, nil
+			return total, err
 		case rerr != nil:
-			flush()
 			return total, rerr
 		case fill == len(buf):
-			flush()
 			return total, fmt.Errorf("line %d exceeds the %d-byte line limit", line+1, len(buf))
 		}
+		// Feed what this read produced while the next one is in flight.
 		flush()
 	}
-}
-
-// parseWeightedTextLine parses one weighted line: "key weight", "key"
-// (weight 1), a blank (ok == false), or an error. The key column reuses
-// the unweighted parser, so key diagnostics match the plain text path.
-func parseWeightedTextLine(b []byte, line int) (it stream.WItem, ok bool, err error) {
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	keyPart, weightPart := b, []byte(nil)
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		keyPart, weightPart = b[:i], b[i+1:]
-	}
-	v, ok, err := parseTextLine(keyPart, line)
-	if err != nil || !ok {
-		return stream.WItem{}, ok, err
-	}
-	weight := 1.0
-	if len(weightPart) > 0 {
-		weight, err = strconv.ParseFloat(string(weightPart), 64)
-		if err != nil {
-			return stream.WItem{}, false, fmt.Errorf("line %d: %w: %q", line, errBadWeight, weightPart)
-		}
-		if !(weight > 0) || math.IsInf(weight, 0) {
-			return stream.WItem{}, false, fmt.Errorf("line %d: %w: %v", line, errBadWeight, weight)
-		}
-	}
-	return stream.WItem{Key: stream.Item(v), Weight: weight}, true, nil
-}
-
-// decodeWeightedBinaryStream reads fixed 16-byte little-endian (key,
-// weight) records and hands them to sink in chunks of at most
-// weightedChunkItems, with decodeBinaryStream's pooling and error
-// contracts.
-func decodeWeightedBinaryStream(body io.Reader, sink func(stream.WSlice)) (int, error) {
-	bufp := scratchPool.Get().(*[]byte)
-	itemsp := witemsPool.Get().(*stream.WSlice)
-	total, err := decodeWeightedBinaryChunks(body, *bufp, (*itemsp)[:0], sink)
-	scratchPool.Put(bufp)
-	witemsPool.Put(itemsp)
-	return total, err
-}
-
-func decodeWeightedBinaryChunks(body io.Reader, buf []byte, items stream.WSlice, sink func(stream.WSlice)) (int, error) {
-	total := 0
-	fill := 0 // bytes of a partial trailing record carried between reads
-	for {
-		n, err := io.ReadFull(body, buf[fill:])
-		n += fill
-		complete := n - n%16
-		var perr error
-		items, perr = parseBinaryWItems(buf[:complete], items[:0])
-		if perr != nil {
-			return total, perr
-		}
-		if len(items) > 0 {
-			sink(items)
-			total += len(items)
-		}
-		fill = copy(buf, buf[complete:n])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			if fill != 0 {
-				return total, fmt.Errorf("weighted item stream truncated mid-record (%d trailing bytes)", fill)
-			}
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
-
-// decodeWeightedBinaryStreamOwned is the ownership-transfer variant of
-// decodeWeightedBinaryStream, with decodeBinaryStreamOwned's contract:
-// sink must guarantee release is eventually called exactly once per
-// chunk, on any path.
-func decodeWeightedBinaryStreamOwned(body io.Reader, sink func(items stream.WSlice, release func())) (int, error) {
-	bufp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(bufp)
-	buf := *bufp
-	total := 0
-	fill := 0
-	for {
-		n, err := io.ReadFull(body, buf[fill:])
-		n += fill
-		complete := n - n%16
-		c := wchunkPool.Get().(*ownedWChunk)
-		items, perr := parseBinaryWItems(buf[:complete], c.items[:0])
-		c.items = items[:0]
-		if perr != nil {
-			c.release()
-			return total, perr
-		}
-		if len(items) > 0 {
-			total += len(items)
-			sink(items, c.release)
-		} else {
-			c.release()
-		}
-		fill = copy(buf, buf[complete:n])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			if fill != 0 {
-				return total, fmt.Errorf("weighted item stream truncated mid-record (%d trailing bytes)", fill)
-			}
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
-
-// parseBinaryWItems appends the 16-byte records of buf (whose length
-// must be a multiple of 16) to items: an 8-byte little-endian key
-// followed by the weight's float64 bits. Zero keys and weights that are
-// not positive and finite are rejected.
-func parseBinaryWItems(buf []byte, items stream.WSlice) (stream.WSlice, error) {
-	for off := 0; off+16 <= len(buf); off += 16 {
-		b := buf[off : off+16 : off+16]
-		k := binary.LittleEndian.Uint64(b[0:8])
-		w := math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
-		if k == 0 {
-			return items, fmt.Errorf("item 0 is outside the 1-based universe")
-		}
-		if !(w > 0) || math.IsInf(w, 0) {
-			return items, fmt.Errorf("record %d: %w: %v", off/16, errBadWeight, w)
-		}
-		items = append(items, stream.WItem{Key: stream.Item(k), Weight: w})
-	}
-	return items, nil
 }

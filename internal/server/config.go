@@ -241,60 +241,26 @@ type Summary struct {
 	Payload   []byte    `json:"payload"`
 }
 
-// streamRunner is one agent-side stream: a running pipeline plus the
-// codec hooks the shipping path needs. Implementations are safe for
-// concurrent use. snapshot returns the serialized cumulative state
-// together with the epoch index (0 for unwindowed streams) and the
-// fed/kept counts captured atomically with it, so a shipped Summary's
-// totals always describe exactly its Payload.
-type streamRunner interface {
-	// ingest hands ownership of items to the runner (zero-copy dispatch;
-	// the caller must not reuse the slice).
-	ingest(items stream.Slice)
-	// ingestCopy copies items into the runner's own batch buffers; the
-	// caller keeps ownership and may reuse the slice immediately — the
-	// pooled streaming-decode path depends on this.
-	ingestCopy(items stream.Slice)
-	// ingestOwned transfers ownership of items into the pipeline
-	// zero-copy; release is invoked exactly once when the items have
-	// been applied (immediately, if the runner is already closed) — the
-	// ownership-transfer decode path depends on this.
-	ingestOwned(items stream.Slice, release func())
-	// ingestWeightedCopy and ingestWeightedOwned are the weighted-lane
-	// mirrors of ingestCopy and ingestOwned, with identical ownership
-	// contracts.
-	ingestWeightedCopy(items stream.WSlice)
-	ingestWeightedOwned(items stream.WSlice, release func())
-	// subsetSum folds the shard replicas and answers the weighted
-	// subset-sum query, window-scoped when windowScope is set. ok is
-	// false when the stream's stat (or the requested scope) has no
-	// subset-sum capability — a configuration error, not a zero.
-	subsetSum(pred func(stream.Item) bool, windowScope bool) (v float64, ok bool, err error)
-	estimates() (Estimates, error)
-	snapshot() (payload []byte, epoch uint64, fed, kept uint64, err error)
-	counts() (fed, kept uint64)
-	// stats returns the pipeline's instrumentation snapshot (queue
-	// occupancy, batch/sync counts) for the metrics layer.
-	stats() pipeline.Stats
-	close()
-}
+// pipe is the pipeline type every agent-side stream runs.
+type pipe = pipeline.Pipeline[estimator.Estimator]
 
-// runner implements streamRunner over the estimator registry: every
-// shard replica is an estimator.Estimator built from the stream's
-// constructor (the registered kind, epoch-ring-wrapped for windowed
-// streams — all replicas share one epoch clock). The mutex serializes
-// the single-producer pipeline feed with the Sync-based snapshot path,
-// and guards the closed flag so an ingest racing a DELETE (or shutdown)
-// is dropped instead of panicking the pipeline.
+// runner is one agent-side stream: a running pipeline whose shard
+// replicas are estimator.Estimators built from the stream's constructor
+// (the registered kind, epoch-ring-wrapped for windowed streams — all
+// replicas share one epoch clock), plus the fold the estimate, subset-sum
+// and shipping paths read it through. Safe for concurrent use: the mutex
+// serializes the single-producer pipeline feed with the Sync-based
+// snapshot path, and guards the closed flag so an ingest racing a DELETE
+// (or shutdown) is dropped instead of panicking the pipeline.
 type runner struct {
 	newEst func() (estimator.Estimator, error)
 	mu     sync.Mutex
-	pl     *pipeline.Pipeline[estimator.Estimator]
+	pl     *pipe
 	closed bool
 }
 
 // buildRunner constructs the agent-side stream for a validated config.
-func buildRunner(cfg StreamConfig) (streamRunner, error) {
+func buildRunner(cfg StreamConfig) (*runner, error) {
 	newEst := cfg.newEstimator()
 	// Probe-construct once so a bad spec surfaces as an error here, not
 	// a panic inside a pipeline worker.
@@ -321,59 +287,28 @@ func buildRunner(cfg StreamConfig) (streamRunner, error) {
 	return r, nil
 }
 
-func (r *runner) ingest(items stream.Slice) {
+// feed runs one of the pipeline's Feed* calls under the runner's lock,
+// adding the time taken (lock wait and ring back-pressure included) to
+// *wait when wait is non-nil. On a closed runner the items are dropped,
+// but release — the hand-back of an owned chunk, nil for copying feeds —
+// still runs, or the decode pool would leak a chunk per racing request.
+func (r *runner) feed(wait *time.Duration, release func(), fn func(*pipe)) {
+	if wait != nil {
+		defer func(t0 time.Time) { *wait += time.Since(t0) }(time.Now())
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return
+	if !r.closed {
+		fn(r.pl)
+	} else if release != nil {
+		release()
 	}
-	r.pl.FeedSlice(items)
 }
 
-func (r *runner) ingestCopy(items stream.Slice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.pl.FeedCopy(items)
-}
-
-func (r *runner) ingestOwned(items stream.Slice, release func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		// The items are dropped, but the buffer must still flow back to
-		// its owner or the decode pool leaks a chunk per racing request.
-		if release != nil {
-			release()
-		}
-		return
-	}
-	r.pl.FeedOwned(items, release)
-}
-
-func (r *runner) ingestWeightedCopy(items stream.WSlice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.pl.FeedWeightedCopy(items)
-}
-
-func (r *runner) ingestWeightedOwned(items stream.WSlice, release func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	r.pl.FeedWeightedOwned(items, release)
-}
-
+// subsetSum folds the shard replicas and answers the weighted subset-sum
+// query, window-scoped when windowScope is set. ok is false when the
+// stream's stat (or the requested scope) has no subset-sum capability —
+// a configuration error, not a zero.
 func (r *runner) subsetSum(pred func(stream.Item) bool, windowScope bool) (float64, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -436,6 +371,10 @@ func (r *runner) estimates() (Estimates, error) {
 	return estimator.ReportOf(acc), nil
 }
 
+// snapshot returns the serialized cumulative state together with the
+// epoch index (0 for unwindowed streams) and the fed/kept counts captured
+// atomically with it, so a shipped Summary's totals always describe
+// exactly its Payload.
 func (r *runner) snapshot() ([]byte, uint64, uint64, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -459,6 +398,8 @@ func (r *runner) counts() (uint64, uint64) {
 	return r.pl.Fed(), r.pl.Kept()
 }
 
+// stats returns the pipeline's instrumentation snapshot (queue
+// occupancy, batch/sync counts) for the metrics layer.
 func (r *runner) stats() pipeline.Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -143,27 +143,37 @@
 // fixed 16-byte records of an 8-byte little-endian key followed by the
 // weight's float64 bits. Weights must be positive and finite; a bad
 // weight is its own error cause (bad_weight), distinct from garbled
-// framing. All four decode incrementally through pooled 64 KiB
-// buffers — a request body is never materialized, so per-request
-// memory is bounded by one chunk regardless of body size, and
-// steady-state decoding allocates nothing. The weighted formats have
-// their own content types, decoders, and pools precisely so the
-// unweighted hot path stays byte-identical to the pre-weighted wire.
+// framing. The formats themselves — line grammar and record layout —
+// belong to internal/stream, which has exactly one parser for each;
+// codec.go holds the two loops that drive them over a request body,
+// both generic over the item type: decodeRecords for the binary formats
+// and decodeLines for the text ones. Both decode incrementally through
+// pooled 64 KiB buffers — a request body is never materialized, so
+// per-request memory is bounded by one chunk regardless of body size,
+// and steady-state decoding allocates nothing. Each item type has its
+// own chunk pool (one chunkPool[T] type, two instances), so unweighted
+// requests never pay for the weight column.
 //
-// The binary paths go further and never copy: each decoded chunk is
-// a pooled buffer handed to the stream's pipeline via
-// pipeline.FeedOwned (FeedWeightedOwned for weighted records) together
-// with a release closure, and the shard worker returns the buffer to
-// the pool after applying it. Chunks in flight never alias — a buffer
-// leaves the pool when the decoder fills it and re-enters only when
-// its consumer releases it. The text paths use the copying feed (their
-// bytes must be parsed anyway, so the copy is free relative to
-// parsing).
+// decodeRecords goes further and never copies: each decoded chunk is a
+// pooled buffer handed to the stream's pipeline via pipeline.FeedOwned
+// (FeedWeightedOwned for weighted records) together with a release
+// closure, and the shard worker returns the buffer to the pool after
+// applying it. Chunks in flight never alias — a buffer leaves the pool
+// when the decoder fills it and re-enters only when its consumer
+// releases it. decodeLines' chunks go through the copying feed,
+// FeedCopy / FeedWeightedCopy (their bytes must be parsed anyway, so
+// the copy is free relative to parsing). All four feeds reach the
+// pipeline through runner.feed, which takes the stream's lock, drops
+// the items of a stream deleted mid-request (still releasing the chunk)
+// and accounts the sampled feed time.
 //
 // On a mid-body error (zero item, malformed line, truncated record,
 // unusable weight) chunks already fed stay consumed — HTTP cannot roll
 // them back — and the 400 response reports how many items were applied
-// before the fault.
+// before the fault. A body over the 64 MiB limit is refused with 413
+// (cause too_large): before the first byte when Content-Length declares
+// it, after the consumed prefix the response reports when only the
+// byte count reveals it.
 //
 // Weighted streams are queried through the subset-sum endpoints
 // (subsetsum.go): GET /v1/streams/{name}/subsetsum on an agent and

@@ -14,6 +14,7 @@ import (
 	"substream/internal/core"
 	"substream/internal/obs"
 	"substream/internal/rng"
+	"substream/internal/stream"
 )
 
 // ingestCauses and collectCauses enumerate every cause label the audit
@@ -71,7 +72,7 @@ func TestIngestErrorCausesAudit(t *testing.T) {
 		path        string
 		contentType string
 		body        []byte
-		contentLen  int64 // overrides the request's declared length when > 0
+		contentLen  int64 // > 0 overrides the request's declared length; < 0 streams an endless undeclared body
 		status      int
 		cause       string
 	}{
@@ -81,6 +82,10 @@ func TestIngestErrorCausesAudit(t *testing.T) {
 			http.StatusBadRequest, causeContentType},
 		{"declared oversize", "/v1/streams/s/ingest", ContentTypeBinary, []byte{1}, maxIngestBytes + 1,
 			http.StatusRequestEntityTooLarge, causeTooLarge},
+		// No declared length to refuse up front: MaxBytesReader cuts the
+		// body off mid-stream, after a prefix was consumed.
+		{"undeclared oversize", "/v1/streams/s/ingest", ContentTypeBinary, nil, -1,
+			http.StatusRequestEntityTooLarge, causeTooLarge},
 		{"binary decode", "/v1/streams/s/ingest", ContentTypeBinary, []byte{1, 2, 3}, 0,
 			http.StatusBadRequest, causeDecode},
 		{"text decode", "/v1/streams/s/ingest", "text/plain", []byte("not-a-number\n"), 0,
@@ -88,7 +93,7 @@ func TestIngestErrorCausesAudit(t *testing.T) {
 		{"weighted binary truncated", "/v1/streams/s/ingest", ContentTypeBinaryWeighted, []byte{1, 2, 3}, 0,
 			http.StatusBadRequest, causeDecode},
 		{"weighted binary bad weight", "/v1/streams/s/ingest", ContentTypeBinaryWeighted,
-			encodeWeightedBinary([]uint64{7}, []float64{-2}), 0,
+			wbinBody(stream.WSlice{{Key: 7, Weight: -2}}), 0,
 			http.StatusBadRequest, causeBadWeight},
 		{"weighted text bad weight", "/v1/streams/s/ingest", ContentTypeTextWeighted, []byte("5 0\n"), 0,
 			http.StatusBadRequest, causeBadWeight},
@@ -100,9 +105,13 @@ func TestIngestErrorCausesAudit(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := causeValues(errs, ingestCauses)
-			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(string(tc.body)))
+			var body io.Reader = strings.NewReader(string(tc.body))
+			if tc.contentLen < 0 {
+				body = onesReader{}
+			}
+			req := httptest.NewRequest(http.MethodPost, tc.path, body)
 			req.Header.Set("Content-Type", tc.contentType)
-			if tc.contentLen > 0 {
+			if tc.contentLen != 0 {
 				req.ContentLength = tc.contentLen
 			}
 			rr := httptest.NewRecorder()
@@ -128,6 +137,17 @@ func TestIngestErrorCausesAudit(t *testing.T) {
 	if got := agent.Metrics().IngestItems.With("s").Value() - itemsBefore; got != 3 {
 		t.Fatalf("ingest_items{stream=s} delta %d, want 3", got)
 	}
+}
+
+// onesReader is a body that never ends, every byte 1 — valid binary items
+// for as long as anyone reads.
+type onesReader struct{}
+
+func (onesReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 1
+	}
+	return len(p), nil
 }
 
 // shipCauses enumerates every ship_errors cause, including the

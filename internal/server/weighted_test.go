@@ -1,168 +1,17 @@
 package server
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
 )
-
-// encodeWeightedBinary encodes parallel key/weight slices in the
-// weighted binary ingest format (16-byte records).
-func encodeWeightedBinary(keys []uint64, weights []float64) []byte {
-	buf := make([]byte, 16*len(keys))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint64(buf[i*16:], k)
-		binary.LittleEndian.PutUint64(buf[i*16+8:], math.Float64bits(weights[i]))
-	}
-	return buf
-}
-
-func wbinBody(s stream.WSlice) []byte {
-	keys := make([]uint64, len(s))
-	weights := make([]float64, len(s))
-	for i, it := range s {
-		keys[i] = uint64(it.Key)
-		weights[i] = it.Weight
-	}
-	return encodeWeightedBinary(keys, weights)
-}
-
-func collectWSink(dst *stream.WSlice) func(stream.WSlice) {
-	return func(chunk stream.WSlice) { *dst = append(*dst, chunk...) }
-}
-
-func TestDecodeWeightedBinaryStreamRoundTrip(t *testing.T) {
-	// Spans several pooled chunks and ends off a chunk boundary, so the
-	// carry-between-reads path runs.
-	items := make(stream.WSlice, 3*weightedChunkItems+617)
-	for i := range items {
-		items[i] = stream.WItem{Key: stream.Item(i + 1), Weight: float64(i%97) + 0.5}
-	}
-	var got stream.WSlice
-	n, err := decodeWeightedBinaryStream(bytes.NewReader(wbinBody(items)), collectWSink(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(items) || len(got) != len(items) {
-		t.Fatalf("decoded %d records (sink saw %d), want %d", n, len(got), len(items))
-	}
-	for i, it := range items {
-		if got[i] != it {
-			t.Fatalf("record %d decoded as %+v, want %+v", i, got[i], it)
-		}
-	}
-}
-
-func TestDecodeWeightedBinaryStreamRejectsCorruption(t *testing.T) {
-	t.Run("truncated", func(t *testing.T) {
-		var got stream.WSlice
-		_, err := decodeWeightedBinaryStream(bytes.NewReader([]byte{1, 2, 3}), collectWSink(&got))
-		if err == nil || !strings.Contains(err.Error(), "truncated mid-record") {
-			t.Fatalf("truncated body error = %v", err)
-		}
-		if len(got) != 0 {
-			t.Fatalf("sink saw %d records from a truncated 3-byte body", len(got))
-		}
-	})
-	t.Run("half-record", func(t *testing.T) {
-		// A full key with its weight cut off is still a truncation.
-		var got stream.WSlice
-		body := encodeWeightedBinary([]uint64{5}, []float64{2})[:12]
-		_, err := decodeWeightedBinaryStream(bytes.NewReader(body), collectWSink(&got))
-		if err == nil || !strings.Contains(err.Error(), "truncated mid-record") {
-			t.Fatalf("half-record error = %v", err)
-		}
-	})
-	t.Run("zero-key", func(t *testing.T) {
-		var got stream.WSlice
-		body := encodeWeightedBinary([]uint64{5, 0, 7}, []float64{1, 1, 1})
-		n, err := decodeWeightedBinaryStream(bytes.NewReader(body), collectWSink(&got))
-		if err == nil || !strings.Contains(err.Error(), "1-based universe") {
-			t.Fatalf("zero-key error = %v", err)
-		}
-		if n != len(got) {
-			t.Fatalf("reported %d ingested records but sink saw %d", n, len(got))
-		}
-	})
-	for _, bad := range []float64{0, -1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		t.Run(fmt.Sprintf("weight-%v", bad), func(t *testing.T) {
-			var got stream.WSlice
-			body := encodeWeightedBinary([]uint64{5, 6}, []float64{1, bad})
-			_, err := decodeWeightedBinaryStream(bytes.NewReader(body), collectWSink(&got))
-			if err == nil || !strings.Contains(err.Error(), errBadWeight.Error()) {
-				t.Fatalf("weight %v error = %v", bad, err)
-			}
-		})
-	}
-}
-
-func TestDecodeWeightedTextStream(t *testing.T) {
-	// Weight column present, absent (default 1), CRLF line, blank line,
-	// and a final line without its newline.
-	body := "7 2.5\n8\r\n\n9 1e3\n10"
-	var got stream.WSlice
-	n, err := decodeWeightedTextStream(strings.NewReader(body), collectWSink(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stream.WSlice{{Key: 7, Weight: 2.5}, {Key: 8, Weight: 1}, {Key: 9, Weight: 1000}, {Key: 10, Weight: 1}}
-	if n != len(want) || len(got) != len(want) {
-		t.Fatalf("decoded %d records, want %d", n, len(want))
-	}
-	for i, it := range want {
-		if got[i] != it {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], it)
-		}
-	}
-
-	for _, bad := range []string{"5 -1\n", "5 nan\n", "5 +Inf\n", "5 heavy\n"} {
-		if _, err := decodeWeightedTextStream(strings.NewReader(bad), func(stream.WSlice) {}); err == nil ||
-			!strings.Contains(err.Error(), errBadWeight.Error()) {
-			t.Fatalf("line %q error = %v, want bad weight", bad, err)
-		}
-	}
-	if _, err := decodeWeightedTextStream(strings.NewReader("0 2\n"), func(stream.WSlice) {}); err == nil ||
-		!strings.Contains(err.Error(), "1-based universe") {
-		t.Fatalf("zero key error = %v", err)
-	}
-}
-
-// TestDecodeWeightedBinaryStreamAllocFree extends the steady-state
-// zero-allocation guarantee to the weighted decode path.
-func TestDecodeWeightedBinaryStreamAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race for the strict bound")
-	}
-	items := make(stream.WSlice, 2*weightedChunkItems+100)
-	for i := range items {
-		items[i] = stream.WItem{Key: stream.Item(i + 1), Weight: 2}
-	}
-	body := wbinBody(items)
-	rd := bytes.NewReader(body)
-	sink := func(stream.WSlice) {}
-	if _, err := decodeWeightedBinaryStream(rd, sink); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(body)
-		if _, err := decodeWeightedBinaryStream(rd, sink); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("decodeWeightedBinaryStream allocates %v objects per request in steady state, want 0", allocs)
-	}
-}
 
 // ipKey packs an IPv4 address (given as a.b.c.d octets) into the low 32
 // bits of an item key — the netflow convention the subset-sum endpoints

@@ -81,21 +81,17 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // F64 appends a float64 as its IEEE-754 bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Hash appends a polynomial hash function as its coefficient vector.
-func (w *Writer) Hash(h *rng.PolyHash) {
-	w.coefficients(h.Coefficients())
-}
-
-// Hash2 appends a flat degree-1 kernel in the same coefficient-vector
-// wire form as Hash, so the flattened sketches stay byte-compatible with
-// payloads written by the boxed representation.
+// Hash2 appends a flat degree-1 kernel as a polynomial coefficient
+// vector — a uint32 count, then the coefficients low degree first — the
+// wire form every hash has had since the boxed general-degree
+// representation, so old payloads stay readable.
 func (w *Writer) Hash2(h rng.Hash2) {
 	w.U32(2)
 	w.U64(h.B)
 	w.U64(h.A)
 }
 
-// Hash4 appends a flat degree-3 kernel in the Hash coefficient-vector
+// Hash4 appends a flat degree-3 kernel in the same coefficient-vector
 // wire form.
 func (w *Writer) Hash4(h rng.Hash4) {
 	w.U32(4)
@@ -103,13 +99,6 @@ func (w *Writer) Hash4(h rng.Hash4) {
 	w.U64(h.C1)
 	w.U64(h.C2)
 	w.U64(h.C3)
-}
-
-func (w *Writer) coefficients(coef []uint64) {
-	w.U32(uint32(len(coef)))
-	for _, c := range coef {
-		w.U64(c)
-	}
 }
 
 // Nested appends a length-prefixed sub-payload, letting composite
@@ -192,28 +181,7 @@ func (r *Reader) Count(max, elemBytes int) int {
 // Remaining returns the number of unconsumed bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// Hash reads a polynomial hash function.
-func (r *Reader) Hash() *rng.PolyHash {
-	n := r.U32()
-	if r.err != nil || n == 0 || n > 16 {
-		r.Fail()
-		return nil
-	}
-	coef := make([]uint64, n)
-	for i := range coef {
-		coef[i] = r.U64()
-		if coef[i] >= uint64(1)<<61-1 {
-			r.Fail()
-			return nil
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return rng.NewPolyHashFromCoefficients(coef)
-}
-
-// Hash2 reads a flat degree-1 kernel: a Hash coefficient vector that must
+// Hash2 reads a flat degree-1 kernel: a coefficient vector that must
 // carry exactly two in-field coefficients (every encoder of these sites
 // has only ever written two).
 func (r *Reader) Hash2() rng.Hash2 {
@@ -230,7 +198,7 @@ func (r *Reader) Hash2() rng.Hash2 {
 	return rng.Hash2{A: a, B: b}
 }
 
-// Hash4 reads a flat degree-3 kernel: a Hash coefficient vector that must
+// Hash4 reads a flat degree-3 kernel: a coefficient vector that must
 // carry exactly four in-field coefficients.
 func (r *Reader) Hash4() rng.Hash4 {
 	if n := r.U32(); r.err != nil || n != 4 {

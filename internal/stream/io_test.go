@@ -2,6 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,17 +16,26 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, s); err != nil {
 		t.Fatal(err)
 	}
+	plain := buf.String()
 	got, err := ReadText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(s) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(s))
+	if !slices.Equal(got, s) {
+		t.Fatalf("round trip %v, want %v", got, s)
 	}
-	for i := range s {
-		if got[i] != s[i] {
-			t.Fatalf("item %d: %d != %d", i, got[i], s[i])
-		}
+
+	// The weighted form: 'g'-format weights come back bit-exact, and the
+	// plain file above is valid weighted input at weight 1.
+	ws := WSlice{{1, 0.1}, {42, 1}, {7, 1e-300}, {1 << 40, math.MaxFloat64}, {9, 1500}, {3, math.SmallestNonzeroFloat64}}
+	if err := WriteWeightedText(&buf, ws); err != nil {
+		t.Fatal(err)
+	}
+	if wgot, err := ReadWeightedText(&buf); err != nil || !slices.Equal(wgot, ws) {
+		t.Fatalf("weighted round trip %v (err %v), want %v", wgot, err, ws)
+	}
+	if wgot, err := ReadWeightedText(strings.NewReader(plain)); err != nil || !slices.Equal(wgot, Lift(s)) {
+		t.Fatalf("plain file read as weighted: %v (err %v), want %v", wgot, err, Lift(s))
 	}
 }
 
@@ -35,17 +47,35 @@ func TestReadTextSkipsBlankLines(t *testing.T) {
 	if len(got) != 3 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
+	// CRLF files, a weightless line, an empty weight column and a final
+	// line without its newline, in the weighted form.
+	wgot, err := ReadWeightedText(strings.NewReader("7 2.5\r\n8\r\n\r\n\n9 \n10 1e3"))
+	if want := (WSlice{{7, 2.5}, {8, 1}, {9, 1}, {10, 1000}}); err != nil || !slices.Equal(wgot, want) {
+		t.Fatalf("got %v (err %v), want %v", wgot, err, want)
+	}
 }
 
 func TestReadTextErrors(t *testing.T) {
-	if _, err := ReadText(strings.NewReader("1\nxyz\n")); err == nil {
-		t.Fatal("non-numeric line accepted")
+	for _, bad := range []string{"1\nxyz\n", "0\n", "-5\n", "+5\n", " 5\n", "99999999999999999999\n", "5 2\n"} {
+		if _, err := ReadText(strings.NewReader(bad)); err == nil {
+			t.Fatalf("ReadText accepted %q", bad)
+		}
 	}
-	if _, err := ReadText(strings.NewReader("0\n")); err == nil {
-		t.Fatal("item 0 accepted")
-	}
-	if _, err := ReadText(strings.NewReader("-5\n")); err == nil {
-		t.Fatal("negative item accepted")
+	for _, c := range []struct {
+		bad       string
+		badWeight bool
+	}{
+		{"1\nxyz 2\n", false}, {"0 2\n", false}, {"-5 2\n", false},
+		{"5 NaN\n", true}, {"5 Inf\n", true}, {"5 -Inf\n", true}, {"5 0\n", true}, {"5 -1\n", true},
+		{"5 heavy\n", true}, {"5  2\n", true}, {"5 2 \n", true},
+	} {
+		_, err := ReadWeightedText(strings.NewReader("3 1\n" + c.bad))
+		if err == nil || !strings.Contains(err.Error(), "line 2") && !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("ReadWeightedText(%q) error = %v, want one naming the line", c.bad, err)
+		}
+		if errors.Is(err, ErrBadWeight) != c.badWeight {
+			t.Fatalf("ReadWeightedText(%q) error = %v, ErrBadWeight = %v", c.bad, err, !c.badWeight)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -530,6 +531,80 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 	}
 }
 
+// appendWeightedLine appends one "key weight" line of the weighted text
+// form, the weight rendered %.<prec>g (-1: shortest round trip).
+func appendWeightedLine(dst []byte, key uint64, w float64, prec int) []byte {
+	dst = append(strconv.AppendUint(dst, key, 10), ' ')
+	return append(strconv.AppendFloat(dst, w, 'g', prec, 64), '\n')
+}
+
+// BenchmarkParseLines prices the `decode` layer of the text lanes: one
+// op is one pass of a block parser over a 4096-line body, the standing
+// benchmark's POST size. "weighted" carries the benchmark's own lines
+// (nine- and ten-digit keys, Pareto weights rendered %.6g), all on the
+// inline path; "weighted-17digit" renders the same weights the way WriteWeightedText
+// does (shortest round trip, ~17 digits), so every weight goes to the
+// line parser and the fallback's cost is on record; "crlf" is plain keys
+// with CRLF endings, the line parser again; "weighted-perline" is the
+// per-line loop the block parser replaced, on "weighted"'s body.
+func BenchmarkParseLines(b *testing.B) {
+	const n = 4096
+	r := rng.New(5)
+	var plain, crlf, weighted, weighted17 []byte
+	for _, rank := range stream.Collect(workload.Zipf(n, 1<<20, 1.1, 3).Stream) {
+		// The benchmark's keys: ranks spread over 10.0.0.0/8 and
+		// 172.16.0.0/12, nine and ten decimal digits.
+		k, w := 0x0A000000|uint64(rank)>>1, rng.Pareto(r, 1, 1.3)
+		if rank&1 == 0 {
+			k = 0xAC100000 | uint64(rank)>>1
+		}
+		plain = append(strconv.AppendUint(plain, k, 10), '\n')
+		crlf = append(strconv.AppendUint(crlf, k, 10), '\r', '\n')
+		weighted = appendWeightedLine(weighted, k, w, 6)
+		weighted17 = appendWeightedLine(weighted17, k, w, -1)
+	}
+	run := func(name string, body []byte, pass func() (items, used int)) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if items, used := pass(); items != n || used != len(body) {
+					b.Fatalf("parsed %d items from %d bytes, want %d from %d", items, used, n, len(body))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
+		})
+	}
+	items, witems := make([]stream.Item, 0, n), make([]stream.WItem, 0, n)
+	keyLines := func(body []byte) func() (int, int) {
+		return func() (int, int) {
+			out, used, _, _ := stream.ParseLines(body, items[:0])
+			return len(out), used
+		}
+	}
+	weightedLines := func(body []byte) func() (int, int) {
+		return func() (int, int) {
+			out, used, _, _ := stream.ParseWeightedLines(body, witems[:0])
+			return len(out), used
+		}
+	}
+	run("plain", plain, keyLines(plain))
+	run("crlf", crlf, keyLines(crlf))
+	run("weighted", weighted, weightedLines(weighted))
+	run("weighted-17digit", weighted17, weightedLines(weighted17))
+	run("weighted-perline", weighted, func() (int, int) {
+		out, pos := witems[:0], 0
+		for pos < len(weighted) {
+			nl := bytes.IndexByte(weighted[pos:], '\n')
+			if it, ok, err := stream.ParseWeightedLine(weighted[pos : pos+nl]); ok && err == nil {
+				out = append(out, it)
+			}
+			pos += nl + 1
+		}
+		return len(out), pos
+	})
+}
+
 // --- network monitoring daemon (internal/server) ---
 
 // benchmarkServerIngest measures the daemon's end-to-end ingest path:
@@ -573,9 +648,11 @@ func benchmarkServerIngestObs(b *testing.B, contentType string, encode func(stre
 }
 
 // benchmarkServerIngestWeighted mirrors benchmarkServerIngest for the
-// weighted binary wire: 4096 16-byte records per op into a varopt
-// stream, Pareto weights, same loopback HTTP round trip.
-func benchmarkServerIngestWeighted(b *testing.B) {
+// weighted wires: 4096 (key, Pareto weight) pairs per op into a varopt
+// stream over the same loopback HTTP round trip, as 16-byte records or,
+// with text set, as the "key weight" lines (weights rendered %.6g) the
+// benchmark of record's ingest_text_weighted workload POSTs.
+func benchmarkServerIngestWeighted(b *testing.B, text bool) {
 	agent := server.NewAgent(server.AgentConfig{ID: "bench"})
 	defer agent.Close()
 	if err := agent.CreateStream("traffic", server.StreamConfig{
@@ -589,19 +666,25 @@ func benchmarkServerIngestWeighted(b *testing.B) {
 
 	const batchItems = 4096
 	wl := workload.Zipf(batchItems, 65536, 1.1, 3)
-	items := stream.Collect(wl.Stream)
 	r := rng.New(5)
-	body := make([]byte, 16*len(items))
-	for i, it := range items {
-		binary.LittleEndian.PutUint64(body[i*16:], uint64(it))
-		binary.LittleEndian.PutUint64(body[i*16+8:], math.Float64bits(rng.Pareto(r, 1, 1.3)))
+	var body []byte
+	contentType := server.ContentTypeBinaryWeighted
+	if text {
+		contentType = server.ContentTypeTextWeighted
+	}
+	for _, it := range stream.Collect(wl.Stream) {
+		if w := rng.Pareto(r, 1, 1.3); text {
+			body = appendWeightedLine(body, uint64(it), w, 6)
+		} else {
+			body = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(body, uint64(it)), math.Float64bits(w))
+		}
 	}
 
 	b.SetBytes(16 * batchItems)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(url, server.ContentTypeBinaryWeighted, bytes.NewReader(body))
+		resp, err := http.Post(url, contentType, bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -637,7 +720,12 @@ func BenchmarkServerIngest(b *testing.B) {
 	// with "binary" (twice the wire bytes per item, different estimator);
 	// it records the weighted path's own throughput trajectory.
 	b.Run("binary-weighted", func(b *testing.B) {
-		benchmarkServerIngestWeighted(b)
+		benchmarkServerIngestWeighted(b, false)
+	})
+	// The same items as "key weight" lines: the lane where the text
+	// block parser is most of the server's work.
+	b.Run("text-weighted", func(b *testing.B) {
+		benchmarkServerIngestWeighted(b, true)
 	})
 	// The ablation for histogram sampling: identical to binary but with
 	// ObsSampleEvery 1, i.e. every request pays the decode/feed clock

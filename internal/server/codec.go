@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"mime"
@@ -105,14 +104,14 @@ func newChunkPool[T any](capacity int) *chunkPool[T] {
 func (p *chunkPool[T]) get() *chunk[T] { return p.pool.Get().(*chunk[T]) }
 
 // wire is everything the decode loops need to know about one item type:
-// its chunk pool and stream's parsers for its two body formats.
+// its chunk pool and stream's block parsers for its two body formats.
 // Unweighted requests never pay for the weight column — 8-byte records,
 // 8-byte items, their own pool.
 type wire[T any] struct {
 	chunks     *chunkPool[T]
 	recordSize int
 	records    func(buf []byte, dst []T) ([]T, error)
-	line       func(line []byte) (T, bool, error)
+	lines      func(buf []byte, dst []T) ([]T, int, int, error)
 }
 
 var (
@@ -120,13 +119,13 @@ var (
 		chunks:     newChunkPool[stream.Item](scratchBytes / stream.RecordSize),
 		recordSize: stream.RecordSize,
 		records:    stream.ParseRecords,
-		line:       stream.ParseLine,
+		lines:      stream.ParseLines,
 	}
 	weightedWire = wire[stream.WItem]{
 		chunks:     newChunkPool[stream.WItem](scratchBytes / stream.WeightedRecordSize),
 		recordSize: stream.WeightedRecordSize,
 		records:    stream.ParseWeightedRecords,
-		line:       stream.ParseWeightedLine,
+		lines:      stream.ParseWeightedLines,
 	}
 )
 
@@ -179,68 +178,28 @@ func decodeRecords[T any](body io.Reader, w wire[T], sink func(items []T, releas
 // decodeLines reads a one-item-per-line text body and hands the items to
 // sink in chunks of at most one pooled chunk, with decodeRecords' shape:
 // working memory is one pooled read buffer plus one pooled chunk, both
-// recycled afterwards, so the body is never materialized. The final line
-// may omit its newline. sink owns its argument only for the duration of
-// the call (text chunks are copied into the pipeline's batch buffers).
-// Returns how many items reached the sink; on a parse error, chunks
-// already handed to sink stay consumed.
+// recycled afterwards, so the body is never materialized. The line loop
+// is stream.ScanLines, the file readers' too: the final line may omit
+// its newline, and a line longer than the read buffer is refused. sink
+// owns its argument only for the duration of the call (text chunks are
+// copied into the pipeline's batch buffers). Returns how many items
+// reached the sink; on a parse error, chunks already handed to sink stay
+// consumed, as do the items before the bad line.
 func decodeLines[T any](body io.Reader, w wire[T], sink func(items []T)) (total int, err error) {
 	bufp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bufp)
 	c := w.chunks.get()
 	defer c.release()
-	buf, items := *bufp, c.items[:0]
-	flush := func() {
+	flush := func(items []T) []T {
 		if len(items) > 0 {
 			sink(items)
 			total += len(items)
-			items = items[:0]
 		}
+		return items[:0]
 	}
+	items, err := stream.ScanLines(body, *bufp, c.items[:0], w.lines, flush)
 	// However the body ends, the items parsed before that reach the sink
 	// and the count.
-	defer flush()
-	line, fill := 0, 0
-	add := func(b []byte) error {
-		line++
-		it, ok, err := w.line(b)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if ok {
-			if items = append(items, it); len(items) == cap(items) {
-				flush()
-			}
-		}
-		return nil
-	}
-	for {
-		n, rerr := body.Read(buf[fill:])
-		end := fill + n
-		pos := 0
-		for {
-			idx := bytes.IndexByte(buf[pos:end], '\n')
-			if idx < 0 {
-				break
-			}
-			if err := add(buf[pos : pos+idx]); err != nil {
-				return total, err
-			}
-			pos += idx + 1
-		}
-		fill = copy(buf, buf[pos:end])
-		switch {
-		case rerr == io.EOF:
-			if fill > 0 { // final line without a newline
-				err = add(buf[:fill])
-			}
-			return total, err
-		case rerr != nil:
-			return total, rerr
-		case fill == len(buf):
-			return total, fmt.Errorf("line %d exceeds the %d-byte line limit", line+1, len(buf))
-		}
-		// Feed what this read produced while the next one is in flight.
-		flush()
-	}
+	flush(items)
+	return total, err
 }

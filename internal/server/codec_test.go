@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"substream/internal/stream"
 )
@@ -298,6 +299,8 @@ func TestDecodeTextStreamMatchesReadText(t *testing.T) {
 		"1\r\n2\r\n3\r",             // CRLF line endings, trailing CR on last line
 		"18446744073709551615\n1\n", // max uint64
 		"1\nxyz\n", "0\n", "-5\n", "99999999999999999999999\n", " 1\n",
+		// The longest line both accept and the shortest both refuse.
+		strings.Repeat("0", scratchBytes-2) + "7\n", strings.Repeat("0", scratchBytes-1) + "7\n",
 	}
 	// A multi-chunk body: enough lines to overflow one pooled item chunk
 	// and one 64 KiB read buffer several times.
@@ -350,6 +353,78 @@ func TestDecodeTextStreamErrors(t *testing.T) {
 			if _, _, err := f.collect([]byte(c.body)); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s body %.20q: err = %v, want substring %q", f.name, c.body, err, c.want)
 			}
+		}
+	}
+}
+
+// TestDecodeTextStreamLineNumbers pins which line an error names and
+// what was consumed before it: blank and CRLF lines count, a final line
+// needs no newline, and the good items before the bad line reach the
+// sink.
+func TestDecodeTextStreamLineNumbers(t *testing.T) {
+	full := string(textBody(seq(plainLines.perChunk)))
+	wfull := string(wtextBody(seq(weightedLines.perChunk)))
+	cases := []struct {
+		f        format
+		body     string
+		want     string
+		consumed int
+	}{
+		{plainLines, "1\n\n\r\n2\r\n\nx\n3\n", `line 6: invalid decimal item "x"`, 2},
+		{weightedLines, "1 2\n\n\r\n2\r\n\n3 x\n4\n", `line 6: weight is not positive and finite: "x"`, 2},
+		{weightedLines, "1 .5\n2 5.\n3 .\n", `line 3: weight is not positive and finite: "."`, 2},
+		{plainLines, "1\n2\n\n0", "line 4: item 0 is outside", 2},
+		{plainLines, "1\n\n" + strings.Repeat("9", scratchBytes), "line 3 exceeds the 65536-byte line limit", 1},
+		// A bad line exactly one item past a full chunk: the chunk went
+		// to the sink whole and nothing else did.
+		{plainLines, full + "0\n", fmt.Sprintf("line %d: item 0 is outside", plainLines.perChunk+1), plainLines.perChunk},
+		{weightedLines, wfull + "7 -1\n", fmt.Sprintf("line %d: weight is not positive and finite: -1", weightedLines.perChunk+1), weightedLines.perChunk},
+	}
+	for _, c := range cases {
+		testRejects(t, c.f, []byte(c.body), c.want, c.consumed)
+	}
+
+	// The handler reports both numbers.
+	a := NewAgent(AgentConfig{ID: "line-numbers"})
+	defer a.Close()
+	if err := a.CreateStream("s", StreamConfig{Stat: "varopt", P: 1, Presampled: true}); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/s/ingest", strings.NewReader(wfull+"\r\n7 -1\n"))
+	req.Header.Set("Content-Type", ContentTypeTextWeighted)
+	rr := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rr, req)
+	want := fmt.Sprintf("bad ingest body after %d items: line %d: weight is not positive and finite: -1",
+		weightedLines.perChunk, weightedLines.perChunk+2)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), want) {
+		t.Fatalf("status %d, body %s; want 400 with %q", rr.Code, rr.Body.String(), want)
+	}
+}
+
+// TestDecodeTextStreamAnyReadSizes feeds one body — canonical and
+// fallback lines, several chunks, an unterminated tail — through readers
+// that split it differently: the carry between reads must not show.
+func TestDecodeTextStreamAnyReadSizes(t *testing.T) {
+	for _, f := range []format{plainLines, weightedLines} {
+		body := append(f.encode(seq(2*f.perChunk+100)), "\n7\r\n\r\n18446744073709551615\n00000000000000000009\n8"...)
+		items := 2*f.perChunk + 100 + 4
+		if f.weighted {
+			body = append(body, " 1e3\n9 0x1p-2\n10 \n11 .5\n12 0.1234567890123456\n13 2.5"...)
+			items += 5
+		}
+		want, n, err := f.collect(body)
+		if err != nil || n != len(want) || n != items {
+			t.Fatalf("%s: whole-buffer read decoded %d items (sink saw %d), err %v", f.name, n, len(want), err)
+		}
+		for name, wrap := range map[string]func(io.Reader) io.Reader{
+			"one-byte": iotest.OneByteReader, "half": iotest.HalfReader, "data-err": iotest.DataErrReader,
+		} {
+			var got stream.WSlice
+			n, err := f.decode(wrap(bytes.NewReader(body)), func(view func() stream.WSlice, _ func()) { got = append(got, view()...) })
+			if err != nil || n != len(want) {
+				t.Fatalf("%s through a %s reader: %d items, err %v; want %d", f.name, name, n, err, len(want))
+			}
+			sameItems(t, got, want)
 		}
 	}
 }

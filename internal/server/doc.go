@@ -147,7 +147,20 @@
 // belong to internal/stream, which has exactly one parser for each;
 // codec.go holds the two loops that drive them over a request body,
 // both generic over the item type: decodeRecords for the binary formats
-// and decodeLines for the text ones. Both decode incrementally through
+// and decodeLines for the text ones. The text parsers are block parsers
+// (stream.ParseLines, stream.ParseWeightedLines): one forward pass over
+// a read buffer, converting inline every canonical line — 1–19 key
+// digits, then the newline, or one space and a plain decimal weight of
+// at most 15 digits ("12", "1.5", ".5"), which float64(mantissa)/10^frac
+// renders exactly as strconv would — and handing every other line (CR,
+// blank, empty weight, sign, exponent, hex, inf/nan, longer digit runs,
+// a zero, garbage) to stream.ParseLine / ParseWeightedLine, the
+// specification and the only source of error text. decodeLines drives
+// them through stream.ScanLines, the one read / carry / line-limit /
+// flush loop the file readers (stream.ReadText, ReadWeightedText) run
+// too, so daemon and tools accept the same bodies, number lines the
+// same way and refuse the same over-long line (one that does not fit
+// the 64 KiB read buffer). Both loops decode incrementally through
 // pooled 64 KiB buffers — a request body is never materialized, so
 // per-request memory is bounded by one chunk regardless of body size,
 // and steady-state decoding allocates nothing. Each item type has its

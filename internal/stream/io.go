@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -19,7 +20,16 @@ import (
 //     second column ("key weight", weight 1 when absent, so unweighted
 //     files are valid weighted input). Blank lines are skipped, a trailing
 //     \r is tolerated (CRLF files), keys are 1-based, weights positive and
-//     finite.
+//     finite. ParseLine and ParseWeightedLine specify one line; ParseLines
+//     and ParseWeightedLines decode a read buffer of them in one pass. A
+//     canonical line — 1–19 key digits, then the newline, or one space and
+//     a plain decimal weight ("12", "1.5", ".5", "5.") of at most 15 digits
+//     — is converted inline; every other line (CR, blank, empty weight,
+//     sign, exponent, hex, inf/nan, a longer digit run, a zero, garbage)
+//     goes to its line parser unchanged, so the block parsers accept,
+//     produce and report exactly what the line parsers do. ScanLines is
+//     the one read / carry / line-limit / flush loop around them, shared by
+//     the file readers here and the daemon.
 //   - binary records: fixed 8-byte little-endian keys, the weighted form
 //     16 bytes — the key followed by the weight's float64 bits — the
 //     length-delimited framing a forwarding monitor POSTs.
@@ -138,33 +148,175 @@ func ParseWeightedRecords(buf []byte, dst []WItem) ([]WItem, error) {
 	return dst, nil
 }
 
-// readLines materializes a text stream through one line parser.
-func readLines[T any](r io.Reader, parse func([]byte) (T, bool, error)) ([]T, error) {
-	var out []T
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		it, ok, err := parse(sc.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("stream: line %d: %w", line, err)
+// scanDigits folds the decimal digits at buf[i:] into v and returns it
+// with the index of the first non-digit. A long run wraps v; callers use
+// the value only after bounding the run's length.
+func scanDigits(buf []byte, i int, v uint64) (uint64, int) {
+	for ; i < len(buf); i++ {
+		d := buf[i] - '0'
+		if d > 9 {
+			break
 		}
-		if ok {
-			out = append(out, it)
-		}
+		v = v*10 + uint64(d)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	return v, i
+}
+
+// lineAt hands the line at buf[pos:] to its line parser — the block
+// parsers' path for every line that is not canonical. It returns where
+// the next line starts: pos itself when the line is bad (err is the line
+// parser's) or not terminated yet.
+func lineAt[T any](buf []byte, pos int, dst []T, parse func([]byte) (T, bool, error)) (_ []T, next int, err error) {
+	nl := bytes.IndexByte(buf[pos:], '\n')
+	if nl < 0 {
+		return dst, pos, nil
+	}
+	it, ok, err := parse(buf[pos : pos+nl])
+	if err != nil {
+		return dst, pos, err
+	}
+	if ok {
+		dst = append(dst, it)
+	}
+	return dst, pos + nl + 1, nil
+}
+
+// ParseLines appends the items of buf's '\n'-terminated lines to dst in
+// one forward pass, stopping at a bad line, at an unterminated tail or
+// when dst is full (len == cap: it never grows dst). It returns how many
+// bytes and lines it consumed — on error, those before the bad line, and
+// ParseLine's error for that one.
+func ParseLines(buf []byte, dst []Item) (_ []Item, pos, lines int, err error) {
+	for len(dst) < cap(dst) {
+		// Up to 19 digits cannot overflow a uint64.
+		key, i := scanDigits(buf, pos, 0)
+		if n := i - pos; n >= 1 && n <= 19 && key != 0 && i < len(buf) && buf[i] == '\n' {
+			dst = append(dst, Item(key))
+			pos, lines = i+1, lines+1
+			continue
+		}
+		var next int
+		if dst, next, err = lineAt(buf, pos, dst, ParseLine); next == pos {
+			break
+		}
+		pos, lines = next, lines+1
+	}
+	return dst, pos, lines, err
+}
+
+// pow10 holds the powers of ten a canonical weight can be scaled by.
+var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// ParseWeightedLines is ParseLines for the weighted text form, with
+// ParseWeightedLine behind it.
+func ParseWeightedLines(buf []byte, dst []WItem) (_ []WItem, pos, lines int, err error) {
+	for len(dst) < cap(dst) {
+		key, i := scanDigits(buf, pos, 0)
+		if n := i - pos; n >= 1 && n <= 19 && key != 0 && i < len(buf) {
+			if buf[i] == '\n' {
+				dst = append(dst, WItem{Key: Item(key), Weight: 1})
+				pos, lines = i+1, lines+1
+				continue
+			}
+			if buf[i] == ' ' {
+				// digits[.digits], at most 15 digits in all: the mantissa is
+				// below 2^53 and the power of ten at most 10^15, both exact
+				// in a float64, so their one correctly-rounded quotient is
+				// the float64 nearest the decimal — the bits
+				// strconv.ParseFloat returns (Clinger's exact case).
+				mant, j := scanDigits(buf, i+1, 0)
+				digits, frac := j-(i+1), 0
+				if j < len(buf) && buf[j] == '.' {
+					dot := j
+					mant, j = scanDigits(buf, dot+1, mant)
+					frac = j - (dot + 1)
+					digits += frac
+				}
+				if digits >= 1 && digits <= 15 && mant != 0 && j < len(buf) && buf[j] == '\n' {
+					dst = append(dst, WItem{Key: Item(key), Weight: float64(mant) / pow10[frac&15]})
+					pos, lines = j+1, lines+1
+					continue
+				}
+			}
+		}
+		var next int
+		if dst, next, err = lineAt(buf, pos, dst, ParseWeightedLine); next == pos {
+			break
+		}
+		pos, lines = next, lines+1
+	}
+	return dst, pos, lines, err
+}
+
+// lineBufBytes is the file readers' read buffer, and with it their line
+// limit: the daemon's scratch size, so both refuse the same lines.
+const lineBufBytes = 64 << 10
+
+// ScanLines reads r to its end through buf and decodes its lines with
+// parse (ParseLines or ParseWeightedLines) into dst. It is the one line
+// loop of both text forms: a partial trailing line is carried between
+// reads, the final line may omit its newline, and a line that does not
+// fit buf is refused. Whenever dst is full, and after each read's lines,
+// flush is handed the items decoded so far and returns the slice to
+// continue into (with room for at least one more); the items decoded
+// since the last flush come back as the result, on error too. Errors
+// name the 1-based line.
+func ScanLines[T any](r io.Reader, buf []byte, dst []T,
+	parse func(buf []byte, dst []T) ([]T, int, int, error), flush func([]T) []T) ([]T, error) {
+	line, fill := 0, 0 // lines consumed; bytes of a partial line carried between reads
+	for {
+		n, rerr := r.Read(buf[fill:])
+		end, pos := fill+n, 0
+		for {
+			var used, lines int
+			var err error
+			dst, used, lines, err = parse(buf[pos:end], dst)
+			pos, line = pos+used, line+lines
+			if err != nil {
+				return dst, fmt.Errorf("line %d: %w", line+1, err)
+			}
+			if len(dst) < cap(dst) {
+				break // out of complete lines
+			}
+			dst = flush(dst)
+		}
+		fill = copy(buf, buf[pos:end])
+		switch {
+		case rerr != nil && rerr != io.EOF:
+			return dst, rerr
+		case fill == len(buf):
+			return dst, fmt.Errorf("line %d exceeds the %d-byte line limit", line+1, len(buf))
+		case rerr == io.EOF:
+			if fill > 0 { // final line without a newline
+				var err error
+				buf[fill] = '\n'
+				if dst, _, _, err = parse(buf[:fill+1], dst); err != nil {
+					return dst, fmt.Errorf("line %d: %w", line+1, err)
+				}
+			}
+			return dst, nil
+		}
+		// Hand over what this read produced while the next one is in flight.
+		dst = flush(dst)
+	}
+}
+
+// readLines materializes a text stream through one block parser.
+func readLines[T any](r io.Reader, parse func([]byte, []T) ([]T, int, int, error)) ([]T, error) {
+	out, err := ScanLines(r, make([]byte, lineBufBytes), nil, parse, func(s []T) []T { return slices.Grow(s, 1) })
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	return out, nil
 }
 
 // ReadText parses a one-item-per-line text stream. Blank lines are
 // skipped; any other parse failure is an error.
-func ReadText(r io.Reader) (Slice, error) { return readLines(r, ParseLine) }
+func ReadText(r io.Reader) (Slice, error) { return readLines(r, ParseLines) }
 
 // ReadWeightedText parses the weighted text form; plain unweighted files
 // parse too, at weight 1.
-func ReadWeightedText(r io.Reader) (WSlice, error) { return readLines(r, ParseWeightedLine) }
+func ReadWeightedText(r io.Reader) (WSlice, error) { return readLines(r, ParseWeightedLines) }
 
 // WriteText writes s to w as one decimal item per line.
 func WriteText(w io.Writer, s Stream) error {

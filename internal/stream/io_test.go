@@ -3,10 +3,14 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -77,6 +81,94 @@ func TestReadTextErrors(t *testing.T) {
 			t.Fatalf("ReadWeightedText(%q) error = %v, ErrBadWeight = %v", c.bad, err, !c.badWeight)
 		}
 	}
+	// A line too long for the read buffer is refused where the daemon
+	// refuses it, by number.
+	long := "1\n\n" + strings.Repeat("0", lineBufBytes-1) + "7\n"
+	for _, read := range []func() error{
+		func() error { _, err := ReadText(strings.NewReader(long)); return err },
+		func() error { _, err := ReadWeightedText(strings.NewReader(long)); return err },
+	} {
+		if err := read(); err == nil || err.Error() != "stream: line 3 exceeds the 65536-byte line limit" {
+			t.Fatalf("over-long line: error = %v", err)
+		}
+	}
+	if got, err := ReadText(strings.NewReader(long[:3] + long[4:])); err != nil || !slices.Equal(got, Slice{1, 7}) {
+		t.Fatalf("longest legal line: got %v, err %v", got, err)
+	}
+	// A read failure is not the end of the stream: the cut-off line is
+	// not parsed and the cause comes back.
+	cut := io.MultiReader(strings.NewReader("1\n2"), iotest.ErrReader(io.ErrClosedPipe))
+	if _, err := ReadText(cut); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read failure: error = %v", err)
+	}
+}
+
+// TestParseLinesGeneratedMatchLineParser is the differential fuzz
+// target's check over generated digit strings rather than mutated bytes:
+// keys of 1–21 digits and weights of 1–17 digits with the point anywhere,
+// the region where the inline conversion must hand back strconv's bits or
+// step aside, plus the %.6g and shortest-round-trip renderings the
+// benchmark and WriteWeightedText produce.
+func TestParseLinesGeneratedMatchLineParser(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	digits := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + r.Intn(10))
+		}
+		return b
+	}
+	const lines = 100_000
+	var plain, weighted []byte
+	for i := 0; i < lines; i++ {
+		key := digits(1 + r.Intn(21))
+		if r.Intn(4) > 0 {
+			key = digits(1 + r.Intn(10))
+		}
+		plain = append(append(plain, key...), '\n')
+		weighted = append(append(weighted, key...), ' ')
+		switch w := math.Exp(r.NormFloat64() * 4); r.Intn(4) {
+		case 0:
+			weighted = strconv.AppendFloat(weighted, w, 'g', 6, 64)
+		case 1:
+			weighted = strconv.AppendFloat(weighted, w, 'g', -1, 64)
+		default:
+			d := digits(1 + r.Intn(17))
+			point := r.Intn(len(d) + 2) // past the end: no point at all
+			for j, c := range d {
+				if j == point {
+					weighted = append(weighted, '.')
+				}
+				weighted = append(weighted, c)
+			}
+			if point == len(d) {
+				weighted = append(weighted, '.')
+			}
+		}
+		weighted = append(weighted, '\n')
+	}
+	if good := matchLineParserThrough(t, plain, itemBits, ParseLines, ParseLine); good < lines/2 {
+		t.Fatalf("only %d of %d generated keys are good", good, lines)
+	}
+	if good := matchLineParserThrough(t, weighted, witemBits, ParseWeightedLines, ParseWeightedLine); good < lines/2 {
+		t.Fatalf("only %d of %d generated lines are good", good, lines)
+	}
+}
+
+// matchLineParserThrough walks a whole body of terminated lines, a small
+// dst at a time and stepping over each bad line, and returns how many
+// items it held.
+func matchLineParserThrough[T any](t *testing.T, body []byte, bits func(T) [2]uint64,
+	block func([]byte, []T) ([]T, int, int, error), line func([]byte) (T, bool, error)) (good int) {
+	t.Helper()
+	for len(body) > 0 {
+		items, pos, err := matchLineParser(t, body, 256, bits, block, line)
+		if err != nil {
+			pos += bytes.IndexByte(body[pos:], '\n') + 1
+		}
+		good, body = good+items, body[pos:]
+	}
+	return good
 }
 
 func TestBinaryRoundTrip(t *testing.T) {

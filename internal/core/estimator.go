@@ -120,9 +120,7 @@ func (e *GEEF0Estimator) Estimates() map[string]float64 {
 
 // Estimates returns the detected-hitter count; the hitters themselves
 // are in EstimatorReport.
-func (h *F1HeavyHitters) Estimates() map[string]float64 {
-	return map[string]float64{"hitters": float64(len(h.Report()))}
-}
+func (h *F1HeavyHitters) Estimates() map[string]float64 { return h.EstimatorReport().Values }
 
 // EstimatorReport returns the hitter count plus the hitter list.
 func (h *F1HeavyHitters) EstimatorReport() estimator.Report {
@@ -135,9 +133,7 @@ func (h *F1HeavyHitters) EstimatorReport() estimator.Report {
 
 // Estimates returns the detected-hitter count; the hitters themselves
 // are in EstimatorReport.
-func (h *F2HeavyHitters) Estimates() map[string]float64 {
-	return map[string]float64{"hitters": float64(len(h.Report()))}
-}
+func (h *F2HeavyHitters) Estimates() map[string]float64 { return h.EstimatorReport().Values }
 
 // EstimatorReport returns the hitter count plus the hitter list.
 func (h *F2HeavyHitters) EstimatorReport() estimator.Report {
@@ -149,15 +145,7 @@ func (h *F2HeavyHitters) EstimatorReport() estimator.Report {
 }
 
 // Estimates returns the scalar estimates of every enabled estimator.
-func (m *Monitor) Estimates() map[string]float64 {
-	rep := m.Report()
-	return map[string]float64{
-		"n":       rep.EstimatedLength,
-		"fk":      rep.Fk,
-		"f0":      rep.F0,
-		"entropy": rep.Entropy,
-	}
-}
+func (m *Monitor) Estimates() map[string]float64 { return m.EstimatorReport().Values }
 
 // EstimatorReport returns the full monitor report including both hitter
 // lists.

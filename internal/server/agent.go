@@ -530,20 +530,18 @@ func writeIngested(w http.ResponseWriter, n int) {
 }
 
 func (a *Agent) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	a.metrics.EstimateQueries.Inc()
 	st, ok := a.lookup(r.PathValue("name"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown stream %q", r.PathValue("name"))
 		return
 	}
-	est, err := st.run.estimates()
+	ans, fed, kept, err := st.run.answer(a.metrics, query{})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "estimate failed: %v", err)
 		return
 	}
-	fed, kept := st.run.counts()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"stream": st.name, "fed": fed, "kept": kept, "estimates": est,
+		"stream": st.name, "fed": fed, "kept": kept, "estimates": ans.report,
 	})
 }
 

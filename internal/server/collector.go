@@ -52,11 +52,13 @@ type Collector struct {
 	streams map[string]*collectorStream
 }
 
-// collectorStream is the retained state of one logical stream.
+// collectorStream is the retained state of one logical stream: the
+// config pinned at first sight, the constructor of the accumulator every
+// fold of the stream starts from, and the latest state per agent.
 type collectorStream struct {
 	cfg    StreamConfig
-	fold   folder
-	agents map[string]agentState // latest state per agent, by (Boot, Seq)
+	newAcc func() (estimator.Estimator, error)
+	agents map[string]agentState
 }
 
 // agentState is one agent's newest shipped summary, decoded once on
@@ -93,6 +95,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	}
 	c.registerAgentMetrics()
 	if cfg.SnapshotDir != "" {
+		c.removeOrphanTemps()
 		switch n, err := c.RestoreSnapshot(); {
 		case err != nil:
 			c.logger.Warn("snapshot restore failed; starting empty", "err", err)
@@ -233,62 +236,92 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 		}
 		c.metrics.Trace.Record(span)
 	}()
-	if sum.Stream == "" || sum.Agent == "" {
-		return causeConfig, fmt.Errorf("summary must name a stream and an agent")
-	}
-	cfg := sum.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return causeConfig, fmt.Errorf("summary config: %w", err)
-	}
-	// Decode through the registry's single entry point, then trial-fold
-	// eagerly: a corrupt payload, one of the wrong kind for the declared
-	// stat, or one whose estimator disagrees with the declared config
-	// (wrong p, foreign hash seeds, mismatched window shape) is rejected
-	// at the door rather than poisoning every later estimate query. The
-	// trial fold validates by merge only — Merge is where every one of
-	// those checks lives, so no report is computed just to be dropped.
-	// The decoded estimator — not the bytes — is what the collector
-	// retains.
-	fold := buildFolder(cfg)
-	t0 := time.Now()
-	decoded, err := estimator.Decode(sum.Payload)
-	span.DecodeNs = time.Since(t0).Nanoseconds()
-	c.metrics.CollectDecode.Since(t0)
+	adm, cause, err := c.admit(sum)
+	span.DecodeNs, span.FoldNs = adm.decodeNs, adm.foldNs
 	if err != nil {
-		return causePayload, fmt.Errorf("summary payload: %w", err)
+		return cause, err
 	}
-	t0 = time.Now()
-	_, foldErr := fold.foldStates([]estimator.Estimator{decoded})
-	span.FoldNs = time.Since(t0).Nanoseconds()
-	c.metrics.CollectFold.Since(t0)
-	if foldErr != nil {
-		return causePayload, fmt.Errorf("summary payload does not match its declared config: %w", foldErr)
-	}
-	sum.Payload = nil // retained via decoded; drop the byte copy
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.streams[sum.Stream]
+	st, err := adm.adopt(c.streams)
+	if err != nil {
+		return causeConflict, err
+	}
+	// The live door's ordering rule is latest-wins by (Boot, Seq): within
+	// one incarnation Seq orders shipments, and ANY Boot change is treated
+	// as a newer incarnation and replaces the retained state. (Comparing
+	// Boot values numerically would break when a restarted host's clock
+	// stepped backwards; a cross-incarnation late delivery can briefly win
+	// instead, but the live process's next flush repairs that, while a
+	// clock step would never heal.)
+	if prev, ok := st.agents[sum.Agent]; ok && prev.sum.Boot == sum.Boot && prev.sum.Seq >= sum.Seq {
+		return "", nil // stale duplicate; newest state retained
+	}
+	adm.state.lastSeen = c.cfg.Now()
+	st.agents[sum.Agent] = adm.state
+	return "", nil
+}
+
+// admission is one summary that passed the door: its config with defaults
+// applied, the accumulator constructor built from it, the state to retain
+// (lastSeen is the door's to stamp), and how long decode and trial fold
+// took — set for every stage that ran, even on a rejection.
+type admission struct {
+	cfg              StreamConfig
+	newAcc           func() (estimator.Estimator, error)
+	state            agentState
+	decodeNs, foldNs int64
+}
+
+// admit is the one door into the retained table (doc.go, "How an answer
+// is produced"), passed by live shipments (accept) and snapshot rows
+// (RestoreSnapshot) alike; a failure comes with its summaries_rejected
+// cause. A corrupt payload, one of the wrong kind for the declared stat,
+// or one whose estimator disagrees with the declared config (wrong p,
+// foreign hash seeds, mismatched window shape) fails the decode or the
+// merge-only trial fold here, rather than poisoning every later query.
+func (c *Collector) admit(sum Summary) (adm admission, cause string, err error) {
+	if sum.Stream == "" || sum.Agent == "" {
+		return adm, causeConfig, fmt.Errorf("summary must name a stream and an agent")
+	}
+	adm.cfg = sum.Config.withDefaults()
+	if err := adm.cfg.validate(); err != nil {
+		return adm, causeConfig, fmt.Errorf("summary config: %w", err)
+	}
+	adm.newAcc = adm.cfg.newEstimator()
+	t0 := time.Now()
+	decoded, err := estimator.Decode(sum.Payload)
+	adm.decodeNs = time.Since(t0).Nanoseconds()
+	c.metrics.CollectDecode.Since(t0)
+	if err != nil {
+		return adm, causePayload, fmt.Errorf("summary payload: %w", err)
+	}
+	t0 = time.Now()
+	_, err = fold(adm.newAcc, []estimator.Estimator{decoded})
+	adm.foldNs = time.Since(t0).Nanoseconds()
+	c.metrics.CollectFold.Since(t0)
+	if err != nil {
+		return adm, causePayload, fmt.Errorf("summary payload does not match its declared config: %w", err)
+	}
+	sum.Payload = nil // retained via decoded; drop the byte copy
+	adm.state = agentState{sum: sum, decoded: decoded}
+	return adm, "", nil
+}
+
+// adopt finds the admitted summary's stream in table or, on first sight,
+// creates it pinned to the summary's config; every later summary must
+// match the pin on all shared fields.
+func (adm admission) adopt(table map[string]*collectorStream) (*collectorStream, error) {
+	sum := adm.state.sum
+	st, ok := table[sum.Stream]
 	if !ok {
-		st = &collectorStream{cfg: cfg, fold: fold, agents: make(map[string]agentState)}
-		c.streams[sum.Stream] = st
-	} else if !st.cfg.sharedEquals(cfg) {
-		return causeConflict, fmt.Errorf("stream %q: agent %q ships config incompatible with the registered one",
+		st = &collectorStream{cfg: adm.cfg, newAcc: adm.newAcc, agents: make(map[string]agentState)}
+		table[sum.Stream] = st
+	} else if !st.cfg.sharedEquals(adm.cfg) {
+		return nil, fmt.Errorf("stream %q: agent %q ships config incompatible with the registered one",
 			sum.Stream, sum.Agent)
 	}
-	if prev, ok := st.agents[sum.Agent]; ok {
-		// Within one incarnation Seq orders shipments; ANY Boot change is
-		// treated as a newer incarnation and replaces the retained state.
-		// (Comparing Boot values numerically would break when a restarted
-		// host's clock stepped backwards; a cross-incarnation late
-		// delivery can briefly win instead, but the live process's next
-		// flush repairs that, while a clock step would never heal.)
-		if prev.sum.Boot == sum.Boot && prev.sum.Seq >= sum.Seq {
-			return "", nil // stale duplicate; newest state retained
-		}
-	}
-	st.agents[sum.Agent] = agentState{sum: sum, decoded: decoded, lastSeen: c.cfg.Now()}
-	return "", nil
+	return st, nil
 }
 
 // GlobalEstimate is the collector's answer for one stream: the folded
@@ -309,42 +342,50 @@ type GlobalEstimate struct {
 // MaxSummaryAge are skipped (and counted), so a long-dead agent cannot
 // silently pin the estimate to its final snapshot.
 func (c *Collector) Estimate(name string) (GlobalEstimate, error) {
+	ans, f, err := c.query(name, query{})
+	return GlobalEstimate{Estimates: ans.report, Agents: f.agents, Skipped: f.skipped, Fed: f.fed, Kept: f.kept}, err
+}
+
+// query answers q for one stream: it selects the stream's fresh agents
+// under the table's read lock — skipping, and counting, those whose
+// retained state has outlived MaxSummaryAge — then folds their states in
+// sorted agent order (so repeated queries are deterministic) and asks,
+// both outside the lock: retained estimators are never mutated.
+func (c *Collector) query(name string, q query) (answer, folded, error) {
+	var f folded
 	c.mu.RLock()
 	st, ok := c.streams[name]
 	if !ok {
 		c.mu.RUnlock()
-		return GlobalEstimate{}, fmt.Errorf("unknown stream %q", name)
+		return answer{}, f, fmt.Errorf("unknown stream %q", name)
 	}
 	now := c.cfg.Now()
-	// Fold in sorted agent order so repeated queries are deterministic.
-	agents := make([]string, 0, len(st.agents))
-	var out GlobalEstimate
+	ids := make([]string, 0, len(st.agents))
 	for id, state := range st.agents {
 		if c.stale(state, now) {
-			out.Skipped++
+			f.skipped++
 			continue
 		}
-		agents = append(agents, id)
+		ids = append(ids, id)
 	}
-	sort.Strings(agents)
-	out.Agents = len(agents)
-	states := make([]estimator.Estimator, len(agents))
-	for i, id := range agents {
+	sort.Strings(ids)
+	f.agents = len(ids)
+	states := make([]estimator.Estimator, len(ids))
+	for i, id := range ids {
 		state := st.agents[id]
 		states[i] = state.decoded
-		out.Fed += state.sum.Fed
-		out.Kept += state.sum.Kept
+		f.fed += state.sum.Fed
+		f.kept += state.sum.Kept
 	}
-	fold := st.fold
+	newAcc := st.newAcc
 	c.mu.RUnlock()
 
-	if len(states) == 0 && out.Skipped > 0 {
-		return out, fmt.Errorf("stream %q: all %d retained summaries are older than the max age",
-			name, out.Skipped)
+	if len(states) == 0 && f.skipped > 0 {
+		return answer{}, f, fmt.Errorf("stream %q: all %d retained summaries are older than the max age",
+			name, f.skipped)
 	}
-	est, err := fold.foldDecoded(states)
-	out.Estimates = est
-	return out, err
+	ans, err := q.run(c.metrics, newAcc, states)
+	return ans, f, err
 }
 
 func (c *Collector) handleCollect(w http.ResponseWriter, r *http.Request) {
@@ -437,25 +478,14 @@ func (c *Collector) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Collector) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	c.metrics.EstimateQueries.Inc()
 	name := r.PathValue("name")
-	global, err := c.Estimate(name)
+	ans, f, err := c.query(name, query{})
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case global.Skipped > 0 && global.Agents == 0:
-			// Known stream, fleet-wide silence: distinct from an
-			// unregistered stream so monitors can alert instead of
-			// treating it as "not rolled out yet".
-			status = http.StatusServiceUnavailable
-		case global.Agents == 0:
-			status = http.StatusNotFound
-		}
-		writeError(w, status, "%v", err)
+		writeError(w, f.errStatus(), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"stream": name, "agents": global.Agents, "skipped_stale": global.Skipped,
-		"fed": global.Fed, "kept": global.Kept, "estimates": global.Estimates,
+		"stream": name, "agents": f.agents, "skipped_stale": f.skipped,
+		"fed": f.fed, "kept": f.kept, "estimates": ans.report,
 	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"substream/internal/estimator"
 	"substream/internal/pipeline"
-	"substream/internal/stream"
 	"substream/internal/window"
 )
 
@@ -247,8 +246,8 @@ type pipe = pipeline.Pipeline[estimator.Estimator]
 // runner is one agent-side stream: a running pipeline whose shard
 // replicas are estimator.Estimators built from the stream's constructor
 // (the registered kind, epoch-ring-wrapped for windowed streams — all
-// replicas share one epoch clock), plus the fold the estimate, subset-sum
-// and shipping paths read it through. Safe for concurrent use: the mutex
+// replicas share one epoch clock); the query and shipping paths read it
+// through fold (answer.go). Safe for concurrent use: the mutex
 // serializes the single-producer pipeline feed with the Sync-based
 // snapshot path, and guards the closed flag so an ingest racing a DELETE
 // (or shutdown) is dropped instead of panicking the pipeline.
@@ -305,70 +304,16 @@ func (r *runner) feed(wait *time.Duration, release func(), fn func(*pipe)) {
 	}
 }
 
-// subsetSum folds the shard replicas and answers the weighted subset-sum
-// query, window-scoped when windowScope is set. ok is false when the
-// stream's stat (or the requested scope) has no subset-sum capability —
-// a configuration error, not a zero.
-func (r *runner) subsetSum(pred func(stream.Item) bool, windowScope bool) (float64, bool, error) {
+// answer quiesces the pipeline, folds the shard replicas — left
+// untouched, so ingestion continues afterwards — and asks q of the fold.
+// The fed/kept counts are read at the same quiesce point, under the same
+// lock hold, so they describe exactly the items the answer covers.
+func (r *runner) answer(m *Metrics, q query) (ans answer, fed, kept uint64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	acc, err := r.merged()
-	if err != nil {
-		return 0, false, err
-	}
-	return subsetSumOf(acc, pred, windowScope)
-}
-
-// subsetSumOf answers a subset-sum query against one folded estimator.
-// Windowed streams need the special case: *window.Estimator deliberately
-// does NOT satisfy estimator.Summer (its scoped answers carry an ok
-// bool), so the wrapper is unwrapped and asked in the requested scope.
-func subsetSumOf(acc estimator.Estimator, pred func(stream.Item) bool, windowScope bool) (float64, bool, error) {
-	if we, ok := estimator.Unwrap(acc).(*window.Estimator); ok {
-		if windowScope {
-			v, ok := we.WindowSubsetSum(pred)
-			return v, ok, nil
-		}
-		v, ok := we.SubsetSum(pred)
-		return v, ok, nil
-	}
-	if windowScope {
-		// A window-scoped query needs a windowed stream; the cumulative
-		// answer would silently widen the asked-for scope.
-		return 0, false, nil
-	}
-	s, ok := estimator.SummerOf(acc)
-	if !ok {
-		return 0, false, nil
-	}
-	return s.SubsetSum(pred), true, nil
-}
-
-// merged quiesces the pipeline and folds every shard replica into a
-// fresh accumulator, leaving the replicas untouched so ingestion can
-// continue. Callers must hold r.mu.
-func (r *runner) merged() (estimator.Estimator, error) {
 	r.pl.Sync()
-	acc, err := r.newEst()
-	if err != nil {
-		return nil, err
-	}
-	for _, rep := range r.pl.Replicas() {
-		if err := acc.Merge(rep); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-func (r *runner) estimates() (Estimates, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	acc, err := r.merged()
-	if err != nil {
-		return Estimates{}, err
-	}
-	return estimator.ReportOf(acc), nil
+	ans, err = q.run(m, r.newEst, r.pl.Replicas())
+	return ans, r.pl.Fed(), r.pl.Kept(), err
 }
 
 // snapshot returns the serialized cumulative state together with the
@@ -378,7 +323,8 @@ func (r *runner) estimates() (Estimates, error) {
 func (r *runner) snapshot() ([]byte, uint64, uint64, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	acc, err := r.merged()
+	r.pl.Sync()
+	acc, err := fold(r.newEst, r.pl.Replicas())
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -411,53 +357,4 @@ func (r *runner) close() {
 	defer r.mu.Unlock()
 	r.closed = true
 	r.pl.Close()
-}
-
-// folder is the collector-side half of a stream: payloads decode once on
-// arrival through the registry's Decode entry point, and estimate
-// queries fold the retained decoded states into a fresh accumulator
-// built from the stream's constructor — never mutating them, so one
-// decode serves every subsequent query. For windowed streams the fresh
-// accumulator sits at the wall clock's CURRENT epoch, so merging the
-// retained per-agent rings aligns them to now: generations that have
-// since expired drop out of the global window estimate even though the
-// agents shipped them while still fresh.
-type folder struct {
-	newAcc func() (estimator.Estimator, error)
-}
-
-// buildFolder constructs the collector-side fold for a validated config.
-// Unlike buildRunner it needs no probe construction: folding builds its
-// accumulator lazily per query, and foldDecoded surfaces a bad spec as
-// an error, so Accept never pays a throwaway estimator per summary.
-func buildFolder(cfg StreamConfig) folder {
-	return folder{newAcc: cfg.newEstimator()}
-}
-
-// foldStates merges the retained states into a fresh accumulator:
-// Merge mutates only its receiver, so the per-agent states stay
-// pristine across queries. A payload whose kind disagrees with the
-// declared stat fails the type check inside Merge.
-func (f folder) foldStates(states []estimator.Estimator) (estimator.Estimator, error) {
-	if len(states) == 0 {
-		return nil, fmt.Errorf("no summaries to fold")
-	}
-	acc, err := f.newAcc()
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range states {
-		if err := acc.Merge(s); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-func (f folder) foldDecoded(states []estimator.Estimator) (Estimates, error) {
-	acc, err := f.foldStates(states)
-	if err != nil {
-		return Estimates{}, err
-	}
-	return estimator.ReportOf(acc), nil
 }

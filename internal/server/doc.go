@@ -10,19 +10,60 @@
 //
 // A COLLECTOR accepts shipped summaries, keeps the latest summary per
 // (stream, agent) pair, and answers global estimate queries by folding
-// the retained summaries with the estimators' Merge paths. An arriving
-// summary is validated by a trial fold that is merge only — Merge is
-// where kind, config and hash-seed agreement are checked — so no report
-// is computed at the door; reports are a query-time cost. Because each
-// agent ships its full cumulative state ("latest wins": within one Boot
-// incarnation summaries are ordered by Seq, and any Boot change is
-// adopted as a new incarnation), shipping is idempotent: a lost or
-// repeated shipment is repaired by the next one, and no state is ever
-// counted twice. A restarted agent begins a new incarnation whose state
+// the retained summaries with the estimators' Merge paths (see "How an
+// answer is produced" below). Because each agent ships its full
+// cumulative state ("latest wins": within one Boot incarnation summaries
+// are ordered by Seq, and any Boot change is adopted as a new
+// incarnation), shipping is idempotent: a lost or repeated shipment is
+// repaired by the next one, and no state is ever counted twice. A restarted agent begins a new incarnation whose state
 // replaces the dead one's; observations the old process had not shipped
-// die with it, the inherent cost of in-memory cumulative shipping. K agent processes each observing an independently sub-sampled
-// substream therefore reproduce the single-monitor estimate of the union
-// stream — the scenario the paper's Section 1 opens with.
+// die with it, the inherent cost of in-memory cumulative shipping. K agent
+// processes each observing an independently sub-sampled substream
+// therefore reproduce the single-monitor estimate of the union stream —
+// the scenario the paper's Section 1 opens with.
+//
+// # How an answer is produced
+//
+// Every answer either role serves — both estimate routes and both
+// subset-sum routes — is one operation, written once in answer.go:
+// fold → scope → ask.
+//
+//   - fold merges a set of states into a fresh accumulator built from
+//     the stream's constructor, never mutating the states. An agent
+//     folds its shard replicas after quiescing the pipeline
+//     (runner.answer, which reads fed/kept under the same lock hold, so
+//     the counts describe exactly the items the answer covers). A
+//     collector folds the retained states of the stream's fresh agents
+//     in sorted agent order (Collector.query: selection under the
+//     table's read lock, stale agents counted and skipped, the fold
+//     itself outside the lock). For a windowed stream the fresh
+//     accumulator sits at the current epoch, so folding realigns every
+//     state to now.
+//   - scope applies to windowed streams: window.Estimator.Scope hands
+//     out the estimator of the cumulative or the last-W-epochs scope.
+//     An unwindowed stream has only the former; asking it for the
+//     window is a 400, not a silently widened answer.
+//   - ask puts the query to that estimator: the full report (no
+//     predicate), or the subset sum of the keys matching one. A stat
+//     without the capability is a 400, never a zero.
+//
+// query.run is that path, and the one place a query is counted and timed
+// (estimate_queries, query_seconds). At the collector one description of
+// the fold — agents, skipped_stale, fed, kept — backs both result types
+// and the one error mapping: unknown stream 404, every retained agent
+// stale 503, a fold that failed anyway 500.
+//
+// Summaries enter the retained table through one admission door,
+// Collector.admit: identity check, config defaults and validation,
+// registry decode, then a trial fold of the summary alone that is merge
+// only — Merge is where kind, config and hash-seed agreement are checked,
+// so no report is computed at the door — and finally the payload bytes
+// are dropped: the decoded estimator is the retained form. The first
+// summary admitted for a stream pins its config (admission.adopt); later
+// ones must match it. The door's two callers add only their ordering
+// rule: a live shipment (accept) is latest-wins by (Boot, Seq), a
+// snapshot row (RestoreSnapshot) must be the only one for its (stream,
+// agent) — a duplicate is corruption and abandons the restore whole.
 //
 // # Fault tolerance
 //
@@ -68,10 +109,9 @@
 //     i64 lastSeen         unix-nanos of the entry's acceptance
 //     u32 crc            IEEE CRC-32 of every preceding byte, little-endian
 //
-// The CRC trailer is verified before any parsing and every entry
-// re-passes the live collect path's validation (config validate,
-// registry decode, merge-only trial fold, config pinning), so a torn, truncated,
-// or bit-flipped snapshot fails whole into "start empty + warn" — never
+// The CRC trailer is verified before any parsing and every entry passes
+// the same admission door as a live shipment, so a torn, truncated, or
+// bit-flipped snapshot fails whole into "start empty + warn" — never
 // a panic, never a partial table. Restored entries count as sightings
 // for -max-summary-age staleness, letting a long-dead collector answer
 // from the checkpoint while the fleet re-converges. internal/faults
@@ -194,8 +234,7 @@
 // CIDR prefix (the address in the key's low 32 bits) and an optional
 // scope=window parameter. The answer is the Horvitz–Thompson subset
 // sum of the stream's VarOpt reservoir — or, at the collector, of the
-// CDKLT merge of every fresh agent's reservoir. Stats without the
-// subset-sum capability answer 400, never a silent zero.
+// CDKLT merge of every fresh agent's reservoir.
 //
 // Ingest instrumentation is sampled: the decode/feed latency
 // histograms observe one request in AgentConfig.ObsSampleEvery

@@ -85,6 +85,7 @@ type Metrics struct {
 	AgentFlush      *obs.Histogram
 	CollectDecode   *obs.Histogram
 	CollectFold     *obs.Histogram
+	Query           *obs.Histogram
 	SnapshotWrite   *obs.Histogram
 	SnapshotRestore *obs.Histogram
 
@@ -122,6 +123,7 @@ func newMetrics() *Metrics {
 		AgentFlush:      reg.Histogram("agent_flush_seconds", "per-summary flush latency: snapshot, marshal, upstream POST"),
 		CollectDecode:   reg.Histogram("collect_decode_seconds", "per-summary payload decode latency at the collector"),
 		CollectFold:     reg.Histogram("collect_fold_seconds", "per-summary trial-fold latency at the collector"),
+		Query:           reg.Histogram("query_seconds", "per-query fold + ask latency of the estimate and subset-sum routes"),
 		SnapshotWrite:   reg.Histogram("snapshot_write_seconds", "per-checkpoint collector snapshot encode+write+rename latency"),
 		SnapshotRestore: reg.Histogram("snapshot_restore_seconds", "collector snapshot restore latency at startup"),
 

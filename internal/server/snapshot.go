@@ -8,9 +8,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
-	"substream/internal/estimator"
 	"substream/internal/sketch"
 )
 
@@ -40,6 +40,8 @@ const (
 	snapshotVersion byte = 1
 	// snapshotFile is the checkpoint's name inside SnapshotDir.
 	snapshotFile = "collector.snap"
+	// snapshotTmp prefixes the temp files SaveSnapshot renames into place.
+	snapshotTmp = snapshotFile + ".tmp-"
 	// maxSnapshotEntries bounds the entry count read from the wire.
 	maxSnapshotEntries = 1 << 20
 )
@@ -158,7 +160,7 @@ func (c *Collector) SaveSnapshot() error {
 			return err
 		}
 		path := c.snapshotPath()
-		tmp, err := os.CreateTemp(c.cfg.SnapshotDir, snapshotFile+".tmp-*")
+		tmp, err := os.CreateTemp(c.cfg.SnapshotDir, snapshotTmp+"*")
 		if err != nil {
 			return err
 		}
@@ -188,11 +190,30 @@ func (c *Collector) SaveSnapshot() error {
 	return nil
 }
 
+// removeOrphanTemps deletes the temp files a kill between SaveSnapshot's
+// CreateTemp and Rename left in SnapshotDir — its deferred Remove covers
+// only in-process failures, so each such crash would otherwise leak one
+// snapshot's worth of disk for good. NewCollector calls it, not the
+// exported RestoreSnapshot: at construction nothing in the process can be
+// mid-SaveSnapshot, so every match is an orphan.
+func (c *Collector) removeOrphanTemps() {
+	entries, _ := os.ReadDir(c.cfg.SnapshotDir) // missing dir: a clean first boot, nothing to remove
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), snapshotTmp) {
+			continue
+		}
+		path := filepath.Join(c.cfg.SnapshotDir, e.Name())
+		if err := os.Remove(path); err != nil {
+			c.logger.Warn("orphaned snapshot temp file not removed", "path", path, "err", err)
+		}
+	}
+}
+
 // RestoreSnapshot loads the checkpoint from SnapshotDir and replaces the
-// retained table with it, all-or-nothing: every entry is re-validated
-// through the same decode + trial-fold gauntlet live shipments pass, and
-// ANY failure abandons the whole restore with the table untouched (the
-// collector starts empty and the agents' cumulative reships rebuild it).
+// retained table with it, all-or-nothing: every entry passes the same
+// admission door as a live shipment (admit), and ANY failure abandons
+// the whole restore with the table untouched (the collector starts
+// empty and the agents' cumulative reships rebuild it).
 // A missing file is a clean first boot, not an error. Restored entries'
 // staleness clocks restart at the restore: the restore counts as a
 // sighting, so a collector that was down longer than -max-summary-age
@@ -218,7 +239,7 @@ func (c *Collector) RestoreSnapshot() (int, error) {
 		now := c.cfg.Now()
 		staging := make(map[string]*collectorStream)
 		for i, e := range entries {
-			if err := stageSummary(staging, e.sum, now); err != nil {
+			if err := c.restoreRow(staging, e.sum, now); err != nil {
 				return 0, fmt.Errorf("snapshot entry %d: %w", i, err)
 			}
 		}
@@ -235,38 +256,23 @@ func (c *Collector) RestoreSnapshot() (int, error) {
 	return n, nil
 }
 
-// stageSummary validates one snapshot entry exactly as the collect path
-// would (config validation, registry decode, trial fold, per-stream
-// config pinning) and folds it into the staging table. Duplicate
-// (stream, agent) rows are corruption: the encoder never writes them.
-func stageSummary(staging map[string]*collectorStream, sum Summary, lastSeen time.Time) error {
-	if sum.Stream == "" || sum.Agent == "" {
-		return fmt.Errorf("summary must name a stream and an agent")
-	}
-	cfg := sum.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return fmt.Errorf("summary config: %w", err)
-	}
-	fold := buildFolder(cfg)
-	decoded, err := estimator.Decode(sum.Payload)
+// restoreRow passes one snapshot row through the admission door into the
+// staging table. The restore door's ordering rule: the encoder writes each
+// (stream, agent) pair once, so a duplicate row is corruption.
+func (c *Collector) restoreRow(staging map[string]*collectorStream, sum Summary, lastSeen time.Time) error {
+	adm, _, err := c.admit(sum)
 	if err != nil {
-		return fmt.Errorf("summary payload: %w", err)
+		return err
 	}
-	if _, err := fold.foldStates([]estimator.Estimator{decoded}); err != nil {
-		return fmt.Errorf("summary payload does not match its declared config: %w", err)
-	}
-	sum.Payload = nil
-	st, ok := staging[sum.Stream]
-	if !ok {
-		st = &collectorStream{cfg: cfg, fold: fold, agents: make(map[string]agentState)}
-		staging[sum.Stream] = st
-	} else if !st.cfg.sharedEquals(cfg) {
-		return fmt.Errorf("stream %q: conflicting configs across entries", sum.Stream)
+	st, err := adm.adopt(staging)
+	if err != nil {
+		return err
 	}
 	if _, dup := st.agents[sum.Agent]; dup {
 		return fmt.Errorf("stream %q: duplicate agent %q", sum.Stream, sum.Agent)
 	}
-	st.agents[sum.Agent] = agentState{sum: sum, decoded: decoded, lastSeen: lastSeen}
+	adm.state.lastSeen = lastSeen
+	st.agents[sum.Agent] = adm.state
 	return nil
 }
 

@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"substream/internal/core"
 	"substream/internal/estimator"
+	"substream/internal/rng"
 	"substream/internal/sketch"
 )
 
@@ -123,6 +127,34 @@ func TestSnapshotMissingFileIsCleanStart(t *testing.T) {
 	}
 }
 
+// TestNewCollectorRemovesOrphanedSnapshotTemps plants the leftover of a
+// collector killed between SaveSnapshot's CreateTemp and Rename next to
+// a valid snapshot: the next NewCollector removes it and still restores
+// the table. A dir that does not exist yet is still a clean first boot.
+func TestNewCollectorRemovesOrphanedSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCollector(CollectorConfig{SnapshotDir: dir})
+	acceptWorkload(t, c)
+	if err := c.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, snapshotFile+".tmp-123456")
+	if err := os.WriteFile(orphan, []byte("half a snapshot"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewCollector(CollectorConfig{SnapshotDir: dir})
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp file survived startup (stat err: %v)", err)
+	}
+	if got, want := estimateAll(t, restored, "flows", "bytes"), estimateAll(t, c, "flows", "bytes"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore beside an orphan: got %+v, want %+v", got, want)
+	}
+	first := NewCollector(CollectorConfig{SnapshotDir: filepath.Join(dir, "not-created-yet")})
+	if n := first.Metrics().SnapshotErrors.With(causeSnapshotRestore).Value(); n != 0 {
+		t.Fatalf("missing snapshot dir bumped snapshot_errors: %d", n)
+	}
+}
+
 // assertEmptyRestore builds a collector over the (corrupt) snapshot in
 // dir and checks the contract: no panic, a bumped restore-error cause,
 // and a fully empty table — never a partial one.
@@ -210,20 +242,94 @@ func TestSnapshotCorruptionBattery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forged := forgeSnapshot([][]byte{goodEntry, badEntry})
+	writeCase(forged)
+	assertEmptyRestore(t, dir)
+}
+
+// forgeSnapshot hand-builds a snapshot file with a VALID CRC around the
+// given JSON rows, so what a restore makes of it is decided by the rows'
+// admission alone.
+func forgeSnapshot(rows [][]byte) []byte {
 	w := &sketch.Writer{}
 	w.U8(snapshotMagic0)
 	w.U8(snapshotMagic1)
 	w.U8(snapshotVersion)
 	w.I64(time.Now().UnixNano())
-	w.U32(2)
-	w.Nested(goodEntry)
-	w.I64(time.Now().UnixNano())
-	w.Nested(badEntry)
-	w.I64(time.Now().UnixNano())
+	w.U32(uint32(len(rows)))
+	for _, row := range rows {
+		w.Nested(row)
+		w.I64(time.Now().UnixNano())
+	}
 	forged := w.Bytes()
-	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
-	writeCase(forged)
-	assertEmptyRestore(t, dir)
+	return binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
+}
+
+// TestAdmissionParity drives one table of bad summaries through both
+// doors into the retained table, each time behind one good row: the live
+// door (POST /v1/collect) must reject every one with its audited
+// summaries_rejected cause and keep the good row, and a valid-CRC
+// snapshot carrying the same two rows must be abandoned whole.
+func TestAdmissionParity(t *testing.T) {
+	cfg := StreamConfig{Stat: "f0", P: 0.5, Seed: 7}
+	good := f0Summary("a", "flows", cfg, 1)
+	with := func(edit func(*Summary)) Summary {
+		sum := f0Summary("b", "flows", cfg, 1)
+		edit(&sum)
+		return sum
+	}
+	foreign := cfg
+	foreign.Seed = 8
+	hh := core.NewF1HeavyHitters(core.F1HHConfig{P: 0.5, Alpha: 0.05, Epsilon: 0.2}, rng.New(7))
+	hhPayload, err := hh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		sum   Summary
+		cause string
+	}{
+		{"empty stream", with(func(s *Summary) { s.Stream = "" }), causeConfig},
+		{"empty agent", with(func(s *Summary) { s.Agent = "" }), causeConfig},
+		{"invalid config", with(func(s *Summary) { s.Config.P = 42 }), causeConfig},
+		{"undecodable payload", with(func(s *Summary) { s.Payload = []byte{0xff, 0x01} }), causePayload},
+		{"payload kind is not the declared stat", with(func(s *Summary) { s.Payload = hhPayload }), causePayload},
+		{"foreign seed", with(func(s *Summary) { s.Payload = f0Summary("b", "flows", foreign, 1).Payload }), causePayload},
+		// Self-consistent under its own config, which is not the one the
+		// earlier row pinned the stream to.
+		{"config conflicts with an earlier row", f0Summary("b", "flows", foreign, 1), causeConflict},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			goodRow, _ := json.Marshal(good)
+			badRow, _ := json.Marshal(tc.sum)
+
+			live := NewCollector(CollectorConfig{})
+			cts := httptest.NewServer(live.Handler())
+			defer cts.Close()
+			if resp := do(t, http.MethodPost, cts.URL+"/v1/collect", "application/json", goodRow, nil); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("good row: status %d", resp.StatusCode)
+			}
+			before := causeValues(live.Metrics().CollectRejects, collectCauses)
+			if resp := do(t, http.MethodPost, cts.URL+"/v1/collect", "application/json", badRow, nil); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("live door: status %d, want 400", resp.StatusCode)
+			}
+			assertCauseDelta(t, before, causeValues(live.Metrics().CollectRejects, collectCauses), tc.cause)
+			if err := live.Accept(tc.sum); err == nil {
+				t.Fatal("Accept admitted the row the HTTP door rejected")
+			}
+			if est, err := live.Estimate("flows"); err != nil || est.Agents != 1 {
+				t.Fatalf("live door let the rejected row touch the table: %+v, %v", est, err)
+			}
+
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), forgeSnapshot([][]byte{goodRow, badRow}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			assertEmptyRestore(t, dir)
+		})
+	}
 }
 
 // TestSnapshotRunWritesPeriodically drives Collector.Run with a short

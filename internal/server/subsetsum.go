@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 
-	"substream/internal/estimator"
 	"substream/internal/stream"
 )
 
@@ -42,58 +40,55 @@ func subsetPred(prefix string) (func(stream.Item) bool, error) {
 }
 
 // subsetQuery parses the shared query parameters of the subset-sum
-// endpoints: prefix (required, IPv4 CIDR) and scope (cumulative —
-// the default — or window).
-func subsetQuery(r *http.Request) (pred func(stream.Item) bool, windowScope bool, prefix, scope string, err error) {
-	q := r.URL.Query()
-	prefix = q.Get("prefix")
+// endpoints into the query they ask: prefix (required, IPv4 CIDR) and
+// scope (cumulative — the default — or window).
+func subsetQuery(r *http.Request) (q query, prefix, scope string, err error) {
+	params := r.URL.Query()
+	prefix = params.Get("prefix")
 	if prefix == "" {
-		return nil, false, "", "", fmt.Errorf("subsetsum needs a prefix parameter (IPv4 CIDR, e.g. 10.0.0.0/8)")
+		return q, "", "", fmt.Errorf("subsetsum needs a prefix parameter (IPv4 CIDR, e.g. 10.0.0.0/8)")
 	}
-	pred, err = subsetPred(prefix)
-	if err != nil {
-		return nil, false, "", "", err
+	if q.pred, err = subsetPred(prefix); err != nil {
+		return q, "", "", err
 	}
-	scope = q.Get("scope")
-	switch scope {
+	switch scope = params.Get("scope"); scope {
 	case "":
 		scope = "cumulative"
 	case "cumulative":
 	case "window":
-		windowScope = true
+		q.windowScope = true
 	default:
-		return nil, false, "", "", fmt.Errorf("unknown scope %q (want cumulative or window)", scope)
+		return q, "", "", fmt.Errorf("unknown scope %q (want cumulative or window)", scope)
 	}
-	return pred, windowScope, prefix, scope, nil
+	return q, prefix, scope, nil
 }
 
 // handleSubsetSum answers a subset-sum query from the agent's local
 // shard replicas — the single-monitor view of the weight matching the
 // prefix.
 func (a *Agent) handleSubsetSum(w http.ResponseWriter, r *http.Request) {
-	a.metrics.EstimateQueries.Inc()
 	st, ok := a.lookup(r.PathValue("name"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown stream %q", r.PathValue("name"))
 		return
 	}
-	pred, windowScope, prefix, scope, err := subsetQuery(r)
+	q, prefix, scope, err := subsetQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	v, ok, err := st.run.subsetSum(pred, windowScope)
+	ans, _, _, err := st.run.answer(a.metrics, q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "subset sum failed: %v", err)
 		return
 	}
-	if !ok {
+	if !ans.ok {
 		writeError(w, http.StatusBadRequest,
 			"stream %q (stat %q) answers no subset sums in scope %q", st.name, st.cfg.Stat, scope)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"stream": st.name, "prefix": prefix, "scope": scope, "subset_sum": v,
+		"stream": st.name, "prefix": prefix, "scope": scope, "subset_sum": ans.sum,
 	})
 }
 
@@ -109,78 +104,38 @@ type SubsetSumResult struct {
 
 // SubsetSum folds the latest summary of every fresh agent of the stream
 // and answers the subset-sum query against the fold — the fleet-wide
-// weight matching the predicate, with Estimate's staleness rules.
+// weight matching the predicate (non-nil), with Estimate's staleness
+// rules.
 func (c *Collector) SubsetSum(name string, pred func(stream.Item) bool, windowScope bool) (SubsetSumResult, error) {
-	c.mu.RLock()
-	st, ok := c.streams[name]
-	if !ok {
-		c.mu.RUnlock()
-		return SubsetSumResult{}, fmt.Errorf("unknown stream %q", name)
-	}
-	now := c.cfg.Now()
-	var out SubsetSumResult
-	ids := make([]string, 0, len(st.agents))
-	for id, state := range st.agents {
-		if c.stale(state, now) {
-			out.Skipped++
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out.Agents = len(ids)
-	states := make([]estimator.Estimator, len(ids))
-	for i, id := range ids {
-		states[i] = st.agents[id].decoded
-	}
-	fold := st.fold
-	c.mu.RUnlock()
-
-	if len(states) == 0 && out.Skipped > 0 {
-		return out, fmt.Errorf("stream %q: all %d retained summaries are older than the max age",
-			name, out.Skipped)
-	}
-	acc, err := fold.foldStates(states)
-	if err != nil {
-		return out, err
-	}
-	out.Value, out.OK, err = subsetSumOf(acc, pred, windowScope)
-	return out, err
+	ans, f, err := c.query(name, query{pred: pred, windowScope: windowScope})
+	return SubsetSumResult{Value: ans.sum, OK: ans.ok, Agents: f.agents, Skipped: f.skipped}, err
 }
 
 // handleSubsetSum answers GET /v1/subsetsum?stream=...&prefix=... at
 // the collector.
 func (c *Collector) handleSubsetSum(w http.ResponseWriter, r *http.Request) {
-	c.metrics.EstimateQueries.Inc()
 	name := r.URL.Query().Get("stream")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, "subsetsum needs a stream parameter")
 		return
 	}
-	pred, windowScope, prefix, scope, err := subsetQuery(r)
+	q, prefix, scope, err := subsetQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := c.SubsetSum(name, pred, windowScope)
+	ans, f, err := c.query(name, q)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case res.Skipped > 0 && res.Agents == 0:
-			status = http.StatusServiceUnavailable
-		case res.Agents == 0:
-			status = http.StatusNotFound
-		}
-		writeError(w, status, "%v", err)
+		writeError(w, f.errStatus(), "%v", err)
 		return
 	}
-	if !res.OK {
+	if !ans.ok {
 		writeError(w, http.StatusBadRequest,
 			"stream %q answers no subset sums in scope %q", name, scope)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"stream": name, "prefix": prefix, "scope": scope,
-		"agents": res.Agents, "skipped_stale": res.Skipped, "subset_sum": res.Value,
+		"agents": f.agents, "skipped_stale": f.skipped, "subset_sum": ans.sum,
 	})
 }

@@ -112,9 +112,9 @@ func Unmarshal(data []byte) (*Estimator, error) {
 	// seeds) that would only surface as a merge failure on the first
 	// query — corrupt input must fail here instead. Trial-merging every
 	// replica into a pristine copy proves the ring self-consistent once,
-	// which is also what makes the merge errors inside Estimates
+	// which is also what makes the merge error inside EstimatorReport
 	// unreachable for decoded rings.
-	acc, err := e.windowMerged()
+	acc, err := e.Scope(true)
 	if err != nil {
 		return nil, fmt.Errorf("window: generations do not merge: %w", err)
 	}

@@ -12,6 +12,21 @@ import (
 	_ "substream/internal/sample"
 )
 
+// scopedSum asks one scope of the ring for a subset sum the way the
+// daemon does: Scope picks the estimator, its Summer (if any) answers.
+func scopedSum(t *testing.T, e *window.Estimator, windowScope bool, pred func(stream.Item) bool) (float64, bool) {
+	t.Helper()
+	acc, err := e.Scope(windowScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := estimator.SummerOf(acc)
+	if !ok {
+		return 0, false
+	}
+	return s.SubsetSum(pred), true
+}
+
 // TestWindowedVarOptSubsetSum is the "bytes from subnet X in the last 5
 // epochs" scenario: a windowed VarOpt reservoir fed weighted (key,
 // bytes) items across rotating epochs must answer the window-scoped
@@ -58,7 +73,7 @@ func TestWindowedVarOptSubsetSum(t *testing.T) {
 	// a 35% relative tolerance is loose enough to be robust at this fixed
 	// seed while still catching scope mix-ups (window vs cumulative differ
 	// by ~45%).
-	got, ok := e.WindowSubsetSum(pred)
+	got, ok := scopedSum(t, e, true, pred)
 	if !ok {
 		t.Fatal("varopt window lost its subset-sum capability")
 	}
@@ -69,7 +84,7 @@ func TestWindowedVarOptSubsetSum(t *testing.T) {
 		t.Fatalf("window subset sum %v tracks the cumulative scope %v, not the window %v",
 			got, cumSubnet, wantWindow)
 	}
-	cum, ok := e.SubsetSum(pred)
+	cum, ok := scopedSum(t, e, false, pred)
 	if !ok {
 		t.Fatal("varopt cumulative lost its subset-sum capability")
 	}
@@ -91,7 +106,7 @@ func TestWindowedVarOptSubsetSum(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded window payload is %T", estimator.Unwrap(dec))
 	}
-	got2, ok := we.WindowSubsetSum(pred)
+	got2, ok := scopedSum(t, we, true, pred)
 	if !ok || !near(got, got2) {
 		t.Fatalf("decoded ring answers %v (ok=%v), want %v", got2, ok, got)
 	}
@@ -112,7 +127,7 @@ func TestWindowWeightedFallback(t *testing.T) {
 	if est["n"] != 4 || est["window_n"] != 4 || est["f0"] != 3 {
 		t.Fatalf("projection fed wrong observations, want n=4 f0=3 in both scopes: %v", est)
 	}
-	if _, ok := e.SubsetSum(func(stream.Item) bool { return true }); ok {
+	if _, ok := scopedSum(t, e, false, func(stream.Item) bool { return true }); ok {
 		t.Fatal("exactcounter window claims a subset-sum capability")
 	}
 }

@@ -24,6 +24,15 @@
 // expired. Advancing by W or more epochs resets the whole ring in O(W),
 // so an idle stream pays nothing per elapsed epoch.
 //
+// # Scopes
+//
+// Scope is the one accessor for "in which scope?": Scope(false) is the
+// cumulative replica, Scope(true) the retained generations merged into a
+// pristine accumulator at the current epoch. Whatever the inner kind can
+// answer — a report, a subset sum — is asked of the estimator Scope
+// returns; Estimates and EstimatorReport publish both scopes at once, the
+// window's values under a "window_" prefix.
+//
 // # Alignment and merging
 //
 // The absolute epoch index is what makes windows mergeable across shard
@@ -303,34 +312,6 @@ func updateWeighted(dst estimator.Estimator, items []stream.WItem) {
 	}
 }
 
-// SubsetSum answers the since-boot subset-sum query from the cumulative
-// replica. The second return reports whether the inner kind answers
-// subset sums at all; callers surface that as a configuration error
-// rather than read a silent zero.
-func (e *Estimator) SubsetSum(pred func(it stream.Item) bool) (float64, bool) {
-	s, ok := estimator.SummerOf(e.cum)
-	if !ok {
-		return 0, false
-	}
-	return s.SubsetSum(pred), true
-}
-
-// WindowSubsetSum answers the subset-sum query over the last W epochs:
-// the retained generations merge into a fresh accumulator (the same fold
-// WindowReport uses) and the accumulator answers.
-func (e *Estimator) WindowSubsetSum(pred func(it stream.Item) bool) (float64, bool) {
-	e.rotate()
-	acc, err := e.windowMerged()
-	if err != nil {
-		return 0, false
-	}
-	s, ok := estimator.SummerOf(acc)
-	if !ok {
-		return 0, false
-	}
-	return s.SubsetSum(pred), true
-}
-
 // Merge folds another windowed estimator into the receiver. Both sides
 // must agree on window span and epoch length; the receiver first
 // advances to the newer of (its clock, the other's ring), so generations
@@ -366,9 +347,17 @@ func (e *Estimator) Merge(other *Estimator) error {
 	return e.cum.Merge(other.cum)
 }
 
-// windowMerged folds every retained generation into a pristine
-// accumulator — the last-W-epochs summary.
-func (e *Estimator) windowMerged() (estimator.Estimator, error) {
+// Scope returns the estimator that answers in one time scope: the
+// cumulative replica itself (window false — read it, never feed it), or
+// the retained generations merged into a pristine accumulator at the
+// clock's current epoch (window true, the last-W-epochs summary). Every
+// scoped question — a report, a subset sum, whatever capability the
+// inner kind has — is asked of the returned estimator.
+func (e *Estimator) Scope(window bool) (estimator.Estimator, error) {
+	if !window {
+		return e.cum, nil
+	}
+	e.rotate()
 	acc, err := decodeInner(e.pristine)
 	if err != nil {
 		return nil, err
@@ -381,65 +370,31 @@ func (e *Estimator) windowMerged() (estimator.Estimator, error) {
 	return acc, nil
 }
 
-// WindowReport returns the full report (scalar estimates plus any heavy
-// hitters) of the last W epochs alone.
-func (e *Estimator) WindowReport() (estimator.Report, error) {
-	e.rotate()
-	acc, err := e.windowMerged()
-	if err != nil {
-		return estimator.Report{}, err
-	}
-	return estimator.ReportOf(acc), nil
-}
-
-// CumulativeReport returns the full since-boot report.
-func (e *Estimator) CumulativeReport() estimator.Report {
-	return estimator.ReportOf(e.cum)
-}
-
 // Estimates answers both scopes from one summary: the cumulative
 // estimates under their usual names, and the last-W-epochs estimates
 // under a "window_" prefix.
-func (e *Estimator) Estimates() map[string]float64 {
-	e.rotate()
-	out := make(map[string]float64)
-	for name, v := range e.cum.Estimates() {
-		out[name] = v
-	}
-	acc, err := e.windowMerged()
-	if err != nil {
-		// Unreachable for rings built by New or Unmarshal (generations
-		// share one spec); a scalar map has no error channel regardless.
-		return out
-	}
-	for name, v := range acc.Estimates() {
-		out["window_"+name] = v
-	}
-	return out
-}
+func (e *Estimator) Estimates() map[string]float64 { return e.EstimatorReport().Values }
 
 // EstimatorReport reports the combined scalar map; the hitter lists come
 // from the window scope, because recency is what the wrapper adds —
-// CumulativeReport still serves the since-boot lists. The window merge
-// runs once and feeds both the window_ scalars and the hitter lists.
+// Scope(false) still serves the since-boot lists. The window merge runs
+// once and feeds both the window_ scalars and the hitter lists.
 func (e *Estimator) EstimatorReport() estimator.Report {
-	e.rotate()
-	out := make(map[string]float64)
+	rep := estimator.Report{Values: make(map[string]float64)}
 	for name, v := range e.cum.Estimates() {
-		out[name] = v
+		rep.Values[name] = v
 	}
-	rep := estimator.Report{Values: out}
-	acc, err := e.windowMerged()
+	acc, err := e.Scope(true)
 	if err != nil {
-		// Unreachable for rings built by New or Unmarshal; see Estimates.
+		// Unreachable for rings built by New or Unmarshal (generations
+		// share one spec); a report has no error channel regardless.
 		return rep
 	}
 	wrep := estimator.ReportOf(acc)
 	for name, v := range wrep.Values {
-		out["window_"+name] = v
+		rep.Values["window_"+name] = v
 	}
-	rep.F1Hitters = wrep.F1Hitters
-	rep.F2Hitters = wrep.F2Hitters
+	rep.F1Hitters, rep.F2Hitters = wrep.F1Hitters, wrep.F2Hitters
 	return rep
 }
 

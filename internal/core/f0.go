@@ -21,6 +21,7 @@ type F0Estimator struct {
 // distinctBackend is the streaming F₀(L) estimator Algorithm 2 consumes;
 // KMV and HLL both satisfy it.
 type distinctBackend interface {
+	sketch.Encoder
 	Observe(it stream.Item)
 	Estimate() float64
 	SpaceBytes() int

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"encoding"
 	"fmt"
 	"math"
 
 	"substream/internal/estimator"
 	"substream/internal/levelset"
 	"substream/internal/sketch"
-	"substream/internal/stream"
 )
 
 // This file serializes the paper's estimator wrappers with the shared
@@ -37,10 +35,16 @@ const (
 // validP reports whether p is a legal sampling probability.
 func validP(p float64) bool { return p > 0 && p <= 1 }
 
-// MarshalBinary serializes the estimator, including its collision
-// counter.
-func (e *FkEstimator) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the estimator.
+func (e *FkEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator, its collision counter nested in place.
+func (e *FkEstimator) Encode(w *sketch.Writer) {
+	counter, ok := e.collisions.(sketch.Encoder)
+	if !ok {
+		w.Fail(fmt.Errorf("core: collision counter %T is not serializable", e.collisions))
+		return
+	}
 	w.Header(TagFkEstimator)
 	w.U32(uint32(e.k))
 	w.F64(e.p)
@@ -49,12 +53,7 @@ func (e *FkEstimator) MarshalBinary() ([]byte, error) {
 	for _, eps := range e.schedule {
 		w.F64(eps)
 	}
-	counter, err := levelset.MarshalCollisionCounter(e.collisions)
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(counter)
-	return w.Bytes(), nil
+	w.Nest(counter)
 }
 
 // UnmarshalFkEstimator reconstructs an FkEstimator from MarshalBinary
@@ -93,21 +92,15 @@ func UnmarshalFkEstimator(data []byte) (*FkEstimator, error) {
 	return &FkEstimator{k: k, p: p, nL: nL, schedule: schedule, collisions: counter}, nil
 }
 
-// MarshalBinary serializes the estimator and its distinct-count backend.
-func (e *F0Estimator) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the estimator.
+func (e *F0Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator, its distinct-count backend nested in
+// place.
+func (e *F0Estimator) Encode(w *sketch.Writer) {
 	w.Header(TagF0Estimator)
 	w.F64(e.p)
-	m, ok := e.backend.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: F0 backend %T is not serializable", e.backend)
-	}
-	payload, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(payload)
-	return w.Bytes(), nil
+	w.Nest(e.backend)
 }
 
 // UnmarshalF0Estimator reconstructs an F0Estimator from MarshalBinary
@@ -148,14 +141,15 @@ func UnmarshalF0Estimator(data []byte) (*F0Estimator, error) {
 	return &F0Estimator{p: p, backend: backend}, nil
 }
 
-// MarshalBinary serializes the estimator: frequency profile in
-// increasing item order.
-func (e *GEEF0Estimator) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the estimator.
+func (e *GEEF0Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator, the frequency profile as a sorted item
+// run.
+func (e *GEEF0Estimator) Encode(w *sketch.Writer) {
 	w.Header(TagGEEF0Estimator)
 	w.F64(e.p)
-	writeFreq(w, e.counts)
-	return w.Bytes(), nil
+	w.Freq(e.counts)
 }
 
 // UnmarshalGEEF0Estimator reconstructs a GEEF0Estimator from
@@ -167,26 +161,28 @@ func UnmarshalGEEF0Estimator(data []byte) (*GEEF0Estimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	counts := readFreq(r)
+	counts, _ := r.Freq(sketch.MaxWireElems, math.MaxUint64)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &GEEF0Estimator{p: p, counts: counts}, nil
 }
 
-// MarshalBinary serializes the estimator. Only the plugin backend has a
-// wire form; the reservoir-position sketch backend returns
-// ErrNotMergeable.
-func (e *EntropyEstimator) MarshalBinary() ([]byte, error) {
+// MarshalBinary serializes the estimator.
+func (e *EntropyEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator, the plugin's frequencies as a sorted item
+// run. Only the plugin backend has a wire form; the reservoir-position
+// sketch backend fails with ErrNotMergeable.
+func (e *EntropyEstimator) Encode(w *sketch.Writer) {
 	if e.plugin == nil {
-		return nil, fmt.Errorf("%w: entropy sketch backend has no wire form", ErrNotMergeable)
+		w.Fail(fmt.Errorf("%w: entropy sketch backend has no wire form", ErrNotMergeable))
+		return
 	}
-	w := &sketch.Writer{}
 	w.Header(TagEntropy)
 	w.F64(e.p)
 	w.U64(e.nL)
-	writeFreq(w, e.plugin)
-	return w.Bytes(), nil
+	w.Freq(e.plugin)
 }
 
 // UnmarshalEntropyEstimator reconstructs a plugin-backend
@@ -199,15 +195,9 @@ func UnmarshalEntropyEstimator(data []byte) (*EntropyEstimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	plugin := readFreq(r)
-	if r.Err() == nil {
-		var sum uint64
-		for _, c := range plugin {
-			sum += c
-		}
-		if sum != nL {
-			r.Failf("core: entropy frequencies sum to %d, header says %d", sum, nL)
-		}
+	plugin, sum := r.Freq(sketch.MaxWireElems, nL)
+	if r.Err() == nil && sum != nL {
+		r.Failf("core: entropy frequencies sum to %d, header says %d", sum, nL)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -215,34 +205,25 @@ func UnmarshalEntropyEstimator(data []byte) (*EntropyEstimator, error) {
 	return &EntropyEstimator{p: p, nL: nL, plugin: plugin}, nil
 }
 
-// MarshalBinary serializes the estimator: sketch backend and candidate
-// tracker as nested payloads.
-func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the estimator.
+func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) { return sketch.Marshal(h) }
+
+// Encode writes the estimator, its sketch backend and candidate tracker
+// nested in place.
+func (h *F1HeavyHitters) Encode(w *sketch.Writer) {
 	w.Header(TagF1HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
 	w.F64(h.eps)
 	w.U64(h.observed)
-	var payload []byte
-	var err error
 	if h.cm != nil {
 		w.U8(0)
-		payload, err = h.cm.MarshalBinary()
+		w.Nest(h.cm)
 	} else {
 		w.U8(1)
-		payload, err = h.mg.MarshalBinary()
+		w.Nest(h.mg)
 	}
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(payload)
-	tracker, err := h.tracker.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(tracker)
-	return w.Bytes(), nil
+	w.Nest(h.tracker)
 }
 
 // UnmarshalF1HeavyHitters reconstructs an F1HeavyHitters from
@@ -281,26 +262,19 @@ func UnmarshalF1HeavyHitters(data []byte) (*F1HeavyHitters, error) {
 	return h, nil
 }
 
-// MarshalBinary serializes the estimator: CountSketch and candidate
-// tracker as nested payloads.
-func (h *F2HeavyHitters) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the estimator.
+func (h *F2HeavyHitters) MarshalBinary() ([]byte, error) { return sketch.Marshal(h) }
+
+// Encode writes the estimator, its CountSketch and candidate tracker
+// nested in place.
+func (h *F2HeavyHitters) Encode(w *sketch.Writer) {
 	w.Header(TagF2HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
 	w.F64(h.eps)
 	w.U64(h.nL)
-	cs, err := h.cs.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(cs)
-	tracker, err := h.tracker.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(tracker)
-	return w.Bytes(), nil
+	w.Nest(h.cs)
+	w.Nest(h.tracker)
 }
 
 // UnmarshalF2HeavyHitters reconstructs an F2HeavyHitters from
@@ -342,54 +316,41 @@ const (
 	monHasHH2
 )
 
-// MarshalBinary serializes the monitor: a presence bitmap followed by
-// one nested payload per enabled estimator.
-func (m *Monitor) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the monitor.
+func (m *Monitor) MarshalBinary() ([]byte, error) { return sketch.Marshal(m) }
+
+// Encode writes the monitor: a presence bitmap followed by each enabled
+// estimator nested in place.
+func (m *Monitor) Encode(w *sketch.Writer) {
 	w.Header(TagMonitor)
 	w.F64(m.p)
 	w.U64(m.nL)
 	var flags byte
+	parts := make([]sketch.Encoder, 0, 5)
 	if m.fk != nil {
 		flags |= monHasFk
+		parts = append(parts, m.fk)
 	}
 	if m.f0 != nil {
 		flags |= monHasF0
+		parts = append(parts, m.f0)
 	}
 	if m.entropy != nil {
 		flags |= monHasEntropy
+		parts = append(parts, m.entropy)
 	}
 	if m.hh1 != nil {
 		flags |= monHasHH1
+		parts = append(parts, m.hh1)
 	}
 	if m.hh2 != nil {
 		flags |= monHasHH2
+		parts = append(parts, m.hh2)
 	}
 	w.U8(flags)
-	parts := []func() ([]byte, error){}
-	if m.fk != nil {
-		parts = append(parts, m.fk.MarshalBinary)
+	for _, part := range parts {
+		w.Nest(part)
 	}
-	if m.f0 != nil {
-		parts = append(parts, m.f0.MarshalBinary)
-	}
-	if m.entropy != nil {
-		parts = append(parts, m.entropy.MarshalBinary)
-	}
-	if m.hh1 != nil {
-		parts = append(parts, m.hh1.MarshalBinary)
-	}
-	if m.hh2 != nil {
-		parts = append(parts, m.hh2.MarshalBinary)
-	}
-	for _, marshal := range parts {
-		payload, err := marshal()
-		if err != nil {
-			return nil, err
-		}
-		w.Nested(payload)
-	}
-	return w.Bytes(), nil
 }
 
 // UnmarshalMonitor reconstructs a Monitor from MarshalBinary output.
@@ -436,38 +397,4 @@ func UnmarshalMonitor(data []byte) (*Monitor, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// writeFreq appends a frequency map in increasing item order.
-func writeFreq(w *sketch.Writer, f stream.Freq) {
-	items := sketch.SortedKeys(f)
-	w.U32(uint32(len(items)))
-	for _, it := range items {
-		w.U64(uint64(it))
-		w.U64(f[it])
-	}
-}
-
-// readFreq reads a frequency map written by writeFreq.
-func readFreq(r *sketch.Reader) stream.Freq {
-	count := r.Count(sketch.MaxWireElems, 16)
-	if r.Err() != nil {
-		return nil
-	}
-	f := make(stream.Freq, count)
-	var prev stream.Item
-	for i := 0; i < count; i++ {
-		it := stream.Item(r.U64())
-		c := r.U64()
-		if r.Err() != nil {
-			return nil
-		}
-		if (i > 0 && it <= prev) || c < 1 {
-			r.Fail()
-			return nil
-		}
-		prev = it
-		f[it] = c
-	}
-	return f
 }

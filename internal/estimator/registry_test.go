@@ -43,12 +43,12 @@ func (d *demoF1) Estimates() map[string]float64 {
 	return map[string]float64{"f1": float64(d.nL) / d.p}
 }
 
-func (d *demoF1) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+func (d *demoF1) MarshalBinary() ([]byte, error) { return sketch.Marshal(d) }
+
+func (d *demoF1) Encode(w *sketch.Writer) {
 	w.Header(demoTag)
 	w.F64(d.p)
 	w.U64(d.nL)
-	return w.Bytes(), nil
 }
 
 func unmarshalDemoF1(data []byte) (*demoF1, error) {

@@ -1,7 +1,6 @@
 package levelset
 
 import (
-	"encoding"
 	"fmt"
 	"math"
 	"slices"
@@ -28,18 +27,15 @@ const (
 // single digits and are never legitimately large.
 const maxWireReps = 1 << 10
 
-// MarshalBinary serializes the counter. Frequencies are written in
-// increasing item order, so equal counters serialize identically.
-func (c *ExactCounter) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the counter.
+func (c *ExactCounter) MarshalBinary() ([]byte, error) { return sketch.Marshal(c) }
+
+// Encode writes the counter, the frequencies as a sorted item run, so
+// equal counters serialize identically.
+func (c *ExactCounter) Encode(w *sketch.Writer) {
 	w.Header(TagExactCounter)
 	w.U64(c.n)
-	w.U32(uint32(len(c.counts)))
-	for _, it := range sketch.SortedKeys(c.counts) {
-		w.U64(uint64(it))
-		w.U64(c.counts[it])
-	}
-	return w.Bytes(), nil
+	w.Freq(c.counts)
 }
 
 // UnmarshalExactCounter reconstructs an ExactCounter from MarshalBinary
@@ -48,71 +44,52 @@ func UnmarshalExactCounter(data []byte) (*ExactCounter, error) {
 	r := sketch.NewReader(data)
 	r.Header(TagExactCounter)
 	n := r.U64()
-	count := r.Count(sketch.MaxWireElems, 16)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	c := &ExactCounter{counts: make(stream.Freq, count), n: n}
-	var prev stream.Item
-	var sum uint64
-	for i := 0; i < count; i++ {
-		it := stream.Item(r.U64())
-		cnt := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if (i > 0 && it <= prev) || cnt < 1 || cnt > n {
-			r.Fail()
-			return nil, r.Err()
-		}
-		prev = it
-		sum += cnt
-		c.counts[it] = cnt
-	}
+	counts, sum := r.Freq(sketch.MaxWireElems, n)
 	// n is by construction the sum of all frequencies; a mismatch means
 	// corruption.
-	if sum != n {
+	if r.Err() == nil && sum != n {
 		r.Failf("levelset: exact counter frequencies sum to %d, header says %d", sum, n)
-		return nil, r.Err()
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &ExactCounter{counts: counts, n: n}, nil
 }
 
-// MarshalBinary serializes the level-set estimator: band geometry, the
-// heavy SpaceSaving summary as a nested payload, and each repetition's
-// universe hash, threshold, and exactly-tracked frequencies.
-func (e *Estimator) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the level-set estimator.
+func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator: band geometry, the heavy SpaceSaving
+// summary nested in place, and each repetition's universe hash, threshold,
+// and exactly-tracked frequencies as a sorted item run whose entries each
+// carry the item's level byte.
+func (e *Estimator) Encode(w *sketch.Writer) {
 	w.Header(TagEstimator)
 	w.F64(e.epsPrime)
 	w.F64(e.eta)
 	w.U32(uint32(e.budget))
-	heavy, err := e.heavy.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(heavy)
+	w.Nest(e.heavy)
 	w.U32(uint32(len(e.reps)))
-	var items []stream.Item
+	var sorted []stream.Item
 	for _, rs := range e.reps {
 		w.Hash2(rs.hash)
 		w.U32(uint32(rs.T))
-		w.U32(uint32(len(rs.items)))
 		// Increasing item order, so equal states serialize identically
-		// whatever order their slabs grew in.
-		items = append(items[:0], rs.items...)
-		slices.Sort(items)
+		// whatever order their slabs grew in; a sizing pass takes the
+		// entries in any order.
+		items := rs.items
+		if !w.Sizing() {
+			sorted = append(sorted[:0], items...)
+			slices.Sort(sorted)
+			items = sorted
+		}
+		run := w.Run(len(items))
 		for _, it := range items {
 			id, _ := rs.index.Get(rs.items, it)
-			w.U64(uint64(it))
+			run.Put(it, rs.counts[id])
 			w.U8(rs.levels[id])
-			w.U64(rs.counts[id])
 		}
 	}
-	return w.Bytes(), nil
 }
 
 // UnmarshalEstimator reconstructs an Estimator from MarshalBinary output.
@@ -147,30 +124,25 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	for i := range e.reps {
 		hash := r.Hash2()
 		T := r.Count(maxLevel, 0)
-		count := r.Count(sketch.MaxWireElems, 17)
+		run := r.Run(sketch.MaxWireElems, sketch.RunEntryBytes+1, math.MaxUint64)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		rs := &repState{hash: hash, T: T, budget: budget, items: make([]stream.Item, 0, count),
-			counts: make([]uint64, 0, count), levels: make([]uint8, 0, count)}
-		rs.index.Reset(count)
-		var prev stream.Item
-		for j := 0; j < count; j++ {
-			it := stream.Item(r.U64())
-			level := r.U8()
-			cnt := r.U64()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
+		rs := &repState{hash: hash, T: T, budget: budget, items: make([]stream.Item, 0, run.N),
+			counts: make([]uint64, 0, run.N), levels: make([]uint8, 0, run.N)}
+		rs.index.Reset(run.N)
+		for run.Next() {
 			// Every tracked item's sampling level is at least the final
 			// threshold (lower levels were evicted when T rose).
-			if (j > 0 && it <= prev) || int(level) < T || int(level) > maxLevel || cnt < 1 {
+			level := r.U8()
+			if r.Err() == nil && (int(level) < T || int(level) > maxLevel) {
 				r.Fail()
-				return nil, r.Err()
 			}
-			prev = it
-			rs.push(it, cnt, level)
-			rs.index.Put(rs.items, int32(j))
+			rs.push(run.Item, run.Count, level)
+			rs.index.Put(rs.items, int32(len(rs.items)-1))
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		e.reps[i] = rs
 	}
@@ -180,11 +152,13 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	return e, nil
 }
 
-// MarshalBinary serializes the Indyk–Woodruff estimator: band geometry,
-// the universe hash, and each level's element count, CountSketch, and
-// candidate tracker as nested payloads.
-func (e *IWEstimator) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+// MarshalBinary serializes the Indyk–Woodruff estimator.
+func (e *IWEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the estimator: band geometry, the universe hash, and each
+// level's element count, CountSketch, and candidate tracker nested in
+// place.
+func (e *IWEstimator) Encode(w *sketch.Writer) {
 	w.Header(TagIWEstimator)
 	w.F64(e.epsPrime)
 	w.F64(e.eta)
@@ -194,18 +168,9 @@ func (e *IWEstimator) MarshalBinary() ([]byte, error) {
 	for t := range e.levels {
 		lvl := &e.levels[t]
 		w.U64(lvl.count)
-		cs, err := lvl.cs.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Nested(cs)
-		cands, err := lvl.cands.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Nested(cands)
+		w.Nest(lvl.cs)
+		w.Nest(lvl.cands)
 	}
-	return w.Bytes(), nil
 }
 
 // UnmarshalIWEstimator reconstructs an IWEstimator from MarshalBinary
@@ -238,6 +203,7 @@ func UnmarshalIWEstimator(data []byte) (*IWEstimator, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.Charge(cs.SpaceBytes()) // the level count must not multiply the tables
 		cands, err := sketch.UnmarshalTopK(r.Nested())
 		if err != nil {
 			return nil, err
@@ -248,16 +214,6 @@ func UnmarshalIWEstimator(data []byte) (*IWEstimator, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// MarshalCollisionCounter serializes any collision counter with a wire
-// form.
-func MarshalCollisionCounter(c CollisionCounter) ([]byte, error) {
-	m, ok := c.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("levelset: collision counter %T is not serializable", c)
-	}
-	return m.MarshalBinary()
 }
 
 // UnmarshalCollisionCounter reconstructs whichever collision counter was

@@ -1,6 +1,7 @@
 package levelset
 
 import (
+	"encoding"
 	"testing"
 
 	"substream/internal/rng"
@@ -120,7 +121,7 @@ func TestUnmarshalCollisionCounterDispatch(t *testing.T) {
 		for _, it := range marshalStream(2000, 6) {
 			c.Observe(it)
 		}
-		data, err := MarshalCollisionCounter(c)
+		data, err := c.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestLevelsetUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 		"dispatch":     func(d []byte) error { _, err := UnmarshalCollisionCounter(d); return err },
 	}
 	for _, c := range []CollisionCounter{exact, est, iw} {
-		payload, err := MarshalCollisionCounter(c)
+		payload, err := c.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

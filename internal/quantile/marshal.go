@@ -10,7 +10,10 @@ import (
 //
 //	u32 target count T, then T × (f64 φ, f64 ε), ascending φ
 //	u64 n (observed count)
-//	u32 sample count S, then S × (f64 value, u64 g, u64 Δ), ascending value
+//	u32 sample count S, then S × (f64 value, uvarint g, uvarint Δ), ascending value
+//
+// Sample values are arbitrary floats and stay fixed-width; the rank widths
+// g and Δ are small integers almost everywhere and are varints.
 //
 // The buffer is flushed before serializing, so a payload is always the
 // compressed state and Σg == n exactly. Decoding validates the CKMS
@@ -18,11 +21,13 @@ import (
 // and Σg consistent with n — so a corrupt payload fails here instead of
 // poisoning a collector's fold.
 
-// MarshalBinary serializes the summary. Buffered values are flushed
-// first, so equal logical states serialize identically.
-func (e *Estimator) MarshalBinary() ([]byte, error) {
+// MarshalBinary serializes the summary.
+func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the summary. Buffered values are flushed first, so equal
+// logical states serialize identically.
+func (e *Estimator) Encode(w *sketch.Writer) {
 	e.flush()
-	w := &sketch.Writer{}
 	w.Header(TagQuantile)
 	w.U32(uint32(len(e.targets)))
 	for _, t := range e.targets {
@@ -33,10 +38,9 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	w.U32(uint32(len(e.samples)))
 	for _, s := range e.samples {
 		w.F64(s.v)
-		w.U64(s.g)
-		w.U64(s.delta)
+		w.Uvarint(s.g)
+		w.Uvarint(s.delta)
 	}
-	return w.Bytes(), nil
 }
 
 // Unmarshal reconstructs an Estimator from MarshalBinary output.
@@ -58,7 +62,7 @@ func Unmarshal(data []byte) (*Estimator, error) {
 		r.Failf("quantile: corrupt target set")
 	}
 	n := r.U64()
-	sc := r.Count(sketch.MaxWireElems, 24)
+	sc := r.Count(sketch.MaxWireElems, 10)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
@@ -71,7 +75,7 @@ func Unmarshal(data []byte) (*Estimator, error) {
 	var sum uint64
 	prev := math.Inf(-1)
 	for i := range e.samples {
-		s := sample{v: r.F64(), g: r.U64(), delta: r.U64()}
+		s := sample{v: r.F64(), g: r.Uvarint(), delta: r.Uvarint()}
 		if r.Err() != nil {
 			return nil, r.Err()
 		}

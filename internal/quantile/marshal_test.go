@@ -88,10 +88,29 @@ type corruptCase struct {
 }
 
 // Payload layout offsets (after the 2-byte tag+version header):
-// u32 T, T×16 bytes of targets, u64 n, u32 S, S×24 bytes of samples.
+// u32 T, T×16 bytes of targets, u64 n, u32 S, then S samples of
+// (f64 value, uvarint g, uvarint Δ).
 func targetCount(p []byte) uint32 { return binary.LittleEndian.Uint32(p[2:]) }
 func nOffset(p []byte) int        { return 6 + int(targetCount(p))*16 }
 func sampleOffset(p []byte) int   { return nOffset(p) + 12 }
+
+// setFirstWidths re-splices the first sample's two varints, keeping the
+// old value of whichever argument is negative.
+func setFirstWidths(p []byte, g, delta int64) []byte {
+	off := sampleOffset(p) + 8
+	oldG, n1 := binary.Uvarint(p[off:])
+	oldDelta, n2 := binary.Uvarint(p[off+n1:])
+	if g < 0 {
+		g = int64(oldG)
+	}
+	if delta < 0 {
+		delta = int64(oldDelta)
+	}
+	out := append([]byte(nil), p[:off]...)
+	out = binary.AppendUvarint(out, uint64(g))
+	out = binary.AppendUvarint(out, uint64(delta))
+	return append(out, p[off+n1+n2:]...)
+}
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	cases := []corruptCase{
@@ -139,17 +158,12 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint64(p[sampleOffset(p):], math.Float64bits(math.MaxFloat64))
 			return p
 		}},
-		{"zero-width sample", func(p []byte) []byte {
-			binary.LittleEndian.PutUint64(p[sampleOffset(p)+8:], 0)
-			return p
-		}},
-		{"width sum over n", func(p []byte) []byte {
-			binary.LittleEndian.PutUint64(p[sampleOffset(p)+8:], 1<<40)
-			return p
-		}},
-		{"delta over n", func(p []byte) []byte {
-			binary.LittleEndian.PutUint64(p[sampleOffset(p)+16:], 1<<40)
-			return p
+		{"zero-width sample", func(p []byte) []byte { return setFirstWidths(p, 0, -1) }},
+		{"width sum over n", func(p []byte) []byte { return setFirstWidths(p, 1<<40, -1) }},
+		{"delta over n", func(p []byte) []byte { return setFirstWidths(p, -1, 1<<40) }},
+		{"over-long width varint", func(p []byte) []byte {
+			off := sampleOffset(p) + 8 // g = 1 as the two bytes 0x81 0x00
+			return append(append(append([]byte(nil), p[:off]...), 0x81, 0x00), p[off+1:]...)
 		}},
 		{"width sum under n", func(p []byte) []byte {
 			binary.LittleEndian.PutUint64(p[nOffset(p):], 1<<40)
@@ -158,6 +172,10 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		{"trailing garbage", func(p []byte) []byte {
 			return append(p, 0xde, 0xad)
 		}},
+	}
+	// The splice helper itself must be an identity when it changes nothing.
+	if data, _ := marshaled(t, 2_000, 71); !bytes.Equal(setFirstWidths(data, -1, -1), data) {
+		t.Fatal("setFirstWidths misreads the sample layout")
 	}
 	for _, tc := range cases {
 		data, _ := marshaled(t, 2_000, 71)

@@ -303,6 +303,10 @@ func (v *VarOpt) SpaceBytes() int {
 //	u32 L, then L × (u64 key, f64 weight) — the large heap in array order
 //	u32 T, then T × u64 key               — the small set in order
 //
+// Wire format v3 left this layout as it was: the keys sit in heap and
+// arrival order, so there is no neighbour to delta-code them against and
+// a hashed 64-bit key would grow as a varint, and the weights are floats.
+//
 // Serializing the heap in array order makes marshaling deterministic and
 // the round trip bit-identical: the decoder validates the min-heap
 // property instead of rebuilding it. Structural invariants checked on
@@ -313,8 +317,10 @@ func (v *VarOpt) SpaceBytes() int {
 // generator state.
 
 // MarshalBinary serializes the reservoir.
-func (v *VarOpt) MarshalBinary() ([]byte, error) {
-	w := &sketch.Writer{}
+func (v *VarOpt) MarshalBinary() ([]byte, error) { return sketch.Marshal(v) }
+
+// Encode writes the reservoir.
+func (v *VarOpt) Encode(w *sketch.Writer) {
 	w.Header(TagVarOpt)
 	w.U32(uint32(v.k))
 	w.U64(v.n)
@@ -332,7 +338,6 @@ func (v *VarOpt) MarshalBinary() ([]byte, error) {
 	for _, key := range v.small {
 		w.U64(uint64(key))
 	}
-	return w.Bytes(), nil
 }
 
 // UnmarshalVarOpt reconstructs a reservoir from MarshalBinary output.

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -385,6 +386,17 @@ func FuzzVarOptDecode(f *testing.F) {
 	partial, _ := small.MarshalBinary()
 	f.Add(partial)
 	f.Add([]byte{TagVarOpt, 2})
+	// The v3 failure modes a VarOpt payload can carry (it has no varints,
+	// runs or tables): the rows internal/sketch's TestHostilePayloads runs
+	// for this kind, forged by hand because its layout walker lives in
+	// that package's tests.
+	v2 := append([]byte(nil), full...)
+	v2[1] = 2
+	f.Add(v2)
+	const largeCount = 2 + 4 + 8 + 8 + 8 + 4*8 // tag, version, k, n, W, tau, generator
+	huge := append([]byte(nil), full[:largeCount+64]...)
+	binary.LittleEndian.PutUint32(huge[largeCount:], 1<<28)
+	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalVarOpt(data)
 		if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -391,14 +392,24 @@ func (c *Collector) query(name string, q query) (answer, folded, error) {
 func (c *Collector) handleCollect(w http.ResponseWriter, r *http.Request) {
 	var sum Summary
 	arrival := time.Now()
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxSummaryBytes)}
-	if err := json.NewDecoder(body).Decode(&sum); err != nil {
+	// The whole body is read before it is parsed, so that json.Unmarshal
+	// sees — and refuses — anything that follows the envelope; a streaming
+	// Decoder would stop at the end of the first value and accept the rest
+	// unseen. The buffer is sized from the declared length only up to
+	// 1 MiB and grows with what actually arrives, so a header alone
+	// reserves no more than that.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), 1<<20)+bytes.MinRead))
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSummaryBytes))
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &sum)
+	}
+	if err != nil {
 		c.metrics.CollectRejects.With(causeEnvelope).Inc()
 		writeError(w, http.StatusBadRequest, "bad summary: %v", err)
 		return
 	}
-	c.metrics.SummaryBytesIn.Add(uint64(body.n))
-	if cause, err := c.accept(sum, arrival, int(body.n)); err != nil {
+	c.metrics.SummaryBytesIn.Add(uint64(body.Len()))
+	if cause, err := c.accept(sum, arrival, body.Len()); err != nil {
 		c.metrics.CollectRejects.With(cause).Inc()
 		c.logger.Warn("summary rejected",
 			"stream", sum.Stream, "agent", sum.Agent, "cause", cause, "err", err)

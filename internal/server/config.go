@@ -319,12 +319,16 @@ func (r *runner) answer(m *Metrics, q query) (ans answer, fed, kept uint64, err 
 // snapshot returns the serialized cumulative state together with the
 // epoch index (0 for unwindowed streams) and the fed/kept counts captured
 // atomically with it, so a shipped Summary's totals always describe
-// exactly its Payload.
+// exactly its Payload. The lock covers only the quiesce, the fold and the
+// counts: the fold's accumulator is private to this call, so it is
+// serialized after the lock is released and ingest never waits for a
+// marshal.
 func (r *runner) snapshot() ([]byte, uint64, uint64, uint64, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.pl.Sync()
 	acc, err := fold(r.newEst, r.pl.Replicas())
+	fed, kept := r.pl.Fed(), r.pl.Kept()
+	r.mu.Unlock()
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -333,9 +337,10 @@ func (r *runner) snapshot() ([]byte, uint64, uint64, uint64, error) {
 		return nil, 0, 0, 0, err
 	}
 	// For windowed streams the summary advertises the epoch its ring was
-	// serialized at; the collector surfaces it per agent.
+	// serialized at (MarshalBinary rotates to it, hence read after); the
+	// collector surfaces it per agent.
 	epoch, _ := window.EpochOf(acc)
-	return payload, epoch, r.pl.Fed(), r.pl.Kept(), nil
+	return payload, epoch, fed, kept, nil
 }
 
 func (r *runner) counts() (uint64, uint64) {

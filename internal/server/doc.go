@@ -126,9 +126,65 @@
 // The rules:
 //
 //   - Every payload starts with a one-byte TYPE TAG and a one-byte
-//     FORMAT VERSION (sketch.WireVersion, currently 2 — bumped when the
-//     table sketches moved to divide-free fastrange bucket mapping,
-//     which changes where version-1 tables placed their counts).
+//     FORMAT VERSION (sketch.WireVersion, currently 3). Version 2 kept
+//     version 1's bytes and changed their meaning (the table sketches
+//     moved to divide-free fastrange bucket mapping, so the same counts
+//     sit in other columns); version 3 is the first change of layout:
+//     the compact form described by the next four rules, which takes a
+//     summary to a fifth to a twentieth of its version-2 size.
+//   - VARINTS. A count is a uvarint (LEB128: seven bits a byte, low
+//     group first, at most ten bytes), a signed counter a zigzag varint.
+//     Each value has one accepted byte form: a decoder refuses a varint
+//     cut short, one that runs past ten bytes or overflows 64 bits, and
+//     an over-long one (a trailing zero group).
+//   - SORTED ITEM RUNS. Every item → count map (the exact counter, the
+//     entropy and GEE frequency profiles, Misra-Gries, the level-set
+//     repetitions) is a uint32 entry count, then the entries in
+//     increasing key order: the key as a uvarint delta to the key before
+//     it (the first is absolute), the count as a uvarint, and for a
+//     level-set repetition one fixed byte, the item's level. A decoder
+//     refuses a zero delta, keys that wrap past 2⁶⁴, a count of 0 or
+//     above the payload's n, and counts that overflow 64 bits in sum.
+//     There is one codec for this, sketch.Writer.Run / Reader.Run.
+//   - COUNTER TABLES. The cells of a CountMin (uvarint) or CountSketch
+//     (zigzag) follow the payload's dimensions with no count of their
+//     own. A zero byte is an escape: the uvarint after it, plus one, is
+//     the length of a run of zero cells, so the untouched table of a
+//     pristine replica or an idle generation of a windowed sketch costs
+//     a few bytes whatever its geometry. A decoder refuses input that
+//     cannot fill the table or whose zero run reaches past its end, and
+//     walks the cells of a table of 1 MiB or more once before allocating
+//     it, so hostile dimensions fail without the allocation. One codec:
+//     sketch.Writer.Cells / Reader.Cells. A table is therefore NOT
+//     bounded by the bytes that describe it, so decoding has a budget of
+//     its own, 256 MiB — what a version-2 body, at 8 bytes a cell under
+//     its 256 MiB cap, could make a collector allocate. No table may
+//     decode to more, and neither may the generations of one window
+//     ring or the levels of one iw payload together, which are charged
+//     to it one by one as they decode (sketch.Reader.Charge): the
+//     counts read off the wire multiply the children, not the budget.
+//     The bound on what a collector retains across streams and agents
+//     is still the memory budget planned at Collector.admit.
+//   - IN-PLACE NESTING. A composite (fk, f0, hh1, hh2, all, iw, the
+//     level-set estimator, the window ring) hands its own writer to each
+//     child, which writes straight into the one buffer behind a uint32
+//     length patched afterwards (sketch.Writer.Nest); no child is
+//     marshalled apart and copied. Every kind has exactly one encoder,
+//     Encode(*sketch.Writer), and MarshalBinary is sketch.Marshal around
+//     it: a sizing pass, on which the writer only counts, then the
+//     payload written into one buffer of that size.
+//   - What stays FIXED-WIDTH, and why: a field is a varint only where
+//     that is smaller for uniformly hashed 64-bit keys as well as for
+//     small or clustered ones. Keys written in heap order — SpaceSaving,
+//     TopK, the level-set heavy summary, VarOpt — have no neighbour to
+//     be a delta to, and a hashed 64-bit key is ten bytes as a varint,
+//     so they stay eight (SpaceSaving's counts and error bounds are
+//     varints; the quantile summary's rank widths g and Δ too). KMV
+//     hash values, HLL registers, hash coefficients and every float
+//     (VarOpt weights, CKMS sample values, TopK scores, p, ε) are
+//     incompressible and stay as they were. Dimensions, entry counts and
+//     nested lengths stay uint32 and n stays uint64: a handful of bytes
+//     per payload, not worth a second form.
 //   - Tag assignments are owned by the internal/estimator registry: each
 //     serializable type Registers its tag, name, decoder, and constructor
 //     from its own package, and estimator.Kinds() (surfaced as
@@ -162,6 +218,18 @@
 //   - Any incompatible change to a payload layout must bump
 //     sketch.WireVersion; agents and collectors on different versions
 //     refuse each other's payloads rather than misinterpreting them.
+//     There is no dual decoding: a version is one byte layout.
+//
+// Upgrading across a version bump (2 → 3): upgrade the collector and its
+// agents together. While they differ every ship is refused with
+// summaries_rejected{cause="payload"} ("unsupported version"), which the
+// agent treats like any failed ship — the stream stays dirty and is
+// retried. Nothing is lost: summaries are cumulative, so the first flush
+// after both sides run the same version carries everything the agent has
+// seen. A collector.snap written by the old version is discarded whole
+// at startup — "start empty + warn", snapshot_errors{cause=
+// "snapshot_restore"} — and left on disk until the next checkpoint
+// overwrites it; the table refills from the agents' next ships.
 //
 // Mergeability across processes requires all agents of a stream to build
 // their estimators from identical configuration, including the Seed

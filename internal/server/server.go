@@ -29,8 +29,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // items), keeping a single request from exhausting memory.
 const maxIngestBytes = 64 << 20
 
-// maxSummaryBytes bounds one shipped summary envelope.
-const maxSummaryBytes = 256 << 20
+// maxSummaryBytes bounds one shipped summary envelope. Wire format v3
+// packs about five times more state per byte than v2 did under a 256 MiB
+// cap, so 64 MiB keeps the largest state one honest body decodes to where
+// it was. A counter table's zero runs decode to far more than the bytes
+// that describe them, so tables have a decode budget of their own (doc.go,
+// "Wire format"); the bound on what the collector retains over all is the
+// memory budget planned at Collector.admit (ROADMAP, "bounded memory and
+// bounded blocking").
+const maxSummaryBytes = 64 << 20
 
 // discardLogger is the default when a role is built without a Logger:
 // structured logging is opt-in, matching the old nil-Logf behavior.

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +20,7 @@ import (
 	"substream/internal/estimator"
 	"substream/internal/rng"
 	"substream/internal/sketch"
+	"substream/internal/stream"
 )
 
 // acceptWorkload ships a small deterministic fleet state into c: two
@@ -265,6 +269,61 @@ func forgeSnapshot(rows [][]byte) []byte {
 	return binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
 }
 
+// asWireV2 relabels a payload as wire format v2, the way a summary from
+// an agent that was not upgraded with its collector arrives.
+func asWireV2(payload []byte) []byte {
+	old := append([]byte(nil), payload...)
+	old[1] = 2
+	return old
+}
+
+// TestRestoreDiscardsWireV2Snapshot boots a collector over a well-formed
+// snapshot (valid CRC, valid rows) left by a collector that still wrote
+// wire format v2: it starts empty with the warning, leaves the directory
+// as it found it, and admits the first v3 ship of the upgraded fleet.
+func TestRestoreDiscardsWireV2Snapshot(t *testing.T) {
+	cfg := StreamConfig{Stat: "f0", P: 0.5, Seed: 7}
+	var rows [][]byte
+	for _, agent := range []string{"a", "b"} {
+		sum := f0Summary(agent, "flows", cfg, 1)
+		sum.Payload = asWireV2(sum.Payload)
+		row, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	dir := t.TempDir()
+	files := map[string][]byte{snapshotFile: forgeSnapshot(rows), "operator-notes.txt": []byte("keep me")}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logs bytes.Buffer
+	c := NewCollector(CollectorConfig{SnapshotDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if n := c.Metrics().SnapshotErrors.With(causeSnapshotRestore).Value(); n != 1 {
+		t.Fatalf("snapshot_errors{snapshot_restore} = %d, want 1", n)
+	}
+	if !strings.Contains(logs.String(), "starting empty") || !strings.Contains(logs.String(), "unsupported version 2") {
+		t.Fatalf("no start-empty warning naming the version: %q", logs.String())
+	}
+	if _, err := c.Estimate("flows"); err == nil {
+		t.Fatal("a v2 row reached the table")
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by a refused restore (err %v)", name, err)
+		}
+	}
+	if err := c.Accept(f0Summary("a", "flows", cfg, 2)); err != nil {
+		t.Fatalf("v3 ship after the discarded snapshot: %v", err)
+	}
+	if est, err := c.Estimate("flows"); err != nil || est.Agents != 1 {
+		t.Fatalf("after the v3 ship: %+v, %v", est, err)
+	}
+}
+
 // TestAdmissionParity drives one table of bad summaries through both
 // doors into the retained table, each time behind one good row: the live
 // door (POST /v1/collect) must reject every one with its audited
@@ -285,25 +344,34 @@ func TestAdmissionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	okRow, _ := json.Marshal(with(func(*Summary) {}))
 	cases := []struct {
 		name  string
 		sum   Summary
 		cause string
+		// raw, when set, is the row as it arrives in place of sum's JSON:
+		// a defect of the envelope bytes that no Summary value can carry.
+		raw []byte
 	}{
-		{"empty stream", with(func(s *Summary) { s.Stream = "" }), causeConfig},
-		{"empty agent", with(func(s *Summary) { s.Agent = "" }), causeConfig},
-		{"invalid config", with(func(s *Summary) { s.Config.P = 42 }), causeConfig},
-		{"undecodable payload", with(func(s *Summary) { s.Payload = []byte{0xff, 0x01} }), causePayload},
-		{"payload kind is not the declared stat", with(func(s *Summary) { s.Payload = hhPayload }), causePayload},
-		{"foreign seed", with(func(s *Summary) { s.Payload = f0Summary("b", "flows", foreign, 1).Payload }), causePayload},
+		{name: "empty stream", sum: with(func(s *Summary) { s.Stream = "" }), cause: causeConfig},
+		{name: "empty agent", sum: with(func(s *Summary) { s.Agent = "" }), cause: causeConfig},
+		{name: "invalid config", sum: with(func(s *Summary) { s.Config.P = 42 }), cause: causeConfig},
+		{name: "undecodable payload", sum: with(func(s *Summary) { s.Payload = []byte{0xff, 0x01} }), cause: causePayload},
+		{name: "wire format v2 payload", sum: with(func(s *Summary) { s.Payload = asWireV2(s.Payload) }), cause: causePayload},
+		{name: "payload kind is not the declared stat", sum: with(func(s *Summary) { s.Payload = hhPayload }), cause: causePayload},
+		{name: "foreign seed", sum: with(func(s *Summary) { s.Payload = f0Summary("b", "flows", foreign, 1).Payload }), cause: causePayload},
 		// Self-consistent under its own config, which is not the one the
 		// earlier row pinned the stream to.
-		{"config conflicts with an earlier row", f0Summary("b", "flows", foreign, 1), causeConflict},
+		{name: "config conflicts with an earlier row", sum: f0Summary("b", "flows", foreign, 1), cause: causeConflict},
+		{name: "bytes after a valid envelope", raw: append(okRow, `{"x":1} trailing garbage ###`...), cause: causeEnvelope},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			goodRow, _ := json.Marshal(good)
-			badRow, _ := json.Marshal(tc.sum)
+			badRow := tc.raw
+			if badRow == nil {
+				badRow, _ = json.Marshal(tc.sum)
+			}
 
 			live := NewCollector(CollectorConfig{})
 			cts := httptest.NewServer(live.Handler())
@@ -316,8 +384,10 @@ func TestAdmissionParity(t *testing.T) {
 				t.Fatalf("live door: status %d, want 400", resp.StatusCode)
 			}
 			assertCauseDelta(t, before, causeValues(live.Metrics().CollectRejects, collectCauses), tc.cause)
-			if err := live.Accept(tc.sum); err == nil {
-				t.Fatal("Accept admitted the row the HTTP door rejected")
+			if tc.raw == nil {
+				if err := live.Accept(tc.sum); err == nil {
+					t.Fatal("Accept admitted the row the HTTP door rejected")
+				}
 			}
 			if est, err := live.Estimate("flows"); err != nil || est.Agents != 1 {
 				t.Fatalf("live door let the rejected row touch the table: %+v, %v", est, err)
@@ -423,5 +493,48 @@ func TestSnapshotEncodeDoesNotHoldTableLock(t *testing.T) {
 	c2 := NewCollector(CollectorConfig{SnapshotDir: c.cfg.SnapshotDir})
 	if got := estimateAll(t, c2, "bytes")["bytes"].Agents; got != 2 {
 		t.Fatalf("restored %d agents of stream bytes, want 2", got)
+	}
+}
+
+// TestRunnerSnapshotMarshalsOutsideStreamLock pins the agent-side twin of
+// the rule above: with a flush parked mid-marshal, an ingest feed on the
+// same stream must still return — the stream lock covers the quiesce and
+// the fold, not the serialization of the fold's private accumulator.
+func TestRunnerSnapshotMarshalsOutsideStreamLock(t *testing.T) {
+	run, err := buildRunner(StreamConfig{Stat: "f0", P: 1, Presampled: true, Shards: 1}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.close()
+	feed := func(it stream.Item) {
+		run.feed(nil, nil, func(pl *pipe) { pl.FeedCopy([]stream.Item{it}) })
+	}
+	feed(1)
+	parked := &parkedEstimator{entered: make(chan struct{}), release: make(chan struct{})}
+	inner := run.newEst
+	run.newEst = func() (estimator.Estimator, error) {
+		var err error
+		parked.Estimator, err = inner()
+		return parked, err
+	}
+	snapped := make(chan error, 1)
+	go func() {
+		_, _, _, _, err := run.snapshot()
+		snapped <- err
+	}()
+	<-parked.entered
+	fed := make(chan struct{})
+	go func() {
+		feed(2)
+		close(fed)
+	}()
+	select {
+	case <-fed:
+	case <-time.After(2 * time.Second):
+		t.Error("feed is blocked behind a snapshot's marshal")
+	}
+	close(parked.release)
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,18 +7,20 @@ package sketch_test
 
 import (
 	"testing"
+	"time"
 
 	"substream/internal/estimator"
 	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/window"
 
 	_ "substream/internal/core"
 	_ "substream/internal/quantile"
 	_ "substream/internal/sample"
 )
 
-// registryCorpus builds one well-formed payload per constructible kind,
-// each carrying a little state, plus degenerate seeds.
+// registryCorpus builds one well-formed payload per registry kind, each
+// carrying a little state.
 func registryCorpus(tb testing.TB) [][]byte {
 	var corpus [][]byte
 	for _, k := range estimator.Kinds() {
@@ -53,8 +55,25 @@ func registryCorpus(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	corpus = append(corpus, payload, []byte{}, []byte{0x20}, []byte{0xff, 0xff, 0xff, 0xff})
-	return corpus
+	corpus = append(corpus, payload)
+	// So is the window wrapper: a two-generation ring over hh1, whose
+	// replicas carry a counter table each.
+	ring, err := window.Wrap(window.Config{
+		Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(),
+		New: func() (estimator.Estimator, error) {
+			return estimator.New(estimator.Spec{Stat: "hh1", P: 0.5, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 3})
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		ring.Observe(stream.Item(i%23 + 1))
+	}
+	if payload, err = ring.MarshalBinary(); err != nil {
+		tb.Fatal(err)
+	}
+	return append(corpus, payload)
 }
 
 // FuzzEstimatorDecode feeds arbitrary bytes to the registry's single
@@ -64,6 +83,12 @@ func registryCorpus(tb testing.TB) [][]byte {
 func FuzzEstimatorDecode(f *testing.F) {
 	for _, payload := range registryCorpus(f) {
 		f.Add(payload)
+		for _, row := range sketch.HostileRows(payload) {
+			f.Add(row.Payload)
+		}
+	}
+	for _, degenerate := range [][]byte{{}, {0x20}, {0xff, 0xff, 0xff, 0xff}} {
+		f.Add(degenerate)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := estimator.Decode(data)
@@ -92,9 +117,6 @@ func FuzzEstimatorDecode(f *testing.F) {
 // small ones exhaustively).
 func TestDecodeTruncationsAcrossRegistry(t *testing.T) {
 	for _, payload := range registryCorpus(t) {
-		if len(payload) == 0 {
-			continue
-		}
 		stride := 1 + len(payload)/128
 		for cut := 0; cut < len(payload); cut += stride {
 			if _, err := estimator.Decode(payload[:cut]); err == nil {

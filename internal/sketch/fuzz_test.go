@@ -13,6 +13,9 @@ import (
 func seedCorpus(f *testing.F) {
 	for _, p := range validPayloads() {
 		f.Add(p)
+		for _, row := range HostileRows(p) {
+			f.Add(row.Payload)
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01})

@@ -1,0 +1,300 @@
+package sketch
+
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// This file forges hostile v3 payloads out of valid ones. It knows the
+// byte layout of every registry kind independently of the encoders — a
+// second, hand-written statement of the format that has to move with it —
+// and uses it to find the places the v3 failure modes live: a varint
+// field, an element count, the entries of a sorted run, a counter table.
+// HostileRows then rewrites exactly that place and repairs the length
+// prefix of every payload nested around it, so a forged payload is
+// refused by the check under test and not by an outer length that no
+// longer adds up. The names are exported to the package's external tests
+// (the registry-wide table and FuzzEstimatorDecode); the per-kind fuzz
+// targets in this package seed from the same rows.
+
+// WireSite is one place in a payload together with the offsets of the
+// uint32 length prefixes of the nested payloads around it, outermost
+// first.
+type WireSite struct {
+	Off  int
+	Lens []int
+	// End is where the payload that holds the site ends.
+	End int
+	// Max is, for a run's count, the largest value its decoder admits
+	// (0: unbounded); for a table, its cell count.
+	Max uint64
+}
+
+// siteWalker walks one payload by the layout rules and records the first
+// site of each sort it meets.
+type siteWalker struct {
+	data  []byte
+	r     *Reader
+	lens  []int
+	end   int
+	sites map[string]WireSite
+}
+
+func (w *siteWalker) mark(name string, max uint64) {
+	if _, seen := w.sites[name]; !seen && w.r.err == nil {
+		w.sites[name] = WireSite{Off: w.r.off, Lens: slices.Clone(w.lens), End: w.end, Max: max}
+	}
+}
+
+func (w *siteWalker) skip(n int) { w.r.off = min(w.r.off+n, len(w.data)) }
+
+// nested walks a child payload behind its length prefix and leaves the
+// reader at the child's end, however much of it the walk consumed.
+func (w *siteWalker) nested() {
+	w.lens = append(w.lens, w.r.off)
+	outerEnd := w.end
+	n := int(w.r.U32())
+	w.end = w.r.off + n
+	if w.r.err == nil && w.end <= outerEnd {
+		w.payload()
+		w.r.off = w.end
+	}
+	w.lens, w.end = w.lens[:len(w.lens)-1], outerEnd
+}
+
+// run walks a sorted item run whose entries each carry extra fixed bytes;
+// maxCount is the decoder's bound on one count (0: unbounded).
+func (w *siteWalker) run(extra int, maxCount uint64) {
+	w.mark("count", 0)
+	n := int(w.r.U32())
+	for i := 0; i < n && w.r.err == nil; i++ {
+		// Only a run of two or more entries has sites: a lone entry has
+		// no delta to break, and no second count for its own to overflow
+		// a sum with.
+		if n >= 2 && i == 0 {
+			w.mark("varint", 0)
+		} else if i == 1 {
+			w.mark("run delta", 0)
+		}
+		w.r.Uvarint()
+		if n >= 2 && i == 0 {
+			w.mark("run count", maxCount)
+		}
+		w.r.Uvarint()
+		w.skip(extra)
+	}
+}
+
+// payload walks one (tag, version)-prefixed payload.
+func (w *siteWalker) payload() {
+	r := w.r
+	tag := r.U8()
+	r.U8()
+	switch tag {
+	case TagCountMin, TagCountSketch:
+		w.mark("dims", 0)
+		width, depth := int(r.U32()), int(r.U32())
+		r.U64()
+		w.skip(depth * 20) // Hash2 rows
+		if tag == TagCountSketch {
+			w.skip(depth * 36) // Hash4 signs
+		}
+		w.mark("table", uint64(width*depth))
+	case TagKMV:
+		r.U32()
+		r.Hash2()
+		w.mark("count", 0)
+	case TagSpaceSaving:
+		r.U32()
+		r.U64()
+		w.mark("count", 0)
+		if r.U32() > 0 {
+			r.U64()
+			w.mark("varint", 0)
+		}
+	case TagMisraGries:
+		r.U32()
+		w.run(0, r.U64())
+	case TagTopK:
+		r.U32()
+		w.mark("count", 0)
+	case 0x10: // levelset.ExactCounter
+		w.run(0, r.U64())
+	case 0x11: // levelset.Estimator
+		w.skip(8 + 8 + 4)
+		w.nested()
+		for reps := int(r.U32()); reps > 0 && r.err == nil; reps-- {
+			r.Hash2()
+			r.U32()
+			w.run(1, 0)
+		}
+	case 0x12: // levelset.IWEstimator
+		w.skip(8 + 8 + 8)
+		r.Hash2()
+		w.mark("count", 0)
+		for levels := int(r.U32()); levels > 0 && r.err == nil; levels-- {
+			r.U64()
+			w.nested()
+			w.nested()
+		}
+	case 0x20: // core.FkEstimator
+		w.skip(4 + 8 + 8)
+		w.mark("count", 0)
+		w.skip(8 * int(r.U32()))
+		w.nested()
+	case 0x21: // core.F0Estimator
+		r.F64()
+		w.nested()
+	case 0x22: // core.EntropyEstimator
+		r.F64()
+		w.run(0, r.U64())
+	case 0x23, 0x24: // core.F1HeavyHitters, core.F2HeavyHitters
+		w.skip(8 + 8 + 8 + 8)
+		if tag == 0x23 {
+			r.U8()
+		}
+		w.nested()
+		w.nested()
+	case 0x25: // core.Monitor
+		w.skip(8 + 8)
+		for parts := bits.OnesCount8(r.U8()); parts > 0 && r.err == nil; parts-- {
+			w.nested()
+		}
+	case 0x26: // core.GEEF0Estimator
+		r.F64()
+		w.run(0, 0)
+	case 0x30: // window.Estimator
+		r.I64()
+		gens := int(r.U32())
+		r.U64()
+		for replicas := gens + 2; replicas > 0 && r.err == nil; replicas-- {
+			w.nested()
+		}
+	case 0x40: // quantile.Estimator
+		w.mark("count", 0)
+		w.skip(16 * int(r.U32()))
+		r.U64()
+		if r.U32() > 0 {
+			r.F64()
+			w.mark("varint", 0)
+		}
+	case 0x50: // sample.VarOpt
+		w.skip(4 + 8 + 8 + 8 + 4*8)
+		w.mark("count", 0)
+	}
+}
+
+// WireSites walks a valid payload and returns its sites by name: "count"
+// (a uint32 element count), "varint" (a uvarint field), "run delta" (the
+// key delta of a run's second entry), "run count" (the count of its first
+// entry), "dims" (the width and depth of a counter table) and "table"
+// (where its cells start).
+func WireSites(payload []byte) map[string]WireSite {
+	w := &siteWalker{data: payload, r: NewReader(payload), end: len(payload), sites: map[string]WireSite{}}
+	w.payload()
+	return w.sites
+}
+
+// rewrite replaces old bytes at the site with repl and, when cut, drops
+// everything after them; either way the enclosing lengths are repaired.
+func (s WireSite) rewrite(payload []byte, old int, repl []byte, cut bool) []byte {
+	out := append(append([]byte(nil), payload[:s.Off]...), repl...)
+	if !cut {
+		out = append(out, payload[s.Off+old:]...)
+	}
+	for _, at := range s.Lens {
+		n := binary.LittleEndian.Uint32(payload[at:]) + uint32(len(out)) - uint32(len(payload))
+		binary.LittleEndian.PutUint32(out[at:], n)
+	}
+	return out
+}
+
+// SetMaxDecodedBytes lowers the decode budget for one test and returns the
+// function that restores it.
+func SetMaxDecodedBytes(n int) (restore func()) {
+	old := maxDecodedBytes
+	maxDecodedBytes = n
+	return func() { maxDecodedBytes = old }
+}
+
+// HostileRow is one forged payload and the v3 failure mode it carries.
+type HostileRow struct {
+	Name    string
+	Payload []byte
+}
+
+// HostileRows forges every hostile payload the sites of a valid payload
+// allow. Every row must fail to decode, but for the "identity" ones, which
+// must still decode: a field rewritten with its own bytes shows the layout
+// walk and the length repair are right, and a table zeroed at its own
+// width shows that what refuses the same table at 2^24 columns is its
+// size.
+func HostileRows(payload []byte) []HostileRow {
+	sites := WireSites(payload)
+	var rows []HostileRow
+	add := func(name string, p []byte) { rows = append(rows, HostileRow{name, p}) }
+	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	lenAt := func(s WireSite) int {
+		_, n := binary.Uvarint(payload[s.Off:])
+		return n
+	}
+
+	v2 := append([]byte(nil), payload...)
+	v2[1] = 2
+	add("wire format v2 version byte", v2)
+
+	if s, ok := sites["varint"]; ok {
+		n := lenAt(s)
+		add("identity", s.rewrite(payload, n, payload[s.Off:s.Off+n], false))
+		add("truncated mid-varint", s.rewrite(payload, n, []byte{0x80}, true))
+		add("11-byte varint", s.rewrite(payload, n, append(slices.Repeat([]byte{0x80}, 10), 0x01), false))
+		add("varint overflowing 64 bits", s.rewrite(payload, n, append(slices.Repeat([]byte{0xff}, 9), 0x02), false))
+		overlong := append([]byte(nil), payload[s.Off:s.Off+n]...)
+		overlong[n-1] |= 0x80
+		add("over-long varint", s.rewrite(payload, n, append(overlong, 0x00), false))
+	}
+	if s, ok := sites["run delta"]; ok {
+		add("run delta 0", s.rewrite(payload, lenAt(s), uvarint(0), false))
+		add("run keys summing past 2^64", s.rewrite(payload, lenAt(s), uvarint(math.MaxUint64), false))
+	}
+	if s, ok := sites["run count"]; ok {
+		add("run count 0", s.rewrite(payload, lenAt(s), uvarint(0), false))
+		if s.Max > 0 {
+			add("run count above n", s.rewrite(payload, lenAt(s), uvarint(s.Max+1), false))
+		} else {
+			add("run counts summing past 2^64", s.rewrite(payload, lenAt(s), uvarint(math.MaxUint64), false))
+		}
+	}
+	if s, ok := sites["table"]; ok {
+		// zeroed is the payload with its table rewritten as one zero run.
+		zeroed := func(cells uint64) []byte {
+			return s.rewrite(payload, s.End-s.Off, append([]byte{0}, uvarint(cells-1)...), false)
+		}
+		add("identity: table zeroed", zeroed(s.Max))
+		add("zero run past the table end", zeroed(s.Max+1))
+		// Widened tables: the dimensions sit where the payload that ends
+		// at s.End keeps them, behind its tag and version.
+		dims, depth := sites["dims"].Off, uint64(binary.LittleEndian.Uint32(payload[sites["dims"].Off+4:]))
+		// 2^22 columns fit the decode budget, but not the cells of the
+		// narrow table they sit over.
+		wide := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(wide[dims:], 1<<22)
+		add("table of 2^22 columns over a short body", wide)
+		// 2^24 columns, as wide as a table may claim to be, of nothing but
+		// zeros: a well-formed table of a few bytes that the budget alone
+		// keeps from being allocated.
+		empty := zeroed(maxDim * depth)
+		binary.LittleEndian.PutUint32(empty[dims:], maxDim)
+		add("all-zero table of 2^24 columns", empty)
+	}
+	if s, ok := sites["count"]; ok {
+		// 2^28 elements claimed by a body that ends within 64 bytes.
+		huge := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(huge[s.Off:], 1<<28)
+		keep := min(len(huge)-s.Off, 64)
+		add("u32 count of 2^28 over a 64-byte body", s.rewrite(huge, keep, huge[s.Off:s.Off+keep], true))
+	}
+	return rows
+}

@@ -123,8 +123,8 @@ func (ss *refSpaceSaving) bytes() []byte {
 	w.U32(uint32(len(ss.h)))
 	for _, e := range ss.h {
 		w.U64(uint64(e.item))
-		w.U64(e.count)
-		w.U64(e.err)
+		w.Uvarint(e.count)
+		w.Uvarint(e.err)
 	}
 	return w.Bytes()
 }
@@ -140,7 +140,7 @@ func refSSDecode(t testing.TB, data []byte) *refSpaceSaving {
 	count := int(r.U32())
 	for i := 0; i < count; i++ {
 		it := stream.Item(r.U64())
-		ss.h = append(ss.h, ssEntry{item: it, count: r.U64(), err: r.U64()})
+		ss.h = append(ss.h, ssEntry{item: it, count: r.Uvarint(), err: r.Uvarint()})
 		ss.index[it] = i
 	}
 	for i := len(ss.h)/2 - 1; i >= 0; i-- {

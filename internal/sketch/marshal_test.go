@@ -232,22 +232,27 @@ func TestTopKMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalSpaceSavingRejectsBrokenInvariants(t *testing.T) {
-	ss := NewSpaceSaving(4)
-	for i := 0; i < 100; i++ {
-		ss.Observe(stream.Item(i % 7))
+	// One counter (item 7, count 5) of a summary that saw 10 items, with
+	// the given error bound.
+	withErr := func(e uint64) []byte {
+		w := &Writer{}
+		w.Header(TagSpaceSaving)
+		w.U32(4)
+		w.U64(10)
+		w.U32(1)
+		w.U64(7)
+		w.Uvarint(5)
+		w.Uvarint(e)
+		return w.Bytes()
 	}
-	data, _ := ss.MarshalBinary()
-
+	if _, err := UnmarshalSpaceSaving(withErr(4)); err != nil {
+		t.Fatalf("err < count rejected: %v", err)
+	}
 	// err >= count wraps the certified lower bound count−err.
-	bad := append([]byte{}, data...)
-	// Layout: tag(1) version(1) k(4) n(8) count(4) then entries of
-	// (item 8, count 8, err 8): corrupt the first entry's err to max.
-	off := 1 + 1 + 4 + 8 + 4 + 8 + 8
-	for i := 0; i < 8; i++ {
-		bad[off+i] = 0xff
-	}
-	if _, err := UnmarshalSpaceSaving(bad); err == nil {
-		t.Fatal("err > count accepted")
+	for _, e := range []uint64{5, 1<<64 - 1} {
+		if _, err := UnmarshalSpaceSaving(withErr(e)); err == nil {
+			t.Fatalf("err %d >= count accepted", e)
+		}
 	}
 }
 

@@ -109,8 +109,8 @@ func ssWide(t *testing.T, k int, seed uint64) *SpaceSaving {
 	for i := 0; i < k; i++ {
 		c := 2 + r.Uint64n(1<<62)
 		w.U64(r.Uint64()>>1<<4 | uint64(i%16)) // distinct with overwhelming probability
-		w.U64(c)
-		w.U64(r.Uint64n(c))
+		w.Uvarint(c)
+		w.Uvarint(r.Uint64n(c))
 	}
 	ss, err := UnmarshalSpaceSaving(w.Bytes())
 	if err != nil {

@@ -36,31 +36,35 @@ func decodeInner(data []byte) (estimator.Estimator, error) {
 	return estimator.Decode(data)
 }
 
-// MarshalBinary serializes the full ring state: epoch metadata, the
-// pristine replica resets decode from, the cumulative replica, and every
-// generation in slot order. The ring is rotated to the clock's epoch
-// first, so the payload never ships expired generations.
-func (e *Estimator) MarshalBinary() ([]byte, error) {
+// MarshalBinary serializes the full ring state.
+func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+
+// Encode writes the full ring state: epoch metadata, the pristine replica
+// resets decode from, then the cumulative replica and every generation in
+// slot order, each nested in place. The ring is rotated to the clock's
+// epoch first, so the payload never ships expired generations.
+func (e *Estimator) Encode(w *sketch.Writer) {
 	e.rotate()
-	w := &sketch.Writer{}
 	w.Header(TagWindow)
 	w.I64(e.epochLen)
 	w.U32(uint32(e.window))
 	w.U64(e.epoch)
 	w.Nested(e.pristine)
-	cum, err := e.cum.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Nested(cum)
+	nest(w, e.cum)
 	for _, g := range e.gens {
-		payload, err := g.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Nested(payload)
+		nest(w, g)
 	}
-	return w.Bytes(), nil
+}
+
+// nest writes one replica in place. The registry interface cannot name
+// the Writer (internal/sketch registers its own kinds, so the registry
+// cannot import it); the estimator behind it can.
+func nest(w *sketch.Writer, replica estimator.Estimator) {
+	if enc, ok := estimator.Unwrap(replica).(sketch.Encoder); ok {
+		w.Nest(enc)
+	} else {
+		w.Fail(fmt.Errorf("window: replica %T has no wire form", estimator.Unwrap(replica)))
+	}
 }
 
 // Unmarshal reconstructs a windowed estimator from MarshalBinary output.
@@ -100,10 +104,15 @@ func Unmarshal(data []byte) (*Estimator, error) {
 	if e.cum, err = decodeInner(r.Nested()); err != nil {
 		return nil, fmt.Errorf("window: cumulative replica: %w", err)
 	}
-	for i := range e.gens {
+	// Every replica is charged to the ring's reader as it is decoded, so
+	// the generation count multiplies the replicas and not what they may
+	// decode to together.
+	r.Charge(e.cum.SpaceBytes())
+	for i := 0; i < window && r.Err() == nil; i++ {
 		if e.gens[i], err = decodeInner(r.Nested()); err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
 		}
+		r.Charge(e.gens[i].SpaceBytes())
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

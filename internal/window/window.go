@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"substream/internal/estimator"
+	"substream/internal/sketch"
 	"substream/internal/stream"
 )
 
@@ -200,6 +201,9 @@ func New(cfg Config) (*Estimator, error) {
 	probe, err := cfg.New()
 	if err != nil {
 		return nil, err
+	}
+	if _, nests := estimator.Unwrap(probe).(sketch.Encoder); !nests {
+		return nil, fmt.Errorf("window: inner kind %T cannot write itself into a ring's payload (no sketch.Encoder)", estimator.Unwrap(probe))
 	}
 	e.pristine, err = probe.MarshalBinary()
 	if err != nil {

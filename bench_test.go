@@ -500,6 +500,76 @@ func BenchmarkCollectorEstimateFk16(b *testing.B) {
 	}
 }
 
+// BenchmarkExactCounterCycle prices the five passes one flush cycle of
+// the standing benchmark's ingest_bin_sampled stream (fk, Exact) makes
+// over the exact counting store, on that stream's shape: 4 M draws of
+// Zipf(1.1) over 2^20 items — what p = 0.05 keeps of 80 M — fed in
+// alternating 8192-item chunks to two shard replicas, ≈ 350 k distinct
+// keys in their union. fold-2-replicas is the agent's fold of the two fed
+// (unordered) replicas, marshal and decode the summary's codec,
+// trial-fold the collector's admission merge of the decoded state alone,
+// query its fold plus the report.
+func BenchmarkExactCounterCycle(b *testing.B) {
+	const n, chunk = 4_000_000, 8192
+	items := stream.Collect(workload.Zipf(n, 1<<20, 1.1, 21).Stream)
+	fresh := func() estimator.Estimator {
+		e, err := estimator.New(estimator.Spec{Stat: "fk", K: 2, P: 0.05, Exact: true, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	fold := func(states ...estimator.Estimator) estimator.Estimator {
+		acc := fresh()
+		for _, s := range states {
+			if err := acc.Merge(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return acc
+	}
+	replicas := []estimator.Estimator{fresh(), fresh()}
+	for i := 0; i < n; i += chunk {
+		replicas[i/chunk%2].UpdateBatch(items[i:min(i+chunk, n)])
+	}
+	folded := fold(replicas...)
+	payload, err := folded.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	retained, err := estimator.Decode(payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := float64(len(stream.NewFreq(stream.Slice(items))))
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"fold-2-replicas", func() { fold(replicas...) }},
+		{"marshal", func() {
+			if _, err := folded.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"decode", func() {
+			if _, err := estimator.Decode(payload); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"trial-fold", func() { fold(retained) }},
+		{"query", func() { estimator.ReportOf(fold(retained)) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.op()
+			}
+			b.ReportMetric(keys, "keys")
+		})
+	}
+}
+
 // BenchmarkMonitorUpdate prices the `update` layer the way the standing
 // benchmark's ingest_bin_presampled workload pays it: one Zipf(1.1)
 // stream over 2^20 items, P = 1 (every item reaches the estimator),

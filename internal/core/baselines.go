@@ -85,7 +85,7 @@ func (e *ScaledF2Estimator) SpaceBytes() int { return e.cs.SpaceBytes() + 16 }
 type NaiveFkEstimator struct {
 	k      int
 	p      float64
-	counts stream.Freq
+	counts sketch.ItemCounts
 }
 
 // NewNaiveFkEstimator builds the strawman estimator for moment order k.
@@ -96,19 +96,23 @@ func NewNaiveFkEstimator(k int, p float64) *NaiveFkEstimator {
 	if p <= 0 || p > 1 {
 		panic("core: NaiveFkEstimator P must be in (0, 1]")
 	}
-	return &NaiveFkEstimator{k: k, p: p, counts: make(stream.Freq)}
+	return &NaiveFkEstimator{k: k, p: p}
 }
 
 // Observe feeds one element of the sampled stream L.
-func (e *NaiveFkEstimator) Observe(it stream.Item) { e.counts[it]++ }
+func (e *NaiveFkEstimator) Observe(it stream.Item) { e.counts.Observe(it) }
 
-// Estimate returns F_k(L)/p^k.
+// Estimate returns F_k(L)/p^k, F_k(L) = Σ g_i^k summed in key order.
 func (e *NaiveFkEstimator) Estimate() float64 {
-	return e.counts.Fk(e.k) / math.Pow(e.p, float64(e.k))
+	var fk float64
+	for _, g := range e.counts.OrderedCounts() {
+		fk += math.Pow(float64(g), float64(e.k))
+	}
+	return fk / math.Pow(e.p, float64(e.k))
 }
 
-// SpaceBytes returns the approximate memory footprint.
-func (e *NaiveFkEstimator) SpaceBytes() int { return 16 * len(e.counts) }
+// SpaceBytes returns the memory footprint of the frequency vector.
+func (e *NaiveFkEstimator) SpaceBytes() int { return e.counts.SpaceBytes() }
 
 // NaiveF0Estimator is the strawman distinct counter: F₀(L)/p. Charikar
 // et al.'s lower bound (Theorem 3) manifests as this estimator collapsing

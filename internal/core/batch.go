@@ -39,19 +39,13 @@ func (e *F0Estimator) UpdateBatch(items []stream.Item) {
 }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
-func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) {
-	for _, it := range items {
-		e.counts[it]++
-	}
-}
+func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch(items) }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
 func (e *EntropyEstimator) UpdateBatch(items []stream.Item) {
 	e.nL += uint64(len(items))
 	if e.plugin != nil {
-		for _, it := range items {
-			e.plugin[it]++
-		}
+		e.plugin.UpdateBatch(items)
 		return
 	}
 	e.sk.UpdateBatch(items)

@@ -17,13 +17,15 @@ import (
 // target.
 //
 // Two backends are provided: Plugin keeps the exact frequency vector of L
-// (space O(F₀(L)), zero estimation error beyond sampling), Sketch runs
-// the one-pass reservoir-position estimator (space O(polylog), the form
-// Theorem 5's space bound refers to).
+// (space O(F₀(L)), zero estimation error beyond sampling) in a
+// sketch.ItemCounts and sums it in key order, so its estimates are a
+// function of the vector alone; Sketch runs the one-pass
+// reservoir-position estimator (space O(polylog), the form Theorem 5's
+// space bound refers to).
 type EntropyEstimator struct {
 	p      float64
 	nL     uint64
-	plugin stream.Freq              // non-nil for the plugin backend
+	plugin *sketch.ItemCounts       // non-nil for the plugin backend
 	sk     *sketch.EntropyEstimator // non-nil for the sketch backend
 }
 
@@ -58,7 +60,7 @@ func NewEntropyEstimator(cfg EntropyConfig, r *rng.Xoshiro256) *EntropyEstimator
 	e := &EntropyEstimator{p: cfg.P}
 	switch cfg.Backend {
 	case EntropyPlugin:
-		e.plugin = make(stream.Freq)
+		e.plugin = new(sketch.ItemCounts)
 	case EntropySketch:
 		groups, per := cfg.SketchGroups, cfg.SketchPerGroup
 		if groups == 0 {
@@ -78,7 +80,7 @@ func NewEntropyEstimator(cfg EntropyConfig, r *rng.Xoshiro256) *EntropyEstimator
 func (e *EntropyEstimator) Observe(it stream.Item) {
 	e.nL++
 	if e.plugin != nil {
-		e.plugin[it]++
+		e.plugin.Observe(it)
 	} else {
 		e.sk.Observe(it)
 	}
@@ -89,9 +91,28 @@ func (e *EntropyEstimator) Observe(it stream.Item) {
 // approximation whenever H(f) = ω(p^(−1/2)·n^(−1/6)).
 func (e *EntropyEstimator) Estimate() float64 {
 	if e.plugin != nil {
-		return e.plugin.Entropy()
+		return e.entropyOver(float64(e.nL))
 	}
 	return e.sk.Estimate()
+}
+
+// entropyOver returns Σ (g_i/n)·lg(n/g_i) over the plugin's frequencies,
+// in key order: the empirical entropy of L for n = F₁(L), H_pn(g) for
+// n = pn. Rounding (or a single-item stream's −0) can leave the sum
+// below zero; the entropy is 0 there, as it is for n = 0.
+func (e *EntropyEstimator) entropyOver(n float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	var h float64
+	for _, g := range e.plugin.OrderedCounts() {
+		q := float64(g) / n
+		h -= q * math.Log2(q)
+	}
+	if h <= 0 {
+		return 0
+	}
+	return h
 }
 
 // EstimateHpn returns H_pn(g) = Σ (g_i/(pn))·lg(pn/g_i) for a known
@@ -101,19 +122,7 @@ func (e *EntropyEstimator) EstimateHpn(n uint64) float64 {
 	if e.plugin == nil {
 		panic("core: EstimateHpn requires the plugin backend")
 	}
-	pn := e.p * float64(n)
-	if pn == 0 {
-		return 0
-	}
-	var h float64
-	for _, g := range e.plugin {
-		gf := float64(g)
-		h += gf / pn * math.Log2(pn/gf)
-	}
-	if h < 0 {
-		return 0
-	}
-	return h
+	return e.entropyOver(e.p * float64(n))
 }
 
 // SampledLength returns F₁(L).
@@ -128,10 +137,10 @@ func (e *EntropyEstimator) AdditiveFloor(n uint64) float64 {
 	return math.Pow(e.p, -0.5) * math.Pow(float64(n), -1.0/6)
 }
 
-// SpaceBytes returns the approximate memory footprint.
+// SpaceBytes returns the memory footprint of the backend.
 func (e *EntropyEstimator) SpaceBytes() int {
 	if e.plugin != nil {
-		return 16 * len(e.plugin)
+		return e.plugin.SpaceBytes()
 	}
 	return e.sk.SpaceBytes()
 }

@@ -104,7 +104,8 @@ func F0LowerBoundError(p float64) float64 {
 // GEEF0Estimator is the Guaranteed-Error Estimator of Charikar et al.
 // adapted to Bernoulli samples — the "current best offline method"
 // referenced in §1.2(2), implemented in streaming fashion. It maintains
-// the exact frequency profile of L (space O(F₀(L))) and estimates
+// the exact frequency profile of L (space O(F₀(L)), in a
+// sketch.ItemCounts) and estimates
 //
 //	F̂₀ = √(1/p)·f₁(L) + Σ_{j≥2} f_j(L)
 //
@@ -114,7 +115,7 @@ func F0LowerBoundError(p float64) float64 {
 // worst-case error matches the Theorem 3 lower bound up to constants.
 type GEEF0Estimator struct {
 	p      float64
-	counts stream.Freq
+	counts sketch.ItemCounts
 }
 
 // NewGEEF0Estimator builds the estimator.
@@ -122,16 +123,16 @@ func NewGEEF0Estimator(p float64) *GEEF0Estimator {
 	if p <= 0 || p > 1 {
 		panic("core: GEEF0Estimator P must be in (0, 1]")
 	}
-	return &GEEF0Estimator{p: p, counts: make(stream.Freq)}
+	return &GEEF0Estimator{p: p}
 }
 
 // Observe feeds one element of the sampled stream L.
-func (e *GEEF0Estimator) Observe(it stream.Item) { e.counts[it]++ }
+func (e *GEEF0Estimator) Observe(it stream.Item) { e.counts.Observe(it) }
 
 // Estimate returns the GEE estimate of F₀(P).
 func (e *GEEF0Estimator) Estimate() float64 {
 	var singletons, repeated float64
-	for _, c := range e.counts {
+	for _, c := range e.counts.OrderedCounts() {
 		if c == 1 {
 			singletons++
 		} else {
@@ -141,6 +142,6 @@ func (e *GEEF0Estimator) Estimate() float64 {
 	return singletons/math.Sqrt(e.p) + repeated
 }
 
-// SpaceBytes returns the approximate memory footprint (linear in F₀(L) —
-// GEE trades space for its better constants).
-func (e *GEEF0Estimator) SpaceBytes() int { return 16 * len(e.counts) }
+// SpaceBytes returns the memory footprint (linear in F₀(L) — GEE trades
+// space for its better constants).
+func (e *GEEF0Estimator) SpaceBytes() int { return e.counts.SpaceBytes() }

@@ -169,6 +169,12 @@ func TestF0SpaceAccounting(t *testing.T) {
 	gee := NewGEEF0Estimator(0.5)
 	gee.Observe(1)
 	gee.Observe(2)
+	// Two slab entries of 16 bytes plus the item index while it is fed;
+	// the estimate orders the store, which drops the index.
+	if fed := gee.SpaceBytes(); fed <= 32 {
+		t.Fatalf("GEE SpaceBytes while fed = %d, want the slab and an index", fed)
+	}
+	gee.Estimate()
 	if gee.SpaceBytes() != 32 {
 		t.Fatalf("GEE SpaceBytes = %d, want 32", gee.SpaceBytes())
 	}

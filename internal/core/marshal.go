@@ -149,7 +149,7 @@ func (e *GEEF0Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal
 func (e *GEEF0Estimator) Encode(w *sketch.Writer) {
 	w.Header(TagGEEF0Estimator)
 	w.F64(e.p)
-	w.Freq(e.counts)
+	e.counts.Encode(w)
 }
 
 // UnmarshalGEEF0Estimator reconstructs a GEEF0Estimator from
@@ -161,11 +161,12 @@ func UnmarshalGEEF0Estimator(data []byte) (*GEEF0Estimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	counts, _ := r.Freq(sketch.MaxWireElems, math.MaxUint64)
+	e := &GEEF0Estimator{p: p}
+	e.counts.Decode(r, math.MaxUint64)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return &GEEF0Estimator{p: p, counts: counts}, nil
+	return e, nil
 }
 
 // MarshalBinary serializes the estimator.
@@ -182,7 +183,7 @@ func (e *EntropyEstimator) Encode(w *sketch.Writer) {
 	w.Header(TagEntropy)
 	w.F64(e.p)
 	w.U64(e.nL)
-	w.Freq(e.plugin)
+	e.plugin.Encode(w)
 }
 
 // UnmarshalEntropyEstimator reconstructs a plugin-backend
@@ -195,9 +196,10 @@ func UnmarshalEntropyEstimator(data []byte) (*EntropyEstimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	plugin, sum := r.Freq(sketch.MaxWireElems, nL)
-	if r.Err() == nil && sum != nL {
-		r.Failf("core: entropy frequencies sum to %d, header says %d", sum, nL)
+	plugin := new(sketch.ItemCounts)
+	plugin.Decode(r, nL)
+	if r.Err() == nil && plugin.N() != nL {
+		r.Failf("core: entropy frequencies sum to %d, header says %d", plugin.N(), nL)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -2,20 +2,12 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
 	"substream/internal/workload"
 )
-
-// nearlyEqual absorbs float summation-order noise: map-backed estimates
-// (entropy) sum their frequency map in iteration order, which Go
-// randomizes, so equality holds only up to accumulated rounding.
-func nearlyEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
-}
 
 // marshalSample returns a skewed sampled stream for round-trip tests.
 func marshalSample(n int, seed uint64) stream.Slice {
@@ -124,7 +116,7 @@ func TestEntropyEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nearlyEqual(back.Estimate(), e.Estimate()) {
+	if back.Estimate() != e.Estimate() {
 		t.Fatal("estimate differs after round trip")
 	}
 	if back.SampledLength() != e.SampledLength() {
@@ -246,7 +238,7 @@ func TestMonitorMarshalRoundTrip(t *testing.T) {
 	}
 	want, got := m.Report(), back.Report()
 	if got.SampledLength != want.SampledLength || got.Fk != want.Fk ||
-		got.F0 != want.F0 || !nearlyEqual(got.Entropy, want.Entropy) {
+		got.F0 != want.F0 || got.Entropy != want.Entropy {
 		t.Fatalf("report differs after round trip: %+v vs %+v", got, want)
 	}
 	if len(got.F1HeavyHitters) != len(want.F1HeavyHitters) {

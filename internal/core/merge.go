@@ -79,9 +79,7 @@ func (e *GEEF0Estimator) Merge(other *GEEF0Estimator) error {
 	if e.p != other.p {
 		return fmt.Errorf("%w: GEEF0Estimator P %g vs %g", sketch.ErrIncompatible, e.p, other.p)
 	}
-	for it, c := range other.counts {
-		e.counts[it] += c
-	}
+	e.counts.Merge(&other.counts)
 	return nil
 }
 
@@ -96,9 +94,7 @@ func (e *EntropyEstimator) Merge(other *EntropyEstimator) error {
 	if e.plugin == nil || other.plugin == nil {
 		return fmt.Errorf("%w: entropy sketch backend", ErrNotMergeable)
 	}
-	for it, c := range other.plugin {
-		e.plugin[it] += c
-	}
+	e.plugin.Merge(other.plugin)
 	e.nL += other.nL
 	return nil
 }

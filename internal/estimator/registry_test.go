@@ -2,7 +2,6 @@ package estimator_test
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -227,9 +226,9 @@ func TestEveryKindRoundTripsEncodeDecodeMerge(t *testing.T) {
 			want := a.Estimates()
 			got := decoded.Estimates()
 			for name, v := range want {
-				// Tolerate last-ulp drift: estimates that sum over maps
-				// (entropy) accumulate in iteration order.
-				if diff := math.Abs(got[name] - v); diff > 1e-9*math.Max(1, math.Abs(v)) {
+				// Exactly: every float aggregate sums in key order, so an
+				// estimate is a function of the state alone.
+				if got[name] != v {
 					t.Errorf("decoded estimate %q = %v, want %v", name, got[name], v)
 				}
 			}

@@ -158,12 +158,9 @@ func TestPipelineDeterministic(t *testing.T) {
 	if a.SampledLength != b.SampledLength || len(a.F1HeavyHitters) != len(b.F1HeavyHitters) {
 		t.Fatalf("pipeline not deterministic:\n%+v\n%+v", a, b)
 	}
-	// Float aggregates sum over Go maps, whose iteration order varies,
-	// so identical runs agree only up to floating-point reassociation.
-	closeEnough := func(x, y float64) bool {
-		return math.Abs(x-y) <= 1e-9*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-	}
-	if !closeEnough(a.Fk, b.Fk) || !closeEnough(a.F0, b.F0) || !closeEnough(a.Entropy, b.Entropy) {
+	// Float aggregates sum in key order, so identical runs agree to the
+	// last bit.
+	if a.Fk != b.Fk || a.F0 != b.F0 || a.Entropy != b.Entropy {
 		t.Fatalf("pipeline not deterministic:\n%+v\n%+v", a, b)
 	}
 }

@@ -42,8 +42,8 @@ func init() {
 // collision count.
 func (c *ExactCounter) Estimates() map[string]float64 {
 	return map[string]float64{
-		"n":  float64(c.n),
-		"f0": float64(len(c.counts)),
+		"n":  float64(c.counts.N()),
+		"f0": float64(c.counts.Len()),
 		"c2": c.EstimateCollisions(2),
 	}
 }

@@ -1,6 +1,7 @@
 package levelset
 
 import (
+	"substream/internal/sketch"
 	"substream/internal/stream"
 )
 
@@ -8,37 +9,38 @@ import (
 // frequency vector of the observed stream. Space is O(distinct items);
 // it is the unlimited-space reference the level-set estimator is judged
 // against, and the backend of choice when the sampled stream's support is
-// known to be small.
+// known to be small. The vector lives in a sketch.ItemCounts, whose
+// ordering contract says which calls only read a counter that other
+// goroutines share (a decoded or merged one: all but Observe and
+// UpdateBatch).
 type ExactCounter struct {
-	counts stream.Freq
-	n      uint64
+	counts sketch.ItemCounts
 }
 
 // NewExactCounter returns an empty exact collision counter.
-func NewExactCounter() *ExactCounter {
-	return &ExactCounter{counts: make(stream.Freq)}
-}
+func NewExactCounter() *ExactCounter { return &ExactCounter{} }
 
 // Observe feeds one element of the sampled stream.
-func (c *ExactCounter) Observe(it stream.Item) {
-	c.counts[it]++
-	c.n++
-}
+func (c *ExactCounter) Observe(it stream.Item) { c.counts.Observe(it) }
 
-// EstimateCollisions returns the exact C_ℓ of the observed stream.
+// EstimateCollisions returns the exact C_ℓ of the observed stream,
+// summed in key order. It panics if ℓ < 1.
 func (c *ExactCounter) EstimateCollisions(l int) float64 {
-	return c.counts.Collisions(l)
+	if l < 1 {
+		panic("levelset: EstimateCollisions with l < 1")
+	}
+	var total float64
+	for _, f := range c.counts.OrderedCounts() {
+		total += stream.BinomialCoeff(f, l)
+	}
+	return total
 }
 
 // N returns the number of observed elements (F1 of L).
-func (c *ExactCounter) N() uint64 { return c.n }
+func (c *ExactCounter) N() uint64 { return c.counts.N() }
 
-// Freq exposes the exact frequency vector (for tests and the plugin
-// entropy path). Callers must not mutate it.
-func (c *ExactCounter) Freq() stream.Freq { return c.counts }
-
-// SpaceBytes returns the approximate memory footprint.
-func (c *ExactCounter) SpaceBytes() int { return 16 * len(c.counts) }
+// SpaceBytes returns the memory footprint of the frequency vector.
+func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 
 // CollisionCounter is the estimator-facing abstraction Algorithm 1
 // consumes: something that observes the sampled stream and can produce an

@@ -38,6 +38,7 @@ func TestExactCounter(t *testing.T) {
 	if got := c.EstimateCollisions(3); got != 1 {
 		t.Fatalf("C3 = %v, want 1", got)
 	}
+	// The estimates ordered the store: two 3-entry slabs, no index.
 	if c.SpaceBytes() != 16*3 {
 		t.Fatalf("SpaceBytes = %d", c.SpaceBytes())
 	}

@@ -34,8 +34,8 @@ func (c *ExactCounter) MarshalBinary() ([]byte, error) { return sketch.Marshal(c
 // equal counters serialize identically.
 func (c *ExactCounter) Encode(w *sketch.Writer) {
 	w.Header(TagExactCounter)
-	w.U64(c.n)
-	w.Freq(c.counts)
+	w.U64(c.counts.N())
+	c.counts.Encode(w)
 }
 
 // UnmarshalExactCounter reconstructs an ExactCounter from MarshalBinary
@@ -44,16 +44,17 @@ func UnmarshalExactCounter(data []byte) (*ExactCounter, error) {
 	r := sketch.NewReader(data)
 	r.Header(TagExactCounter)
 	n := r.U64()
-	counts, sum := r.Freq(sketch.MaxWireElems, n)
+	c := new(ExactCounter)
+	c.counts.Decode(r, n)
 	// n is by construction the sum of all frequencies; a mismatch means
 	// corruption.
-	if r.Err() == nil && sum != n {
-		r.Failf("levelset: exact counter frequencies sum to %d, header says %d", sum, n)
+	if r.Err() == nil && c.counts.N() != n {
+		r.Failf("levelset: exact counter frequencies sum to %d, header says %d", c.counts.N(), n)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return &ExactCounter{counts: counts, n: n}, nil
+	return c, nil
 }
 
 // MarshalBinary serializes the level-set estimator.

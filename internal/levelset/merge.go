@@ -33,13 +33,10 @@ type BatchCounter interface {
 	UpdateBatch(items []stream.Item)
 }
 
-// Merge folds other into c. Exact counters over disjoint substreams merge
-// exactly: frequency vectors add.
+// Merge folds other into c, leaving other untouched. Exact counters over
+// disjoint substreams merge exactly: frequency vectors add.
 func (c *ExactCounter) Merge(other *ExactCounter) error {
-	for it, cnt := range other.counts {
-		c.counts[it] += cnt
-	}
-	c.n += other.n
+	c.counts.Merge(&other.counts)
 	return nil
 }
 
@@ -53,12 +50,7 @@ func (c *ExactCounter) MergeCounter(other CollisionCounter) error {
 }
 
 // UpdateBatch feeds every item in items.
-func (c *ExactCounter) UpdateBatch(items []stream.Item) {
-	for _, it := range items {
-		c.counts[it]++
-	}
-	c.n += uint64(len(items))
-}
+func (c *ExactCounter) UpdateBatch(items []stream.Item) { c.counts.UpdateBatch(items) }
 
 // Merge folds other into e. Both sides must be constructed from identical
 // generator state (same ε′, budget, repetition count, band offset η, and

@@ -141,9 +141,9 @@ func TestMergeEquivalenceEntropyPlugin(t *testing.T) {
 	single := mk(0)
 	single.UpdateBatch(L)
 	merged := shardMerge(t, L, 4, mk)
-	if d := relDiff(single.Estimate(), merged.Estimate()); d > 1e-9 {
-		t.Fatalf("entropy: single %.9g vs sharded-merged %.9g (rel diff %.2g)",
-			single.Estimate(), merged.Estimate(), d)
+	// Exactly: the plug-in sum runs in key order on both sides.
+	if s, m := single.Estimate(), merged.Estimate(); s != m {
+		t.Fatalf("entropy: single %.17g vs sharded-merged %.17g", s, m)
 	}
 	if single.SampledLength() != merged.SampledLength() {
 		t.Fatalf("sampled length %d vs %d", single.SampledLength(), merged.SampledLength())
@@ -243,8 +243,8 @@ func TestMergeEquivalenceMonitor(t *testing.T) {
 	if d := relDiff(s.F0, m.F0); d > 1e-9 {
 		t.Fatalf("monitor F0 %.6g vs %.6g", s.F0, m.F0)
 	}
-	if d := relDiff(s.Entropy, m.Entropy); d > 1e-9 {
-		t.Fatalf("monitor entropy %.6g vs %.6g", s.Entropy, m.Entropy)
+	if s.Entropy != m.Entropy {
+		t.Fatalf("monitor entropy %.17g vs %.17g", s.Entropy, m.Entropy)
 	}
 	if d := relDiff(s.Fk, m.Fk); d > 0.25 {
 		t.Fatalf("monitor Fk %.6g vs %.6g (rel diff %.2g)", s.Fk, m.Fk, d)

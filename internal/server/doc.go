@@ -29,7 +29,13 @@
 // fold → scope → ask.
 //
 //   - fold merges a set of states into a fresh accumulator built from
-//     the stream's constructor, never mutating the states. An agent
+//     the stream's constructor, never mutating the states — a contract
+//     every kind's Merge keeps, the exact counting store included
+//     (sketch.ItemCounts: a decoded state is in key order and is joined
+//     in place, two fingers, linear; a shard replica still being fed is
+//     read too, its not-yet-ordered arrivals sorted in a copy), which is
+//     why one retained state can serve concurrent queries, admission and
+//     the snapshot writer at once. An agent
 //     folds its shard replicas after quiescing the pipeline
 //     (runner.answer, which reads fed/kept under the same lock hold, so
 //     the counts describe exactly the items the answer covers). A

@@ -116,17 +116,13 @@ func splitChunks(s stream.Slice, n int) []stream.Slice {
 // acceptance test: N agent processes ingesting disjoint pre-sampled
 // substreams, shipped over HTTP to a collector, must reproduce the
 // estimate of one sequential estimator that observed the concatenated
-// stream — exactly for the order-insensitive backends, up to float
-// summation order for the map-backed entropy estimate.
+// stream — exactly, the entropy estimate included: its plug-in sum runs
+// in key order whatever path the frequencies took.
 func TestAgentCollectorMatchesSequential(t *testing.T) {
 	const agents = 3
 	const p = 0.25
 	L := sampledZipf(60000, p, 7)
 	chunks := splitChunks(L, agents)
-
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
 
 	t.Run("f0", func(t *testing.T) {
 		cfg := StreamConfig{Stat: "f0", P: p, Seed: 42, Shards: 2, Batch: 256, Presampled: true}
@@ -199,7 +195,7 @@ func TestAgentCollectorMatchesSequential(t *testing.T) {
 		}
 		var got estimateResp
 		do(t, http.MethodGet, url+"/v1/streams/ent/estimate", "", nil, &got)
-		if !near(got.Estimates.Values["entropy"], seq.Estimate()) {
+		if got.Estimates.Values["entropy"] != seq.Estimate() {
 			t.Fatalf("merged entropy %v, sequential %v", got.Estimates.Values["entropy"], seq.Estimate())
 		}
 	})
@@ -248,7 +244,7 @@ func TestAgentCollectorMatchesSequential(t *testing.T) {
 		if got.Estimates.Values["n"] != rep.EstimatedLength {
 			t.Fatalf("merged monitor n %v, sequential %v", got.Estimates.Values["n"], rep.EstimatedLength)
 		}
-		if !near(got.Estimates.Values["entropy"], rep.Entropy) {
+		if got.Estimates.Values["entropy"] != rep.Entropy {
 			t.Fatalf("merged monitor entropy %v, sequential %v", got.Estimates.Values["entropy"], rep.Entropy)
 		}
 	})

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -134,17 +133,14 @@ func TestWindowedFleetMatchesReplay(t *testing.T) {
 			if got.Agents != 2 {
 				t.Fatalf("collector folded %d agents, want 2", got.Agents)
 			}
-			near := func(a, b float64) bool {
-				return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-			}
 			for name, want := range replay.Estimates() {
-				if !near(got.Estimates.Values["window_"+name], want) {
+				if got.Estimates.Values["window_"+name] != want {
 					t.Errorf("global window_%s = %v, replay of last %d epochs = %v",
 						name, got.Estimates.Values["window_"+name], W, want)
 				}
 			}
 			for name, want := range cum.Estimates() {
-				if !near(got.Estimates.Values[name], want) {
+				if got.Estimates.Values[name] != want {
 					t.Errorf("global cumulative %s = %v, sequential = %v",
 						name, got.Estimates.Values[name], want)
 				}

@@ -18,6 +18,19 @@
 // items, and sifts move ids without hashing. The heavy-hitter
 // estimators pair a table sketch with a TopK through ObserveEstimate,
 // which is Observe followed by Estimate at one hash evaluation per row.
+//
+// The exact summaries — levelset.ExactCounter, core's entropy plug-in,
+// GEE and naive F_k, each the full frequency vector of the observed
+// stream — share the other store, ItemCounts: an item slab and a count
+// slab that Merge and Decode leave in key order, with an ItemIndex only
+// while it is fed. Its ordering contract: Merge never writes its
+// argument (an ordered one is read in place by a linear two-finger join,
+// a fed one's arrivals are sorted in a copy), so decoded states may be
+// folded by any number of goroutines at once; Encode and OrderedCounts
+// only read an ordered store and order a fed one in place, which makes
+// them, on a fed store, calls for whoever may Observe it. The sorted item
+// run and every float aggregate are walked in key order, so payloads and
+// estimates depend on the frequency vector alone.
 package sketch
 
 import (

@@ -1,0 +1,297 @@
+package sketch
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"testing"
+
+	"substream/internal/rng"
+	"substream/internal/stream"
+)
+
+// refCounts is the exact counting store as it stood before ItemCounts —
+// a Go map added to key by key, serialized through Writer.Freq and read
+// back through Reader.Freq — kept as the differential reference: whatever
+// path a frequency vector took, ItemCounts must write the reference's
+// bytes and walk the reference's counts.
+type refCounts struct {
+	counts map[stream.Item]uint64
+	n      uint64
+}
+
+func newRefCounts() *refCounts { return &refCounts{counts: map[stream.Item]uint64{}} }
+
+func (c *refCounts) observe(it stream.Item) {
+	c.counts[it]++
+	c.n++
+}
+
+func (c *refCounts) updateBatch(items []stream.Item) {
+	for _, it := range items {
+		c.counts[it]++
+	}
+	c.n += uint64(len(items))
+}
+
+func (c *refCounts) merge(other *refCounts) {
+	for it, cnt := range other.counts {
+		c.counts[it] += cnt
+	}
+	c.n += other.n
+}
+
+func (c *refCounts) Encode(w *Writer) { w.Freq(c.counts) }
+
+func decodeRefCounts(t *testing.T, payload []byte) *refCounts {
+	t.Helper()
+	r := NewReader(payload)
+	counts, sum := r.Freq(MaxWireElems, math.MaxUint64)
+	if err := r.Done(); err != nil {
+		t.Fatalf("reference decode: %v", err)
+	}
+	return &refCounts{counts: counts, n: sum}
+}
+
+// orderedCounts is the walk every aggregate makes: counts by increasing
+// key.
+func (c *refCounts) orderedCounts() []uint64 {
+	out := make([]uint64, 0, len(c.counts))
+	for _, it := range sortedKeys(c.counts) {
+		out = append(out, c.counts[it])
+	}
+	return out
+}
+
+// clone copies a store slab for slab, arrival order included, so a check
+// can order the copy and leave the store under test as fed as it was.
+func (s *ItemCounts) clone() *ItemCounts {
+	return &ItemCounts{items: slices.Clone(s.items), counts: slices.Clone(s.counts), n: s.n, sorted: s.sorted}
+}
+
+func (s *ItemCounts) isOrdered() bool { return s.sorted == len(s.items) }
+
+func (s *ItemCounts) state() string {
+	switch {
+	case s.Len() == 0:
+		return "empty"
+	case s.isOrdered():
+		return "ordered"
+	}
+	return "fed"
+}
+
+func mustMarshalRun(t *testing.T, e Encoder) []byte {
+	t.Helper()
+	payload, err := Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// checkAgainstRef holds s to ref without changing either: same length,
+// same total, the reference's payload bytes (exactly sized), the
+// reference's counts in key order.
+func checkAgainstRef(t *testing.T, s *ItemCounts, ref *refCounts) {
+	t.Helper()
+	if s.Len() != len(ref.counts) || s.N() != ref.n {
+		t.Fatalf("store holds %d keys / %d items, reference %d / %d", s.Len(), s.N(), len(ref.counts), ref.n)
+	}
+	c := s.clone()
+	payload, want := mustMarshalRun(t, c), mustMarshalRun(t, ref)
+	if !bytes.Equal(payload, want) {
+		t.Fatalf("payload differs from the map reference's (%d vs %d bytes)", len(payload), len(want))
+	}
+	if cap(payload) != len(payload) {
+		t.Fatalf("sizing pass of an ordered store counted %d bytes, wrote %d", cap(payload), len(payload))
+	}
+	if !slices.Equal(c.OrderedCounts(), ref.orderedCounts()) {
+		t.Fatal("counts in key order differ from the map reference's")
+	}
+	if !slices.IsSorted(c.items) {
+		t.Fatal("an ordered store's slab is not in key order")
+	}
+}
+
+// scheduleKey draws keys that collide often and differ in every byte
+// position between them, so the radix passes all run.
+func scheduleKey(r *rng.Xoshiro256) stream.Item {
+	return stream.Item(r.Uint64n(40)+1) << (8 * r.Uint64n(8))
+}
+
+// TestItemCountsMatchesMapReference drives a pool of stores and map
+// references through one random schedule of observe / batch / merge /
+// encode+decode / order / reset, checking every touched store against its
+// reference after every step, and requires the schedule to have merged
+// every shape: ordered into ordered, fed into ordered, ordered into fed,
+// fed into fed, and each into an empty receiver.
+func TestItemCountsMatchesMapReference(t *testing.T) {
+	r := rng.New(21)
+	const pool = 6
+	stores, refs := make([]*ItemCounts, pool), make([]*refCounts, pool)
+	for i := range stores {
+		stores[i], refs[i] = new(ItemCounts), newRefCounts()
+	}
+	shapes := map[string]int{}
+	for step := 0; step < 6000; step++ {
+		i := int(r.Uint64n(pool))
+		s, ref := stores[i], refs[i]
+		switch op := r.Uint64n(10); {
+		case op < 3:
+			it := scheduleKey(r)
+			s.Observe(it)
+			ref.observe(it)
+		case op < 5:
+			batch := make([]stream.Item, r.Uint64n(60))
+			for k := range batch {
+				batch[k] = scheduleKey(r)
+			}
+			s.UpdateBatch(batch)
+			ref.updateBatch(batch)
+		case op < 8:
+			j := int(r.Uint64n(pool))
+			o := stores[j]
+			// Merging back and forth doubles counts; stay clear of the 64
+			// bits a run's counts may sum to.
+			if j == i || s.N()+o.N() > 1<<60 {
+				continue
+			}
+			shape := o.state() + " into " + s.state()
+			shapes[shape]++
+			before := o.clone()
+			s.Merge(o)
+			ref.merge(refs[j])
+			if !slices.Equal(o.items, before.items) || !slices.Equal(o.counts, before.counts) ||
+				o.sorted != before.sorted || o.n != before.n {
+				t.Fatalf("step %d: Merge wrote to its argument (%s)", step, shape)
+			}
+			if !s.isOrdered() {
+				t.Fatalf("step %d: Merge left its receiver unordered (%s)", step, shape)
+			}
+		case op < 9:
+			payload := mustMarshalRun(t, s.clone())
+			back := new(ItemCounts)
+			rd := NewReader(payload)
+			back.Decode(rd, math.MaxUint64)
+			if err := rd.Done(); err != nil {
+				t.Fatalf("step %d: decode: %v", step, err)
+			}
+			if back.SpaceBytes() != 16*back.Len() {
+				t.Fatalf("step %d: decoded store takes %d bytes for %d keys, want two exact slabs and no index",
+					step, back.SpaceBytes(), back.Len())
+			}
+			stores[i], refs[i] = back, decodeRefCounts(t, mustMarshalRun(t, ref))
+		default:
+			if r.Uint64n(4) == 0 {
+				stores[i], refs[i] = new(ItemCounts), newRefCounts()
+			} else {
+				s.OrderedCounts()
+			}
+		}
+		checkAgainstRef(t, stores[i], refs[i])
+	}
+	for _, shape := range []string{"ordered into ordered", "fed into ordered", "ordered into fed", "fed into fed",
+		"ordered into empty", "fed into empty"} {
+		if shapes[shape] == 0 {
+			t.Errorf("the schedule never merged %s", shape)
+		}
+	}
+}
+
+// TestItemCountsSpaceBytes pins the accounting convention: the capacity
+// of the two slabs at 8 bytes an element, plus the index table while the
+// store has one.
+func TestItemCountsSpaceBytes(t *testing.T) {
+	var s ItemCounts
+	if s.SpaceBytes() != 0 {
+		t.Fatalf("empty store takes %d bytes", s.SpaceBytes())
+	}
+	for i := 0; i < 1000; i++ {
+		s.Observe(stream.Item(i*7919%613 + 1))
+	}
+	if want := 8*cap(s.items) + 8*cap(s.counts) + 4*cap(s.index.ids); s.SpaceBytes() != want || len(s.index.ids) == 0 {
+		t.Fatalf("fed store reports %d bytes, holds %d (index of %d slots)", s.SpaceBytes(), want, len(s.index.ids))
+	}
+	s.OrderedCounts()
+	if want := 16 * s.Len(); s.SpaceBytes() != want {
+		t.Fatalf("ordered store reports %d bytes, want %d: exact slabs, index dropped", s.SpaceBytes(), want)
+	}
+	s.Observe(1)
+	if s.SpaceBytes() <= 16*s.Len() {
+		t.Fatal("an update after ordering did not bring the index back")
+	}
+}
+
+// TestItemCountsDecodeAllocations pins decode at the two slabs and the
+// reader: no map, no index, nothing per entry.
+func TestItemCountsDecodeAllocations(t *testing.T) {
+	var s ItemCounts
+	r := rng.New(5)
+	for i := 0; i < 20000; i++ {
+		s.Observe(stream.Item(r.Uint64n(1 << 30)))
+	}
+	payload := mustMarshalRun(t, &s)
+	if n := testing.AllocsPerRun(10, func() {
+		var back ItemCounts
+		rd := NewReader(payload)
+		back.Decode(rd, math.MaxUint64)
+		if rd.Done() != nil || back.Len() != s.Len() {
+			t.Fatal("decode failed")
+		}
+	}); n > 3 {
+		t.Fatalf("decoding %d keys makes %v allocations, want the reader and two slabs", s.Len(), n)
+	}
+}
+
+// FuzzItemCountsSplit deals one item sequence out to up to eight replicas
+// at the fuzzer's choice, item by item, folds the replicas into a fresh
+// store, and holds the fold to the store and the map reference that saw
+// the sequence whole: same payload bytes, same counts in key order, and
+// the replicas untouched by the fold.
+func FuzzItemCountsSplit(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0x41, 1, 0, 0x82, 200, 7})
+	f.Add([]byte{1, 0, 5, 5})
+	f.Add([]byte{8})
+	f.Add(bytes.Repeat([]byte{7, 0xf3, 9, 1}, 300))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		replicas := make([]*ItemCounts, int(data[0])%8+1)
+		for i := range replicas {
+			replicas[i] = new(ItemCounts)
+		}
+		whole, ref := new(ItemCounts), newRefCounts()
+		// Three bytes an item: which replica and which byte of the key the
+		// 16-bit value sits at, then the value.
+		for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+			it := stream.Item(uint64(rec[1])<<8|uint64(rec[2])) << (8 * (uint(rec[0]) >> 4 % 7))
+			replicas[int(rec[0]&0x0f)%len(replicas)].Observe(it)
+			whole.Observe(it)
+			ref.observe(it)
+		}
+		before := make([]*ItemCounts, len(replicas))
+		for i, rep := range replicas {
+			before[i] = rep.clone()
+		}
+		acc := new(ItemCounts)
+		for _, rep := range replicas {
+			acc.Merge(rep)
+		}
+		for i, rep := range replicas {
+			if !slices.Equal(rep.items, before[i].items) || !slices.Equal(rep.counts, before[i].counts) {
+				t.Fatalf("the fold wrote to replica %d", i)
+			}
+		}
+		checkAgainstRef(t, acc, ref)
+		checkAgainstRef(t, whole, ref)
+		back := new(ItemCounts)
+		rd := NewReader(mustMarshalRun(t, acc))
+		back.Decode(rd, math.MaxUint64)
+		if err := rd.Done(); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstRef(t, back, ref)
+	})
+}

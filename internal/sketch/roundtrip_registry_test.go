@@ -74,13 +74,10 @@ func mustDecode(t *testing.T, payload []byte) estimator.Estimator {
 	return e
 }
 
-// sameReport compares two reports value by value: NaN equal to NaN (an
-// empty stream has no entropy), and to 1e-12, because the entropy plugin
-// sums over a map and so in a different order on every call.
+// sameReport compares two reports value by value, exactly, NaN equal to
+// NaN (an empty stream has no entropy).
 func sameReport(a, b estimator.Report) bool {
-	same := func(x, y float64) bool {
-		return x == y || (math.IsNaN(x) && math.IsNaN(y)) || math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y))
-	}
+	same := func(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
 	if len(a.Values) != len(b.Values) || len(a.F1Hitters) != len(b.F1Hitters) || len(a.F2Hitters) != len(b.F2Hitters) {
 		return false
 	}

@@ -179,24 +179,32 @@ func (w *Writer) Run(n int) RunWriter {
 	return RunWriter{w: w}
 }
 
-// Put appends one entry. A sizing pass counts the key in full, which no
-// delta exceeds, so it may Put the entries in any order.
+// Put appends one entry. A sizing pass may Put the entries in any order:
+// it counts a key as its distance to the previous one Put when that one is
+// smaller — the key's predecessor in the written order is no farther — and
+// in full otherwise (the smaller of the two numbers, as the difference
+// wraps past the key when the previous one is larger), so the count is
+// never short, and is exact when the order is already the written one.
 func (rw *RunWriter) Put(it stream.Item, count uint64) {
-	key := it
-	if !rw.w.sizing {
-		key, rw.prev = it-rw.prev, it
+	key := it - rw.prev
+	if rw.w.sizing {
+		key = min(key, it)
 	}
+	rw.prev = it
 	rw.w.Uvarint(uint64(key))
 	rw.w.Uvarint(count)
 }
 
 // Freq appends an item → count map as a sorted item run, so equal maps
-// serialize identically.
+// serialize identically. A sizing pass counts every key in full rather
+// than Put it, so that the map's iteration order does not show in the
+// count.
 func (w *Writer) Freq(f map[stream.Item]uint64) {
 	run := w.Run(len(f))
 	if w.sizing {
 		for it, count := range f {
-			run.Put(it, count)
+			w.Uvarint(uint64(it))
+			w.Uvarint(count)
 		}
 		return
 	}

@@ -325,9 +325,10 @@ func TestNestWritesInPlaceAndKeepsTheFirstError(t *testing.T) {
 
 // TestSizingPassBoundsThePayload pins what lets Marshal allocate once: a
 // sizing pass counts every field at the length the writing pass gives it,
-// except a run's keys, which it counts in full where the writing pass
-// writes the smaller delta — so the count is exact for a payload without
-// runs and never short of one with them.
+// except the keys of a run it is not handed in the written order, which
+// it counts at no less than the delta the writing pass writes — so the
+// count is exact for a payload without such runs and never short of one
+// with them (a map's keys it counts in full, so that it repeats).
 func TestSizingPassBoundsThePayload(t *testing.T) {
 	r := rng.New(3)
 	cm, cs := NewCountMin(64, 3, r), NewCountSketch(64, 3, r)

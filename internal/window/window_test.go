@@ -54,7 +54,8 @@ func epochStream(t *testing.T, epochs, perEpoch int) []stream.Slice {
 	return out
 }
 
-// near tolerates float-summation-order drift (map-backed entropy).
+// near compares two estimates up to float-summation-order drift (the
+// kinds over the exact counting store need none: they sum in key order).
 func near(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -4,10 +4,12 @@ import "testing"
 
 // TestMarshalMonitorAllocBudget holds BenchmarkMarshalMonitor to the
 // single-buffer encode: what one MarshalBinary allocates is the payload it
-// returns plus the scratch its sorted runs sort their keys in — 8 bytes a
-// key, for the entropy plugin's distinct items and for the largest
-// level-set repetition, which Budget bounds. Twice the payload covers the
-// sizing pass, which counts a run's keys in full where the payload holds
+// returns plus the scratch the largest level-set repetition sorts its keys
+// in — 8 bytes a key, which Budget bounds (the entropy plug-in's store is
+// ordered by the first marshal and streams out with no scratch after it;
+// the term for its distinct items stays in the budget as slack). Twice the
+// payload covers the sizing pass, which counts the keys of a run it is
+// handed out of order at up to their full length where the payload holds
 // their deltas. (v2, with a buffer per nesting level, allocated 8× its
 // payload.)
 func TestMarshalMonitorAllocBudget(t *testing.T) {

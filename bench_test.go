@@ -506,12 +506,21 @@ func BenchmarkCollectorEstimateFk16(b *testing.B) {
 // Zipf(1.1) over 2^20 items — what p = 0.05 keeps of 80 M — fed in
 // alternating 8192-item chunks to two shard replicas, ≈ 350 k distinct
 // keys in their union. fold-2-replicas is the agent's fold of the two fed
-// (unordered) replicas, marshal and decode the summary's codec,
+// replicas when nothing ever settled them (a store nobody synced: each
+// Merge sorts a copy of every key), marshal and decode the summary's codec,
 // trial-fold the collector's admission merge of the decoded state alone,
-// query its fold plus the report.
+// query its fold plus the report. The last two rows are the steady state
+// of a daemon's flush since replicas settle at the Sync barrier: between
+// two flushes a replica takes 200 more draws (a tail cycle's sample) and
+// its worker settles it — settle-delta, one replica's share, index rebuild
+// included — and fold-2-settled-replicas is the fold the flushing
+// goroutine is then left with under the stream lock (timer stopped while
+// the two replicas are fed and settled, as the workers do that).
 func BenchmarkExactCounterCycle(b *testing.B) {
 	const n, chunk = 4_000_000, 8192
-	items := stream.Collect(workload.Zipf(n, 1<<20, 1.1, 21).Stream)
+	const delta, cycles = 200, 4096 // draws per replica per flush cycle; cycles before the draws repeat
+	items := stream.Collect(workload.Zipf(n+2*delta*cycles, 1<<20, 1.1, 21).Stream)
+	items, later := items[:n], items[n:]
 	fresh := func() estimator.Estimator {
 		e, err := estimator.New(estimator.Spec{Stat: "fk", K: 2, P: 0.05, Exact: true, Seed: 1})
 		if err != nil {
@@ -541,29 +550,56 @@ func BenchmarkExactCounterCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// A second pair, for the rows that settle: the first stays as fed as
+	// it is, Merge never writes its argument.
+	settled := []estimator.Estimator{fresh(), fresh()}
+	for i := 0; i < n; i += chunk {
+		settled[i/chunk%2].UpdateBatch(items[i:min(i+chunk, n)])
+	}
+	cycle := 0
+	feedAndSettle := func(replica int) {
+		at := (cycle%cycles*2 + replica) * delta
+		settled[replica].UpdateBatch(later[at : at+delta])
+		estimator.Unwrap(settled[replica]).(interface{ Settle() }).Settle()
+	}
 	keys := float64(len(stream.NewFreq(stream.Slice(items))))
 	for _, c := range []struct {
 		name string
-		op   func()
+		op   func(b *testing.B)
 	}{
-		{"fold-2-replicas", func() { fold(replicas...) }},
-		{"marshal", func() {
+		{"fold-2-replicas", func(*testing.B) { fold(replicas...) }},
+		{"marshal", func(b *testing.B) {
 			if _, err := folded.MarshalBinary(); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"decode", func() {
+		{"decode", func(b *testing.B) {
 			if _, err := estimator.Decode(payload); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"trial-fold", func() { fold(retained) }},
-		{"query", func() { estimator.ReportOf(fold(retained)) }},
+		{"trial-fold", func(*testing.B) { fold(retained) }},
+		{"query", func(*testing.B) { estimator.ReportOf(fold(retained)) }},
+		{"settle-delta", func(b *testing.B) {
+			feedAndSettle(0)
+			b.StopTimer()
+			feedAndSettle(1)
+			cycle++
+			b.StartTimer()
+		}},
+		{"fold-2-settled-replicas", func(b *testing.B) {
+			b.StopTimer()
+			feedAndSettle(0)
+			feedAndSettle(1)
+			cycle++
+			b.StartTimer()
+			fold(settled...)
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.op()
+				c.op(b)
 			}
 			b.ReportMetric(keys, "keys")
 		})

@@ -91,3 +91,33 @@ func (m *Monitor) UpdateBatch(items []stream.Item) {
 		m.hh2.UpdateBatch(items)
 	}
 }
+
+// Settle is the hook a pipeline's shard worker runs on its replica before
+// it acknowledges a Sync barrier (pipeline.Settler): an exact counting
+// store orders itself in place, so the fold that follows reads it as it
+// lies. Kinds that hold no such store have no Settle.
+func (e *FkEstimator) Settle() {
+	if s, ok := e.collisions.(interface{ Settle() }); ok {
+		s.Settle()
+	}
+}
+
+// Settle: see FkEstimator.Settle.
+func (e *GEEF0Estimator) Settle() { e.counts.Settle() }
+
+// Settle: see FkEstimator.Settle.
+func (e *EntropyEstimator) Settle() {
+	if e.plugin != nil {
+		e.plugin.Settle()
+	}
+}
+
+// Settle settles the two parts that may hold an exact counting store.
+func (m *Monitor) Settle() {
+	if m.fk != nil {
+		m.fk.Settle()
+	}
+	if m.entropy != nil {
+		m.entropy.Settle()
+	}
+}

@@ -38,9 +38,14 @@ func TestExactCounter(t *testing.T) {
 	if got := c.EstimateCollisions(3); got != 1 {
 		t.Fatalf("C3 = %v, want 1", got)
 	}
-	// The estimates ordered the store: two 3-entry slabs, no index.
-	if c.SpaceBytes() != 16*3 {
+	// The estimates ordered the store where it lies: the two slabs three
+	// appends grew (four entries each), no index. Merged, they are exact.
+	if c.SpaceBytes() != 16*4 {
 		t.Fatalf("SpaceBytes = %d", c.SpaceBytes())
+	}
+	acc := NewExactCounter()
+	if err := acc.Merge(c); err != nil || acc.SpaceBytes() != 16*3 {
+		t.Fatalf("merged SpaceBytes = %d (%v)", acc.SpaceBytes(), err)
 	}
 }
 

@@ -52,6 +52,10 @@ func (c *ExactCounter) MergeCounter(other CollisionCounter) error {
 // UpdateBatch feeds every item in items.
 func (c *ExactCounter) UpdateBatch(items []stream.Item) { c.counts.UpdateBatch(items) }
 
+// Settle orders the frequency vector in place: the owner-only hook a
+// pipeline's shard worker runs at a Sync barrier (sketch.ItemCounts).
+func (c *ExactCounter) Settle() { c.counts.Settle() }
+
 // Merge folds other into e. Both sides must be constructed from identical
 // generator state (same ε′, budget, repetition count, band offset η, and
 // universe hashes).

@@ -12,7 +12,8 @@ import (
 // each side then records its half of the journey:
 //
 //   - the agent records a "ship" span per shipped summary (snapshot +
-//     marshal time, POST round trip, payload bytes);
+//     marshal time and, within it, the quiesce wait and the replica fold;
+//     POST round trip, payload bytes);
 //   - the collector records a "fold" span per received summary (decode
 //     time, trial-fold time, and — when the envelope carries FlushedAt —
 //     the end-to-end flush→fold latency).
@@ -30,10 +31,11 @@ type Span struct {
 	Start time.Time `json:"start"`
 	Bytes int       `json:"bytes,omitempty"`
 
-	SnapshotNs int64 `json:"snapshot_ns,omitempty"` // agent: Sync+merge+marshal
+	SnapshotNs int64 `json:"snapshot_ns,omitempty"` // agent: Sync+merge+marshal, the sum the two below are parts of
+	SyncNs     int64 `json:"sync_ns,omitempty"`     // agent: pipeline quiesce — queued batches applied, replicas settled
 	PostNs     int64 `json:"post_ns,omitempty"`     // agent: upstream POST round trip
 	DecodeNs   int64 `json:"decode_ns,omitempty"`   // collector: envelope+payload decode
-	FoldNs     int64 `json:"fold_ns,omitempty"`     // collector: trial fold
+	FoldNs     int64 `json:"fold_ns,omitempty"`     // agent: fold of the shard replicas; collector: trial fold
 	E2ENs      int64 `json:"e2e_ns,omitempty"`      // collector: arrival − agent flush stamp
 
 	Err string `json:"err,omitempty"`

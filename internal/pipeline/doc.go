@@ -118,6 +118,18 @@
 // workers never share state; all synchronization is ring hand-off, so
 // the package is race-clean under `go test -race`.
 //
+// # Single writer, settled replicas
+//
+// A replica has one writer for as long as its worker lives: the worker.
+// Sync and Close hand the replicas out to be READ (merged into a fresh
+// accumulator, serialized), and "quiescent" includes "settled": a replica
+// that keeps something unordered between reads (Settler — the exact
+// counting stores keep new keys unsorted behind an ordered prefix) is put
+// in order by its own worker at the barrier, before the acknowledgement.
+// The workers settle side by side, so the reader's fold sorts nothing under
+// the lock that serializes it with the feeds, and a barrier costs the sort
+// of what arrived since the previous one.
+//
 // # Windowed replicas
 //
 // Epoch-ring replicas (internal/window) ride the pipeline unchanged:

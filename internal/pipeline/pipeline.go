@@ -37,6 +37,15 @@ type WeightedBatchObserver interface {
 	UpdateWeightedBatch(items []stream.WItem)
 }
 
+// Settler is the optional hook of replicas with something to put in order
+// before they are read (sketch.ItemCounts sorts the keys that arrived since
+// the last barrier): the shard worker that owns the replica, and nobody
+// else, calls Settle at a Sync barrier and when its ring closes, before it
+// acknowledges — every worker its own, all in parallel.
+type Settler interface {
+	Settle()
+}
+
 // Mergeable is satisfied by estimator types that can fold a structurally
 // identical replica into themselves — the contract MergeAll reduces over.
 // Concrete estimators satisfy Mergeable[*T] with their typed Merge;
@@ -100,7 +109,8 @@ type item interface {
 // caller-owned windows (zero-copy FeedSlice path) are not touched; owned
 // chunks carry the release callback the worker invokes once the items
 // have been applied. A message with a non-nil ack is a synchronization
-// barrier: the worker acknowledges and applies nothing.
+// barrier: the worker applies nothing, lets its replica settle and
+// acknowledges.
 type batchMsg struct {
 	items   []stream.Item
 	witems  []stream.WItem
@@ -303,6 +313,7 @@ func New[E any](cfg Config, newShard func(shard int) E) *Pipeline[E] {
 		apply := applyFunc(p.shards[i])
 		w := &worker{
 			kept:     &p.kept[i],
+			settle:   settleFunc(p.shards[i]),
 			plain:    sink[stream.Item]{lane: &p.plain, apply: apply},
 			weighted: sink[stream.WItem]{lane: &p.weighted, apply: applyWeightedFunc(p.shards[i], apply)},
 		}
@@ -339,23 +350,15 @@ func applyFunc(e any) func([]stream.Item) {
 // once as its bare key through the unweighted path, which is exactly the
 // weight-1 semantics and loses only the extra mass of heavier items.
 func applyWeightedFunc(e any, plain func([]stream.Item)) func([]stream.WItem) {
-	probe := e
-	for {
-		switch x := probe.(type) {
-		case WeightedBatchObserver:
-			return x.UpdateWeightedBatch
-		case WeightedObserver:
-			return func(items []stream.WItem) {
-				for _, it := range items {
-					x.ObserveWeighted(it.Key, it.Weight)
-				}
+	if x, ok := behind[WeightedBatchObserver](e); ok {
+		return x.UpdateWeightedBatch
+	}
+	if x, ok := behind[WeightedObserver](e); ok {
+		return func(items []stream.WItem) {
+			for _, it := range items {
+				x.ObserveWeighted(it.Key, it.Weight)
 			}
 		}
-		u, ok := probe.(interface{ Unwrap() any })
-		if !ok {
-			break
-		}
-		probe = u.Unwrap()
 	}
 	var keys []stream.Item
 	return func(items []stream.WItem) {
@@ -367,6 +370,30 @@ func applyWeightedFunc(e any, plain func([]stream.Item)) func([]stream.WItem) {
 	}
 }
 
+// settleFunc resolves the replica's Settle, a no-op for most kinds.
+func settleFunc(e any) func() {
+	if s, ok := behind[Settler](e); ok {
+		return s.Settle
+	}
+	return func() {}
+}
+
+// behind returns the first value on e's Unwrap chain — e itself, then the
+// concrete value behind each adapter — that implements T.
+func behind[T any](e any) (T, bool) {
+	for {
+		if x, ok := e.(T); ok {
+			return x, true
+		}
+		u, ok := e.(interface{ Unwrap() any })
+		if !ok {
+			var none T
+			return none, false
+		}
+		e = u.Unwrap()
+	}
+}
+
 // worker is one shard worker: it owns its replica exclusively until
 // Close returns, so no locking is needed around estimator state. Both
 // lanes' batches pass through the one sampler, so weighted and
@@ -374,6 +401,7 @@ func applyWeightedFunc(e any, plain func([]stream.Item)) func([]stream.WItem) {
 type worker struct {
 	sampler  bernoulliSampler // zero value: no sampling
 	kept     *keptCell
+	settle   func()
 	plain    sink[stream.Item]
 	weighted sink[stream.WItem]
 }
@@ -384,8 +412,10 @@ func (w *worker) run(r *spscRing, wg *sync.WaitGroup) {
 		msg, ok := r.pop()
 		switch {
 		case !ok:
+			w.settle()
 			return
 		case msg.ack != nil:
+			w.settle()
 			msg.ack <- struct{}{}
 		case msg.witems != nil:
 			w.weighted.consume(w, msg.witems, msg)
@@ -549,10 +579,12 @@ func (p *Pipeline[E]) FeedWeightedOwned(items stream.WSlice, release func()) {
 }
 
 // Sync flushes the buffered partial batch and blocks until every batch
-// dispatched so far has been applied by its shard worker. Between Sync
-// returning and the next feeding call the replicas are quiescent — each
+// dispatched so far has been applied by its shard worker and every worker
+// has let its replica settle (Settler). Between Sync returning and the
+// next feeding call the replicas are quiescent and settled — each
 // worker is parked on its empty ring — so Replicas may be read (or
-// merged into a fresh accumulator) without a data race.
+// merged into a fresh accumulator) without a data race. Read is all a
+// caller may do: only the owning worker ever writes a replica.
 // Unlike Close, the pipeline keeps accepting work afterwards; this is
 // the snapshot point a long-running daemon ships summaries from.
 func (p *Pipeline[E]) Sync() {
@@ -577,13 +609,15 @@ func (p *Pipeline[E]) Sync() {
 // Replicas returns the shard replicas without stopping the workers. It
 // is only safe to read (or merge from) the replicas between a Sync and
 // the next feeding call, or after Close; the ack handshake in Sync
-// orders every prior estimator write before the caller's reads.
+// orders every prior estimator write — the settling included — before
+// the caller's reads.
 func (p *Pipeline[E]) Replicas() []E { return p.shards }
 
 // Close flushes, stops all workers, waits for every queued batch to be
-// applied, and returns the shard replicas. After Close the replicas are
-// exclusively owned by the caller (workers have exited), so reading or
-// merging them is race-free. Close is idempotent.
+// applied and every replica to settle, and returns the shard replicas.
+// After Close the replicas are exclusively owned by the caller (workers
+// have exited), so reading or merging them is race-free. Close is
+// idempotent.
 func (p *Pipeline[E]) Close() []E {
 	if !p.closed {
 		p.flush()

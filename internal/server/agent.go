@@ -206,7 +206,7 @@ func (a *Agent) registerPipelineMetrics() {
 			func(s pipeline.Stats) float64 { return float64(s.Batches) }},
 		{"agent_pipeline_syncs", "pipeline quiesce (Sync) rounds, by stream", obs.KindCounter,
 			func(s pipeline.Stats) float64 { return float64(s.Syncs) }},
-		{"agent_pipeline_sync_wait_seconds", "cumulative time snapshots waited for shard acks, by stream", obs.KindCounter,
+		{"agent_pipeline_sync_wait_seconds", "cumulative time snapshots and queries waited for shard workers to drain their queues and settle their replicas, by stream", obs.KindCounter,
 			func(s pipeline.Stats) float64 { return s.SyncWait.Seconds() }},
 		{"agent_stream_fed", "items fed to the pipeline, by stream", obs.KindCounter,
 			func(s pipeline.Stats) float64 { return float64(s.Fed) }},
@@ -639,7 +639,7 @@ func (a *Agent) shipStream(ctx context.Context, st *agentStream) error {
 	// equals snapshot order; sends may still arrive out of order, which
 	// the collector's (Boot, Seq) check absorbs.
 	st.shipMu.Lock()
-	payload, epoch, fed, kept, err := st.run.snapshot()
+	snap, err := st.run.snapshot()
 	if err != nil {
 		st.shipMu.Unlock()
 		a.metrics.ShipErrors.With(causeSnapshot).Inc()
@@ -656,16 +656,17 @@ func (a *Agent) shipStream(ctx context.Context, st *agentStream) error {
 		Boot:      a.boot,
 		Seq:       st.seq,
 		Config:    st.cfg,
-		Fed:       fed,
-		Kept:      kept,
-		Epoch:     epoch,
+		Fed:       snap.fed,
+		Kept:      snap.kept,
+		Epoch:     snap.epoch,
 		TraceID:   mix64(a.boot ^ (a.traceSeq.Add(1) * 0x9E3779B97F4A7C15)),
 		FlushedAt: start,
-		Payload:   payload,
+		Payload:   snap.payload,
 	}
 	st.shipMu.Unlock()
 	span := obs.Span{
 		TraceID: sum.TraceID, Stage: "ship", Stream: st.name, Agent: a.cfg.ID, Start: start,
+		SyncNs: snap.sync.Nanoseconds(), FoldNs: snap.fold.Nanoseconds(),
 	}
 	fail := func(cause string, err error) error {
 		a.metrics.ShipErrors.With(cause).Inc()

@@ -51,10 +51,14 @@ type answer struct {
 
 // run is the one answer path — fold → scope → ask — behind all four query
 // routes of both roles, and so the one place a query is counted and timed.
-func (q query) run(m *Metrics, newAcc func() (estimator.Estimator, error), states []estimator.Estimator) (answer, error) {
+// folded runs between the fold and the question: from there on only the
+// private accumulator is read, so the agent gives its stream lock back
+// there and the question stalls no ingest handler.
+func (q query) run(m *Metrics, newAcc func() (estimator.Estimator, error), states []estimator.Estimator, folded func()) (answer, error) {
 	m.EstimateQueries.Inc()
 	defer m.Query.Since(time.Now())
 	acc, err := fold(newAcc, states)
+	folded()
 	if err != nil {
 		return answer{}, err
 	}

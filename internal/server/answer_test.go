@@ -5,11 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"substream/internal/estimator"
+	"substream/internal/rng"
+	"substream/internal/sample"
 	"substream/internal/stream"
+	"substream/internal/workload"
 )
 
 // TestAgentEstimateCountsDescribeItsAnswer pins the agent's local answer
@@ -194,5 +199,89 @@ func TestQueryInstrumentation(t *testing.T) {
 		if q, h := m.EstimateQueries.Value(), m.Query.Count(); q != 2 || h != 2 {
 			t.Fatalf("%s: estimate_queries=%d query_seconds.count=%d, want 2 and 2", role, q, h)
 		}
+	}
+}
+
+// TestCollectorFoldIsTheSortedLeftFold pins the fold order as a contract,
+// the tier-1 twin of the benchmark harness's check 3 (benchmark/check.go,
+// checkFold): for the four kinds of the fleet workload, whatever order the
+// summaries arrived in, the collector's answer is — value for value, ==,
+// and hitter for hitter — a fresh accumulator into which the agents'
+// decoded states were merged one by one in sorted agent order. The order
+// is observable: SpaceSaving's merge adds floors and truncates and VarOpt's
+// resamples, so neither is associative, and a grouped or cached-prefix
+// fold writes other bytes for every kind and, for the level-set fk, reports
+// other values (ROADMAP item 7). For fk the test therefore also folds in
+// arrival order and requires a different report — or its fixture has
+// stopped telling orders apart.
+func TestCollectorFoldIsTheSortedLeftFold(t *testing.T) {
+	const agents, perAgent = 6, 200_000
+	arrival := []int{4, 1, 5, 0, 3, 2} // not agent order
+	kinds := []struct {
+		name       string
+		cfg        StreamConfig
+		observable bool // the fold order shows in the report
+	}{
+		{"f0", StreamConfig{Stat: "f0", P: 0.05, Seed: 3, Window: 4, Epoch: Duration(24 * time.Hour)}, false},
+		{"fk", StreamConfig{Stat: "fk", K: 2, P: 0.05, Seed: 3}, true},
+		{"hh1", StreamConfig{Stat: "hh1", P: 0.05, Seed: 3}, false},
+		{"varopt", StreamConfig{Stat: "varopt", P: 0.05, Seed: 3, Budget: 1024}, false},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			cfg := kind.cfg.withDefaults()
+			newAcc := cfg.newEstimator()
+			sums := make([]Summary, agents)
+			for i := range sums {
+				e, err := newAcc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, ok := estimator.WeightedOf(e); ok {
+					flows, _ := weightedFlows(perAgent/20, uint64(40+i))
+					w.UpdateWeightedBatch(flows)
+				} else {
+					wl := workload.Zipf(perAgent, 1<<17, 1.1, uint64(40+i))
+					e.UpdateBatch(sample.NewBernoulli(cfg.P).Apply(wl.Stream, rng.New(uint64(140+i))))
+				}
+				payload, err := e.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums[i] = Summary{Agent: fmt.Sprintf("a%02d", i), Stream: kind.name, Boot: 1, Seq: 1, Config: cfg, Payload: payload}
+			}
+			c := NewCollector(CollectorConfig{})
+			for _, i := range arrival {
+				if err := c.Accept(sums[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := c.Estimate(kind.name)
+			if err != nil || got.Agents != agents {
+				t.Fatalf("collector estimate: %+v, %v", got, err)
+			}
+			leftFold := func(order []int) estimator.Report {
+				acc, err := newAcc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range order {
+					state, err := estimator.Decode(sums[i].Payload)
+					if err == nil {
+						err = acc.Merge(state)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return estimator.ReportOf(acc)
+			}
+			if want := leftFold([]int{0, 1, 2, 3, 4, 5}); !reflect.DeepEqual(got.Estimates, want) {
+				t.Errorf("collector fold differs from the left fold in sorted agent order:\n got %+v\nwant %+v", got.Estimates, want)
+			}
+			if kind.observable && reflect.DeepEqual(got.Estimates, leftFold(arrival)) {
+				t.Errorf("the fixture no longer tells the sorted fold from the fold in arrival order")
+			}
+		})
 	}
 }

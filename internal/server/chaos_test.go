@@ -133,13 +133,13 @@ func TestChaosConvergenceWithCollectorRestart(t *testing.T) {
 	for _, a := range agents {
 		for _, name := range []string{"cum", "win"} {
 			st, _ := a.lookup(name)
-			payload, epoch, fed, kept, err := st.run.snapshot()
+			snap, err := st.run.snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := truth.Accept(Summary{
 				Agent: a.cfg.ID, Stream: name, Boot: a.boot, Seq: 1 << 62,
-				Config: st.cfg, Fed: fed, Kept: kept, Epoch: epoch, Payload: payload,
+				Config: st.cfg, Fed: snap.fed, Kept: snap.kept, Epoch: snap.epoch, Payload: snap.payload,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -233,13 +233,13 @@ func TestChaosOutageRevival(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, _ = agent.FlushAll(ctx)
-		payload, epoch, fed, kept, err := st.run.snapshot()
+		snap, err := st.run.snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		truth := NewCollector(CollectorConfig{})
 		if err := truth.Accept(Summary{Agent: "o", Stream: "cum", Boot: 1, Seq: 1,
-			Config: st.cfg, Fed: fed, Kept: kept, Epoch: epoch, Payload: payload}); err != nil {
+			Config: st.cfg, Fed: snap.fed, Kept: snap.kept, Epoch: snap.epoch, Payload: snap.payload}); err != nil {
 			t.Fatal(err)
 		}
 		wantEst, err1 := truth.Estimate("cum")

@@ -385,7 +385,7 @@ func (c *Collector) query(name string, q query) (answer, folded, error) {
 		return answer{}, f, fmt.Errorf("stream %q: all %d retained summaries are older than the max age",
 			name, f.skipped)
 	}
-	ans, err := q.run(c.metrics, newAcc, states)
+	ans, err := q.run(c.metrics, newAcc, states, func() {})
 	return ans, f, err
 }
 

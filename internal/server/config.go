@@ -307,44 +307,61 @@ func (r *runner) feed(wait *time.Duration, release func(), fn func(*pipe)) {
 // answer quiesces the pipeline, folds the shard replicas — left
 // untouched, so ingestion continues afterwards — and asks q of the fold.
 // The fed/kept counts are read at the same quiesce point, under the same
-// lock hold, so they describe exactly the items the answer covers.
+// lock hold, so they describe exactly the items the answer covers. The
+// lock is released between the fold and the question, as snapshot releases
+// it before the marshal: the accumulator is private to this call, and a
+// report costs ingest nothing.
 func (r *runner) answer(m *Metrics, q query) (ans answer, fed, kept uint64, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.pl.Sync()
-	ans, err = q.run(m, r.newEst, r.pl.Replicas())
-	return ans, r.pl.Fed(), r.pl.Kept(), err
+	fed, kept = r.pl.Fed(), r.pl.Kept()
+	ans, err = q.run(m, r.newEst, r.pl.Replicas(), r.mu.Unlock)
+	return ans, fed, kept, err
 }
 
-// snapshot returns the serialized cumulative state together with the
-// epoch index (0 for unwindowed streams) and the fed/kept counts captured
-// atomically with it, so a shipped Summary's totals always describe
-// exactly its Payload. The lock covers only the quiesce, the fold and the
-// counts: the fold's accumulator is private to this call, so it is
-// serialized after the lock is released and ingest never waits for a
-// marshal. The fold reads the replicas and leaves them as fed as they
-// were; for the kinds over the exact counting store the lock is held for
-// a radix sort of each replica's arrivals plus a linear join (≈ 17 ms at
-// 350 k keys), and the marshal that follows it is one pass over an
-// already ordered slab.
-func (r *runner) snapshot() ([]byte, uint64, uint64, uint64, error) {
+// shipment is one serialized cumulative state with what was captured
+// atomically with it — the epoch index (0 for unwindowed streams) and the
+// fed/kept counts, so a shipped Summary's totals always describe exactly
+// its Payload — and where the time under the stream lock went: the wait
+// for the shard workers to drain and settle, and the fold.
+type shipment struct {
+	payload    []byte
+	epoch      uint64
+	fed, kept  uint64
+	sync, fold time.Duration
+}
+
+// snapshot serializes the stream's cumulative state. The lock covers only
+// the quiesce, the fold and the counts: the fold's accumulator is private
+// to this call, so it is serialized after the lock is released and ingest
+// never waits for a marshal. The fold reads the replicas and leaves them
+// as they were. For the kinds over the exact counting store each shard
+// worker has ordered its own replica before Sync returns — both at once,
+// and after the first flush only the keys that are new since the previous
+// one — so the lock is held for that wait plus two linear joins (≈ 3 ms,
+// most of it the index a tail cycle's 200 items bring back, and ≈ 4 ms at
+// 350 k keys: BenchmarkExactCounterCycle's settle-delta and
+// fold-2-settled-replicas; sorting both replicas in the fold took ≈ 17 ms),
+// and the marshal that follows is one pass over an ordered slab.
+func (r *runner) snapshot() (shipment, error) {
 	r.mu.Lock()
+	start := time.Now()
 	r.pl.Sync()
+	synced := time.Now()
 	acc, err := fold(r.newEst, r.pl.Replicas())
-	fed, kept := r.pl.Fed(), r.pl.Kept()
+	s := shipment{fed: r.pl.Fed(), kept: r.pl.Kept(), sync: synced.Sub(start), fold: time.Since(synced)}
 	r.mu.Unlock()
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return s, err
 	}
-	payload, err := acc.MarshalBinary()
-	if err != nil {
-		return nil, 0, 0, 0, err
+	if s.payload, err = acc.MarshalBinary(); err != nil {
+		return s, err
 	}
 	// For windowed streams the summary advertises the epoch its ring was
 	// serialized at (MarshalBinary rotates to it, hence read after); the
 	// collector surfaces it per agent.
-	epoch, _ := window.EpochOf(acc)
-	return payload, epoch, fed, kept, nil
+	s.epoch, _ = window.EpochOf(acc)
+	return s, nil
 }
 
 func (r *runner) counts() (uint64, uint64) {

@@ -31,14 +31,22 @@
 //   - fold merges a set of states into a fresh accumulator built from
 //     the stream's constructor, never mutating the states — a contract
 //     every kind's Merge keeps, the exact counting store included
-//     (sketch.ItemCounts: a decoded state is in key order and is joined
-//     in place, two fingers, linear; a shard replica still being fed is
-//     read too, its not-yet-ordered arrivals sorted in a copy), which is
-//     why one retained state can serve concurrent queries, admission and
-//     the snapshot writer at once. An agent
-//     folds its shard replicas after quiescing the pipeline
-//     (runner.answer, which reads fed/kept under the same lock hold, so
-//     the counts describe exactly the items the answer covers). A
+//     (sketch.ItemCounts: a state in key order — a decoded one, or a
+//     shard replica its worker has settled — is joined in place, two
+//     fingers, linear; a store with unsorted arrivals is read too, the
+//     arrivals sorted in a copy), which is why one retained state can
+//     serve concurrent queries, admission and the snapshot writer at
+//     once. An agent folds its shard replicas after quiescing the
+//     pipeline, and a quiesced pipeline's replicas are settled: each
+//     shard worker orders its own exact counting store before it
+//     acknowledges the Sync barrier (pipeline.Settler), all workers at
+//     once and none but the owner ever writing a replica, so under the
+//     stream lock the flushing goroutine waits for that and joins —
+//     it sorts nothing. The lock covers the quiesce, the fold and the
+//     fed/kept counts, read under the same hold so they describe exactly
+//     the items the answer covers (runner.answer, runner.snapshot); the
+//     question, like the marshal, is put to the private accumulator after
+//     the lock is released, and stalls no ingest handler. A
 //     collector folds the retained states of the stream's fresh agents
 //     in sorted agent order (Collector.query: selection under the
 //     table's read lock, stale agents counted and skipped, the fold
@@ -54,7 +62,9 @@
 //     without the capability is a 400, never a zero.
 //
 // query.run is that path, and the one place a query is counted and timed
-// (estimate_queries, query_seconds). At the collector one description of
+// (estimate_queries, query_seconds: fold + ask; the agent's quiesce wait,
+// settling included, is agent_pipeline_sync_wait_seconds and a ship span's
+// sync_ns). At the collector one description of
 // the fold — agents, skipped_stale, fed, kept — backs both result types
 // and the one error mapping: unknown stream 404, every retained agent
 // stale 503, a fold that failed anyway 500.

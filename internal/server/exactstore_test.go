@@ -45,8 +45,10 @@ func storeStream() stream.Slice { return sampledZipf(60000, 0.25, 7) }
 // TestExactStoreKindsOneAnswerEveryPath holds every kind over the exact
 // counting store to one answer, bit for bit, whatever path its
 // frequencies took: one sequential estimator, Decode(Marshal) of it,
-// 1–8-shard pipelines folded by MergeAll, 16 agents' summaries folded by
-// a collector, and that collector's table restored from its snapshot. The
+// 1–8-shard pipelines folded by MergeAll, a live pipeline folded the way a
+// flush folds it (fed → Sync → fed → Sync → fold, the replicas settled by
+// their workers at each barrier), 16 agents' summaries folded by a
+// collector, and that collector's table restored from its snapshot. The
 // payloads of the order-free kinds are the same bytes on every path too,
 // and the sequential payload of all five is the one the map-backed store
 // wrote.
@@ -113,6 +115,27 @@ func TestExactStoreKindsOneAnswerEveryPath(t *testing.T) {
 				}
 				same(fmt.Sprintf("%d-shard MergeAll", shards), merged)
 			}
+
+			// A live pipeline, flushed twice: the second feed bumps keys the
+			// first settle moved and appends new ones behind the ordered
+			// prefix; the fold reads the settled replicas and leaves them to
+			// the MergeAll that closes the pipeline.
+			pl := pipeline.New(pipeline.Config{Shards: 3, BatchSize: 256},
+				func(int) estimator.Estimator { return fresh() })
+			for _, part := range splitChunks(L, 2) {
+				pl.FeedSlice(part)
+				pl.Sync()
+			}
+			flushed, err := fold(func() (estimator.Estimator, error) { return fresh(), nil }, pl.Replicas())
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("fed → Sync → fed → Sync → fold", flushed)
+			merged, err := pipeline.MergeAll(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("fed → Sync → fed → Sync → fold → MergeAll", merged)
 
 			dir := t.TempDir()
 			c := NewCollector(CollectorConfig{SnapshotDir: dir})

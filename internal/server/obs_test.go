@@ -467,8 +467,9 @@ func TestCollectorStalenessGauges(t *testing.T) {
 
 // TestFlushFoldTrace is the tentpole's end-to-end check: two agents
 // flush to one collector, and the shipment appears as a "ship" span in
-// each agent's tracez ring and a matching "fold" span (same trace ID) in
-// the collector's, carrying the decode/fold timings and a non-negative
+// each agent's tracez ring — saying where the snapshot went: sync_ns and
+// fold_ns within snapshot_ns — and a matching "fold" span (same trace ID)
+// in the collector's, carrying the decode/fold timings and a non-negative
 // end-to-end latency.
 func TestFlushFoldTrace(t *testing.T) {
 	collector := NewCollector(CollectorConfig{})
@@ -514,6 +515,10 @@ func TestFlushFoldTrace(t *testing.T) {
 		if s.Stage != "ship" || s.Agent != id || s.Stream != "flows" || s.TraceID == 0 ||
 			s.Err != "" || s.Bytes <= 0 || s.SnapshotNs < 0 || s.PostNs <= 0 {
 			t.Fatalf("agent %s ship span: %+v", id, s)
+		}
+		// The quiesce and the replica fold are parts of the snapshot.
+		if s.SyncNs <= 0 || s.FoldNs <= 0 || s.SyncNs+s.FoldNs > s.SnapshotNs {
+			t.Fatalf("agent %s ship span: sync %d + fold %d ns of a %d ns snapshot", id, s.SyncNs, s.FoldNs, s.SnapshotNs)
 		}
 		if _, dup := shipped[s.TraceID]; dup {
 			t.Fatalf("trace id %d reused across agents", s.TraceID)

@@ -99,6 +99,23 @@ type Server struct {
 	shutdownErr  error
 }
 
+// Read deadlines of every connection Start serves: readHeaderTimeout for
+// a request's headers, requestReadTimeout for all of it, body included, so
+// a sender that stalls mid-body fails the read and the handler — with the
+// pooled buffers it decodes through — returns instead of waiting forever.
+// Two minutes carries the largest body either role accepts (64 MiB) at
+// 5 Mbit/s, and closes an idle keep-alive connection; net/http arms both
+// when a request starts, so a request pays nothing it did not before.
+const (
+	readHeaderTimeout  = 10 * time.Second
+	requestReadTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server Start serves h with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: requestReadTimeout}
+}
+
 // Start listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves h in
 // the background.
 func Start(addr string, h http.Handler) (*Server, error) {
@@ -107,7 +124,7 @@ func Start(addr string, h http.Handler) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		http: &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second},
+		http: newHTTPServer(h),
 		ln:   ln,
 		done: make(chan error, 1),
 	}

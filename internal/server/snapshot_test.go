@@ -519,7 +519,7 @@ func TestRunnerSnapshotMarshalsOutsideStreamLock(t *testing.T) {
 	}
 	snapped := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := run.snapshot()
+		_, err := run.snapshot()
 		snapped <- err
 	}()
 	<-parked.entered

@@ -13,21 +13,25 @@ import (
 // updated. The zero value is an empty store.
 //
 // Ordering contract. The store is ORDERED when its whole slab is in
-// increasing key order, which is how Merge and Decode leave it; an
+// increasing key order, which is how Merge, Decode and Settle leave it; an
 // ordered store has no index unless it was updated afterwards. Observe
 // and UpdateBatch find a known key through the index and append a new one
 // past the ordered prefix, in arrival order, so a store that is being fed
-// is ordered only up to where the last Merge or Decode left it.
+// is ordered only up to where the last Merge, Decode or Settle left it.
 //
 //   - Merge never writes its argument: it reads an ordered argument in
 //     place and sorts a copy of a fed one's arrivals. States a collector
 //     retains are therefore safe to fold into any number of accumulators
 //     at once.
-//   - Merge orders its receiver, and Encode and OrderedCounts order the
-//     store they are called on, in place (sort the arrivals, join them
-//     with the ordered prefix, drop the index). On an ordered store they
-//     only read; on a fed one they belong to whoever may call Observe.
-//     The next update after any of them rebuilds the index.
+//   - Settle orders the store in place: it sorts the arrivals, joins them
+//     into the slab's own tail (the capacity the store had stays) and
+//     drops the index, which the next update rebuilds lazily. On an
+//     ordered store it only reads; on a fed one it belongs to whoever may
+//     call Observe — a pipeline's shard worker settles its replica at
+//     every Sync barrier, so what a flush folds is ordered already and a
+//     later Settle sorts only the keys that are new since. Merge settles
+//     its receiver, and Encode and OrderedCounts the store they are
+//     called on.
 //
 // Serialized state is the sorted item run whatever order the slab is in,
 // and every aggregate a holder computes walks OrderedCounts, so payloads
@@ -147,20 +151,36 @@ func sortRun(items []stream.Item, counts []uint64) ([]stream.Item, []uint64) {
 	return srcI, srcC
 }
 
-// order brings the store into key order in place.
-func (s *ItemCounts) order() {
-	if s.sorted != len(s.items) {
-		s.items, s.counts = s.ordered()
-		s.sorted, s.index = len(s.items), ItemIndex{}
+// Settle brings the store into key order in place (see the ordering
+// contract for who may call it on a fed store).
+func (s *ItemCounts) Settle() {
+	if s.sorted == len(s.items) {
+		return
 	}
+	ai, ac := sortRun(s.items[s.sorted:], s.counts[s.sorted:])
+	// A two-finger join from the back, into the slab itself: the prefix
+	// and the arrivals share no key, so the output is exactly as long as
+	// the slab, position k is never below the prefix entry still to be
+	// read, and nothing before the smallest arrival moves.
+	i, j := s.sorted-1, len(ai)-1
+	for k := len(s.items) - 1; j >= 0; k-- {
+		if i >= 0 && s.items[i] > ai[j] {
+			s.items[k], s.counts[k] = s.items[i], s.counts[i]
+			i--
+		} else {
+			s.items[k], s.counts[k] = ai[j], ac[j]
+			j--
+		}
+	}
+	s.sorted, s.index = len(s.items), ItemIndex{}
 }
 
-// OrderedCounts returns the counts in increasing key order, ordering the
+// OrderedCounts returns the counts in increasing key order, settling the
 // store first; the caller must not change them. It is what every
 // aggregate over the frequency vector walks, so a float sum does not
 // depend on the order the items arrived or were merged in.
 func (s *ItemCounts) OrderedCounts() []uint64 {
-	s.order()
+	s.Settle()
 	return s.counts
 }
 
@@ -168,11 +188,11 @@ func (s *ItemCounts) OrderedCounts() []uint64 {
 // key-ordered slabs into fresh ones — and leaves s ordered. It does not
 // write to other.
 func (s *ItemCounts) Merge(other *ItemCounts) {
+	s.Settle()
 	if len(other.items) == 0 {
 		return
 	}
 	items, counts := other.ordered()
-	s.order()
 	s.items, s.counts = joinRuns(s.items, s.counts, items, counts)
 	s.sorted, s.index = len(s.items), ItemIndex{}
 	s.n += other.n
@@ -207,11 +227,11 @@ func joinRuns(ai []stream.Item, ac []uint64, bi []stream.Item, bc []uint64) ([]s
 	return items[:k], counts[:k]
 }
 
-// Encode writes the store as a sorted item run, ordering it first: equal
+// Encode writes the store as a sorted item run, settling it first: equal
 // frequency vectors serialize identically, and an ordered store streams
 // out in one pass with nothing sorted and nothing looked up.
 func (s *ItemCounts) Encode(w *Writer) {
-	s.order()
+	s.Settle()
 	run := w.Run(len(s.items))
 	for i, it := range s.items {
 		run.Put(it, s.counts[i])

@@ -122,10 +122,13 @@ func scheduleKey(r *rng.Xoshiro256) stream.Item {
 
 // TestItemCountsMatchesMapReference drives a pool of stores and map
 // references through one random schedule of observe / batch / merge /
-// encode+decode / order / reset, checking every touched store against its
-// reference after every step, and requires the schedule to have merged
-// every shape: ordered into ordered, fed into ordered, ordered into fed,
-// fed into fed, and each into an empty receiver.
+// encode+decode / order / settle / reset, checking every touched store
+// against its reference after every step, and requires the schedule to
+// have merged every shape: ordered into ordered, fed into ordered, ordered
+// into fed, fed into fed, and each into an empty receiver. A settle is
+// checked twice: as it leaves the store (in order, in the slabs it had,
+// unindexed) and after the two updates that follow it — a key the settle
+// moved must be found where it now lies, a new one appended behind.
 func TestItemCountsMatchesMapReference(t *testing.T) {
 	r := rng.New(21)
 	const pool = 6
@@ -133,7 +136,7 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 	for i := range stores {
 		stores[i], refs[i] = new(ItemCounts), newRefCounts()
 	}
-	shapes := map[string]int{}
+	shapes, settles := map[string]int{}, map[string]int{}
 	for step := 0; step < 6000; step++ {
 		i := int(r.Uint64n(pool))
 		s, ref := stores[i], refs[i]
@@ -183,13 +186,41 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 			}
 			stores[i], refs[i] = back, decodeRefCounts(t, mustMarshalRun(t, ref))
 		default:
-			if r.Uint64n(4) == 0 {
+			switch r.Uint64n(5) {
+			case 0:
 				stores[i], refs[i] = new(ItemCounts), newRefCounts()
-			} else {
+			case 1:
 				s.OrderedCounts()
+			default:
+				was, slabCap := s.state(), cap(s.items)
+				settles[was]++
+				s.Settle()
+				// An ordered store keeps the index its updates of known keys
+				// built: nothing moved.
+				if !s.isOrdered() || cap(s.items) != slabCap || (was == "fed" && s.index.SpaceBytes() != 0) {
+					t.Fatalf("step %d: settle left %d of %d keys ordered, slab capacity %d → %d, an index of %d bytes",
+						step, s.sorted, s.Len(), slabCap, cap(s.items), s.index.SpaceBytes())
+				}
+				checkAgainstRef(t, s, ref)
+				if s.Len() > 0 {
+					known := s.items[r.Uint64n(uint64(s.Len()))]
+					s.Observe(known)
+					ref.observe(known)
+				}
+				fresh := stream.Item(1<<63 | uint64(step)) // no schedule key has the top bit
+				s.Observe(fresh)
+				ref.observe(fresh)
+				if s.items[s.Len()-1] != fresh || s.sorted != s.Len()-1 {
+					t.Fatalf("step %d: a new key after a settle did not land behind the ordered prefix", step)
+				}
 			}
 		}
 		checkAgainstRef(t, stores[i], refs[i])
+	}
+	for _, state := range []string{"fed", "ordered", "empty"} {
+		if settles[state] == 0 {
+			t.Errorf("the schedule never settled a store that was %s", state)
+		}
 	}
 	for _, shape := range []string{"ordered into ordered", "fed into ordered", "ordered into fed", "fed into fed",
 		"ordered into empty", "fed into empty"} {
@@ -213,13 +244,51 @@ func TestItemCountsSpaceBytes(t *testing.T) {
 	if want := 8*cap(s.items) + 8*cap(s.counts) + 4*cap(s.index.ids); s.SpaceBytes() != want || len(s.index.ids) == 0 {
 		t.Fatalf("fed store reports %d bytes, holds %d (index of %d slots)", s.SpaceBytes(), want, len(s.index.ids))
 	}
+	// Ordered in place, the store keeps the slabs it grew; ordered by Merge
+	// (or Decode), it gets exact ones. Neither has an index.
+	slabs := 8*cap(s.items) + 8*cap(s.counts)
 	s.OrderedCounts()
-	if want := 16 * s.Len(); s.SpaceBytes() != want {
-		t.Fatalf("ordered store reports %d bytes, want %d: exact slabs, index dropped", s.SpaceBytes(), want)
+	if s.SpaceBytes() != slabs || slabs <= 16*s.Len() {
+		t.Fatalf("store ordered in place reports %d bytes, want the %d of the slabs it had: index dropped", s.SpaceBytes(), slabs)
+	}
+	var acc ItemCounts
+	acc.Merge(&s)
+	if want := 16 * acc.Len(); acc.SpaceBytes() != want {
+		t.Fatalf("merged store reports %d bytes, want %d: exact slabs, no index", acc.SpaceBytes(), want)
 	}
 	s.Observe(1)
-	if s.SpaceBytes() <= 16*s.Len() {
+	if s.SpaceBytes() <= slabs {
 		t.Fatal("an update after ordering did not bring the index back")
+	}
+}
+
+// TestItemCountsSettleKeepsItsSlabs pins the steady state of a replica
+// between flushes: settle, then a new key. The settle joins the arrivals
+// into the slab the store has and the append that follows finds the spare
+// capacity still there, so neither allocates a slab — what is left is the
+// sorted copy of the one arrival (two one-element slices) and the index
+// the update brings back.
+func TestItemCountsSettleKeepsItsSlabs(t *testing.T) {
+	var s ItemCounts
+	for i := 0; i < 1000; i++ {
+		s.Observe(stream.Item(i*7919%1009 + 1))
+	}
+	const runs = 20
+	if spare := cap(s.items) - s.Len(); spare <= runs+1 {
+		t.Fatalf("the fixture has %d spare slab entries, the test needs more than %d", spare, runs+1)
+	}
+	slab, next := &s.items[0], stream.Item(1<<40)
+	allocs := testing.AllocsPerRun(runs, func() {
+		s.Settle()
+		s.Observe(next)
+		next += 3
+	})
+	if allocs > 3 || &s.items[0] != slab {
+		t.Fatalf("settle → observe of a new key makes %v allocations (slab moved: %v), want ≤ 3 and the slab where it was",
+			allocs, &s.items[0] != slab)
+	}
+	if s.Len() != 1000+runs+1 || s.sorted != s.Len()-1 {
+		t.Fatalf("store holds %d keys with %d ordered after %d settles", s.Len(), s.sorted, runs+1)
 	}
 }
 
@@ -245,17 +314,18 @@ func TestItemCountsDecodeAllocations(t *testing.T) {
 }
 
 // FuzzItemCountsSplit deals one item sequence out to up to eight replicas
-// at the fuzzer's choice, item by item, folds the replicas into a fresh
-// store, and holds the fold to the store and the map reference that saw
-// the sequence whole: same payload bytes, same counts in key order, and
-// the replicas untouched by the fold.
+// at the fuzzer's choice, item by item, settles the replicas the fuzzer
+// picks (as their shard workers would at a Sync barrier), folds all of them
+// into a fresh store, and holds the fold to the store and the map reference
+// that saw the sequence whole: same payload bytes, same counts in key order,
+// and the replicas untouched by the fold.
 func FuzzItemCountsSplit(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0x41, 1, 0, 0x82, 200, 7})
-	f.Add([]byte{1, 0, 5, 5})
-	f.Add([]byte{8})
+	f.Add([]byte{3, 0b0101, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0x41, 1, 0, 0x82, 200, 7})
+	f.Add([]byte{1, 0, 0, 5, 5})
+	f.Add([]byte{8, 0xff})
 	f.Add(bytes.Repeat([]byte{7, 0xf3, 9, 1}, 300))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		if len(data) < 2 {
 			return
 		}
 		replicas := make([]*ItemCounts, int(data[0])%8+1)
@@ -265,7 +335,7 @@ func FuzzItemCountsSplit(f *testing.F) {
 		whole, ref := new(ItemCounts), newRefCounts()
 		// Three bytes an item: which replica and which byte of the key the
 		// 16-bit value sits at, then the value.
-		for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+		for rec := data[2:]; len(rec) >= 3; rec = rec[3:] {
 			it := stream.Item(uint64(rec[1])<<8|uint64(rec[2])) << (8 * (uint(rec[0]) >> 4 % 7))
 			replicas[int(rec[0]&0x0f)%len(replicas)].Observe(it)
 			whole.Observe(it)
@@ -273,6 +343,9 @@ func FuzzItemCountsSplit(f *testing.F) {
 		}
 		before := make([]*ItemCounts, len(replicas))
 		for i, rep := range replicas {
+			if data[1]>>i&1 == 1 { // bit i of the second byte settles replica i
+				rep.Settle()
+			}
 			before[i] = rep.clone()
 		}
 		acc := new(ItemCounts)
@@ -280,7 +353,7 @@ func FuzzItemCountsSplit(f *testing.F) {
 			acc.Merge(rep)
 		}
 		for i, rep := range replicas {
-			if !slices.Equal(rep.items, before[i].items) || !slices.Equal(rep.counts, before[i].counts) {
+			if !slices.Equal(rep.items, before[i].items) || !slices.Equal(rep.counts, before[i].counts) || rep.sorted != before[i].sorted {
 				t.Fatalf("the fold wrote to replica %d", i)
 			}
 		}

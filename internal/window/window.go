@@ -316,6 +316,21 @@ func updateWeighted(dst estimator.Estimator, items []stream.WItem) {
 	}
 }
 
+// Settle forwards the pipeline's settling hook (pipeline.Settler) to every
+// replica of the ring whose kind has one; on a replica that was not fed
+// since it last settled it is a length comparison.
+func (e *Estimator) Settle() {
+	settle := func(part estimator.Estimator) {
+		if s, ok := estimator.Unwrap(part).(interface{ Settle() }); ok {
+			s.Settle()
+		}
+	}
+	for _, gen := range e.gens {
+		settle(gen)
+	}
+	settle(e.cum)
+}
+
 // Merge folds another windowed estimator into the receiver. Both sides
 // must agree on window span and epoch length; the receiver first
 // advances to the newer of (its clock, the other's ring), so generations

@@ -506,3 +506,49 @@ func TestWindowedQuantileRidesRing(t *testing.T) {
 		}
 	}
 }
+
+// TestSettleReachesEveryReplicaOfTheRing: the pipeline's settling hook,
+// forwarded by the ring, orders the exact counting store of the current
+// generation, of an older one that was still unsettled when its epoch
+// ended, and of the cumulative replica — each drops its item index, which
+// is how it shows from outside — and the ring answers as a twin that was
+// never settled does.
+func TestSettleReachesEveryReplicaOfTheRing(t *testing.T) {
+	clock := window.NewManualClock()
+	e, twin := build(t, "entropy", 3, clock), build(t, "entropy", 3, clock)
+	slices := epochStream(t, 2, 3000)
+	for _, ring := range []*window.Estimator{e, twin} {
+		ring.UpdateBatch(slices[0])
+	}
+	clock.Advance()
+	for _, ring := range []*window.Estimator{e, twin} {
+		ring.UpdateBatch(slices[1])
+	}
+	// What one store's index weighs: a generation's worth of items, fed,
+	// then ordered by its own Estimates.
+	inner, err := estimator.New(innerSpec("entropy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner.UpdateBatch(slices[0])
+	index := inner.SpaceBytes()
+	inner.Estimates()
+	index -= inner.SpaceBytes()
+
+	fed := e.SpaceBytes()
+	e.Settle()
+	settled := e.SpaceBytes()
+	if fed-settled < 3*index {
+		t.Fatalf("Settle took the ring from %d to %d bytes, less than three stores' indexes (%d each)", fed, settled, index)
+	}
+	e.Settle()
+	if again := e.SpaceBytes(); again != settled {
+		t.Fatalf("a second Settle moved the ring from %d to %d bytes", settled, again)
+	}
+	want := twin.Estimates()
+	for name, v := range e.Estimates() {
+		if v != want[name] {
+			t.Errorf("%s = %v after Settle, %v on the twin", name, v, want[name])
+		}
+	}
+}

@@ -25,8 +25,10 @@
 // loss (see internal/server's "Fault tolerance" notes).
 //
 // The -streams flag takes either inline JSON ({"name": {config...}}) or
-// a path to a JSON file of the same shape; stream configs may set
-// "window"/"epoch" for epoch-ring windowed estimation, and the agent
+// a path to a JSON file of the same shape, decoded strictly: a key no
+// config field has (a misspelt "eps", say) or anything after the object is
+// a startup error, as it is a 400 on PUT /v1/streams/{name}. Stream configs
+// may set "window"/"epoch" for epoch-ring windowed estimation, and the agent
 // flags -window/-epoch apply fleet-wide defaults to streams that set
 // none. Both roles serve /healthz and /metricsz and shut down gracefully
 // on SIGINT/SIGTERM (agents perform a final flush first, bounded by
@@ -43,8 +45,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -149,7 +151,7 @@ func parseStreams(spec string) (map[string]server.StreamConfig, error) {
 		raw = data
 	}
 	var out map[string]server.StreamConfig
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := server.DecodeConfig(bytes.NewReader(raw), &out); err != nil {
 		return nil, fmt.Errorf("parsing -streams: %w", err)
 	}
 	return out, nil

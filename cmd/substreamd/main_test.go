@@ -330,6 +330,12 @@ func TestParseStreamsFile(t *testing.T) {
 	if streams["a"].Stat != "entropy" || streams["a"].P != 0.1 {
 		t.Fatalf("parsed %+v", streams["a"])
 	}
+	// A misspelt field is a startup error that names it, not a stream
+	// silently running at the default.
+	_, err = parseStreams(`{"a": {"stat": "fk", "p": 0.05, "epsilon": 0.05}}`)
+	if err == nil || !strings.Contains(err.Error(), "-streams") || !strings.Contains(err.Error(), `"epsilon"`) {
+		t.Fatalf("misspelt field: err %v, want a -streams error naming \"epsilon\"", err)
+	}
 }
 
 func TestListEstimators(t *testing.T) {

@@ -150,15 +150,6 @@ func (e *FkEstimator) StdErrEstimate(l int) float64 {
 // SampledLength returns F₁(L), the number of observed elements.
 func (e *FkEstimator) SampledLength() uint64 { return e.nL }
 
-// K returns the configured moment order.
-func (e *FkEstimator) K() int { return e.k }
-
-// P returns the configured sampling probability.
-func (e *FkEstimator) P() float64 { return e.p }
-
-// Schedule exposes the per-order ε targets (Lemma 3), for diagnostics.
-func (e *FkEstimator) Schedule() []float64 { return e.schedule }
-
 // SpaceBytes returns the approximate memory footprint (the collision
 // counter dominates).
 func (e *FkEstimator) SpaceBytes() int { return e.collisions.SpaceBytes() + 64 }

@@ -246,11 +246,11 @@ func TestFkSampledLengthAndAccessors(t *testing.T) {
 	if e.SampledLength() != 100 {
 		t.Fatalf("SampledLength = %d", e.SampledLength())
 	}
-	if e.K() != 3 || e.P() != 0.5 {
-		t.Fatalf("accessors wrong: K=%d P=%v", e.K(), e.P())
+	if e.k != 3 || e.p != 0.5 {
+		t.Fatalf("configuration lost: k=%d p=%v", e.k, e.p)
 	}
-	if len(e.Schedule()) != 4 {
-		t.Fatalf("schedule length %d", len(e.Schedule()))
+	if len(e.schedule) != 4 {
+		t.Fatalf("schedule length %d", len(e.schedule))
 	}
 	if e.SpaceBytes() <= 0 {
 		t.Fatal("SpaceBytes not positive")

@@ -273,12 +273,6 @@ func (h *F2HeavyHitters) Report() []ReportedHitter {
 	return out
 }
 
-// MinF2 returns Theorem 7's premise: √F₂ ≥ C·p^(−3/2)·α⁻¹ε⁻²·log(n/δ)
-// (C taken as 1).
-func (h *F2HeavyHitters) MinF2(n uint64, delta float64) float64 {
-	return math.Log(float64(n)/delta) / (math.Pow(h.p, 1.5) * h.alpha * h.eps * h.eps)
-}
-
 // SpaceBytes returns the approximate memory footprint.
 func (h *F2HeavyHitters) SpaceBytes() int {
 	return h.cs.SpaceBytes() + h.tracker.SpaceBytes()

@@ -179,15 +179,6 @@ func TestF2HeavyHittersSpaceScalesWithInverseP(t *testing.T) {
 	}
 }
 
-func TestF2HeavyHittersMinF2Helper(t *testing.T) {
-	hh := NewF2HeavyHitters(F2HHConfig{P: 0.25, Alpha: 0.1}, rng.New(9))
-	got := hh.MinF2(1<<20, 0.05)
-	want := math.Log(float64(uint64(1)<<20)/0.05) / (math.Pow(0.25, 1.5) * 0.1 * 0.04)
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Fatalf("MinF2 = %v, want %v", got, want)
-	}
-}
-
 func TestF2HeavyHittersPanics(t *testing.T) {
 	cases := []F2HHConfig{
 		{P: 0, Alpha: 0.1},

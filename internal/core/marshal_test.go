@@ -37,7 +37,7 @@ func TestFkEstimatorMarshalRoundTrip(t *testing.T) {
 			if back.Estimate() != e.Estimate() {
 				t.Fatalf("estimate %v after round trip, want %v", back.Estimate(), e.Estimate())
 			}
-			if back.SampledLength() != e.SampledLength() || back.K() != e.K() || back.P() != e.P() {
+			if back.SampledLength() != e.SampledLength() || back.k != e.k || back.p != e.p {
 				t.Fatal("metadata lost in round trip")
 			}
 			// Shipping must preserve mergeability with same-seed replicas.

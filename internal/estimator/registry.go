@@ -124,12 +124,13 @@ func Stats() []string {
 	return out
 }
 
-// withDefaults fills unset numeric fields with the library-wide
-// defaults. Applying them here, inside New, guarantees every entry path
-// — daemon config, CLI, direct library use — builds structurally
-// identical (and therefore mergeable) estimators from equal logical
-// specs.
-func (s Spec) withDefaults() Spec {
+// WithDefaults fills unset numeric fields with the library-wide
+// defaults, the only place they are spelled. New applies them, which
+// guarantees every entry path — daemon config, CLI, direct library use —
+// builds structurally identical (and therefore mergeable) estimators from
+// equal logical specs; the daemon also applies them up front, so the
+// config it validates, compares and reports is the one it builds from.
+func (s Spec) WithDefaults() Spec {
 	if s.K == 0 {
 		s.K = 2
 	}
@@ -161,7 +162,7 @@ func New(spec Spec) (Estimator, error) {
 			"estimator: %w: %q only rides inside other payloads and cannot back a stream (constructible kinds: %s)",
 			ErrDecodeOnly, spec.Stat, strings.Join(Stats(), " | "))
 	}
-	return k.New(spec.withDefaults())
+	return k.New(spec.WithDefaults())
 }
 
 // Decode reconstructs whichever registered estimator the payload's tag

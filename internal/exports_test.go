@@ -4,7 +4,10 @@
 package internal_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -16,16 +19,19 @@ import (
 	"testing"
 )
 
-// allowlist names the exports that only tests reach and that stay anyway
-// (test seams such as ManualClock.Advance, reference constructors). It
-// may only shrink: the test fails on a dead export that is not listed
-// AND on a listed name that is no longer dead, so the file cannot hide a
-// new one behind a stale line.
+// allowlist names the exports that only tests reach and that stay anyway,
+// each under the ROADMAP item that will call it or under the accessor
+// heading. It may only shrink: the test fails on a dead export that is
+// not listed AND on a listed name that is no longer dead, so the file
+// cannot hide a new one behind a stale line.
 const allowlist = "testdata/dead_exports.txt"
+
+// modulePath is the module line of ../go.mod.
+const modulePath = "substream"
 
 // stdMethods are method names the standard library calls through its own
 // interfaces (fmt, errors, sort, io, encoding, net/http, container/heap),
-// which a name-level scan of this module cannot see.
+// which a scan of this module's identifiers cannot see.
 var stdMethods = map[string]bool{
 	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
@@ -34,83 +40,139 @@ var stdMethods = map[string]bool{
 	"MarshalBinary": true, "UnmarshalBinary": true,
 }
 
-// TestNoDeadExports is a name-level scan, not a type check: an exported
-// func, method, type, var or const declared under internal/ counts as
-// used when its bare name occurs anywhere in a non-test file other than
-// as the name being declared. That under-reports (two types sharing a
-// method name vouch for each other) and never over-reports.
-func TestNoDeadExports(t *testing.T) {
-	fset := token.NewFileSet()
-	used := map[string]bool{}
-	declared := map[string]string{} // "internal/pkg.Recv.Name" → bare name
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+// moduleImporter type-checks the module's own packages from their
+// non-test files, recursively and once each, and hands every other import
+// path to the standard library's source importer.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	info *types.Info               // shared: every package's uses land in one table
+	pkgs map[string]*types.Package // by directory relative to the module root
+	ifcs map[string]bool           // method names of the interfaces the module declares
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, modulePath+"/")
+	if !ok {
+		return m.std.Import(path)
+	}
+	return m.load(rel)
+}
+
+// load type-checks the non-test files of the module directory rel; it
+// returns nil for a directory that has none.
+func (m *moduleImporter) load(rel string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[rel]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join("..", filepath.FromSlash(rel))
+	bp, err := build.ImportDir(dir, 0) // GoFiles: no tests, build constraints applied
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) || err == nil && len(bp.GoFiles) == 0 {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		file, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if d.IsDir() {
-			if name := d.Name(); name != ".." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "../")))
-		declaring := map[*ast.Ident]bool{}
-		declare := func(id *ast.Ident, recv string) {
-			declaring[id] = true
-			if strings.HasPrefix(pkg, "internal/") && id.IsExported() && !(recv != "" && stdMethods[id.Name]) {
-				declared[pkg+"."+recv+id.Name] = id.Name
-			}
-		}
-		for _, decl := range file.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if decl.Recv != nil {
-					// *T and T[P] down to the receiver's type name.
-					recv, _, _ = strings.Cut(strings.TrimPrefix(types.ExprString(decl.Recv.List[0].Type), "*"), "[")
-					if !ast.IsExported(recv) {
-						declaring[decl.Name] = true // unreachable from outside whatever its name
-						continue
-					}
-					recv += "."
-				}
-				declare(decl.Name, recv)
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						declare(spec.Name, "")
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							declare(id, "")
-						}
-					}
-				}
-			}
-		}
+		files = append(files, file)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(modulePath+"/"+rel, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[rel] = pkg
+	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
-				used[id.Name] = true
+			if lit, ok := n.(*ast.InterfaceType); ok {
+				if ifc, ok := m.info.TypeOf(lit).(*types.Interface); ok {
+					for i := range ifc.NumMethods() { // embedded ones included
+						m.ifcs[ifc.Method(i).Name()] = true
+					}
+				}
 			}
 			return true
 		})
-		return nil
+	}
+	return pkg, nil
+}
+
+// TestNoDeadExports type-checks every non-test package of the module and
+// calls an exported func, type, var, const or method declared under
+// internal/ used when some non-test file refers to that object — not to
+// another object of the same name, so CountMin.N does not vouch for
+// VarOpt.N. A method is also used when an interface declared in the
+// module, or stdMethods, has a method of its name: that is a call the
+// identifier table cannot attribute to one implementation.
+func TestNoDeadExports(t *testing.T) {
+	// The source importer would otherwise run cgo over net and os/user.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		pkgs: map[string]*types.Package{},
+		ifcs: map[string]bool{},
+	}
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); name != ".." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel("..", path)
+		if err == nil {
+			_, err = m.load(filepath.ToSlash(rel))
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	used := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		switch o := obj.(type) { // a use of an instantiated generic is a use of its declaration
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
 	var dead []string
-	for full, name := range declared {
-		if !used[name] {
-			dead = append(dead, full)
+	for rel, pkg := range m.pkgs {
+		if !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue // and so are its methods: unreachable from outside whatever their names
+			}
+			if !used[obj] {
+				dead = append(dead, rel+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := range named.NumMethods() {
+				if fn := named.Method(i); fn.Exported() && !used[fn] && !m.ifcs[fn.Name()] && !stdMethods[fn.Name()] {
+					dead = append(dead, rel+"."+name+"."+fn.Name())
+				}
+			}
 		}
 	}
 	slices.Sort(dead)

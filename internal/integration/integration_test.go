@@ -187,28 +187,6 @@ func TestLemma2CollisionExpectation(t *testing.T) {
 	}
 }
 
-func TestSampleFreqShortcutMatchesStreaming(t *testing.T) {
-	// The Bin(f, p) shortcut and the streaming sampler must produce
-	// statistically indistinguishable collision counts (same mean).
-	wl := workload.Zipf(20000, 300, 1.1, 14)
-	f := stream.NewFreq(wl.Stream)
-	const p, trials = 0.25, 300
-	b := sample.NewBernoulli(p)
-	r1, r2 := rng.New(15), rng.New(16)
-	var viaStream, viaFreq float64
-	for tr := 0; tr < trials; tr++ {
-		L := b.Apply(wl.Stream, r1.Split())
-		viaStream += stream.NewFreq(L).Collisions(2)
-		g := b.SampleFreq(f, r2.Split())
-		viaFreq += g.Collisions(2)
-	}
-	viaStream /= trials
-	viaFreq /= trials
-	if math.Abs(viaStream-viaFreq)/viaStream > 0.05 {
-		t.Fatalf("shortcut disagrees: streaming %v vs Bin-shortcut %v", viaStream, viaFreq)
-	}
-}
-
 func TestStreamCodecFeedsEstimators(t *testing.T) {
 	// Serialize a workload with the text codec, read it back, and verify
 	// the estimators see the identical stream.

@@ -36,9 +36,6 @@ func (c *ExactCounter) EstimateCollisions(l int) float64 {
 	return total
 }
 
-// N returns the number of observed elements (F1 of L).
-func (c *ExactCounter) N() uint64 { return c.counts.N() }
-
 // SpaceBytes returns the memory footprint of the frequency vector.
 func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 

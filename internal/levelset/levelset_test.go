@@ -29,8 +29,8 @@ func TestExactCounter(t *testing.T) {
 	for _, it := range (stream.Slice{1, 1, 1, 2, 2, 3}) {
 		c.Observe(it)
 	}
-	if c.N() != 6 {
-		t.Fatalf("N = %d", c.N())
+	if c.counts.N() != 6 {
+		t.Fatalf("N = %d", c.counts.N())
 	}
 	if got := c.EstimateCollisions(2); got != 3+1 {
 		t.Fatalf("C2 = %v, want 4", got)

@@ -32,7 +32,7 @@ func TestExactCounterMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != c.N() {
+	if back.counts.N() != c.counts.N() {
 		t.Fatal("N lost in round trip")
 	}
 	for l := 2; l <= 4; l++ {

@@ -40,8 +40,8 @@ func TestExactCounterMerge(t *testing.T) {
 			t.Fatalf("C_%d: single %.0f vs merged %.0f", l, s, m)
 		}
 	}
-	if single.N() != merged.N() {
-		t.Fatalf("N %d vs %d", single.N(), merged.N())
+	if single.counts.N() != merged.counts.N() {
+		t.Fatalf("N %d vs %d", single.counts.N(), merged.counts.N())
 	}
 }
 

@@ -69,10 +69,3 @@ func (h *Histogram) Count() uint64 {
 	defer h.mu.Unlock()
 	return h.q.N()
 }
-
-// Quantile returns the current estimate for one target φ.
-func (h *Histogram) Quantile(phi float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.q.Query(phi)
-}

@@ -221,18 +221,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return v.fam.counterSeries([]Label{{Key: v.key, Value: value}})
 }
 
-// Total sums every series of the family — the backward-compatible
-// "flat" reading of a cause-labeled error counter.
-func (v *CounterVec) Total() uint64 {
-	v.fam.mu.RLock()
-	defer v.fam.mu.RUnlock()
-	var n uint64
-	for _, s := range v.fam.series {
-		n += s.c.Value()
-	}
-	return n
-}
-
 // snapshotSeries returns the family's static series sorted by label key
 // for deterministic exposition.
 func (f *family) snapshotSeries() []*series {

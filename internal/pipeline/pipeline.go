@@ -658,11 +658,6 @@ func (p *Pipeline[E]) Kept() uint64 {
 	return total
 }
 
-// FedWeight returns the total weight ingested by the producer so far;
-// unweighted items count at weight 1, so on an unweighted stream it
-// equals float64(Fed()).
-func (p *Pipeline[E]) FedWeight() float64 { return p.fedW }
-
 // KeptWeight returns the total weight that reached the estimators, the
 // weight analogue of Kept, with the same trailing-while-feeding caveat.
 func (p *Pipeline[E]) KeptWeight() float64 {
@@ -689,7 +684,8 @@ type Stats struct {
 	Batches uint64
 
 	// FedWeight and KeptWeight are the weight analogues of Fed and Kept;
-	// unweighted items count at weight 1.
+	// unweighted items count at weight 1, so on an unweighted stream
+	// FedWeight equals float64(Fed).
 	FedWeight  float64
 	KeptWeight float64
 
@@ -725,9 +721,6 @@ func (p *Pipeline[E]) Stats() Stats {
 	}
 	return s
 }
-
-// NumShards returns the shard count.
-func (p *Pipeline[E]) NumShards() int { return len(p.rings) }
 
 // MergeAll closes the pipeline and folds every shard replica into the
 // first via the type's own Merge method.

@@ -181,8 +181,8 @@ func TestInShardSampling(t *testing.T) {
 
 func TestDefaultsAndCloseIdempotent(t *testing.T) {
 	p := New(Config{}, func(int) *countReplica { return &countReplica{} })
-	if p.NumShards() < 1 {
-		t.Fatalf("NumShards = %d", p.NumShards())
+	if n := p.Stats().Shards; n < 1 {
+		t.Fatalf("default shard count = %d", n)
 	}
 	p.FeedCopy(stream.Slice{1})
 	first := p.Close()

@@ -106,7 +106,7 @@ func TestWeightedFeedsDeliverAllWeight(t *testing.T) {
 		if p.Fed() != uint64(len(s)) {
 			t.Errorf("%s: Fed=%d, want %d", name, p.Fed(), len(s))
 		}
-		if got := p.FedWeight(); math.Abs(got-want) > 1e-6*want {
+		if got := p.Stats().FedWeight; math.Abs(got-want) > 1e-6*want {
 			t.Errorf("%s: FedWeight=%v, want %v", name, got, want)
 		}
 		if got := p.KeptWeight(); math.Abs(got-want) > 1e-6*want {
@@ -192,7 +192,7 @@ func TestWeightedInterleavingPreservesOrderAndCounts(t *testing.T) {
 		t.Fatalf("replicas saw weight %v, want %v", weight, wantWeight)
 	}
 	st := p.Stats()
-	if st.FedWeight != p.FedWeight() || math.Abs(st.KeptWeight-wantWeight) > 1e-9*wantWeight {
+	if st.FedWeight != wantWeight || math.Abs(st.KeptWeight-wantWeight) > 1e-9*wantWeight {
 		t.Fatalf("Stats weight snapshot %+v inconsistent (want %v)", st, wantWeight)
 	}
 }

@@ -3,8 +3,7 @@ package rng
 import "math"
 
 // This file provides the distribution samplers used by the workload
-// generators (Zipf, Pareto) and by the fast stream-simulation paths
-// (Binomial, Geometric).
+// generators (Zipf, Pareto).
 
 // Discrete samples from an arbitrary finite distribution in O(1) per draw
 // using Walker's alias method. Construction is O(n).
@@ -117,65 +116,4 @@ func (z *Zipf) Draw(r *Xoshiro256) uint64 {
 // tail P(X > x) = (xm/x)^α. Used for heavy-tailed flow sizes.
 func Pareto(r *Xoshiro256, xm, alpha float64) float64 {
 	return xm / math.Pow(r.Float64Open(), 1/alpha)
-}
-
-// Geometric returns the number of Bernoulli(p) trials up to and including
-// the first success, i.e. a value in {1, 2, …} with P(X = k) = (1−p)^(k−1)p.
-// It panics unless 0 < p ≤ 1.
-func Geometric(r *Xoshiro256, p float64) uint64 {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := r.Float64Open()
-	return uint64(math.Floor(math.Log(u)/math.Log1p(-p))) + 1
-}
-
-// Binomial returns a Bin(n, p) variate. For small expected counts it uses
-// exact geometric skipping (O(np+1) expected time); for large n·p and
-// n·(1−p) it uses the normal approximation with continuity correction,
-// which is indistinguishable from exact at the scales the simulators use
-// and is clamped to the valid range [0, n]. Exactness matters only for
-// the fast-simulation shortcut — the streaming paths draw per-element
-// Bernoulli decisions directly.
-func Binomial(r *Xoshiro256, n uint64, p float64) uint64 {
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Symmetry: sample the rarer outcome.
-	if p > 0.5 {
-		return n - Binomial(r, n, 1-p)
-	}
-	mean := float64(n) * p
-	if mean <= 512 {
-		return binomialSkip(r, n, p)
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	v := math.Round(mean + sd*r.NormFloat64())
-	if v < 0 {
-		return 0
-	}
-	if v > float64(n) {
-		return n
-	}
-	return uint64(v)
-}
-
-// binomialSkip counts successes among n Bernoulli(p) trials by drawing the
-// geometric gaps between successes, in O(np+1) expected time.
-func binomialSkip(r *Xoshiro256, n uint64, p float64) uint64 {
-	var count, pos uint64
-	for {
-		gap := Geometric(r, p)
-		pos += gap
-		if pos > n {
-			return count
-		}
-		count++
-	}
 }

@@ -189,129 +189,12 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(8)
-	for _, p := range []float64{0.5, 0.1, 0.01} {
-		const n = 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			v := Geometric(r, p)
-			if v < 1 {
-				t.Fatalf("Geometric(%v) returned %d < 1", p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / n
-		want := 1 / p
-		if math.Abs(mean-want)/want > 0.05 {
-			t.Fatalf("Geometric(%v) mean %v, want %v", p, mean, want)
-		}
-	}
-}
-
-func TestGeometricPOne(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 100; i++ {
-		if Geometric(r, 1) != 1 {
-			t.Fatal("Geometric(1) != 1")
-		}
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Geometric(p=%v) did not panic", p)
-				}
-			}()
-			Geometric(New(1), p)
-		}()
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(10)
-	if Binomial(r, 0, 0.5) != 0 {
-		t.Fatal("Bin(0, .5) != 0")
-	}
-	if Binomial(r, 100, 0) != 0 {
-		t.Fatal("Bin(100, 0) != 0")
-	}
-	if Binomial(r, 100, 1) != 100 {
-		t.Fatal("Bin(100, 1) != 100")
-	}
-	if v := Binomial(r, 100, -0.5); v != 0 {
-		t.Fatalf("Bin(100, -0.5) = %d, want 0", v)
-	}
-	if v := Binomial(r, 100, 1.5); v != 100 {
-		t.Fatalf("Bin(100, 1.5) = %d, want 100", v)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	r := New(11)
-	cases := []struct {
-		n uint64
-		p float64
-	}{
-		{100, 0.3},       // skip path
-		{10000, 0.5},     // symmetric + skip via 1-p
-		{1 << 20, 0.001}, // skip path, large n
-		{1 << 20, 0.25},  // normal-approximation path
-	}
-	for _, c := range cases {
-		const trials = 3000
-		var sum, sumsq float64
-		for i := 0; i < trials; i++ {
-			v := float64(Binomial(r, c.n, c.p))
-			if v < 0 || v > float64(c.n) {
-				t.Fatalf("Bin(%d,%v) out of range: %v", c.n, c.p, v)
-			}
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / trials
-		variance := sumsq/trials - mean*mean
-		wantMean := float64(c.n) * c.p
-		wantVar := wantMean * (1 - c.p)
-		seMean := math.Sqrt(wantVar / trials)
-		if math.Abs(mean-wantMean) > 6*seMean+1 {
-			t.Fatalf("Bin(%d,%v) mean %v, want %v", c.n, c.p, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar)/wantVar > 0.2 {
-			t.Fatalf("Bin(%d,%v) variance %v, want %v", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-func TestBinomialRangeProperty(t *testing.T) {
-	f := func(seed uint64, n uint16, pRaw uint8) bool {
-		p := float64(pRaw) / 255
-		v := Binomial(New(seed), uint64(n), p)
-		return v <= uint64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkZipfDraw(b *testing.B) {
 	z := NewZipf(1<<16, 1.1)
 	r := New(1)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += z.Draw(r)
-	}
-	_ = sink
-}
-
-func BenchmarkBinomialSkip(b *testing.B) {
-	r := New(1)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += Binomial(r, 1000, 0.01)
 	}
 	_ = sink
 }

@@ -6,8 +6,7 @@ import "math/bits"
 //
 // CountMin needs pairwise-independent row hashes; CountSketch needs
 // pairwise-independent bucket hashes plus 4-wise-independent sign hashes;
-// the AMS tug-of-war sketch needs 4-wise-independent signs; the level-set
-// estimator needs a pairwise-independent map to (0,1] for geometric
+// the level-set estimator needs a pairwise-independent hash for geometric
 // universe sampling. All are degree-(k−1) polynomials over the Mersenne
 // prime field GF(2^61−1), exactly k-wise independent, flattened into the
 // Hash2 (k = 2) and Hash4 (k = 4) kernels; the general-k Horner form they
@@ -96,23 +95,6 @@ func NewHash2(r *Xoshiro256) Hash2 {
 	return Hash2{A: a, B: b}
 }
 
-// Hash2FromCoefficients rebuilds a kernel from serialized polynomial
-// coefficients, low degree first. It panics on a wrong count or a
-// coefficient outside the field — decoders validate before calling.
-func Hash2FromCoefficients(coef []uint64) Hash2 {
-	if len(coef) != 2 {
-		panic("rng: Hash2 requires exactly 2 coefficients")
-	}
-	if coef[0] >= mersenne61 || coef[1] >= mersenne61 {
-		panic("rng: coefficient outside GF(2^61-1)")
-	}
-	return Hash2{A: coef[1], B: coef[0]}
-}
-
-// Coefficients returns the polynomial coefficients low degree first, the
-// serialized form shared with PolyHash.
-func (h Hash2) Coefficients() []uint64 { return []uint64{h.B, h.A} }
-
 // Hash evaluates the kernel at x, reducing x into the field first.
 func (h Hash2) Hash(x uint64) uint64 { return h.Eval(Mod61(x)) }
 
@@ -121,12 +103,6 @@ func (h Hash2) Hash(x uint64) uint64 { return h.Eval(Mod61(x)) }
 // per-row work.
 func (h Hash2) Eval(x uint64) uint64 {
 	return addmod61(mulmod61(h.A, x), h.B)
-}
-
-// Unit maps x to a value in (0, 1], pairwise independently, like
-// PolyHash.Unit.
-func (h Hash2) Unit(x uint64) float64 {
-	return (float64(h.Hash(x)) + 1) / float64(mersenne61)
 }
 
 // EvalLanes4 evaluates the kernel at four already-reduced inputs,
@@ -166,7 +142,7 @@ func foldmul61(hi, lo uint64) uint64 {
 }
 
 // Hash4 is the specialized degree-3 polynomial kernel — the 4-wise
-// independent sign hash of CountSketch and AMS — with the Horner loop
+// independent sign hash of CountSketch — with the Horner loop
 // fully unrolled over four plain words. Bit-identical to
 // NewPolyHash(4, r).Hash for the same draws.
 type Hash4 struct {
@@ -183,24 +159,6 @@ func NewHash4(r *Xoshiro256) Hash4 {
 	h.C3 = r.Uint64n(mersenne61)
 	return h
 }
-
-// Hash4FromCoefficients rebuilds a kernel from serialized polynomial
-// coefficients, low degree first. It panics on a wrong count or a
-// coefficient outside the field.
-func Hash4FromCoefficients(coef []uint64) Hash4 {
-	if len(coef) != 4 {
-		panic("rng: Hash4 requires exactly 4 coefficients")
-	}
-	for _, c := range coef {
-		if c >= mersenne61 {
-			panic("rng: coefficient outside GF(2^61-1)")
-		}
-	}
-	return Hash4{C0: coef[0], C1: coef[1], C2: coef[2], C3: coef[3]}
-}
-
-// Coefficients returns the polynomial coefficients low degree first.
-func (h Hash4) Coefficients() []uint64 { return []uint64{h.C0, h.C1, h.C2, h.C3} }
 
 // Hash evaluates the kernel at x, reducing x into the field first.
 func (h Hash4) Hash(x uint64) uint64 { return h.Eval(Mod61(x)) }
@@ -237,13 +195,6 @@ func (h Hash4) EvalLanes4(x0, x1, x2, x3 uint64) (r0, r1, r2, r3 uint64) {
 	return a0, a1, a2, a3
 }
 
-// HashLanes4 evaluates the kernel at four arbitrary 64-bit inputs,
-// folding the Mod61 reduction in — bit-identical to four Hash calls.
-func (h Hash4) HashLanes4(x0, x1, x2, x3 uint64) (r0, r1, r2, r3 uint64) {
-	x0, x1, x2, x3 = Mod61Lanes4(x0, x1, x2, x3)
-	return h.EvalLanes4(x0, x1, x2, x3)
-}
-
 // Range maps 61-bit field hashes to [0, n) with Lemire's multiply-shift
 // reduction (fastrange): bucket = floor(h·n / 2^61), one widening
 // multiply and two shifts instead of a hardware divide. Requires
@@ -261,9 +212,6 @@ func NewRange(n uint64) Range {
 	}
 	return Range{n: n}
 }
-
-// N returns the bucket count.
-func (r Range) N() uint64 { return r.n }
 
 // Bucket maps a field hash h < 2^61 to [0, n).
 func (r Range) Bucket(h uint64) uint64 {

@@ -9,35 +9,18 @@ package rng
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
 // splitmix64Next advances a SplitMix64 state and returns the next output.
-// SplitMix64 is used both as a tiny standalone PRNG and to expand a single
-// 64-bit seed into the larger state vectors of other generators.
+// SplitMix64 expands a single 64-bit seed into the 256-bit state vector
+// of Xoshiro256.
 func splitmix64Next(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// SplitMix64 is a tiny, fast, seedable PRNG with a 64-bit state.
-// It passes BigCrush and is the standard seed-expansion generator.
-type SplitMix64 struct {
-	state uint64
-}
-
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
-// Uint64 returns the next pseudo-random 64-bit value.
-func (s *SplitMix64) Uint64() uint64 {
-	return splitmix64Next(&s.state)
 }
 
 // Xoshiro256 implements the xoshiro256** generator of Blackman and Vigna:
@@ -123,11 +106,6 @@ func (x *Xoshiro256) Intn(n int) int {
 	return int(x.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform value in [0, 2^63).
-func (x *Xoshiro256) Int63() int64 {
-	return int64(x.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n == 0 {
@@ -148,47 +126,6 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 
 // Bool returns true with probability 1/2.
 func (x *Xoshiro256) Bool() bool { return x.Uint64()&1 == 1 }
-
-// Bernoulli returns true with probability p. Values of p outside [0,1]
-// are clamped.
-func (x *Xoshiro256) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return x.Float64() < p
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (x *Xoshiro256) NormFloat64() float64 {
-	for {
-		u := 2*x.Float64() - 1
-		v := 2*x.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (x *Xoshiro256) ExpFloat64() float64 {
-	return -math.Log(x.Float64Open())
-}
-
-// Perm returns a uniform random permutation of [0, n) as a slice.
-func (x *Xoshiro256) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := x.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
 
 // Shuffle permutes the first n elements using the provided swap function,
 // via the Fisher–Yates algorithm.

@@ -15,9 +15,9 @@ func TestSplitMix64KnownValues(t *testing.T) {
 		0xf88bb8a8724c81ec,
 		0x1b39896a51a8749b,
 	}
-	s := NewSplitMix64(0)
+	var state uint64
 	for i, w := range want {
-		if got := s.Uint64(); got != w {
+		if got := splitmix64Next(&state); got != w {
 			t.Fatalf("output %d: got %#x, want %#x", i, got, w)
 		}
 	}
@@ -128,109 +128,6 @@ func TestUint64nUniform(t *testing.T) {
 	// 7 degrees of freedom; 99.99% quantile ≈ 29. Use 40 for slack.
 	if chi2 > 40 {
 		t.Fatalf("Uint64n uniformity chi2 = %v (counts %v)", chi2, counts)
-	}
-}
-
-func TestBernoulliRate(t *testing.T) {
-	x := New(9)
-	for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
-		const n = 400000
-		hits := 0
-		for i := 0; i < n; i++ {
-			if x.Bernoulli(p) {
-				hits++
-			}
-		}
-		got := float64(hits) / n
-		tol := 6 * math.Sqrt(p*(1-p)/n)
-		if math.Abs(got-p) > tol {
-			t.Fatalf("Bernoulli(%v) rate = %v, tolerance %v", p, got, tol)
-		}
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	x := New(1)
-	for i := 0; i < 100; i++ {
-		if x.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !x.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-		if x.Bernoulli(-0.5) {
-			t.Fatal("Bernoulli(-0.5) returned true")
-		}
-		if !x.Bernoulli(1.5) {
-			t.Fatal("Bernoulli(1.5) returned false")
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	x := New(13)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := x.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ≈ 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ≈ 1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	x := New(17)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := x.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ≈ 1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	x := New(19)
-	for _, n := range []int{0, 1, 2, 10, 1000} {
-		p := x.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	x := New(23)
-	const n, trials = 5, 100000
-	var counts [n]int
-	for i := 0; i < trials; i++ {
-		counts[x.Perm(n)[0]]++
-	}
-	expected := float64(trials) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-expected) > 6*math.Sqrt(expected) {
-			t.Fatalf("Perm first-element bias at %d: %v", i, counts)
-		}
 	}
 }
 

@@ -2,10 +2,9 @@
 // paper's model (§1.1, "randomly sampled NetFlow"): each element of the
 // original stream P survives into the sampled stream L independently with
 // probability p. The package also implements the related-work samplers
-// the paper surveys (§1.3) — reservoir, weighted reservoir,
-// sample-and-hold, priority sampling, deterministic 1-in-N — so the
-// experiment harness can contrast Bernoulli sampling with the schemes it
-// is most often compared against.
+// experiments E11/E12 contrast it with (§1.3) — deterministic 1-in-N,
+// sample-and-hold, phase-adaptive Bernoulli — and VarOpt-k, the daemon's
+// weighted summary.
 package sample
 
 import (
@@ -58,21 +57,6 @@ func (b Bernoulli) Pipe(s stream.Stream, r *rng.Xoshiro256, sink func(stream.Ite
 		}
 		return nil
 	})
-}
-
-// SampleFreq draws the sampled frequency vector g directly from the exact
-// frequency vector f, using g_i ~ Bin(f_i, p) — the distributional
-// shortcut of §2 (the per-item counts are independent binomials). It is
-// orders of magnitude faster than streaming when only g matters, and is
-// cross-validated against Apply in the tests.
-func (b Bernoulli) SampleFreq(f stream.Freq, r *rng.Xoshiro256) stream.Freq {
-	g := make(stream.Freq, len(f))
-	for it, c := range f {
-		if s := rng.Binomial(r, c, b.P); s > 0 {
-			g[it] = s
-		}
-	}
-	return g
 }
 
 // ExpectedLen returns the expected length of L for an original stream of

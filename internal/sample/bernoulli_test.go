@@ -93,44 +93,6 @@ func TestBernoulliPipeMatchesApply(t *testing.T) {
 	}
 }
 
-func TestSampleFreqMatchesApplyDistribution(t *testing.T) {
-	// g from SampleFreq and g from streaming Apply must agree in mean and
-	// spread for a fixed item.
-	var s stream.Slice
-	for i := 0; i < 1000; i++ {
-		s = append(s, 7)
-	}
-	f := stream.NewFreq(s)
-	b := NewBernoulli(0.2)
-	const trials = 2000
-	var sumA, sumF float64
-	rA, rF := rng.New(5), rng.New(6)
-	for i := 0; i < trials; i++ {
-		sumA += float64(len(b.Apply(s, rA.Split())))
-		sumF += float64(b.SampleFreq(f, rF.Split())[7])
-	}
-	meanA, meanF := sumA/trials, sumF/trials
-	want := 200.0
-	se := math.Sqrt(1000 * 0.2 * 0.8 / trials)
-	if math.Abs(meanA-want) > 6*se {
-		t.Fatalf("Apply mean %v, want %v", meanA, want)
-	}
-	if math.Abs(meanF-want) > 6*se {
-		t.Fatalf("SampleFreq mean %v, want %v", meanF, want)
-	}
-}
-
-func TestSampleFreqOmitsZeroCounts(t *testing.T) {
-	f := stream.Freq{1: 1, 2: 1, 3: 1}
-	b := NewBernoulli(0.5)
-	g := b.SampleFreq(f, rng.New(9))
-	for it, c := range g {
-		if c == 0 {
-			t.Fatalf("item %d stored with zero count", it)
-		}
-	}
-}
-
 func TestExpectedLen(t *testing.T) {
 	if got := NewBernoulli(0.25).ExpectedLen(1000); got != 250 {
 		t.Fatalf("ExpectedLen = %v, want 250", got)

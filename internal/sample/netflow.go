@@ -1,16 +1,13 @@
 package sample
 
 import (
-	"container/heap"
-
 	"substream/internal/rng"
 	"substream/internal/stream"
 )
 
 // This file implements the NetFlow-adjacent samplers from the related
-// work: deterministic 1-in-N sampling, sample-and-hold (Estan–Varghese),
-// and priority sampling (Duffield–Lund–Thorup) with its unbiased
-// subset-sum estimator.
+// work: deterministic 1-in-N sampling and sample-and-hold
+// (Estan–Varghese), the comparison substrates of experiments E11/E12.
 
 // OneInN is deterministic systematic sampling: it keeps every N-th
 // element, the non-random variant of sampled NetFlow.
@@ -51,7 +48,6 @@ type SampleAndHold struct {
 	maxFlows int
 	counts   map[stream.Item]uint64
 	r        *rng.Xoshiro256
-	dropped  uint64
 }
 
 // NewSampleAndHold returns a sample-and-hold monitor with per-packet
@@ -75,7 +71,6 @@ func (sh *SampleAndHold) Observe(it stream.Item) {
 	}
 	if sh.r.Float64() < sh.p {
 		if sh.maxFlows > 0 && len(sh.counts) >= sh.maxFlows {
-			sh.dropped++
 			return
 		}
 		sh.counts[it] = 1
@@ -95,107 +90,4 @@ func (sh *SampleAndHold) EstimateFreq(it stream.Item) float64 {
 		return 0
 	}
 	return float64(c) + 1/sh.p - 1
-}
-
-// Dropped reports how many admissions were refused due to the table cap.
-func (sh *SampleAndHold) Dropped() uint64 { return sh.dropped }
-
-// PrioritySample implements priority sampling over a weighted stream:
-// item i with weight w_i gets priority q_i = w_i/u_i, u_i ~ U(0,1]; the k
-// highest-priority items are retained. Subset sums are estimated
-// unbiasedly with the threshold τ = (k+1)-th largest priority:
-// each retained item contributes max(w_i, τ).
-type PrioritySample struct {
-	k    int
-	heap psHeap // min-heap of the k+1 highest priorities
-	r    *rng.Xoshiro256
-}
-
-type psEntry struct {
-	item     stream.Item
-	weight   float64
-	priority float64
-}
-
-type psHeap []psEntry
-
-func (h psHeap) Len() int            { return len(h) }
-func (h psHeap) Less(i, j int) bool  { return h[i].priority < h[j].priority }
-func (h psHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *psHeap) Push(x interface{}) { *h = append(*h, x.(psEntry)) }
-func (h *psHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// NewPrioritySample returns a priority sampler retaining k items (it
-// internally tracks k+1 to know the threshold).
-func NewPrioritySample(k int, r *rng.Xoshiro256) *PrioritySample {
-	if k < 1 {
-		panic("sample: PrioritySample requires k >= 1")
-	}
-	return &PrioritySample{k: k, r: r}
-}
-
-// Observe feeds one item with a positive weight; non-positive weights are
-// ignored.
-func (ps *PrioritySample) Observe(it stream.Item, weight float64) {
-	if weight <= 0 {
-		return
-	}
-	pri := weight / ps.r.Float64Open()
-	if ps.heap.Len() < ps.k+1 {
-		heap.Push(&ps.heap, psEntry{item: it, weight: weight, priority: pri})
-		return
-	}
-	if pri > ps.heap[0].priority {
-		ps.heap[0] = psEntry{item: it, weight: weight, priority: pri}
-		heap.Fix(&ps.heap, 0)
-	}
-}
-
-// Weighted is one retained item with its Horvitz–Thompson adjusted weight
-// max(w, τ).
-type Weighted struct {
-	Item   stream.Item
-	Weight float64
-}
-
-// Estimates returns the k retained items with adjusted weights. Summing
-// Weight over any subset gives an unbiased estimate of that subset's true
-// weight. If no more than k items were observed, the exact weights are
-// returned.
-func (ps *PrioritySample) Estimates() []Weighted {
-	if ps.heap.Len() <= ps.k {
-		out := make([]Weighted, 0, ps.heap.Len())
-		for _, e := range ps.heap {
-			out = append(out, Weighted{Item: e.item, Weight: e.weight})
-		}
-		return out
-	}
-	tau := ps.heap[0].priority // (k+1)-th largest priority
-	out := make([]Weighted, 0, ps.k)
-	for i, e := range ps.heap {
-		if i == 0 {
-			continue // threshold entry is excluded from the sample
-		}
-		w := e.weight
-		if tau > w {
-			w = tau
-		}
-		out = append(out, Weighted{Item: e.item, Weight: w})
-	}
-	return out
-}
-
-// EstimateTotal returns the unbiased estimate of the total stream weight.
-func (ps *PrioritySample) EstimateTotal() float64 {
-	var total float64
-	for _, w := range ps.Estimates() {
-		total += w.Weight
-	}
-	return total
 }

@@ -90,12 +90,6 @@ func NewVarOpt(k int, r *rng.Xoshiro256) *VarOpt {
 	return &VarOpt{k: k, r: r}
 }
 
-// K returns the reservoir capacity.
-func (v *VarOpt) K() int { return v.k }
-
-// N returns the number of weighted items observed.
-func (v *VarOpt) N() uint64 { return v.n }
-
 // TotalWeight returns the exact total weight observed.
 func (v *VarOpt) TotalWeight() float64 { return v.totalW }
 
@@ -267,17 +261,6 @@ func (v *VarOpt) SubsetSum(pred func(stream.Item) bool) float64 {
 		}
 	}
 	return sum
-}
-
-// Sample returns the retained items with their adjusted weights, in no
-// particular order — the raw material for ad-hoc subset queries.
-func (v *VarOpt) Sample() []stream.WItem {
-	out := make([]stream.WItem, 0, v.SampleSize())
-	out = append(out, v.large...)
-	for _, key := range v.small {
-		out = append(out, stream.WItem{Key: key, Weight: v.tau})
-	}
-	return out
 }
 
 // Estimates reports the reservoir's named scalars: the observed item

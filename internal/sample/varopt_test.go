@@ -40,8 +40,11 @@ func exactSubset(s stream.WSlice, pred func(stream.Item) bool) float64 {
 // sampleSet returns the retained sample as a key->adjusted-weight map.
 func sampleSet(v *VarOpt) map[stream.Item]float64 {
 	out := make(map[stream.Item]float64, v.SampleSize())
-	for _, it := range v.Sample() {
+	for _, it := range v.large {
 		out[it.Key] += it.Weight
+	}
+	for _, key := range v.small {
+		out[key] += v.tau
 	}
 	return out
 }
@@ -87,8 +90,8 @@ func TestVarOptInvariants(t *testing.T) {
 		t.Fatalf("sample size %d after overflow, want k", v.SampleSize())
 	}
 	var adj float64
-	for _, it := range v.Sample() {
-		adj += it.Weight
+	for _, w := range sampleSet(v) {
+		adj += w
 	}
 	if math.Abs(adj-v.TotalWeight()) > 1e-6*v.TotalWeight() {
 		t.Fatalf("adjusted weights sum to %v, total weight %v", adj, v.TotalWeight())
@@ -174,8 +177,8 @@ func TestVarOptMergeMatchesSequential(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if acc.N() != uint64(len(s)) {
-					t.Fatalf("merged n = %d, want %d", acc.N(), len(s))
+				if acc.n != uint64(len(s)) {
+					t.Fatalf("merged n = %d, want %d", acc.n, len(s))
 				}
 				est := acc.SubsetSum(pred)
 				sum += est
@@ -264,8 +267,8 @@ func TestVarOptIgnoresBadWeights(t *testing.T) {
 	for _, w := range []float64{0, -1, math.Inf(1), math.Inf(-1), math.NaN()} {
 		v.ObserveWeighted(7, w)
 	}
-	if v.N() != 0 || v.TotalWeight() != 0 || v.SampleSize() != 0 {
-		t.Fatalf("bad weights observed: n=%d total=%v size=%d", v.N(), v.TotalWeight(), v.SampleSize())
+	if v.n != 0 || v.TotalWeight() != 0 || v.SampleSize() != 0 {
+		t.Fatalf("bad weights observed: n=%d total=%v size=%d", v.n, v.TotalWeight(), v.SampleSize())
 	}
 }
 

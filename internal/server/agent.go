@@ -365,7 +365,7 @@ func (a *Agent) snapshotStreams() []*agentStream {
 func (a *Agent) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var cfg StreamConfig
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&cfg); err != nil {
+	if err := DecodeConfig(io.LimitReader(r.Body, 1<<20), &cfg); err != nil {
 		writeError(w, http.StatusBadRequest, "bad stream config: %v", err)
 		return
 	}

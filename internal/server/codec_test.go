@@ -121,7 +121,16 @@ func (f format) carried(s stream.WSlice) stream.WSlice {
 	if f.weighted {
 		return s
 	}
-	return stream.Lift(s.Keys())
+	return lift(s.Keys())
+}
+
+// lift is s as a weighted stream: every item at weight 1.
+func lift(s stream.Slice) stream.WSlice {
+	out := make(stream.WSlice, len(s))
+	for i, it := range s {
+		out[i] = liftKey(it)
+	}
+	return out
 }
 
 // collect decodes body, releasing every chunk as soon as it is read.
@@ -332,7 +341,7 @@ func TestDecodeTextStreamMatchesReadText(t *testing.T) {
 	}
 	check(plainLines, plain, func(r io.Reader) (stream.WSlice, error) {
 		s, err := stream.ReadText(r)
-		return stream.Lift(s), err
+		return lift(s), err
 	})
 	check(weightedLines, weighted, stream.ReadWeightedText)
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -98,23 +100,29 @@ type StreamConfig struct {
 	Epoch Duration `json:"epoch,omitempty"`
 }
 
-// withDefaults fills unset fields.
+// DecodeConfig decodes a stream declaration — the body of PUT
+// /v1/streams/{name} into a StreamConfig, a -streams document into a map
+// of them — and refuses a key no field has and anything after the JSON
+// value, /v1/collect's rule: a misspelt field ("epsilon" for "eps",
+// "presample" for "presampled") would otherwise silently run the stream
+// at the default. The error names the offending key.
+func DecodeConfig(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// withDefaults fills unset fields: the estimator's from the registry's
+// defaults, and the one default this package owns, the epoch length.
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.K == 0 {
-		c.K = 2
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.2
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.05
-	}
-	if c.Budget == 0 {
-		c.Budget = 4096
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	s := c.spec().WithDefaults()
+	c.K, c.Epsilon, c.Alpha, c.Budget, c.Seed = s.K, s.Epsilon, s.Alpha, s.Budget, s.Seed
 	if c.Window > 0 && c.Epoch == 0 {
 		c.Epoch = Duration(time.Minute)
 	}

@@ -356,7 +356,9 @@
 // POST /v1/streams/{name}/flush, POST /v1/flush (alias /flush);
 // collector: POST /v1/collect, GET /v1/streams,
 // GET /v1/streams/{name}/estimate, GET /v1/subsetsum, DELETE
-// /v1/streams/{name}.
+// /v1/streams/{name}. A stream declaration (the PUT body, a -streams
+// document) is decoded by DecodeConfig: an unknown key or trailing bytes
+// are refused, so a misspelt field cannot silently leave its default.
 package server
 
 // The daemon speaks whatever the estimator registry holds; linking

@@ -1,7 +1,14 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"substream/internal/estimator"
 )
@@ -81,5 +88,74 @@ func TestValidateAcceptsEveryRegisteredStat(t *testing.T) {
 	}
 	if err := (StreamConfig{Stat: "bogus", P: 0.5}.withDefaults()).validate(); err == nil {
 		t.Error("unregistered stat accepted")
+	}
+}
+
+// TestServerDefaultsAreTheRegistrys: the estimator defaults are spelled
+// once, in estimator.Spec.WithDefaults; the daemon's copy is a call to it.
+func TestServerDefaultsAreTheRegistrys(t *testing.T) {
+	var cfg StreamConfig
+	if got, want := cfg.withDefaults().spec(), cfg.spec().WithDefaults(); got != want {
+		t.Fatalf("server defaults %+v, registry defaults %+v", got, want)
+	}
+}
+
+// TestStreamConfigDecodeIsStrict drives both doors a stream declaration
+// comes in by — PUT /v1/streams/{name} and the -streams document, a map of
+// name → config — with the same bodies: a misspelt field or anything after
+// the JSON value is refused with the offending key in the message, and a
+// config with every field set (the shape json.Marshal(StreamConfig) sends)
+// is accepted unchanged.
+func TestStreamConfigDecodeIsStrict(t *testing.T) {
+	full := StreamConfig{
+		Stat: "fk", P: 0.5, K: 3, Epsilon: 0.1, Alpha: 0.1, Budget: 512, Exact: true, Seed: 7,
+		Shards: 1, Batch: 64, Presampled: true, SampleSeed: 9, Window: 2, Epoch: Duration(time.Second),
+	}
+	fullBody, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(fullBody, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if n := reflect.TypeOf(full).NumField(); len(keys) != n {
+		t.Fatalf("the every-field case sets %d of StreamConfig's %d fields: extend it", len(keys), n)
+	}
+
+	agent := NewAgent(AgentConfig{ID: "strict"})
+	defer agent.Close()
+	for i, tc := range []struct {
+		name, cfg, trailer string
+		wantErr            string // "" = accepted
+	}{
+		{"eps misspelt", `{"stat":"fk","p":0.05,"epsilon":0.05}`, "", "epsilon"},
+		{"presampled misspelt", `{"stat":"f0","p":0.05,"presample":true}`, "", "presample"},
+		{"trailing garbage", `{"stat":"f0","p":0.05}`, " x", "trailing"},
+		{"second value", `{"stat":"f0","p":0.05}`, `{"stat":"fk"}`, "trailing"},
+		{"every field", string(fullBody), "\n", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			agent.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut,
+				fmt.Sprintf("/v1/streams/s%d", i), strings.NewReader(tc.cfg+tc.trailer)))
+			var doc map[string]StreamConfig
+			docErr := DecodeConfig(strings.NewReader(`{"s": `+tc.cfg+`}`+tc.trailer), &doc)
+			if tc.wantErr == "" {
+				if rec.Code != http.StatusCreated {
+					t.Errorf("route: %d %s, want 201", rec.Code, rec.Body)
+				}
+				if docErr != nil || doc["s"] != full {
+					t.Errorf("-streams document: %+v, err %v", doc["s"], docErr)
+				}
+				return
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.wantErr) {
+				t.Errorf("route: %d %s, want 400 naming %s", rec.Code, rec.Body, tc.wantErr)
+			}
+			if docErr == nil || !strings.Contains(docErr.Error(), tc.wantErr) {
+				t.Errorf("-streams document: err %v, want one naming %s", docErr, tc.wantErr)
+			}
+		})
 	}
 }

@@ -81,20 +81,6 @@ func (cs *CountSketch) UpdateBatch(items []stream.Item) {
 	cs.n += uint64(len(items))
 }
 
-// UpdateBatch records one occurrence of every item in items,
-// counter-major so each sign kernel stays in registers across the
-// batch.
-func (a *AMS) UpdateBatch(items []stream.Item) {
-	for i := range a.counters {
-		sign := a.signs[i]
-		var acc int64
-		for _, it := range items {
-			acc += int64(sign.Eval(rng.Mod61(uint64(it)))&1)*2 - 1
-		}
-		a.counters[i] += acc
-	}
-}
-
 // UpdateBatch feeds every item in items through a hash-then-threshold
 // prefilter: once the heap is full, a hash at or above the current k-th
 // minimum can change nothing (admitHash would reject it, duplicate or

@@ -31,8 +31,8 @@ func TestUpdateBatchMatchesObserve(t *testing.T) {
 				t.Fatalf("CountMin estimates diverge for %d", probe)
 			}
 		}
-		if a.N() != b.N() {
-			t.Fatalf("N %d vs %d", a.N(), b.N())
+		if a.n != b.n {
+			t.Fatalf("N %d vs %d", a.n, b.n)
 		}
 	})
 
@@ -50,18 +50,6 @@ func TestUpdateBatchMatchesObserve(t *testing.T) {
 		}
 		if a.F2Estimate() != b.F2Estimate() {
 			t.Fatal("CountSketch F2 estimates diverge")
-		}
-	})
-
-	t.Run("ams", func(t *testing.T) {
-		a := NewAMS(5, 64, rng.New(4))
-		b := NewAMS(5, 64, rng.New(4))
-		for _, it := range items {
-			a.Observe(it)
-		}
-		b.UpdateBatch(items)
-		if a.F2Estimate() != b.F2Estimate() {
-			t.Fatal("AMS F2 estimates diverge")
 		}
 	})
 
@@ -123,7 +111,7 @@ func TestSpaceSavingMerge(t *testing.T) {
 		truth[it]++
 	}
 	n := truth.F1()
-	if got := a.N(); got != n {
+	if got := a.n; got != n {
 		t.Fatalf("merged N %d, want %d", got, n)
 	}
 

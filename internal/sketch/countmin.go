@@ -1,10 +1,10 @@
 // Package sketch implements the streaming summaries the paper's
 // estimators are built from: CountMin (Cormode–Muthukrishnan, used by
 // Theorem 6), CountSketch (Charikar–Chen–Farach-Colton, used by
-// Theorem 7), the AMS tug-of-war F₂ sketch, Misra–Gries frequent items,
-// KMV and stochastic-averaging distinct-count estimators (used by
-// Algorithm 2), a reservoir-position entropy estimator in the style of
-// Chakrabarti–Cormode–McGregor (used by Theorem 5), and a top-k tracker.
+// Theorem 7), Misra–Gries frequent items, KMV and stochastic-averaging
+// distinct-count estimators (used by Algorithm 2), a reservoir-position
+// entropy estimator in the style of Chakrabarti–Cormode–McGregor (used by
+// Theorem 5), and a top-k tracker.
 //
 // Every sketch is seeded explicitly from an rng.Xoshiro256 so experiments
 // are reproducible, and every sketch reports its approximate memory
@@ -127,15 +127,6 @@ func (cm *CountMin) Estimate(it stream.Item) uint64 {
 	}
 	return est
 }
-
-// N returns the total count added so far (F1 of the observed stream).
-func (cm *CountMin) N() uint64 { return cm.n }
-
-// Width and Depth expose the sketch dimensions.
-func (cm *CountMin) Width() int { return cm.width }
-
-// Depth returns the number of hash rows.
-func (cm *CountMin) Depth() int { return cm.depth }
 
 // SpaceBytes returns the approximate memory footprint of the sketch, used
 // by the experiment harness for space accounting.

@@ -42,7 +42,7 @@ func TestCountMinErrorBound(t *testing.T) {
 		cm.Observe(it)
 	}
 	f := stream.NewFreq(s)
-	bound := uint64(eps * float64(cm.N()))
+	bound := uint64(eps * float64(cm.n))
 	bad := 0
 	for it, c := range f {
 		if cm.Estimate(it)-c > bound {
@@ -61,7 +61,7 @@ func TestCountMinUnseenItemSmall(t *testing.T) {
 		cm.Observe(it)
 	}
 	// Items far outside the universe should estimate ≈ εN, not huge.
-	bound := uint64(float64(cm.N()) * 3 / 512)
+	bound := uint64(float64(cm.n) * 3 / 512)
 	for probe := stream.Item(1 << 40); probe < 1<<40+100; probe++ {
 		if est := cm.Estimate(probe); est > bound {
 			t.Fatalf("unseen item estimate %d > %d", est, bound)
@@ -76,18 +76,18 @@ func TestCountMinAddCounts(t *testing.T) {
 	if got := cm.Estimate(42); got < 1001 {
 		t.Fatalf("estimate %d < 1001", got)
 	}
-	if cm.N() != 1001 {
-		t.Fatalf("N = %d, want 1001", cm.N())
+	if cm.n != 1001 {
+		t.Fatalf("N = %d, want 1001", cm.n)
 	}
 }
 
 func TestCountMinWithErrorDimensions(t *testing.T) {
 	cm := NewCountMinWithError(0.01, 0.001, rng.New(8))
-	if cm.Width() < 271 { // e/0.01 ≈ 271.8
-		t.Fatalf("width %d too small", cm.Width())
+	if cm.width < 271 { // e/0.01 ≈ 271.8
+		t.Fatalf("width %d too small", cm.width)
 	}
-	if cm.Depth() < 6 { // ln(1000) ≈ 6.9
-		t.Fatalf("depth %d too small", cm.Depth())
+	if cm.depth < 6 { // ln(1000) ≈ 6.9
+		t.Fatalf("depth %d too small", cm.depth)
 	}
 	if cm.SpaceBytes() <= 0 {
 		t.Fatal("SpaceBytes not positive")

@@ -134,14 +134,8 @@ func (cs *CountSketch) F2Estimate() float64 {
 	return (sums[mid-1] + sums[mid]) / 2
 }
 
-// N returns the total positive count added.
-func (cs *CountSketch) N() uint64 { return cs.n }
-
 // Width returns the number of columns per row.
 func (cs *CountSketch) Width() int { return cs.width }
-
-// Depth returns the number of rows.
-func (cs *CountSketch) Depth() int { return cs.depth }
 
 // SpaceBytes returns the approximate memory footprint.
 func (cs *CountSketch) SpaceBytes() int {

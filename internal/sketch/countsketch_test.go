@@ -93,69 +93,10 @@ func TestCountSketchPanics(t *testing.T) {
 	}
 }
 
-func TestAMSF2Estimate(t *testing.T) {
-	s := zipfStream(50000, 500, 1.0, 7)
-	exact := stream.NewFreq(s).Fk(2)
-	ams := NewAMS(9, 64, rng.New(8))
-	for _, it := range s {
-		ams.Observe(it)
-	}
-	got := ams.F2Estimate()
-	// Relative error ~ sqrt(2/64) per group mean; median over 9 groups.
-	if math.Abs(got-exact)/exact > 0.3 {
-		t.Fatalf("AMS F2 %v, exact %v", got, exact)
-	}
-}
-
-func TestAMSUnbiasedAcrossSeeds(t *testing.T) {
-	s := zipfStream(5000, 100, 0.8, 9)
-	exact := stream.NewFreq(s).Fk(2)
-	const trials = 300
-	var sum float64
-	r := rng.New(10)
-	for tr := 0; tr < trials; tr++ {
-		ams := NewAMS(1, 8, r.Split())
-		for _, it := range s {
-			ams.Observe(it)
-		}
-		sum += ams.F2Estimate()
-	}
-	mean := sum / trials
-	if math.Abs(mean-exact)/exact > 0.15 {
-		t.Fatalf("AMS mean across seeds %v, exact %v", mean, exact)
-	}
-}
-
-func TestAMSWeightedAdd(t *testing.T) {
-	// Adding weight w must equal adding the item w times.
-	a := NewAMS(3, 16, rng.New(11))
-	b := NewAMS(3, 16, rng.New(11))
-	a.Add(5, 10)
-	for i := 0; i < 10; i++ {
-		b.Observe(5)
-	}
-	if got, want := a.F2Estimate(), b.F2Estimate(); got != want {
-		t.Fatalf("weighted add mismatch: %v vs %v", got, want)
-	}
-}
-
-func TestAMSPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewAMS(0,1) did not panic")
-		}
-	}()
-	NewAMS(0, 1, rng.New(1))
-}
-
 func TestSketchSpaceAccounting(t *testing.T) {
 	cs := NewCountSketch(100, 3, rng.New(1))
 	if cs.SpaceBytes() < 8*300 {
 		t.Fatalf("CountSketch SpaceBytes %d too small", cs.SpaceBytes())
-	}
-	ams := NewAMS(2, 5, rng.New(1))
-	if ams.SpaceBytes() < 8*10 {
-		t.Fatalf("AMS SpaceBytes %d too small", ams.SpaceBytes())
 	}
 }
 
@@ -163,12 +104,5 @@ func BenchmarkCountSketchObserve(b *testing.B) {
 	cs := NewCountSketch(1024, 5, rng.New(1))
 	for i := 0; i < b.N; i++ {
 		cs.Observe(stream.Item(i%1000 + 1))
-	}
-}
-
-func BenchmarkAMSObserve(b *testing.B) {
-	ams := NewAMS(5, 32, rng.New(1))
-	for i := 0; i < b.N; i++ {
-		ams.Observe(stream.Item(i%1000 + 1))
 	}
 }

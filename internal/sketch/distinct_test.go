@@ -76,8 +76,8 @@ func TestKMVUnbiasedAcrossSeeds(t *testing.T) {
 
 func TestKMVWithError(t *testing.T) {
 	kmv := NewKMVWithError(0.1, rng.New(5))
-	if kmv.K() < 400 {
-		t.Fatalf("KMV k=%d too small for eps=0.1", kmv.K())
+	if kmv.k < 400 {
+		t.Fatalf("KMV k=%d too small for eps=0.1", kmv.k)
 	}
 	if kmv.SpaceBytes() <= 0 {
 		t.Fatal("SpaceBytes not positive")

@@ -92,8 +92,5 @@ func (e *EntropyEstimator) Estimate() float64 {
 	return est
 }
 
-// N returns how many items have been observed.
-func (e *EntropyEstimator) N() uint64 { return e.n }
-
 // SpaceBytes returns the approximate memory footprint.
 func (e *EntropyEstimator) SpaceBytes() int { return 16 * len(e.items) }

@@ -95,8 +95,8 @@ func TestEntropyEstimatorSpaceConstant(t *testing.T) {
 	if e.SpaceBytes() != before {
 		t.Fatalf("entropy estimator space grew: %d → %d", before, e.SpaceBytes())
 	}
-	if e.N() != 100000 {
-		t.Fatalf("N = %d", e.N())
+	if e.n != 100000 {
+		t.Fatalf("N = %d", e.n)
 	}
 }
 

@@ -71,9 +71,6 @@ func (s *KMV) Estimate() float64 {
 	return float64(s.k-1) / vk
 }
 
-// K returns the sketch size parameter.
-func (s *KMV) K() int { return s.k }
-
 // SpaceBytes returns the approximate memory footprint.
 func (s *KMV) SpaceBytes() int { return 24 * s.k }
 

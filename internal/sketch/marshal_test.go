@@ -22,7 +22,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != cm.N() || back.Width() != cm.Width() || back.Depth() != cm.Depth() {
+	if back.n != cm.n || back.width != cm.width || back.depth != cm.depth {
 		t.Fatal("metadata lost in round trip")
 	}
 	for it := stream.Item(1); it <= 500; it++ {
@@ -146,7 +146,7 @@ func TestSpaceSavingMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != ss.N() || back.K() != ss.K() {
+	if back.n != ss.n || back.K() != ss.K() {
 		t.Fatal("metadata lost in round trip")
 	}
 	want, got := ss.Counters(), back.Counters()
@@ -181,13 +181,13 @@ func TestMisraGriesMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != mg.N() {
+	if back.n != mg.n {
 		t.Fatal("N lost in round trip")
 	}
-	if len(back.Candidates()) != len(mg.Candidates()) {
+	if len(back.counters) != len(mg.counters) {
 		t.Fatal("candidate count differs")
 	}
-	for it, c := range mg.Candidates() {
+	for it, c := range mg.counters {
 		if back.Estimate(it) != c {
 			t.Fatalf("estimate differs for %d", it)
 		}
@@ -226,7 +226,7 @@ func TestTopKMarshalRoundTrip(t *testing.T) {
 	}
 	// The rebuilt heap must keep accepting updates.
 	back.Update(999, 1e9)
-	if !back.Contains(999) {
+	if _, ok := back.h.find(999); !ok {
 		t.Fatal("update after round trip lost")
 	}
 }

@@ -68,25 +68,6 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	return nil
 }
 
-// Merge folds other into a. Both must share shape and sign functions.
-func (a *AMS) Merge(other *AMS) error {
-	if a.groups != other.groups || a.perGroup != other.perGroup {
-		return fmt.Errorf("%w: AMS shape %dx%d vs %dx%d",
-			ErrIncompatible, a.groups, a.perGroup, other.groups, other.perGroup)
-	}
-	for i := range a.signs {
-		for _, probe := range probeKeys {
-			if a.signs[i].Sign(probe) != other.signs[i].Sign(probe) {
-				return fmt.Errorf("%w: AMS sign functions differ (counter %d)", ErrIncompatible, i)
-			}
-		}
-	}
-	for i := range a.counters {
-		a.counters[i] += other.counters[i]
-	}
-	return nil
-}
-
 // Merge folds other into s: the union's k smallest distinct hash values.
 // Both sides must share k and the hash function.
 func (s *KMV) Merge(other *KMV) error {

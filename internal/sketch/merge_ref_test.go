@@ -209,8 +209,8 @@ func TestSpaceSavingFold16MatchesReference(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		acc = checkSSMerge(t, acc, ssOf(k, zipfStream(10000, 1<<16, 1.1, uint64(20+i))))
 	}
-	if acc.N() != 16*10000 {
-		t.Fatalf("N = %d", acc.N())
+	if acc.n != 16*10000 {
+		t.Fatalf("N = %d", acc.n)
 	}
 }
 

@@ -48,13 +48,6 @@ func (mg *MisraGries) Estimate(it stream.Item) uint64 {
 	return mg.counters[it]
 }
 
-// Candidates returns the currently tracked items and their estimates.
-// The map is internal state; callers must not mutate it.
-func (mg *MisraGries) Candidates() map[stream.Item]uint64 { return mg.counters }
-
-// N returns how many items have been observed.
-func (mg *MisraGries) N() uint64 { return mg.n }
-
 // ErrorBound returns the maximum undercount N/(k+1).
 func (mg *MisraGries) ErrorBound() float64 {
 	return float64(mg.n) / float64(mg.k+1)

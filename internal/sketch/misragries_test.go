@@ -44,7 +44,7 @@ func TestMisraGriesFindsMajority(t *testing.T) {
 	if mg.Estimate(1) == 0 {
 		t.Fatal("majority item evicted")
 	}
-	if !containsItem(mg.Candidates(), 1) {
+	if !containsItem(mg.counters, 1) {
 		t.Fatal("majority item not in candidates")
 	}
 }
@@ -59,11 +59,11 @@ func TestMisraGriesCounterCap(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		mg.Observe(stream.Item(i%100 + 1))
 	}
-	if len(mg.Candidates()) > 5 {
-		t.Fatalf("tracked %d > k=5 counters", len(mg.Candidates()))
+	if len(mg.counters) > 5 {
+		t.Fatalf("tracked %d > k=5 counters", len(mg.counters))
 	}
-	if mg.N() != 10000 {
-		t.Fatalf("N = %d", mg.N())
+	if mg.n != 10000 {
+		t.Fatalf("N = %d", mg.n)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestMisraGriesExactWhenFits(t *testing.T) {
 		mg.Observe(it)
 	}
 	if mg.Estimate(1) != 2 || mg.Estimate(2) != 1 || mg.Estimate(3) != 3 {
-		t.Fatalf("exact counts wrong: %v", mg.Candidates())
+		t.Fatalf("exact counts wrong: %v", mg.counters)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestTopKBasic(t *testing.T) {
 	if items[0].Item != 4 || items[1].Item != 2 || items[2].Item != 1 {
 		t.Fatalf("order wrong: %+v", items)
 	}
-	if tk.Contains(3) {
+	if _, ok := tk.h.find(3); ok {
 		t.Fatal("evicted item still tracked")
 	}
 	if tk.Min() != 10 {
@@ -128,7 +128,7 @@ func TestTopKLowCountIgnoredWhenFull(t *testing.T) {
 	tk.Update(1, 100)
 	tk.Update(2, 200)
 	tk.Update(3, 50)
-	if tk.Contains(3) {
+	if _, ok := tk.h.find(3); ok {
 		t.Fatal("low-count item admitted")
 	}
 	if tk.Len() != 2 {

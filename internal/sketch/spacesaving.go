@@ -100,9 +100,6 @@ func (ss *SpaceSaving) Tracked(it stream.Item) bool {
 	return ok
 }
 
-// N returns how many items have been observed.
-func (ss *SpaceSaving) N() uint64 { return ss.n }
-
 // K returns the number of counters.
 func (ss *SpaceSaving) K() int { return ss.k }
 

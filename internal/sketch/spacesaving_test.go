@@ -33,7 +33,7 @@ func TestSpaceSavingBounds(t *testing.T) {
 		ss.Observe(it)
 	}
 	f := stream.NewFreq(s)
-	maxErr := ss.N() / uint64(k)
+	maxErr := ss.n / uint64(k)
 	for _, c := range ss.Counters() {
 		truth := f[c.Item]
 		if c.Count < truth {
@@ -57,7 +57,7 @@ func TestSpaceSavingGuaranteesHeavyItems(t *testing.T) {
 		ss.Observe(it)
 	}
 	f := stream.NewFreq(s)
-	threshold := ss.N() / uint64(k)
+	threshold := ss.n / uint64(k)
 	for it, c := range f {
 		if c > threshold && !ss.Tracked(it) {
 			t.Fatalf("heavy item %d (f=%d > %d) not tracked", it, c, threshold)
@@ -88,8 +88,8 @@ func TestSpaceSavingUntracked(t *testing.T) {
 	if ss.Tracked(99) {
 		t.Fatal("untracked reported tracked")
 	}
-	if ss.K() != 2 || ss.N() != 1 {
-		t.Fatalf("K=%d N=%d", ss.K(), ss.N())
+	if ss.K() != 2 || ss.n != 1 {
+		t.Fatalf("K=%d N=%d", ss.K(), ss.n)
 	}
 }
 

@@ -45,12 +45,6 @@ func (t *TopK) admit(it stream.Item, count float64) {
 	}
 }
 
-// Contains reports whether item is currently tracked.
-func (t *TopK) Contains(it stream.Item) bool {
-	_, ok := t.h.find(it)
-	return ok
-}
-
 // Min returns the smallest tracked count, or 0 when empty.
 func (t *TopK) Min() float64 {
 	if len(t.h.heap) == 0 {

@@ -221,7 +221,9 @@ func TestTableRender(t *testing.T) {
 	tb.AddRow(0.5, 0.01234, "ok")
 	tb.AddRow(0.1, 1234.5678, "ok")
 	tb.AddNote("seeds: %d", 5)
-	out := tb.RenderString()
+	var sb strings.Builder
+	tb.Render(&sb)
+	out := sb.String()
 	if !strings.Contains(out, "## Demo") {
 		t.Fatalf("missing title:\n%s", out)
 	}
@@ -240,7 +242,9 @@ func TestTableRender(t *testing.T) {
 
 func TestTableEmpty(t *testing.T) {
 	tb := NewTable("", "a")
-	out := tb.RenderString()
+	var sb strings.Builder
+	tb.Render(&sb)
+	out := sb.String()
 	if strings.Contains(out, "##") {
 		t.Fatalf("untitled table rendered a title:\n%s", out)
 	}

@@ -88,13 +88,6 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// RenderString returns the rendered table as a string.
-func (t *Table) RenderString() string {
-	var sb strings.Builder
-	t.Render(&sb)
-	return sb.String()
-}
-
 func pad(s string, width int) string {
 	n := utf8.RuneCountInString(s)
 	if n >= width {

@@ -154,39 +154,6 @@ func (f Freq) TopK(k int) []HeavyHitter {
 	return all
 }
 
-// Profile returns the frequency-of-frequencies profile: profile[j] is the
-// number of distinct items occurring exactly j times, for j ≥ 1. It is
-// the sufficient statistic for sample-based F0 estimators such as GEE.
-func (f Freq) Profile() map[uint64]uint64 {
-	prof := make(map[uint64]uint64)
-	for _, c := range f {
-		prof[c]++
-	}
-	return prof
-}
-
-// MaxFreq returns the largest frequency, 0 for an empty vector.
-func (f Freq) MaxFreq() uint64 {
-	var max uint64
-	for _, c := range f {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// Residual returns F1 minus the total frequency of the top-k items, the
-// "tail mass" used when reasoning about heavy-hitter error bounds.
-func (f Freq) Residual(k int) uint64 {
-	top := f.TopK(k)
-	total := f.F1()
-	for _, hh := range top {
-		total -= hh.Freq
-	}
-	return total
-}
-
 // ExactStats bundles the statistics of one stream so experiments compute
 // ground truth once per workload.
 type ExactStats struct {

@@ -216,39 +216,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestProfile(t *testing.T) {
-	f := NewFreq(Slice{1, 1, 1, 2, 2, 3, 4})
-	prof := f.Profile()
-	if prof[1] != 2 || prof[2] != 1 || prof[3] != 1 {
-		t.Fatalf("Profile = %v", prof)
-	}
-	// Identity: Σ j·profile[j] = n and Σ profile[j] = F0.
-	var n, d uint64
-	for j, c := range prof {
-		n += j * c
-		d += c
-	}
-	if n != f.F1() || d != f.F0() {
-		t.Fatalf("profile identities violated: n=%d F1=%d d=%d F0=%d", n, f.F1(), d, f.F0())
-	}
-}
-
-func TestMaxFreqAndResidual(t *testing.T) {
-	f := NewFreq(Slice{1, 1, 1, 2, 2, 3})
-	if f.MaxFreq() != 3 {
-		t.Fatalf("MaxFreq = %d", f.MaxFreq())
-	}
-	if got := f.Residual(1); got != 3 {
-		t.Fatalf("Residual(1) = %d, want 3", got)
-	}
-	if got := f.Residual(0); got != 6 {
-		t.Fatalf("Residual(0) = %d, want 6", got)
-	}
-	if got := f.Residual(10); got != 0 {
-		t.Fatalf("Residual(10) = %d, want 0", got)
-	}
-}
-
 func TestComputeExact(t *testing.T) {
 	s := Slice{1, 2, 2, 3, 3, 3}
 	ex := ComputeExact(s)

@@ -33,8 +33,6 @@ import (
 //   - binary records: fixed 8-byte little-endian keys, the weighted form
 //     16 bytes — the key followed by the weight's float64 bits — the
 //     length-delimited framing a forwarding monitor POSTs.
-//
-// It also keeps the compact "sub1" varint file format.
 
 // ErrBadWeight marks a weighted line or record whose weight is unusable,
 // so callers can tell a misbehaving exporter from garbled framing.
@@ -354,63 +352,4 @@ func WriteWeightedText(w io.Writer, s WSlice) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// binaryMagic identifies the binary stream format; bumping the version
-// byte invalidates old files loudly instead of misparsing them.
-var binaryMagic = [4]byte{'s', 'u', 'b', '1'}
-
-// WriteBinary writes s to w in the compact binary format: a 4-byte magic,
-// a varint length, then varint items.
-func WriteBinary(w io.Writer, s Stream) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(s.Len()))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	err := s.ForEach(func(it Item) error {
-		n := binary.PutUvarint(buf[:], uint64(it))
-		_, err := bw.Write(buf[:n])
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the binary stream format produced by WriteBinary.
-func ReadBinary(r io.Reader) (Slice, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("stream: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("stream: bad magic %q", magic[:])
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("stream: reading length: %w", err)
-	}
-	const maxReasonable = 1 << 34
-	if count > maxReasonable {
-		return nil, fmt.Errorf("stream: declared length %d exceeds limit", count)
-	}
-	out := make(Slice, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: reading item %d: %w", i, err)
-		}
-		if v == 0 {
-			return nil, fmt.Errorf("stream: item %d is 0, outside the 1-based universe", i)
-		}
-		out = append(out, Item(v))
-	}
-	return out, nil
 }

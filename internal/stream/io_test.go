@@ -14,6 +14,15 @@ import (
 	"testing/quick"
 )
 
+// lift is s as a weighted stream: every item at weight 1.
+func lift(s Slice) WSlice {
+	out := make(WSlice, len(s))
+	for i, it := range s {
+		out[i] = WItem{Key: it, Weight: 1}
+	}
+	return out
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	s := Slice{1, 42, 7, 1 << 40}
 	var buf bytes.Buffer
@@ -38,8 +47,8 @@ func TestTextRoundTrip(t *testing.T) {
 	if wgot, err := ReadWeightedText(&buf); err != nil || !slices.Equal(wgot, ws) {
 		t.Fatalf("weighted round trip %v (err %v), want %v", wgot, err, ws)
 	}
-	if wgot, err := ReadWeightedText(strings.NewReader(plain)); err != nil || !slices.Equal(wgot, Lift(s)) {
-		t.Fatalf("plain file read as weighted: %v (err %v), want %v", wgot, err, Lift(s))
+	if wgot, err := ReadWeightedText(strings.NewReader(plain)); err != nil || !slices.Equal(wgot, lift(s)) {
+		t.Fatalf("plain file read as weighted: %v (err %v), want %v", wgot, err, lift(s))
 	}
 }
 
@@ -171,99 +180,18 @@ func matchLineParserThrough[T any](t *testing.T, body []byte, bits func(T) [2]ui
 	return good
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	s := Slice{1, 2, 3, 1 << 50, 9999999}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(s) {
-		t.Fatalf("length %d, want %d", len(got), len(s))
-	}
-	for i := range s {
-		if got[i] != s[i] {
-			t.Fatalf("item %d mismatch", i)
-		}
-	}
-}
-
-func TestBinaryRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, Slice{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("nope....")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	s := Slice{1, 2, 3}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)-1])); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestBinaryRejectsZeroItem(t *testing.T) {
-	// Hand-build a stream containing item 0.
-	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
-	buf.WriteByte(1) // count = 1
-	buf.WriteByte(0) // item = 0
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("item 0 accepted")
-	}
-}
-
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		s := make(Slice, 0, len(raw))
 		for _, v := range raw {
 			s = append(s, Item(uint64(v)+1)) // keep 1-based
 		}
-		var tb, bb bytes.Buffer
+		var tb bytes.Buffer
 		if err := WriteText(&tb, s); err != nil {
 			return false
 		}
-		if err := WriteBinary(&bb, s); err != nil {
-			return false
-		}
 		t1, err := ReadText(&tb)
-		if err != nil {
-			return false
-		}
-		t2, err := ReadBinary(&bb)
-		if err != nil {
-			return false
-		}
-		if len(t1) != len(s) || len(t2) != len(s) {
-			return false
-		}
-		for i := range s {
-			if t1[i] != s[i] || t2[i] != s[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && slices.Equal(t1, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,7 @@
 // ground truth every estimator is judged against.
 package stream
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Item is a stream element: an identifier in the universe {1, …, m}.
 // The zero value is reserved (identifiers are 1-based, as in the paper),
@@ -54,30 +50,6 @@ func (s WSlice) Keys() Slice {
 		out[i] = it.Key
 	}
 	return out
-}
-
-// Lift turns an unweighted stream into the equivalent weighted one:
-// every item carries weight 1.
-func Lift(items Slice) WSlice {
-	out := make(WSlice, len(items))
-	for i, it := range items {
-		out[i] = WItem{Key: it, Weight: 1}
-	}
-	return out
-}
-
-// ValidateWeighted checks that every key of s lies in {1, …, m} and every
-// weight is positive and finite.
-func ValidateWeighted(s WSlice, m uint64) error {
-	for i, it := range s {
-		if it.Key == 0 || uint64(it.Key) > m {
-			return fmt.Errorf("stream: key %d at position %d outside universe [1,%d]", it.Key, i, m)
-		}
-		if !(it.Weight > 0) || math.IsInf(it.Weight, 0) {
-			return fmt.Errorf("stream: weight %v at position %d is not positive and finite", it.Weight, i)
-		}
-	}
-	return nil
 }
 
 // Stream is a finite sequence of items that can be replayed from the
@@ -123,11 +95,6 @@ func (f Func) Len() int { return f.N }
 func (f Func) ForEach(fn func(Item) error) error {
 	return f.Gen(fn)
 }
-
-// ErrStop is a sentinel a ForEach callback can return to stop iteration
-// early without reporting a failure. Consumers that stop early should
-// translate ErrStop to nil.
-var ErrStop = errors.New("stream: stop iteration")
 
 // Collect materializes a stream into a Slice.
 func Collect(s Stream) Slice {

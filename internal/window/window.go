@@ -215,12 +215,6 @@ func New(cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
-// Window returns the window span W in epochs.
-func (e *Estimator) Window() int { return e.window }
-
-// EpochLen returns the configured epoch length.
-func (e *Estimator) EpochLen() time.Duration { return time.Duration(e.epochLen) }
-
 // Epoch advances the ring to the clock's current epoch and returns it.
 func (e *Estimator) Epoch() uint64 { e.rotate(); return e.epoch }
 

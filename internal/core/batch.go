@@ -1,9 +1,6 @@
 package core
 
-import (
-	"substream/internal/levelset"
-	"substream/internal/stream"
-)
+import "substream/internal/stream"
 
 // This file adds batched ingestion. UpdateBatch(items) observes every
 // item of a batch with one call, removing the per-item interface dispatch
@@ -17,26 +14,11 @@ import (
 // UpdateBatch feeds a batch of sampled-stream elements.
 func (e *FkEstimator) UpdateBatch(items []stream.Item) {
 	e.nL += uint64(len(items))
-	if bc, ok := e.collisions.(levelset.BatchCounter); ok {
-		bc.UpdateBatch(items)
-		return
-	}
-	for _, it := range items {
-		e.collisions.Observe(it)
-	}
+	e.collisions.UpdateBatch(items)
 }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
-func (e *F0Estimator) UpdateBatch(items []stream.Item) {
-	type batcher interface{ UpdateBatch([]stream.Item) }
-	if b, ok := e.backend.(batcher); ok {
-		b.UpdateBatch(items)
-		return
-	}
-	for _, it := range items {
-		e.backend.Observe(it)
-	}
-}
+func (e *F0Estimator) UpdateBatch(items []stream.Item) { e.backend.UpdateBatch(items) }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
 func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch(items) }

@@ -22,7 +22,7 @@ func init() {
 				K: s.K, P: s.P, Epsilon: s.Epsilon, Budget: s.Budget, Exact: s.Exact,
 			}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalFkEstimator),
+		Decode: estimator.DecodeTyped(DecodeFkEstimator),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagF0Estimator, Name: "f0",
@@ -30,7 +30,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewF0Estimator(F0Config{P: s.P}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalF0Estimator),
+		Decode: estimator.DecodeTyped(DecodeF0Estimator),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagEntropy, Name: "entropy",
@@ -40,7 +40,7 @@ func init() {
 			// and therefore a wire form (see marshal.go).
 			return estimator.Adapt(NewEntropyEstimator(EntropyConfig{P: s.P}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalEntropyEstimator),
+		Decode: estimator.DecodeTyped(DecodeEntropyEstimator),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagF1HeavyHitters, Name: "hh1",
@@ -50,7 +50,7 @@ func init() {
 				P: s.P, Alpha: s.Alpha, Epsilon: s.Epsilon,
 			}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalF1HeavyHitters),
+		Decode: estimator.DecodeTyped(DecodeF1HeavyHitters),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagF2HeavyHitters, Name: "hh2",
@@ -60,7 +60,7 @@ func init() {
 				P: s.P, Alpha: s.Alpha, Epsilon: s.Epsilon,
 			}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalF2HeavyHitters),
+		Decode: estimator.DecodeTyped(DecodeF2HeavyHitters),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagMonitor, Name: "all",
@@ -70,7 +70,7 @@ func init() {
 				P: s.P, K: s.K, Epsilon: s.Epsilon, HHAlpha: s.Alpha,
 			}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalMonitor),
+		Decode: estimator.DecodeTyped(DecodeMonitor),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagGEEF0Estimator, Name: "gee",
@@ -78,7 +78,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewGEEF0Estimator(s.P)), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalGEEF0Estimator),
+		Decode: estimator.DecodeTyped(DecodeGEEF0Estimator),
 	})
 }
 

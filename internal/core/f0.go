@@ -6,6 +6,7 @@ import (
 	"substream/internal/rng"
 	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // F0Estimator is Algorithm 2: estimate F₀(P) from the sampled stream by
@@ -21,8 +22,9 @@ type F0Estimator struct {
 // distinctBackend is the streaming F₀(L) estimator Algorithm 2 consumes;
 // KMV and HLL both satisfy it.
 type distinctBackend interface {
-	sketch.Encoder
+	wire.Encoder
 	Observe(it stream.Item)
+	UpdateBatch(items []stream.Item)
 	Estimate() float64
 	SpaceBytes() int
 }

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"math"
 
-	"substream/internal/estimator"
 	"substream/internal/levelset"
 	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
 // This file serializes the paper's estimator wrappers with the shared
-// wire primitives of internal/sketch, completing the cross-process story:
+// wire primitives of internal/wire, completing the cross-process story:
 // an agent daemon ships its cumulative estimator state to a collector,
-// which unmarshals and folds it with the Merge paths in merge.go. The
+// which decodes and folds it with the Merge paths in merge.go. The
 // core package owns the tag range 0x20–0x2f (see internal/server/doc.go).
 //
 // Only mergeable configurations serialize: the reservoir-position entropy
@@ -36,15 +36,10 @@ const (
 func validP(p float64) bool { return p > 0 && p <= 1 }
 
 // MarshalBinary serializes the estimator.
-func (e *FkEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *FkEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator, its collision counter nested in place.
-func (e *FkEstimator) Encode(w *sketch.Writer) {
-	counter, ok := e.collisions.(sketch.Encoder)
-	if !ok {
-		w.Fail(fmt.Errorf("core: collision counter %T is not serializable", e.collisions))
-		return
-	}
+func (e *FkEstimator) Encode(w *wire.Writer) {
 	w.Header(TagFkEstimator)
 	w.U32(uint32(e.k))
 	w.F64(e.p)
@@ -53,13 +48,11 @@ func (e *FkEstimator) Encode(w *sketch.Writer) {
 	for _, eps := range e.schedule {
 		w.F64(eps)
 	}
-	w.Nest(counter)
+	w.Nest(e.collisions)
 }
 
-// UnmarshalFkEstimator reconstructs an FkEstimator from MarshalBinary
-// output.
-func UnmarshalFkEstimator(data []byte) (*FkEstimator, error) {
-	r := sketch.NewReader(data)
+// DecodeFkEstimator reads an FkEstimator written by Encode.
+func DecodeFkEstimator(r *wire.Reader) (*FkEstimator, error) {
 	r.Header(TagFkEstimator)
 	k := int(r.U32())
 	p := r.F64()
@@ -82,80 +75,67 @@ func UnmarshalFkEstimator(data []byte) (*FkEstimator, error) {
 			return nil, r.Err()
 		}
 	}
-	counter, err := levelset.UnmarshalCollisionCounter(r.Nested())
+	counter, err := wire.Nest(r, levelset.DecodeCollisionCounter)
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &FkEstimator{k: k, p: p, nL: nL, schedule: schedule, collisions: counter}, nil
 }
 
 // MarshalBinary serializes the estimator.
-func (e *F0Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *F0Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator, its distinct-count backend nested in
 // place.
-func (e *F0Estimator) Encode(w *sketch.Writer) {
+func (e *F0Estimator) Encode(w *wire.Writer) {
 	w.Header(TagF0Estimator)
 	w.F64(e.p)
 	w.Nest(e.backend)
 }
 
-// UnmarshalF0Estimator reconstructs an F0Estimator from MarshalBinary
-// output.
-func UnmarshalF0Estimator(data []byte) (*F0Estimator, error) {
-	r := sketch.NewReader(data)
+// DecodeF0Estimator reads an F0Estimator written by Encode.
+func DecodeF0Estimator(r *wire.Reader) (*F0Estimator, error) {
 	r.Header(TagF0Estimator)
 	p := r.F64()
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	nested := r.Nested()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	tag, err := sketch.PayloadTag(nested)
+	backend, err := wire.Nest(r, decodeDistinctBackend)
 	if err != nil {
-		return nil, err
-	}
-	// Gate to sketch-owned tags (0x01–0x0f) BEFORE decoding: sketch
-	// payloads never nest registry decodes, so a crafted payload cannot
-	// recurse composite estimators inside themselves.
-	if tag == 0 || tag > 0x0f {
-		return nil, fmt.Errorf("core: unknown F0 backend tag %#x", tag)
-	}
-	dec, err := estimator.Decode(nested)
-	if err != nil {
-		return nil, err
-	}
-	backend, ok := estimator.Unwrap(dec).(distinctBackend)
-	if !ok {
-		return nil, fmt.Errorf("core: F0 backend tag %#x decodes to %T, not a distinct counter",
-			tag, estimator.Unwrap(dec))
-	}
-	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &F0Estimator{p: p, backend: backend}, nil
 }
 
+// decodeDistinctBackend reads whichever F₀(L) backend r is about to yield.
+// The switch is closed over the two there are: sketch payloads nest
+// nothing, so a crafted payload cannot recurse composite estimators inside
+// themselves.
+func decodeDistinctBackend(r *wire.Reader) (distinctBackend, error) {
+	tag := r.Tag()
+	switch tag {
+	case sketch.TagKMV:
+		return sketch.DecodeKMV(r)
+	case sketch.TagHLL:
+		return sketch.DecodeHLL(r)
+	}
+	r.Failf("core: unknown F0 backend tag %#x", tag)
+	return nil, r.Err()
+}
+
 // MarshalBinary serializes the estimator.
-func (e *GEEF0Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *GEEF0Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator, the frequency profile as a sorted item
 // run.
-func (e *GEEF0Estimator) Encode(w *sketch.Writer) {
+func (e *GEEF0Estimator) Encode(w *wire.Writer) {
 	w.Header(TagGEEF0Estimator)
 	w.F64(e.p)
 	e.counts.Encode(w)
 }
 
-// UnmarshalGEEF0Estimator reconstructs a GEEF0Estimator from
-// MarshalBinary output.
-func UnmarshalGEEF0Estimator(data []byte) (*GEEF0Estimator, error) {
-	r := sketch.NewReader(data)
+// DecodeGEEF0Estimator reads a GEEF0Estimator written by Encode.
+func DecodeGEEF0Estimator(r *wire.Reader) (*GEEF0Estimator, error) {
 	r.Header(TagGEEF0Estimator)
 	p := r.F64()
 	if r.Err() == nil && !validP(p) {
@@ -163,19 +143,16 @@ func UnmarshalGEEF0Estimator(data []byte) (*GEEF0Estimator, error) {
 	}
 	e := &GEEF0Estimator{p: p}
 	e.counts.Decode(r, math.MaxUint64)
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e, r.Err()
 }
 
 // MarshalBinary serializes the estimator.
-func (e *EntropyEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *EntropyEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator, the plugin's frequencies as a sorted item
 // run. Only the plugin backend has a wire form; the reservoir-position
 // sketch backend fails with ErrNotMergeable.
-func (e *EntropyEstimator) Encode(w *sketch.Writer) {
+func (e *EntropyEstimator) Encode(w *wire.Writer) {
 	if e.plugin == nil {
 		w.Fail(fmt.Errorf("%w: entropy sketch backend has no wire form", ErrNotMergeable))
 		return
@@ -186,10 +163,9 @@ func (e *EntropyEstimator) Encode(w *sketch.Writer) {
 	e.plugin.Encode(w)
 }
 
-// UnmarshalEntropyEstimator reconstructs a plugin-backend
-// EntropyEstimator from MarshalBinary output.
-func UnmarshalEntropyEstimator(data []byte) (*EntropyEstimator, error) {
-	r := sketch.NewReader(data)
+// DecodeEntropyEstimator reads a plugin-backend EntropyEstimator written
+// by Encode.
+func DecodeEntropyEstimator(r *wire.Reader) (*EntropyEstimator, error) {
 	r.Header(TagEntropy)
 	p := r.F64()
 	nL := r.U64()
@@ -201,18 +177,15 @@ func UnmarshalEntropyEstimator(data []byte) (*EntropyEstimator, error) {
 	if r.Err() == nil && plugin.N() != nL {
 		r.Failf("core: entropy frequencies sum to %d, header says %d", plugin.N(), nL)
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return &EntropyEstimator{p: p, nL: nL, plugin: plugin}, nil
+	return &EntropyEstimator{p: p, nL: nL, plugin: plugin}, r.Err()
 }
 
 // MarshalBinary serializes the estimator.
-func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) { return sketch.Marshal(h) }
+func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 
 // Encode writes the estimator, its sketch backend and candidate tracker
 // nested in place.
-func (h *F1HeavyHitters) Encode(w *sketch.Writer) {
+func (h *F1HeavyHitters) Encode(w *wire.Writer) {
 	w.Header(TagF1HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
@@ -228,10 +201,8 @@ func (h *F1HeavyHitters) Encode(w *sketch.Writer) {
 	w.Nest(h.tracker)
 }
 
-// UnmarshalF1HeavyHitters reconstructs an F1HeavyHitters from
-// MarshalBinary output.
-func UnmarshalF1HeavyHitters(data []byte) (*F1HeavyHitters, error) {
-	r := sketch.NewReader(data)
+// DecodeF1HeavyHitters reads an F1HeavyHitters written by Encode.
+func DecodeF1HeavyHitters(r *wire.Reader) (*F1HeavyHitters, error) {
 	r.Header(TagF1HeavyHitters)
 	p := r.F64()
 	alpha := r.F64()
@@ -248,28 +219,23 @@ func UnmarshalF1HeavyHitters(data []byte) (*F1HeavyHitters, error) {
 		alphaPr: (1 - 2*eps/5) * alpha, observed: observed}
 	var err error
 	if kind == 0 {
-		h.cm, err = sketch.UnmarshalCountMin(r.Nested())
+		h.cm, err = wire.Nest(r, sketch.DecodeCountMin)
 	} else {
-		h.mg, err = sketch.UnmarshalMisraGries(r.Nested())
+		h.mg, err = wire.Nest(r, sketch.DecodeMisraGries)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if h.tracker, err = sketch.UnmarshalTopK(r.Nested()); err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	h.tracker, err = wire.Nest(r, sketch.DecodeTopK)
+	return h, err
 }
 
 // MarshalBinary serializes the estimator.
-func (h *F2HeavyHitters) MarshalBinary() ([]byte, error) { return sketch.Marshal(h) }
+func (h *F2HeavyHitters) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 
 // Encode writes the estimator, its CountSketch and candidate tracker
 // nested in place.
-func (h *F2HeavyHitters) Encode(w *sketch.Writer) {
+func (h *F2HeavyHitters) Encode(w *wire.Writer) {
 	w.Header(TagF2HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
@@ -279,10 +245,8 @@ func (h *F2HeavyHitters) Encode(w *sketch.Writer) {
 	w.Nest(h.tracker)
 }
 
-// UnmarshalF2HeavyHitters reconstructs an F2HeavyHitters from
-// MarshalBinary output.
-func UnmarshalF2HeavyHitters(data []byte) (*F2HeavyHitters, error) {
-	r := sketch.NewReader(data)
+// DecodeF2HeavyHitters reads an F2HeavyHitters written by Encode.
+func DecodeF2HeavyHitters(r *wire.Reader) (*F2HeavyHitters, error) {
 	r.Header(TagF2HeavyHitters)
 	p := r.F64()
 	alpha := r.F64()
@@ -297,16 +261,11 @@ func UnmarshalF2HeavyHitters(data []byte) (*F2HeavyHitters, error) {
 	h := &F2HeavyHitters{p: p, alpha: alpha, eps: eps,
 		alphaPr: (1 - 2*eps/5) * alpha * math.Sqrt(p), nL: nL}
 	var err error
-	if h.cs, err = sketch.UnmarshalCountSketch(r.Nested()); err != nil {
+	if h.cs, err = wire.Nest(r, sketch.DecodeCountSketch); err != nil {
 		return nil, err
 	}
-	if h.tracker, err = sketch.UnmarshalTopK(r.Nested()); err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	h.tracker, err = wire.Nest(r, sketch.DecodeTopK)
+	return h, err
 }
 
 // Monitor sub-estimator presence bits.
@@ -319,16 +278,16 @@ const (
 )
 
 // MarshalBinary serializes the monitor.
-func (m *Monitor) MarshalBinary() ([]byte, error) { return sketch.Marshal(m) }
+func (m *Monitor) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
 
 // Encode writes the monitor: a presence bitmap followed by each enabled
 // estimator nested in place.
-func (m *Monitor) Encode(w *sketch.Writer) {
+func (m *Monitor) Encode(w *wire.Writer) {
 	w.Header(TagMonitor)
 	w.F64(m.p)
 	w.U64(m.nL)
 	var flags byte
-	parts := make([]sketch.Encoder, 0, 5)
+	parts := make([]wire.Encoder, 0, 5)
 	if m.fk != nil {
 		flags |= monHasFk
 		parts = append(parts, m.fk)
@@ -355,9 +314,8 @@ func (m *Monitor) Encode(w *sketch.Writer) {
 	}
 }
 
-// UnmarshalMonitor reconstructs a Monitor from MarshalBinary output.
-func UnmarshalMonitor(data []byte) (*Monitor, error) {
-	r := sketch.NewReader(data)
+// DecodeMonitor reads a Monitor written by Encode.
+func DecodeMonitor(r *wire.Reader) (*Monitor, error) {
 	r.Header(TagMonitor)
 	p := r.F64()
 	nL := r.U64()
@@ -371,32 +329,29 @@ func UnmarshalMonitor(data []byte) (*Monitor, error) {
 	m := &Monitor{p: p, nL: nL}
 	var err error
 	if flags&monHasFk != 0 {
-		if m.fk, err = UnmarshalFkEstimator(r.Nested()); err != nil {
+		if m.fk, err = wire.Nest(r, DecodeFkEstimator); err != nil {
 			return nil, err
 		}
 	}
 	if flags&monHasF0 != 0 {
-		if m.f0, err = UnmarshalF0Estimator(r.Nested()); err != nil {
+		if m.f0, err = wire.Nest(r, DecodeF0Estimator); err != nil {
 			return nil, err
 		}
 	}
 	if flags&monHasEntropy != 0 {
-		if m.entropy, err = UnmarshalEntropyEstimator(r.Nested()); err != nil {
+		if m.entropy, err = wire.Nest(r, DecodeEntropyEstimator); err != nil {
 			return nil, err
 		}
 	}
 	if flags&monHasHH1 != 0 {
-		if m.hh1, err = UnmarshalF1HeavyHitters(r.Nested()); err != nil {
+		if m.hh1, err = wire.Nest(r, DecodeF1HeavyHitters); err != nil {
 			return nil, err
 		}
 	}
 	if flags&monHasHH2 != 0 {
-		if m.hh2, err = UnmarshalF2HeavyHitters(r.Nested()); err != nil {
+		if m.hh2, err = wire.Nest(r, DecodeF2HeavyHitters); err != nil {
 			return nil, err
 		}
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 	"substream/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func TestFkEstimatorMarshalRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := UnmarshalFkEstimator(data)
+			back, err := wire.Decode(data, DecodeFkEstimator)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestF0EstimatorMarshalRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := UnmarshalF0Estimator(data)
+			back, err := wire.Decode(data, DecodeF0Estimator)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestGEEF0EstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalGEEF0Estimator(data)
+	back, err := wire.Decode(data, DecodeGEEF0Estimator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestEntropyEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalEntropyEstimator(data)
+	back, err := wire.Decode(data, DecodeEntropyEstimator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalF1HeavyHitters(data)
+		back, err := wire.Decode(data, DecodeF1HeavyHitters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalF1HeavyHitters(data)
+		back, err := wire.Decode(data, DecodeF1HeavyHitters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalF2HeavyHitters(data)
+		back, err := wire.Decode(data, DecodeF2HeavyHitters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func TestMonitorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalMonitor(data)
+	back, err := wire.Decode(data, DecodeMonitor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestMonitorMarshalDisabledEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalMonitor(data)
+	back, err := wire.Decode(data, DecodeMonitor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,13 +296,13 @@ func TestCoreUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 		"fk": fk, "f0": f0, "entropy": ent, "hh1": hh1, "hh2": hh2, "monitor": mon,
 	}
 	decoders := map[string]func([]byte) error{
-		"fk":      func(d []byte) error { _, err := UnmarshalFkEstimator(d); return err },
-		"f0":      func(d []byte) error { _, err := UnmarshalF0Estimator(d); return err },
-		"gee":     func(d []byte) error { _, err := UnmarshalGEEF0Estimator(d); return err },
-		"entropy": func(d []byte) error { _, err := UnmarshalEntropyEstimator(d); return err },
-		"hh1":     func(d []byte) error { _, err := UnmarshalF1HeavyHitters(d); return err },
-		"hh2":     func(d []byte) error { _, err := UnmarshalF2HeavyHitters(d); return err },
-		"monitor": func(d []byte) error { _, err := UnmarshalMonitor(d); return err },
+		"fk":      func(d []byte) error { _, err := wire.Decode(d, DecodeFkEstimator); return err },
+		"f0":      func(d []byte) error { _, err := wire.Decode(d, DecodeF0Estimator); return err },
+		"gee":     func(d []byte) error { _, err := wire.Decode(d, DecodeGEEF0Estimator); return err },
+		"entropy": func(d []byte) error { _, err := wire.Decode(d, DecodeEntropyEstimator); return err },
+		"hh1":     func(d []byte) error { _, err := wire.Decode(d, DecodeF1HeavyHitters); return err },
+		"hh2":     func(d []byte) error { _, err := wire.Decode(d, DecodeF2HeavyHitters); return err },
+		"monitor": func(d []byte) error { _, err := wire.Decode(d, DecodeMonitor); return err },
 	}
 	for src, m := range sources {
 		payload, err := m.MarshalBinary()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"substream/internal/levelset"
 	"substream/internal/sketch"
 	"substream/internal/stream"
 )
@@ -37,11 +36,7 @@ func (e *FkEstimator) Merge(other *FkEstimator) error {
 		return fmt.Errorf("%w: FkEstimator (K=%d,P=%g) vs (K=%d,P=%g)",
 			sketch.ErrIncompatible, e.k, e.p, other.k, other.p)
 	}
-	mc, ok := e.collisions.(levelset.MergeableCounter)
-	if !ok {
-		return fmt.Errorf("%w: collision counter %T", ErrNotMergeable, e.collisions)
-	}
-	if err := mc.MergeCounter(other.collisions); err != nil {
+	if err := e.collisions.MergeCounter(other.collisions); err != nil {
 		return err
 	}
 	e.nL += other.nL

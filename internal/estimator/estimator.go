@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // Estimator is the uniform contract of one mergeable stream summary. It
@@ -36,6 +37,10 @@ type Estimator interface {
 	// MarshalBinary serializes the cumulative state in the tagged wire
 	// format (see internal/server/doc.go for the format rules).
 	MarshalBinary() ([]byte, error)
+	// Encode writes that payload to the caller's Writer — how a composite
+	// (a window's ring) nests a replica in place. MarshalBinary is
+	// wire.Marshal around it.
+	Encode(w *wire.Writer)
 	// SpaceBytes returns the approximate memory footprint.
 	SpaceBytes() int
 	// Estimates returns the named scalar estimates this summary answers,
@@ -131,6 +136,7 @@ type Typed[E any] interface {
 	UpdateBatch(items []stream.Item)
 	Merge(other E) error
 	MarshalBinary() ([]byte, error)
+	Encode(w *wire.Writer)
 	SpaceBytes() int
 	Estimates() map[string]float64
 }
@@ -148,6 +154,7 @@ func Adapt[E Typed[E]](e E) Estimator { return adapter[E]{e: e} }
 func (a adapter[E]) Observe(it stream.Item)          { a.e.Observe(it) }
 func (a adapter[E]) UpdateBatch(items []stream.Item) { a.e.UpdateBatch(items) }
 func (a adapter[E]) MarshalBinary() ([]byte, error)  { return a.e.MarshalBinary() }
+func (a adapter[E]) Encode(w *wire.Writer)           { a.e.Encode(w) }
 func (a adapter[E]) SpaceBytes() int                 { return a.e.SpaceBytes() }
 func (a adapter[E]) Estimates() map[string]float64   { return a.e.Estimates() }
 

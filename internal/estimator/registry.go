@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"substream/internal/wire"
 )
 
 // ErrDecodeOnly marks construction attempts against kinds that register
@@ -59,9 +61,10 @@ type Kind struct {
 	// panic on out-of-range numeric parameters exactly like the
 	// underlying constructors; config-driven callers validate first.
 	New func(Spec) (Estimator, error)
-	// Decode reconstructs an estimator from MarshalBinary output
-	// carrying this kind's tag.
-	Decode func([]byte) (Estimator, error)
+	// Decode reads an estimator from a payload carrying this kind's tag,
+	// header first, off the Reader it is handed: a top-level payload's or,
+	// for a replica nested in a composite, its parent's.
+	Decode func(*wire.Reader) (Estimator, error)
 }
 
 var (
@@ -168,18 +171,24 @@ func New(spec Spec) (Estimator, error) {
 // Decode reconstructs whichever registered estimator the payload's tag
 // byte names — the single entry point a collector needs to revive any
 // shipped summary. Unknown tags, like every other corruption, fail
-// cleanly.
-func Decode(data []byte) (Estimator, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("estimator: empty payload")
+// cleanly; so does a payload whose counter tables, however nested, decode
+// to more than wire.MaxDecodedBytes together.
+func Decode(data []byte) (Estimator, error) { return wire.Decode(data, DecodeFrom) }
+
+// DecodeFrom is Decode for a payload nested in another: it reads whichever
+// registered kind r is about to yield, in place.
+func DecodeFrom(r *wire.Reader) (Estimator, error) {
+	tag := r.Tag()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	regMu.RLock()
-	k, ok := byTag[data[0]]
+	k, ok := byTag[tag]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("estimator: unknown payload tag %#x", data[0])
+		return nil, fmt.Errorf("estimator: unknown payload tag %#x", tag)
 	}
-	return k.Decode(data)
+	return k.Decode(r)
 }
 
 // WriteKinds renders the registry as the table the CLIs print for
@@ -197,11 +206,11 @@ func WriteKinds(w io.Writer) {
 	}
 }
 
-// DecodeTyped lifts a package's typed unmarshal function into a registry
+// DecodeTyped lifts a package's typed decode function into a registry
 // Decode hook: decode with full type safety, then adapt to the interface.
-func DecodeTyped[E Typed[E]](unmarshal func([]byte) (E, error)) func([]byte) (Estimator, error) {
-	return func(data []byte) (Estimator, error) {
-		e, err := unmarshal(data)
+func DecodeTyped[E Typed[E]](decode func(*wire.Reader) (E, error)) func(*wire.Reader) (Estimator, error) {
+	return func(r *wire.Reader) (Estimator, error) {
+		e, err := decode(r)
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"substream/internal/estimator"
-	"substream/internal/sketch"
-	"substream/internal/stream"
-
-	// Populate the registry with every standard kind; core pulls
-	// levelset and sketch transitively.
 	_ "substream/internal/core"
+	"substream/internal/estimator"
+	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // --- a new estimator kind, registered from a single package ---
@@ -42,26 +39,22 @@ func (d *demoF1) Estimates() map[string]float64 {
 	return map[string]float64{"f1": float64(d.nL) / d.p}
 }
 
-func (d *demoF1) MarshalBinary() ([]byte, error) { return sketch.Marshal(d) }
+func (d *demoF1) MarshalBinary() ([]byte, error) { return wire.Marshal(d) }
 
-func (d *demoF1) Encode(w *sketch.Writer) {
+func (d *demoF1) Encode(w *wire.Writer) {
 	w.Header(demoTag)
 	w.F64(d.p)
 	w.U64(d.nL)
 }
 
-func unmarshalDemoF1(data []byte) (*demoF1, error) {
-	r := sketch.NewReader(data)
+func decodeDemoF1(r *wire.Reader) (*demoF1, error) {
 	r.Header(demoTag)
 	p := r.F64()
 	nL := r.U64()
 	if r.Err() == nil && !(p > 0 && p <= 1) {
 		r.Fail()
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return &demoF1{p: p, nL: nL}, nil
+	return &demoF1{p: p, nL: nL}, r.Err()
 }
 
 func init() {
@@ -71,7 +64,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(&demoF1{p: s.P}), nil
 		},
-		Decode: estimator.DecodeTyped(unmarshalDemoF1),
+		Decode: estimator.DecodeTyped(decodeDemoF1),
 	})
 }
 
@@ -171,8 +164,8 @@ func TestRegistryInvariants(t *testing.T) {
 // failure, not a silent overwrite.
 func TestRegisterRejectsConflicts(t *testing.T) {
 	for name, kind := range map[string]estimator.Kind{
-		"duplicate tag":  {Tag: demoTag, Name: "demo-f1-copy", Decode: estimator.DecodeTyped(unmarshalDemoF1)},
-		"duplicate name": {Tag: 0x71, Name: "demo-f1", Decode: estimator.DecodeTyped(unmarshalDemoF1)},
+		"duplicate tag":  {Tag: demoTag, Name: "demo-f1-copy", Decode: estimator.DecodeTyped(decodeDemoF1)},
+		"duplicate name": {Tag: 0x71, Name: "demo-f1", Decode: estimator.DecodeTyped(decodeDemoF1)},
 		"missing decode": {Tag: 0x72, Name: "demo-undecodable"},
 	} {
 		func() {

@@ -1,6 +1,7 @@
-// Package internal_test guards the internal/ tree against regrowing
-// test-only API: TestNoDeadExports fails when an exported name under
-// internal/ is used by no non-test file of the module.
+// Package internal_test guards the internal/ tree against regrowth, from
+// one type-check of the module's non-test files: TestNoDeadExports fails
+// when an exported name under internal/ is used by no non-test file of the
+// module, TestOneDecodePath when a payload finds a second way in.
 package internal_test
 
 import (
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,11 +46,12 @@ var stdMethods = map[string]bool{
 // non-test files, recursively and once each, and hands every other import
 // path to the standard library's source importer.
 type moduleImporter struct {
-	fset *token.FileSet
-	std  types.Importer
-	info *types.Info               // shared: every package's uses land in one table
-	pkgs map[string]*types.Package // by directory relative to the module root
-	ifcs map[string]bool           // method names of the interfaces the module declares
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info               // shared: every package's uses land in one table
+	pkgs  map[string]*types.Package // by directory relative to the module root
+	files map[string][]*ast.File    // the files of each, by the same key
+	ifcs  map[string]bool           // method names of the interfaces the module declares
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -86,7 +89,7 @@ func (m *moduleImporter) load(rel string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.pkgs[rel] = pkg
+	m.pkgs[rel], m.files[rel] = pkg, files
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.InterfaceType); ok {
@@ -102,25 +105,22 @@ func (m *moduleImporter) load(rel string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// TestNoDeadExports type-checks every non-test package of the module and
-// calls an exported func, type, var, const or method declared under
-// internal/ used when some non-test file refers to that object — not to
-// another object of the same name, so CountMin.N does not vouch for
-// VarOpt.N. A method is also used when an interface declared in the
-// module, or stdMethods, has a method of its name: that is a call the
-// identifier table cannot attribute to one implementation.
-func TestNoDeadExports(t *testing.T) {
+// loadModule type-checks every non-test package of the module, once for
+// all the tests of this file.
+var loadModule = sync.OnceValues(func() (*moduleImporter, error) {
 	// The source importer would otherwise run cgo over net and os/user.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	m := &moduleImporter{
 		fset: fset,
 		std:  importer.ForCompiler(fset, "source", nil),
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
-		pkgs: map[string]*types.Package{},
-		ifcs: map[string]bool{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		ifcs:  map[string]bool{},
 	}
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+	return m, filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -133,6 +133,16 @@ func TestNoDeadExports(t *testing.T) {
 		}
 		return err
 	})
+})
+
+// TestNoDeadExports calls an exported func, type, var, const or method
+// declared under internal/ used when some non-test file refers to that
+// object — not to another object of the same name, so CountMin.N does not
+// vouch for VarOpt.N. A method is also used when an interface declared in
+// the module, or stdMethods, has a method of its name: that is a call the
+// identifier table cannot attribute to one implementation.
+func TestNoDeadExports(t *testing.T) {
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +205,65 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	for full := range allowed {
 		t.Errorf("%s is listed in %s but is not a dead export any more: remove the line", full, allowlist)
+	}
+}
+
+// TestOneDecodePath keeps decoding the mirror image of encoding: a payload
+// enters through one Reader — wire.Decode's — and every kind reads from the
+// Reader it is handed. So wire.NewReader has exactly three non-test call
+// sites (the other two read a snapshot file and a fault plan, which are not
+// payloads), and outside internal/wire no non-test function takes bytes and
+// returns something with a wire form, estimator.Decode excepted: it is the
+// registry's name for wire.Decode, and benchmark/ calls it.
+func TestOneDecodePath(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wirePkg := m.pkgs["internal/wire"]
+	newReader := wirePkg.Scope().Lookup("NewReader")
+	encoder := wirePkg.Scope().Lookup("Encoder").Type().Underlying().(*types.Interface)
+	hasWireForm := func(t types.Type) bool {
+		return types.Implements(t, encoder) || types.Implements(types.NewPointer(t), encoder)
+	}
+	isBytes := func(t types.Type) bool {
+		s, ok := t.Underlying().(*types.Slice)
+		return ok && types.Identical(s.Elem(), types.Typ[types.Byte])
+	}
+	some := func(tuple *types.Tuple, pred func(types.Type) bool) bool {
+		for i := range tuple.Len() {
+			if pred(tuple.At(i).Type()) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var sites []string
+	for rel, files := range m.files {
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				name := rel + "." + fd.Name.Name
+				ast.Inspect(fd, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] == newReader {
+						sites = append(sites, name)
+					}
+					return true
+				})
+				sig := m.info.Defs[fd.Name].Type().(*types.Signature)
+				if rel != "internal/wire" && name != "internal/estimator.Decode" &&
+					some(sig.Params(), isBytes) && some(sig.Results(), hasWireForm) {
+					t.Errorf("%s takes bytes and returns a summary: decode from the *wire.Reader the caller holds, or go through wire.Decode", name)
+				}
+			}
+		}
+	}
+	slices.Sort(sites)
+	if want := []string{"internal/faults.UnmarshalPlan", "internal/server.decodeSnapshot", "internal/wire.Decode"}; !slices.Equal(sites, want) {
+		t.Errorf("wire.NewReader is called in %v, want exactly %v: a payload has one Reader and one decode budget", sites, want)
 	}
 }

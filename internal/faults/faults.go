@@ -39,7 +39,7 @@ import (
 	"time"
 
 	"substream/internal/rng"
-	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
 // Plan is one seeded chaos schedule: independent probabilities for each
@@ -113,7 +113,7 @@ func (p Plan) MarshalBinary() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var w sketch.Writer
+	var w wire.Writer
 	w.U8(planMagic0)
 	w.U8(planMagic1)
 	w.U8(planVersion)
@@ -131,7 +131,7 @@ func (p Plan) MarshalBinary() ([]byte, error) {
 // versions, truncation, trailing bytes, and any field Validate would
 // refuse — the same clean-failure discipline as the estimator decoders.
 func UnmarshalPlan(data []byte) (Plan, error) {
-	r := sketch.NewReader(data)
+	r := wire.NewReader(data)
 	if m0, m1 := r.U8(), r.U8(); r.Err() != nil || m0 != planMagic0 || m1 != planMagic1 {
 		return Plan{}, fmt.Errorf("faults: bad plan magic")
 	}

@@ -9,7 +9,7 @@ import (
 // internal/estimator registry (tag range 0x10–0x1f). Standalone they
 // summarize the stream they observe; as components of internal/core's
 // FkEstimator they ride inside its payload through the same registry
-// decode path (see UnmarshalCollisionCounter in marshal.go).
+// decode path (see DecodeCollisionCounter in marshal.go).
 
 func init() {
 	estimator.Register(estimator.Kind{
@@ -18,7 +18,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewExactCounter()), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalExactCounter),
+		Decode: estimator.DecodeTyped(DecodeExactCounter),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagEstimator, Name: "levelset",
@@ -26,7 +26,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(New(Config{EpsPrime: s.Epsilon, Budget: s.Budget}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalEstimator),
+		Decode: estimator.DecodeTyped(DecodeEstimator),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagIWEstimator, Name: "iw",
@@ -34,7 +34,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewIW(IWConfig{EpsPrime: s.Epsilon}, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalIWEstimator),
+		Decode: estimator.DecodeTyped(DecodeIWEstimator),
 	})
 }
 

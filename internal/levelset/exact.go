@@ -3,6 +3,7 @@ package levelset
 import (
 	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // ExactCounter counts collisions exactly by maintaining the full
@@ -41,15 +42,21 @@ func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 
 // CollisionCounter is the estimator-facing abstraction Algorithm 1
 // consumes: something that observes the sampled stream and can produce an
-// estimate of C_ℓ(L) for each ℓ. Both ExactCounter and Estimator satisfy
-// it; the space/accuracy tradeoff is the caller's choice.
+// estimate of C_ℓ(L) for each ℓ, folds another counter of its own concrete
+// type into itself (so Algorithm 1 runs sharded), and has a wire form.
+// ExactCounter, Estimator and IWEstimator satisfy it; the space/accuracy
+// tradeoff is the caller's choice.
 type CollisionCounter interface {
 	Observe(it stream.Item)
+	UpdateBatch(items []stream.Item)
 	EstimateCollisions(l int) float64
+	MergeCounter(other CollisionCounter) error
+	Encode(w *wire.Writer)
 	SpaceBytes() int
 }
 
 var (
 	_ CollisionCounter = (*ExactCounter)(nil)
 	_ CollisionCounter = (*Estimator)(nil)
+	_ CollisionCounter = (*IWEstimator)(nil)
 )

@@ -211,5 +211,3 @@ func (e *IWEstimator) SpaceBytes() int {
 	}
 	return total
 }
-
-var _ CollisionCounter = (*IWEstimator)(nil)

@@ -5,13 +5,13 @@ import (
 	"math"
 	"slices"
 
-	"substream/internal/estimator"
 	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // This file serializes the collision counters with the shared wire
-// primitives of internal/sketch, so an agent process can ship its
+// primitives of internal/wire, so an agent process can ship its
 // level-set state to a collector and the collector can fold it with the
 // Merge paths in merge.go. The levelset package owns the tag range
 // 0x10–0x1f (see internal/server/doc.go for the registry).
@@ -28,20 +28,18 @@ const (
 const maxWireReps = 1 << 10
 
 // MarshalBinary serializes the counter.
-func (c *ExactCounter) MarshalBinary() ([]byte, error) { return sketch.Marshal(c) }
+func (c *ExactCounter) MarshalBinary() ([]byte, error) { return wire.Marshal(c) }
 
 // Encode writes the counter, the frequencies as a sorted item run, so
 // equal counters serialize identically.
-func (c *ExactCounter) Encode(w *sketch.Writer) {
+func (c *ExactCounter) Encode(w *wire.Writer) {
 	w.Header(TagExactCounter)
 	w.U64(c.counts.N())
 	c.counts.Encode(w)
 }
 
-// UnmarshalExactCounter reconstructs an ExactCounter from MarshalBinary
-// output.
-func UnmarshalExactCounter(data []byte) (*ExactCounter, error) {
-	r := sketch.NewReader(data)
+// DecodeExactCounter reads an ExactCounter written by Encode.
+func DecodeExactCounter(r *wire.Reader) (*ExactCounter, error) {
 	r.Header(TagExactCounter)
 	n := r.U64()
 	c := new(ExactCounter)
@@ -51,20 +49,17 @@ func UnmarshalExactCounter(data []byte) (*ExactCounter, error) {
 	if r.Err() == nil && c.counts.N() != n {
 		r.Failf("levelset: exact counter frequencies sum to %d, header says %d", c.counts.N(), n)
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c, r.Err()
 }
 
 // MarshalBinary serializes the level-set estimator.
-func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator: band geometry, the heavy SpaceSaving
 // summary nested in place, and each repetition's universe hash, threshold,
 // and exactly-tracked frequencies as a sorted item run whose entries each
 // carry the item's level byte.
-func (e *Estimator) Encode(w *sketch.Writer) {
+func (e *Estimator) Encode(w *wire.Writer) {
 	w.Header(TagEstimator)
 	w.F64(e.epsPrime)
 	w.F64(e.eta)
@@ -93,20 +88,19 @@ func (e *Estimator) Encode(w *sketch.Writer) {
 	}
 }
 
-// UnmarshalEstimator reconstructs an Estimator from MarshalBinary output.
-func UnmarshalEstimator(data []byte) (*Estimator, error) {
-	r := sketch.NewReader(data)
+// DecodeEstimator reads an Estimator written by Encode.
+func DecodeEstimator(r *wire.Reader) (*Estimator, error) {
 	r.Header(TagEstimator)
 	epsPrime := r.F64()
 	eta := r.F64()
-	budget := r.Count(sketch.MaxWireElems, 0)
+	budget := r.Count(wire.MaxWireElems, 0)
 	if r.Err() == nil && !(epsPrime > 0 && !math.IsInf(epsPrime, 0) && eta > 0 && eta <= 1 && budget >= 1) {
 		r.Fail()
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	heavy, err := sketch.UnmarshalSpaceSaving(r.Nested())
+	heavy, err := wire.Nest(r, sketch.DecodeSpaceSaving)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +119,7 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	for i := range e.reps {
 		hash := r.Hash2()
 		T := r.Count(maxLevel, 0)
-		run := r.Run(sketch.MaxWireElems, sketch.RunEntryBytes+1, math.MaxUint64)
+		run := r.Run(wire.MaxWireElems, wire.RunEntryBytes+1, math.MaxUint64)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -147,19 +141,16 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 		}
 		e.reps[i] = rs
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
 // MarshalBinary serializes the Indyk–Woodruff estimator.
-func (e *IWEstimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *IWEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the estimator: band geometry, the universe hash, and each
 // level's element count, CountSketch, and candidate tracker nested in
 // place.
-func (e *IWEstimator) Encode(w *sketch.Writer) {
+func (e *IWEstimator) Encode(w *wire.Writer) {
 	w.Header(TagIWEstimator)
 	w.F64(e.epsPrime)
 	w.F64(e.eta)
@@ -174,10 +165,8 @@ func (e *IWEstimator) Encode(w *sketch.Writer) {
 	}
 }
 
-// UnmarshalIWEstimator reconstructs an IWEstimator from MarshalBinary
-// output.
-func UnmarshalIWEstimator(data []byte) (*IWEstimator, error) {
-	r := sketch.NewReader(data)
+// DecodeIWEstimator reads an IWEstimator written by Encode.
+func DecodeIWEstimator(r *wire.Reader) (*IWEstimator, error) {
 	r.Header(TagIWEstimator)
 	epsPrime := r.F64()
 	eta := r.F64()
@@ -200,44 +189,33 @@ func UnmarshalIWEstimator(data []byte) (*IWEstimator, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		cs, err := sketch.UnmarshalCountSketch(r.Nested())
+		cs, err := wire.Nest(r, sketch.DecodeCountSketch)
 		if err != nil {
 			return nil, err
 		}
-		r.Charge(cs.SpaceBytes()) // the level count must not multiply the tables
-		cands, err := sketch.UnmarshalTopK(r.Nested())
+		cands, err := wire.Nest(r, sketch.DecodeTopK)
 		if err != nil {
 			return nil, err
 		}
 		e.levels[t] = iwLevel{hashLevel: t, cs: cs, cands: cands, count: count}
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
-// UnmarshalCollisionCounter reconstructs whichever collision counter was
-// serialized, through the estimator registry. Only tags in the range this
-// package owns are eligible: the gate runs BEFORE decoding so a crafted
+// DecodeCollisionCounter reads whichever collision counter r is about to
+// yield. The switch is closed over the three this package has, so a crafted
 // payload cannot nest a composite estimator (which itself embeds a
 // collision counter) and recurse the decoder to arbitrary depth.
-func UnmarshalCollisionCounter(data []byte) (CollisionCounter, error) {
-	tag, err := sketch.PayloadTag(data)
-	if err != nil {
-		return nil, err
+func DecodeCollisionCounter(r *wire.Reader) (CollisionCounter, error) {
+	tag := r.Tag()
+	switch tag {
+	case TagExactCounter:
+		return DecodeExactCounter(r)
+	case TagEstimator:
+		return DecodeEstimator(r)
+	case TagIWEstimator:
+		return DecodeIWEstimator(r)
 	}
-	if tag < TagExactCounter || tag > TagExactCounter|0x0f {
-		return nil, fmt.Errorf("levelset: payload tag %#x is not a collision counter", tag)
-	}
-	e, err := estimator.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	c, ok := estimator.Unwrap(e).(CollisionCounter)
-	if !ok {
-		return nil, fmt.Errorf("levelset: payload tag %#x decodes to %T, not a collision counter",
-			tag, estimator.Unwrap(e))
-	}
-	return c, nil
+	r.Failf("levelset: payload tag %#x is not a collision counter", tag)
+	return nil, r.Err()
 }

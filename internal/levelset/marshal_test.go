@@ -6,6 +6,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // marshalStream is a small skewed stream shared by the round-trip tests.
@@ -28,7 +29,7 @@ func TestExactCounterMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalExactCounter(data)
+	back, err := wire.Decode(data, DecodeExactCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalEstimator(data)
+	back, err := wire.Decode(data, DecodeEstimator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestIWEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalIWEstimator(data)
+	back, err := wire.Decode(data, DecodeIWEstimator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestUnmarshalCollisionCounterDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalCollisionCounter(data)
+		back, err := wire.Decode(data, DecodeCollisionCounter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,10 +134,10 @@ func TestUnmarshalCollisionCounterDispatch(t *testing.T) {
 			t.Fatalf("%T: C_2 %v after dispatch round trip, want %v", c, got, want)
 		}
 	}
-	if _, err := UnmarshalCollisionCounter([]byte{0x7f, 0x01}); err == nil {
+	if _, err := wire.Decode([]byte{0x7f, 0x01}, DecodeCollisionCounter); err == nil {
 		t.Fatal("unknown tag accepted")
 	}
-	if _, err := UnmarshalCollisionCounter(nil); err == nil {
+	if _, err := wire.Decode(nil, DecodeCollisionCounter); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 }
@@ -150,7 +151,7 @@ func TestUnmarshalExactCounterRejectsSumMismatch(t *testing.T) {
 	// Layout: tag(1) version(1) n(8) count(4) ... — inflate n.
 	bad := append([]byte{}, data...)
 	bad[2] = 0xff
-	if _, err := UnmarshalExactCounter(bad); err == nil {
+	if _, err := wire.Decode(bad, DecodeExactCounter); err == nil {
 		t.Fatal("frequency-sum mismatch accepted")
 	}
 }
@@ -168,10 +169,10 @@ func TestLevelsetUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 		iw.Observe(it)
 	}
 	decoders := map[string]func([]byte) error{
-		"ExactCounter": func(d []byte) error { _, err := UnmarshalExactCounter(d); return err },
-		"Estimator":    func(d []byte) error { _, err := UnmarshalEstimator(d); return err },
-		"IWEstimator":  func(d []byte) error { _, err := UnmarshalIWEstimator(d); return err },
-		"dispatch":     func(d []byte) error { _, err := UnmarshalCollisionCounter(d); return err },
+		"ExactCounter": func(d []byte) error { _, err := wire.Decode(d, DecodeExactCounter); return err },
+		"Estimator":    func(d []byte) error { _, err := wire.Decode(d, DecodeEstimator); return err },
+		"IWEstimator":  func(d []byte) error { _, err := wire.Decode(d, DecodeIWEstimator); return err },
+		"dispatch":     func(d []byte) error { _, err := wire.Decode(d, DecodeCollisionCounter); return err },
 	}
 	for _, c := range []CollisionCounter{exact, est, iw} {
 		payload, err := c.(encoding.BinaryMarshaler).MarshalBinary()

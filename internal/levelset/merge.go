@@ -19,20 +19,6 @@ import (
 // universe-sampling hash functions.
 var mergeProbes = [4]uint64{0x9e3779b97f4a7c15, 1, 1 << 40, 0xdeadbeef}
 
-// MergeableCounter is a CollisionCounter that can fold another counter of
-// the same concrete type into itself. All three counters in this package
-// satisfy it; core.FkEstimator.Merge discovers it dynamically.
-type MergeableCounter interface {
-	CollisionCounter
-	MergeCounter(other CollisionCounter) error
-}
-
-// BatchCounter is a CollisionCounter with a batched update path.
-type BatchCounter interface {
-	CollisionCounter
-	UpdateBatch(items []stream.Item)
-}
-
 // Merge folds other into c, leaving other untouched. Exact counters over
 // disjoint substreams merge exactly: frequency vectors add.
 func (c *ExactCounter) Merge(other *ExactCounter) error {
@@ -40,7 +26,7 @@ func (c *ExactCounter) Merge(other *ExactCounter) error {
 	return nil
 }
 
-// MergeCounter implements MergeableCounter.
+// MergeCounter implements CollisionCounter.
 func (c *ExactCounter) MergeCounter(other CollisionCounter) error {
 	o, ok := other.(*ExactCounter)
 	if !ok {
@@ -136,7 +122,7 @@ func (rs *repState) merge(os *repState) {
 	}
 }
 
-// MergeCounter implements MergeableCounter.
+// MergeCounter implements CollisionCounter.
 func (e *Estimator) MergeCounter(other CollisionCounter) error {
 	o, ok := other.(*Estimator)
 	if !ok {
@@ -213,7 +199,7 @@ func (e *IWEstimator) Merge(other *IWEstimator) error {
 	return nil
 }
 
-// MergeCounter implements MergeableCounter.
+// MergeCounter implements CollisionCounter.
 func (e *IWEstimator) MergeCounter(other CollisionCounter) error {
 	o, ok := other.(*IWEstimator)
 	if !ok {
@@ -230,12 +216,3 @@ func (e *IWEstimator) UpdateBatch(items []stream.Item) {
 		e.Observe(it)
 	}
 }
-
-var (
-	_ MergeableCounter = (*ExactCounter)(nil)
-	_ MergeableCounter = (*Estimator)(nil)
-	_ MergeableCounter = (*IWEstimator)(nil)
-	_ BatchCounter     = (*ExactCounter)(nil)
-	_ BatchCounter     = (*Estimator)(nil)
-	_ BatchCounter     = (*IWEstimator)(nil)
-)

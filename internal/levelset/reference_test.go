@@ -10,6 +10,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // refRep is repState as it stood before the slab rewrite — a
@@ -151,7 +152,7 @@ func lsBytes(t *testing.T, e *Estimator) []byte {
 
 func lsClone(t *testing.T, e *Estimator) *Estimator {
 	t.Helper()
-	c, err := UnmarshalEstimator(lsBytes(t, e))
+	c, err := wire.Decode(lsBytes(t, e), DecodeEstimator)
 	if err != nil {
 		t.Fatal(err)
 	}

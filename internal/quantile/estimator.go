@@ -83,6 +83,6 @@ func init() {
 			// compatible.
 			return estimator.Adapt(NewTargeted(DefaultTargets())), nil
 		},
-		Decode: estimator.DecodeTyped(Unmarshal),
+		Decode: estimator.DecodeTyped(Decode),
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"substream/internal/wire"
 )
 
 // hostileSeeds forges, from a valid payload of the default targets with at
@@ -70,7 +72,7 @@ func FuzzQuantileDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Unmarshal(data)
+		e, err := wire.Decode(data, Decode)
 		if err != nil {
 			return
 		}
@@ -91,7 +93,7 @@ func FuzzQuantileDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshal of a decoded summary failed: %v", err)
 		}
-		if _, err := Unmarshal(again); err != nil {
+		if _, err := wire.Decode(again, Decode); err != nil {
 			t.Fatalf("re-decode of a re-marshal failed: %v", err)
 		}
 	})
@@ -103,7 +105,7 @@ func FuzzQuantileDecode(f *testing.F) {
 func TestHostileSeedsAreRefused(t *testing.T) {
 	payload, _ := marshaled(t, 3_000, 89)
 	for i, forged := range hostileSeeds(payload) {
-		if _, err := Unmarshal(forged); err == nil {
+		if _, err := wire.Decode(forged, Decode); err == nil {
 			t.Errorf("hostile seed %d decoded", i)
 		}
 	}

@@ -3,10 +3,10 @@ package quantile
 import (
 	"math"
 
-	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
-// Wire format (tag 0x40, sketch.WireVersion, little-endian):
+// Wire format (tag 0x40, wire.WireVersion, little-endian):
 //
 //	u32 target count T, then T × (f64 φ, f64 ε), ascending φ
 //	u64 n (observed count)
@@ -22,11 +22,11 @@ import (
 // poisoning a collector's fold.
 
 // MarshalBinary serializes the summary.
-func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the summary. Buffered values are flushed first, so equal
 // logical states serialize identically.
-func (e *Estimator) Encode(w *sketch.Writer) {
+func (e *Estimator) Encode(w *wire.Writer) {
 	e.flush()
 	w.Header(TagQuantile)
 	w.U32(uint32(len(e.targets)))
@@ -43,9 +43,8 @@ func (e *Estimator) Encode(w *sketch.Writer) {
 	}
 }
 
-// Unmarshal reconstructs an Estimator from MarshalBinary output.
-func Unmarshal(data []byte) (*Estimator, error) {
-	r := sketch.NewReader(data)
+// Decode reads an Estimator written by Encode.
+func Decode(r *wire.Reader) (*Estimator, error) {
 	r.Header(TagQuantile)
 	tc := r.Count(MaxTargets, 16)
 	if r.Err() == nil && tc < 1 {
@@ -62,7 +61,7 @@ func Unmarshal(data []byte) (*Estimator, error) {
 		r.Failf("quantile: corrupt target set")
 	}
 	n := r.U64()
-	sc := r.Count(sketch.MaxWireElems, 10)
+	sc := r.Count(wire.MaxWireElems, 10)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
@@ -94,9 +93,6 @@ func Unmarshal(data []byte) (*Estimator, error) {
 	if sum != n {
 		r.Failf("quantile: sample widths sum to %d, payload claims n=%d", sum, n)
 		return nil, r.Err()
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
 	}
 	return e, nil
 }

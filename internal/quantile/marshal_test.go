@@ -6,7 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
 func marshaled(t testing.TB, n int, seed uint64) ([]byte, *Estimator) {
@@ -25,7 +25,7 @@ func marshaled(t testing.TB, n int, seed uint64) ([]byte, *Estimator) {
 func TestMarshalRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 511, 512, 50_000} {
 		data, e := marshaled(t, n, 61)
-		got, err := Unmarshal(data)
+		got, err := wire.Decode(data, Decode)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -70,7 +70,7 @@ func TestMarshalFlushesBuffer(t *testing.T) {
 	if !bytes.Equal(da, db) {
 		t.Fatal("equal logical states serialized differently")
 	}
-	d, err := Unmarshal(da)
+	d, err := wire.Decode(da, Decode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		data, _ := marshaled(t, 2_000, 71)
-		if _, err := Unmarshal(tc.mut(append([]byte(nil), data...))); err == nil {
+		if _, err := wire.Decode(tc.mut(append([]byte(nil), data...)), Decode); err == nil {
 			t.Errorf("%s: Unmarshal accepted a corrupt payload", tc.name)
 		}
 	}
@@ -191,7 +191,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 func TestUnmarshalTruncations(t *testing.T) {
 	data, _ := marshaled(t, 5_000, 73)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Unmarshal(data[:cut]); err == nil {
+		if _, err := wire.Decode(data[:cut], Decode); err == nil {
 			t.Fatalf("accepted a %d/%d-byte truncation", cut, len(data))
 		}
 	}
@@ -207,7 +207,7 @@ func TestUnmarshalBitFlips(t *testing.T) {
 		for _, mask := range []byte{0x01, 0xa5, 0xff} {
 			mutated := append([]byte(nil), data...)
 			mutated[i] ^= mask
-			e, err := Unmarshal(mutated)
+			e, err := wire.Decode(mutated, Decode)
 			if err != nil {
 				continue
 			}
@@ -229,7 +229,7 @@ func TestWireHeader(t *testing.T) {
 	if TagQuantile != 0x40 || data[0] != TagQuantile {
 		t.Fatalf("tag byte = %#x, want 0x40", data[0])
 	}
-	if data[1] != sketch.WireVersion {
-		t.Fatalf("version byte = %#x, want %#x", data[1], sketch.WireVersion)
+	if data[1] != wire.WireVersion {
+		t.Fatalf("version byte = %#x, want %#x", data[1], wire.WireVersion)
 	}
 }

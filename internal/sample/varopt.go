@@ -7,8 +7,8 @@ import (
 
 	"substream/internal/estimator"
 	"substream/internal/rng"
-	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // This file implements VarOpt_k sampling (Cohen–Duffield–Kaplan–Lund–
@@ -279,7 +279,7 @@ func (v *VarOpt) SpaceBytes() int {
 	return cap(v.large)*16 + cap(v.small)*8 + cap(v.cand)*16 + 64
 }
 
-// Wire format (tag 0x50, sketch.WireVersion, little-endian):
+// Wire format (tag 0x50, wire.WireVersion, little-endian):
 //
 //	u32 k, u64 n, f64 totalW, f64 τ
 //	4 × u64 xoshiro256 generator state
@@ -300,10 +300,10 @@ func (v *VarOpt) SpaceBytes() int {
 // generator state.
 
 // MarshalBinary serializes the reservoir.
-func (v *VarOpt) MarshalBinary() ([]byte, error) { return sketch.Marshal(v) }
+func (v *VarOpt) MarshalBinary() ([]byte, error) { return wire.Marshal(v) }
 
 // Encode writes the reservoir.
-func (v *VarOpt) Encode(w *sketch.Writer) {
+func (v *VarOpt) Encode(w *wire.Writer) {
 	w.Header(TagVarOpt)
 	w.U32(uint32(v.k))
 	w.U64(v.n)
@@ -323,9 +323,8 @@ func (v *VarOpt) Encode(w *sketch.Writer) {
 	}
 }
 
-// UnmarshalVarOpt reconstructs a reservoir from MarshalBinary output.
-func UnmarshalVarOpt(data []byte) (*VarOpt, error) {
-	r := sketch.NewReader(data)
+// DecodeVarOpt reads a reservoir written by Encode.
+func DecodeVarOpt(r *wire.Reader) (*VarOpt, error) {
 	r.Header(TagVarOpt)
 	k := int(r.U32())
 	n := r.U64()
@@ -399,9 +398,6 @@ func UnmarshalVarOpt(data []byte) (*VarOpt, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
 	return &VarOpt{k: k, n: n, totalW: totalW, tau: tau, large: large, small: small, r: gen}, nil
 }
 
@@ -416,6 +412,6 @@ func init() {
 			// unbiasedness and the merge contract are unaffected.
 			return estimator.Adapt(NewVarOpt(s.Budget, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalVarOpt),
+		Decode: estimator.DecodeTyped(DecodeVarOpt),
 	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // makeWeighted draws n weighted items: zipfian keys over [1,m] with
@@ -284,7 +285,7 @@ func TestVarOptMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalVarOpt(data)
+	got, err := wire.Decode(data, DecodeVarOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestVarOptDecodeTruncation(t *testing.T) {
 	v.UpdateWeightedBatch(makeWeighted(100, 50, 1.5, 6))
 	data, _ := v.MarshalBinary()
 	for n := 0; n < len(data); n++ {
-		if _, err := UnmarshalVarOpt(data[:n]); err == nil {
+		if _, err := wire.Decode(data[:n], DecodeVarOpt); err == nil {
 			t.Fatalf("truncation to %d bytes decoded", n)
 		}
 	}
-	if _, err := UnmarshalVarOpt(append(append([]byte{}, data...), 0)); err == nil {
+	if _, err := wire.Decode(append(append([]byte{}, data...), 0), DecodeVarOpt); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -344,7 +345,7 @@ func TestVarOptDecodeRejectsCorrupt(t *testing.T) {
 		}
 		return data
 	}
-	if _, err := UnmarshalVarOpt(mk(nil)); err != nil {
+	if _, err := wire.Decode(mk(nil), DecodeVarOpt); err != nil {
 		t.Fatalf("baseline payload rejected: %v", err)
 	}
 	cases := []struct {
@@ -370,7 +371,7 @@ func TestVarOptDecodeRejectsCorrupt(t *testing.T) {
 		{"small items without tau", func(v *VarOpt) { v.tau = 0 }},
 	}
 	for _, tc := range cases {
-		if _, err := UnmarshalVarOpt(mk(tc.mutate)); err == nil {
+		if _, err := wire.Decode(mk(tc.mutate), DecodeVarOpt); err == nil {
 			t.Errorf("%s: corrupt payload decoded", tc.name)
 		}
 	}
@@ -401,7 +402,7 @@ func FuzzVarOptDecode(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[largeCount:], 1<<28)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := UnmarshalVarOpt(data)
+		got, err := wire.Decode(data, DecodeVarOpt)
 		if err != nil {
 			return
 		}

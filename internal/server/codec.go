@@ -103,11 +103,11 @@ func newChunkPool[T any](capacity int) *chunkPool[T] {
 
 func (p *chunkPool[T]) get() *chunk[T] { return p.pool.Get().(*chunk[T]) }
 
-// wire is everything the decode loops need to know about one item type:
+// itemWire is everything the decode loops need to know about one item type:
 // its chunk pool and stream's block parsers for its two body formats.
 // Unweighted requests never pay for the weight column — 8-byte records,
 // 8-byte items, their own pool.
-type wire[T any] struct {
+type itemWire[T any] struct {
 	chunks     *chunkPool[T]
 	recordSize int
 	records    func(buf []byte, dst []T) ([]T, error)
@@ -115,13 +115,13 @@ type wire[T any] struct {
 }
 
 var (
-	plainWire = wire[stream.Item]{
+	plainWire = itemWire[stream.Item]{
 		chunks:     newChunkPool[stream.Item](scratchBytes / stream.RecordSize),
 		recordSize: stream.RecordSize,
 		records:    stream.ParseRecords,
 		lines:      stream.ParseLines,
 	}
-	weightedWire = wire[stream.WItem]{
+	weightedWire = itemWire[stream.WItem]{
 		chunks:     newChunkPool[stream.WItem](scratchBytes / stream.WeightedRecordSize),
 		recordSize: stream.WeightedRecordSize,
 		records:    stream.ParseWeightedRecords,
@@ -141,7 +141,7 @@ var (
 // mid-body error (zero key, bad weight, truncated record, read failure)
 // chunks already handed to sink stay consumed — HTTP cannot roll them
 // back — and the count says how many.
-func decodeRecords[T any](body io.Reader, w wire[T], sink func(items []T, release func())) (int, error) {
+func decodeRecords[T any](body io.Reader, w itemWire[T], sink func(items []T, release func())) (int, error) {
 	bufp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bufp)
 	buf := *bufp
@@ -185,7 +185,7 @@ func decodeRecords[T any](body io.Reader, w wire[T], sink func(items []T, releas
 // copied into the pipeline's batch buffers). Returns how many items
 // reached the sink; on a parse error, chunks already handed to sink stay
 // consumed, as do the items before the bad line.
-func decodeLines[T any](body io.Reader, w wire[T], sink func(items []T)) (total int, err error) {
+func decodeLines[T any](body io.Reader, w itemWire[T], sink func(items []T)) (total int, err error) {
 	bufp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bufp)
 	c := w.chunks.get()

@@ -70,7 +70,7 @@ type format struct {
 	drain func(body io.Reader) (int, error)
 }
 
-func newFormat[T any](name string, w wire[T], lines bool, lift func(T) stream.WItem, encode func(stream.WSlice) []byte) format {
+func newFormat[T any](name string, w itemWire[T], lines bool, lift func(T) stream.WItem, encode func(stream.WSlice) []byte) format {
 	f := format{name: name, lines: lines, encode: encode,
 		weighted: w.recordSize == stream.WeightedRecordSize,
 		perChunk: scratchBytes / w.recordSize}

@@ -142,7 +142,7 @@
 // The rules:
 //
 //   - Every payload starts with a one-byte TYPE TAG and a one-byte
-//     FORMAT VERSION (sketch.WireVersion, currently 3). Version 2 kept
+//     FORMAT VERSION (wire.WireVersion, currently 3). Version 2 kept
 //     version 1's bytes and changed their meaning (the table sketches
 //     moved to divide-free fastrange bucket mapping, so the same counts
 //     sit in other columns); version 3 is the first change of layout:
@@ -161,7 +161,7 @@
 //     level-set repetition one fixed byte, the item's level. A decoder
 //     refuses a zero delta, keys that wrap past 2⁶⁴, a count of 0 or
 //     above the payload's n, and counts that overflow 64 bits in sum.
-//     There is one codec for this, sketch.Writer.Run / Reader.Run.
+//     There is one codec for this, wire.Writer.Run / Reader.Run.
 //   - COUNTER TABLES. The cells of a CountMin (uvarint) or CountSketch
 //     (zigzag) follow the payload's dimensions with no count of their
 //     own. A zero byte is an escape: the uvarint after it, plus one, is
@@ -171,24 +171,40 @@
 //     cannot fill the table or whose zero run reaches past its end, and
 //     walks the cells of a table of 1 MiB or more once before allocating
 //     it, so hostile dimensions fail without the allocation. One codec:
-//     sketch.Writer.Cells / Reader.Cells. A table is therefore NOT
-//     bounded by the bytes that describe it, so decoding has a budget of
-//     its own, 256 MiB — what a version-2 body, at 8 bytes a cell under
-//     its 256 MiB cap, could make a collector allocate. No table may
-//     decode to more, and neither may the generations of one window
-//     ring or the levels of one iw payload together, which are charged
-//     to it one by one as they decode (sketch.Reader.Charge): the
-//     counts read off the wire multiply the children, not the budget.
-//     The bound on what a collector retains across streams and agents
-//     is still the memory budget planned at Collector.admit.
-//   - IN-PLACE NESTING. A composite (fk, f0, hh1, hh2, all, iw, the
-//     level-set estimator, the window ring) hands its own writer to each
-//     child, which writes straight into the one buffer behind a uint32
-//     length patched afterwards (sketch.Writer.Nest); no child is
-//     marshalled apart and copied. Every kind has exactly one encoder,
-//     Encode(*sketch.Writer), and MarshalBinary is sketch.Marshal around
-//     it: a sizing pass, on which the writer only counts, then the
-//     payload written into one buffer of that size.
+//     wire.Writer.Cells / Reader.Cells.
+//   - IN-PLACE NESTING, both directions. A composite (fk, f0, hh1, hh2,
+//     all, iw, the level-set estimator, the window ring) hands its own
+//     writer to each child, which writes straight into the one buffer
+//     behind a uint32 length patched afterwards (wire.Writer.Nest); no
+//     child is marshalled apart and copied. Decoding is the mirror image:
+//     the composite hands its own reader to the child's decode function
+//     (wire.Nest), bounded to the child's length for as long as the child
+//     reads — a child that leaves bytes unread fails the payload — and no
+//     child is cut out and decoded apart. Every kind has exactly one
+//     encoder, Encode(*wire.Writer), and one decoder, a function of the
+//     *wire.Reader it is handed; MarshalBinary is wire.Marshal around the
+//     first (a sizing pass, on which the writer only counts, then the
+//     payload written into one buffer of that size) and estimator.Decode
+//     is wire.Decode around the second: one Reader per top-level payload,
+//     the registered decoder of its tag, and the check that nothing
+//     trails it.
+//   - ONE DECODE BUDGET per top-level payload. A counter table is NOT
+//     bounded by the bytes that describe it (see above), so decoding has
+//     a budget of its own, 256 MiB (wire.MaxDecodedBytes) — what a
+//     version-2 body, at 8 bytes a cell under its 256 MiB cap, could make
+//     a collector allocate. The payload's one Reader carries it, and
+//     Reader.Cells charges each table to it where the table is allocated
+//     — the only place a few wire bytes can stand for many decoded ones —
+//     whatever the nesting: the five parts of an "all" summary, the
+//     levels of an iw payload and the replicas of a window ring share one
+//     budget, so neither a count read off the wire nor the shape of a
+//     composite multiplies it. A payload past it is refused before the
+//     table that crosses the line is allocated; at a collector that is a
+//     400 with "payload's counter tables decode to more than the decode
+//     budget" and one more summaries_rejected{cause="payload"}, like any
+//     other undecodable body. The bound on what a collector retains
+//     across streams and agents is still the memory budget planned at
+//     Collector.admit.
 //   - What stays FIXED-WIDTH, and why: a field is a varint only where
 //     that is smaller for uniformly hashed 64-bit keys as well as for
 //     small or clustered ones. Keys written in heap order — SpaceSaving,
@@ -224,15 +240,16 @@
 //   - Decoders reject unknown tags, unknown versions, truncated input,
 //     trailing bytes, and any length field larger than the remaining
 //     buffer could hold — corrupt input must fail cleanly, never panic
-//     or over-allocate. Composite payloads gate nested tags to the
-//     range the component may come from before decoding, so crafted
-//     input cannot recurse the decoder.
+//     or over-allocate. Composite payloads dispatch on a nested tag
+//     before decoding — fk and f0 with a closed switch over the kinds
+//     the component may be, the window ring with a gate on its own
+//     range — so crafted input cannot recurse the decoder.
 //   - Hash functions serialize as their polynomial coefficients, so a
 //     decoded summary is bit-identical to its source and remains
 //     mergeable with summaries from identically-seeded replicas; merge
 //     compatibility is verified with probe keys, not trusted.
 //   - Any incompatible change to a payload layout must bump
-//     sketch.WireVersion; agents and collectors on different versions
+//     wire.WireVersion; agents and collectors on different versions
 //     refuse each other's payloads rather than misinterpreting them.
 //     There is no dual decoding: a version is one byte layout.
 //

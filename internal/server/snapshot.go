@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
 // Collector durability snapshots: a periodic atomic checkpoint of the
@@ -78,7 +78,7 @@ func (c *Collector) encodeSnapshot(now time.Time) ([]byte, error) {
 	}
 	c.mu.RUnlock()
 
-	w := &sketch.Writer{}
+	w := &wire.Writer{}
 	w.U8(snapshotMagic0)
 	w.U8(snapshotMagic1)
 	w.U8(snapshotVersion)
@@ -111,7 +111,7 @@ func decodeSnapshot(data []byte) ([]snapEntry, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("snapshot: CRC mismatch (file %#x, computed %#x)", want, got)
 	}
-	r := sketch.NewReader(body)
+	r := wire.NewReader(body)
 	if m0, m1 := r.U8(), r.U8(); r.Err() == nil && (m0 != snapshotMagic0 || m1 != snapshotMagic1) {
 		return nil, fmt.Errorf("snapshot: bad magic %#x %#x", m0, m1)
 	}

@@ -19,8 +19,8 @@ import (
 	"substream/internal/core"
 	"substream/internal/estimator"
 	"substream/internal/rng"
-	"substream/internal/sketch"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // acceptWorkload ships a small deterministic fleet state into c: two
@@ -255,7 +255,7 @@ func TestSnapshotCorruptionBattery(t *testing.T) {
 // given JSON rows, so what a restore makes of it is decided by the rows'
 // admission alone.
 func forgeSnapshot(rows [][]byte) []byte {
-	w := &sketch.Writer{}
+	w := &wire.Writer{}
 	w.U8(snapshotMagic0)
 	w.U8(snapshotMagic1)
 	w.U8(snapshotVersion)

@@ -22,7 +22,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewCountMinWithError(s.Epsilon, 0.01, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalCountMin),
+		Decode: estimator.DecodeTyped(DecodeCountMin),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagCountSketch, Name: "countsketch",
@@ -31,7 +31,7 @@ func init() {
 			width := int(math.Ceil(2 / (s.Epsilon * s.Epsilon)))
 			return estimator.Adapt(NewCountSketch(width, 5, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalCountSketch),
+		Decode: estimator.DecodeTyped(DecodeCountSketch),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagKMV, Name: "kmv",
@@ -39,7 +39,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewKMVWithError(s.Epsilon, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalKMV),
+		Decode: estimator.DecodeTyped(DecodeKMV),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagHLL, Name: "hll",
@@ -55,7 +55,7 @@ func init() {
 			}
 			return estimator.Adapt(NewHLL(prec, rng.New(s.Seed))), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalHLL),
+		Decode: estimator.DecodeTyped(DecodeHLL),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagSpaceSaving, Name: "spacesaving",
@@ -63,7 +63,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewSpaceSaving(s.Budget)), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalSpaceSaving),
+		Decode: estimator.DecodeTyped(DecodeSpaceSaving),
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagMisraGries, Name: "misragries",
@@ -71,7 +71,7 @@ func init() {
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
 			return estimator.Adapt(NewMisraGries(s.Budget)), nil
 		},
-		Decode: estimator.DecodeTyped(UnmarshalMisraGries),
+		Decode: estimator.DecodeTyped(DecodeMisraGries),
 	})
 	// TopK is decode-only: it rides inside heavy-hitter payloads, whose
 	// estimators drive Update with sketch-backed scores. Standalone
@@ -81,7 +81,7 @@ func init() {
 	estimator.Register(estimator.Kind{
 		Tag: TagTopK, Name: "topk",
 		Doc:    "top-k candidate tracker (decode-only component of hh1/hh2 payloads)",
-		Decode: estimator.DecodeTyped(UnmarshalTopK),
+		Decode: estimator.DecodeTyped(DecodeTopK),
 	})
 }
 

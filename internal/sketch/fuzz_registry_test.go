@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"substream/internal/core"
 	"substream/internal/estimator"
+	"substream/internal/rng"
 	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/window"
 
-	_ "substream/internal/core"
 	_ "substream/internal/quantile"
 	_ "substream/internal/sample"
 )
@@ -57,23 +58,36 @@ func registryCorpus(tb testing.TB) [][]byte {
 	}
 	corpus = append(corpus, payload)
 	// So is the window wrapper: a two-generation ring over hh1, whose
-	// replicas carry a counter table each.
-	ring, err := window.Wrap(window.Config{
-		Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(),
-		New: func() (estimator.Estimator, error) {
-			return estimator.New(estimator.Spec{Stat: "hh1", P: 0.5, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 3})
-		},
-	})
-	if err != nil {
-		tb.Fatal(err)
+	// replicas carry a counter table each. And no Spec selects F0's HLL
+	// backend: alone and in a ring, where each replica's register block is
+	// followed by the next replica and not by the end of the buffer.
+	hh1 := func() (estimator.Estimator, error) {
+		return estimator.New(estimator.Spec{Stat: "hh1", P: 0.5, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 3})
 	}
-	for i := 0; i < 200; i++ {
-		ring.Observe(stream.Item(i%23 + 1))
+	hllF0 := func() (estimator.Estimator, error) {
+		return estimator.Adapt(core.NewF0Estimator(core.F0Config{P: 0.5, Backend: core.F0HLL, HLLPrecision: 6}, rng.New(3))), nil
 	}
-	if payload, err = ring.MarshalBinary(); err != nil {
-		tb.Fatal(err)
+	ring := func(inner func() (estimator.Estimator, error)) (estimator.Estimator, error) {
+		return window.Wrap(window.Config{Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(), New: inner})
 	}
-	return append(corpus, payload)
+	for _, build := range []func() (estimator.Estimator, error){
+		func() (estimator.Estimator, error) { return ring(hh1) },
+		hllF0,
+		func() (estimator.Estimator, error) { return ring(hllF0) },
+	} {
+		e, err := build()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			e.Observe(stream.Item(i%23 + 1))
+		}
+		if payload, err = e.MarshalBinary(); err != nil {
+			tb.Fatal(err)
+		}
+		corpus = append(corpus, payload)
+	}
+	return corpus
 }
 
 // FuzzEstimatorDecode feeds arbitrary bytes to the registry's single
@@ -92,6 +106,15 @@ func FuzzEstimatorDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := estimator.Decode(data)
+		// The refusal path: under a 64 KiB budget the same input decodes
+		// exactly when it decoded and its tables fit.
+		const budget = 64 << 10
+		restore := sketch.SetMaxDecodedBytes(budget)
+		_, tight := estimator.Decode(data)
+		restore()
+		if fits := err == nil && sketch.TableBytes(data) <= budget; fits != (tight == nil) {
+			t.Fatalf("under a %d-byte budget: err = %v (unbounded: %v; tables decode to %d bytes)", budget, tight, err, sketch.TableBytes(data))
+		}
 		if err != nil {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // Native fuzz targets for the sketch decoders: arbitrary bytes must be
@@ -47,13 +48,13 @@ func validPayloads() [][]byte {
 // decoders is the full decode surface of the package; corruption tests
 // run every input through every decoder.
 var decoders = map[string]func([]byte) error{
-	"CountMin":    func(d []byte) error { _, err := UnmarshalCountMin(d); return err },
-	"CountSketch": func(d []byte) error { _, err := UnmarshalCountSketch(d); return err },
-	"KMV":         func(d []byte) error { _, err := UnmarshalKMV(d); return err },
-	"HLL":         func(d []byte) error { _, err := UnmarshalHLL(d); return err },
-	"SpaceSaving": func(d []byte) error { _, err := UnmarshalSpaceSaving(d); return err },
-	"MisraGries":  func(d []byte) error { _, err := UnmarshalMisraGries(d); return err },
-	"TopK":        func(d []byte) error { _, err := UnmarshalTopK(d); return err },
+	"CountMin":    func(d []byte) error { _, err := wire.Decode(d, DecodeCountMin); return err },
+	"CountSketch": func(d []byte) error { _, err := wire.Decode(d, DecodeCountSketch); return err },
+	"KMV":         func(d []byte) error { _, err := wire.Decode(d, DecodeKMV); return err },
+	"HLL":         func(d []byte) error { _, err := wire.Decode(d, DecodeHLL); return err },
+	"SpaceSaving": func(d []byte) error { _, err := wire.Decode(d, DecodeSpaceSaving); return err },
+	"MisraGries":  func(d []byte) error { _, err := wire.Decode(d, DecodeMisraGries); return err },
+	"TopK":        func(d []byte) error { _, err := wire.Decode(d, DecodeTopK); return err },
 }
 
 // TestUnmarshalTruncatedAndBitFlipped drives every decoder over every
@@ -83,7 +84,7 @@ func TestUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 func FuzzUnmarshalCountMin(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cm, err := UnmarshalCountMin(data)
+		cm, err := wire.Decode(data, DecodeCountMin)
 		if err != nil {
 			return
 		}
@@ -99,7 +100,7 @@ func FuzzUnmarshalCountMin(f *testing.F) {
 func FuzzUnmarshalCountSketch(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cs, err := UnmarshalCountSketch(data)
+		cs, err := wire.Decode(data, DecodeCountSketch)
 		if err != nil {
 			return
 		}
@@ -112,7 +113,7 @@ func FuzzUnmarshalCountSketch(f *testing.F) {
 func FuzzUnmarshalKMV(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalKMV(data)
+		s, err := wire.Decode(data, DecodeKMV)
 		if err != nil {
 			return
 		}
@@ -126,7 +127,7 @@ func FuzzUnmarshalKMV(f *testing.F) {
 func FuzzUnmarshalHLL(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := UnmarshalHLL(data)
+		h, err := wire.Decode(data, DecodeHLL)
 		if err != nil {
 			return
 		}
@@ -140,7 +141,7 @@ func FuzzUnmarshalHLL(f *testing.F) {
 func FuzzUnmarshalSpaceSaving(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ss, err := UnmarshalSpaceSaving(data)
+		ss, err := wire.Decode(data, DecodeSpaceSaving)
 		if err != nil {
 			return
 		}
@@ -155,7 +156,7 @@ func FuzzUnmarshalSpaceSaving(f *testing.F) {
 func FuzzUnmarshalMisraGries(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mg, err := UnmarshalMisraGries(data)
+		mg, err := wire.Decode(data, DecodeMisraGries)
 		if err != nil {
 			return
 		}
@@ -170,7 +171,7 @@ func FuzzUnmarshalMisraGries(f *testing.F) {
 func FuzzUnmarshalTopK(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tk, err := UnmarshalTopK(data)
+		tk, err := wire.Decode(data, DecodeTopK)
 		if err != nil {
 			return
 		}

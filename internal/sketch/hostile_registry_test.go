@@ -4,15 +4,18 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"substream/internal/estimator"
 	"substream/internal/sketch"
+	"substream/internal/window"
 )
 
 // hostileShapes names, per wire tag, the hostile rows that kind's own
-// layout must give rise to (composites add whatever their children carry).
-// A kind missing from it fails TestHostilePayloads, so a new kind cannot
-// join the registry without saying which v3 shapes its payload holds.
+// layout must give rise to in at least one of its corpus payloads
+// (composites add whatever their children carry). A kind missing from it
+// fails TestHostilePayloads, so a new kind cannot join the registry
+// without saying which v3 shapes its payload holds.
 var hostileShapes = map[byte][]string{
 	0x01: {"zero run past the table end", "table of 2^22 columns over a short body", "all-zero table of 2^24 columns"},
 	0x02: {"zero run past the table end", "table of 2^22 columns over a short body", "all-zero table of 2^24 columns"},
@@ -56,56 +59,98 @@ func allocatedBy(f func()) uint64 {
 // estimator.Decode without a panic and without allocating as much as
 // 1 MiB on the way.
 func TestHostilePayloads(t *testing.T) {
-	covered := map[byte]bool{}
+	forged := map[byte]map[string]bool{}
+	refused := func(tag byte, name string, payload []byte) {
+		t.Helper()
+		var err error
+		allocated := allocatedBy(func() { _, err = estimator.Decode(payload) })
+		if strings.HasPrefix(name, "identity") {
+			if err != nil {
+				t.Errorf("tag %#x: %s: no longer decodes: %v", tag, name, err)
+			}
+			return
+		}
+		if err == nil {
+			t.Errorf("tag %#x: %s: decoded", tag, name)
+		}
+		if allocated >= 1<<20 {
+			t.Errorf("tag %#x: %s: refused only after allocating %d bytes", tag, name, allocated)
+		}
+	}
 	for _, payload := range registryCorpus(t) {
 		tag := payload[0]
-		covered[tag] = true
-		want, known := hostileShapes[tag]
-		if !known {
+		if _, known := hostileShapes[tag]; !known {
 			t.Errorf("tag %#x has no entry in hostileShapes", tag)
 		}
-		forged := map[string]bool{}
-		for _, row := range sketch.HostileRows(payload) {
-			forged[row.Name] = true
-			var err error
-			allocated := allocatedBy(func() { _, err = estimator.Decode(row.Payload) })
-			if strings.HasPrefix(row.Name, "identity") {
-				if err != nil {
-					t.Errorf("tag %#x: %s: no longer decodes: %v", tag, row.Name, err)
-				}
-				continue
-			}
-			if err == nil {
-				t.Errorf("tag %#x: %s: decoded", tag, row.Name)
-			}
-			if allocated >= 1<<20 {
-				t.Errorf("tag %#x: %s: refused only after allocating %d bytes", tag, row.Name, allocated)
-			}
+		if forged[tag] == nil {
+			forged[tag] = map[string]bool{}
 		}
+		for _, row := range sketch.HostileRows(payload) {
+			forged[tag][row.Name] = true
+			refused(tag, row.Name, row.Payload)
+		}
+	}
+	for tag, want := range hostileShapes {
 		for _, name := range want {
-			if !forged[name] {
-				t.Errorf("tag %#x: its payload gave rise to no %q row", tag, name)
+			if forged[tag] != nil && !forged[tag][name] {
+				t.Errorf("tag %#x: its payloads gave rise to no %q row", tag, name)
 			}
 		}
 	}
 	for _, k := range estimator.Kinds() {
-		if !covered[k.Tag] {
+		if forged[k.Tag] == nil {
 			t.Errorf("registry kind %q (tag %#x) is not in the hostile table", k.Name, k.Tag)
 		}
 	}
+
+	// The max-geometry Monitor (ROADMAP 3(a)): well-formed, a few hundred
+	// bytes, its hh1 and hh2 tables 0.6 of the decode budget each. Either
+	// table fits; the payload does not, and is refused before the second
+	// one is allocated — alone and as the replicas of a ring. The budget
+	// is lowered so that the table that is allocated stays under the
+	// table's 1 MiB.
+	const budget = 1 << 20
+	defer sketch.SetMaxDecodedBytes(budget)()
+	monitor := func() (estimator.Estimator, error) {
+		return estimator.New(estimator.Spec{Stat: "all", P: 0.5, Epsilon: 0.5, Alpha: 0.3, Seed: 3})
+	}
+	ring, err := window.Wrap(window.Config{Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(), New: monitor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := monitor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fits is a table size at which the payload's tables — two alone,
+	// eight in the ring — still decode together.
+	for _, tc := range []struct {
+		e    estimator.Estimator
+		fits int
+	}{{alone, budget * 4 / 10}, {ring, budget / 10}} {
+		payload, err := tc.e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(payload[0], "identity: tables that fit the budget together", sketch.ZeroTables(payload, tc.fits))
+		refused(payload[0], "hh1 and hh2 tables of 0.6 of the budget each", sketch.ZeroTables(payload, budget*6/10))
+	}
 }
 
-// TestDecodeBudgetCoversNestedChildren pins that the number of children a
-// composite reads off the wire — the generations of a ring, the levels of
-// an IWEstimator — does not multiply what a payload may decode to: with
-// the budget lowered to half of what the corpus's ring and IWEstimator
-// decode to, every one of their tables still well within it, Decode
-// refuses them, and without first decoding the children that are left.
+// TestDecodeBudgetCoversNestedChildren pins that a payload has one decode
+// budget whatever its nesting: neither the children a composite reads off
+// the wire — the generations of a ring, the levels of an IWEstimator — nor
+// its fixed parts multiply what it may decode to. For every corpus payload
+// that holds a counter table, with the budget lowered to half of what the
+// payload decodes to, Decode refuses it, and without first decoding the
+// children that are left.
 func TestDecodeBudgetCoversNestedChildren(t *testing.T) {
+	tabled := map[byte]bool{}
 	for _, payload := range registryCorpus(t) {
-		if tag := payload[0]; tag != 0x12 && tag != 0x30 {
+		if sketch.TableBytes(payload) == 0 {
 			continue
 		}
+		tabled[payload[0]] = true
 		var e estimator.Estimator
 		var err error
 		whole := allocatedBy(func() { e, err = estimator.Decode(payload) })
@@ -118,6 +163,11 @@ func TestDecodeBudgetCoversNestedChildren(t *testing.T) {
 		if err == nil || refused >= whole {
 			t.Errorf("tag %#x decodes to %d bytes, allocating %d: under half that budget, err = %v after allocating %d",
 				payload[0], e.SpaceBytes(), whole, err, refused)
+		}
+	}
+	for _, tag := range []byte{0x01, 0x02, 0x12, 0x23, 0x24, 0x25, 0x30} {
+		if !tabled[tag] {
+			t.Errorf("tag %#x: no corpus payload of it holds a counter table", tag)
 		}
 	}
 }

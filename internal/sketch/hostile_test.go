@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"substream/internal/wire"
 )
 
 // This file forges hostile v3 payloads out of valid ones. It knows the
@@ -30,36 +32,43 @@ type WireSite struct {
 	// Max is, for a run's count, the largest value its decoder admits
 	// (0: unbounded); for a table, its cell count.
 	Max uint64
+	// Dims is, for a table, where the width and depth of its sketch sit.
+	Dims int
 }
 
 // siteWalker walks one payload by the layout rules and records the first
 // site of each sort it meets.
 type siteWalker struct {
 	data  []byte
-	r     *Reader
+	r     *wire.Reader
 	lens  []int
 	end   int
 	sites map[string]WireSite
+	// tables are the table sites of the whole payload, in wire order.
+	tables []WireSite
 }
 
+// off is the walker's position in the payload.
+func (w *siteWalker) off() int { return len(w.data) - w.r.Remaining() }
+
 func (w *siteWalker) mark(name string, max uint64) {
-	if _, seen := w.sites[name]; !seen && w.r.err == nil {
-		w.sites[name] = WireSite{Off: w.r.off, Lens: slices.Clone(w.lens), End: w.end, Max: max}
+	if _, seen := w.sites[name]; !seen && w.r.Err() == nil {
+		w.sites[name] = WireSite{Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: max}
 	}
 }
 
-func (w *siteWalker) skip(n int) { w.r.off = min(w.r.off+n, len(w.data)) }
+func (w *siteWalker) skip(n int) { w.r.Raw(min(n, w.r.Remaining())) }
 
 // nested walks a child payload behind its length prefix and leaves the
 // reader at the child's end, however much of it the walk consumed.
 func (w *siteWalker) nested() {
-	w.lens = append(w.lens, w.r.off)
+	w.lens = append(w.lens, w.off())
 	outerEnd := w.end
 	n := int(w.r.U32())
-	w.end = w.r.off + n
-	if w.r.err == nil && w.end <= outerEnd {
+	w.end = w.off() + n
+	if w.r.Err() == nil && w.end <= outerEnd {
 		w.payload()
-		w.r.off = w.end
+		w.skip(w.end - w.off())
 	}
 	w.lens, w.end = w.lens[:len(w.lens)-1], outerEnd
 }
@@ -69,7 +78,7 @@ func (w *siteWalker) nested() {
 func (w *siteWalker) run(extra int, maxCount uint64) {
 	w.mark("count", 0)
 	n := int(w.r.U32())
-	for i := 0; i < n && w.r.err == nil; i++ {
+	for i := 0; i < n && w.r.Err() == nil; i++ {
 		// Only a run of two or more entries has sites: a lone entry has
 		// no delta to break, and no second count for its own to overflow
 		// a sum with.
@@ -95,6 +104,7 @@ func (w *siteWalker) payload() {
 	switch tag {
 	case TagCountMin, TagCountSketch:
 		w.mark("dims", 0)
+		dims := w.off()
 		width, depth := int(r.U32()), int(r.U32())
 		r.U64()
 		w.skip(depth * 20) // Hash2 rows
@@ -102,6 +112,9 @@ func (w *siteWalker) payload() {
 			w.skip(depth * 36) // Hash4 signs
 		}
 		w.mark("table", uint64(width*depth))
+		if r.Err() == nil {
+			w.tables = append(w.tables, WireSite{Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: uint64(width * depth), Dims: dims})
+		}
 	case TagKMV:
 		r.U32()
 		r.Hash2()
@@ -125,7 +138,7 @@ func (w *siteWalker) payload() {
 	case 0x11: // levelset.Estimator
 		w.skip(8 + 8 + 4)
 		w.nested()
-		for reps := int(r.U32()); reps > 0 && r.err == nil; reps-- {
+		for reps := int(r.U32()); reps > 0 && r.Err() == nil; reps-- {
 			r.Hash2()
 			r.U32()
 			w.run(1, 0)
@@ -134,7 +147,7 @@ func (w *siteWalker) payload() {
 		w.skip(8 + 8 + 8)
 		r.Hash2()
 		w.mark("count", 0)
-		for levels := int(r.U32()); levels > 0 && r.err == nil; levels-- {
+		for levels := int(r.U32()); levels > 0 && r.Err() == nil; levels-- {
 			r.U64()
 			w.nested()
 			w.nested()
@@ -159,7 +172,7 @@ func (w *siteWalker) payload() {
 		w.nested()
 	case 0x25: // core.Monitor
 		w.skip(8 + 8)
-		for parts := bits.OnesCount8(r.U8()); parts > 0 && r.err == nil; parts-- {
+		for parts := bits.OnesCount8(r.U8()); parts > 0 && r.Err() == nil; parts-- {
 			w.nested()
 		}
 	case 0x26: // core.GEEF0Estimator
@@ -169,7 +182,7 @@ func (w *siteWalker) payload() {
 		r.I64()
 		gens := int(r.U32())
 		r.U64()
-		for replicas := gens + 2; replicas > 0 && r.err == nil; replicas-- {
+		for replicas := gens + 2; replicas > 0 && r.Err() == nil; replicas-- {
 			w.nested()
 		}
 	case 0x40: // quantile.Estimator
@@ -191,10 +204,37 @@ func (w *siteWalker) payload() {
 // key delta of a run's second entry), "run count" (the count of its first
 // entry), "dims" (the width and depth of a counter table) and "table"
 // (where its cells start).
-func WireSites(payload []byte) map[string]WireSite {
-	w := &siteWalker{data: payload, r: NewReader(payload), end: len(payload), sites: map[string]WireSite{}}
+func WireSites(payload []byte) map[string]WireSite { return walk(payload).sites }
+
+func walk(payload []byte) *siteWalker {
+	w := &siteWalker{data: payload, r: wire.NewReader(payload), end: len(payload), sites: map[string]WireSite{}}
 	w.payload()
-	return w.sites
+	return w
+}
+
+// TableBytes returns what the counter tables of a valid payload, however
+// nested, decode to together: 8 bytes a cell.
+func TableBytes(payload []byte) int {
+	total := 0
+	for _, table := range walk(payload).tables {
+		total += 8 * int(table.Max)
+	}
+	return total
+}
+
+// ZeroTables returns a valid payload with every counter table in it
+// rewritten as an all-zero table that decodes to about size bytes: a few
+// wire bytes each, whatever the size.
+func ZeroTables(payload []byte, size int) []byte {
+	tables := walk(payload).tables
+	// Last table first: a rewrite moves only what lies behind it.
+	for _, s := range slices.Backward(tables) {
+		depth := int(binary.LittleEndian.Uint32(payload[s.Dims+4:]))
+		width := size / 8 / depth
+		payload = s.rewrite(payload, s.End-s.Off, append([]byte{0}, binary.AppendUvarint(nil, uint64(width*depth-1))...), false)
+		binary.LittleEndian.PutUint32(payload[s.Dims:], uint32(width))
+	}
+	return payload
 }
 
 // rewrite replaces old bytes at the site with repl and, when cut, drops
@@ -214,9 +254,9 @@ func (s WireSite) rewrite(payload []byte, old int, repl []byte, cut bool) []byte
 // SetMaxDecodedBytes lowers the decode budget for one test and returns the
 // function that restores it.
 func SetMaxDecodedBytes(n int) (restore func()) {
-	old := maxDecodedBytes
-	maxDecodedBytes = n
-	return func() { maxDecodedBytes = old }
+	old := wire.MaxDecodedBytes
+	wire.MaxDecodedBytes = n
+	return func() { wire.MaxDecodedBytes = old }
 }
 
 // HostileRow is one forged payload and the v3 failure mode it carries.

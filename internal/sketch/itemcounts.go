@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // ItemCounts is the exact counting store — the frequency vector of the
@@ -230,7 +231,7 @@ func joinRuns(ai []stream.Item, ac []uint64, bi []stream.Item, bc []uint64) ([]s
 // Encode writes the store as a sorted item run, settling it first: equal
 // frequency vectors serialize identically, and an ordered store streams
 // out in one pass with nothing sorted and nothing looked up.
-func (s *ItemCounts) Encode(w *Writer) {
+func (s *ItemCounts) Encode(w *wire.Writer) {
 	s.Settle()
 	run := w.Run(len(s.items))
 	for i, it := range s.items {
@@ -242,8 +243,8 @@ func (s *ItemCounts) Encode(w *Writer) {
 // two slabs sized from the run's validated length, and leaves s ordered
 // and unindexed. maxCount bounds each count (Reader.Run); on a failed
 // reader s is left alone.
-func (s *ItemCounts) Decode(r *Reader, maxCount uint64) {
-	run := r.Run(MaxWireElems, RunEntryBytes, maxCount)
+func (s *ItemCounts) Decode(r *wire.Reader, maxCount uint64) {
+	run := r.Run(wire.MaxWireElems, wire.RunEntryBytes, maxCount)
 	if r.Err() != nil {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // refCounts is the exact counting store as it stood before ItemCounts —
@@ -41,12 +42,12 @@ func (c *refCounts) merge(other *refCounts) {
 	c.n += other.n
 }
 
-func (c *refCounts) Encode(w *Writer) { w.Freq(c.counts) }
+func (c *refCounts) Encode(w *wire.Writer) { w.Freq(c.counts) }
 
 func decodeRefCounts(t *testing.T, payload []byte) *refCounts {
 	t.Helper()
-	r := NewReader(payload)
-	counts, sum := r.Freq(MaxWireElems, math.MaxUint64)
+	r := wire.NewReader(payload)
+	counts, sum := r.Freq(wire.MaxWireElems, math.MaxUint64)
 	if err := r.Done(); err != nil {
 		t.Fatalf("reference decode: %v", err)
 	}
@@ -81,9 +82,9 @@ func (s *ItemCounts) state() string {
 	return "fed"
 }
 
-func mustMarshalRun(t *testing.T, e Encoder) []byte {
+func mustMarshalRun(t *testing.T, e wire.Encoder) []byte {
 	t.Helper()
-	payload, err := Marshal(e)
+	payload, err := wire.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 		case op < 9:
 			payload := mustMarshalRun(t, s.clone())
 			back := new(ItemCounts)
-			rd := NewReader(payload)
+			rd := wire.NewReader(payload)
 			back.Decode(rd, math.MaxUint64)
 			if err := rd.Done(); err != nil {
 				t.Fatalf("step %d: decode: %v", step, err)
@@ -303,7 +304,7 @@ func TestItemCountsDecodeAllocations(t *testing.T) {
 	payload := mustMarshalRun(t, &s)
 	if n := testing.AllocsPerRun(10, func() {
 		var back ItemCounts
-		rd := NewReader(payload)
+		rd := wire.NewReader(payload)
 		back.Decode(rd, math.MaxUint64)
 		if rd.Done() != nil || back.Len() != s.Len() {
 			t.Fatal("decode failed")
@@ -360,7 +361,7 @@ func FuzzItemCountsSplit(f *testing.F) {
 		checkAgainstRef(t, acc, ref)
 		checkAgainstRef(t, whole, ref)
 		back := new(ItemCounts)
-		rd := NewReader(mustMarshalRun(t, acc))
+		rd := wire.NewReader(mustMarshalRun(t, acc))
 		back.Decode(rd, math.MaxUint64)
 		if err := rd.Done(); err != nil {
 			t.Fatal(err)

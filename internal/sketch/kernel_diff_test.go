@@ -7,6 +7,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // Differential and property tests for the slab / permutation-heap /
@@ -194,7 +195,7 @@ func TestTopKMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref.Merge(refOther)
-					dec, err := UnmarshalTopK(tkBytes(t, tk))
+					dec, err := wire.Decode(tkBytes(t, tk), DecodeTopK)
 					if err != nil {
 						t.Fatal(err)
 					}

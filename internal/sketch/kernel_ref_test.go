@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // This file keeps the update kernels as they stood before the slab /
@@ -116,7 +117,7 @@ func (ss *refSpaceSaving) UpdateBatch(items []stream.Item) {
 }
 
 func (ss *refSpaceSaving) bytes() []byte {
-	w := &Writer{}
+	w := &wire.Writer{}
 	w.Header(TagSpaceSaving)
 	w.U32(uint32(ss.k))
 	w.U64(ss.n)
@@ -133,7 +134,7 @@ func (ss *refSpaceSaving) bytes() []byte {
 // input is always a payload the real decoder accepts).
 func refSSDecode(t testing.TB, data []byte) *refSpaceSaving {
 	t.Helper()
-	r := NewReader(data)
+	r := wire.NewReader(data)
 	r.Header(TagSpaceSaving)
 	ss := newRefSpaceSaving(int(r.U32()))
 	ss.n = r.U64()
@@ -249,7 +250,7 @@ func (t *refTopK) Merge(other *refTopK) {
 }
 
 func (t *refTopK) bytes() []byte {
-	w := &Writer{}
+	w := &wire.Writer{}
 	w.Header(TagTopK)
 	w.U32(uint32(t.k))
 	w.U32(uint32(len(t.h)))
@@ -263,7 +264,7 @@ func (t *refTopK) bytes() []byte {
 // refTopKDecode is the old UnmarshalTopK minus validation.
 func refTopKDecode(t testing.TB, data []byte) *refTopK {
 	t.Helper()
-	r := NewReader(data)
+	r := wire.NewReader(data)
 	r.Header(TagTopK)
 	tk := newRefTopK(int(r.U32()))
 	count := int(r.U32())

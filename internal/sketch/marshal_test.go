@@ -6,6 +6,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 func TestCountMinMarshalRoundTrip(t *testing.T) {
@@ -18,7 +19,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalCountMin(data)
+	back, err := wire.Decode(data, DecodeCountMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalCountSketch(data)
+	back, err := wire.Decode(data, DecodeCountSketch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestKMVMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalKMV(data)
+	back, err := wire.Decode(data, DecodeKMV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestKMVMarshalBelowK(t *testing.T) {
 	kmv.Observe(1)
 	kmv.Observe(2)
 	data, _ := kmv.MarshalBinary()
-	back, err := UnmarshalKMV(data)
+	back, err := wire.Decode(data, DecodeKMV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestHLLMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalHLL(data)
+	back, err := wire.Decode(data, DecodeHLL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSpaceSavingMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalSpaceSaving(data)
+	back, err := wire.Decode(data, DecodeSpaceSaving)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestMisraGriesMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalMisraGries(data)
+	back, err := wire.Decode(data, DecodeMisraGries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestTopKMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalTopK(data)
+	back, err := wire.Decode(data, DecodeTopK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestUnmarshalSpaceSavingRejectsBrokenInvariants(t *testing.T) {
 	// One counter (item 7, count 5) of a summary that saw 10 items, with
 	// the given error bound.
 	withErr := func(e uint64) []byte {
-		w := &Writer{}
+		w := &wire.Writer{}
 		w.Header(TagSpaceSaving)
 		w.U32(4)
 		w.U64(10)
@@ -245,12 +246,12 @@ func TestUnmarshalSpaceSavingRejectsBrokenInvariants(t *testing.T) {
 		w.Uvarint(e)
 		return w.Bytes()
 	}
-	if _, err := UnmarshalSpaceSaving(withErr(4)); err != nil {
+	if _, err := wire.Decode(withErr(4), DecodeSpaceSaving); err != nil {
 		t.Fatalf("err < count rejected: %v", err)
 	}
 	// err >= count wraps the certified lower bound count−err.
 	for _, e := range []uint64{5, 1<<64 - 1} {
-		if _, err := UnmarshalSpaceSaving(withErr(e)); err == nil {
+		if _, err := wire.Decode(withErr(e), DecodeSpaceSaving); err == nil {
 			t.Fatalf("err %d >= count accepted", e)
 		}
 	}
@@ -268,16 +269,16 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"trailing":    append(append([]byte{}, data...), 0xff),
 	}
 	for name, d := range cases {
-		if _, err := UnmarshalCountMin(d); err == nil {
+		if _, err := wire.Decode(d, DecodeCountMin); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
 	// Cross-type confusion.
 	kmvData, _ := NewKMV(8, rng.New(9)).MarshalBinary()
-	if _, err := UnmarshalCountMin(kmvData); err == nil {
+	if _, err := wire.Decode(kmvData, DecodeCountMin); err == nil {
 		t.Fatal("KMV bytes accepted as CountMin")
 	}
-	if _, err := UnmarshalHLL(data); err == nil {
+	if _, err := wire.Decode(data, DecodeHLL); err == nil {
 		t.Fatal("CountMin bytes accepted as HLL")
 	}
 }
@@ -285,10 +286,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestUnmarshalFuzzNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		// All four decoders must reject or accept, never panic.
-		_, _ = UnmarshalCountMin(data)
-		_, _ = UnmarshalCountSketch(data)
-		_, _ = UnmarshalKMV(data)
-		_, _ = UnmarshalHLL(data)
+		_, _ = wire.Decode(data, DecodeCountMin)
+		_, _ = wire.Decode(data, DecodeCountSketch)
+		_, _ = wire.Decode(data, DecodeKMV)
+		_, _ = wire.Decode(data, DecodeHLL)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -307,7 +308,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := UnmarshalCountMin(data)
+		back, err := wire.Decode(data, DecodeCountMin)
 		if err != nil {
 			return false
 		}

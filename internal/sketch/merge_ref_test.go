@@ -10,6 +10,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // refSpaceSavingMerge is SpaceSaving.Merge as it stood before the
@@ -80,7 +81,7 @@ func ssOf(k int, s stream.Slice) *SpaceSaving {
 
 func ssClone(t *testing.T, ss *SpaceSaving) *SpaceSaving {
 	t.Helper()
-	c, err := UnmarshalSpaceSaving(ssBytes(t, ss))
+	c, err := wire.Decode(ssBytes(t, ss), DecodeSpaceSaving)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func ssBytes(t *testing.T, ss *SpaceSaving) []byte {
 func ssWide(t *testing.T, k int, seed uint64) *SpaceSaving {
 	t.Helper()
 	r := rng.New(seed)
-	w := &Writer{}
+	w := &wire.Writer{}
 	w.Header(TagSpaceSaving)
 	w.U32(uint32(k))
 	w.U64(1 << 63)
@@ -112,7 +113,7 @@ func ssWide(t *testing.T, k int, seed uint64) *SpaceSaving {
 		w.Uvarint(c)
 		w.Uvarint(r.Uint64n(c))
 	}
-	ss, err := UnmarshalSpaceSaving(w.Bytes())
+	ss, err := wire.Decode(w.Bytes(), DecodeSpaceSaving)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"testing"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // varintEdges are the values on either side of every byte-length boundary
@@ -23,7 +25,7 @@ func varintEdges() []uint64 {
 }
 
 func TestVarintRoundTrip(t *testing.T) {
-	w := &Writer{}
+	w := &wire.Writer{}
 	for _, v := range varintEdges() {
 		w.Uvarint(v)
 		w.Varint(int64(v))
@@ -41,7 +43,7 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 	// Signed values are only ever read back as the cells of a table
 	// (TestCellsRoundTrip); here the zigzag mapping is undone by hand.
-	r := NewReader(w.Bytes())
+	r := wire.NewReader(w.Bytes())
 	unzigzag := func(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 	for _, v := range varintEdges() {
 		if got := r.Uvarint(); got != v {
@@ -71,7 +73,7 @@ func TestUvarintRejects(t *testing.T) {
 		"over-long 2^14":           {0x80, 0x80, 0x81, 0x00},
 	}
 	for name, data := range cases {
-		r := NewReader(data)
+		r := wire.NewReader(data)
 		if v := r.Uvarint(); r.Err() == nil || v != 0 {
 			t.Errorf("%s: read %d, err %v", name, v, r.Err())
 		}
@@ -85,7 +87,7 @@ func TestUvarintRejects(t *testing.T) {
 // runOf writes entries as a sorted run, bypassing Put so a test can place
 // any delta and any count on the wire.
 func runOf(entries ...[2]uint64) []byte {
-	w := &Writer{}
+	w := &wire.Writer{}
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
 		w.Uvarint(e[0])
@@ -112,8 +114,8 @@ func TestRunRejects(t *testing.T) {
 		{"more entries claimed than bytes could hold", binary.LittleEndian.AppendUint32(nil, 1<<28), max},
 	}
 	for _, tc := range cases {
-		r := NewReader(tc.data)
-		run := r.Run(MaxWireElems, RunEntryBytes, tc.maxCount)
+		r := wire.NewReader(tc.data)
+		run := r.Run(wire.MaxWireElems, wire.RunEntryBytes, tc.maxCount)
 		for run.Next() {
 		}
 		if r.Err() == nil {
@@ -122,13 +124,18 @@ func TestRunRejects(t *testing.T) {
 	}
 	// The widest legal run: first key 0, last key 2^64-1, counts filling
 	// 64 bits exactly.
-	r := NewReader(runOf([2]uint64{0, 1 << 63}, [2]uint64{max, 1<<63 - 1}))
-	run := r.Run(MaxWireElems, RunEntryBytes, max)
+	r := wire.NewReader(runOf([2]uint64{0, 1 << 63}, [2]uint64{max, 1<<63 - 1}))
+	run := r.Run(wire.MaxWireElems, wire.RunEntryBytes, max)
 	for run.Next() {
 	}
 	if err := r.Done(); err != nil || run.Item != max || run.Sum != max {
 		t.Fatalf("widest run: item %d sum %d err %v", run.Item, run.Sum, err)
 	}
+}
+
+// sortedKeys returns the keys of an item-keyed map in increasing order.
+func sortedKeys[V any](m map[stream.Item]V) []stream.Item {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // ipv4Keys returns n distinct IPv4-like keys: addresses clustered in a
@@ -188,13 +195,13 @@ func TestFreqRoundTripAndSizeBudget(t *testing.T) {
 			}
 			sum += f[it]
 		}
-		w := &Writer{}
+		w := &wire.Writer{}
 		w.Freq(f)
 		if got := float64(len(w.Bytes())-4) / float64(max(len(f), 1)); got > tc.perEntry {
 			t.Errorf("%s: %.2f bytes an entry, budget %.0f", tc.name, got, tc.perEntry)
 		}
-		rd := NewReader(w.Bytes())
-		back, gotSum := rd.Freq(MaxWireElems, math.MaxUint64)
+		rd := wire.NewReader(w.Bytes())
+		back, gotSum := rd.Freq(wire.MaxWireElems, math.MaxUint64)
 		if err := rd.Done(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -211,23 +218,23 @@ func TestFreqRoundTripAndSizeBudget(t *testing.T) {
 
 func TestCellsRoundTrip(t *testing.T) {
 	signed := []int64{0, 0, 0, 1, -1, 0, 63, -64, 64, 0, 0, math.MaxInt64, math.MinInt64, 0}
-	w := &Writer{}
+	w := &wire.Writer{}
 	w.SignedCells(signed)
-	r := NewReader(w.Bytes())
+	r := wire.NewReader(w.Bytes())
 	back := r.SignedCells(len(signed))
 	if err := r.Done(); err != nil || !slices.Equal(back, signed) {
 		t.Fatalf("signed cells: %v, err %v", back, err)
 	}
 	unsigned := []uint64{7, 0, 0, 0, 0, 127, 128, 0, math.MaxUint64}
-	w = &Writer{}
+	w = &wire.Writer{}
 	w.Cells(unsigned)
-	r = NewReader(w.Bytes())
+	r = wire.NewReader(w.Bytes())
 	ub := r.Cells(len(unsigned))
 	if err := r.Done(); err != nil || !slices.Equal(ub, unsigned) {
 		t.Fatalf("unsigned cells: %v, err %v", ub, err)
 	}
 	// A table may be nothing at all.
-	r = NewReader(nil)
+	r = wire.NewReader(nil)
 	if err := r.Done(); err != nil || len(r.Cells(0)) != 0 {
 		t.Fatalf("empty table: %v", err)
 	}
@@ -243,18 +250,18 @@ func TestCellsReject(t *testing.T) {
 		"cut inside a cell":           {0x05, 0x85},
 	}
 	for name, data := range cases {
-		r := NewReader(data)
+		r := wire.NewReader(data)
 		if r.Cells(4); r.Err() == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// A large table the input cannot fill is refused before it is
 	// allocated.
-	if n := testing.AllocsPerRun(10, func() { NewReader([]byte{0x05}).Cells(1 << 28) }); n > 2 {
+	if n := testing.AllocsPerRun(10, func() { wire.NewReader([]byte{0x05}).Cells(1 << 28) }); n > 2 {
 		t.Errorf("an unfillable 2^28-cell table cost %v allocations", n)
 	}
 	// More cells than the table holds are trailing bytes, not a panic.
-	r := NewReader([]byte{1, 2, 3, 4, 5})
+	r := wire.NewReader([]byte{1, 2, 3, 4, 5})
 	r.Cells(4)
 	if r.Done() == nil {
 		t.Error("a fifth cell of a four-cell table went unnoticed")
@@ -282,7 +289,7 @@ func TestEmptyTableCostsBytesNotCells(t *testing.T) {
 		if table := len(cs) - (2 + 4 + 4 + 8 + depth*(20+36)); table > 16 {
 			t.Errorf("CountSketch %dx%d: empty table section is %d bytes", width, depth, table)
 		}
-		if _, err := UnmarshalCountSketch(cs); err != nil {
+		if _, err := wire.Decode(cs, DecodeCountSketch); err != nil {
 			t.Errorf("CountSketch %dx%d: %v", width, depth, err)
 		}
 	}
@@ -291,7 +298,12 @@ func TestEmptyTableCostsBytesNotCells(t *testing.T) {
 // failingEncoder is a nested child whose encode fails.
 type failingEncoder struct{ err error }
 
-func (f failingEncoder) Encode(w *Writer) { w.Fail(f.err) }
+func (f failingEncoder) Encode(w *wire.Writer) { w.Fail(f.err) }
+
+// encoderFunc is an encoder written in place.
+type encoderFunc func(w *wire.Writer)
+
+func (f encoderFunc) Encode(w *wire.Writer) { f(w) }
 
 func TestNestWritesInPlaceAndKeepsTheFirstError(t *testing.T) {
 	ss := NewSpaceSaving(4)
@@ -302,23 +314,28 @@ func TestNestWritesInPlaceAndKeepsTheFirstError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Writer{buf: []byte("prefix")}
+	w := &wire.Writer{}
+	w.Raw([]byte("prefix"))
 	w.Nest(ss)
 	w.U8(0x7e)
-	want := &Writer{buf: []byte("prefix")}
+	want := &wire.Writer{}
+	want.Raw([]byte("prefix"))
 	want.Nested(child)
 	want.U8(0x7e)
-	if !bytes.Equal(w.Bytes(), want.Bytes()) || w.err != nil {
-		t.Fatalf("Nest wrote % x, want % x (err %v)", w.Bytes(), want.Bytes(), w.err)
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Fatalf("Nest wrote % x, want % x", w.Bytes(), want.Bytes())
 	}
 	first := bytes.ErrTooLarge
-	w.Nest(failingEncoder{first})
-	w.Nest(failingEncoder{io.ErrUnexpectedEOF})
-	w.Nest(ss)
-	if w.err != first {
-		t.Fatalf("err = %v, want the first child's error", w.err)
+	_, err = wire.Marshal(encoderFunc(func(w *wire.Writer) {
+		w.Nest(ss)
+		w.Nest(failingEncoder{first})
+		w.Nest(failingEncoder{io.ErrUnexpectedEOF})
+		w.Nest(ss)
+	}))
+	if err != first {
+		t.Fatalf("err = %v, want the first child's error", err)
 	}
-	if _, err := Marshal(failingEncoder{first}); err != first {
+	if _, err := wire.Marshal(failingEncoder{first}); err != first {
 		t.Fatalf("Marshal returned %v, want the encoder's error", err)
 	}
 }
@@ -345,17 +362,62 @@ func TestSizingPassBoundsThePayload(t *testing.T) {
 		topk.Update(it, float64(i))
 	}
 	for _, tc := range []struct {
-		e     Encoder
+		e     wire.Encoder
 		exact bool
 	}{{cm, true}, {cs, true}, {kmv, true}, {hll, true}, {ss, true}, {topk, true}, {mg, false}} {
-		sized := &Writer{sizing: true}
-		tc.e.Encode(sized)
-		payload, err := Marshal(tc.e)
+		// What the sizing pass counted is the capacity of the buffer the
+		// writing pass starts on.
+		var sized int
+		payload, err := wire.Marshal(encoderFunc(func(w *wire.Writer) {
+			if !w.Sizing() {
+				sized = cap(w.Bytes())
+			}
+			tc.e.Encode(w)
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sized.size < len(payload) || (tc.exact && sized.size != len(payload)) || cap(payload) != sized.size {
-			t.Errorf("%T: sized at %d bytes, wrote %d into a buffer of %d", tc.e, sized.size, len(payload), cap(payload))
+		if sized < len(payload) || (tc.exact && sized != len(payload)) || cap(payload) != sized {
+			t.Errorf("%T: sized at %d bytes, wrote %d into a buffer of %d", tc.e, sized, len(payload), cap(payload))
 		}
+	}
+}
+
+// TestNestBoundsTheChild pins the reading half of in-place nesting: the
+// child's decode function reads from the parent's Reader, cannot read past
+// its own length although the parent's bytes go on, fails the payload when
+// it leaves bytes unread, and draws on the parent's decode budget.
+func TestNestBoundsTheChild(t *testing.T) {
+	w := &wire.Writer{}
+	w.Nested([]byte{1, 2, 3})
+	w.U8(0x7e)
+	raw := func(n int) func(*wire.Reader) ([]byte, error) {
+		return func(r *wire.Reader) ([]byte, error) { return r.Raw(n), r.Err() }
+	}
+	for n, ok := range map[int]bool{2: false, 3: true, 4: false} {
+		r := wire.NewReader(w.Bytes())
+		child, err := wire.Nest(r, raw(n))
+		if (err == nil) != ok || (r.Err() == nil) != ok {
+			t.Fatalf("child reading %d of its 3 bytes: err %v, reader %v", n, err, r.Err())
+		}
+		if ok && (!bytes.Equal(child, []byte{1, 2, 3}) || r.U8() != 0x7e || r.Done() != nil) {
+			t.Fatalf("after the child the parent read on wrongly (%v)", r.Done())
+		}
+	}
+
+	// Two all-zero tables of 0.6 of the budget each, one nested.
+	const budget = 1 << 16
+	defer SetMaxDecodedBytes(budget)()
+	cells := budget * 6 / 10 / 8
+	table := func(r *wire.Reader) ([]uint64, error) { return r.Cells(cells), r.Err() }
+	w = &wire.Writer{}
+	w.Cells(make([]uint64, cells))
+	w.Nest(encoderFunc(func(w *wire.Writer) { w.Cells(make([]uint64, cells)) }))
+	r := wire.NewReader(w.Bytes())
+	if _, err := table(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.Nest(r, table); err == nil {
+		t.Fatal("a nested table had a decode budget of its own")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"substream/internal/estimator"
-	"substream/internal/sketch"
+	"substream/internal/wire"
 )
 
 // TagWindow is the wire tag of the windowed wrapper. The window package
@@ -17,63 +17,50 @@ const TagWindow byte = 0x30
 // rides freely. The gate runs BEFORE decoding, so a crafted payload
 // cannot nest another window (or any future composite in this range) and
 // recurse the decoder — the same discipline as levelset's
-// collision-counter gate.
+// collision-counter switch.
 const (
 	compositeTagMin byte = TagWindow
 	compositeTagMax byte = TagWindow + 0x0f
 )
 
-// decodeInner revives one nested replica through the registry's single
-// entry point, after gating its tag out of the composite range.
-func decodeInner(data []byte) (estimator.Estimator, error) {
-	tag, err := sketch.PayloadTag(data)
-	if err != nil {
-		return nil, err
-	}
-	if tag >= compositeTagMin && tag <= compositeTagMax {
+// decodeInner revives the replica r is about to yield through the
+// registry, after gating its tag out of the composite range.
+func decodeInner(r *wire.Reader) (estimator.Estimator, error) {
+	if tag := r.Tag(); tag >= compositeTagMin && tag <= compositeTagMax {
 		return nil, fmt.Errorf("window: payload tag %#x cannot ride inside a window", tag)
 	}
-	return estimator.Decode(data)
+	return estimator.DecodeFrom(r)
 }
 
+// fresh revives a new replica from the ring's pristine payload.
+func (e *Estimator) fresh() (estimator.Estimator, error) { return wire.Decode(e.pristine, decodeInner) }
+
 // MarshalBinary serializes the full ring state.
-func (e *Estimator) MarshalBinary() ([]byte, error) { return sketch.Marshal(e) }
+func (e *Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // Encode writes the full ring state: epoch metadata, the pristine replica
 // resets decode from, then the cumulative replica and every generation in
 // slot order, each nested in place. The ring is rotated to the clock's
 // epoch first, so the payload never ships expired generations.
-func (e *Estimator) Encode(w *sketch.Writer) {
+func (e *Estimator) Encode(w *wire.Writer) {
 	e.rotate()
 	w.Header(TagWindow)
 	w.I64(e.epochLen)
 	w.U32(uint32(e.window))
 	w.U64(e.epoch)
 	w.Nested(e.pristine)
-	nest(w, e.cum)
+	w.Nest(e.cum)
 	for _, g := range e.gens {
-		nest(w, g)
+		w.Nest(g)
 	}
 }
 
-// nest writes one replica in place. The registry interface cannot name
-// the Writer (internal/sketch registers its own kinds, so the registry
-// cannot import it); the estimator behind it can.
-func nest(w *sketch.Writer, replica estimator.Estimator) {
-	if enc, ok := estimator.Unwrap(replica).(sketch.Encoder); ok {
-		w.Nest(enc)
-	} else {
-		w.Fail(fmt.Errorf("window: replica %T has no wire form", estimator.Unwrap(replica)))
-	}
-}
-
-// Unmarshal reconstructs a windowed estimator from MarshalBinary output.
-// The revived estimator carries a clock frozen at its snapshot epoch: it
-// answers as of that moment and never rotates on its own, which is
-// exactly what a collector retaining per-agent states needs — alignment
-// to "now" happens when it merges into a live accumulator.
-func Unmarshal(data []byte) (*Estimator, error) {
-	r := sketch.NewReader(data)
+// Decode reads a windowed estimator written by Encode. The revived
+// estimator carries a clock frozen at its snapshot epoch: it answers as
+// of that moment and never rotates on its own, which is exactly what a
+// collector retaining per-agent states needs — alignment to "now" happens
+// when it merges into a live accumulator.
+func Decode(r *wire.Reader) (*Estimator, error) {
 	r.Header(TagWindow)
 	epochLen := r.I64()
 	window := int(r.U32())
@@ -91,31 +78,24 @@ func Unmarshal(data []byte) (*Estimator, error) {
 		epoch:    epoch,
 		gens:     make([]estimator.Estimator, window),
 	}
-	// Copy the pristine payload out of the shared input buffer: it
-	// outlives the decode (every later reset reads it).
-	e.pristine = append([]byte(nil), r.Nested()...)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	var err error
-	if _, err = decodeInner(e.pristine); err != nil {
+	// The pristine replica is decoded like the others, under the ring's
+	// one budget; what outlives the decode (every later reset reads it) is
+	// its payload, written back out of the replica rather than copied out
+	// of the shared input buffer.
+	pristine, err := wire.Nest(r, decodeInner)
+	if err != nil {
 		return nil, fmt.Errorf("window: pristine replica: %w", err)
 	}
-	if e.cum, err = decodeInner(r.Nested()); err != nil {
+	if e.pristine, err = pristine.MarshalBinary(); err != nil {
+		return nil, fmt.Errorf("window: pristine replica: %w", err)
+	}
+	if e.cum, err = wire.Nest(r, decodeInner); err != nil {
 		return nil, fmt.Errorf("window: cumulative replica: %w", err)
 	}
-	// Every replica is charged to the ring's reader as it is decoded, so
-	// the generation count multiplies the replicas and not what they may
-	// decode to together.
-	r.Charge(e.cum.SpaceBytes())
-	for i := 0; i < window && r.Err() == nil; i++ {
-		if e.gens[i], err = decodeInner(r.Nested()); err != nil {
+	for i := range e.gens {
+		if e.gens[i], err = wire.Nest(r, decodeInner); err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
 		}
-		r.Charge(e.gens[i].SpaceBytes())
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
 	}
 	// A crafted payload can nest replicas of mixed kinds (or foreign
 	// seeds) that would only surface as a merge failure on the first
@@ -141,7 +121,7 @@ func init() {
 	estimator.Register(estimator.Kind{
 		Tag: TagWindow, Name: "window",
 		Doc:    "epoch-ring window wrapper around any estimator (built via New, not a Spec)",
-		Decode: estimator.DecodeTyped(Unmarshal),
+		Decode: estimator.DecodeTyped(Decode),
 	})
 }
 

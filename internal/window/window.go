@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"substream/internal/estimator"
-	"substream/internal/sketch"
 	"substream/internal/stream"
 )
 
@@ -202,14 +201,11 @@ func New(cfg Config) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, nests := estimator.Unwrap(probe).(sketch.Encoder); !nests {
-		return nil, fmt.Errorf("window: inner kind %T cannot write itself into a ring's payload (no sketch.Encoder)", estimator.Unwrap(probe))
-	}
 	e.pristine, err = probe.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("window: inner kind is not serializable: %w", err)
 	}
-	if _, err := decodeInner(e.pristine); err != nil {
+	if _, err := e.fresh(); err != nil {
 		return nil, fmt.Errorf("window: inner kind cannot ride a window payload: %w", err)
 	}
 	return e, nil
@@ -220,10 +216,10 @@ func (e *Estimator) Epoch() uint64 { e.rotate(); return e.epoch }
 
 // reset replaces slot i with a pristine replica.
 func (e *Estimator) reset(i int) {
-	fresh, err := decodeInner(e.pristine)
+	fresh, err := e.fresh()
 	if err != nil {
-		// Unreachable: pristine round-tripped through decodeInner in New
-		// (or arrived via Unmarshal, which decodes every nested payload).
+		// Unreachable: pristine round-tripped through fresh in New (or
+		// was written by a replica Decode revived).
 		panic(fmt.Sprintf("window: pristine payload stopped decoding: %v", err))
 	}
 	e.gens[i] = fresh
@@ -371,7 +367,7 @@ func (e *Estimator) Scope(window bool) (estimator.Estimator, error) {
 		return e.cum, nil
 	}
 	e.rotate()
-	acc, err := decodeInner(e.pristine)
+	acc, err := e.fresh()
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +395,7 @@ func (e *Estimator) EstimatorReport() estimator.Report {
 	}
 	acc, err := e.Scope(true)
 	if err != nil {
-		// Unreachable for rings built by New or Unmarshal (generations
+		// Unreachable for rings built by New or Decode (generations
 		// share one spec); a report has no error channel regardless.
 		return rep
 	}

@@ -7,16 +7,14 @@ import (
 	"testing"
 	"time"
 
+	_ "substream/internal/core"
 	"substream/internal/estimator"
 	"substream/internal/pipeline"
-	"substream/internal/sketch"
+	_ "substream/internal/quantile"
 	"substream/internal/stream"
 	"substream/internal/window"
+	"substream/internal/wire"
 	"substream/internal/workload"
-
-	// Populate the registry with every standard kind.
-	_ "substream/internal/core"
-	_ "substream/internal/quantile"
 )
 
 // innerSpec returns the construction spec tests build inner replicas
@@ -346,17 +344,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := window.Unmarshal(payload[:cut]); err == nil {
+		if _, err := wire.Decode(payload[:cut], window.Decode); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := window.Unmarshal(append(append([]byte(nil), payload...), 0)); err == nil {
+	if _, err := wire.Decode(append(append([]byte(nil), payload...), 0), window.Decode); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// Window count beyond MaxWindow must fail before allocating.
 	huge := append([]byte(nil), payload...)
 	huge[10], huge[11], huge[12], huge[13] = 0xff, 0xff, 0xff, 0xff
-	if _, err := window.Unmarshal(huge); err == nil {
+	if _, err := wire.Decode(huge, window.Decode); err == nil {
 		t.Fatal("absurd window count accepted")
 	}
 }
@@ -383,7 +381,7 @@ func TestDecodeRejectsMixedKindRing(t *testing.T) {
 	}
 	// The single generation payload is the last nested field; replace it
 	// with the kmv payload (4-byte length prefix + bytes, per Nested).
-	r := sketch.NewReader(good)
+	r := wire.NewReader(good)
 	r.Header(window.TagWindow)
 	r.I64()        // epoch length
 	r.U32()        // window span
@@ -395,15 +393,15 @@ func TestDecodeRejectsMixedKindRing(t *testing.T) {
 		t.Fatal(r.Err())
 	}
 	spliced := append([]byte(nil), good[:genOffset]...)
-	w := &sketch.Writer{}
+	w := &wire.Writer{}
 	w.Nested(foreign)
 	spliced = append(spliced, w.Bytes()...)
-	if _, err := window.Unmarshal(spliced); err == nil ||
+	if _, err := wire.Decode(spliced, window.Decode); err == nil ||
 		!strings.Contains(err.Error(), "do not merge") {
 		t.Fatalf("mixed-kind ring decoded: %v", err)
 	}
 	// Sanity: the unspliced payload still decodes.
-	if _, err := window.Unmarshal(good); err != nil {
+	if _, err := wire.Decode(good, window.Decode); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -495,7 +493,7 @@ func TestWindowedQuantileRidesRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := window.Unmarshal(data)
+	d, err := wire.Decode(data, window.Decode)
 	if err != nil {
 		t.Fatalf("windowed quantile failed to decode: %v", err)
 	}

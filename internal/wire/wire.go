@@ -1,7 +1,16 @@
-package sketch
+// Package wire owns the wire primitives every payload is built from: the
+// fixed-width and varint fields, in-place nesting in both directions, and
+// the two shapes that make up almost all of every payload — the sorted
+// item run and the counter table. internal/sketch, internal/levelset,
+// internal/core, internal/window, internal/quantile and internal/sample
+// encode and decode their states with these and nothing else (format
+// rules: internal/server/doc.go). It is a leaf: the estimator registry
+// names Writer and Reader, and every kind's package imports the registry.
+package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -11,12 +20,27 @@ import (
 	"substream/internal/stream"
 )
 
-// This file owns the wire primitives every payload is built from: the
-// fixed-width and varint fields, in-place nesting, and the two shapes
-// that make up almost all of every payload — the sorted item run and the
-// counter table. internal/levelset, internal/core, internal/window,
-// internal/quantile and internal/sample encode their states with these
-// and nothing else (format rules: internal/server/doc.go).
+// WireVersion is the single version byte every payload carries after its
+// tag. Decoders reject any other value, so incompatible format changes
+// must bump it. Version 3 is the compact layout: counter tables and
+// sorted item runs are varint-coded (Writer.Cells, Writer.Run), counts
+// elsewhere are varints, and nested payloads are written in place.
+// (Version 2 kept version 1's layout and marked the switch of the
+// CountMin/CountSketch bucket mapping to the fastrange reduction.)
+const WireVersion byte = 3
+
+// MaxWireElems bounds every element count read from the wire, keeping
+// corrupt input from provoking huge allocations.
+const MaxWireElems = 1 << 28
+
+// MaxDecodedBytes bounds what the counter tables of one top-level payload
+// may decode to together, whatever its nesting. A well-formed table is not
+// bounded by the bytes that describe it — zero runs let a few bytes stand
+// for any number of empty cells — so this is the bound on what a decode
+// allocates. It is v2's, restated: a v2 table cost 8 bytes a cell on the
+// wire, under a 256 MiB cap on the body. (A variable so that tests can
+// lower it; nothing else writes it.)
+var MaxDecodedBytes = 256 << 20
 
 // Writer appends the fields of one payload to a buffer. A composite hands
 // its own Writer to each child (Nest), so a whole payload is written into
@@ -245,18 +269,65 @@ func appendCells[C uint64 | int64](w *Writer, cells []C, signed bool) {
 	}
 }
 
-// Reader consumes little-endian fields with bounds checking. All methods
-// are safe to call after a failure; they return zero values and the first
-// error sticks.
+// Reader consumes the fields of one top-level payload with bounds
+// checking. A composite hands its own Reader to each child (Nest), so a
+// whole payload is decoded in place by one Reader, under one sticky error
+// and one decode budget, whatever its nesting. All methods are safe to
+// call after a failure; they return zero values and the first error
+// sticks.
 type Reader struct {
-	buf     []byte
-	off     int
-	decoded int
-	err     error
+	// buf ends where the payload being decoded ends: the top-level one,
+	// or inside Nest the child's.
+	buf    []byte
+	off    int
+	budget int64 // what the payload's tables may still decode to
+	err    error
 }
 
-// NewReader wraps data for decoding.
-func NewReader(data []byte) *Reader { return &Reader{buf: data} }
+// NewReader wraps data, one top-level payload with its decode budget, for
+// decoding.
+func NewReader(data []byte) *Reader {
+	return &Reader{buf: data, budget: int64(MaxDecodedBytes)}
+}
+
+// Decode is every payload's way in from bytes: one Reader, and so one
+// decode budget, over data; the kind's decode function; and the check that
+// it consumed all of data.
+func Decode[T any](data []byte, decode func(*Reader) (T, error)) (T, error) {
+	r := NewReader(data)
+	v, err := decode(r)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// Nest decodes a child payload in place, the counterpart of Writer.Nest:
+// it reads the child's uint32 length, bounds r to that many bytes while
+// decode runs, and fails unless decode consumed exactly those. The child
+// shares r's sticky error and decode budget.
+func Nest[T any](r *Reader, decode func(*Reader) (T, error)) (T, error) {
+	n := r.Count(len(r.buf)-r.off, 1)
+	if r.err != nil {
+		var zero T
+		return zero, r.err
+	}
+	outer := r.buf
+	r.buf = outer[:r.off+n]
+	v, err := decode(r)
+	if err == nil {
+		err = r.Done() // still within the child's bounds
+	}
+	r.buf = outer
+	if r.err == nil {
+		r.err = err
+	}
+	return v, err
+}
 
 // U8 reads one byte.
 func (r *Reader) U8() byte {
@@ -345,17 +416,6 @@ func (r *Reader) Count(max, elemBytes int) int {
 	return int(v)
 }
 
-// Charge counts the footprint of a nested payload, once decoded, against
-// maxDecodedBytes, and fails the reader when the payload's children so
-// far exceed it. A composite that nests a number of children read from
-// the wire charges each as it goes, so that number cannot multiply what
-// one child may decode to.
-func (r *Reader) Charge(decodedBytes int) {
-	if r.decoded += decodedBytes; r.err == nil && r.decoded > maxDecodedBytes {
-		r.Failf("sketch: payload decodes to more than %d bytes", maxDecodedBytes)
-	}
-}
-
 // Remaining returns the number of unconsumed bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
@@ -393,16 +453,30 @@ func (r *Reader) Hash4() rng.Hash4 {
 	return rng.Hash4{C0: coef[0], C1: coef[1], C2: coef[2], C3: coef[3]}
 }
 
-// Nested reads a length-prefixed sub-payload, returning a sub-slice of
-// the input (no copy).
-func (r *Reader) Nested() []byte {
-	n := r.Count(len(r.buf)-r.off, 1)
-	if r.err != nil {
+// Raw reads n bytes as they are, returning a sub-slice of the input (no
+// copy).
+func (r *Reader) Raw(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
+		r.Fail()
 		return nil
 	}
-	sub := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n]
 	r.off += n
-	return sub
+	return b
+}
+
+// Nested reads a length-prefixed blob that is not a payload of this
+// format (a snapshot row's JSON), returning a sub-slice of the input.
+func (r *Reader) Nested() []byte { return r.Raw(r.Count(len(r.buf)-r.off, 1)) }
+
+// Tag returns the tag byte of the payload r is about to read without
+// consuming it, for a reader that dispatches on its child's kind.
+func (r *Reader) Tag() byte {
+	if r.err != nil || r.off == len(r.buf) {
+		r.Fail()
+		return 0
+	}
+	return r.buf[r.off]
 }
 
 // RunEntryBytes is the least a sorted-run entry can occupy — a one-byte
@@ -475,16 +549,26 @@ func (r *Reader) Freq(max int, maxCount uint64) (map[stream.Item]uint64, uint64)
 }
 
 // Cells reads a table of n counters written by Writer.Cells. Zero runs
-// let a few bytes stand for any number of cells, so a table of a mebibyte
-// or more is walked once before it is allocated: input that cannot fill it
-// — cut short, or with a zero run reaching past the end — fails without
-// the allocation. A smaller table is not worth the second walk.
+// let a few bytes stand for any number of cells — the one place where the
+// wire bytes do not bound what they decode to — so the table is charged to
+// the payload's decode budget (MaxDecodedBytes) before it is allocated,
+// and a table of a mebibyte or more is walked once first: input that
+// cannot fill it — cut short, or with a zero run reaching past the end —
+// fails without the allocation. A smaller table is not worth the second
+// walk.
 func (r *Reader) Cells(n int) []uint64 { return readCells[uint64](r, n, false) }
 
 // SignedCells is Cells for a table written by Writer.SignedCells.
 func (r *Reader) SignedCells(n int) []int64 { return readCells[int64](r, n, true) }
 
+// errBudget refuses a payload whose tables decode to more than
+// MaxDecodedBytes together.
+var errBudget = errors.New("sketch: payload's counter tables decode to more than the decode budget")
+
 func readCells[C uint64 | int64](r *Reader, n int, signed bool) []C {
+	if r.budget -= 8 * int64(n); r.err == nil && r.budget < 0 {
+		r.err = errBudget
+	}
 	if n >= 1<<20/8 { // 8 bytes a cell
 		start := r.off
 		scanCells[C](r, nil, n, signed)

@@ -229,6 +229,24 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesComponentStats pins -stat to the registry's stats: each
+// component a stat nests is refused with the nine stats listed, and
+// "window" with how a window is declared instead, -window around a stat.
+func TestRunRefusesComponentStats(t *testing.T) {
+	path := writeStreamFile(t, workload.Zipf(1000, 50, 1.0, 3))
+	stats := "all | entropy | f0 | fk | gee | hh1 | hh2 | quantile | varopt"
+	for _, stat := range []string{"countmin", "countsketch", "kmv", "hll", "spacesaving", "misragries", "topk", "exactcounter", "levelset", "iw"} {
+		err := run(new(bytes.Buffer), baseOpts(stat, path))
+		if err == nil || !strings.Contains(err.Error(), stats) {
+			t.Errorf("-stat %s: err %v, want a refusal listing %s", stat, err, stats)
+		}
+	}
+	err := run(new(bytes.Buffer), baseOpts("window", path))
+	if err == nil || !strings.Contains(err.Error(), "-window") || !strings.Contains(err.Error(), stats) {
+		t.Errorf("-stat window: err %v, want a refusal naming -window and the stats", err)
+	}
+}
+
 func TestRunEmptyStream(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.txt")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -271,24 +289,25 @@ func TestListEstimators(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"fk", "0x20", "f0", "hh2", "levelset", "countmin", "window", "0x30", "quantile", "0x40", "varopt", "0x50"} {
+	for _, want := range []string{"fk", "0x20", "f0", "hh2", "window", "0x30", "quantile", "0x40", "varopt", "0x50"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("-list-estimators output missing %q:\n%s", want, got)
 		}
 	}
-	// Decode-only kinds are marked so operators know they cannot back a
-	// -stat flag or stream config; quantile is constructible and must
-	// carry the stat MODE.
+	// The window ring is marked so operators know it is declared with
+	// -window around a -stat, not as one; quantile is a stat and must
+	// carry the stat MODE; the components the stats nest have no row.
 	quantileRow := false
 	for _, line := range strings.Split(got, "\n") {
-		if strings.HasPrefix(line, "topk") || strings.HasPrefix(line, "window") {
-			if !strings.Contains(line, "decode-only") {
-				t.Fatalf("decode-only kind unmarked: %q", line)
-			}
+		if strings.HasPrefix(line, "window") && !strings.Contains(line, "wrapper") {
+			t.Fatalf("window row unmarked: %q", line)
+		}
+		if strings.HasPrefix(line, "levelset") || strings.HasPrefix(line, "countmin") {
+			t.Fatalf("component listed as a kind: %q", line)
 		}
 		if strings.HasPrefix(line, "quantile") {
 			quantileRow = true
-			if !strings.Contains(line, "stat") || strings.Contains(line, "decode-only") {
+			if !strings.Contains(line, "stat") || strings.Contains(line, "wrapper") {
 				t.Fatalf("quantile row not marked as a stat kind: %q", line)
 			}
 		}

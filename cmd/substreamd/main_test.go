@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"regexp"
@@ -338,28 +340,49 @@ func TestParseStreamsFile(t *testing.T) {
 	}
 }
 
+// TestStreamsRefuseComponentStats pins the -streams door to the
+// registry's stats: a stream declaring a component a stat nests is a
+// startup error listing the nine stats, and one declaring "window" says
+// how a window is declared instead.
+func TestStreamsRefuseComponentStats(t *testing.T) {
+	stats := "all | entropy | f0 | fk | gee | hh1 | hh2 | quantile | varopt"
+	start := func(stat string) error {
+		return run(context.Background(), options{role: "agent", listen: "127.0.0.1:0",
+			streams: fmt.Sprintf(`{"s": {"stat": %q, "p": 0.05}}`, stat)}, io.Discard)
+	}
+	for _, stat := range []string{"countmin", "countsketch", "kmv", "hll", "spacesaving", "misragries", "topk", "exactcounter", "levelset", "iw"} {
+		if err := start(stat); err == nil || !strings.Contains(err.Error(), stats) {
+			t.Errorf("stat %s: err %v, want a startup error listing %s", stat, err, stats)
+		}
+	}
+	if err := start("window"); err == nil || !strings.Contains(err.Error(), "window and epoch fields") || !strings.Contains(err.Error(), stats) {
+		t.Errorf("stat window: err %v, want a startup error naming the window and epoch fields", err)
+	}
+}
+
 func TestListEstimators(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), options{list: true}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"fk", "0x20", "f0", "all", "countsketch", "iw", "window", "0x30", "quantile", "0x40"} {
+	for _, want := range []string{"fk", "0x20", "f0", "all", "window", "0x30", "quantile", "0x40"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("-list-estimators output missing %q:\n%s", want, got)
 		}
 	}
 	quantileRow := false
 	for _, line := range strings.Split(got, "\n") {
-		if strings.HasPrefix(line, "topk") || strings.HasPrefix(line, "window") {
-			if !strings.Contains(line, "decode-only") {
-				t.Fatalf("decode-only kind unmarked: %q", line)
-			}
+		if strings.HasPrefix(line, "window") && !strings.Contains(line, "wrapper") {
+			t.Fatalf("window row unmarked: %q", line)
+		}
+		if strings.HasPrefix(line, "countsketch") || strings.HasPrefix(line, "iw") {
+			t.Fatalf("component listed as a kind: %q", line)
 		}
 		// Quantile streams are declarable (stat MODE), unlike the wrapper.
 		if strings.HasPrefix(line, "quantile") {
 			quantileRow = true
-			if !strings.Contains(line, "stat") || strings.Contains(line, "decode-only") {
+			if !strings.Contains(line, "stat") || strings.Contains(line, "wrapper") {
 				t.Fatalf("quantile row not marked as a stat kind: %q", line)
 			}
 		}

@@ -18,7 +18,7 @@ func (e *FkEstimator) UpdateBatch(items []stream.Item) {
 }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
-func (e *F0Estimator) UpdateBatch(items []stream.Item) { e.backend.UpdateBatch(items) }
+func (e *F0Estimator) UpdateBatch(items []stream.Item) { e.kmv.UpdateBatch(items) }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
 func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch(items) }

@@ -3,14 +3,15 @@
 // the original stream P:
 //
 //   - FkEstimator: frequency moments F_k, k ≥ 2 (Theorem 1, Algorithm 1),
-//     via the collision identity of Lemma 1 and a pluggable collision
-//     counter (exact or Indyk–Woodruff-style level sets);
-//   - F0Estimator: distinct elements (Algorithm 2, Lemma 8), with KMV or
-//     HLL streaming backends, plus the GEE sample-profile estimator;
+//     via the collision identity of Lemma 1 and a collision counter
+//     (exact or Indyk–Woodruff-style level sets);
+//   - F0Estimator: distinct elements (Algorithm 2, Lemma 8) over a KMV
+//     sketch, plus the GEE sample-profile estimator;
 //   - EntropyEstimator: empirical entropy (Theorem 5), plugin or
 //     sketched;
-//   - F1HeavyHitters / F2HeavyHitters: Theorems 6 and 7, on CountMin /
-//     Misra–Gries and CountSketch backends respectively;
+//   - F1HeavyHitters / F2HeavyHitters: Theorems 6 and 7, on CountMin
+//     (or, in-process only, Misra–Gries) and CountSketch backends
+//     respectively;
 //   - baselines: Rusu–Dobra-style scaled F₂ estimation and naive
 //     normalization, used by the comparison experiments.
 //

@@ -6,7 +6,6 @@ import (
 	"substream/internal/rng"
 	"substream/internal/sketch"
 	"substream/internal/stream"
-	"substream/internal/wire"
 )
 
 // F0Estimator is Algorithm 2: estimate F₀(P) from the sampled stream by
@@ -15,42 +14,17 @@ import (
 // ≥ 1 − (δ + e^(−pF₀/8)); Theorem 4 shows Ω(1/√p) error is unavoidable
 // for some streams, so this is tight up to constants.
 type F0Estimator struct {
-	p       float64
-	backend distinctBackend
+	p   float64
+	kmv *sketch.KMV // the streaming F₀(L) estimate X
 }
 
-// distinctBackend is the streaming F₀(L) estimator Algorithm 2 consumes;
-// KMV and HLL both satisfy it.
-type distinctBackend interface {
-	wire.Encoder
-	Observe(it stream.Item)
-	UpdateBatch(items []stream.Item)
-	Estimate() float64
-	SpaceBytes() int
-}
-
-// F0Backend selects the streaming distinct-count estimator run on L.
-type F0Backend int
-
-// Supported F0 backends.
-const (
-	// F0KMV uses the k-minimum-values sketch (default; exact below k).
-	F0KMV F0Backend = iota
-	// F0HLL uses the stochastic-averaging (HyperLogLog-family) sketch.
-	F0HLL
-)
+// f0KMVSize is the k of the KMV sketch behind every F0Estimator.
+const f0KMVSize = 1024
 
 // F0Config configures an F0Estimator.
 type F0Config struct {
 	// P is the Bernoulli sampling probability.
 	P float64
-	// Backend selects the streaming F₀(L) estimator. Default F0KMV.
-	Backend F0Backend
-	// KMVSize is the k of the KMV backend. Default 1024.
-	KMVSize int
-	// HLLPrecision is the register exponent of the HLL backend.
-	// Default 12 (4096 registers).
-	HLLPrecision uint
 }
 
 // NewF0Estimator builds the estimator.
@@ -58,42 +32,25 @@ func NewF0Estimator(cfg F0Config, r *rng.Xoshiro256) *F0Estimator {
 	if cfg.P <= 0 || cfg.P > 1 {
 		panic("core: F0Estimator P must be in (0, 1]")
 	}
-	var backend distinctBackend
-	switch cfg.Backend {
-	case F0KMV:
-		k := cfg.KMVSize
-		if k == 0 {
-			k = 1024
-		}
-		backend = sketch.NewKMV(k, r)
-	case F0HLL:
-		prec := cfg.HLLPrecision
-		if prec == 0 {
-			prec = 12
-		}
-		backend = sketch.NewHLL(prec, r)
-	default:
-		panic("core: unknown F0 backend")
-	}
-	return &F0Estimator{p: cfg.P, backend: backend}
+	return &F0Estimator{p: cfg.P, kmv: sketch.NewKMV(f0KMVSize, r)}
 }
 
 // Observe feeds one element of the sampled stream L.
-func (e *F0Estimator) Observe(it stream.Item) { e.backend.Observe(it) }
+func (e *F0Estimator) Observe(it stream.Item) { e.kmv.Observe(it) }
 
 // Estimate returns the Algorithm 2 estimate X/√p of F₀(P).
 func (e *F0Estimator) Estimate() float64 {
-	return e.backend.Estimate() / math.Sqrt(e.p)
+	return e.kmv.Estimate() / math.Sqrt(e.p)
 }
 
-// SampledEstimate returns the backend's estimate of F₀(L) itself.
-func (e *F0Estimator) SampledEstimate() float64 { return e.backend.Estimate() }
+// SampledEstimate returns the KMV estimate of F₀(L) itself.
+func (e *F0Estimator) SampledEstimate() float64 { return e.kmv.Estimate() }
 
 // ErrorBound returns Lemma 8's multiplicative error bound 4/√p.
 func (e *F0Estimator) ErrorBound() float64 { return 4 / math.Sqrt(e.p) }
 
 // SpaceBytes returns the approximate memory footprint.
-func (e *F0Estimator) SpaceBytes() int { return e.backend.SpaceBytes() + 16 }
+func (e *F0Estimator) SpaceBytes() int { return e.kmv.SpaceBytes() + 16 }
 
 // F0LowerBoundError returns Theorem 4's error floor: for p ≤ 1/12 there
 // are streams on which any estimator observing L errs by at least

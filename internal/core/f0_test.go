@@ -48,31 +48,13 @@ func TestF0WithinLemma8Bound(t *testing.T) {
 	}
 }
 
-func TestF0HLLBackend(t *testing.T) {
-	s := distinctStream(30000, 2)
-	exact := float64(stream.NewFreq(s).F0())
-	const p = 0.2
-	b := sample.NewBernoulli(p)
-	r := rng.New(2)
-	L := b.Apply(s, r.Split())
-	e := NewF0Estimator(F0Config{P: p, Backend: F0HLL}, r.Split())
-	for _, it := range L {
-		e.Observe(it)
-	}
-	got := e.Estimate()
-	mult := math.Max(got/exact, exact/got)
-	if mult > 4/math.Sqrt(p) {
-		t.Fatalf("HLL backend mult error %v > %v", mult, 4/math.Sqrt(p))
-	}
-}
-
 func TestF0SampledEstimateTracksF0L(t *testing.T) {
 	s := distinctStream(10000, 1)
 	const p = 0.3
 	b := sample.NewBernoulli(p)
 	r := rng.New(3)
 	L := b.Apply(s, r.Split())
-	e := NewF0Estimator(F0Config{P: p, KMVSize: 2048}, r.Split())
+	e := NewF0Estimator(F0Config{P: p}, r.Split())
 	for _, it := range L {
 		e.Observe(it)
 	}
@@ -146,7 +128,6 @@ func TestF0Panics(t *testing.T) {
 	cases := []func(){
 		func() { NewF0Estimator(F0Config{P: 0}, rng.New(1)) },
 		func() { NewF0Estimator(F0Config{P: 2}, rng.New(1)) },
-		func() { NewF0Estimator(F0Config{P: 0.5, Backend: F0Backend(99)}, rng.New(1)) },
 		func() { NewGEEF0Estimator(0) },
 	}
 	for i, fn := range cases {

@@ -40,14 +40,11 @@ type FkConfig struct {
 	// width ε′ = ε_{k−1}/4. Default 0.2.
 	Epsilon float64
 	// Budget bounds the tracked items of the default level-set counter —
-	// the paper's Õ(p⁻¹·m^(1−2/k)) knob. Ignored when Exact or
-	// Collisions is set. Default 4096.
+	// the paper's Õ(p⁻¹·m^(1−2/k)) knob. Ignored when Exact is set.
+	// Default 4096.
 	Budget int
 	// Exact selects the exact collision counter (space O(F₀(L))).
 	Exact bool
-	// Collisions overrides the collision counter entirely; the caller
-	// keeps ownership of its configuration.
-	Collisions levelset.CollisionCounter
 }
 
 // NewFkEstimator builds the estimator. It panics on an out-of-range K or
@@ -68,20 +65,18 @@ func NewFkEstimator(cfg FkConfig, r *rng.Xoshiro256) *FkEstimator {
 	}
 	schedule := EpsilonSchedule(cfg.K, eps)
 
-	counter := cfg.Collisions
-	if counter == nil {
-		if cfg.Exact {
-			counter = levelset.NewExactCounter()
-		} else {
-			budget := cfg.Budget
-			if budget == 0 {
-				budget = 4096
-			}
-			counter = levelset.New(levelset.Config{
-				EpsPrime: schedule[cfg.K-1] / 4, // ε′ = ε_{k−1}/4 (§3.1)
-				Budget:   budget,
-			}, r)
+	var counter levelset.CollisionCounter
+	if cfg.Exact {
+		counter = levelset.NewExactCounter()
+	} else {
+		budget := cfg.Budget
+		if budget == 0 {
+			budget = 4096
 		}
+		counter = levelset.New(levelset.Config{
+			EpsPrime: schedule[cfg.K-1] / 4, // ε′ = ε_{k−1}/4 (§3.1)
+			Budget:   budget,
+		}, r)
 	}
 	return &FkEstimator{
 		k:          cfg.K,

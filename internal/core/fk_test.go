@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"substream/internal/levelset"
 	"substream/internal/rng"
 	"substream/internal/sample"
 	"substream/internal/stream"
@@ -156,27 +155,6 @@ func TestFkLevelSetBackendTracksExact(t *testing.T) {
 	got := e.Estimate()
 	if relErr := math.Abs(got-exact) / exact; relErr > 0.35 {
 		t.Fatalf("level-set F2 = %v, exact %v (rel err %v)", got, exact, relErr)
-	}
-}
-
-func TestFkWithLiteralIWBackend(t *testing.T) {
-	// The literal Indyk–Woodruff backend plugs into Algorithm 1 through
-	// the Collisions override and must land in the same accuracy class
-	// as the default backend on a skewed stream.
-	s := zipfStream(120000, 10000, 1.3, 20)
-	exact := stream.NewFreq(s).Fk(2)
-	const p = 0.2
-	b := sample.NewBernoulli(p)
-	r := rng.New(21)
-	L := b.Apply(s, r.Split())
-	e := NewFkEstimator(FkConfig{
-		K: 2, P: p, Epsilon: 0.2,
-		Collisions: levelset.NewIW(levelset.IWConfig{EpsPrime: 0.025, Width: 2048}, r.Split()),
-	}, r.Split())
-	feedFk(e, L)
-	got := e.Estimate()
-	if rel := math.Abs(got-exact) / exact; rel > 0.35 {
-		t.Fatalf("IW-backed F2 = %v, exact %v (rel %v)", got, exact, rel)
 	}
 }
 

@@ -59,7 +59,8 @@ type F1HHConfig struct {
 	Epsilon float64
 	// Delta is the failure probability budget. Default 0.05.
 	Delta float64
-	// Backend selects CountMin (default) or Misra–Gries.
+	// Backend selects CountMin (default) or Misra–Gries, E7's in-process
+	// comparison, which has no wire form and no merge.
 	Backend F1Backend
 }
 

@@ -15,11 +15,11 @@ import (
 // which decodes and folds it with the Merge paths in merge.go. The
 // core package owns the tag range 0x20–0x2f (see internal/server/doc.go).
 //
-// Only mergeable configurations serialize: the reservoir-position entropy
-// sketch backend has no sound merge (a probe's run length cannot continue
-// across processes), so it has no wire form either — MarshalBinary
-// returns ErrNotMergeable and deployments that ship entropy must use the
-// plugin backend.
+// Only the configurations a registered kind builds serialize: the
+// reservoir-position entropy sketch backend has no sound merge (a probe's
+// run length cannot continue across processes) and F1's Misra–Gries
+// backend is an in-process comparison (E7), so neither has a wire form —
+// MarshalBinary returns ErrNotMergeable for both.
 
 // Type tags for the serialized estimator wrappers.
 const (
@@ -85,12 +85,11 @@ func DecodeFkEstimator(r *wire.Reader) (*FkEstimator, error) {
 // MarshalBinary serializes the estimator.
 func (e *F0Estimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
-// Encode writes the estimator, its distinct-count backend nested in
-// place.
+// Encode writes the estimator, its KMV sketch nested in place.
 func (e *F0Estimator) Encode(w *wire.Writer) {
 	w.Header(TagF0Estimator)
 	w.F64(e.p)
-	w.Nest(e.backend)
+	w.Nest(e.kmv)
 }
 
 // DecodeF0Estimator reads an F0Estimator written by Encode.
@@ -100,27 +99,11 @@ func DecodeF0Estimator(r *wire.Reader) (*F0Estimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	backend, err := wire.Nest(r, decodeDistinctBackend)
+	kmv, err := wire.Nest(r, sketch.DecodeKMV)
 	if err != nil {
 		return nil, err
 	}
-	return &F0Estimator{p: p, backend: backend}, nil
-}
-
-// decodeDistinctBackend reads whichever F₀(L) backend r is about to yield.
-// The switch is closed over the two there are: sketch payloads nest
-// nothing, so a crafted payload cannot recurse composite estimators inside
-// themselves.
-func decodeDistinctBackend(r *wire.Reader) (distinctBackend, error) {
-	tag := r.Tag()
-	switch tag {
-	case sketch.TagKMV:
-		return sketch.DecodeKMV(r)
-	case sketch.TagHLL:
-		return sketch.DecodeHLL(r)
-	}
-	r.Failf("core: unknown F0 backend tag %#x", tag)
-	return nil, r.Err()
+	return &F0Estimator{p: p, kmv: kmv}, nil
 }
 
 // MarshalBinary serializes the estimator.
@@ -183,33 +166,35 @@ func DecodeEntropyEstimator(r *wire.Reader) (*EntropyEstimator, error) {
 // MarshalBinary serializes the estimator.
 func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 
-// Encode writes the estimator, its sketch backend and candidate tracker
-// nested in place.
+// Encode writes the estimator, its CountMin and candidate tracker nested
+// in place. Only the CountMin backend has a wire form; the Misra–Gries one
+// fails with ErrNotMergeable. The byte before the CountMin names the
+// backend and is always 0.
 func (h *F1HeavyHitters) Encode(w *wire.Writer) {
+	if h.cm == nil {
+		w.Fail(fmt.Errorf("%w: F1 Misra-Gries backend has no wire form", ErrNotMergeable))
+		return
+	}
 	w.Header(TagF1HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
 	w.F64(h.eps)
 	w.U64(h.observed)
-	if h.cm != nil {
-		w.U8(0)
-		w.Nest(h.cm)
-	} else {
-		w.U8(1)
-		w.Nest(h.mg)
-	}
+	w.U8(0)
+	w.Nest(h.cm)
 	w.Nest(h.tracker)
 }
 
-// DecodeF1HeavyHitters reads an F1HeavyHitters written by Encode.
+// DecodeF1HeavyHitters reads a CountMin-backed F1HeavyHitters written by
+// Encode.
 func DecodeF1HeavyHitters(r *wire.Reader) (*F1HeavyHitters, error) {
 	r.Header(TagF1HeavyHitters)
 	p := r.F64()
 	alpha := r.F64()
 	eps := r.F64()
 	observed := r.U64()
-	kind := r.U8()
-	if r.Err() == nil && (!validP(p) || !(alpha > 0 && alpha < 1) || !(eps > 0 && eps < 1) || kind > 1) {
+	backend := r.U8()
+	if r.Err() == nil && (!validP(p) || !(alpha > 0 && alpha < 1) || !(eps > 0 && eps < 1) || backend != 0) {
 		r.Fail()
 	}
 	if err := r.Err(); err != nil {
@@ -218,12 +203,7 @@ func DecodeF1HeavyHitters(r *wire.Reader) (*F1HeavyHitters, error) {
 	h := &F1HeavyHitters{p: p, alpha: alpha, eps: eps,
 		alphaPr: (1 - 2*eps/5) * alpha, observed: observed}
 	var err error
-	if kind == 0 {
-		h.cm, err = wire.Nest(r, sketch.DecodeCountMin)
-	} else {
-		h.mg, err = wire.Nest(r, sketch.DecodeMisraGries)
-	}
-	if err != nil {
+	if h.cm, err = wire.Nest(r, sketch.DecodeCountMin); err != nil {
 		return nil, err
 	}
 	h.tracker, err = wire.Nest(r, sketch.DecodeTopK)

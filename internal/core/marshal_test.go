@@ -55,8 +55,7 @@ func TestFkEstimatorMarshalRoundTrip(t *testing.T) {
 
 func TestF0EstimatorMarshalRoundTrip(t *testing.T) {
 	for name, cfg := range map[string]F0Config{
-		"kmv": {P: 0.1, Backend: F0KMV, KMVSize: 128},
-		"hll": {P: 0.1, Backend: F0HLL, HLLPrecision: 8},
+		"kmv": {P: 0.1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mk := func() *F0Estimator { return NewF0Estimator(cfg, rng.New(13)) }
@@ -170,22 +169,25 @@ func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The Misra–Gries backend is E7's in-process comparison: it has no
+	// wire form and no merge, and says so instead of shipping.
 	t.Run("f1-misragries", func(t *testing.T) {
-		h := NewF1HeavyHitters(F1HHConfig{P: 0.2, Alpha: 0.05, Backend: F1MisraGries}, rng.New(23))
+		mk := func() *F1HeavyHitters {
+			return NewF1HeavyHitters(F1HHConfig{P: 0.2, Alpha: 0.05, Backend: F1MisraGries}, rng.New(23))
+		}
+		h := mk()
 		for _, it := range s {
 			h.Observe(it)
 		}
-		data, err := h.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if _, err := h.MarshalBinary(); !errors.Is(err, ErrNotMergeable) {
+			t.Fatalf("Misra-Gries backend marshaled (err=%v), want ErrNotMergeable", err)
 		}
-		back, err := wire.Decode(data, DecodeF1HeavyHitters)
-		if err != nil {
-			t.Fatal(err)
+		if err := h.Merge(mk()); !errors.Is(err, ErrNotMergeable) {
+			t.Fatalf("Misra-Gries backend merged (err=%v), want ErrNotMergeable", err)
 		}
-		want, got := h.Report(), back.Report()
-		if len(want) != len(got) {
-			t.Fatalf("%d hitters after round trip, want %d", len(got), len(want))
+		cm := NewF1HeavyHitters(F1HHConfig{P: 0.2, Alpha: 0.05}, rng.New(23))
+		if err := cm.Merge(h); !errors.Is(err, ErrNotMergeable) {
+			t.Fatalf("Misra-Gries backend merged into CountMin (err=%v), want ErrNotMergeable", err)
 		}
 	})
 	t.Run("f2", func(t *testing.T) {
@@ -278,9 +280,9 @@ func TestMonitorMarshalDisabledEstimators(t *testing.T) {
 func TestCoreUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 	s := marshalSample(2000, 10)
 	fk := NewFkEstimator(FkConfig{K: 2, P: 0.3, Budget: 16}, rng.New(1))
-	f0 := NewF0Estimator(F0Config{P: 0.3, KMVSize: 16}, rng.New(2))
+	f0 := NewF0Estimator(F0Config{P: 0.3}, rng.New(2))
 	ent := NewEntropyEstimator(EntropyConfig{P: 0.3}, rng.New(3))
-	hh1 := NewF1HeavyHitters(F1HHConfig{P: 0.3, Alpha: 0.1, Backend: F1MisraGries}, rng.New(4))
+	hh1 := NewF1HeavyHitters(F1HHConfig{P: 0.3, Alpha: 0.1}, rng.New(4))
 	hh2 := NewF2HeavyHitters(F2HHConfig{P: 0.3, Alpha: 0.3, MaxWidth: 64}, rng.New(5))
 	mon := NewMonitor(MonitorConfig{P: 0.3, HHAlpha: 0.1, DisableHH2: true, DisableFk: true}, rng.New(6))
 	for _, it := range s {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"substream/internal/sketch"
-	"substream/internal/stream"
 )
 
 // This file makes the paper's estimators mergeable: several replicas,
@@ -21,8 +20,8 @@ import (
 // (the deterministic constructors make this trivial). Merge verifies
 // structure and hash agreement and returns sketch.ErrIncompatible when
 // replicas were not built that way. Backends that are inherently
-// single-stream (the reservoir-position entropy sketch) return
-// ErrNotMergeable.
+// single-stream (the reservoir-position entropy sketch) or in-process
+// comparisons only (F1's Misra–Gries) return ErrNotMergeable.
 
 // ErrNotMergeable is returned by Merge when the estimator's configured
 // backend has no sound merge operation.
@@ -43,30 +42,14 @@ func (e *FkEstimator) Merge(other *FkEstimator) error {
 	return nil
 }
 
-// Merge folds other into e. Replicas must share P and a backend
-// constructed from identical generator state; the distinct-count sketches
-// merge exactly, so the merged estimate equals a single estimator's over
-// the union stream.
+// Merge folds other into e. Replicas must share P and a KMV sketch
+// constructed from identical generator state; KMV merges exactly, so the
+// merged estimate equals a single estimator's over the union stream.
 func (e *F0Estimator) Merge(other *F0Estimator) error {
 	if e.p != other.p {
 		return fmt.Errorf("%w: F0Estimator P %g vs %g", sketch.ErrIncompatible, e.p, other.p)
 	}
-	switch b := e.backend.(type) {
-	case *sketch.KMV:
-		o, ok := other.backend.(*sketch.KMV)
-		if !ok {
-			return fmt.Errorf("%w: F0 backends %T vs %T", sketch.ErrIncompatible, e.backend, other.backend)
-		}
-		return b.Merge(o)
-	case *sketch.HLL:
-		o, ok := other.backend.(*sketch.HLL)
-		if !ok {
-			return fmt.Errorf("%w: F0 backends %T vs %T", sketch.ErrIncompatible, e.backend, other.backend)
-		}
-		return b.Merge(o)
-	default:
-		return fmt.Errorf("%w: F0 backend %T", ErrNotMergeable, e.backend)
-	}
+	return e.kmv.Merge(other.kmv)
 }
 
 // Merge folds other into e: frequency profiles add exactly.
@@ -95,47 +78,30 @@ func (e *EntropyEstimator) Merge(other *EntropyEstimator) error {
 }
 
 // Merge folds other into h. Replicas must share configuration and sketch
-// seeds. CountMin merges exactly (linearity), Misra–Gries with the
-// standard bounded error; the candidate tracker is rebuilt by re-querying
-// the merged sketch for the union of both candidate sets, so Report on
-// the merged estimator sees post-merge frequency estimates.
+// seeds. CountMin merges exactly (linearity); the candidate tracker is
+// rebuilt by re-querying the merged sketch for the union of both candidate
+// sets, so Report on the merged estimator sees post-merge frequency
+// estimates. The Misra–Gries backend, E7's in-process comparison, has no
+// merge and returns ErrNotMergeable.
 func (h *F1HeavyHitters) Merge(other *F1HeavyHitters) error {
 	if h.p != other.p || h.alpha != other.alpha || h.eps != other.eps {
 		return fmt.Errorf("%w: F1HeavyHitters (P=%g,α=%g,ε=%g) vs (P=%g,α=%g,ε=%g)",
 			sketch.ErrIncompatible, h.p, h.alpha, h.eps, other.p, other.alpha, other.eps)
 	}
-	switch {
-	case h.cm != nil && other.cm != nil:
-		if err := h.cm.Merge(other.cm); err != nil {
-			return err
-		}
-	case h.mg != nil && other.mg != nil:
-		if err := h.mg.Merge(other.mg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w: F1 heavy-hitter backends differ", sketch.ErrIncompatible)
+	if h.cm == nil || other.cm == nil {
+		return fmt.Errorf("%w: F1 Misra-Gries backend", ErrNotMergeable)
+	}
+	if err := h.cm.Merge(other.cm); err != nil {
+		return err
 	}
 	h.observed += other.observed
-	h.retrack(other.tracker)
-	return nil
-}
-
-// retrack refreshes the candidate tracker after a sketch merge: the union
-// of both sides' candidates is re-scored against the merged sketch.
-func (h *F1HeavyHitters) retrack(foreign *sketch.TopK) {
-	estimate := func(it stream.Item) float64 {
-		if h.cm != nil {
-			return float64(h.cm.Estimate(it))
-		}
-		return float64(h.mg.Estimate(it))
-	}
-	for _, c := range foreign.Items() {
-		h.tracker.Update(c.Item, estimate(c.Item))
+	for _, c := range other.tracker.Items() {
+		h.tracker.Update(c.Item, float64(h.cm.Estimate(c.Item)))
 	}
 	for _, c := range h.tracker.Items() {
-		h.tracker.Update(c.Item, estimate(c.Item))
+		h.tracker.Update(c.Item, float64(h.cm.Estimate(c.Item)))
 	}
+	return nil
 }
 
 // Merge folds other into h, exactly like F1HeavyHitters.Merge but over

@@ -3,6 +3,7 @@ package estimator_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"substream/internal/estimator"
@@ -16,8 +17,8 @@ import (
 	_ "substream/internal/sample"
 )
 
-// This file pins the library-wide batching contract: for EVERY
-// constructible registry kind, UpdateBatch over any partition of a
+// This file pins the library-wide batching contract: for EVERY registry
+// stat, and fk over the exact counter, UpdateBatch over any partition of a
 // stream produces serialized state bit-identical to item-by-item
 // Observe. The batch kernels in sketch/levelset/core are free to
 // reorganize work (row-major loops, run-length map amortization, KMV
@@ -25,12 +26,26 @@ import (
 // means shards, agents, and replayed streams silently diverge.
 
 // equivSpec sizes every kind small enough that counter-based summaries
-// overflow their budgets (exercising eviction, decrement-all, and
-// replace-min paths) while table-based sketches stay test-fast.
+// overflow their budgets (exercising eviction and replace-min paths) while
+// table-based sketches stay test-fast.
 func equivSpec(stat string) estimator.Spec {
 	return estimator.Spec{
 		Stat: stat, P: 0.3, K: 3, Epsilon: 0.25, Alpha: 0.1, Budget: 96, Seed: 99,
 	}
+}
+
+// equivSpecs are the specs the suites below run, by subtest name: every
+// stat's, and fk's over the exact collision counter, which no stat's
+// default nests.
+func equivSpecs() map[string]estimator.Spec {
+	specs := map[string]estimator.Spec{}
+	for _, stat := range estimator.Stats() {
+		specs[stat] = equivSpec(stat)
+	}
+	exact := equivSpec("fk")
+	exact.Exact = true
+	specs["fk-exact"] = exact
+	return specs
 }
 
 // equivStream is a skewed stream over a small universe: heavy items form
@@ -65,9 +80,8 @@ func TestBatchObserveBitEquivalence(t *testing.T) {
 		{7},                  // batches straddling run boundaries
 		{1, 64, 1024, 3, 37}, // mixed partition
 	}
-	for _, stat := range estimator.Stats() {
-		t.Run(stat, func(t *testing.T) {
-			spec := equivSpec(stat)
+	for name, spec := range equivSpecs() {
+		t.Run(name, func(t *testing.T) {
 			ref, err := estimator.New(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -162,8 +176,7 @@ func FuzzBatchSplit(f *testing.F) {
 			s = s*6364136223846793005 + 1442695040888963407
 			sizes[i] = int(s>>33)%17 + 1
 		}
-		for _, stat := range estimator.Stats() {
-			spec := equivSpec(stat)
+		for name, spec := range equivSpecs() {
 			ref, err := estimator.New(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -185,24 +198,26 @@ func FuzzBatchSplit(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("kind %s, splits %v: batched state diverges from Observe state", stat, sizes)
+				t.Fatalf("kind %s, splits %v: batched state diverges from Observe state", name, sizes)
 			}
 		}
 	})
 }
 
-// TestBatchEquivalenceCoversRegistry fails when a newly registered
-// constructible kind would silently skip the equivalence suite — the
-// test above iterates Stats() live, so this is a tripwire against the
-// registry and the suite drifting apart (e.g. a kind registered under a
-// name the spec defaults cannot construct).
+// TestBatchEquivalenceCoversRegistry fails when a registered stat would
+// silently skip the equivalence suite — the test above iterates Stats()
+// live, so this is a tripwire against the registry and the suite drifting
+// apart (e.g. a kind registered under a name the spec defaults cannot
+// construct) — and pins the stats: the nine that answer about P, besides
+// the demo kind this package registers.
 func TestBatchEquivalenceCoversRegistry(t *testing.T) {
-	for _, stat := range estimator.Stats() {
-		if _, err := estimator.New(equivSpec(stat)); err != nil {
-			t.Errorf("constructible kind %q cannot be built with the equivalence spec: %v", stat, err)
+	for name, spec := range equivSpecs() {
+		if _, err := estimator.New(spec); err != nil {
+			t.Errorf("kind %q cannot be built with the equivalence spec: %v", name, err)
 		}
 	}
-	if len(estimator.Stats()) < 10 {
-		t.Fatalf("registry lists only %d constructible kinds — registration imports missing?", len(estimator.Stats()))
+	want := []string{"all", "entropy", "f0", "fk", "gee", "hh1", "hh2", "quantile", "varopt"}
+	if got := slices.DeleteFunc(estimator.Stats(), func(stat string) bool { return stat == "demo-f1" }); !slices.Equal(got, want) {
+		t.Fatalf("registry stats are %v, want %v — registration imports missing, or a kind that answers nothing about P?", got, want)
 	}
 }

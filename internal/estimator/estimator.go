@@ -4,9 +4,16 @@
 // maps each serialized payload tag to a name, a decoder, and a
 // config-driven constructor.
 //
-// The concrete summaries live in internal/sketch, internal/levelset and
-// internal/core; each package registers its serializable types from an
-// init function, so importing any of them populates the registry. Every
+// The registry holds the kinds that answer a question about the original
+// stream P: the paper's estimators in internal/core (fk, f0, entropy,
+// hh1, hh2, all, gee), the CKMS quantiles of internal/quantile, the
+// VarOpt reservoir of internal/sample, and the epoch ring of
+// internal/window around any of them. Each package registers its kinds
+// from an init function, so importing it populates the registry. The
+// summaries core's kinds are built from — the sketches of internal/sketch
+// and the collision counters of internal/levelset — are components: they
+// describe the sampled stream L, ride nested in their parents' payloads
+// and are decoded by their parents, never through this package. Every
 // consumer — the daemon's stream builder, the collector's decode path,
 // the CLIs' -list-estimators — works against this package alone, which is
 // what makes a new statistic a single-package change: implement the Typed

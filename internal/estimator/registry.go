@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -10,13 +9,6 @@ import (
 
 	"substream/internal/wire"
 )
-
-// ErrDecodeOnly marks construction attempts against kinds that register
-// no constructor: they have a wire form (that is what earns a tag) but
-// exist only as components of composite payloads, revived through
-// Decode. Callers distinguish "that kind cannot be built" from "no such
-// kind" with errors.Is.
-var ErrDecodeOnly = errors.New("kind is decode-only")
 
 // Spec is the estimator-affecting configuration a registered kind builds
 // fresh instances from. It is the registry-level rendering of the
@@ -45,12 +37,16 @@ type Spec struct {
 
 // Kind is one registered estimator kind: the binding between a wire tag,
 // a stable name, a decoder, and a constructor. Decode is mandatory (every
-// kind has a wire form — that is what earns it a tag); New may be nil for
-// kinds that are only components of composite payloads.
+// kind has a wire form — that is what earns it a tag); New is nil for the
+// window ring alone, which internal/window builds around one of the kinds
+// that have one.
 type Kind struct {
-	// Tag is the kind's wire tag byte. Tag ranges are partitioned by
-	// package: internal/sketch owns 0x01–0x0f, internal/levelset owns
-	// 0x10–0x1f, internal/core owns 0x20–0x2f.
+	// Tag is the kind's wire tag: the tag of a top-level payload.
+	// internal/core's kinds own 0x20–0x2f, internal/window 0x30–0x3f,
+	// internal/quantile 0x40–0x4f and internal/sample 0x50–0x5f. The tags
+	// below 0x20 belong to the components core's payloads nest
+	// (internal/sketch 0x01–0x0f, internal/levelset 0x10–0x1f), which
+	// their parents decode and the registry never sees.
 	Tag byte
 	// Name is the kind's stable, unique name — the value of a stream
 	// config's "stat" field and of the CLIs' -stat flag.
@@ -104,16 +100,26 @@ func Kinds() []Kind {
 	return out
 }
 
-// Lookup returns the kind registered under name.
-func Lookup(name string) (Kind, bool) {
+// Lookup returns the kind a stream declares by name — a stream config's
+// "stat", a CLI's -stat — or why name is none: an unknown name is refused
+// with the stats listed, and "window", the kind with no constructor, with
+// how a window is declared instead.
+func Lookup(name string) (Kind, error) {
 	regMu.RLock()
-	defer regMu.RUnlock()
 	k, ok := byName[name]
-	return k, ok
+	regMu.RUnlock()
+	switch {
+	case !ok:
+		return Kind{}, fmt.Errorf("estimator: unknown stat %q (want one of %s)", name, strings.Join(Stats(), " | "))
+	case k.New == nil:
+		return Kind{}, fmt.Errorf("estimator: %q is not a stat: a window is declared with the window and epoch fields "+
+			"(the -window flag in the CLIs) around one of %s", name, strings.Join(Stats(), " | "))
+	}
+	return k, nil
 }
 
-// Stats returns the names of every constructible kind in sorted order —
-// the legal values of a stream config's "stat" field.
+// Stats returns the names of every kind with a constructor in sorted
+// order — the legal values of a stream config's "stat" field.
 func Stats() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
@@ -155,15 +161,9 @@ func (s Spec) WithDefaults() Spec {
 // New builds a fresh estimator for spec.Stat through the registry,
 // after filling unset spec fields with the library-wide defaults.
 func New(spec Spec) (Estimator, error) {
-	k, ok := Lookup(spec.Stat)
-	if !ok {
-		return nil, fmt.Errorf("estimator: unknown stat %q (want one of %s)",
-			spec.Stat, strings.Join(Stats(), " | "))
-	}
-	if k.New == nil {
-		return nil, fmt.Errorf(
-			"estimator: %w: %q only rides inside other payloads and cannot back a stream (constructible kinds: %s)",
-			ErrDecodeOnly, spec.Stat, strings.Join(Stats(), " | "))
+	k, err := Lookup(spec.Stat)
+	if err != nil {
+		return nil, err
 	}
 	return k.New(spec.WithDefaults())
 }
@@ -192,15 +192,15 @@ func DecodeFrom(r *wire.Reader) (Estimator, error) {
 }
 
 // WriteKinds renders the registry as the table the CLIs print for
-// -list-estimators: one row per kind with its wire tag, whether it can
-// back a stream ("stat") or only ride inside payloads ("decode-only"),
+// -list-estimators: one row per kind with its wire tag, whether a stream
+// declares it as its stat ("stat") or as a ring around one ("wrapper"),
 // and its description.
 func WriteKinds(w io.Writer) {
 	fmt.Fprintf(w, "%-14s %-5s %-12s %s\n", "NAME", "TAG", "MODE", "DESCRIPTION")
 	for _, k := range Kinds() {
 		mode := "stat"
 		if k.New == nil {
-			mode = "decode-only"
+			mode = "wrapper"
 		}
 		fmt.Fprintf(w, "%-14s 0x%02x  %-12s %s\n", k.Name, k.Tag, mode, k.Doc)
 	}

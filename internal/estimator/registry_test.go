@@ -1,13 +1,13 @@
 package estimator_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	_ "substream/internal/core"
 	"substream/internal/estimator"
 	"substream/internal/stream"
+	_ "substream/internal/window"
 	"substream/internal/wire"
 )
 
@@ -123,8 +123,8 @@ func TestNewKindFromSinglePackage(t *testing.T) {
 // live set), package-owned tag ranges, and mandatory decoders.
 func TestRegistryInvariants(t *testing.T) {
 	kinds := estimator.Kinds()
-	if len(kinds) < 17 {
-		t.Fatalf("registry holds %d kinds, want at least the 17 standard ones", len(kinds))
+	if len(kinds) < 10 {
+		t.Fatalf("registry holds %d kinds, want at least the 10 standard ones", len(kinds))
 	}
 	tags := map[byte]string{}
 	names := map[string]byte{}
@@ -254,33 +254,34 @@ func TestDecodeRejectsUnknownAndEmpty(t *testing.T) {
 	}
 }
 
-// TestNewDecodeOnlyKind pins the distinct decode-only error: building a
-// spec for a kind that only rides inside other payloads (TopK) must
-// fail with ErrDecodeOnly, while unknown kinds must not.
+// TestNewDecodeOnlyKind pins the refusal of the one kind without a
+// constructor, the window ring: it is not a stat, and the error says how a
+// window is declared instead — with the window and epoch fields, -window
+// in the CLIs, around one of the stats, which it lists. An unknown name
+// gets the unknown-stat error, and the table the CLIs print marks the
+// same distinction.
 func TestNewDecodeOnlyKind(t *testing.T) {
-	_, err := estimator.New(demoSpec("topk"))
+	_, err := estimator.New(demoSpec("window"))
 	if err == nil {
-		t.Fatal("decode-only kind constructed")
+		t.Fatal("window constructed from a spec")
 	}
-	if !errors.Is(err, estimator.ErrDecodeOnly) {
-		t.Fatalf("topk construction error = %v, want errors.Is(_, ErrDecodeOnly)", err)
-	}
-	if !strings.Contains(err.Error(), "topk") {
-		t.Fatalf("decode-only error does not name the kind: %v", err)
+	for _, want := range []string{`"window" is not a stat`, "window and epoch fields", "-window", strings.Join(estimator.Stats(), " | ")} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("window construction error %q does not say %q", err, want)
+		}
 	}
 	_, err = estimator.New(estimator.Spec{Stat: "nope"})
-	if errors.Is(err, estimator.ErrDecodeOnly) {
-		t.Fatalf("unknown kind mislabeled decode-only: %v", err)
+	if err == nil || strings.Contains(err.Error(), "window") {
+		t.Fatalf("unknown kind refused as a window: %v", err)
 	}
 
-	// The table the CLIs print marks the same distinction.
 	var out strings.Builder
 	estimator.WriteKinds(&out)
 	for _, line := range strings.Split(out.String(), "\n") {
 		switch {
-		case strings.HasPrefix(line, "topk"):
-			if !strings.Contains(line, "decode-only") {
-				t.Errorf("topk row unmarked: %q", line)
+		case strings.HasPrefix(line, "window"):
+			if !strings.Contains(line, "wrapper") {
+				t.Errorf("window row unmarked: %q", line)
 			}
 		case strings.HasPrefix(line, "f0"):
 			if !strings.Contains(line, "stat") {

@@ -1,4 +1,4 @@
-package sample
+package experiments
 
 import (
 	"math"
@@ -13,39 +13,39 @@ func TestOneInN(t *testing.T) {
 	for i := range s {
 		s[i] = stream.Item(i + 1)
 	}
-	got := NewOneInN(3).Apply(s)
+	got := newOneInN(3).Apply(s)
 	want := stream.Slice{3, 6, 9}
 	if len(got) != len(want) {
-		t.Fatalf("OneInN = %v, want %v", got, want)
+		t.Fatalf("oneInN = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("OneInN = %v, want %v", got, want)
+			t.Fatalf("oneInN = %v, want %v", got, want)
 		}
 	}
-	// N=1 keeps everything.
-	if all := NewOneInN(1).Apply(s); len(all) != len(s) {
-		t.Fatalf("OneInN(1) kept %d of %d", len(all), len(s))
+	// n=1 keeps everything.
+	if all := newOneInN(1).Apply(s); len(all) != len(s) {
+		t.Fatalf("oneInN(1) kept %d of %d", len(all), len(s))
 	}
 }
 
 func TestOneInNPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewOneInN(0) did not panic")
+			t.Fatal("newOneInN(0) did not panic")
 		}
 	}()
-	NewOneInN(0)
+	newOneInN(0)
 }
 
 func TestSampleAndHoldCountsExactAfterAdmission(t *testing.T) {
 	// With p=1 the first packet admits the flow, so counts are exact.
-	sh := NewSampleAndHold(1, 0, rng.New(8))
+	sh := newSampleAndHold(1, rng.New(8))
 	s := stream.Slice{1, 1, 2, 1, 2, 3}
 	for _, it := range s {
 		sh.Observe(it)
 	}
-	c := sh.Counts()
+	c := sh.counts
 	if c[1] != 3 || c[2] != 2 || c[3] != 1 {
 		t.Fatalf("counts = %v", c)
 	}
@@ -64,7 +64,7 @@ func TestSampleAndHoldEstimateUnbiasedForLargeFlows(t *testing.T) {
 	admitted := 0
 	r := rng.New(9)
 	for tr := 0; tr < trials; tr++ {
-		sh := NewSampleAndHold(p, 0, r.Split())
+		sh := newSampleAndHold(p, r.Split())
 		for i := 0; i < f; i++ {
 			sh.Observe(42)
 		}
@@ -82,25 +82,15 @@ func TestSampleAndHoldEstimateUnbiasedForLargeFlows(t *testing.T) {
 	}
 }
 
-func TestSampleAndHoldCap(t *testing.T) {
-	sh := NewSampleAndHold(1, 2, rng.New(10))
-	for i := 1; i <= 5; i++ {
-		sh.Observe(stream.Item(i))
-	}
-	if len(sh.Counts()) != 2 {
-		t.Fatalf("table size %d, want 2", len(sh.Counts()))
-	}
-}
-
 func TestSampleAndHoldPanics(t *testing.T) {
 	for _, p := range []float64{0, 1.5} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewSampleAndHold(%v) did not panic", p)
+					t.Fatalf("newSampleAndHold(%v) did not panic", p)
 				}
 			}()
-			NewSampleAndHold(p, 0, rng.New(1))
+			newSampleAndHold(p, rng.New(1))
 		}()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"substream/internal/core"
+	"substream/internal/rng"
 	"substream/internal/sample"
 	"substream/internal/stats"
 	"substream/internal/stream"
@@ -40,10 +41,10 @@ func e11SamplerAblation() Experiment {
 					L := sample.NewBernoulli(p).Apply(wl.Stream, r.Split())
 					g := stream.NewFreq(L)
 					// Deterministic 1-in-N.
-					D := sample.NewOneInN(int(1 / p)).Apply(wl.Stream)
+					D := newOneInN(int(1 / p)).Apply(wl.Stream)
 					gd := stream.NewFreq(D)
 					// Sample-and-hold at the same per-packet rate.
-					sh := sample.NewSampleAndHold(p, 0, r.Split())
+					sh := newSampleAndHold(p, r.Split())
 					_ = wl.Stream.ForEach(func(it stream.Item) error {
 						sh.Observe(it)
 						return nil
@@ -62,6 +63,75 @@ func e11SamplerAblation() Experiment {
 			return []*stats.Table{t}
 		},
 	}
+}
+
+// oneInN is deterministic systematic sampling, E11's 1-in-N arm: it keeps
+// every n-th element, the non-random variant of sampled NetFlow.
+type oneInN struct {
+	n int
+}
+
+// newOneInN returns a 1-in-N sampler; it panics if n < 1.
+func newOneInN(n int) oneInN {
+	if n < 1 {
+		panic("experiments: oneInN requires n >= 1")
+	}
+	return oneInN{n: n}
+}
+
+// Apply materializes the systematic sample: positions n−1, 2n−1, …
+func (o oneInN) Apply(s stream.Stream) stream.Slice {
+	var out stream.Slice
+	pos := 0
+	_ = s.ForEach(func(it stream.Item) error {
+		pos++
+		if pos%o.n == 0 {
+			out = append(out, it)
+		}
+		return nil
+	})
+	return out
+}
+
+// sampleAndHold is Estan–Varghese sample-and-hold, E11's third arm: once
+// any packet of a flow is sampled (with probability p per packet), every
+// subsequent packet of that flow is counted exactly. Its table of held
+// flows is unbounded.
+type sampleAndHold struct {
+	p      float64
+	counts map[stream.Item]uint64
+	r      *rng.Xoshiro256
+}
+
+// newSampleAndHold returns a sample-and-hold monitor with per-packet
+// admission probability p.
+func newSampleAndHold(p float64, r *rng.Xoshiro256) *sampleAndHold {
+	if p <= 0 || p > 1 {
+		panic("experiments: sampleAndHold probability must be in (0, 1]")
+	}
+	return &sampleAndHold{p: p, counts: make(map[stream.Item]uint64), r: r}
+}
+
+// Observe feeds one packet.
+func (sh *sampleAndHold) Observe(it stream.Item) {
+	if c, held := sh.counts[it]; held {
+		sh.counts[it] = c + 1
+		return
+	}
+	if sh.r.Float64() < sh.p {
+		sh.counts[it] = 1
+	}
+}
+
+// EstimateFreq returns the standard sample-and-hold frequency estimate for
+// a held flow: observed count plus the expected 1/p − 1 packets missed
+// before admission. Returns 0 for flows not held.
+func (sh *sampleAndHold) EstimateFreq(it stream.Item) float64 {
+	c, held := sh.counts[it]
+	if !held {
+		return 0
+	}
+	return float64(c) + 1/sh.p - 1
 }
 
 // e12AdaptiveP probes the paper's concluding open question: if the

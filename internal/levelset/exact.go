@@ -44,8 +44,8 @@ func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 // consumes: something that observes the sampled stream and can produce an
 // estimate of C_ℓ(L) for each ℓ, folds another counter of its own concrete
 // type into itself (so Algorithm 1 runs sharded), and has a wire form.
-// ExactCounter, Estimator and IWEstimator satisfy it; the space/accuracy
-// tradeoff is the caller's choice.
+// ExactCounter and Estimator satisfy it; the space/accuracy tradeoff is the
+// caller's choice.
 type CollisionCounter interface {
 	Observe(it stream.Item)
 	UpdateBatch(items []stream.Item)
@@ -58,5 +58,4 @@ type CollisionCounter interface {
 var (
 	_ CollisionCounter = (*ExactCounter)(nil)
 	_ CollisionCounter = (*Estimator)(nil)
-	_ CollisionCounter = (*IWEstimator)(nil)
 )

@@ -22,8 +22,9 @@ import (
 // + exactly-counted universe sample), this variant recovers frequencies
 // *approximately* (CountSketch point queries) rather than exactly, which
 // is how the original analysis goes; E10 measures the practical cost of
-// that fidelity. Both satisfy CollisionCounter and are interchangeable
-// inside Algorithm 1.
+// that fidelity. It is that experiment's in-process comparison only: it
+// has no wire form and no merge, so it is no CollisionCounter and no
+// FkEstimator or stream can hold it.
 type IWEstimator struct {
 	epsPrime float64
 	eta      float64

@@ -134,22 +134,19 @@ func TestIWPanics(t *testing.T) {
 }
 
 func TestIWInsideAlgorithm1(t *testing.T) {
-	// The IW backend must be pluggable into the Fk pipeline: estimate
-	// C2(L) on a sampled stream and verify the implied F2 lands in a
-	// sane range. (Full Algorithm 1 wiring is exercised in core's tests;
-	// here we check the CollisionCounter contract end to end.)
+	// E10 feeds IW the sampled stream Algorithm 1 sees and reads C2(L) off
+	// it as Algorithm 1 would read its collision counter's: the estimate
+	// must land in a sane range at the width E10 runs, in bounded space.
 	s := zipfStream(100000, 5000, 1.25, 9)
 	g := stream.NewFreq(s)
 	exactC2 := g.Collisions(2)
-	var counter CollisionCounter = NewIW(IWConfig{EpsPrime: 0.05, Width: 2048}, rng.New(10))
-	for _, it := range s {
-		counter.Observe(it)
-	}
-	got := counter.EstimateCollisions(2)
+	e := NewIW(IWConfig{EpsPrime: 0.05, Width: 2048}, rng.New(10))
+	feedIW(e, s)
+	got := e.EstimateCollisions(2)
 	if got < exactC2/3 || got > exactC2*3 {
-		t.Fatalf("IW via interface: C2 %v, exact %v", got, exactC2)
+		t.Fatalf("IW C2 %v, exact %v", got, exactC2)
 	}
-	if counter.SpaceBytes() <= 0 {
+	if e.SpaceBytes() <= 0 {
 		t.Fatal("space not positive")
 	}
 }

@@ -44,7 +44,7 @@ func TestExactCounter(t *testing.T) {
 		t.Fatalf("SpaceBytes = %d", c.SpaceBytes())
 	}
 	acc := NewExactCounter()
-	if err := acc.Merge(c); err != nil || acc.SpaceBytes() != 16*3 {
+	if err := acc.MergeCounter(c); err != nil || acc.SpaceBytes() != 16*3 {
 		t.Fatalf("merged SpaceBytes = %d (%v)", acc.SpaceBytes(), err)
 	}
 }

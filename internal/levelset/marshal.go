@@ -13,14 +13,16 @@ import (
 // This file serializes the collision counters with the shared wire
 // primitives of internal/wire, so an agent process can ship its
 // level-set state to a collector and the collector can fold it with the
-// Merge paths in merge.go. The levelset package owns the tag range
-// 0x10–0x1f (see internal/server/doc.go for the registry).
+// Merge paths in merge.go. They ride only inside internal/core's Fk
+// payload, which reaches them through DecodeCollisionCounter; the
+// levelset package owns the tag range 0x10–0x1f (see
+// internal/server/doc.go).
 
-// Type tags for the serialized collision counters.
+// Type tags for the serialized collision counters. 0x12 was the
+// Indyk–Woodruff estimator's and is never reused.
 const (
 	TagExactCounter byte = 0x10
 	TagEstimator    byte = 0x11
-	TagIWEstimator  byte = 0x12
 )
 
 // maxWireReps bounds the decoded repetition/level counts; both default to
@@ -144,66 +146,8 @@ func DecodeEstimator(r *wire.Reader) (*Estimator, error) {
 	return e, nil
 }
 
-// MarshalBinary serializes the Indyk–Woodruff estimator.
-func (e *IWEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
-
-// Encode writes the estimator: band geometry, the universe hash, and each
-// level's element count, CountSketch, and candidate tracker nested in
-// place.
-func (e *IWEstimator) Encode(w *wire.Writer) {
-	w.Header(TagIWEstimator)
-	w.F64(e.epsPrime)
-	w.F64(e.eta)
-	w.U64(e.nL)
-	w.Hash2(e.universe)
-	w.U32(uint32(len(e.levels)))
-	for t := range e.levels {
-		lvl := &e.levels[t]
-		w.U64(lvl.count)
-		w.Nest(lvl.cs)
-		w.Nest(lvl.cands)
-	}
-}
-
-// DecodeIWEstimator reads an IWEstimator written by Encode.
-func DecodeIWEstimator(r *wire.Reader) (*IWEstimator, error) {
-	r.Header(TagIWEstimator)
-	epsPrime := r.F64()
-	eta := r.F64()
-	nL := r.U64()
-	if r.Err() == nil && !(epsPrime > 0 && !math.IsInf(epsPrime, 0) && eta > 0 && eta <= 1) {
-		r.Fail()
-	}
-	universe := r.Hash2()
-	nLevels := r.Count(maxWireReps, 16)
-	if r.Err() == nil && nLevels < 1 {
-		r.Fail()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	e := &IWEstimator{epsPrime: epsPrime, eta: eta, nL: nL,
-		universe: universe, levels: make([]iwLevel, nLevels)}
-	for t := range e.levels {
-		count := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		cs, err := wire.Nest(r, sketch.DecodeCountSketch)
-		if err != nil {
-			return nil, err
-		}
-		cands, err := wire.Nest(r, sketch.DecodeTopK)
-		if err != nil {
-			return nil, err
-		}
-		e.levels[t] = iwLevel{hashLevel: t, cs: cs, cands: cands, count: count}
-	}
-	return e, nil
-}
-
 // DecodeCollisionCounter reads whichever collision counter r is about to
-// yield. The switch is closed over the three this package has, so a crafted
+// yield. The switch is closed over the two with a wire form, so a crafted
 // payload cannot nest a composite estimator (which itself embeds a
 // collision counter) and recurse the decoder to arbitrary depth.
 func DecodeCollisionCounter(r *wire.Reader) (CollisionCounter, error) {
@@ -213,8 +157,6 @@ func DecodeCollisionCounter(r *wire.Reader) (CollisionCounter, error) {
 		return DecodeExactCounter(r)
 	case TagEstimator:
 		return DecodeEstimator(r)
-	case TagIWEstimator:
-		return DecodeIWEstimator(r)
 	}
 	r.Failf("levelset: payload tag %#x is not a collision counter", tag)
 	return nil, r.Err()

@@ -84,39 +84,10 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIWEstimatorMarshalRoundTrip(t *testing.T) {
-	mk := func() *IWEstimator {
-		return NewIW(IWConfig{EpsPrime: 0.1, Width: 64, Depth: 3, Levels: 6}, rng.New(9))
-	}
-	e := mk()
-	for _, it := range marshalStream(20000, 4) {
-		e.Observe(it)
-	}
-	data, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.Decode(data, DecodeIWEstimator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.EstimateCollisions(2) != e.EstimateCollisions(2) {
-		t.Fatal("C_2 differs after round trip")
-	}
-	sib := mk()
-	for _, it := range marshalStream(5000, 5) {
-		sib.Observe(it)
-	}
-	if err := back.Merge(sib); err != nil {
-		t.Fatalf("round-tripped IW estimator not mergeable: %v", err)
-	}
-}
-
 func TestUnmarshalCollisionCounterDispatch(t *testing.T) {
 	counters := []CollisionCounter{
 		NewExactCounter(),
 		New(Config{EpsPrime: 0.2, Budget: 32, Reps: 3}, rng.New(1)),
-		NewIW(IWConfig{EpsPrime: 0.2, Width: 32, Depth: 2, Levels: 4}, rng.New(2)),
 	}
 	for _, c := range counters {
 		for _, it := range marshalStream(2000, 6) {
@@ -134,8 +105,11 @@ func TestUnmarshalCollisionCounterDispatch(t *testing.T) {
 			t.Fatalf("%T: C_2 %v after dispatch round trip, want %v", c, got, want)
 		}
 	}
-	if _, err := wire.Decode([]byte{0x7f, 0x01}, DecodeCollisionCounter); err == nil {
-		t.Fatal("unknown tag accepted")
+	// 0x12, the retired Indyk–Woodruff tag, is as unknown as any other.
+	for _, tag := range []byte{0x12, 0x7f} {
+		if _, err := wire.Decode([]byte{tag, wire.WireVersion}, DecodeCollisionCounter); err == nil {
+			t.Fatalf("unknown tag %#x accepted", tag)
+		}
 	}
 	if _, err := wire.Decode(nil, DecodeCollisionCounter); err == nil {
 		t.Fatal("empty payload accepted")
@@ -162,19 +136,16 @@ func TestUnmarshalExactCounterRejectsSumMismatch(t *testing.T) {
 func TestLevelsetUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 	exact := NewExactCounter()
 	est := New(Config{EpsPrime: 0.2, Budget: 16, Reps: 3}, rng.New(3))
-	iw := NewIW(IWConfig{EpsPrime: 0.2, Width: 16, Depth: 2, Levels: 3}, rng.New(4))
 	for _, it := range marshalStream(500, 8) {
 		exact.Observe(it)
 		est.Observe(it)
-		iw.Observe(it)
 	}
 	decoders := map[string]func([]byte) error{
 		"ExactCounter": func(d []byte) error { _, err := wire.Decode(d, DecodeExactCounter); return err },
 		"Estimator":    func(d []byte) error { _, err := wire.Decode(d, DecodeEstimator); return err },
-		"IWEstimator":  func(d []byte) error { _, err := wire.Decode(d, DecodeIWEstimator); return err },
 		"dispatch":     func(d []byte) error { _, err := wire.Decode(d, DecodeCollisionCounter); return err },
 	}
-	for _, c := range []CollisionCounter{exact, est, iw} {
+	for _, c := range []CollisionCounter{exact, est} {
 		payload, err := c.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

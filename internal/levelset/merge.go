@@ -19,20 +19,15 @@ import (
 // universe-sampling hash functions.
 var mergeProbes = [4]uint64{0x9e3779b97f4a7c15, 1, 1 << 40, 0xdeadbeef}
 
-// Merge folds other into c, leaving other untouched. Exact counters over
-// disjoint substreams merge exactly: frequency vectors add.
-func (c *ExactCounter) Merge(other *ExactCounter) error {
-	c.counts.Merge(&other.counts)
-	return nil
-}
-
-// MergeCounter implements CollisionCounter.
+// MergeCounter folds other into c, leaving other untouched. Exact counters
+// over disjoint substreams merge exactly: frequency vectors add.
 func (c *ExactCounter) MergeCounter(other CollisionCounter) error {
 	o, ok := other.(*ExactCounter)
 	if !ok {
 		return fmt.Errorf("%w: ExactCounter vs %T", sketch.ErrIncompatible, other)
 	}
-	return c.Merge(o)
+	c.counts.Merge(&o.counts)
+	return nil
 }
 
 // UpdateBatch feeds every item in items.
@@ -156,63 +151,5 @@ func (rs *repState) updateBatch(items []stream.Item) {
 	}
 	for ; i < len(items); i++ {
 		rs.observe(items[i], h.Hash(uint64(items[i])))
-	}
-}
-
-// Merge folds other into e. Both sides must share shape, band offset, and
-// all hash functions (construct from identical generator state). Level
-// CountSketches merge exactly (linearity); candidate sets merge by
-// re-querying the merged sketch for the union of candidates.
-func (e *IWEstimator) Merge(other *IWEstimator) error {
-	if e.epsPrime != other.epsPrime || len(e.levels) != len(other.levels) {
-		return fmt.Errorf("%w: IW shape (eps'=%g,levels=%d) vs (eps'=%g,levels=%d)",
-			sketch.ErrIncompatible, e.epsPrime, len(e.levels), other.epsPrime, len(other.levels))
-	}
-	if e.eta != other.eta {
-		return fmt.Errorf("%w: IW band offsets differ", sketch.ErrIncompatible)
-	}
-	for _, probe := range mergeProbes {
-		if e.universe.Hash(probe) != other.universe.Hash(probe) {
-			return fmt.Errorf("%w: IW universe hashes differ", sketch.ErrIncompatible)
-		}
-	}
-	for t := range e.levels {
-		if err := e.levels[t].cs.Merge(other.levels[t].cs); err != nil {
-			return err
-		}
-	}
-	for t := range e.levels {
-		lvl := &e.levels[t]
-		lvl.count += other.levels[t].count
-		for _, c := range other.levels[t].cands.Items() {
-			if est := lvl.cs.Estimate(c.Item); est > 0 {
-				lvl.cands.Update(c.Item, float64(est))
-			}
-		}
-		for _, c := range lvl.cands.Items() {
-			if est := lvl.cs.Estimate(c.Item); est > 0 {
-				lvl.cands.Update(c.Item, float64(est))
-			}
-		}
-	}
-	e.nL += other.nL
-	return nil
-}
-
-// MergeCounter implements CollisionCounter.
-func (e *IWEstimator) MergeCounter(other CollisionCounter) error {
-	o, ok := other.(*IWEstimator)
-	if !ok {
-		return fmt.Errorf("%w: IWEstimator vs %T", sketch.ErrIncompatible, other)
-	}
-	return e.Merge(o)
-}
-
-// UpdateBatch feeds every item in items. The candidate re-score depends
-// on each level's sketch state at the item's own observation, so the
-// level/item loops cannot be reordered (bit-equivalence with Observe).
-func (e *IWEstimator) UpdateBatch(items []stream.Item) {
-	for _, it := range items {
-		e.Observe(it)
 	}
 }

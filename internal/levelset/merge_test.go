@@ -126,32 +126,3 @@ func TestEstimatorMergeRejectsMismatch(t *testing.T) {
 		t.Fatal("expected cross-type merge to fail")
 	}
 }
-
-func TestIWEstimatorMerge(t *testing.T) {
-	parts := splitStream(40_000, 15, 4)
-	exact := NewExactCounter()
-	mk := func() *IWEstimator {
-		return NewIW(IWConfig{EpsPrime: 0.1, Width: 2048, Depth: 5}, rng.New(17))
-	}
-	merged := mk()
-	for i, part := range parts {
-		exact.UpdateBatch(part)
-		if i == 0 {
-			merged.UpdateBatch(part)
-			continue
-		}
-		sh := mk()
-		sh.UpdateBatch(part)
-		if err := merged.MergeCounter(sh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	truth := exact.EstimateCollisions(2)
-	got := merged.EstimateCollisions(2)
-	if rel := math.Abs(got-truth) / truth; rel > 0.6 {
-		t.Fatalf("IW merged C_2 %.4g strays %.0f%% from exact %.4g", got, 100*rel, truth)
-	}
-	if err := merged.Merge(NewIW(IWConfig{EpsPrime: 0.1, Width: 2048, Depth: 5}, rng.New(18))); err == nil {
-		t.Fatal("expected seed mismatch to fail")
-	}
-}

@@ -16,9 +16,8 @@
 // pipeline uses round-robin batches — preserves them. Per-shard summaries
 // therefore merge into the summary a single monitor would have built:
 // exactly for the linear and order-insensitive backends (CountMin,
-// CountSketch, KMV, HLL, exact collision counters, plugin entropy), and
-// with the standard bounded error for the counter-based ones
-// (SpaceSaving, Misra–Gries). This is the same pattern distributed
+// CountSketch, KMV, exact collision counters, plugin entropy), and with
+// the standard bounded error for the counter-based one (SpaceSaving). This is the same pattern distributed
 // stream-monitoring systems exploit ("Boosting the Basic Counting on
 // Distributed Streams"; Cohen et al.'s per-flow aggregation).
 //

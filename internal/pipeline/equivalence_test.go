@@ -16,7 +16,7 @@ import (
 // These are the merge-correctness property tests: feeding the SAME
 // sampled stream L through S shards and merging must agree with the
 // single-shard estimator on L. For order-insensitive backends (exact
-// collision counters, KMV/HLL, plugin entropy, CountMin/CountSketch
+// collision counters, KMV, plugin entropy, CountMin/CountSketch
 // tables) the agreement is exact up to float summation order; for the
 // counter-based summaries it is within the documented error bounds, which
 // the heavy-hitter tests check through the reporting contract.
@@ -119,17 +119,12 @@ func TestMergeEquivalenceFkLevelSetTightBudget(t *testing.T) {
 
 func TestMergeEquivalenceF0(t *testing.T) {
 	L := sampledZipf(t)
-	for name, cfg := range map[string]core.F0Config{
-		"kmv": {P: eqP, Backend: core.F0KMV},
-		"hll": {P: eqP, Backend: core.F0HLL},
-	} {
-		mk := func(int) *core.F0Estimator { return core.NewF0Estimator(cfg, rng.New(13)) }
-		single := mk(0)
-		single.UpdateBatch(L)
-		merged := shardMerge(t, L, 4, mk)
-		if s, m := single.Estimate(), merged.Estimate(); s != m {
-			t.Fatalf("%s: single %.9g vs sharded-merged %.9g", name, s, m)
-		}
+	mk := func(int) *core.F0Estimator { return core.NewF0Estimator(core.F0Config{P: eqP}, rng.New(13)) }
+	single := mk(0)
+	single.UpdateBatch(L)
+	merged := shardMerge(t, L, 4, mk)
+	if s, m := single.Estimate(), merged.Estimate(); s != m {
+		t.Fatalf("single %.9g vs sharded-merged %.9g", s, m)
 	}
 }
 

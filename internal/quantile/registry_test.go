@@ -171,7 +171,7 @@ func TestRegistryKindRow(t *testing.T) {
 			t.Errorf("quantile tag = %#x, want 0x40", k.Tag)
 		}
 		if k.New == nil {
-			t.Error("quantile must be constructible (stat mode), not decode-only")
+			t.Error("quantile must be constructible (stat mode), not a wrapper")
 		}
 		if k.Decode == nil {
 			t.Error("quantile must be decodable")

@@ -218,13 +218,3 @@ func (r Range) Bucket(h uint64) uint64 {
 	hi, lo := bits.Mul64(h, r.n)
 	return hi<<3 | lo>>61
 }
-
-// Mix64 is a fixed strong bit-mixer (the SplitMix64 finalizer). It is not
-// an independent hash family — use it only for deterministic scrambles
-// such as deriving per-level seeds, never where the analysis needs
-// independence across keys.
-func Mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -164,12 +164,13 @@ func TestNewPolyHashPanicsOnBadK(t *testing.T) {
 }
 
 func TestMix64Bijective(t *testing.T) {
-	// Mix64 must not collide on a modest sample (it is a bijection).
+	// mix64 must not collide on a modest sample (it is a bijection), or
+	// laneQuads would fill lanes with repeats.
 	seen := make(map[uint64]uint64, 100000)
 	for i := uint64(0); i < 100000; i++ {
-		v := Mix64(i)
+		v := mix64(i)
 		if prev, ok := seen[v]; ok {
-			t.Fatalf("Mix64 collision: %d and %d both map to %#x", prev, i, v)
+			t.Fatalf("mix64 collision: %d and %d both map to %#x", prev, i, v)
 		}
 		seen[v] = i
 	}

@@ -1,10 +1,10 @@
 // Package sample implements stream samplers. The Bernoulli sampler is the
 // paper's model (§1.1, "randomly sampled NetFlow"): each element of the
 // original stream P survives into the sampled stream L independently with
-// probability p. The package also implements the related-work samplers
-// experiments E11/E12 contrast it with (§1.3) — deterministic 1-in-N,
-// sample-and-hold, phase-adaptive Bernoulli — and VarOpt-k, the daemon's
-// weighted summary.
+// probability p. The package also implements phase-adaptive Bernoulli,
+// which experiment E12 contrasts it with, and VarOpt-k, the daemon's
+// weighted summary. (E11's 1-in-N and sample-and-hold samplers live beside
+// E11 in internal/experiments.)
 package sample
 
 import (

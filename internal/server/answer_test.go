@@ -18,15 +18,15 @@ import (
 )
 
 // TestAgentEstimateCountsDescribeItsAnswer pins the agent's local answer
-// to one quiesce point: on a presampled exactcounter stream kept, fed and
-// the reported n are the same number, so an estimate response whose
+// to one quiesce point: on a presampled fk stream over the exact counter
+// kept, fed and the reported sampled length are the same number, so an estimate response whose
 // counts were read in a second critical section — after concurrent
 // ingest slipped in behind the fold — shows up as kept != n. One-sided:
 // it cannot fail once counts and fold share a lock hold.
 func TestAgentEstimateCountsDescribeItsAnswer(t *testing.T) {
 	agent := NewAgent(AgentConfig{ID: "consistent"})
 	defer agent.Close()
-	cfg := StreamConfig{Stat: "exactcounter", P: 1, Presampled: true, Shards: 2, Batch: 16}
+	cfg := StreamConfig{Stat: "fk", Exact: true, P: 1, Presampled: true, Shards: 2, Batch: 16}
 	if err := agent.CreateStream("s", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAgentEstimateCountsDescribeItsAnswer(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("query %d: status %d: %v", i, rec.Code, err)
 		}
-		if n := got.Estimates.Values["n"]; got.Fed != got.Kept || float64(got.Kept) != n {
+		if n := got.Estimates.Values["sampled_length"]; got.Fed != got.Kept || float64(got.Kept) != n {
 			t.Fatalf("query %d: fed=%d kept=%d describe more items than the answer covers (n=%v)",
 				i, got.Fed, got.Kept, n)
 		}

@@ -492,7 +492,7 @@ func TestDecodeTextStreamAllocFree(t *testing.T) {
 // chunk into a running stream under the runner's lock, apply, release
 // back to the decode pool — no closure of that path may escape.
 func TestDecodeBinaryStreamOwnedAllocFree(t *testing.T) {
-	run, err := buildRunner(StreamConfig{Stat: "exactcounter", P: 1, Presampled: true, Shards: 2}.withDefaults())
+	run, err := buildRunner(StreamConfig{Stat: "fk", Exact: true, P: 1, Presampled: true, Shards: 2}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestDecodeBinaryStreamOwnedAllocFree(t *testing.T) {
 func TestIngestRejectsDeclaredOversizeAtomically(t *testing.T) {
 	a := NewAgent(AgentConfig{ID: "oversize-test"})
 	defer a.Close()
-	if err := a.CreateStream("s", StreamConfig{Stat: "exactcounter", P: 1, Seed: 1, Presampled: true, Shards: 1}); err != nil {
+	if err := a.CreateStream("s", StreamConfig{Stat: "fk", Exact: true, P: 1, Seed: 1, Presampled: true, Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(a.Handler())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,8 +54,9 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // P, K, Epsilon, Alpha, Budget, Exact, Seed); Shards, Batch and
 // SampleSeed are local to each process.
 type StreamConfig struct {
-	// Stat selects the estimator kind: any name registered with the
-	// internal/estimator registry (substreamd -list-estimators).
+	// Stat selects the estimator kind: any stat registered with the
+	// internal/estimator registry (substreamd -list-estimators). A window
+	// is not a stat: it is declared with Window and Epoch around one.
 	Stat string `json:"stat"`
 	// P is the Bernoulli sampling probability of the original stream.
 	P float64 `json:"p"`
@@ -132,11 +132,10 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // validate rejects configurations the estimator constructors would panic
 // on; HTTP input must never reach a panic. Stat membership comes from the
 // estimator registry, so a newly registered kind is accepted here with no
-// server change.
+// server change, and a refused stat is refused with the registry's reason.
 func (c StreamConfig) validate() error {
-	if k, ok := estimator.Lookup(c.Stat); !ok || k.New == nil {
-		return fmt.Errorf("unknown stat %q (want one of %s)",
-			c.Stat, strings.Join(estimator.Stats(), " | "))
+	if _, err := estimator.Lookup(c.Stat); err != nil {
+		return err
 	}
 	if !(c.P > 0 && c.P <= 1) {
 		return fmt.Errorf("p must be in (0, 1], got %v", c.P)

@@ -138,7 +138,7 @@
 //
 // Summaries travel as a JSON envelope (Summary) whose Payload field is
 // the binary serialization of one estimator, built from the primitives
-// in internal/sketch (little-endian fields, length-prefixed nesting).
+// in internal/wire (little-endian fields, length-prefixed nesting).
 // The rules:
 //
 //   - Every payload starts with a one-byte TYPE TAG and a one-byte
@@ -154,8 +154,8 @@
 //     cut short, one that runs past ten bytes or overflows 64 bits, and
 //     an over-long one (a trailing zero group).
 //   - SORTED ITEM RUNS. Every item → count map (the exact counter, the
-//     entropy and GEE frequency profiles, Misra-Gries, the level-set
-//     repetitions) is a uint32 entry count, then the entries in
+//     entropy and GEE frequency profiles, the level-set repetitions) is a
+//     uint32 entry count, then the entries in
 //     increasing key order: the key as a uvarint delta to the key before
 //     it (the first is absolute), the count as a uvarint, and for a
 //     level-set repetition one fixed byte, the item's level. A decoder
@@ -173,7 +173,7 @@
 //     it, so hostile dimensions fail without the allocation. One codec:
 //     wire.Writer.Cells / Reader.Cells.
 //   - IN-PLACE NESTING, both directions. A composite (fk, f0, hh1, hh2,
-//     all, iw, the level-set estimator, the window ring) hands its own
+//     all, the level-set estimator, the window ring) hands its own
 //     writer to each child, which writes straight into the one buffer
 //     behind a uint32 length patched afterwards (wire.Writer.Nest); no
 //     child is marshalled apart and copied. Decoding is the mirror image:
@@ -195,9 +195,8 @@
 //     a collector allocate. The payload's one Reader carries it, and
 //     Reader.Cells charges each table to it where the table is allocated
 //     — the only place a few wire bytes can stand for many decoded ones —
-//     whatever the nesting: the five parts of an "all" summary, the
-//     levels of an iw payload and the replicas of a window ring share one
-//     budget, so neither a count read off the wire nor the shape of a
+//     whatever the nesting: the five parts of an "all" summary and the
+//     replicas of a window ring share one budget, so neither a count read off the wire nor the shape of a
 //     composite multiplies it. A payload past it is refused before the
 //     table that crosses the line is allocated; at a collector that is a
 //     400 with "payload's counter tables decode to more than the decode
@@ -212,37 +211,49 @@
 //     be a delta to, and a hashed 64-bit key is ten bytes as a varint,
 //     so they stay eight (SpaceSaving's counts and error bounds are
 //     varints; the quantile summary's rank widths g and Δ too). KMV
-//     hash values, HLL registers, hash coefficients and every float
+//     hash values, hash coefficients and every float
 //     (VarOpt weights, CKMS sample values, TopK scores, p, ε) are
 //     incompressible and stay as they were. Dimensions, entry counts and
 //     nested lengths stay uint32 and n stays uint64: a handful of bytes
 //     per payload, not worth a second form.
 //   - Tag assignments are owned by the internal/estimator registry: each
-//     serializable type Registers its tag, name, decoder, and constructor
-//     from its own package, and estimator.Kinds() (surfaced as
-//     `substreamd -list-estimators`) is the authoritative list. The
-//     table below mirrors the registry for operator reference and is
-//     pinned to it by TestRegistryMatchesWireTable.
-//   - Tag ranges are partitioned by package: internal/sketch owns
-//     0x01–0x0f (countmin 0x01, countsketch 0x02, kmv 0x03, hll 0x04,
-//     spacesaving 0x05, misragries 0x06, topk 0x07), internal/levelset
-//     owns 0x10–0x1f (exactcounter 0x10, levelset 0x11, iw 0x12),
-//     internal/core owns 0x20–0x2f (fk 0x20, f0 0x21, entropy 0x22,
-//     hh1 0x23, hh2 0x24, all 0x25, gee 0x26), internal/window owns
-//     0x30–0x3f (window 0x30, the epoch-ring wrapper whose payload
-//     nests one pristine, one cumulative, and W generation payloads
-//     from the concrete ranges around it), and internal/quantile owns
-//     0x40–0x4f (quantile 0x40, CKMS targeted streaming quantiles —
-//     a concrete kind, so it nests inside window payloads like the
-//     ranges below 0x30), and internal/sample owns 0x50–0x5f (varopt
-//     0x50, the VarOpt-k weighted reservoir behind subset-sum queries;
-//     concrete, so it too nests inside window payloads).
+//     kind Registers its tag, name, decoder, and constructor from its own
+//     package, and estimator.Kinds() (surfaced as `substreamd
+//     -list-estimators`) is the authoritative list. It holds the ten
+//     kinds that answer a question about the original stream P — the
+//     only tags a top-level payload, and so a Summary, may carry. The
+//     list below mirrors the registry for operator reference and is
+//     pinned to it by TestRegistryMatchesWireTable: internal/core owns
+//     0x20–0x2f (fk 0x20, f0 0x21, entropy 0x22, hh1 0x23, hh2 0x24,
+//     all 0x25, gee 0x26), internal/window 0x30–0x3f (window 0x30, the
+//     epoch ring around one of the other kinds, nesting one pristine,
+//     one cumulative and W generation payloads of it), internal/quantile
+//     0x40–0x4f (quantile 0x40, CKMS targeted streaming quantiles) and
+//     internal/sample 0x50–0x5f (varopt 0x50, the VarOpt-k reservoir
+//     behind subset-sum queries). The nine other than window are the
+//     stats a stream declares; a window is declared with the window and
+//     epoch fields around one.
+//   - COMPONENT tags ride only nested in a registered kind's payload, and
+//     only the parent that holds the component decodes it; the registry
+//     never sees them, so a bare component payload is refused as an
+//     unknown tag. internal/sketch owns 0x01–0x0f (countmin 0x01 in hh1,
+//     countsketch 0x02 in hh2, kmv 0x03 in f0, spacesaving 0x05 in the
+//     level set, topk 0x07 in hh1 and hh2) and internal/levelset
+//     0x10–0x1f (exactcounter 0x10 and levelset 0x11, fk's two collision
+//     counters). RETIRED tags are never reused: 0x04 (HyperLogLog), 0x06
+//     (Misra–Gries) and 0x12 (the Indyk–Woodruff estimator) were kinds of
+//     their own with no served path, and are unknown tags now. A
+//     collector snapshot that holds a summary of a retired or component
+//     kind restores under the all-or-nothing rule above: "start empty +
+//     warn".
 //   - Decoders reject unknown tags, unknown versions, truncated input,
 //     trailing bytes, and any length field larger than the remaining
 //     buffer could hold — corrupt input must fail cleanly, never panic
-//     or over-allocate. Composite payloads dispatch on a nested tag
-//     before decoding — fk and f0 with a closed switch over the kinds
-//     the component may be, the window ring with a gate on its own
+//     or over-allocate. A composite decodes only the children it may
+//     hold — fk with a closed switch over its two collision counters;
+//     f0, hh1, hh2 and the level set with the decoder of the one
+//     component each holds, whose header check refuses any other tag;
+//     the window ring through the registry, behind a gate on its own
 //     range — so crafted input cannot recurse the decoder.
 //   - Hash functions serialize as their polynomial coefficients, so a
 //     decoded summary is bit-identical to its source and remains
@@ -379,8 +390,9 @@
 package server
 
 // The daemon speaks whatever the estimator registry holds; linking
-// internal/core (which pulls internal/levelset and internal/sketch) and
-// internal/quantile is what populates it with the standard kinds.
+// internal/core, internal/quantile and internal/sample is what populates
+// it with the standard kinds (internal/window registers the ring through
+// config.go's import).
 // Embedders adding their own kinds just import the registering package
 // before starting the daemon.
 import (

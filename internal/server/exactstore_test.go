@@ -14,7 +14,7 @@ import (
 )
 
 // storeKinds are the registry kinds whose state holds the exact counting
-// store (sketch.ItemCounts): the collision counter, Algorithm 1 over it,
+// store (sketch.ItemCounts): Algorithm 1 over the exact collision counter,
 // the entropy plug-in, GEE, and the Monitor, which carries the plug-in.
 // values names the report values that rest on the store (nil: all of
 // them); orderFree marks the kinds whose whole payload is a function of
@@ -28,8 +28,6 @@ var storeKinds = []struct {
 	orderFree bool
 	sha256    string
 }{
-	{"exactcounter", StreamConfig{Stat: "exactcounter", P: 0.25, Seed: 42}, nil, true,
-		"5b2339f23a6f9f7ec84f6bdb13b5a4dbb582a365544a03483c778d8cab3679b7"},
 	{"fk", StreamConfig{Stat: "fk", K: 3, P: 0.25, Seed: 42, Exact: true}, nil, true,
 		"ff7894e92747c33ba0df07d6b2ec4852d3ba9ac8dc71adb3c08fccac4eec76e0"},
 	{"entropy", StreamConfig{Stat: "entropy", P: 0.25, Seed: 42}, nil, true,
@@ -50,7 +48,7 @@ func storeStream() stream.Slice { return sampledZipf(60000, 0.25, 7) }
 // their workers at each barrier), 16 agents' summaries folded by a
 // collector, and that collector's table restored from its snapshot. The
 // payloads of the order-free kinds are the same bytes on every path too,
-// and the sequential payload of all five is the one the map-backed store
+// and the sequential payload of all four is the one the map-backed store
 // wrote.
 func TestExactStoreKindsOneAnswerEveryPath(t *testing.T) {
 	L := storeStream()
@@ -171,7 +169,7 @@ func TestExactStoreKindsOneAnswerEveryPath(t *testing.T) {
 // and Encode of a decoded state only reads), which is what -race checks
 // here.
 func TestCollectorQueriesShareRetainedStates(t *testing.T) {
-	kind := storeKinds[1] // fk over the exact counter
+	kind := storeKinds[0] // fk over the exact counter
 	spec := kind.cfg.withDefaults().spec()
 	chunks := splitChunks(storeStream(), 8)
 	summary := func(agent int, seq uint64) Summary {

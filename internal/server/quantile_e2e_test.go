@@ -40,7 +40,7 @@ func quantileRankError(items stream.Slice, got, phi float64) float64 {
 // collector's folded answer must agree with one sequential estimator —
 // i.e. with the exact stream quantile — within 2ε·n ranks, for both the
 // cumulative scope and the last-W-epochs window scope. CKMS folds are
-// not bit-identical (unlike the kmv/exactcounter/f0 fleet test, which
+// not bit-identical (unlike the f0/fk-exact/entropy fleet test, which
 // asserts equality), so this battery asserts rank error against the
 // exact data, the bound the merge property tests pin shard-by-shard.
 func TestQuantileFleetWithinTwiceEpsilon(t *testing.T) {

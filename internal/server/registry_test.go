@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,22 +12,21 @@ import (
 	"time"
 
 	"substream/internal/estimator"
+	"substream/internal/rng"
+	"substream/internal/sketch"
 )
 
 // TestRegistryMatchesWireTable pins the estimator registry — the single
 // source of tag assignments — to the wire-format table documented in
-// doc.go. Editing either side without the other fails here, keeping the
-// operator documentation honest.
+// doc.go: the ten kinds that answer about P. Editing either side without
+// the other fails here, keeping the operator documentation honest. The
+// component tags below 0x20 are no registry kinds: their parents decode
+// them.
 func TestRegistryMatchesWireTable(t *testing.T) {
 	want := []struct {
 		tag  byte
 		name string
 	}{
-		// internal/sketch: 0x01–0x0f
-		{0x01, "countmin"}, {0x02, "countsketch"}, {0x03, "kmv"}, {0x04, "hll"},
-		{0x05, "spacesaving"}, {0x06, "misragries"}, {0x07, "topk"},
-		// internal/levelset: 0x10–0x1f
-		{0x10, "exactcounter"}, {0x11, "levelset"}, {0x12, "iw"},
 		// internal/core: 0x20–0x2f
 		{0x20, "fk"}, {0x21, "f0"}, {0x22, "entropy"}, {0x23, "hh1"},
 		{0x24, "hh2"}, {0x25, "all"}, {0x26, "gee"},
@@ -51,10 +51,6 @@ func TestRegistryMatchesWireTable(t *testing.T) {
 	for _, k := range kinds {
 		var lo, hi byte
 		switch {
-		case k.Tag <= 0x0f:
-			lo, hi = 0x01, 0x0f
-		case k.Tag <= 0x1f:
-			lo, hi = 0x10, 0x1f
 		case k.Tag <= 0x2f:
 			lo, hi = 0x20, 0x2f
 		case k.Tag <= 0x3f:
@@ -89,6 +85,73 @@ func TestValidateAcceptsEveryRegisteredStat(t *testing.T) {
 	if err := (StreamConfig{Stat: "bogus", P: 0.5}.withDefaults()).validate(); err == nil {
 		t.Error("unregistered stat accepted")
 	}
+}
+
+// componentStats are the names the registry held before it served only
+// the kinds that answer about P: the components those kinds nest.
+var componentStats = []string{"countmin", "countsketch", "kmv", "hll", "spacesaving", "misragries", "topk", "exactcounter", "levelset", "iw"}
+
+// nineStats is how a refusal lists the stats a stream may declare.
+const nineStats = "all | entropy | f0 | fk | gee | hh1 | hh2 | quantile | varopt"
+
+// TestComponentStatsRefused pins both doors a declaration comes in by to
+// the registry's stats. PUT /v1/streams/{name} refuses each component
+// with a 400 that lists the nine stats, and "window" with one that says
+// how a window is declared. At the collector a summary declaring a
+// component is a config reject, and a component's own payload under an
+// f0 config a payload reject: components ride only inside their parents.
+func TestComponentStatsRefused(t *testing.T) {
+	agent := NewAgent(AgentConfig{ID: "components"})
+	defer agent.Close()
+	put := func(stat string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		agent.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/streams/s",
+			strings.NewReader(fmt.Sprintf(`{"stat": %q, "p": 0.05}`, stat))))
+		return rec
+	}
+	for _, stat := range componentStats {
+		if rec := put(stat); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), nineStats) {
+			t.Errorf("PUT stat %s: %d %s, want 400 listing %s", stat, rec.Code, rec.Body, nineStats)
+		}
+	}
+	if rec := put("window"); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "window and epoch fields") || !strings.Contains(rec.Body.String(), nineStats) {
+		t.Errorf("PUT stat window: %d %s, want 400 naming the window and epoch fields", rec.Code, rec.Body)
+	}
+
+	collector := NewCollector(CollectorConfig{})
+	cts := httptest.NewServer(collector.Handler())
+	defer cts.Close()
+	rejects := collector.Metrics().CollectRejects
+	post := func(sum Summary) {
+		t.Helper()
+		body, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := causeValues(rejects, collectCauses)
+		resp, err := http.Post(cts.URL+"/v1/collect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("summary declaring %q: status %d, want 400", sum.Config.Stat, resp.StatusCode)
+		}
+		cause := causePayload
+		if sum.Config.Stat != "f0" {
+			cause = causeConfig
+		}
+		assertCauseDelta(t, before, causeValues(rejects, collectCauses), cause)
+	}
+	countmin, err := sketch.NewCountMin(64, 3, rng.New(1)).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stat := range componentStats {
+		post(Summary{Agent: "a", Stream: stat, Seq: 1, Config: StreamConfig{Stat: stat, P: 0.5, Seed: 1}, Payload: countmin})
+	}
+	post(Summary{Agent: "a", Stream: "f0", Seq: 1, Config: StreamConfig{Stat: "f0", P: 0.5, Seed: 1}, Payload: countmin})
 }
 
 // TestServerDefaultsAreTheRegistrys: the estimator defaults are spelled

@@ -45,8 +45,8 @@ func epochChunks(epochs, agents, perChunk int) [][]stream.Slice {
 // window-vs-replay acceptance test: two agents on MISALIGNED flush
 // schedules ship windowed summaries over HTTP, and the collector's
 // last-W-epochs estimate must match a fresh (unwindowed) estimator fed
-// only those epochs' items from both agents — for a sketch kind, a
-// levelset kind, and a core kind.
+// only those epochs' items from both agents — for F0 over its KMV sketch,
+// Fk over the exact collision counter, and entropy over its plug-in.
 func TestWindowedFleetMatchesReplay(t *testing.T) {
 	const (
 		epochs   = 5
@@ -55,8 +55,12 @@ func TestWindowedFleetMatchesReplay(t *testing.T) {
 	)
 	chunks := epochChunks(epochs, 2, perChunk)
 
-	for _, stat := range []string{"kmv", "exactcounter", "f0"} {
-		t.Run(stat, func(t *testing.T) {
+	for name, kind := range map[string]StreamConfig{
+		"f0":       {Stat: "f0"},
+		"fk-exact": {Stat: "fk", Exact: true},
+		"entropy":  {Stat: "entropy"},
+	} {
+		t.Run(name, func(t *testing.T) {
 			clock := withManualEpochs(t)
 
 			collector := NewCollector(CollectorConfig{})
@@ -64,7 +68,7 @@ func TestWindowedFleetMatchesReplay(t *testing.T) {
 			t.Cleanup(cts.Close)
 
 			cfg := StreamConfig{
-				Stat: stat, P: 0.5, Seed: 21, Shards: 2, Batch: 128,
+				Stat: kind.Stat, Exact: kind.Exact, P: 0.5, Seed: 21, Shards: 2, Batch: 128,
 				Presampled: true, Window: W, Epoch: Duration(time.Second),
 			}
 			cfgBody, _ := json.Marshal(cfg)
@@ -179,7 +183,7 @@ func TestWindowedLocalEstimates(t *testing.T) {
 	defer ats.Close()
 
 	cfg, _ := json.Marshal(StreamConfig{
-		Stat: "exactcounter", P: 0.5, Seed: 3, Presampled: true, Shards: 1,
+		Stat: "f0", P: 1, Seed: 3, Presampled: true, Shards: 1,
 		Window: 2, Epoch: Duration(time.Second),
 	})
 	do(t, http.MethodPut, ats.URL+"/v1/streams/w", "application/json", cfg, nil)

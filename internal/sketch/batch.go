@@ -1,15 +1,14 @@
 package sketch
 
 import (
-	"math/bits"
-
 	"substream/internal/rng"
 	"substream/internal/stream"
 )
 
 // This file adds batched update paths. UpdateBatch(items) produces state
 // bit-identical to calling Observe on each item in order (the invariant
-// internal/estimator's equivalence test pins for every registered kind),
+// TestUpdateBatchMatchesObserve pins here, and internal/estimator's
+// equivalence test again for every registered kind that nests these),
 // but amortizes the per-item costs that dominate high-throughput
 // ingestion: interface dispatch at the call site, hash and row
 // bookkeeping for the table-based sketches (reorganized row-major on the
@@ -117,92 +116,6 @@ func (s *KMV) UpdateBatch(items []stream.Item) {
 			continue
 		}
 		s.admitHash(hv)
-	}
-}
-
-// UpdateBatch feeds every item in items with the register array and hash
-// seeds hoisted into locals and the mix computed four items per
-// iteration: Mix64's multiply/xor chain has no memory traffic, so the
-// four independent lanes pipeline. Register maxima commute, and lanes
-// are applied in item order anyway, so the state is bit-identical to
-// Observe.
-func (h *HLL) UpdateBatch(items []stream.Item) {
-	regs := h.registers
-	a, b, p := h.seedA, h.seedB, h.precision
-	sentinel := uint64(1) << (p - 1) // bounds the rank like Observe
-	i := 0
-	for ; i+4 <= len(items); i += 4 {
-		x0 := rng.Mix64(uint64(items[i])*a + b)
-		x1 := rng.Mix64(uint64(items[i+1])*a + b)
-		x2 := rng.Mix64(uint64(items[i+2])*a + b)
-		x3 := rng.Mix64(uint64(items[i+3])*a + b)
-		r0 := uint8(bits.LeadingZeros64(x0<<p|sentinel)) + 1
-		r1 := uint8(bits.LeadingZeros64(x1<<p|sentinel)) + 1
-		r2 := uint8(bits.LeadingZeros64(x2<<p|sentinel)) + 1
-		r3 := uint8(bits.LeadingZeros64(x3<<p|sentinel)) + 1
-		if idx := x0 >> (64 - p); r0 > regs[idx] {
-			regs[idx] = r0
-		}
-		if idx := x1 >> (64 - p); r1 > regs[idx] {
-			regs[idx] = r1
-		}
-		if idx := x2 >> (64 - p); r2 > regs[idx] {
-			regs[idx] = r2
-		}
-		if idx := x3 >> (64 - p); r3 > regs[idx] {
-			regs[idx] = r3
-		}
-	}
-	for ; i < len(items); i++ {
-		x := rng.Mix64(uint64(items[i])*a + b)
-		idx := x >> (64 - p)
-		rest := x<<p | sentinel
-		rank := uint8(bits.LeadingZeros64(rest)) + 1
-		if rank > regs[idx] {
-			regs[idx] = rank
-		}
-	}
-}
-
-// UpdateBatch feeds every item in items, amortizing map lookups across
-// runs of equal items: a run landing on a tracked counter pays one
-// lookup and one write for the whole run (a tracked counter only grows,
-// so no decrement-all can fire mid-run). Untracked items take the exact
-// per-item Observe policy.
-func (mg *MisraGries) UpdateBatch(items []stream.Item) {
-	for i := 0; i < len(items); {
-		it := items[i]
-		j := i + 1
-		for j < len(items) && items[j] == it {
-			j++
-		}
-		run := uint64(j - i)
-		if c, ok := mg.counters[it]; ok {
-			mg.counters[it] = c + run
-			mg.n += run
-			i = j
-			continue
-		}
-		// Untracked: the Observe policy, inlined so the admission reuses
-		// this loop's lookup instead of paying a second one.
-		mg.n++
-		i++
-		if len(mg.counters) < mg.k {
-			// Admitted — the rest of the run increments the new counter.
-			mg.counters[it] = run
-			mg.n += run - 1
-			i = j
-			continue
-		}
-		// Decrement-all; the next occurrence in the run (if any) retries
-		// with whatever capacity the deletions freed.
-		for key, c := range mg.counters {
-			if c == 1 {
-				delete(mg.counters, key)
-			} else {
-				mg.counters[key] = c - 1
-			}
-		}
 	}
 }
 

@@ -155,7 +155,7 @@ func TestSpaceSavingMergeExactWhenUnderCapacity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		want := uint64(i + 1)
 		for _, it := range []stream.Item{stream.Item(i + 1), stream.Item(i + 51)} {
-			if got := a.Estimate(it); got != want {
+			if got := ssCount(a, it); got != want {
 				t.Fatalf("item %d: estimate %d, want exact %d", it, got, want)
 			}
 		}

@@ -1,80 +1,53 @@
 // Registry-level fuzzing lives in an external test package so the full
 // standard registry (core pulls levelset and this package) can be linked
 // without an import cycle: estimator.Decode must hold the no-panic
-// contract across EVERY registered tag, including the composite payloads
-// that nest other kinds.
+// contract across EVERY registered tag and every component nested in one.
 package sketch_test
 
 import (
 	"testing"
 	"time"
 
-	"substream/internal/core"
 	"substream/internal/estimator"
-	"substream/internal/rng"
 	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/window"
 
+	_ "substream/internal/core"
 	_ "substream/internal/quantile"
 	_ "substream/internal/sample"
 )
 
-// registryCorpus builds one well-formed payload per registry kind, each
-// carrying a little state.
+// registryCorpus builds one well-formed payload per registry stat, each
+// carrying a little state; one of fk over the exact collision counter, the
+// one component no stat's default nests; and two of the window ring, both
+// two-generation rings: over hh1, whose replicas carry a counter table
+// each, and over fk's exact counter, whose replicas carry a sorted run.
+// Every component tag rides in it as a nested child
+// (TestCorpusNestsEveryComponent).
 func registryCorpus(tb testing.TB) [][]byte {
+	// Generous error/heaviness targets keep the summaries small: the
+	// sweep below is quadratic-ish in payload size, and the race-enabled
+	// CI run pays ~10x per decode.
+	spec := func(stat string, exact bool) func() (estimator.Estimator, error) {
+		return func() (estimator.Estimator, error) {
+			return estimator.New(estimator.Spec{
+				Stat: stat, P: 0.5, K: 2, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Exact: exact, Seed: 3,
+			})
+		}
+	}
+	var builds []func() (estimator.Estimator, error)
+	for _, stat := range estimator.Stats() {
+		builds = append(builds, spec(stat, false))
+	}
+	ring := func(inner func() (estimator.Estimator, error)) func() (estimator.Estimator, error) {
+		return func() (estimator.Estimator, error) {
+			return window.Wrap(window.Config{Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(), New: inner})
+		}
+	}
+	builds = append(builds, spec("fk", true), ring(spec("hh1", false)), ring(spec("fk", true)))
 	var corpus [][]byte
-	for _, k := range estimator.Kinds() {
-		if k.New == nil {
-			continue
-		}
-		// Generous error/heaviness targets keep the summaries small: the
-		// sweep below is quadratic-ish in payload size, and the race-
-		// enabled CI run pays ~10x per decode.
-		e, err := estimator.New(estimator.Spec{
-			Stat: k.Name, P: 0.5, K: 2, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 3,
-		})
-		if err != nil {
-			tb.Fatalf("kind %q: %v", k.Name, err)
-		}
-		for i := 0; i < 200; i++ {
-			e.Observe(stream.Item(i%23 + 1))
-		}
-		payload, err := e.MarshalBinary()
-		if err != nil {
-			tb.Fatalf("kind %q: marshal: %v", k.Name, err)
-		}
-		corpus = append(corpus, payload)
-	}
-	// Decode-only kinds (topk) have no Spec constructor; seed their tags
-	// by hand so the fuzzer explores them too.
-	tk := sketch.NewTopK(8)
-	for i := 0; i < 20; i++ {
-		tk.Update(stream.Item(i+1), float64(i))
-	}
-	payload, err := tk.MarshalBinary()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	corpus = append(corpus, payload)
-	// So is the window wrapper: a two-generation ring over hh1, whose
-	// replicas carry a counter table each. And no Spec selects F0's HLL
-	// backend: alone and in a ring, where each replica's register block is
-	// followed by the next replica and not by the end of the buffer.
-	hh1 := func() (estimator.Estimator, error) {
-		return estimator.New(estimator.Spec{Stat: "hh1", P: 0.5, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 3})
-	}
-	hllF0 := func() (estimator.Estimator, error) {
-		return estimator.Adapt(core.NewF0Estimator(core.F0Config{P: 0.5, Backend: core.F0HLL, HLLPrecision: 6}, rng.New(3))), nil
-	}
-	ring := func(inner func() (estimator.Estimator, error)) (estimator.Estimator, error) {
-		return window.Wrap(window.Config{Window: 2, EpochLen: time.Second, Clock: window.NewManualClock(), New: inner})
-	}
-	for _, build := range []func() (estimator.Estimator, error){
-		func() (estimator.Estimator, error) { return ring(hh1) },
-		hllF0,
-		func() (estimator.Estimator, error) { return ring(hllF0) },
-	} {
+	for _, build := range builds {
 		e, err := build()
 		if err != nil {
 			tb.Fatal(err)
@@ -82,7 +55,8 @@ func registryCorpus(tb testing.TB) [][]byte {
 		for i := 0; i < 200; i++ {
 			e.Observe(stream.Item(i%23 + 1))
 		}
-		if payload, err = e.MarshalBinary(); err != nil {
+		payload, err := e.MarshalBinary()
+		if err != nil {
 			tb.Fatal(err)
 		}
 		corpus = append(corpus, payload)

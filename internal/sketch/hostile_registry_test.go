@@ -12,21 +12,20 @@ import (
 )
 
 // hostileShapes names, per wire tag, the hostile rows that kind's own
-// layout must give rise to in at least one of its corpus payloads
-// (composites add whatever their children carry). A kind missing from it
-// fails TestHostilePayloads, so a new kind cannot join the registry
-// without saying which v3 shapes its payload holds.
+// layout must give rise to in at least one corpus payload: for a registry
+// kind, in its top-level payloads, children included; for a component
+// (0x01–0x1f), in the payload of it nested in a parent. A tag missing from
+// it fails TestHostilePayloads, so a new kind cannot join the registry,
+// nor a new component a parent, without saying which v3 shapes its
+// payload holds.
 var hostileShapes = map[byte][]string{
 	0x01: {"zero run past the table end", "table of 2^22 columns over a short body", "all-zero table of 2^24 columns"},
 	0x02: {"zero run past the table end", "table of 2^22 columns over a short body", "all-zero table of 2^24 columns"},
 	0x03: {"u32 count of 2^28 over a 64-byte body"},
-	0x04: {},
 	0x05: {"u32 count of 2^28 over a 64-byte body", "11-byte varint"},
-	0x06: {"run delta 0", "run count above n"},
 	0x07: {"u32 count of 2^28 over a 64-byte body"},
 	0x10: {"run delta 0", "run count above n"},
 	0x11: {"run delta 0", "run counts summing past 2^64", "11-byte varint"},
-	0x12: {"zero run past the table end", "all-zero table of 2^24 columns", "u32 count of 2^28 over a 64-byte body"},
 	0x20: {"run delta 0", "11-byte varint"},
 	0x21: {"u32 count of 2^28 over a 64-byte body"},
 	0x22: {"run delta 0", "run count above n"},
@@ -50,7 +49,8 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestHostilePayloads is the v3 hostile-input table: for every registry
-// kind, every forged payload its layout allows — a v2 version byte, a
+// kind and every component nested in one, every forged payload its layout
+// allows — a v2 version byte, a
 // varint cut short, an 11-byte, an overflowing and an over-long varint, a
 // run with a zero delta, with keys or counts summing past 2^64, with a
 // count of 0 or above n, a zero run past the end of a table, a table of
@@ -78,16 +78,21 @@ func TestHostilePayloads(t *testing.T) {
 		}
 	}
 	for _, payload := range registryCorpus(t) {
-		tag := payload[0]
-		if _, known := hostileShapes[tag]; !known {
-			t.Errorf("tag %#x has no entry in hostileShapes", tag)
+		for _, tag := range sketch.PayloadTags(payload) {
+			if _, known := hostileShapes[tag]; !known {
+				t.Errorf("tag %#x has no entry in hostileShapes", tag)
+			}
 		}
-		if forged[tag] == nil {
-			forged[tag] = map[string]bool{}
-		}
+		// A row counts for the payload's own tag and for the tag of the
+		// nested child it was forged in.
 		for _, row := range sketch.HostileRows(payload) {
-			forged[tag][row.Name] = true
-			refused(tag, row.Name, row.Payload)
+			for _, tag := range []byte{payload[0], row.Tag} {
+				if forged[tag] == nil {
+					forged[tag] = map[string]bool{}
+				}
+				forged[tag][row.Name] = true
+			}
+			refused(row.Tag, row.Name, row.Payload)
 		}
 	}
 	for tag, want := range hostileShapes {
@@ -139,7 +144,7 @@ func TestHostilePayloads(t *testing.T) {
 
 // TestDecodeBudgetCoversNestedChildren pins that a payload has one decode
 // budget whatever its nesting: neither the children a composite reads off
-// the wire — the generations of a ring, the levels of an IWEstimator — nor
+// the wire — the generations of a ring, the repetitions of a level set — nor
 // its fixed parts multiply what it may decode to. For every corpus payload
 // that holds a counter table, with the budget lowered to half of what the
 // payload decodes to, Decode refuses it, and without first decoding the
@@ -151,6 +156,9 @@ func TestDecodeBudgetCoversNestedChildren(t *testing.T) {
 			continue
 		}
 		tabled[payload[0]] = true
+		for _, tag := range sketch.TableTags(payload) {
+			tabled[tag] = true
+		}
 		var e estimator.Estimator
 		var err error
 		whole := allocatedBy(func() { e, err = estimator.Decode(payload) })
@@ -165,9 +173,33 @@ func TestDecodeBudgetCoversNestedChildren(t *testing.T) {
 				payload[0], e.SpaceBytes(), whole, err, refused)
 		}
 	}
-	for _, tag := range []byte{0x01, 0x02, 0x12, 0x23, 0x24, 0x25, 0x30} {
+	for _, tag := range []byte{0x01, 0x02, 0x23, 0x24, 0x25, 0x30} {
 		if !tabled[tag] {
 			t.Errorf("tag %#x: no corpus payload of it holds a counter table", tag)
+		}
+	}
+}
+
+// TestCorpusNestsEveryComponent pins what the batteries over
+// registryCorpus reach: no component is a registry kind any more, so each
+// is hostile-, truncation- and fuzz-tested only where it rides — nested in
+// a parent's payload. Every component tag must therefore occur nested in
+// some corpus payload, and no retired tag in any.
+func TestCorpusNestsEveryComponent(t *testing.T) {
+	nested := map[byte]bool{}
+	for _, payload := range registryCorpus(t) {
+		for _, tag := range sketch.PayloadTags(payload)[1:] {
+			nested[tag] = true
+		}
+	}
+	for _, tag := range []byte{0x01, 0x02, 0x03, 0x05, 0x07, 0x10, 0x11} {
+		if !nested[tag] {
+			t.Errorf("component tag %#x rides nested in no corpus payload", tag)
+		}
+	}
+	for _, tag := range []byte{0x04, 0x06, 0x12} {
+		if nested[tag] {
+			t.Errorf("retired tag %#x occurs in the corpus", tag)
 		}
 	}
 }

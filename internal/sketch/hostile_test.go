@@ -10,10 +10,12 @@ import (
 )
 
 // This file forges hostile v3 payloads out of valid ones. It knows the
-// byte layout of every registry kind independently of the encoders — a
-// second, hand-written statement of the format that has to move with it —
-// and uses it to find the places the v3 failure modes live: a varint
-// field, an element count, the entries of a sorted run, a counter table.
+// byte layout of every registry kind and of every component they nest
+// independently of the encoders — a second, hand-written statement of the
+// format that has to move with it — and uses it to find the places the v3
+// failure modes live: a varint field, an element count, the entries of a
+// sorted run, a counter table. It finds them in every payload, top-level
+// or nested, so a component is forged where it rides: inside its parent.
 // HostileRows then rewrites exactly that place and repairs the length
 // prefix of every payload nested around it, so a forged payload is
 // refused by the check under test and not by an outer length that no
@@ -25,6 +27,9 @@ import (
 // uint32 length prefixes of the nested payloads around it, outermost
 // first.
 type WireSite struct {
+	// Tag is the tag of the payload, top-level or nested, that holds the
+	// site.
+	Tag  byte
 	Off  int
 	Lens []int
 	// End is where the payload that holds the site ends.
@@ -36,14 +41,23 @@ type WireSite struct {
 	Dims int
 }
 
-// siteWalker walks one payload by the layout rules and records the first
-// site of each sort it meets.
+// siteWalker walks one payload by the layout rules and records, for each
+// tag it meets, the first site of each sort in a payload of that tag.
 type siteWalker struct {
-	data  []byte
-	r     *wire.Reader
-	lens  []int
-	end   int
-	sites map[string]WireSite
+	data []byte
+	r    *wire.Reader
+	lens []int
+	end  int
+	tag  byte // of the payload being walked
+	// tags are the tags of the payload and of every payload nested in it,
+	// each once, in wire order. sites holds, per tag, the first site of
+	// each name in a payload of that tag: "version" (its version byte),
+	// "count" (a uint32 element count), "varint" (a uvarint field), "run
+	// delta" (the key delta of a run's second entry), "run count" (the
+	// count of its first entry), "dims" (the width and depth of a counter
+	// table) and "table" (where its cells start).
+	tags  []byte
+	sites map[byte]map[string]WireSite
 	// tables are the table sites of the whole payload, in wire order.
 	tables []WireSite
 }
@@ -52,8 +66,8 @@ type siteWalker struct {
 func (w *siteWalker) off() int { return len(w.data) - w.r.Remaining() }
 
 func (w *siteWalker) mark(name string, max uint64) {
-	if _, seen := w.sites[name]; !seen && w.r.Err() == nil {
-		w.sites[name] = WireSite{Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: max}
+	if _, seen := w.sites[w.tag][name]; !seen && w.r.Err() == nil {
+		w.sites[w.tag][name] = WireSite{Tag: w.tag, Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: max}
 	}
 }
 
@@ -99,8 +113,19 @@ func (w *siteWalker) run(extra int, maxCount uint64) {
 // payload walks one (tag, version)-prefixed payload.
 func (w *siteWalker) payload() {
 	r := w.r
+	version := w.off() + 1
 	tag := r.U8()
 	r.U8()
+	if r.Err() != nil {
+		return
+	}
+	outer := w.tag
+	defer func() { w.tag = outer }()
+	w.tag = tag
+	if w.sites[tag] == nil {
+		w.tags = append(w.tags, tag)
+		w.sites[tag] = map[string]WireSite{"version": {Tag: tag, Off: version, Lens: slices.Clone(w.lens), End: w.end}}
+	}
 	switch tag {
 	case TagCountMin, TagCountSketch:
 		w.mark("dims", 0)
@@ -113,7 +138,7 @@ func (w *siteWalker) payload() {
 		}
 		w.mark("table", uint64(width*depth))
 		if r.Err() == nil {
-			w.tables = append(w.tables, WireSite{Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: uint64(width * depth), Dims: dims})
+			w.tables = append(w.tables, WireSite{Tag: tag, Off: w.off(), Lens: slices.Clone(w.lens), End: w.end, Max: uint64(width * depth), Dims: dims})
 		}
 	case TagKMV:
 		r.U32()
@@ -127,9 +152,6 @@ func (w *siteWalker) payload() {
 			r.U64()
 			w.mark("varint", 0)
 		}
-	case TagMisraGries:
-		r.U32()
-		w.run(0, r.U64())
 	case TagTopK:
 		r.U32()
 		w.mark("count", 0)
@@ -142,15 +164,6 @@ func (w *siteWalker) payload() {
 			r.Hash2()
 			r.U32()
 			w.run(1, 0)
-		}
-	case 0x12: // levelset.IWEstimator
-		w.skip(8 + 8 + 8)
-		r.Hash2()
-		w.mark("count", 0)
-		for levels := int(r.U32()); levels > 0 && r.Err() == nil; levels-- {
-			r.U64()
-			w.nested()
-			w.nested()
 		}
 	case 0x20: // core.FkEstimator
 		w.skip(4 + 8 + 8)
@@ -199,15 +212,24 @@ func (w *siteWalker) payload() {
 	}
 }
 
-// WireSites walks a valid payload and returns its sites by name: "count"
-// (a uint32 element count), "varint" (a uvarint field), "run delta" (the
-// key delta of a run's second entry), "run count" (the count of its first
-// entry), "dims" (the width and depth of a counter table) and "table"
-// (where its cells start).
-func WireSites(payload []byte) map[string]WireSite { return walk(payload).sites }
+// PayloadTags returns the tag of a valid payload and of every payload
+// nested in it, however deep, each once, in wire order.
+func PayloadTags(payload []byte) []byte { return walk(payload).tags }
+
+// TableTags returns the tags of the payloads in a valid payload, top-level
+// or nested, whose own layout holds a counter table.
+func TableTags(payload []byte) []byte {
+	var tags []byte
+	for _, table := range walk(payload).tables {
+		if !slices.Contains(tags, table.Tag) {
+			tags = append(tags, table.Tag)
+		}
+	}
+	return tags
+}
 
 func walk(payload []byte) *siteWalker {
-	w := &siteWalker{data: payload, r: wire.NewReader(payload), end: len(payload), sites: map[string]WireSite{}}
+	w := &siteWalker{data: payload, r: wire.NewReader(payload), end: len(payload), sites: map[byte]map[string]WireSite{}}
 	w.payload()
 	return w
 }
@@ -259,32 +281,41 @@ func SetMaxDecodedBytes(n int) (restore func()) {
 	return func() { wire.MaxDecodedBytes = old }
 }
 
-// HostileRow is one forged payload and the v3 failure mode it carries.
+// HostileRow is one forged payload and the v3 failure mode it carries in
+// the payload of tag Tag: the top-level one, or a child nested in it.
 type HostileRow struct {
+	Tag     byte
 	Name    string
 	Payload []byte
 }
 
 // HostileRows forges every hostile payload the sites of a valid payload
-// allow. Every row must fail to decode, but for the "identity" ones, which
-// must still decode: a field rewritten with its own bytes shows the layout
-// walk and the length repair are right, and a table zeroed at its own
-// width shows that what refuses the same table at 2^24 columns is its
-// size.
+// allow, in the payload itself and in every payload nested in it. Every
+// row must fail to decode, but for the "identity" ones, which must still
+// decode: a field rewritten with its own bytes shows the layout walk and
+// the length repair are right, and a table zeroed at its own width shows
+// that what refuses the same table at 2^24 columns is its size.
 func HostileRows(payload []byte) []HostileRow {
-	sites := WireSites(payload)
+	w := walk(payload)
 	var rows []HostileRow
-	add := func(name string, p []byte) { rows = append(rows, HostileRow{name, p}) }
+	for _, tag := range w.tags {
+		rows = append(rows, hostileRows(payload, tag, w.sites[tag])...)
+	}
+	return rows
+}
+
+// hostileRows forges the rows of the sites of one payload of tag tag,
+// top-level or nested, in a valid payload.
+func hostileRows(payload []byte, tag byte, sites map[string]WireSite) []HostileRow {
+	var rows []HostileRow
+	add := func(name string, p []byte) { rows = append(rows, HostileRow{tag, name, p}) }
 	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	lenAt := func(s WireSite) int {
 		_, n := binary.Uvarint(payload[s.Off:])
 		return n
 	}
 
-	v2 := append([]byte(nil), payload...)
-	v2[1] = 2
-	add("wire format v2 version byte", v2)
-
+	add("wire format v2 version byte", sites["version"].rewrite(payload, 1, []byte{2}, false))
 	if s, ok := sites["varint"]; ok {
 		n := lenAt(s)
 		add("identity", s.rewrite(payload, n, payload[s.Off:s.Off+n], false))

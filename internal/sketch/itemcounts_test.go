@@ -42,12 +42,14 @@ func (c *refCounts) merge(other *refCounts) {
 	c.n += other.n
 }
 
-func (c *refCounts) Encode(w *wire.Writer) { w.Freq(c.counts) }
+// Encode writes the map as a sorted item run, the layout the store's own
+// Encode must match.
+func (c *refCounts) Encode(w *wire.Writer) { writeFreq(w, c.counts) }
 
 func decodeRefCounts(t *testing.T, payload []byte) *refCounts {
 	t.Helper()
 	r := wire.NewReader(payload)
-	counts, sum := r.Freq(wire.MaxWireElems, math.MaxUint64)
+	counts, sum := readFreq(r)
 	if err := r.Done(); err != nil {
 		t.Fatalf("reference decode: %v", err)
 	}

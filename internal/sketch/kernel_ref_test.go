@@ -229,26 +229,6 @@ func (t *refTopK) swap(i, j int) {
 	t.index[t.h[j].item] = j
 }
 
-func (t *refTopK) Observe(it stream.Item) {
-	if pos, ok := t.index[it]; ok {
-		t.h[pos].count++
-		t.fix(pos)
-		return
-	}
-	t.Update(it, 1)
-}
-
-func (t *refTopK) Merge(other *refTopK) {
-	for _, e := range other.h {
-		if pos, ok := t.index[e.item]; ok {
-			t.h[pos].count += e.count
-			t.fix(pos)
-		} else {
-			t.Update(e.item, e.count)
-		}
-	}
-}
-
 func (t *refTopK) bytes() []byte {
 	w := &wire.Writer{}
 	w.Header(TagTopK)

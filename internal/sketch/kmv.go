@@ -1,9 +1,6 @@
 package sketch
 
 import (
-	"math"
-	"math/bits"
-
 	"substream/internal/rng"
 	"substream/internal/stream"
 )
@@ -42,19 +39,6 @@ func NewKMV(k int, r *rng.Xoshiro256) *KMV {
 	}
 }
 
-// NewKMVWithError returns a KMV sized for relative error ≈ ε with
-// constant probability: k = ⌈4/ε²⌉.
-func NewKMVWithError(epsilon float64, r *rng.Xoshiro256) *KMV {
-	if epsilon <= 0 || epsilon >= 1 {
-		panic("sketch: KMV epsilon must be in (0, 1)")
-	}
-	k := int(math.Ceil(4 / (epsilon * epsilon)))
-	if k < 2 {
-		k = 2
-	}
-	return NewKMV(k, r)
-}
-
 // Observe feeds one item. Duplicate items hash identically and are
 // deduplicated, so only distinct items affect the state.
 func (s *KMV) Observe(it stream.Item) {
@@ -73,65 +57,3 @@ func (s *KMV) Estimate() float64 {
 
 // SpaceBytes returns the approximate memory footprint.
 func (s *KMV) SpaceBytes() int { return 24 * s.k }
-
-// HLL is a stochastic-averaging distinct-count estimator in the
-// HyperLogLog family: 2^precision registers, each holding the maximum
-// leading-zero rank of the hashed items routed to it. It provides
-// ≈ 1.04/√(2^precision) relative standard error using one byte per
-// register — included as the constant-space alternative backend for
-// Algorithm 2 alongside KMV. Small cardinalities fall back to linear
-// counting, as in the original paper.
-type HLL struct {
-	precision uint
-	registers []uint8
-	seedA     uint64
-	seedB     uint64
-}
-
-// NewHLL builds an estimator with 2^precision registers, 4 ≤ precision
-// ≤ 18.
-func NewHLL(precision uint, r *rng.Xoshiro256) *HLL {
-	if precision < 4 || precision > 18 {
-		panic("sketch: HLL precision must be in [4, 18]")
-	}
-	return &HLL{
-		precision: precision,
-		registers: make([]uint8, 1<<precision),
-		seedA:     r.Uint64() | 1,
-		seedB:     r.Uint64(),
-	}
-}
-
-// Observe feeds one item.
-func (h *HLL) Observe(it stream.Item) {
-	x := rng.Mix64(uint64(it)*h.seedA + h.seedB)
-	idx := x >> (64 - h.precision)
-	rest := x<<h.precision | 1<<(h.precision-1) // sentinel bit bounds the rank
-	rank := uint8(bits.LeadingZeros64(rest)) + 1
-	if rank > h.registers[idx] {
-		h.registers[idx] = rank
-	}
-}
-
-// Estimate returns the distinct-count estimate.
-func (h *HLL) Estimate() float64 {
-	m := float64(len(h.registers))
-	var sum float64
-	zeros := 0
-	for _, reg := range h.registers {
-		sum += math.Pow(2, -float64(reg))
-		if reg == 0 {
-			zeros++
-		}
-	}
-	alpha := 0.7213 / (1 + 1.079/m)
-	est := alpha * m * m / sum
-	// Linear counting for the small range, as in the HLL paper.
-	if est <= 2.5*m && zeros > 0 {
-		return m * math.Log(m/float64(zeros))
-	}
-	return est
-}
-
-// SpaceBytes returns the approximate memory footprint.
-func (h *HLL) SpaceBytes() int { return len(h.registers) + 16 }

@@ -66,20 +66,6 @@ func TestLaneBatchBitIdenticalToScalar(t *testing.T) {
 		}
 	})
 
-	t.Run("hll", func(t *testing.T) {
-		for _, n := range lengths {
-			a := NewHLL(10, rng.New(24))
-			b := NewHLL(10, rng.New(24))
-			for _, it := range big[:n] {
-				a.Observe(it)
-			}
-			b.UpdateBatch(big[:n])
-			if !reflect.DeepEqual(a.registers, b.registers) {
-				t.Fatalf("len %d: HLL lane state diverges from scalar", n)
-			}
-		}
-	})
-
 	// The KMV threshold moves mid-quad when an admission lands inside a
 	// lane group; a descending-hash stream forces admissions on every
 	// item, so each quad's later lanes see the thresholds the earlier

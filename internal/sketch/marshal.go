@@ -2,32 +2,32 @@ package sketch
 
 import (
 	"math"
-	"slices"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
 	"substream/internal/wire"
 )
 
-// This file serializes the package's own summaries for the distributed
-// monitor's ship path, with the wire primitives of internal/wire. Formats
-// are versioned with a per-type tag byte; hash functions are serialized as
-// their polynomial coefficients so a decoded sketch is bit-identical to —
-// and therefore mergeable with — its source. Every kind encodes once, in
-// Encode (MarshalBinary is wire.Marshal around it), and decodes once, in
-// its DecodeX, from the Reader it is handed: wire.Decode's for a payload
-// of its own, its parent's for one nested in a composite.
+// This file serializes the package's summaries with the wire primitives of
+// internal/wire. They are components: on the ship path each rides nested
+// in the payload of an internal/core estimator, whose decoder names the
+// components it may hold, so none is a registry kind or a payload of its
+// own. Formats are versioned with a per-type tag byte; hash functions are
+// serialized as their polynomial coefficients so a decoded sketch is
+// bit-identical to — and therefore mergeable with — its source. Every
+// summary encodes once, in Encode, and decodes once, in its DecodeX, from
+// the Reader it is handed: its parent's on the ship path, wire.Decode's
+// when a test or an example round-trips one alone.
 
 // Type tags for the serialized formats. The sketch package owns the range
 // 0x01–0x0f; internal/levelset owns 0x10–0x1f and internal/core owns
-// 0x20–0x2f.
+// 0x20–0x2f. 0x04 and 0x06 were HyperLogLog's and Misra–Gries's and are
+// never reused.
 const (
 	TagCountMin    byte = 0x01
 	TagCountSketch byte = 0x02
 	TagKMV         byte = 0x03
-	TagHLL         byte = 0x04
 	TagSpaceSaving byte = 0x05
-	TagMisraGries  byte = 0x06
 	TagTopK        byte = 0x07
 )
 
@@ -165,32 +165,6 @@ func DecodeKMV(r *wire.Reader) (*KMV, error) {
 	return s, r.Err()
 }
 
-// MarshalBinary serializes the sketch.
-func (h *HLL) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
-
-// Encode writes the sketch; the registers are already one byte each.
-func (h *HLL) Encode(w *wire.Writer) {
-	w.Header(TagHLL)
-	w.U8(byte(h.precision))
-	w.U64(h.seedA)
-	w.U64(h.seedB)
-	w.Raw(h.registers)
-}
-
-// DecodeHLL reads an HLL written by Encode.
-func DecodeHLL(r *wire.Reader) (*HLL, error) {
-	r.Header(TagHLL)
-	precision := uint(r.U8())
-	seedA := r.U64()
-	seedB := r.U64()
-	if r.Err() == nil && (precision < 4 || precision > 18) {
-		r.Fail()
-	}
-	h := &HLL{precision: precision, seedA: seedA, seedB: seedB}
-	h.registers = slices.Clone(r.Raw(1 << precision))
-	return h, r.Err()
-}
-
 // MarshalBinary serializes the summary.
 func (ss *SpaceSaving) MarshalBinary() ([]byte, error) { return wire.Marshal(ss) }
 
@@ -244,33 +218,6 @@ func DecodeSpaceSaving(r *wire.Reader) (*SpaceSaving, error) {
 	ss.h.heapify()
 	return ss, r.Err()
 }
-
-// MarshalBinary serializes the summary.
-func (mg *MisraGries) MarshalBinary() ([]byte, error) { return wire.Marshal(mg) }
-
-// Encode writes the summary, the counters as a sorted item run, so equal
-// summaries serialize identically.
-func (mg *MisraGries) Encode(w *wire.Writer) {
-	w.Header(TagMisraGries)
-	w.U32(uint32(mg.k))
-	w.U64(mg.n)
-	w.Freq(mg.counters)
-}
-
-// DecodeMisraGries reads a MisraGries written by Encode.
-func DecodeMisraGries(r *wire.Reader) (*MisraGries, error) {
-	r.Header(TagMisraGries)
-	k := int(r.U32())
-	if r.Err() == nil && (k < 1 || k > maxDim) {
-		r.Fail()
-	}
-	n := r.U64()
-	counters, _ := r.Freq(k, n)
-	return &MisraGries{k: k, n: n, counters: counters}, r.Err()
-}
-
-// MarshalBinary serializes the tracker.
-func (t *TopK) MarshalBinary() ([]byte, error) { return wire.Marshal(t) }
 
 // Encode writes the tracker. Entries are written in heap order, so a
 // round trip is byte-identical state; keys and float scores stay

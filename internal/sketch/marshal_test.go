@@ -112,27 +112,6 @@ func TestKMVMarshalBelowK(t *testing.T) {
 	}
 }
 
-func TestHLLMarshalRoundTrip(t *testing.T) {
-	h := NewHLL(10, rng.New(7))
-	for i := 1; i <= 50000; i++ {
-		h.Observe(stream.Item(i))
-	}
-	data, err := h.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.Decode(data, DecodeHLL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Estimate() != h.Estimate() {
-		t.Fatal("HLL estimate differs after round trip")
-	}
-	if err := back.Merge(h); err != nil {
-		t.Fatalf("round-tripped HLL not mergeable: %v", err)
-	}
-}
-
 func TestSpaceSavingMarshalRoundTrip(t *testing.T) {
 	ss := NewSpaceSaving(64)
 	s := zipfStream(30000, 2000, 1.1, 11)
@@ -168,44 +147,12 @@ func TestSpaceSavingMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMisraGriesMarshalRoundTrip(t *testing.T) {
-	mg := NewMisraGries(48)
-	s := zipfStream(30000, 2000, 1.1, 12)
-	for _, it := range s {
-		mg.Observe(it)
-	}
-	data, err := mg.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.Decode(data, DecodeMisraGries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.n != mg.n {
-		t.Fatal("N lost in round trip")
-	}
-	if len(back.counters) != len(mg.counters) {
-		t.Fatal("candidate count differs")
-	}
-	for it, c := range mg.counters {
-		if back.Estimate(it) != c {
-			t.Fatalf("estimate differs for %d", it)
-		}
-	}
-	sib := NewMisraGries(48)
-	sib.Observe(3)
-	if err := back.Merge(sib); err != nil {
-		t.Fatalf("round-tripped MisraGries not mergeable: %v", err)
-	}
-}
-
 func TestTopKMarshalRoundTrip(t *testing.T) {
 	tk := NewTopK(16)
 	for i := 1; i <= 200; i++ {
 		tk.Update(stream.Item(i), float64(i%37)*1.5)
 	}
-	data, err := tk.MarshalBinary()
+	data, err := wire.Marshal(tk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +169,8 @@ func TestTopKMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if back.Min() != tk.Min() {
-		t.Fatal("heap minimum differs after round trip")
+	if min := back.h.counts[back.h.heap[0]]; min != want[len(want)-1].Count {
+		t.Fatalf("heap minimum %v after round trip, want %v", min, want[len(want)-1].Count)
 	}
 	// The rebuilt heap must keep accepting updates.
 	back.Update(999, 1e9)
@@ -278,18 +225,19 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := wire.Decode(kmvData, DecodeCountMin); err == nil {
 		t.Fatal("KMV bytes accepted as CountMin")
 	}
-	if _, err := wire.Decode(data, DecodeHLL); err == nil {
-		t.Fatal("CountMin bytes accepted as HLL")
+	if _, err := wire.Decode(data, DecodeKMV); err == nil {
+		t.Fatal("CountMin bytes accepted as KMV")
 	}
 }
 
 func TestUnmarshalFuzzNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
-		// All four decoders must reject or accept, never panic.
+		// Every decoder must reject or accept, never panic.
 		_, _ = wire.Decode(data, DecodeCountMin)
 		_, _ = wire.Decode(data, DecodeCountSketch)
 		_, _ = wire.Decode(data, DecodeKMV)
-		_, _ = wire.Decode(data, DecodeHLL)
+		_, _ = wire.Decode(data, DecodeSpaceSaving)
+		_, _ = wire.Decode(data, DecodeTopK)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -105,54 +105,6 @@ func (s *KMV) admitHash(hv uint64) {
 	}
 }
 
-// Merge folds other into h: per-register maximum. Both sides must share
-// precision and hash seeds.
-func (h *HLL) Merge(other *HLL) error {
-	if h.precision != other.precision {
-		return fmt.Errorf("%w: HLL precision %d vs %d", ErrIncompatible, h.precision, other.precision)
-	}
-	if h.seedA != other.seedA || h.seedB != other.seedB {
-		return fmt.Errorf("%w: HLL hash seeds differ", ErrIncompatible)
-	}
-	for i := range h.registers {
-		if other.registers[i] > h.registers[i] {
-			h.registers[i] = other.registers[i]
-		}
-	}
-	return nil
-}
-
-// Merge folds other into mg with the Agarwal et al. merge rule: add
-// matching counters, then subtract the (k+1)-th largest count from all
-// and drop non-positive ones. The merged summary keeps the combined
-// error bound N_total/(k+1).
-func (mg *MisraGries) Merge(other *MisraGries) error {
-	if mg.k != other.k {
-		return fmt.Errorf("%w: MisraGries k %d vs %d", ErrIncompatible, mg.k, other.k)
-	}
-	for it, c := range other.counters {
-		mg.counters[it] += c
-	}
-	mg.n += other.n
-	if len(mg.counters) <= mg.k {
-		return nil
-	}
-	// Find the (k+1)-th largest count.
-	counts := make([]uint64, 0, len(mg.counters))
-	for _, c := range mg.counters {
-		counts = append(counts, c)
-	}
-	kth := quickselectDesc(counts, mg.k) // value at rank k (0-based): (k+1)-th largest
-	for it, c := range mg.counters {
-		if c <= kth {
-			delete(mg.counters, it)
-		} else {
-			mg.counters[it] = c - kth
-		}
-	}
-	return nil
-}
-
 // Merge folds other into ss with the Agarwal et al. ("Mergeable
 // Summaries") rule. For an item tracked on both sides, counts and errors
 // add. For an item tracked on one side only, the other side bounds its
@@ -262,58 +214,6 @@ func (ss *SpaceSaving) floor() uint64 {
 		return 0
 	}
 	return ss.h.counts[ss.h.heap[0]]
-}
-
-// Merge folds other into t: counts of items tracked on both sides add
-// (each side saw its own occurrences), and foreign-only entries compete
-// for admission at their shipped count. Like the standalone Observe path
-// this is approximate — an item evicted on both sides is gone — but it
-// keeps the k largest combined counts of what either side retained.
-func (t *TopK) Merge(other *TopK) error {
-	if t.k != other.k {
-		return fmt.Errorf("%w: TopK k %d vs %d", ErrIncompatible, t.k, other.k)
-	}
-	for _, oid := range other.h.heap {
-		it, c := other.h.items[oid], other.h.counts[oid]
-		if id, ok := t.h.find(it); ok {
-			t.h.counts[id] += c
-			t.h.fix(id)
-		} else {
-			t.admit(it, c)
-		}
-	}
-	return nil
-}
-
-// quickselectDesc returns the value of rank `rank` (0-based) in
-// descending order, i.e. rank 0 is the maximum. It partially sorts vals.
-func quickselectDesc(vals []uint64, rank int) uint64 {
-	lo, hi := 0, len(vals)-1
-	for lo < hi {
-		pivot := vals[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for vals[i] > pivot {
-				i++
-			}
-			for vals[j] < pivot {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
-		}
-		if rank <= j {
-			hi = j
-		} else if rank >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return vals[rank]
 }
 
 // pushHash and popHash are tiny non-interface heap helpers shared by

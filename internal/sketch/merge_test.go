@@ -155,93 +155,3 @@ func TestKMVMergeIncompatible(t *testing.T) {
 		t.Fatal("hash mismatch not detected")
 	}
 }
-
-func TestHLLMergeEqualsSingle(t *testing.T) {
-	whole := NewHLL(10, rng.New(12))
-	merged := NewHLL(10, rng.New(12))
-	other := NewHLL(10, rng.New(12))
-	for i := 1; i <= 20000; i++ {
-		whole.Observe(stream.Item(i))
-		if i <= 10000 {
-			merged.Observe(stream.Item(i))
-		} else {
-			other.Observe(stream.Item(i))
-		}
-	}
-	if err := merged.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Estimate() != whole.Estimate() {
-		t.Fatalf("merged HLL %v vs %v", merged.Estimate(), whole.Estimate())
-	}
-}
-
-func TestHLLMergeIncompatible(t *testing.T) {
-	a := NewHLL(10, rng.New(1))
-	b := NewHLL(11, rng.New(1))
-	if err := a.Merge(b); !errors.Is(err, ErrIncompatible) {
-		t.Fatal("precision mismatch not detected")
-	}
-	c := NewHLL(10, rng.New(2))
-	if err := a.Merge(c); !errors.Is(err, ErrIncompatible) {
-		t.Fatal("seed mismatch not detected")
-	}
-}
-
-func TestMisraGriesMergePreservesGuarantee(t *testing.T) {
-	s := zipfStream(80000, 1000, 1.2, 4)
-	const k = 64
-	parts := splitStreams(s, 4)
-	merged := NewMisraGries(k)
-	for _, it := range parts[0] {
-		merged.Observe(it)
-	}
-	for i := 1; i < 4; i++ {
-		mg := NewMisraGries(k)
-		for _, it := range parts[i] {
-			mg.Observe(it)
-		}
-		if err := merged.Merge(mg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if merged.n != uint64(len(s)) {
-		t.Fatalf("merged N = %d, want %d", merged.n, len(s))
-	}
-	if len(merged.counters) > k {
-		t.Fatalf("merged summary has %d > k counters", len(merged.counters))
-	}
-	// Merged guarantee: undercount ≤ N/(k+1) for every item.
-	f := stream.NewFreq(s)
-	bound := float64(len(s)) / float64(k+1)
-	for it, c := range f {
-		est := merged.Estimate(it)
-		if est > c {
-			t.Fatalf("item %d overestimated after merge: %d > %d", it, est, c)
-		}
-		if float64(c-est) > bound+1e-9 {
-			t.Fatalf("item %d undercount %d exceeds merged bound %v", it, c-est, bound)
-		}
-	}
-}
-
-func TestMisraGriesMergeIncompatible(t *testing.T) {
-	a := NewMisraGries(10)
-	b := NewMisraGries(20)
-	if err := a.Merge(b); !errors.Is(err, ErrIncompatible) {
-		t.Fatal("k mismatch not detected")
-	}
-}
-
-func TestQuickselectDesc(t *testing.T) {
-	vals := []uint64{5, 1, 9, 3, 7, 7, 2}
-	// Descending: 9 7 7 5 3 2 1.
-	cases := map[int]uint64{0: 9, 1: 7, 2: 7, 3: 5, 6: 1}
-	for rank, want := range cases {
-		cp := make([]uint64, len(vals))
-		copy(cp, vals)
-		if got := quickselectDesc(cp, rank); got != want {
-			t.Fatalf("rank %d: got %d, want %d", rank, got, want)
-		}
-	}
-}

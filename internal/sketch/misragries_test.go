@@ -103,8 +103,8 @@ func TestTopKBasic(t *testing.T) {
 	if _, ok := tk.h.find(3); ok {
 		t.Fatal("evicted item still tracked")
 	}
-	if tk.Min() != 10 {
-		t.Fatalf("Min = %v", tk.Min())
+	if min := tk.h.counts[tk.h.heap[0]]; min != 10 {
+		t.Fatalf("heap minimum = %v", min)
 	}
 }
 
@@ -131,8 +131,8 @@ func TestTopKLowCountIgnoredWhenFull(t *testing.T) {
 	if _, ok := tk.h.find(3); ok {
 		t.Fatal("low-count item admitted")
 	}
-	if tk.Len() != 2 {
-		t.Fatalf("Len = %d", tk.Len())
+	if n := len(tk.Items()); n != 2 {
+		t.Fatalf("%d tracked", n)
 	}
 }
 
@@ -152,14 +152,14 @@ func TestTopKHeapInvariantUnderChurn(t *testing.T) {
 			t.Fatalf("stale count for %d: %v vs %v", e.Item, e.Count, truth[e.Item])
 		}
 	}
-	if tk.Len() != 50 {
-		t.Fatalf("Len = %d", tk.Len())
+	if n := len(tk.Items()); n != 50 {
+		t.Fatalf("%d tracked", n)
 	}
 }
 
 func TestTopKEmpty(t *testing.T) {
 	tk := NewTopK(4)
-	if tk.Min() != 0 || tk.Len() != 0 || len(tk.Items()) != 0 {
+	if len(tk.h.heap) != 0 || len(tk.Items()) != 0 {
 		t.Fatal("empty tracker not empty")
 	}
 }

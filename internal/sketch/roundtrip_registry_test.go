@@ -8,15 +8,97 @@ import (
 	"time"
 
 	"substream/internal/estimator"
+	"substream/internal/levelset"
 	"substream/internal/rng"
+	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/window"
+	"substream/internal/wire"
 )
 
 // wireSpec is the configuration the round-trip battery builds every kind
 // from: the daemon's defaults, so the geometries are the deployed ones.
 func wireSpec(stat string) estimator.Spec {
 	return estimator.Spec{Stat: stat, P: 0.5, K: 2, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 5}
+}
+
+// wireKind is one payload kind the battery runs: how to build a fresh one
+// and how to decode its payload.
+type wireKind struct {
+	name   string
+	fresh  func() (estimator.Estimator, error)
+	decode func([]byte) (estimator.Estimator, error)
+}
+
+// wireKinds are every kind a payload can hold: each registry stat built
+// from spec, fk over the exact collision counter (no stat's default nests
+// it), and each component the stats nest, alone, through its own decoder.
+func wireKinds(spec func(stat string) estimator.Spec) []wireKind {
+	registry := func(name string, s estimator.Spec) wireKind {
+		return wireKind{name, func() (estimator.Estimator, error) { return estimator.New(s) }, estimator.Decode}
+	}
+	var kinds []wireKind
+	for _, stat := range estimator.Stats() {
+		kinds = append(kinds, registry(stat, spec(stat)))
+	}
+	exact := spec("fk")
+	exact.Exact = true
+	s := spec("")
+	r := func() *rng.Xoshiro256 { return rng.New(s.Seed) }
+	return append(kinds, registry("fk-exact", exact),
+		component("countmin", func() *sketch.CountMin { return sketch.NewCountMinWithError(s.Epsilon, 0.01, r()) },
+			sketch.DecodeCountMin, (*sketch.CountMin).Merge),
+		component("countsketch", func() *sketch.CountSketch { return sketch.NewCountSketch(int(2/(s.Epsilon*s.Epsilon)), 5, r()) },
+			sketch.DecodeCountSketch, (*sketch.CountSketch).Merge),
+		component("kmv", func() *sketch.KMV { return sketch.NewKMV(int(4/(s.Epsilon*s.Epsilon)), r()) },
+			sketch.DecodeKMV, (*sketch.KMV).Merge),
+		component("spacesaving", func() *sketch.SpaceSaving { return sketch.NewSpaceSaving(s.Budget) },
+			sketch.DecodeSpaceSaving, (*sketch.SpaceSaving).Merge),
+		component("exactcounter", levelset.NewExactCounter, levelset.DecodeExactCounter,
+			func(c, o *levelset.ExactCounter) error { return c.MergeCounter(o) }),
+		component("levelset", func() *levelset.Estimator {
+			return levelset.New(levelset.Config{EpsPrime: s.Epsilon, Budget: s.Budget}, r())
+		},
+			levelset.DecodeEstimator, (*levelset.Estimator).Merge),
+	)
+}
+
+// summary is what the battery needs of a component.
+type summary interface {
+	wire.Encoder
+	Observe(it stream.Item)
+	UpdateBatch(items []stream.Item)
+	SpaceBytes() int
+}
+
+// part lifts a component to the Estimator interface for the battery. A
+// component answers nothing about P, so it reports nothing; its bytes,
+// space and fold carry the contract.
+type part[C summary] struct {
+	c     C
+	merge func(into, from C) error
+}
+
+func (p part[C]) Observe(it stream.Item)            { p.c.Observe(it) }
+func (p part[C]) UpdateBatch(items []stream.Item)   { p.c.UpdateBatch(items) }
+func (p part[C]) Encode(w *wire.Writer)             { p.c.Encode(w) }
+func (p part[C]) MarshalBinary() ([]byte, error)    { return wire.Marshal(p.c) }
+func (p part[C]) SpaceBytes() int                   { return p.c.SpaceBytes() }
+func (p part[C]) Estimates() map[string]float64     { return nil }
+func (p part[C]) Merge(o estimator.Estimator) error { return p.merge(p.c, o.(part[C]).c) }
+
+// component is the wireKind of one component, decoded by wire.Decode
+// around its own decoder as its parent decodes it in place.
+func component[C summary](name string, fresh func() C, decode func(*wire.Reader) (C, error), merge func(into, from C) error) wireKind {
+	return wireKind{name,
+		func() (estimator.Estimator, error) { return part[C]{fresh(), merge}, nil },
+		func(data []byte) (estimator.Estimator, error) {
+			c, err := wire.Decode(data, decode)
+			if err != nil {
+				return nil, err
+			}
+			return part[C]{c, merge}, nil
+		}}
 }
 
 // wireWorkloads are the key shapes the format has to be right and small
@@ -52,7 +134,7 @@ func wireWorkloads() map[string][]stream.Item {
 // heaps in array order, a seeded reservoir, CKMS — keep order-dependent
 // state by design.
 var orderFree = map[string]bool{
-	"countmin": true, "countsketch": true, "hll": true, "exactcounter": true,
+	"countmin": true, "countsketch": true, "exactcounter": true, "fk-exact": true,
 	"entropy": true, "gee": true,
 }
 
@@ -65,9 +147,19 @@ func mustMarshal(t *testing.T, e estimator.Estimator) []byte {
 	return payload
 }
 
-func mustDecode(t *testing.T, payload []byte) estimator.Estimator {
+func mustDecode(t *testing.T, k wireKind, payload []byte) estimator.Estimator {
 	t.Helper()
-	e, err := estimator.Decode(payload)
+	e, err := k.decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// mustFresh builds a fresh summary of kind k.
+func mustFresh(t *testing.T, k wireKind) estimator.Estimator {
+	t.Helper()
+	e, err := k.fresh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +191,14 @@ func sameReport(a, b estimator.Report) bool {
 	return true
 }
 
-// checkRoundTrip is the same-state-same-answers contract of one summary:
-// its decoded copy re-marshals byte-identically, reports the same, takes
-// no more space, and folds into a fresh accumulator exactly as it does.
-func checkRoundTrip(t *testing.T, e estimator.Estimator, fresh func() estimator.Estimator) {
+// checkRoundTrip is the same-state-same-answers contract of one summary
+// of kind k: its decoded copy re-marshals byte-identically, reports the
+// same, takes no more space, and folds into a fresh accumulator exactly as
+// it does.
+func checkRoundTrip(t *testing.T, k wireKind, e estimator.Estimator) {
 	t.Helper()
 	payload := mustMarshal(t, e)
-	back := mustDecode(t, payload)
+	back := mustDecode(t, k, payload)
 	if again := mustMarshal(t, back); !bytes.Equal(again, payload) {
 		t.Fatalf("re-marshal of the decoded copy differs (%d vs %d bytes)", len(again), len(payload))
 	}
@@ -118,7 +211,7 @@ func checkRoundTrip(t *testing.T, e estimator.Estimator, fresh func() estimator.
 	if back.SpaceBytes() > e.SpaceBytes()+1<<10 {
 		t.Fatalf("decoded copy takes %d bytes, source %d", back.SpaceBytes(), e.SpaceBytes())
 	}
-	accSrc, accBack := fresh(), fresh()
+	accSrc, accBack := mustFresh(t, k), mustFresh(t, k)
 	if err := accSrc.Merge(e); err != nil {
 		t.Fatal(err)
 	}
@@ -133,37 +226,30 @@ func checkRoundTrip(t *testing.T, e estimator.Estimator, fresh func() estimator.
 	}
 }
 
-// TestWireRoundTripEveryKind runs the contract for every constructible
-// kind on every workload, checks that order-free kinds serialize the same
-// whatever order the items came in, and pins the size of the sorted-run
-// kinds: at most 4 bytes an entry on IPv4-like keys and 10 on uniformly
-// random 64-bit keys, where v2 spent 16 on both.
+// TestWireRoundTripEveryKind runs the contract for every payload kind
+// (wireKinds) on every workload, checks that order-free kinds serialize the
+// same whatever order the items came in, and pins the size of the
+// sorted-run kinds: at most 4 bytes an entry on IPv4-like keys and 10 on
+// uniformly random 64-bit keys, where v2 spent 16 on both.
 func TestWireRoundTripEveryKind(t *testing.T) {
 	runBudget := map[string]float64{"10000 IPv4-like keys": 4, "10000 random 64-bit keys": 10}
-	for _, stat := range estimator.Stats() {
-		fresh := func() estimator.Estimator {
-			e, err := estimator.New(wireSpec(stat))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}
+	for _, k := range wireKinds(wireSpec) {
 		for name, items := range wireWorkloads() {
-			t.Run(stat+"/"+name, func(t *testing.T) {
-				e := fresh()
+			t.Run(k.name+"/"+name, func(t *testing.T) {
+				e := mustFresh(t, k)
 				e.UpdateBatch(items)
-				checkRoundTrip(t, e, fresh)
+				checkRoundTrip(t, k, e)
 				payload := mustMarshal(t, e)
-				if orderFree[stat] {
+				if orderFree[k.name] {
 					reversed := slices.Clone(items)
 					slices.Reverse(reversed)
-					other := fresh()
+					other := mustFresh(t, k)
 					other.UpdateBatch(reversed)
 					if !bytes.Equal(mustMarshal(t, other), payload) {
 						t.Fatal("the same items in another order serialize differently")
 					}
 				}
-				if budget, pinned := runBudget[name]; pinned && slices.Contains([]string{"exactcounter", "entropy", "gee"}, stat) {
+				if budget, pinned := runBudget[name]; pinned && slices.Contains([]string{"exactcounter", "fk-exact", "entropy", "gee"}, k.name) {
 					distinct := map[stream.Item]bool{}
 					for _, it := range items {
 						distinct[it] = true
@@ -182,25 +268,21 @@ func TestWireRoundTripEveryKind(t *testing.T) {
 // the contract on the result: ten-byte varints in every field that can
 // take them.
 func TestWireRoundTripHugeCounts(t *testing.T) {
-	for _, stat := range estimator.Stats() {
-		t.Run(stat, func(t *testing.T) {
-			fresh := func() estimator.Estimator {
-				// Small geometry: the counts are the point here, and each
-				// doubling decodes a copy.
-				e, err := estimator.New(estimator.Spec{Stat: stat, P: 0.5, K: 2, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
-			e := fresh()
+	// Small geometry: the counts are the point here, and each doubling
+	// decodes a copy.
+	small := func(stat string) estimator.Spec {
+		return estimator.Spec{Stat: stat, P: 0.5, K: 2, Epsilon: 0.5, Alpha: 0.3, Budget: 16, Seed: 5}
+	}
+	for _, k := range wireKinds(small) {
+		t.Run(k.name, func(t *testing.T) {
+			e := mustFresh(t, k)
 			e.Observe(7)
 			for i := 0; i < 63; i++ {
-				if err := e.Merge(mustDecode(t, mustMarshal(t, e))); err != nil {
+				if err := e.Merge(mustDecode(t, k, mustMarshal(t, e))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkRoundTrip(t, e, fresh)
+			checkRoundTrip(t, k, e)
 		})
 	}
 }
@@ -210,17 +292,13 @@ func TestWireRoundTripHugeCounts(t *testing.T) {
 // idle, each carrying a counter table.
 func TestWireRoundTripWindowed(t *testing.T) {
 	clock := window.NewManualClock()
-	fresh := func() estimator.Estimator {
-		e, err := window.Wrap(window.Config{Window: 3, EpochLen: time.Second, Clock: clock,
+	ring := wireKind{"window", func() (estimator.Estimator, error) {
+		return window.Wrap(window.Config{Window: 3, EpochLen: time.Second, Clock: clock,
 			New: func() (estimator.Estimator, error) { return estimator.New(wireSpec("hh1")) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e := fresh()
+	}, estimator.Decode}
+	e := mustFresh(t, ring)
 	e.UpdateBatch(wireWorkloads()["10000 IPv4-like keys"])
-	checkRoundTrip(t, e, fresh)
+	checkRoundTrip(t, ring, e)
 }
 
 // TestMarshalAllocatesNoBufferPerLevel pins in-place nesting: a composite

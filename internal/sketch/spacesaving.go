@@ -86,14 +86,6 @@ func (ss *SpaceSaving) Each(fn func(Counter)) {
 	}
 }
 
-// Estimate returns the (over-)estimate for item, 0 if untracked.
-func (ss *SpaceSaving) Estimate(it stream.Item) uint64 {
-	if id, ok := ss.h.find(it); ok {
-		return ss.h.counts[id]
-	}
-	return 0
-}
-
 // Tracked reports whether the item currently holds a counter.
 func (ss *SpaceSaving) Tracked(it stream.Item) bool {
 	_, ok := ss.h.find(it)

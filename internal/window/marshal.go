@@ -12,12 +12,13 @@ import (
 const TagWindow byte = 0x30
 
 // compositeTagMin/Max bound the tags a window payload may NOT nest: its
-// own composite range 0x30–0x3f. Every concrete estimator range (sketch
-// 0x01–0x0f, levelset 0x10–0x1f, core 0x20–0x2f, quantile 0x40–0x4f)
-// rides freely. The gate runs BEFORE decoding, so a crafted payload
-// cannot nest another window (or any future composite in this range) and
-// recurse the decoder — the same discipline as levelset's
-// collision-counter switch.
+// own composite range 0x30–0x3f. A replica is any other registered kind
+// — core 0x20–0x2f, quantile 0x40–0x4f, sample 0x50–0x5f — since the
+// ring wraps a stat; a component tag (0x01–0x1f) is no registered kind,
+// so the registry refuses one as it would any unknown tag. The gate runs
+// BEFORE decoding, so a crafted payload cannot nest another window (or any
+// future composite in this range) and recurse the decoder — the same
+// discipline as levelset's collision-counter switch.
 const (
 	compositeTagMin byte = TagWindow
 	compositeTagMax byte = TagWindow + 0x0f
@@ -114,13 +115,13 @@ func Decode(r *wire.Reader) (*Estimator, error) {
 }
 
 func init() {
-	// Decode-only: a Spec names one statistic, not a wrapper plus an
-	// inner statistic, so windowed estimators are constructed with New
-	// (the daemon drives it from StreamConfig.Window) and only revived
+	// No constructor: a Spec names one stat, not a wrapper plus an inner
+	// stat, so a ring is built with New around one (the daemon from
+	// StreamConfig.Window and Epoch, the CLI from -window) and only revived
 	// through the registry.
 	estimator.Register(estimator.Kind{
 		Tag: TagWindow, Name: "window",
-		Doc:    "epoch-ring window wrapper around any estimator (built via New, not a Spec)",
+		Doc:    "epoch ring around one of the stats (declared with window/epoch or -window, not as a stat)",
 		Decode: estimator.DecodeTyped(Decode),
 	})
 }

@@ -114,20 +114,30 @@ func TestWindowedVarOptSubsetSum(t *testing.T) {
 
 // TestWindowWeightedFallback checks the projection for inner kinds with
 // no weighted path: weighted batches must land as bare keys, exactly one
-// observation per item.
+// observation per item, in both scopes.
 func TestWindowWeightedFallback(t *testing.T) {
 	clock := window.NewManualClock()
-	e := build(t, "exactcounter", 3, clock)
+	e := build(t, "fk-exact", 3, clock)
 	batch := stream.WSlice{
 		{Key: 1, Weight: 100}, {Key: 2, Weight: 0.5}, {Key: 1, Weight: 7},
 	}
 	e.UpdateWeightedBatch(batch)
 	e.ObserveWeighted(3, 42)
+	bare, err := estimator.New(innerSpec("fk-exact"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []stream.Item{1, 2, 1, 3} {
+		bare.Observe(it)
+	}
 	est := e.Estimates()
-	if est["n"] != 4 || est["window_n"] != 4 || est["f0"] != 3 {
-		t.Fatalf("projection fed wrong observations, want n=4 f0=3 in both scopes: %v", est)
+	for name, want := range bare.Estimates() {
+		if est[name] != want || est["window_"+name] != want {
+			t.Fatalf("projection fed wrong observations: %s = %v, window_%s = %v, want %v in both scopes",
+				name, est[name], name, est["window_"+name], want)
+		}
 	}
 	if _, ok := scopedSum(t, e, false, func(stream.Item) bool { return true }); ok {
-		t.Fatal("exactcounter window claims a subset-sum capability")
+		t.Fatal("fk window claims a subset-sum capability")
 	}
 }

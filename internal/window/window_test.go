@@ -11,6 +11,8 @@ import (
 	"substream/internal/estimator"
 	"substream/internal/pipeline"
 	_ "substream/internal/quantile"
+	"substream/internal/rng"
+	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/window"
 	"substream/internal/wire"
@@ -19,10 +21,15 @@ import (
 
 // innerSpec returns the construction spec tests build inner replicas
 // from; every replica of one test shares it, per the mergeability rule.
+// "fk-exact" names fk over the exact collision counter.
 func innerSpec(stat string) estimator.Spec {
-	return estimator.Spec{
+	spec := estimator.Spec{
 		Stat: stat, P: 0.5, K: 2, Epsilon: 0.2, Alpha: 0.05, Budget: 256, Seed: 9,
 	}
+	if stat == "fk-exact" {
+		spec.Stat, spec.Exact = "fk", true
+	}
+	return spec
 }
 
 // build constructs a windowed estimator over stat with W epochs on clock.
@@ -60,14 +67,15 @@ func near(a, b float64) bool {
 
 // TestWindowMatchesReplay is the acceptance equivalence test: after
 // feeding E epochs, the windowed estimate over the last W epochs must
-// match a fresh estimator fed only those epochs' items — for one sketch
-// kind, one levelset kind, and one core kind (all with exact merges), so
-// equality is exact; the bounded-merge levelset backend is checked with
-// tolerance separately in TestWindowLevelsetWithinMergeTolerance.
+// match a fresh estimator fed only those epochs' items — for F0 over its
+// KMV sketch, Fk over the exact collision counter, and entropy over its
+// plug-in (all with exact merges), so equality is exact; Fk's
+// bounded-merge level-set backend is checked with tolerance separately in
+// TestWindowLevelsetWithinMergeTolerance.
 func TestWindowMatchesReplay(t *testing.T) {
 	const epochs, perEpoch, W = 7, 3000, 3
 	slices := epochStream(t, epochs, perEpoch)
-	for _, stat := range []string{"kmv", "exactcounter", "f0"} {
+	for _, stat := range []string{"f0", "fk-exact", "entropy"} {
 		t.Run(stat, func(t *testing.T) {
 			clock := window.NewManualClock()
 			we := build(t, stat, W, clock)
@@ -108,32 +116,32 @@ func TestWindowMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestWindowLevelsetWithinMergeTolerance checks the bounded-merge
-// levelset backend: windowed vs replay agreement within the backend's
+// TestWindowLevelsetWithinMergeTolerance checks Fk over the bounded-merge
+// level-set backend: windowed vs replay agreement within the backend's
 // documented merge band.
 func TestWindowLevelsetWithinMergeTolerance(t *testing.T) {
 	const epochs, perEpoch, W = 6, 5000, 3
 	slices := epochStream(t, epochs, perEpoch)
 	clock := window.NewManualClock()
-	we := build(t, "levelset", W, clock)
+	we := build(t, "fk", W, clock)
 	for ep, items := range slices {
 		clock.Set(uint64(ep))
 		we.UpdateBatch(items)
 	}
-	replay, err := estimator.New(innerSpec("levelset"))
+	replay, err := estimator.New(innerSpec("fk"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, items := range slices[epochs-W:] {
 		replay.UpdateBatch(items)
 	}
-	got := we.Estimates()["window_c2"]
-	want := replay.Estimates()["c2"]
+	got := we.Estimates()["window_fk"]
+	want := replay.Estimates()["fk"]
 	if want <= 0 {
 		t.Fatalf("degenerate replay estimate %v", want)
 	}
 	if rel := math.Abs(got-want) / want; rel > 0.25 {
-		t.Fatalf("windowed levelset c2 %v vs replay %v (rel %.3f)", got, want, rel)
+		t.Fatalf("windowed level-set fk %v vs replay %v (rel %.3f)", got, want, rel)
 	}
 }
 
@@ -141,29 +149,30 @@ func TestWindowLevelsetWithinMergeTolerance(t *testing.T) {
 // older than W epochs leaves the window estimate but stays cumulative.
 func TestWindowDropsExpiredEpochs(t *testing.T) {
 	clock := window.NewManualClock()
-	we := build(t, "exactcounter", 2, clock)
+	we := build(t, "fk-exact", 2, clock)
 
 	we.UpdateBatch(stream.Slice{1, 2, 3, 4, 5}) // epoch 0
 	clock.Set(1)
 	we.UpdateBatch(stream.Slice{6, 7}) // epoch 1
 	got := we.Estimates()
-	if got["window_f0"] != 7 || got["f0"] != 7 {
+	if got["window_sampled_length"] != 7 || got["sampled_length"] != 7 {
 		t.Fatalf("window still spans both epochs: %v", got)
 	}
 
 	clock.Set(2) // epoch 0 expires from the 2-epoch window
 	got = we.Estimates()
-	if got["window_f0"] != 2 {
-		t.Fatalf("expired epoch still in window: window_f0 = %v, want 2", got["window_f0"])
+	if got["window_sampled_length"] != 2 {
+		t.Fatalf("expired epoch still in window: window_sampled_length = %v, want 2", got["window_sampled_length"])
 	}
-	if got["f0"] != 7 {
-		t.Fatalf("cumulative estimate lost history: f0 = %v, want 7", got["f0"])
+	if got["sampled_length"] != 7 {
+		t.Fatalf("cumulative estimate lost history: sampled_length = %v, want 7", got["sampled_length"])
 	}
 
 	clock.Set(100) // long idle: everything windows out in O(W)
 	got = we.Estimates()
-	if got["window_f0"] != 0 || got["f0"] != 7 {
-		t.Fatalf("idle expiry: window_f0 = %v (want 0), f0 = %v (want 7)", got["window_f0"], got["f0"])
+	if got["window_sampled_length"] != 0 || got["sampled_length"] != 7 {
+		t.Fatalf("idle expiry: window_sampled_length = %v (want 0), sampled_length = %v (want 7)",
+			got["window_sampled_length"], got["sampled_length"])
 	}
 }
 
@@ -174,8 +183,8 @@ func TestWindowDropsExpiredEpochs(t *testing.T) {
 func TestMergeAlignsMismatchedEpochs(t *testing.T) {
 	const W = 2
 	clockA, clockB := window.NewManualClock(), window.NewManualClock()
-	a := build(t, "exactcounter", W, clockA)
-	b := build(t, "exactcounter", W, clockB)
+	a := build(t, "fk-exact", W, clockA)
+	b := build(t, "fk-exact", W, clockB)
 
 	// Agent A last rotated at epoch 1; agent B is already at epoch 3.
 	a.UpdateBatch(stream.Slice{1, 2}) // epoch 0 — will be outside [2, 3]
@@ -190,19 +199,19 @@ func TestMergeAlignsMismatchedEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := b.Estimates()
-	if got["window_f0"] != 3 {
-		t.Fatalf("aligned window_f0 = %v, want 3 (epochs 2-3 only)", got["window_f0"])
+	if got["window_sampled_length"] != 3 {
+		t.Fatalf("aligned window_sampled_length = %v, want 3 (epochs 2-3 only)", got["window_sampled_length"])
 	}
-	if got["f0"] != 6 {
-		t.Fatalf("cumulative f0 = %v, want 6 (both agents, all epochs)", got["f0"])
+	if got["sampled_length"] != 6 {
+		t.Fatalf("cumulative sampled_length = %v, want 6 (both agents, all epochs)", got["sampled_length"])
 	}
 
 	// The reverse merge aligns A forward to epoch 3 first and must agree.
-	a2 := build(t, "exactcounter", W, clockA)
+	a2 := build(t, "fk-exact", W, clockA)
 	a2.UpdateBatch(stream.Slice{1, 2})
 	clockA.Set(1)
 	a2.UpdateBatch(stream.Slice{3})
-	b2 := build(t, "exactcounter", W, clockB)
+	b2 := build(t, "fk-exact", W, clockB)
 	clockB.Set(2)
 	// b2's clock is already at 3; rebuild its history via merge from b is
 	// not possible (b was mutated), so feed it afresh.
@@ -213,7 +222,7 @@ func TestMergeAlignsMismatchedEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	got2 := a2.Estimates()
-	if got2["window_f0"] != got["window_f0"] || got2["f0"] != got["f0"] {
+	if got2["window_sampled_length"] != got["window_sampled_length"] || got2["sampled_length"] != got["sampled_length"] {
 		t.Fatalf("merge is not symmetric after alignment: %v vs %v", got2, got)
 	}
 }
@@ -221,14 +230,14 @@ func TestMergeAlignsMismatchedEpochs(t *testing.T) {
 // TestMergeRejectsIncompatibleShapes pins the compatibility checks.
 func TestMergeRejectsIncompatibleShapes(t *testing.T) {
 	clock := window.NewManualClock()
-	a := build(t, "exactcounter", 2, clock)
-	b := build(t, "exactcounter", 3, clock)
+	a := build(t, "fk-exact", 2, clock)
+	b := build(t, "fk-exact", 3, clock)
 	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "window of 3") {
 		t.Fatalf("mismatched window spans merged: %v", err)
 	}
 	c, err := window.New(window.Config{
 		Window: 2, EpochLen: 2 * time.Second, Clock: clock,
-		New: func() (estimator.Estimator, error) { return estimator.New(innerSpec("exactcounter")) },
+		New: func() (estimator.Estimator, error) { return estimator.New(innerSpec("fk-exact")) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +245,7 @@ func TestMergeRejectsIncompatibleShapes(t *testing.T) {
 	if err := a.Merge(c); err == nil || !strings.Contains(err.Error(), "epoch length") {
 		t.Fatalf("mismatched epoch lengths merged: %v", err)
 	}
-	d := build(t, "kmv", 2, clock)
+	d := build(t, "f0", 2, clock)
 	if err := a.Merge(d); err == nil {
 		t.Fatal("foreign inner kinds merged")
 	}
@@ -337,7 +346,7 @@ func TestRoundTripThroughRegistry(t *testing.T) {
 // corruptions; every one must fail cleanly, never panic or recurse.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	clock := window.NewManualClock()
-	we := build(t, "kmv", 2, clock)
+	we := build(t, "f0", 2, clock)
 	we.UpdateBatch(stream.Slice{1, 2, 3})
 	payload, err := we.MarshalBinary()
 	if err != nil {
@@ -362,7 +371,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestDecodeRejectsMixedKindRing splices a foreign-kind generation into
 // an otherwise valid window payload: the ring must be proven
 // self-consistent at decode time, not first surface as a silent merge
-// failure on a later query.
+// failure on a later query. A component's own payload — the KMV an f0
+// replica nests — is no registered kind, so it is refused as one.
 func TestDecodeRejectsMixedKindRing(t *testing.T) {
 	clock := window.NewManualClock()
 	f0 := build(t, "f0", 1, clock)
@@ -371,16 +381,20 @@ func TestDecodeRejectsMixedKindRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmv, err := estimator.New(innerSpec("kmv"))
+	gee, err := estimator.New(innerSpec("gee"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := kmv.MarshalBinary()
+	foreign, err := gee.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	component, err := sketch.NewKMV(1024, rng.New(9)).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The single generation payload is the last nested field; replace it
-	// with the kmv payload (4-byte length prefix + bytes, per Nested).
+	// with the foreign payload (4-byte length prefix + bytes, per Nested).
 	r := wire.NewReader(good)
 	r.Header(window.TagWindow)
 	r.I64()        // epoch length
@@ -392,13 +406,18 @@ func TestDecodeRejectsMixedKindRing(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	spliced := append([]byte(nil), good[:genOffset]...)
-	w := &wire.Writer{}
-	w.Nested(foreign)
-	spliced = append(spliced, w.Bytes()...)
-	if _, err := wire.Decode(spliced, window.Decode); err == nil ||
+	splice := func(payload []byte) []byte {
+		w := &wire.Writer{}
+		w.Nested(payload)
+		return append(append([]byte(nil), good[:genOffset]...), w.Bytes()...)
+	}
+	if _, err := wire.Decode(splice(foreign), window.Decode); err == nil ||
 		!strings.Contains(err.Error(), "do not merge") {
 		t.Fatalf("mixed-kind ring decoded: %v", err)
+	}
+	if _, err := wire.Decode(splice(component), window.Decode); err == nil ||
+		!strings.Contains(err.Error(), "unknown payload tag") {
+		t.Fatalf("ring with a bare component generation decoded: %v", err)
 	}
 	// Sanity: the unspliced payload still decodes.
 	if _, err := wire.Decode(good, window.Decode); err != nil {
@@ -411,7 +430,7 @@ func TestDecodeRejectsMixedKindRing(t *testing.T) {
 // gate must refuse it.
 func TestNestedWindowRejected(t *testing.T) {
 	clock := window.NewManualClock()
-	inner := build(t, "kmv", 1, clock)
+	inner := build(t, "f0", 1, clock)
 	_, err := window.New(window.Config{
 		Window: 1, EpochLen: time.Second, Clock: clock,
 		New: func() (estimator.Estimator, error) { return estimator.Adapt(inner), nil },
@@ -423,7 +442,7 @@ func TestNestedWindowRejected(t *testing.T) {
 
 // TestConfigValidation pins New's input checks.
 func TestConfigValidation(t *testing.T) {
-	newInner := func() (estimator.Estimator, error) { return estimator.New(innerSpec("kmv")) }
+	newInner := func() (estimator.Estimator, error) { return estimator.New(innerSpec("f0")) }
 	cases := map[string]window.Config{
 		"zero window":    {Window: 0, EpochLen: time.Second, New: newInner},
 		"huge window":    {Window: window.MaxWindow + 1, EpochLen: time.Second, New: newInner},

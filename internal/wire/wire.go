@@ -5,7 +5,9 @@
 // internal/core, internal/window, internal/quantile and internal/sample
 // encode and decode their states with these and nothing else (format
 // rules: internal/server/doc.go). It is a leaf: the estimator registry
-// names Writer and Reader, and every kind's package imports the registry.
+// names Writer and Reader, every registered kind's package imports the
+// registry, and the components those kinds nest (internal/sketch,
+// internal/levelset) import this package and not the registry.
 package wire
 
 import (
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
@@ -217,24 +218,6 @@ func (rw *RunWriter) Put(it stream.Item, count uint64) {
 	rw.prev = it
 	rw.w.Uvarint(uint64(key))
 	rw.w.Uvarint(count)
-}
-
-// Freq appends an item → count map as a sorted item run, so equal maps
-// serialize identically. A sizing pass counts every key in full rather
-// than Put it, so that the map's iteration order does not show in the
-// count.
-func (w *Writer) Freq(f map[stream.Item]uint64) {
-	run := w.Run(len(f))
-	if w.sizing {
-		for it, count := range f {
-			w.Uvarint(uint64(it))
-			w.Uvarint(count)
-		}
-		return
-	}
-	for _, it := range sortedKeys(f) {
-		run.Put(it, f[it])
-	}
 }
 
 // Cells appends a table of unsigned counters: each non-zero cell as a
@@ -534,20 +517,6 @@ func (run *RunReader) Next() bool {
 	return true
 }
 
-// Freq reads an item → count map written by Writer.Freq and returns it
-// with the sum of its counts; max and maxCount are Run's.
-func (r *Reader) Freq(max int, maxCount uint64) (map[stream.Item]uint64, uint64) {
-	run := r.Run(max, RunEntryBytes, maxCount)
-	if r.err != nil {
-		return nil, 0
-	}
-	f := make(map[stream.Item]uint64, run.N)
-	for run.Next() {
-		f[run.Item] = run.Count
-	}
-	return f, run.Sum
-}
-
 // Cells reads a table of n counters written by Writer.Cells. Zero runs
 // let a few bytes stand for any number of cells — the one place where the
 // wire bytes do not bound what they decode to — so the table is charged to
@@ -666,16 +635,4 @@ func (r *Reader) Header(tag byte) {
 	if got := r.U8(); r.err == nil && got != WireVersion {
 		r.Failf("sketch: unsupported version %d", got)
 	}
-}
-
-// sortedKeys returns the keys of an item-keyed map in increasing order —
-// the canonical serialization order for every map-backed summary in the
-// wire format.
-func sortedKeys[V any](m map[stream.Item]V) []stream.Item {
-	items := make([]stream.Item, 0, len(m))
-	for it := range m {
-		items = append(items, it)
-	}
-	slices.Sort(items)
-	return items
 }

@@ -422,7 +422,10 @@ var fleetSamples = sync.OnceValue(func() []stream.Slice {
 })
 
 // BenchmarkSpaceSavingMerge folds the 16 agents' heavy summaries into a
-// fresh accumulator: one op is 16 SpaceSaving.Merge calls.
+// fresh accumulator: one op is 16 SpaceSaving.Merge calls. The states are
+// fed, not decoded, so every merge also radix-sorts a copy of its
+// argument into item order (the agent's fold of its shard replicas);
+// CollectorEstimateFk16 folds decoded states, which Merge reads in place.
 func BenchmarkSpaceSavingMerge(b *testing.B) {
 	var states []*sketch.SpaceSaving
 	for _, L := range fleetSamples() {
@@ -444,7 +447,9 @@ func BenchmarkSpaceSavingMerge(b *testing.B) {
 
 // BenchmarkLevelsetMerge folds the 16 agents' Theorem 2 level-set
 // counters (heavy summary + 5 universe-sampling repetitions) into a
-// fresh accumulator: one op is 16 levelset.Estimator.Merge calls.
+// fresh accumulator: one op is 16 levelset.Estimator.Merge calls. Like
+// SpaceSavingMerge it folds fed states, so it prices the heavy summary's
+// sort-a-copy path; CollectorEstimateFk16 folds decoded ones.
 func BenchmarkLevelsetMerge(b *testing.B) {
 	cfg := levelset.Config{EpsPrime: 0.05, Budget: 4096}
 	var states []*levelset.Estimator

@@ -41,7 +41,13 @@
 // removes everything below T, admission requires level ≥ T), and T only
 // rises. So an element whose level is below T cannot be tracked, and the
 // update computes the level first — through the 4-lane hash kernel in
-// UpdateBatch — and probes the index only for the 2^(−T) survivors.
+// UpdateBatch — and probes the index only for the 2^(−T) survivors. For
+// the same reason a repetition never tracks more than the budget unless T
+// has reached maxLevel, and a decoded one may not either. The heavy part
+// follows sketch.SpaceSaving's ordering contract: a decoded or merged
+// summary holds its counters in item order, so a fold of decoded states
+// joins slabs and reads every argument in place, and Bands reads the
+// counters without the heap a merge leaves stale.
 package levelset
 
 import (

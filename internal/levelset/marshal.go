@@ -122,6 +122,11 @@ func DecodeEstimator(r *wire.Reader) (*Estimator, error) {
 		hash := r.Hash2()
 		T := r.Count(maxLevel, 0)
 		run := r.Run(wire.MaxWireElems, wire.RunEntryBytes+1, math.MaxUint64)
+		// Observe and merge raise T until the tracked set fits the budget,
+		// and stop short of it only at maxLevel.
+		if r.Err() == nil && run.N > budget && T < maxLevel {
+			r.Failf("levelset: repetition %d tracks %d items over its budget of %d at threshold %d", i, run.N, budget, T)
+		}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

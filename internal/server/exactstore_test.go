@@ -165,57 +165,70 @@ func TestExactStoreKindsOneAnswerEveryPath(t *testing.T) {
 // TestCollectorQueriesShareRetainedStates runs queries and snapshot
 // writes over one retained table from several goroutines while new
 // summaries are admitted to it: a fold reads the retained states and
-// never writes them (sketch.ItemCounts.Merge leaves its argument alone,
-// and Encode of a decoded state only reads), which is what -race checks
-// here.
+// never writes them, which is what -race checks here. Two fk tables: over
+// the exact counter (sketch.ItemCounts.Merge leaves its argument alone,
+// and Encode of a decoded state only reads), and over the level set,
+// whose decoded SpaceSaving keeps its slab in item order so that Merge
+// reads it in place and the snapshot's Encode walks its heap as it
+// stands, with a budget small enough that every fold cuts to the top k.
 func TestCollectorQueriesShareRetainedStates(t *testing.T) {
-	kind := storeKinds[0] // fk over the exact counter
-	spec := kind.cfg.withDefaults().spec()
 	chunks := splitChunks(storeStream(), 8)
-	summary := func(agent int, seq uint64) Summary {
-		e, err := estimator.New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, chunk := range chunks[:seq] {
-			e.UpdateBatch(chunk)
-		}
-		payload, err := e.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Summary{Agent: fmt.Sprintf("a%d", agent), Stream: "fk", Boot: 1, Seq: seq, Config: kind.cfg, Payload: payload}
-	}
-	c := NewCollector(CollectorConfig{SnapshotDir: t.TempDir()})
-	if err := c.Accept(summary(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				if got, err := c.Estimate("fk"); err != nil || got.Agents < 1 {
-					t.Errorf("estimate under admission: %+v, %v", got, err)
-					return
+	for _, kind := range []struct {
+		name string
+		cfg  StreamConfig
+	}{
+		{"exact fk", storeKinds[0].cfg},
+		{"level-set fk", StreamConfig{Stat: "fk", K: 3, P: 0.25, Seed: 42, Budget: 256}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			spec := kind.cfg.withDefaults().spec()
+			summary := func(agent int, seq uint64) Summary {
+				e, err := estimator.New(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if g == 0 && i%8 == 0 {
-					if err := c.SaveSnapshot(); err != nil {
-						t.Errorf("snapshot under admission: %v", err)
-						return
+				for _, chunk := range chunks[:seq] {
+					e.UpdateBatch(chunk)
+				}
+				payload, err := e.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Summary{Agent: fmt.Sprintf("a%d", agent), Stream: "fk", Boot: 1, Seq: seq, Config: kind.cfg, Payload: payload}
+			}
+			c := NewCollector(CollectorConfig{SnapshotDir: t.TempDir()})
+			if err := c.Accept(summary(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						if got, err := c.Estimate("fk"); err != nil || got.Agents < 1 {
+							t.Errorf("estimate under admission: %+v, %v", got, err)
+							return
+						}
+						if g == 0 && i%8 == 0 {
+							if err := c.SaveSnapshot(); err != nil {
+								t.Errorf("snapshot under admission: %v", err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			// New agents join and agent 0 ships newer states while the
+			// queries run.
+			for seq := uint64(2); seq <= uint64(len(chunks)); seq++ {
+				for agent := 0; agent < 2; agent++ {
+					if err := c.Accept(summary(agent, seq)); err != nil {
+						t.Error(err)
 					}
 				}
 			}
-		}()
+			wg.Wait()
+		})
 	}
-	// New agents join and agent 0 ships newer states while the queries run.
-	for seq := uint64(2); seq <= uint64(len(chunks)); seq++ {
-		for agent := 0; agent < 2; agent++ {
-			if err := c.Accept(summary(agent, seq)); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	wg.Wait()
 }

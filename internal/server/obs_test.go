@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,9 +13,12 @@ import (
 	"time"
 
 	"substream/internal/core"
+	"substream/internal/estimator"
+	"substream/internal/levelset"
 	"substream/internal/obs"
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
 // ingestCauses and collectCauses enumerate every cause label the audit
@@ -289,6 +293,61 @@ func f0Summary(agentID, stream string, cfg StreamConfig, seq uint64) Summary {
 	return Summary{Agent: agentID, Stream: stream, Seq: seq, Config: cfg, Fed: 1, Kept: 1, Payload: payload}
 }
 
+// overBudgetFkSummary builds an fk summary whose level set holds
+// repetitions of 100 items under a budget of 8 at threshold 0, a state
+// no update or merge leaves. It splices the repetitions of a budget-128
+// estimator, which tracks all 100 distinct items it was fed, behind the
+// head of a budget-8 one built from the same seed, so the heavy summary,
+// band offset and universe hashes all agree with the declared config and
+// the collector's trial fold alone would pass it (the layouts are
+// internal/core's and internal/levelset's marshal.go).
+func overBudgetFkSummary(t *testing.T) Summary {
+	t.Helper()
+	cfg := StreamConfig{Stat: "fk", K: 2, P: 0.5, Budget: 8, Seed: 3}
+	items := make(stream.Slice, 100)
+	for i := range items {
+		items[i] = stream.Item(i + 1)
+	}
+	// encode returns the payload at the given budget, where its level
+	// set's length prefix sits and where its repetitions start.
+	encode := func(budget int) (payload []byte, lenAt, repsAt int) {
+		c := cfg
+		c.Budget = budget
+		e, err := estimator.New(c.withDefaults().spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.UpdateBatch(items)
+		if payload, err = e.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(payload)
+		r.Header(core.TagFkEstimator)
+		r.U32()
+		r.F64()
+		r.U64()
+		for n := r.U32(); n > 0; n-- {
+			r.F64()
+		}
+		lenAt = len(payload) - r.Remaining()
+		r.U32()
+		r.Header(levelset.TagEstimator)
+		r.F64()
+		r.F64()
+		r.U32()
+		r.Nested()
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		return payload, lenAt, len(payload) - r.Remaining()
+	}
+	small, lenAt, smallReps := encode(8)
+	big, _, bigReps := encode(128)
+	forged := append(small[:smallReps:smallReps], big[bigReps:]...)
+	binary.LittleEndian.PutUint32(forged[lenAt:], uint32(len(forged)-lenAt-4))
+	return Summary{Agent: "a", Stream: "fk", Seq: 1, Config: cfg, Fed: 100, Kept: 100, Payload: forged}
+}
+
 // TestCollectErrorCausesAudit drives every reject path of handleCollect
 // and asserts the matching summaries_rejected cause.
 func TestCollectErrorCausesAudit(t *testing.T) {
@@ -332,6 +391,7 @@ func TestCollectErrorCausesAudit(t *testing.T) {
 			Config: StreamConfig{Stat: "f0", P: 42}, Payload: []byte{1}}), causeConfig},
 		{"corrupt payload", mustJSON(Summary{Agent: "a", Stream: "s2", Seq: 1,
 			Config: cfg, Payload: []byte{0xff, 0x01}}), causePayload},
+		{"level-set repetition over its budget", mustJSON(overBudgetFkSummary(t)), causePayload},
 		// Self-consistent under its own config, but the stream is pinned
 		// to a different seed.
 		{"config conflict", mustJSON(f0Summary("b", "s", otherCfg, 1)), causeConflict},

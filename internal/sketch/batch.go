@@ -122,6 +122,7 @@ func (s *KMV) UpdateBatch(items []stream.Item) {
 // UpdateBatch feeds every item in items, one observeRun — one index
 // lookup, one sift — per run of equal items.
 func (ss *SpaceSaving) UpdateBatch(items []stream.Item) {
+	ss.own()
 	for i := 0; i < len(items); {
 		j := i + 1
 		for j < len(items) && items[j] == items[i] {

@@ -12,8 +12,10 @@ import (
 // an item to its id. An entry never moves in the slab, so a sift shifts
 // int32s and touches neither the index nor an item; the index is
 // consulted once per update and rewritten only when a slot changes
-// owner (load, replaceMin). Serialized state is heap order — the slab
-// order and the index layout are not observable.
+// owner (load, replaceMin). Serialized state is heap order, and stays so
+// when SpaceSaving keeps its slab in item order (after a decode or a
+// merge): the slab order and the index layout are not observable, and a
+// heap left stale by a merge is rebuilt before anything is written.
 type countHeap[C uint64 | float64] struct {
 	items  []stream.Item
 	counts []C
@@ -35,6 +37,14 @@ func (h *countHeap[C]) reset(n int) {
 	h.items, h.counts = slices.Grow(h.items[:0], n), slices.Grow(h.counts[:0], n)
 	h.heap, h.pos = slices.Grow(h.heap[:0], n), slices.Grow(h.pos[:0], n)
 	h.index.Reset(n)
+}
+
+// reindex rebuilds the index over the whole slab.
+func (h *countHeap[C]) reindex() {
+	h.index.Reset(len(h.items))
+	for id := range h.items {
+		h.index.Put(h.items, int32(id))
+	}
 }
 
 // load appends a new item at the heap's end, leaving heap order to the

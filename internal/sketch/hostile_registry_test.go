@@ -25,7 +25,7 @@ var hostileShapes = map[byte][]string{
 	0x05: {"u32 count of 2^28 over a 64-byte body", "11-byte varint"},
 	0x07: {"u32 count of 2^28 over a 64-byte body"},
 	0x10: {"run delta 0", "run count above n"},
-	0x11: {"run delta 0", "run counts summing past 2^64", "11-byte varint"},
+	0x11: {"run delta 0", "run counts summing past 2^64", "11-byte varint", "repetition over its budget"},
 	0x20: {"run delta 0", "11-byte varint"},
 	0x21: {"u32 count of 2^28 over a 64-byte body"},
 	0x22: {"run delta 0", "run count above n"},

@@ -55,7 +55,8 @@ type siteWalker struct {
 	// "count" (a uint32 element count), "varint" (a uvarint field), "run
 	// delta" (the key delta of a run's second entry), "run count" (the
 	// count of its first entry), "dims" (the width and depth of a counter
-	// table) and "table" (where its cells start).
+	// table), "table" (where its cells start), and a level set's "budget"
+	// and "heavy" (the length prefix of its nested SpaceSaving).
 	tags  []byte
 	sites map[byte]map[string]WireSite
 	// tables are the table sites of the whole payload, in wire order.
@@ -158,7 +159,10 @@ func (w *siteWalker) payload() {
 	case 0x10: // levelset.ExactCounter
 		w.run(0, r.U64())
 	case 0x11: // levelset.Estimator
-		w.skip(8 + 8 + 4)
+		w.skip(8 + 8)
+		w.mark("budget", 0)
+		r.U32()
+		w.mark("heavy", 0)
 		w.nested()
 		for reps := int(r.U32()); reps > 0 && r.Err() == nil; reps-- {
 			r.Hash2()
@@ -359,6 +363,23 @@ func hostileRows(payload []byte, tag byte, sites map[string]WireSite) []HostileR
 		empty := zeroed(maxDim * depth)
 		binary.LittleEndian.PutUint32(empty[dims:], maxDim)
 		add("all-zero table of 2^24 columns", empty)
+	}
+	if budget, ok := sites["budget"]; ok {
+		// A level set's budget lowered to 1 over its heavy summary emptied
+		// to k = 1 (n kept): each part agrees with the other, and every
+		// repetition of two or more items holds more than its budget at a
+		// threshold below the top level — a state no update or merge
+		// leaves.
+		h := sites["heavy"]
+		start := h.Off + 4 + 2 // behind the heavy's length, tag and version
+		end := h.Off + 4 + int(binary.LittleEndian.Uint32(payload[h.Off:]))
+		heavy := WireSite{Tag: h.Tag, Off: start, Lens: append(slices.Clone(h.Lens), h.Off)}
+		empty := binary.LittleEndian.AppendUint32(nil, 1)
+		empty = append(empty, payload[start+4:start+12]...)
+		empty = binary.LittleEndian.AppendUint32(empty, 0)
+		forged := heavy.rewrite(payload, end-start, empty, false)
+		binary.LittleEndian.PutUint32(forged[budget.Off:], 1)
+		add("repetition over its budget", forged)
 	}
 	if s, ok := sites["count"]; ok {
 		// 2^28 elements claimed by a body that ends within 64 bytes.

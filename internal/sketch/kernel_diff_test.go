@@ -94,8 +94,8 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 				// decode → update → marshal against update → marshal.
 				half := len(s) / 2
 				dec := ssClone(t, ssOf(k, s[:half]))
-				checkInvariants(t, &dec.h)
 				dec.UpdateBatch(s[half:])
+				checkInvariants(t, &dec.h)
 				if !bytes.Equal(ssBytes(t, dec), want) {
 					t.Fatal("decode → update differs from update")
 				}
@@ -112,7 +112,6 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 				if err := refSpaceSavingMerge(ra, rb); err != nil {
 					t.Fatal(err)
 				}
-				checkInvariants(t, &a.h)
 				for _, side := range []struct {
 					got *SpaceSaving
 					ref *refSpaceSaving
@@ -124,6 +123,7 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 					}
 					checkInvariants(t, &side.got.h)
 				}
+				checkInvariants(t, &a.h)
 			})
 		}
 	}

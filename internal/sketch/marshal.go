@@ -171,8 +171,10 @@ func (ss *SpaceSaving) MarshalBinary() ([]byte, error) { return wire.Marshal(ss)
 // Encode writes the summary. Counters are written in heap order, so a
 // round trip is byte-identical state; that order is not key order, so keys
 // stay fixed-width (a hashed 64-bit key would grow as a varint) and only
-// counts and errors are varints.
+// counts and errors are varints. A merged summary's heap is rebuilt first
+// (an owner call); a fed or decoded one is only read.
 func (ss *SpaceSaving) Encode(w *wire.Writer) {
+	ss.rebuild()
 	w.Header(TagSpaceSaving)
 	w.U32(uint32(ss.k))
 	w.U64(ss.n)
@@ -184,7 +186,9 @@ func (ss *SpaceSaving) Encode(w *wire.Writer) {
 	}
 }
 
-// DecodeSpaceSaving reads a SpaceSaving written by Encode.
+// DecodeSpaceSaving reads a SpaceSaving written by Encode and leaves it
+// decoded: the slab in item order, the heap in the payload's layout over
+// it, and no index (see the ordering contract).
 func DecodeSpaceSaving(r *wire.Reader) (*SpaceSaving, error) {
 	r.Header(TagSpaceSaving)
 	k := int(r.U32())
@@ -196,9 +200,10 @@ func DecodeSpaceSaving(r *wire.Reader) (*SpaceSaving, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	ss := &SpaceSaving{k: k, n: n, errs: make([]uint64, 0, count)}
-	ss.h.reset(count)
-	for i := 0; i < count; i++ {
+	// The counters in payload order: a counter's position is its heap
+	// position.
+	in := ssRun{items: make([]stream.Item, count), counts: make([]uint64, count), errs: make([]uint64, count)}
+	for i := range count {
 		it := stream.Item(r.U64())
 		c := r.Uvarint()
 		e := r.Uvarint()
@@ -208,14 +213,33 @@ func DecodeSpaceSaving(r *wire.Reader) (*SpaceSaving, error) {
 		// The per-item invariant is f ∈ [count−err, count] with f ≥ 1 for
 		// any tracked item; err > count would wrap the certified lower
 		// bound, and no counter can exceed the observation count.
-		if _, dup := ss.h.find(it); dup || c < 1 || e >= c || c > n {
+		if c < 1 || e >= c || c > n {
 			r.Fail()
 			return nil, r.Err()
 		}
-		ss.h.load(it, c)
-		ss.errs = append(ss.errs, e)
+		in.items[i], in.counts[i], in.errs[i] = it, c, e
 	}
-	ss.h.heapify()
+	// Lay the slab out in item order, where a duplicate sits beside its
+	// twin. The sorted positions are each new slab id's heap position, so
+	// they become pos, and heap their inverse. Heapify compares counts
+	// alone, so the layout it settles on is the one the payload order
+	// gives.
+	var buf [2][]int32
+	pos := sortByItem(in.items, &buf)
+	in.permute(pos)
+	for id := 1; id < count; id++ {
+		if in.items[id] == in.items[id-1] {
+			r.Fail()
+			return nil, r.Err()
+		}
+	}
+	ss := &SpaceSaving{k: k, n: n, errs: in.errs, layout: ssDecoded}
+	h := &ss.h
+	h.items, h.counts, h.pos, h.heap = in.items, in.counts, pos, make([]int32, count)
+	for id, p := range pos {
+		h.heap[p] = int32(id)
+	}
+	h.heapify()
 	return ss, r.Err()
 }
 

@@ -3,6 +3,8 @@ package sketch
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"substream/internal/stream"
 )
@@ -111,53 +113,246 @@ func (s *KMV) admitHash(hv uint64) {
 // count by that side's minimum counter (0 if the side still has spare
 // capacity, in which case absence means a true zero), so the merged entry
 // inherits that bound as both count mass and error. The result is trimmed
-// back to the k largest counters. Every per-item invariant survives:
-// f ∈ [Count−Err, Count], and the global error stays ≤ N_total/k.
+// back to the k largest counters, ties going to the smaller item. Every
+// per-item invariant survives: f ∈ [Count−Err, Count], and the global
+// error stays ≤ N_total/k.
+//
+// The merge is a linear join of the two slabs in item order (see the
+// ordering contract): other is read in place when it is ordered and
+// sorted into the receiver's scratch when it is fed, and is never
+// written. It leaves ss merged.
 func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 	if ss.k != other.k {
 		return fmt.Errorf("%w: SpaceSaving k %d vs %d", ErrIncompatible, ss.k, other.k)
 	}
-	floorA, floorB := ss.floor(), other.floor()
-	// One pass over the foreign counters, joined against the receiver's
-	// index: matches add to the receiver's entry, misses append past the
-	// receiver's own (es[id] is the receiver's slab entry id).
-	es := make([]ssEntry, len(ss.errs), len(ss.errs)+len(other.errs))
+	floorA, floorB, n := ss.floor(), other.floor(), other.n
+	// Ordering the receiver first makes a self-merge read an ordered
+	// argument in place, which join allows.
+	ss.order()
+	b := other.slab()
+	if other.layout == ssFed {
+		ss.run.gather(b, sortByItem(b.items, &ss.ids))
+		b = ss.run
+	}
+	ss.join(b, floorA, floorB)
+	ss.n += n
+	return nil
+}
+
+// floor bounds the count of any item ss does not track: its minimum
+// counter, or 0 while spare capacity means untracked is never seen. It
+// only reads, whatever the layout.
+func (ss *SpaceSaving) floor() uint64 {
+	switch {
+	case len(ss.h.items) < ss.k:
+		return 0
+	case ss.layout == ssMerged:
+		return slices.Min(ss.h.counts)
+	}
+	return ss.h.counts[ss.h.heap[0]]
+}
+
+// ssRun is a run of counters as parallel slices: a summary's slab, or
+// scratch.
+type ssRun struct {
+	items  []stream.Item
+	counts []uint64
+	errs   []uint64
+}
+
+func (ss *SpaceSaving) slab() ssRun {
+	return ssRun{items: ss.h.items, counts: ss.h.counts, errs: ss.errs}
+}
+
+// gather sets r, reallocating only a slice that is too small, to the
+// counters of src in the order ids names them.
+func (r *ssRun) gather(src ssRun, ids []int32) {
+	n := len(ids)
+	r.items = slices.Grow(r.items[:0], n)[:n]
+	r.counts = slices.Grow(r.counts[:0], n)[:n]
+	r.errs = slices.Grow(r.errs[:0], n)[:n]
+	for i, id := range ids {
+		r.items[i], r.counts[i], r.errs[i] = src.items[id], src.counts[id], src.errs[id]
+	}
+}
+
+// sortByItem returns the positions of items in increasing item order: an
+// LSD radix sort of 4-byte positions read through items (a summary's
+// slab, which stays in cache) rather than of the 24-byte counters. Each
+// pass sorts on the 11 bits from the lowest bit in which some two items
+// still differ, so the bits every item shares cost nothing: two passes
+// for keys below 2^22, three for IPv4 addresses. buf holds its two
+// buffers, grown to len(items) as needed; the result is whichever of the
+// two the last pass wrote.
+func sortByItem(items []stream.Item, buf *[2][]int32) []int32 {
+	const digit = 1<<11 - 1
+	for i := range buf {
+		buf[i] = slices.Grow(buf[i][:0], len(items))[:len(items)]
+	}
+	ids, tmp := buf[0], buf[1]
+	and, or := ^stream.Item(0), stream.Item(0)
+	for id, it := range items {
+		ids[id] = int32(id)
+		and, or = and&it, or|it
+	}
+	for varying := uint64(and ^ or); varying != 0; varying &^= digit << bits.TrailingZeros64(varying) {
+		shift := bits.TrailingZeros64(varying)
+		var start [digit + 1]int32
+		for _, it := range items {
+			start[uint64(it)>>shift&digit]++
+		}
+		pos := int32(0)
+		for d, n := range start {
+			start[d], pos = pos, pos+n
+		}
+		for _, id := range ids {
+			d := uint64(items[id]) >> shift & digit
+			tmp[start[d]] = id
+			start[d]++
+		}
+		ids, tmp = tmp, ids
+	}
+	return ids
+}
+
+// permute reorders r in place so that entry i becomes the one ids[i]
+// named: one walk around each cycle of the permutation, marking the
+// positions filled by complementing them in ids, which it then restores.
+func (r ssRun) permute(ids []int32) {
+	for start := range ids {
+		if ids[start] < 0 {
+			continue
+		}
+		it, c, e := r.items[start], r.counts[start], r.errs[start]
+		for j := start; ; {
+			k := int(ids[j])
+			ids[j] = ^ids[j]
+			if k == start {
+				r.items[j], r.counts[j], r.errs[j] = it, c, e
+				break
+			}
+			r.items[j], r.counts[j], r.errs[j] = r.items[k], r.counts[k], r.errs[k]
+			j = k
+		}
+	}
+	for i, id := range ids {
+		ids[i] = ^id
+	}
+}
+
+// order lays a fed receiver's slab out in item order, in place. Heap, pos
+// and index go stale with it, as Merge is about to leave them anyway.
+func (ss *SpaceSaving) order() {
+	if ss.layout != ssFed {
+		return
+	}
+	ss.slab().permute(sortByItem(ss.h.items, &ss.ids))
+	ss.layout = ssMerged
+}
+
+// join merges b, in item order, into the receiver's slab, in item order,
+// and keeps the k largest counters in item order. It joins from the back
+// into the slab itself, grown to hold both runs: the write position never
+// falls below an entry of either run still to be read — not even when b
+// is the slab itself, in a self-merge — so nothing is copied out first.
+func (ss *SpaceSaving) join(b ssRun, floorA, floorB uint64) {
+	na, nb := len(ss.h.items), len(b.items)
+	items := slices.Grow(ss.h.items, nb)[:na+nb]
+	counts := slices.Grow(ss.h.counts, nb)[:na+nb]
+	errs := slices.Grow(ss.errs, nb)[:na+nb]
+	i, j, o := na-1, nb-1, na+nb-1
+	for ; i >= 0 && j >= 0; o-- {
+		switch a := items[i]; {
+		case a > b.items[j]: // the receiver's alone
+			items[o], counts[o], errs[o] = a, counts[i]+floorB, errs[i]+floorB
+			i--
+		case a < b.items[j]: // b's alone
+			items[o], counts[o], errs[o] = b.items[j], b.counts[j]+floorA, b.errs[j]+floorA
+			j--
+		default: // tracked on both sides
+			items[o], counts[o], errs[o] = a, counts[i]+b.counts[j], errs[i]+b.errs[j]
+			i, j = i-1, j-1
+		}
+	}
+	for ; i >= 0; i, o = i-1, o-1 {
+		items[o], counts[o], errs[o] = items[i], counts[i]+floorB, errs[i]+floorB
+	}
+	for ; j >= 0; j, o = j-1, o-1 {
+		items[o], counts[o], errs[o] = b.items[j], b.counts[j]+floorA, b.errs[j]+floorA
+	}
+	// The union is items[o+1:]. Over k, keep every count above the k-th
+	// largest and, of those equal to it, as many as fit, first in item
+	// order: the canonical (count desc, item asc) cut, order kept. Within
+	// k, keep all (every count is at least 1).
+	union := o + 1
+	cut, ties := uint64(0), 0
+	if na+nb-union > ss.k {
+		cut, ties = kthLargest(counts[union:], ss.k)
+	}
+	kept := 0
+	for r := union; r < na+nb; r++ {
+		if c := counts[r]; c > cut || c == cut && ties > 0 {
+			if c == cut {
+				ties--
+			}
+			items[kept], counts[kept], errs[kept] = items[r], c, errs[r]
+			kept++
+		}
+	}
+	ss.h.items, ss.h.counts, ss.errs = items[:kept], counts[:kept], errs[:kept]
+	ss.layout = ssMerged
+}
+
+// kthLargest returns the k-th largest of counts (1 ≤ k ≤ len(counts)) and
+// how many of the counts equal to it rank among the k largest: a radix
+// select from the highest set bit's byte down, one counting pass per
+// byte, that writes nothing.
+func kthLargest(counts []uint64, k int) (uint64, int) {
+	var or uint64
+	for _, c := range counts {
+		or |= c
+	}
+	var prefix, fixed uint64 // the answer's bytes found so far, and their mask
+	for shift := (bits.Len64(or) - 1) &^ 7; shift >= 0; shift -= 8 {
+		var hist [256]int
+		for _, c := range counts {
+			if c&fixed == prefix {
+				hist[byte(c>>shift)]++
+			}
+		}
+		b := 255
+		for ; hist[b] < k; b-- {
+			k -= hist[b]
+		}
+		prefix |= uint64(b) << shift
+		fixed |= 0xff << shift
+	}
+	return prefix, k
+}
+
+// rebuild brings a merged summary's heap, pos and index back: the
+// counters in canonical (count desc, item asc) order, pushed in that
+// order — the heap layout Encode writes. The slab ends up in that order
+// too, so the summary is fed again.
+func (ss *SpaceSaving) rebuild() {
+	if ss.layout != ssMerged {
+		return
+	}
+	es := make([]ssEntry, len(ss.errs))
 	for id, it := range ss.h.items {
 		es[id] = ssEntry{it, ss.h.counts[id], ss.errs[id]}
 	}
-	matched := make([]bool, len(es))
-	for oid, it := range other.h.items {
-		c, e := other.h.counts[oid], other.errs[oid]
-		if id, ok := ss.h.find(it); ok {
-			es[id].count += c
-			es[id].err += e
-			matched[id] = true
-		} else {
-			es = append(es, ssEntry{it, c + floorA, e + floorA})
-		}
-	}
-	for id, m := range matched {
-		if !m {
-			es[id].count += floorB
-			es[id].err += floorB
-		}
-	}
-	// Keep the k largest in canonical (count desc, item asc) order and
-	// rebuild the store by pushing each in that order — the heap layout
-	// MarshalBinary writes.
 	es = sortEntries(es, make([]ssEntry, len(es)))
-	es = es[:min(len(es), ss.k)]
 	ss.h.reset(len(es))
 	ss.errs = ss.errs[:0]
 	for _, e := range es {
 		ss.h.push(e.item, e.count)
 		ss.errs = append(ss.errs, e.err)
 	}
-	ss.n += other.n
-	return nil
+	ss.layout = ssFed
 }
 
-// ssEntry is one counter in Merge's scratch list.
+// ssEntry is one counter in rebuild's scratch list.
 type ssEntry struct {
 	item       stream.Item
 	count, err uint64
@@ -166,7 +361,7 @@ type ssEntry struct {
 // sortEntries orders es by (count desc, item asc) with an LSD radix sort
 // over the 16 key bytes — item ascending below complemented count —
 // skipping every byte all entries agree on (the high bytes of real
-// counts and items), so a merge sorts in a handful of linear passes
+// counts and items), so a rebuild sorts in a handful of linear passes
 // whatever the input order. tmp is scratch of the same length; the
 // result is whichever of the two buffers the last pass wrote.
 func sortEntries(es, tmp []ssEntry) []ssEntry {
@@ -205,15 +400,6 @@ func sortEntries(es, tmp []ssEntry) []ssEntry {
 		}
 	}
 	return es
-}
-
-// floor bounds the count of any item ss does not track: its minimum
-// counter, or 0 while spare capacity means untracked is never seen.
-func (ss *SpaceSaving) floor() uint64 {
-	if len(ss.h.heap) < ss.k {
-		return 0
-	}
-	return ss.h.counts[ss.h.heap[0]]
 }
 
 // pushHash and popHash are tiny non-interface heap helpers shared by

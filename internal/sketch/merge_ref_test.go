@@ -215,6 +215,57 @@ func TestSpaceSavingFold16MatchesReference(t *testing.T) {
 	}
 }
 
+// TestSpaceSavingFold16StaleMatchesReference folds 16 states into one
+// accumulator without encoding it in between — checkSSMerge's encode
+// rebuilds the heap after every step — so every merge after the first
+// lands in a summary whose heap is stale, and compares only the final
+// bytes with the reference fold. The arguments take turns being fed,
+// decoded and merged, the three layouts Merge reads, and each must encode
+// after the fold as it did before.
+func TestSpaceSavingFold16StaleMatchesReference(t *testing.T) {
+	for _, k := range []int{64, 1024} {
+		acc, ref := NewSpaceSaving(k), newRefSpaceSaving(k)
+		args := make([]*SpaceSaving, 16)
+		before := make([][]byte, 16)
+		for i := range args {
+			s := zipfStream(10000, 1<<16, 1.1, uint64(40+i))
+			build := func() *SpaceSaving {
+				switch i % 3 {
+				case 0:
+					return ssOf(k, s)
+				case 1:
+					return ssClone(t, ssOf(k, s))
+				}
+				m := ssOf(k, s[:len(s)/2])
+				if err := m.Merge(ssOf(k, s[len(s)/2:])); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			// The bytes come from a twin: encoding a merged state rebuilds
+			// its heap, and the argument must reach Merge still merged.
+			before[i], args[i] = ssBytes(t, build()), build()
+			if err := refSpaceSavingMerge(ref, refSSDecode(t, before[i])); err != nil {
+				t.Fatal(err)
+			}
+			if err := acc.Merge(args[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acc.layout != ssMerged || args[2].layout != ssMerged {
+			t.Fatal("the fold rebuilt the accumulator or a merged argument")
+		}
+		if !bytes.Equal(ssBytes(t, acc), ref.bytes()) {
+			t.Fatalf("k=%d: the folded state differs from the reference", k)
+		}
+		for i, arg := range args {
+			if !bytes.Equal(ssBytes(t, arg), before[i]) {
+				t.Fatalf("k=%d: Merge mutated argument %d (layout %d)", k, i, i%3)
+			}
+		}
+	}
+}
+
 // TestSpaceSavingMergeAllocs pins the kernel's allocation shape: the
 // matched bitmap plus at most the receiver's heap growing — no map.
 func TestSpaceSavingMergeAllocs(t *testing.T) {

@@ -14,12 +14,55 @@ import (
 // retains per-item error bounds, which lets callers certify
 // ("guaranteed") counts — the property the level-set estimator's heavy
 // part needs to avoid double counting.
+//
+// Ordering contract. The counters live in a slab (items, counts and errs
+// by slab id) beside a min-heap over it (heap and pos) and an index from
+// item to slab id. Which of those describe the slab is the summary's
+// layout:
+//
+//   - fed (NewSpaceSaving, Observe, UpdateBatch): heap, pos and index all
+//     cover the slab, which is in no particular order.
+//   - decoded (DecodeSpaceSaving): the slab is in increasing item order
+//     and the heap covers it in the payload's own layout; there is no
+//     index.
+//   - merged (Merge): the slab is in increasing item order, cut to the k
+//     largest counters; heap, pos and index are stale.
+//
+// Merge joins two item-ordered slabs. It reads an ordered (decoded or
+// merged) argument in place and sorts a copy of a fed one into scratch
+// the receiver owns, so it never writes its argument; the floor it needs
+// of either side is the heap's root, or the smallest count of a merged
+// slab. A collector retains decoded states, and those are only ever read
+// — by Merge, Each, and the snapshot's Encode, which walks a decoded heap
+// as it stands — however many queries fold them at once. The calls that
+// need the heap or the index bring them back first and so belong to the
+// summary's owner: Observe, UpdateBatch and Tracked index a decoded
+// summary and rebuild a merged one, and Encode rebuilds a merged one. The
+// rebuild sorts the counters canonically (count desc, item asc) and
+// pushes them in that order, which is the heap layout — and so every byte
+// Encode writes — that a merge has always left.
 type SpaceSaving struct {
-	k    int
-	h    countHeap[uint64] // min-heap on count
-	errs []uint64          // by slab id: count inherited on admission; true f ∈ [count−err, count]
-	n    uint64
+	k      int
+	h      countHeap[uint64] // min-heap on count
+	errs   []uint64          // by slab id: count inherited on admission; true f ∈ [count−err, count]
+	n      uint64
+	layout ssLayout
+	// Merge's sort space, kept between merges: the radix buffers of a fed
+	// side's slab ids, and a fed argument's counters gathered in item
+	// order.
+	ids [2][]int32
+	run ssRun
 }
+
+// ssLayout says which of a SpaceSaving's structures describe its slab
+// (see the ordering contract).
+type ssLayout uint8
+
+const (
+	ssFed ssLayout = iota
+	ssDecoded
+	ssMerged
+)
 
 // NewSpaceSaving returns a summary with k counters. It panics if k < 1.
 func NewSpaceSaving(k int) *SpaceSaving {
@@ -30,7 +73,23 @@ func NewSpaceSaving(k int) *SpaceSaving {
 }
 
 // Observe feeds one item.
-func (ss *SpaceSaving) Observe(it stream.Item) { ss.observeRun(it, 1) }
+func (ss *SpaceSaving) Observe(it stream.Item) {
+	ss.own()
+	ss.observeRun(it, 1)
+}
+
+// own brings the heap and the index back over the slab ahead of an owner
+// call that updates or probes it: a decoded summary indexes its slab, a
+// merged one is rebuilt.
+func (ss *SpaceSaving) own() {
+	switch ss.layout {
+	case ssDecoded:
+		ss.h.reindex()
+	case ssMerged:
+		ss.rebuild()
+	}
+	ss.layout = ssFed
+}
 
 // observeRun feeds run consecutive occurrences of it with one index
 // lookup and one sift: a sift-down follows the smaller-child path,
@@ -79,15 +138,18 @@ func (ss *SpaceSaving) Counters() []Counter {
 }
 
 // Each calls fn for every tracked counter in unspecified (slab) order,
-// without the copy and sort Counters pays.
+// without the copy and sort Counters pays. It only reads the slab, so it
+// is safe on any layout.
 func (ss *SpaceSaving) Each(fn func(Counter)) {
 	for id, it := range ss.h.items {
 		fn(Counter{Item: it, Count: ss.h.counts[id], Err: ss.errs[id]})
 	}
 }
 
-// Tracked reports whether the item currently holds a counter.
+// Tracked reports whether the item currently holds a counter. It is an
+// owner call: it indexes a decoded or merged summary first.
 func (ss *SpaceSaving) Tracked(it stream.Item) bool {
+	ss.own()
 	_, ok := ss.h.find(it)
 	return ok
 }
@@ -95,5 +157,9 @@ func (ss *SpaceSaving) Tracked(it stream.Item) bool {
 // K returns the number of counters.
 func (ss *SpaceSaving) K() int { return ss.k }
 
-// SpaceBytes returns the bytes of the slices the summary holds.
-func (ss *SpaceSaving) SpaceBytes() int { return ss.h.spaceBytes() + 8*cap(ss.errs) }
+// SpaceBytes returns the bytes of the slices the summary holds, Merge's
+// scratch included.
+func (ss *SpaceSaving) SpaceBytes() int {
+	r := &ss.run
+	return ss.h.spaceBytes() + 8*(cap(ss.errs)+cap(r.items)+cap(r.counts)+cap(r.errs)) + 4*(cap(ss.ids[0])+cap(ss.ids[1]))
+}

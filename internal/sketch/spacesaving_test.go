@@ -6,12 +6,16 @@ import (
 	"substream/internal/stream"
 )
 
-// ssCount is ss's counter of it, 0 for an item it does not track.
+// ssCount is ss's counter of it, 0 for an item it does not track. It
+// reads the slab only, so it works on every layout.
 func ssCount(ss *SpaceSaving, it stream.Item) uint64 {
-	if id, ok := ss.h.find(it); ok {
-		return ss.h.counts[id]
-	}
-	return 0
+	var count uint64
+	ss.Each(func(c Counter) {
+		if c.Item == it {
+			count = c.Count
+		}
+	})
+	return count
 }
 
 func TestSpaceSavingExactWhenFits(t *testing.T) {

@@ -448,8 +448,11 @@ func BenchmarkSpaceSavingMerge(b *testing.B) {
 // BenchmarkLevelsetMerge folds the 16 agents' Theorem 2 level-set
 // counters (heavy summary + 5 universe-sampling repetitions) into a
 // fresh accumulator: one op is 16 levelset.Estimator.Merge calls. Like
-// SpaceSavingMerge it folds fed states, so it prices the heavy summary's
-// sort-a-copy path; CollectorEstimateFk16 folds decoded ones.
+// SpaceSavingMerge it folds fed states, so it prices both parts' sort
+// path: the heavy summary's sorted copy, and each repetition's radix sort
+// of the argument's entries at or above the threshold into scratch the
+// accumulator keeps. CollectorEstimateFk16 folds decoded states, which
+// both parts read in place.
 func BenchmarkLevelsetMerge(b *testing.B) {
 	cfg := levelset.Config{EpsPrime: 0.05, Budget: 4096}
 	var states []*levelset.Estimator
@@ -472,7 +475,9 @@ func BenchmarkLevelsetMerge(b *testing.B) {
 
 // BenchmarkCollectorEstimateFk16 prices one dashboard query against a
 // fleet-shaped table: Collector.Estimate folds 16 retained fk states
-// into a fresh accumulator and reports.
+// into a fresh accumulator and reports. The states are decoded, so every
+// slab the fold reads — heavy summary and repetitions alike — is in item
+// order and each merge is a join; no index is built or probed.
 func BenchmarkCollectorEstimateFk16(b *testing.B) {
 	cfg := server.StreamConfig{Stat: "fk", K: 2, P: 0.05, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 1}
 	c := server.NewCollector(server.CollectorConfig{})

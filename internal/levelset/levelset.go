@@ -34,20 +34,28 @@
 // to classification disagreements near the heaviness threshold.
 //
 // Layout and update order. A repetition keeps its tracked items in a
-// dense slab (parallel items/counts/levels slices, unordered) plus a
-// sketch.ItemIndex from item to slab position; Merge, Bands and marshal
-// walk the slab, only admission, eviction and merge touch the index.
-// Two facts hold at all times: a tracked item has level ≥ T (eviction
-// removes everything below T, admission requires level ≥ T), and T only
-// rises. So an element whose level is below T cannot be tracked, and the
-// update computes the level first — through the 4-lane hash kernel in
-// UpdateBatch — and probes the index only for the 2^(−T) survivors. For
-// the same reason a repetition never tracks more than the budget unless T
-// has reached maxLevel, and a decoded one may not either. The heavy part
-// follows sketch.SpaceSaving's ordering contract: a decoded or merged
-// summary holds its counters in item order, so a fold of decoded states
-// joins slabs and reads every argument in place, and Bands reads the
-// counters without the heap a merge leaves stale.
+// dense slab (parallel items/counts/levels slices). Two facts hold at all
+// times: a tracked item has level ≥ T (eviction removes everything below
+// T, admission requires level ≥ T), and T only rises. So an element whose
+// level is below T cannot be tracked, and the update computes the level
+// first — through the 4-lane hash kernel in UpdateBatch — and probes for
+// the item only for the 2^(−T) survivors. For the same reason a
+// repetition never tracks more than the budget unless T has reached
+// maxLevel, and a decoded one may not either.
+//
+// Both parts follow one ordering contract. A fresh, decoded or merged
+// repetition holds its slab in increasing item order and has no index;
+// Merge joins two ordered slabs, Decode takes the payload's run as it
+// stands, and Encode writes the slab in place. Only the owner's updates
+// (Observe, UpdateBatch) need to find an item, so they index the slab
+// first — once per call, not per item — and leave the repetition fed:
+// unordered, with a sketch.ItemIndex from item to slab position. Merge
+// lays a fed receiver out in item order in place, sorts a fed argument's
+// surviving positions into scratch the receiver owns, and never writes
+// its argument, so a collector's decoded states are only ever read,
+// whatever the number of queries folding them. The heavy part is
+// sketch.SpaceSaving, whose own contract is the same; Bands reads both
+// parts' slabs in any layout.
 package levelset
 
 import (
@@ -78,17 +86,21 @@ type Estimator struct {
 
 // repState is one independent repetition of the universe-sampling
 // structure: the tracked items in a dense slab (items/counts/levels by
-// slab id, unordered; every reader — Merge, Bands, marshal — walks it)
-// and an index from item to slab id, which only observe, evict and
-// merge touch.
+// slab id) whose layout fed says (see the package comment). Unfed — as
+// New, Decode and Merge leave it — the slab is in increasing item order
+// and index is empty or stale; fed — after observe — index covers the
+// slab, which is in no particular order. Readers (Bands, Encode, Merge's
+// argument) take either layout; own, observe and order are the owner's.
 type repState struct {
 	hash   rng.Hash2
 	items  []stream.Item
 	counts []uint64
 	levels []uint8
 	index  sketch.ItemIndex
+	fed    bool
 	T      int // current threshold level
 	budget int
+	ids    [2][]int32 // Merge's sort space, kept between merges
 }
 
 // Config configures an Estimator.
@@ -143,13 +155,33 @@ func levelOf(h uint64) int {
 func (e *Estimator) Observe(it stream.Item) {
 	e.heavy.Observe(it)
 	for _, rs := range e.reps {
+		rs.own()
 		rs.observe(it, rs.hash.Hash(uint64(it)))
 	}
 }
 
-// observe feeds one element given its universe hash. The level test
-// comes first and rejects 1−2^(−T) of the stream without a table probe:
-// a tracked item always has level ≥ T (see the package comment).
+// own indexes an unfed slab ahead of the owner's updates, leaving the
+// repetition fed.
+func (rs *repState) own() {
+	if !rs.fed {
+		rs.reindex()
+	}
+}
+
+// reindex points the index at every entry of the slab, which makes the
+// repetition fed.
+func (rs *repState) reindex() {
+	rs.index.Reset(len(rs.items))
+	for id := range rs.items {
+		rs.index.Put(rs.items, int32(id))
+	}
+	rs.fed = true
+}
+
+// observe feeds one element given its universe hash to a fed repetition.
+// The level test comes first and rejects 1−2^(−T) of the stream without a
+// table probe: a tracked item always has level ≥ T (see the package
+// comment).
 func (rs *repState) observe(it stream.Item, h uint64) {
 	lvl := levelOf(h)
 	if lvl < rs.T {
@@ -161,10 +193,12 @@ func (rs *repState) observe(it stream.Item, h uint64) {
 	}
 	rs.push(it, 1, uint8(lvl))
 	rs.index.Put(rs.items, int32(len(rs.items)-1))
-	// Raise the threshold and evict until the tracked set fits the budget.
+	// Raise the threshold and evict until the tracked set fits the budget,
+	// re-pointing the index at the survivors.
 	for len(rs.items) > rs.budget {
 		rs.T++
-		rs.evict()
+		rs.keep(rs.T)
+		rs.reindex()
 		if rs.T >= maxLevel {
 			break
 		}
@@ -176,21 +210,17 @@ func (rs *repState) push(it stream.Item, count uint64, level uint8) {
 	rs.items, rs.counts, rs.levels = append(rs.items, it), append(rs.counts, count), append(rs.levels, level)
 }
 
-// evict drops every tracked item below the threshold, compacting the
-// slab in place and re-pointing the index at the survivors.
-func (rs *repState) evict() {
+// keep drops every entry below level T, compacting the slab in place with
+// the survivors' order kept.
+func (rs *repState) keep(T int) {
 	n := 0
 	for id, lvl := range rs.levels {
-		if int(lvl) >= rs.T {
+		if int(lvl) >= T {
 			rs.items[n], rs.counts[n], rs.levels[n] = rs.items[id], rs.counts[id], lvl
 			n++
 		}
 	}
 	rs.items, rs.counts, rs.levels = rs.items[:n], rs.counts[:n], rs.levels[:n]
-	rs.index.Reset(n)
-	for id := range rs.items {
-		rs.index.Put(rs.items, int32(id))
-	}
 }
 
 // heavySet returns the certified heavy items: SpaceSaving counters whose
@@ -247,8 +277,17 @@ func (e *Estimator) Bands() []BandStats {
 	rowOf := make(map[int]int)
 	var bands []int
 	var cells []float64
+	// Every frequency here is an integer, nearly all of them small, so
+	// those bands are memoized (band+1, 0 until first asked): bandOf takes
+	// a logarithm.
+	var memo [1024]int
 	cell := func(g float64, col int) *float64 {
-		b := e.bandOf(g)
+		var b int
+		if small := g < float64(len(memo)); small && memo[int(g)] != 0 {
+			b = memo[int(g)] - 1
+		} else if b = e.bandOf(g); small {
+			memo[int(g)] = b + 1
+		}
 		row, ok := rowOf[b]
 		if !ok {
 			row = len(bands)
@@ -346,11 +385,12 @@ func (e *Estimator) ThresholdLevels() []int {
 	return out
 }
 
-// SpaceBytes returns the bytes of the slices the estimator holds.
+// SpaceBytes returns the bytes of the slices the estimator holds, Merge's
+// scratch included.
 func (e *Estimator) SpaceBytes() int {
 	total := e.heavy.SpaceBytes()
 	for _, rs := range e.reps {
-		total += 8*cap(rs.items) + 8*cap(rs.counts) + cap(rs.levels) + rs.index.SpaceBytes()
+		total += 8*cap(rs.items) + 8*cap(rs.counts) + cap(rs.levels) + rs.index.SpaceBytes() + 4*(cap(rs.ids[0])+cap(rs.ids[1]))
 	}
 	return total
 }

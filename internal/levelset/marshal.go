@@ -3,7 +3,6 @@ package levelset
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"substream/internal/sketch"
 	"substream/internal/stream"
@@ -68,25 +67,32 @@ func (e *Estimator) Encode(w *wire.Writer) {
 	w.U32(uint32(e.budget))
 	w.Nest(e.heavy)
 	w.U32(uint32(len(e.reps)))
-	var sorted []stream.Item
+	var buf [2][]int32
 	for _, rs := range e.reps {
-		w.Hash2(rs.hash)
-		w.U32(uint32(rs.T))
-		// Increasing item order, so equal states serialize identically
-		// whatever order their slabs grew in; a sizing pass takes the
-		// entries in any order.
-		items := rs.items
-		if !w.Sizing() {
-			sorted = append(sorted[:0], items...)
-			slices.Sort(sorted)
-			items = sorted
-		}
-		run := w.Run(len(items))
-		for _, it := range items {
-			id, _ := rs.index.Get(rs.items, it)
+		rs.encode(w, &buf)
+	}
+}
+
+// encode writes one repetition's part of the payload. The run is in
+// increasing item order, so equal states serialize identically whatever
+// order their slabs grew in: an unfed slab is written as it stands, a fed
+// one through its sorted positions, sorted into the caller's buf because
+// encoding only reads the state. A sizing pass takes the entries in any
+// order.
+func (rs *repState) encode(w *wire.Writer, buf *[2][]int32) {
+	w.Hash2(rs.hash)
+	w.U32(uint32(rs.T))
+	run := w.Run(len(rs.items))
+	if !rs.fed || w.Sizing() {
+		for id, it := range rs.items {
 			run.Put(it, rs.counts[id])
 			w.U8(rs.levels[id])
 		}
+		return
+	}
+	for _, id := range rs.above(0, buf) {
+		run.Put(rs.items[id], rs.counts[id])
+		w.U8(rs.levels[id])
 	}
 }
 
@@ -130,9 +136,10 @@ func DecodeEstimator(r *wire.Reader) (*Estimator, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
+		// The run's keys strictly increase (RunReader.Next refuses anything
+		// else), so the slab is unfed as decoded: in item order, no index.
 		rs := &repState{hash: hash, T: T, budget: budget, items: make([]stream.Item, 0, run.N),
 			counts: make([]uint64, 0, run.N), levels: make([]uint8, 0, run.N)}
-		rs.index.Reset(run.N)
 		for run.Next() {
 			// Every tracked item's sampling level is at least the final
 			// threshold (lower levels were evicted when T rose).
@@ -141,7 +148,6 @@ func DecodeEstimator(r *wire.Reader) (*Estimator, error) {
 				r.Fail()
 			}
 			rs.push(run.Item, run.Count, level)
-			rs.index.Put(rs.items, int32(len(rs.items)-1))
 		}
 		if err := r.Err(); err != nil {
 			return nil, err

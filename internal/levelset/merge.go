@@ -2,6 +2,7 @@ package levelset
 
 import (
 	"fmt"
+	"slices"
 
 	"substream/internal/sketch"
 	"substream/internal/stream"
@@ -77,44 +78,95 @@ func (e *Estimator) Merge(other *Estimator) error {
 	return nil
 }
 
-// merge folds os into rs. Foreign entries the receiver already tracks
-// add in place; the rest append past the receiver's own (unindexed)
-// until the final threshold is known, so nothing is indexed only to be
-// evicted. T rises once — to the first level at which the union fits
-// the budget, read off the union's level histogram — and one pass
-// evicts below it.
+// merge folds os into rs and leaves rs unfed (see the ordering contract).
+// Both sides' entries at level ≥ T = max(rs.T, os.T) are joined in item
+// order into the receiver's slab, equal items' counts added. If the union
+// exceeds the budget, T rises once — to the first level at which it fits,
+// read off the union's level histogram — and one pass drops the entries
+// below it, order kept. os is only read.
 func (rs *repState) merge(os *repState) {
 	T := max(rs.T, os.T)
-	own := len(rs.items)
-	for oid, it := range os.items {
-		if int(os.levels[oid]) < T {
-			continue
-		}
-		if id, ok := rs.index.Get(rs.items, it); ok {
-			rs.counts[id] += os.counts[oid]
-		} else {
-			rs.push(it, os.counts[oid], os.levels[oid])
-		}
+	// Ordering the receiver first makes a self-merge read an ordered
+	// argument in place, which join allows.
+	rs.order()
+	if T > rs.T {
+		rs.keep(T)
 	}
-	if T > rs.T || len(rs.items) > rs.budget {
+	rs.join(os, os.above(T, &rs.ids))
+	if len(rs.items) > rs.budget {
 		var hist [maxLevel + 1]int
 		for _, lvl := range rs.levels {
 			hist[lvl]++
 		}
-		size := 0
-		for _, n := range hist[T:] {
-			size += n
-		}
-		for ; size > rs.budget && T < maxLevel; T++ {
+		for size := len(rs.items); size > rs.budget && T < maxLevel; T++ {
 			size -= hist[T]
 		}
-		rs.T = T
-		rs.evict()
-		return
+		rs.keep(T)
 	}
-	for id := own; id < len(rs.items); id++ {
-		rs.index.Put(rs.items, int32(id))
+	rs.T = T
+}
+
+// above returns the positions of the entries at level ≥ T in increasing
+// item order, in buf's two buffers, grown as needed: an unfed slab's as
+// they stand, a fed one's sorted by sketch.SortByItem. It only reads rs.
+func (rs *repState) above(T int, buf *[2][]int32) []int32 {
+	ids := slices.Grow(buf[0][:0], len(rs.items))[:len(rs.items)]
+	n := 0
+	for id, lvl := range rs.levels {
+		ids[n] = int32(id)
+		if int(lvl) >= T {
+			n++
+		}
 	}
+	buf[0], ids = ids, ids[:n]
+	if !rs.fed {
+		return ids
+	}
+	buf[1] = slices.Grow(buf[1][:0], n)[:n]
+	return sketch.SortByItem(rs.items, ids, buf[1])
+}
+
+// order lays a fed slab out in item order, in place, leaving the index
+// stale and the repetition unfed.
+func (rs *repState) order() {
+	if rs.fed {
+		sketch.Permute(rs.above(0, &rs.ids), rs.items, rs.counts, rs.levels)
+		rs.fed = false
+	}
+}
+
+// join merges the entries of os at ids, in item order, into the
+// receiver's ordered slab. It joins from the back into the slab itself,
+// grown to hold both runs: the write position never falls below an entry
+// of either run still to be read — not even when os is the receiver, in a
+// self-merge — so nothing is copied out first. Each pair of equal items
+// leaves one gap, closed by moving the joined tail down at the end.
+func (rs *repState) join(os *repState, ids []int32) {
+	na, nb := len(rs.items), len(ids)
+	items := slices.Grow(rs.items, nb)[:na+nb]
+	counts := slices.Grow(rs.counts, nb)[:na+nb]
+	levels := slices.Grow(rs.levels, nb)[:na+nb]
+	i, j, o := na-1, nb-1, na+nb-1
+	for ; j >= 0; o-- {
+		id := ids[j]
+		switch b := os.items[id]; {
+		case i >= 0 && items[i] > b: // the receiver's alone
+			items[o], counts[o], levels[o] = items[i], counts[i], levels[i]
+			i--
+		case i < 0 || items[i] < b: // the argument's alone
+			items[o], counts[o], levels[o] = b, os.counts[id], os.levels[id]
+			j--
+		default: // tracked on both sides, at the same level
+			items[o], counts[o], levels[o] = b, counts[i]+os.counts[id], levels[i]
+			i, j = i-1, j-1
+		}
+	}
+	// The join is items[:i+1], the receiver's first entries in place, then
+	// items[o+1:].
+	n := i + 1 + copy(items[i+1:], items[o+1:])
+	copy(counts[i+1:], counts[o+1:])
+	copy(levels[i+1:], levels[o+1:])
+	rs.items, rs.counts, rs.levels = items[:n], counts[:n], levels[:n]
 }
 
 // MergeCounter implements CollisionCounter.
@@ -139,6 +191,7 @@ func (e *Estimator) UpdateBatch(items []stream.Item) {
 // through the lane kernel; levels are tested in item order against the
 // live threshold, so the state is bit-identical to per-item observe.
 func (rs *repState) updateBatch(items []stream.Item) {
+	rs.own()
 	h := rs.hash
 	i := 0
 	for ; i+4 <= len(items); i += 4 {

@@ -78,7 +78,7 @@ func refRepOf(rs *repState) *refRep {
 // rep copies the reference back into the slab layout (in map order: the
 // slab's order must not be observable).
 func (rs *refRep) rep() *repState {
-	out := &repState{hash: rs.hash, T: rs.T, budget: rs.budget}
+	out := &repState{hash: rs.hash, T: rs.T, budget: rs.budget, fed: true}
 	for it, tr := range rs.counts {
 		out.push(it, tr.count, tr.level)
 		out.index.Put(out.items, int32(len(out.items)-1))

@@ -226,7 +226,7 @@ func DecodeSpaceSaving(r *wire.Reader) (*SpaceSaving, error) {
 	// gives.
 	var buf [2][]int32
 	pos := sortByItem(in.items, &buf)
-	in.permute(pos)
+	Permute(pos, in.items, in.counts, in.errs)
 	for id := 1; id < count; id++ {
 		if in.items[id] == in.items[id-1] {
 			r.Fail()

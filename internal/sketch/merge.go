@@ -176,30 +176,38 @@ func (r *ssRun) gather(src ssRun, ids []int32) {
 	}
 }
 
-// sortByItem returns the positions of items in increasing item order: an
-// LSD radix sort of 4-byte positions read through items (a summary's
-// slab, which stays in cache) rather than of the 24-byte counters. Each
-// pass sorts on the 11 bits from the lowest bit in which some two items
-// still differ, so the bits every item shares cost nothing: two passes
-// for keys below 2^22, three for IPv4 addresses. buf holds its two
-// buffers, grown to len(items) as needed; the result is whichever of the
-// two the last pass wrote.
+// sortByItem returns the positions of items in increasing item order.
+// buf holds SortByItem's two buffers, grown to len(items) as needed.
 func sortByItem(items []stream.Item, buf *[2][]int32) []int32 {
-	const digit = 1<<11 - 1
 	for i := range buf {
 		buf[i] = slices.Grow(buf[i][:0], len(items))[:len(items)]
 	}
-	ids, tmp := buf[0], buf[1]
+	for id := range buf[0] {
+		buf[0][id] = int32(id)
+	}
+	return SortByItem(items, buf[0], buf[1])
+}
+
+// SortByItem sorts ids, positions in items, into increasing item order:
+// an LSD radix sort of 4-byte positions read through items (a summary's
+// slab, which stays in cache) rather than of the entries themselves, so a
+// caller that wants only some entries in order hands in just their
+// positions. Each pass sorts on the 11 bits from the lowest bit in which
+// some two of those items still differ, so the bits every one shares cost
+// nothing: two passes for keys below 2^22, three for IPv4 addresses. tmp
+// is scratch of len(ids); the result is whichever of the two the last
+// pass wrote.
+func SortByItem(items []stream.Item, ids, tmp []int32) []int32 {
+	const digit = 1<<11 - 1
 	and, or := ^stream.Item(0), stream.Item(0)
-	for id, it := range items {
-		ids[id] = int32(id)
-		and, or = and&it, or|it
+	for _, id := range ids {
+		and, or = and&items[id], or|items[id]
 	}
 	for varying := uint64(and ^ or); varying != 0; varying &^= digit << bits.TrailingZeros64(varying) {
 		shift := bits.TrailingZeros64(varying)
 		var start [digit + 1]int32
-		for _, it := range items {
-			start[uint64(it)>>shift&digit]++
+		for _, id := range ids {
+			start[uint64(items[id])>>shift&digit]++
 		}
 		pos := int32(0)
 		for d, n := range start {
@@ -215,23 +223,25 @@ func sortByItem(items []stream.Item, buf *[2][]int32) []int32 {
 	return ids
 }
 
-// permute reorders r in place so that entry i becomes the one ids[i]
-// named: one walk around each cycle of the permutation, marking the
+// Permute reorders a slab of parallel slices (items, counts, and a third
+// per-entry field) in place so that entry i becomes the one ids[i] named,
+// ids being a permutation of the slab's positions such as SortByItem
+// returns: one walk around each cycle of the permutation, marking the
 // positions filled by complementing them in ids, which it then restores.
-func (r ssRun) permute(ids []int32) {
+func Permute[E any](ids []int32, items []stream.Item, counts []uint64, extra []E) {
 	for start := range ids {
 		if ids[start] < 0 {
 			continue
 		}
-		it, c, e := r.items[start], r.counts[start], r.errs[start]
+		it, c, e := items[start], counts[start], extra[start]
 		for j := start; ; {
 			k := int(ids[j])
 			ids[j] = ^ids[j]
 			if k == start {
-				r.items[j], r.counts[j], r.errs[j] = it, c, e
+				items[j], counts[j], extra[j] = it, c, e
 				break
 			}
-			r.items[j], r.counts[j], r.errs[j] = r.items[k], r.counts[k], r.errs[k]
+			items[j], counts[j], extra[j] = items[k], counts[k], extra[k]
 			j = k
 		}
 	}
@@ -246,7 +256,7 @@ func (ss *SpaceSaving) order() {
 	if ss.layout != ssFed {
 		return
 	}
-	ss.slab().permute(sortByItem(ss.h.items, &ss.ids))
+	Permute(sortByItem(ss.h.items, &ss.ids), ss.h.items, ss.h.counts, ss.errs)
 	ss.layout = ssMerged
 }
 

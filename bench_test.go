@@ -1,9 +1,10 @@
 // Package substream_bench holds the repository-level benchmark harness:
-// one benchmark per reproduced experiment (E1–E10, DESIGN.md §3) plus
-// throughput microbenchmarks for the estimators. The experiment benches
-// call the same runners as cmd/experiments at reduced scale, so
-// `go test -bench=.` regenerates every table's machinery end to end;
-// the full-scale numbers live in EXPERIMENTS.md.
+// one benchmark per reproduced experiment (E1–E10, the table in
+// internal/experiments/README.md maps each to its claim) plus throughput
+// microbenchmarks for the estimators. The experiment benches call the
+// same runners as cmd/experiments at reduced scale, so `go test -bench=.`
+// regenerates every table's machinery end to end; `go run
+// ./cmd/experiments` prints the full-scale numbers.
 package substream_bench
 
 import (

@@ -1,6 +1,6 @@
-// Command experiments regenerates every reproduction table (E1–E10 in
-// DESIGN.md §3). Each experiment validates one quantitative claim of the
-// paper; the output of a full run is recorded in EXPERIMENTS.md.
+// Command experiments regenerates every reproduction table (E1–E12, listed
+// with their claims in internal/experiments/README.md). Each experiment
+// validates one quantitative claim of the paper, or probes an extension.
 //
 // Usage:
 //

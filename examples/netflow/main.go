@@ -34,8 +34,8 @@ func main() {
 	)
 	r := rng.New(7)
 
-	// Synthetic trace: Zipf-popular flows with Pareto sizes (DESIGN.md
-	// §4.1 substitution for proprietary traces).
+	// Synthetic trace: Zipf-popular flows with Pareto sizes, standing in
+	// for proprietary traces (see internal/workload).
 	wl, _ := workload.NetFlow(packets, flows, 1.05, 1.3, 4, r.Uint64())
 	truth := stream.NewFreq(wl.Stream)
 

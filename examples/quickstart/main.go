@@ -10,6 +10,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"substream/internal/core"
 	"substream/internal/rng"
@@ -18,7 +20,11 @@ import (
 	"substream/internal/workload"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the comparison to w; the seeds are fixed, so it prints the
+// same every time.
+func run(w io.Writer) {
 	const p = 0.10 // sampling probability, fixed by the router
 	r := rng.New(42)
 
@@ -41,17 +47,17 @@ func main() {
 		return nil
 	})
 
-	fmt.Printf("original stream: n=%d, distinct=%d — monitor saw only %d items (%.1f%%)\n\n",
+	fmt.Fprintf(w, "original stream: n=%d, distinct=%d — monitor saw only %d items (%.1f%%)\n\n",
 		exact.N, exact.F0, observed, 100*float64(observed)/float64(exact.N))
 
 	show := func(name string, est, truth float64) {
-		fmt.Printf("%-8s estimate %14.4g   exact %14.4g   error %+6.2f%%\n",
+		fmt.Fprintf(w, "%-8s estimate %14.4g   exact %14.4g   error %+6.2f%%\n",
 			name, est, truth, 100*(est-truth)/truth)
 	}
 	show("F2", f2.Estimate(), exact.F2)
 	show("F0", f0.Estimate(), float64(exact.F0))
 	show("entropy", ent.Estimate(), exact.Entropy)
 
-	fmt.Printf("\nspace used: F2=%dB  F0=%dB  entropy=%dB  (stream was %d items)\n",
+	fmt.Fprintf(w, "\nspace used: F2=%dB  F0=%dB  entropy=%dB  (stream was %d items)\n",
 		f2.SpaceBytes(), f0.SpaceBytes(), ent.SpaceBytes(), exact.N)
 }

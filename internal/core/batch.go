@@ -26,11 +26,7 @@ func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch
 // UpdateBatch feeds a batch of sampled-stream elements.
 func (e *EntropyEstimator) UpdateBatch(items []stream.Item) {
 	e.nL += uint64(len(items))
-	if e.plugin != nil {
-		e.plugin.UpdateBatch(items)
-		return
-	}
-	e.sk.UpdateBatch(items)
+	e.counts.UpdateBatch(items)
 }
 
 // UpdateBatch feeds a batch of sampled-stream elements. The candidate
@@ -88,11 +84,7 @@ func (e *FkEstimator) Settle() {
 func (e *GEEF0Estimator) Settle() { e.counts.Settle() }
 
 // Settle: see FkEstimator.Settle.
-func (e *EntropyEstimator) Settle() {
-	if e.plugin != nil {
-		e.plugin.Settle()
-	}
-}
+func (e *EntropyEstimator) Settle() { e.counts.Settle() }
 
 // Settle settles the two parts that may hold an exact counting store.
 func (m *Monitor) Settle() {

@@ -7,16 +7,15 @@
 //     (exact or Indyk–Woodruff-style level sets);
 //   - F0Estimator: distinct elements (Algorithm 2, Lemma 8) over a KMV
 //     sketch, plus the GEE sample-profile estimator;
-//   - EntropyEstimator: empirical entropy (Theorem 5), plugin or
-//     sketched;
-//   - F1HeavyHitters / F2HeavyHitters: Theorems 6 and 7, on CountMin
-//     (or, in-process only, Misra–Gries) and CountSketch backends
-//     respectively;
-//   - baselines: Rusu–Dobra-style scaled F₂ estimation and naive
-//     normalization, used by the comparison experiments.
+//   - EntropyEstimator: empirical entropy (Theorem 5), the plug-in over
+//     the exact frequencies of L;
+//   - F1HeavyHitters / F2HeavyHitters: Theorems 6 and 7, on CountMin and
+//     CountSketch respectively;
+//   - Monitor: F_k, F₀, entropy and both heavy-hitter estimators over
+//     one sampled stream.
 //
-// All estimators take the sampling probability p as a known parameter, as
-// the paper assumes (§2).
+// Every one merges and has a wire form. All take the sampling
+// probability p as a known parameter, as the paper assumes (§2).
 package core
 
 // This file computes the β coefficients of Lemma 1,

@@ -34,11 +34,9 @@ func init() {
 	})
 	estimator.Register(estimator.Kind{
 		Tag: TagEntropy, Name: "entropy",
-		Doc: "empirical entropy H(P) via the plugin backend (the mergeable one)",
+		Doc: "Theorem 5: empirical entropy H(P), the plug-in over the frequencies of L",
 		New: func(s estimator.Spec) (estimator.Estimator, error) {
-			// Plugin backend: the only entropy backend with a sound merge
-			// and therefore a wire form (see marshal.go).
-			return estimator.Adapt(NewEntropyEstimator(EntropyConfig{P: s.P}, rng.New(s.Seed))), nil
+			return estimator.Adapt(NewEntropyEstimator(EntropyConfig{P: s.P}, nil)), nil
 		},
 		Decode: estimator.DecodeTyped(DecodeEntropyEstimator),
 	})

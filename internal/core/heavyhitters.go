@@ -22,29 +22,16 @@ import (
 // conversion.
 type ReportedHitter = estimator.Hitter
 
-// F1Backend selects the sampled-stream heavy-hitter algorithm used by
-// F1HeavyHitters.
-type F1Backend int
-
-// Supported F1 heavy-hitter backends.
-const (
-	// F1CountMin uses the CountMin sketch, as in Theorem 6's proof.
-	F1CountMin F1Backend = iota
-	// F1MisraGries uses the Misra–Gries summary, the insert-only
-	// alternative the paper notes.
-	F1MisraGries
-)
-
 // F1HeavyHitters implements Theorem 6: observing L, report every item
 // with f_i ≥ α·F₁(P), no item with f_i < (1−ε)·α·F₁(P), and (1±ε)
-// frequency estimates, provided F₁(P) ≥ C·p⁻¹α⁻¹ε⁻²·log(n/δ).
+// frequency estimates, provided F₁(P) ≥ C·p⁻¹α⁻¹ε⁻²·log(n/δ). The
+// sampled-stream algorithm is CountMin, as in the theorem's proof.
 type F1HeavyHitters struct {
 	p        float64
 	alpha    float64
 	eps      float64
 	alphaPr  float64
 	cm       *sketch.CountMin
-	mg       *sketch.MisraGries
 	tracker  *sketch.TopK
 	observed uint64
 }
@@ -59,9 +46,6 @@ type F1HHConfig struct {
 	Epsilon float64
 	// Delta is the failure probability budget. Default 0.05.
 	Delta float64
-	// Backend selects CountMin (default) or Misra–Gries, E7's in-process
-	// comparison, which has no wire form and no merge.
-	Backend F1Backend
 }
 
 // NewF1HeavyHitters builds the estimator.
@@ -84,25 +68,16 @@ func NewF1HeavyHitters(cfg F1HHConfig, r *rng.Xoshiro256) *F1HeavyHitters {
 		delta = 0.05
 	}
 	alphaPr := (1 - 2*eps/5) * cfg.Alpha
-	h := &F1HeavyHitters{
+	return &F1HeavyHitters{
 		p:       cfg.P,
 		alpha:   cfg.Alpha,
 		eps:     eps,
 		alphaPr: alphaPr,
-		tracker: sketch.NewTopK(trackerCapacity(cfg.Alpha)),
-	}
-	switch cfg.Backend {
-	case F1CountMin:
 		// Point error ≤ (ε/20)·α′·F₁(L) so thresholding at α′·F₁(L)
 		// separates the (1−ε/2) band, per Theorem 6's proof.
-		h.cm = sketch.NewCountMinWithError(eps*alphaPr/20, delta/4, r)
-	case F1MisraGries:
-		k := int(math.Ceil(20 / (eps * alphaPr)))
-		h.mg = sketch.NewMisraGries(k)
-	default:
-		panic("core: unknown F1 heavy-hitter backend")
+		cm:      sketch.NewCountMinWithError(eps*alphaPr/20, delta/4, r),
+		tracker: sketch.NewTopK(trackerCapacity(cfg.Alpha)),
 	}
-	return h
 }
 
 // trackerCapacity sizes the candidate set: O(1/α) items per Definition 4,
@@ -118,34 +93,17 @@ func trackerCapacity(alpha float64) int {
 // Observe feeds one element of the sampled stream L.
 func (h *F1HeavyHitters) Observe(it stream.Item) {
 	h.observed++
-	if h.cm != nil {
-		h.tracker.Update(it, float64(h.cm.ObserveEstimate(it)))
-	} else {
-		h.mg.Observe(it)
-		h.tracker.Update(it, float64(h.mg.Estimate(it)))
-	}
+	h.tracker.Update(it, float64(h.cm.ObserveEstimate(it)))
 }
 
 // Report returns the detected heavy hitters of the original stream,
 // sorted by decreasing estimated frequency.
 func (h *F1HeavyHitters) Report() []ReportedHitter {
-	nL := float64(h.observed)
-	threshold := h.alphaPr * nL
-	if h.mg != nil {
-		// Misra–Gries undercounts by ≤ N/(k+1); admit candidates whose
-		// upper bound clears the threshold.
-		threshold -= h.mg.ErrorBound()
-	}
+	threshold := h.alphaPr * float64(h.observed)
 	var out []ReportedHitter
 	for _, e := range h.tracker.Items() {
 		// Re-query the sketch for the freshest estimate.
-		var est float64
-		if h.cm != nil {
-			est = float64(h.cm.Estimate(e.Item))
-		} else {
-			est = float64(h.mg.Estimate(e.Item))
-		}
-		if est >= threshold {
+		if est := float64(h.cm.Estimate(e.Item)); est >= threshold {
 			out = append(out, ReportedHitter{Item: e.Item, Freq: est / h.p})
 		}
 	}
@@ -169,13 +127,7 @@ func (h *F1HeavyHitters) MinStreamLength(n uint64, delta float64) float64 {
 
 // SpaceBytes returns the approximate memory footprint.
 func (h *F1HeavyHitters) SpaceBytes() int {
-	s := h.tracker.SpaceBytes()
-	if h.cm != nil {
-		s += h.cm.SpaceBytes()
-	} else {
-		s += h.mg.SpaceBytes()
-	}
-	return s
+	return h.cm.SpaceBytes() + h.tracker.SpaceBytes()
 }
 
 // F2HeavyHitters implements Theorem 7: observing L, report the

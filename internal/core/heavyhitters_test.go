@@ -41,36 +41,34 @@ func TestF1HeavyHittersTheorem6(t *testing.T) {
 	s := plantedStream(n, 4, n/20, 50000, 1)
 	f := stream.NewFreq(s)
 	const alpha, eps = 0.04, 0.2
-	for _, backend := range []F1Backend{F1CountMin, F1MisraGries} {
-		for _, p := range []float64{0.5, 0.1} {
-			b := sample.NewBernoulli(p)
-			r := rng.New(2)
-			L := b.Apply(s, r.Split())
-			hh := NewF1HeavyHitters(F1HHConfig{P: p, Alpha: alpha, Epsilon: eps, Backend: backend}, r.Split())
-			for _, it := range L {
-				hh.Observe(it)
-			}
-			rep := reportedSet(hh.Report())
-			// (1) every true heavy hitter reported with ±ε frequency.
-			threshold := alpha * float64(f.F1())
-			for it, c := range f {
-				if float64(c) >= threshold {
-					got, ok := rep[it]
-					if !ok {
-						t.Fatalf("backend=%d p=%v: heavy item %d (f=%d) missed", backend, p, it, c)
-					}
-					if math.Abs(got-float64(c))/float64(c) > eps {
-						t.Fatalf("backend=%d p=%v: item %d freq %v, true %d", backend, p, it, got, c)
-					}
+	for _, p := range []float64{0.5, 0.1} {
+		b := sample.NewBernoulli(p)
+		r := rng.New(2)
+		L := b.Apply(s, r.Split())
+		hh := NewF1HeavyHitters(F1HHConfig{P: p, Alpha: alpha, Epsilon: eps}, r.Split())
+		for _, it := range L {
+			hh.Observe(it)
+		}
+		rep := reportedSet(hh.Report())
+		// (1) every true heavy hitter reported with ±ε frequency.
+		threshold := alpha * float64(f.F1())
+		for it, c := range f {
+			if float64(c) >= threshold {
+				got, ok := rep[it]
+				if !ok {
+					t.Fatalf("p=%v: heavy item %d (f=%d) missed", p, it, c)
+				}
+				if math.Abs(got-float64(c))/float64(c) > eps {
+					t.Fatalf("p=%v: item %d freq %v, true %d", p, it, got, c)
 				}
 			}
-			// (2) nothing below (1−ε)·α·F1 reported.
-			exclude := (1 - eps) * threshold
-			for it := range rep {
-				if float64(f[it]) < exclude {
-					t.Fatalf("backend=%d p=%v: light item %d (f=%d < %v) reported",
-						backend, p, it, f[it], exclude)
-				}
+		}
+		// (2) nothing below (1−ε)·α·F1 reported.
+		exclude := (1 - eps) * threshold
+		for it := range rep {
+			if float64(f[it]) < exclude {
+				t.Fatalf("p=%v: light item %d (f=%d < %v) reported",
+					p, it, f[it], exclude)
 			}
 		}
 	}
@@ -108,7 +106,6 @@ func TestF1HeavyHittersPanics(t *testing.T) {
 		{P: 0.5, Alpha: 0},
 		{P: 0.5, Alpha: 1},
 		{P: 0.5, Alpha: 0.1, Epsilon: -0.1},
-		{P: 0.5, Alpha: 0.1, Backend: F1Backend(9)},
 	}
 	for i, cfg := range cases {
 		func() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"substream/internal/levelset"
@@ -14,12 +13,6 @@ import (
 // an agent daemon ships its cumulative estimator state to a collector,
 // which decodes and folds it with the Merge paths in merge.go. The
 // core package owns the tag range 0x20–0x2f (see internal/server/doc.go).
-//
-// Only the configurations a registered kind builds serialize: the
-// reservoir-position entropy sketch backend has no sound merge (a probe's
-// run length cannot continue across processes) and F1's Misra–Gries
-// backend is an in-process comparison (E7), so neither has a wire form —
-// MarshalBinary returns ErrNotMergeable for both.
 
 // Type tags for the serialized estimator wrappers.
 const (
@@ -132,22 +125,15 @@ func DecodeGEEF0Estimator(r *wire.Reader) (*GEEF0Estimator, error) {
 // MarshalBinary serializes the estimator.
 func (e *EntropyEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
-// Encode writes the estimator, the plugin's frequencies as a sorted item
-// run. Only the plugin backend has a wire form; the reservoir-position
-// sketch backend fails with ErrNotMergeable.
+// Encode writes the estimator, its frequencies as a sorted item run.
 func (e *EntropyEstimator) Encode(w *wire.Writer) {
-	if e.plugin == nil {
-		w.Fail(fmt.Errorf("%w: entropy sketch backend has no wire form", ErrNotMergeable))
-		return
-	}
 	w.Header(TagEntropy)
 	w.F64(e.p)
 	w.U64(e.nL)
-	e.plugin.Encode(w)
+	e.counts.Encode(w)
 }
 
-// DecodeEntropyEstimator reads a plugin-backend EntropyEstimator written
-// by Encode.
+// DecodeEntropyEstimator reads an EntropyEstimator written by Encode.
 func DecodeEntropyEstimator(r *wire.Reader) (*EntropyEstimator, error) {
 	r.Header(TagEntropy)
 	p := r.F64()
@@ -155,26 +141,20 @@ func DecodeEntropyEstimator(r *wire.Reader) (*EntropyEstimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	plugin := new(sketch.ItemCounts)
-	plugin.Decode(r, nL)
-	if r.Err() == nil && plugin.N() != nL {
-		r.Failf("core: entropy frequencies sum to %d, header says %d", plugin.N(), nL)
+	e := &EntropyEstimator{p: p, nL: nL}
+	e.counts.Decode(r, nL)
+	if r.Err() == nil && e.counts.N() != nL {
+		r.Failf("core: entropy frequencies sum to %d, header says %d", e.counts.N(), nL)
 	}
-	return &EntropyEstimator{p: p, nL: nL, plugin: plugin}, r.Err()
+	return e, r.Err()
 }
 
 // MarshalBinary serializes the estimator.
 func (h *F1HeavyHitters) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 
 // Encode writes the estimator, its CountMin and candidate tracker nested
-// in place. Only the CountMin backend has a wire form; the Misra–Gries one
-// fails with ErrNotMergeable. The byte before the CountMin names the
-// backend and is always 0.
+// in place. The byte before the CountMin is always 0.
 func (h *F1HeavyHitters) Encode(w *wire.Writer) {
-	if h.cm == nil {
-		w.Fail(fmt.Errorf("%w: F1 Misra-Gries backend has no wire form", ErrNotMergeable))
-		return
-	}
 	w.Header(TagF1HeavyHitters)
 	w.F64(h.p)
 	w.F64(h.alpha)
@@ -185,8 +165,8 @@ func (h *F1HeavyHitters) Encode(w *wire.Writer) {
 	w.Nest(h.tracker)
 }
 
-// DecodeF1HeavyHitters reads a CountMin-backed F1HeavyHitters written by
-// Encode.
+// DecodeF1HeavyHitters reads an F1HeavyHitters written by Encode; it
+// refuses a non-zero backend byte.
 func DecodeF1HeavyHitters(r *wire.Reader) (*F1HeavyHitters, error) {
 	r.Header(TagF1HeavyHitters)
 	p := r.F64()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"substream/internal/rng"
@@ -129,13 +128,6 @@ func TestEntropyEstimatorMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEntropySketchBackendNotSerializable(t *testing.T) {
-	e := NewEntropyEstimator(EntropyConfig{P: 0.2, Backend: EntropySketch}, rng.New(19))
-	if _, err := e.MarshalBinary(); !errors.Is(err, ErrNotMergeable) {
-		t.Fatalf("sketch backend marshaled (err=%v), want ErrNotMergeable", err)
-	}
-}
-
 func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 	s := marshalSample(40000, 7)
 	t.Run("f1-countmin", func(t *testing.T) {
@@ -167,27 +159,6 @@ func TestHeavyHittersMarshalRoundTrip(t *testing.T) {
 		sib.Observe(1)
 		if err := back.Merge(sib); err != nil {
 			t.Fatal(err)
-		}
-	})
-	// The Misra–Gries backend is E7's in-process comparison: it has no
-	// wire form and no merge, and says so instead of shipping.
-	t.Run("f1-misragries", func(t *testing.T) {
-		mk := func() *F1HeavyHitters {
-			return NewF1HeavyHitters(F1HHConfig{P: 0.2, Alpha: 0.05, Backend: F1MisraGries}, rng.New(23))
-		}
-		h := mk()
-		for _, it := range s {
-			h.Observe(it)
-		}
-		if _, err := h.MarshalBinary(); !errors.Is(err, ErrNotMergeable) {
-			t.Fatalf("Misra-Gries backend marshaled (err=%v), want ErrNotMergeable", err)
-		}
-		if err := h.Merge(mk()); !errors.Is(err, ErrNotMergeable) {
-			t.Fatalf("Misra-Gries backend merged (err=%v), want ErrNotMergeable", err)
-		}
-		cm := NewF1HeavyHitters(F1HHConfig{P: 0.2, Alpha: 0.05}, rng.New(23))
-		if err := cm.Merge(h); !errors.Is(err, ErrNotMergeable) {
-			t.Fatalf("Misra-Gries backend merged into CountMin (err=%v), want ErrNotMergeable", err)
 		}
 	})
 	t.Run("f2", func(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"substream/internal/sketch"
@@ -19,13 +18,7 @@ import (
 // replica with the same configuration AND a generator seeded identically
 // (the deterministic constructors make this trivial). Merge verifies
 // structure and hash agreement and returns sketch.ErrIncompatible when
-// replicas were not built that way. Backends that are inherently
-// single-stream (the reservoir-position entropy sketch) or in-process
-// comparisons only (F1's Misra–Gries) return ErrNotMergeable.
-
-// ErrNotMergeable is returned by Merge when the estimator's configured
-// backend has no sound merge operation.
-var ErrNotMergeable = errors.New("core: estimator backend does not support merging")
+// replicas were not built that way.
 
 // Merge folds other into e. Both must be configured identically (same K,
 // P, and schedule) and share a mergeable collision backend constructed
@@ -61,18 +54,12 @@ func (e *GEEF0Estimator) Merge(other *GEEF0Estimator) error {
 	return nil
 }
 
-// Merge folds other into e. The plugin backend merges exactly (frequency
-// vectors add). The reservoir-position sketch backend has no sound merge
-// — a probe's run length cannot be continued across a shard boundary —
-// and returns ErrNotMergeable; shard with the plugin backend instead.
+// Merge folds other into e: frequency vectors add exactly.
 func (e *EntropyEstimator) Merge(other *EntropyEstimator) error {
 	if e.p != other.p {
 		return fmt.Errorf("%w: EntropyEstimator P %g vs %g", sketch.ErrIncompatible, e.p, other.p)
 	}
-	if e.plugin == nil || other.plugin == nil {
-		return fmt.Errorf("%w: entropy sketch backend", ErrNotMergeable)
-	}
-	e.plugin.Merge(other.plugin)
+	e.counts.Merge(&other.counts)
 	e.nL += other.nL
 	return nil
 }
@@ -81,15 +68,11 @@ func (e *EntropyEstimator) Merge(other *EntropyEstimator) error {
 // seeds. CountMin merges exactly (linearity); the candidate tracker is
 // rebuilt by re-querying the merged sketch for the union of both candidate
 // sets, so Report on the merged estimator sees post-merge frequency
-// estimates. The Misra–Gries backend, E7's in-process comparison, has no
-// merge and returns ErrNotMergeable.
+// estimates.
 func (h *F1HeavyHitters) Merge(other *F1HeavyHitters) error {
 	if h.p != other.p || h.alpha != other.alpha || h.eps != other.eps {
 		return fmt.Errorf("%w: F1HeavyHitters (P=%g,α=%g,ε=%g) vs (P=%g,α=%g,ε=%g)",
 			sketch.ErrIncompatible, h.p, h.alpha, h.eps, other.p, other.alpha, other.eps)
-	}
-	if h.cm == nil || other.cm == nil {
-		return fmt.Errorf("%w: F1 Misra-Gries backend", ErrNotMergeable)
 	}
 	if err := h.cm.Merge(other.cm); err != nil {
 		return err

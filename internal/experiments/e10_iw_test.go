@@ -1,14 +1,16 @@
-package levelset
+package experiments
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/wire"
 )
 
-func feedIW(e *IWEstimator, s stream.Slice) {
+func feedIW(e *iwEstimator, s stream.Slice) {
 	for _, it := range s {
 		e.Observe(it)
 	}
@@ -20,7 +22,7 @@ func TestIWCollisionsOnSkewedStream(t *testing.T) {
 	// modest factor of truth.
 	s := zipfStream(200000, 20000, 1.3, 1)
 	exact := stream.NewFreq(s).Collisions(2)
-	e := NewIW(IWConfig{EpsPrime: 0.05, Width: 2048, Depth: 5}, rng.New(2))
+	e := newIW(0.05, 2048, 5, rng.New(2))
 	feedIW(e, s)
 	got := e.EstimateCollisions(2)
 	if got < exact/3 || got > exact*3 {
@@ -43,7 +45,7 @@ func TestIWHeadRecoveredAccurately(t *testing.T) {
 	}
 	rng.New(3).Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 	exact := stream.NewFreq(s).Collisions(3)
-	e := NewIW(IWConfig{EpsPrime: 0.05, Width: 1024, Depth: 5}, rng.New(4))
+	e := newIW(0.05, 1024, 5, rng.New(4))
 	feedIW(e, s)
 	got := e.EstimateCollisions(3)
 	if rel := math.Abs(got-exact) / exact; rel > 0.3 {
@@ -61,7 +63,7 @@ func TestIWNoGrossOverestimateOnDistinct(t *testing.T) {
 		s = append(s, stream.Item(i))
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
-		e := NewIW(IWConfig{EpsPrime: 0.1, Width: 512, Depth: 5}, rng.New(seed))
+		e := newIW(0.1, 512, 5, rng.New(seed))
 		feedIW(e, s)
 		if got := e.EstimateCollisions(2); got > float64(len(s)) {
 			t.Fatalf("seed %d: C2 estimate %v on collision-free stream", seed, got)
@@ -71,7 +73,7 @@ func TestIWNoGrossOverestimateOnDistinct(t *testing.T) {
 
 func TestIWBandsSortedAndPositive(t *testing.T) {
 	s := zipfStream(50000, 500, 1.1, 5)
-	e := NewIW(IWConfig{EpsPrime: 0.1}, rng.New(6))
+	e := newIW(0.1, 1024, 5, rng.New(6))
 	feedIW(e, s)
 	bands := e.Bands()
 	if len(bands) == 0 {
@@ -88,7 +90,7 @@ func TestIWBandsSortedAndPositive(t *testing.T) {
 }
 
 func TestIWEmpty(t *testing.T) {
-	e := NewIW(IWConfig{EpsPrime: 0.1}, rng.New(7))
+	e := newIW(0.1, 1024, 5, rng.New(7))
 	if got := e.EstimateCollisions(2); got != 0 {
 		t.Fatalf("empty estimate %v", got)
 	}
@@ -98,7 +100,7 @@ func TestIWEmpty(t *testing.T) {
 }
 
 func TestIWSpaceIndependentOfStreamLength(t *testing.T) {
-	e := NewIW(IWConfig{EpsPrime: 0.1, Width: 256, Depth: 3, Candidates: 64, Levels: 8}, rng.New(8))
+	e := newIW(0.1, 256, 3, rng.New(8))
 	before := 0
 	for i := 1; i <= 200000; i++ {
 		e.Observe(stream.Item(i%77777 + 1))
@@ -117,10 +119,10 @@ func TestIWPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("NewIW(EpsPrime=0) did not panic")
+				t.Fatal("newIW(EpsPrime=0) did not panic")
 			}
 		}()
-		NewIW(IWConfig{}, rng.New(1))
+		newIW(0, 1024, 5, rng.New(1))
 	}()
 	func() {
 		defer func() {
@@ -128,7 +130,7 @@ func TestIWPanics(t *testing.T) {
 				t.Fatal("EstimateCollisions(0) did not panic")
 			}
 		}()
-		e := NewIW(IWConfig{EpsPrime: 0.1}, rng.New(1))
+		e := newIW(0.1, 1024, 5, rng.New(1))
 		e.EstimateCollisions(0)
 	}()
 }
@@ -140,7 +142,7 @@ func TestIWInsideAlgorithm1(t *testing.T) {
 	s := zipfStream(100000, 5000, 1.25, 9)
 	g := stream.NewFreq(s)
 	exactC2 := g.Collisions(2)
-	e := NewIW(IWConfig{EpsPrime: 0.05, Width: 2048}, rng.New(10))
+	e := newIW(0.05, 2048, 5, rng.New(10))
 	feedIW(e, s)
 	got := e.EstimateCollisions(2)
 	if got < exactC2/3 || got > exactC2*3 {
@@ -148,5 +150,78 @@ func TestIWInsideAlgorithm1(t *testing.T) {
 	}
 	if e.SpaceBytes() <= 0 {
 		t.Fatal("space not positive")
+	}
+}
+
+// refIWObserve is iwEstimator.Observe as it stood before ObserveEstimate
+// fused the per-level sketch update and point query.
+func refIWObserve(e *iwEstimator, it stream.Item) {
+	e.nL++
+	deepest := e.levelOf(it)
+	for t := 0; t <= deepest; t++ {
+		lvl := &e.levels[t]
+		lvl.count++
+		lvl.cs.Observe(it)
+		if est := lvl.cs.Estimate(it); est > 0 {
+			lvl.cands.Update(it, float64(est))
+		}
+	}
+}
+
+func TestIWObserveMatchesReference(t *testing.T) {
+	// iwBytes is the estimator's state: IW has no payload of its own, so
+	// each level's count, sketch and candidates in their wire forms.
+	iwBytes := func(e *iwEstimator) []byte {
+		w := &wire.Writer{}
+		w.U64(e.nL)
+		for t := range e.levels {
+			w.U64(e.levels[t].count)
+			w.Nest(e.levels[t].cs)
+			w.Nest(e.levels[t].cands)
+		}
+		return w.Bytes()
+	}
+	// The level set's differential inputs at budget 16, drawn in the
+	// same order from the same generator.
+	r := rng.New(42)
+	runHeavy := make(stream.Slice, 0, 20000)
+	for _, it := range zipfStream(800, 131, 1.1, 7) {
+		for n := 1 + r.Uint64n(40); n > 0; n-- {
+			runHeavy = append(runHeavy, it)
+		}
+	}
+	wide := make(stream.Slice, 8000)
+	keys := make([]stream.Item, 98)
+	for i := range keys {
+		keys[i] = stream.Item(r.Uint64() | 1<<63)
+	}
+	for i := range wide {
+		wide[i] = keys[r.Uint64n(uint64(len(keys)))]
+	}
+	withZero := zipfStream(5000, 65, 1.1, 9)
+	for i := range withZero {
+		withZero[i]-- // rank 1, the heaviest item, becomes key 0
+	}
+	distinct := make(stream.Slice, 640)
+	for i := range distinct {
+		distinct[i] = stream.Item(i)
+	}
+	for name, s := range map[string]stream.Slice{
+		"zipf":           zipfStream(20000, 261, 1.1, 1),
+		"run-heavy":      runHeavy,
+		"distinct-storm": distinct, // every count 1
+		"under-capacity": zipfStream(3000, 8, 1.1, 3),
+		"key-zero":       withZero,
+		"wide-keys":      wide,
+		"empty":          nil,
+	} {
+		ref, one := newIW(0.1, 64, 5, rng.New(5)), newIW(0.1, 64, 5, rng.New(5))
+		for _, it := range s {
+			refIWObserve(ref, it)
+			one.Observe(it)
+		}
+		if !bytes.Equal(iwBytes(one), iwBytes(ref)) {
+			t.Fatalf("%s: fused observe differs from Observe+Estimate", name)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 
 	"substream/internal/core"
+	"substream/internal/rng"
+	"substream/internal/sketch"
 	"substream/internal/stats"
 	"substream/internal/stream"
 	"substream/internal/workload"
@@ -33,7 +35,7 @@ func e3F0LowerBound() Experiment {
 					exact := float64(stream.NewFreq(wl.Stream).F0())
 					alg := core.NewF0Estimator(core.F0Config{P: p}, r.Split())
 					gee := core.NewGEEF0Estimator(p)
-					naive := core.NewNaiveF0Estimator(p, 1024, r.Split())
+					naive := newNaiveF0(p, 1024, r.Split())
 					runSampled(wl.Stream, p, r.Split(), alg, gee, naive)
 					algWorst = math.Max(algWorst, stats.MultErr(alg.Estimate(), exact))
 					geeWorst = math.Max(geeWorst, stats.MultErr(gee.Estimate(), exact))
@@ -91,3 +93,25 @@ func e4F0UpperBound() Experiment {
 		},
 	}
 }
+
+// naiveF0 is E3's strawman distinct counter: F₀(L)/p. Charikar et al.'s
+// lower bound (Theorem 3) shows as this estimator blowing up on
+// duplicate-heavy streams, where F₀(L) ≈ F₀(P).
+type naiveF0 struct {
+	p   float64
+	kmv *sketch.KMV
+}
+
+// newNaiveF0 builds the strawman over a KMV sketch of size k.
+func newNaiveF0(p float64, k int, r *rng.Xoshiro256) *naiveF0 {
+	if p <= 0 || p > 1 {
+		panic("experiments: naiveF0 P must be in (0, 1]")
+	}
+	return &naiveF0{p: p, kmv: sketch.NewKMV(k, r)}
+}
+
+// Observe feeds one element of the sampled stream L.
+func (e *naiveF0) Observe(it stream.Item) { e.kmv.Observe(it) }
+
+// Estimate returns F̂₀(L)/p.
+func (e *naiveF0) Estimate() float64 { return e.kmv.Estimate() / e.p }

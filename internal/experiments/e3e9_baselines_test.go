@@ -1,9 +1,10 @@
-package core
+package experiments
 
 import (
 	"math"
 	"testing"
 
+	"substream/internal/core"
 	"substream/internal/rng"
 	"substream/internal/sample"
 	"substream/internal/stream"
@@ -18,7 +19,7 @@ func TestScaledF2UnbiasedAtModerateP(t *testing.T) {
 	var sum float64
 	for tr := 0; tr < trials; tr++ {
 		L := b.Apply(s, r.Split())
-		e := NewScaledF2Estimator(ScaledF2Config{P: p, Width: 8192, Depth: 5}, r.Split())
+		e := newScaledF2(p, 8192, 5, r.Split())
 		for _, it := range L {
 			e.Observe(it)
 		}
@@ -41,8 +42,8 @@ func TestScaledF2ErrorAmplifiedAtSmallP(t *testing.T) {
 	var scaledErr, collisionErr float64
 	for tr := 0; tr < trials; tr++ {
 		L := b.Apply(s, r.Split())
-		se := NewScaledF2Estimator(ScaledF2Config{P: p, Width: 256, Depth: 5}, r.Split())
-		ce := NewFkEstimator(FkConfig{K: 2, P: p, Exact: true}, r.Split())
+		se := newScaledF2(p, 256, 5, r.Split())
+		ce := core.NewFkEstimator(core.FkConfig{K: 2, P: p, Exact: true}, r.Split())
 		for _, it := range L {
 			se.Observe(it)
 			ce.Observe(it)
@@ -61,47 +62,10 @@ func TestScaledF2ErrorAmplifiedAtSmallP(t *testing.T) {
 func TestScaledF2Clamp(t *testing.T) {
 	// With almost no data the inversion can go below F1(L)/p; it must
 	// clamp rather than return a negative moment.
-	e := NewScaledF2Estimator(ScaledF2Config{P: 0.5}, rng.New(5))
+	e := newScaledF2(0.5, 4096, 5, rng.New(5))
 	e.Observe(1)
 	if got := e.Estimate(); got < 2 {
 		t.Fatalf("clamped estimate %v < F1 floor 2", got)
-	}
-}
-
-func TestNaiveFkUnderestimatesSkewedStreams(t *testing.T) {
-	// F_k(L)/p^k drops the lower-order binomial terms; on a stream whose
-	// F2 has a large linear component it must undershoot noticeably,
-	// while Algorithm 1 stays close.
-	var s stream.Slice
-	for i := 0; i < 20000; i++ {
-		s = append(s, stream.Item(i%10000+1)) // every item twice
-	}
-	exact := stream.NewFreq(s).Fk(2) // 10000·4 = 40000
-	const p, trials = 0.1, 30
-	b := sample.NewBernoulli(p)
-	r := rng.New(6)
-	var naiveSum, algoSum float64
-	for tr := 0; tr < trials; tr++ {
-		L := b.Apply(s, r.Split())
-		naive := NewNaiveFkEstimator(2, p)
-		algo := NewFkEstimator(FkConfig{K: 2, P: p, Exact: true}, r.Split())
-		for _, it := range L {
-			naive.Observe(it)
-			algo.Observe(it)
-		}
-		naiveSum += naive.Estimate()
-		algoSum += algo.Estimate()
-	}
-	naiveMean := naiveSum / trials
-	algoMean := algoSum / trials
-	// Naive expectation: (p²F2 + p(1−p)F1)/p² = F2 + F1(1−p)/p = 40000 +
-	// 20000·9 = 220000 — a 5.5× overestimate (the bias is upward here
-	// because the linear term dominates at small p).
-	if naiveMean < exact*3 {
-		t.Fatalf("naive estimator unexpectedly accurate: %v vs exact %v", naiveMean, exact)
-	}
-	if math.Abs(algoMean-exact)/exact > 0.25 {
-		t.Fatalf("Algorithm 1 mean %v, exact %v", algoMean, exact)
 	}
 }
 
@@ -109,14 +73,19 @@ func TestNaiveF0CollapsesOnSingletonStream(t *testing.T) {
 	// F0(L)/p overestimates F0(P)=n? No: F0(L) ≈ pn, so naive ≈ n — fine
 	// on singleton streams. The failure mode is duplicate-heavy streams:
 	// F0(L) ≈ F0(P) (every value still appears), so naive ≈ F0/p ≫ F0.
-	s := distinctStream(2000, 20)
+	var s stream.Slice
+	for i := 1; i <= 2000; i++ {
+		for j := 0; j < 20; j++ {
+			s = append(s, stream.Item(i))
+		}
+	}
 	exact := float64(stream.NewFreq(s).F0())
 	const p = 0.1
 	b := sample.NewBernoulli(p)
 	r := rng.New(7)
 	L := b.Apply(s, r.Split())
-	naive := NewNaiveF0Estimator(p, 1024, r.Split())
-	algo := NewF0Estimator(F0Config{P: p}, r.Split())
+	naive := newNaiveF0(p, 1024, r.Split())
+	algo := core.NewF0Estimator(core.F0Config{P: p}, r.Split())
 	for _, it := range L {
 		naive.Observe(it)
 		algo.Observe(it)
@@ -134,10 +103,8 @@ func TestNaiveF0CollapsesOnSingletonStream(t *testing.T) {
 
 func TestBaselinePanics(t *testing.T) {
 	cases := []func(){
-		func() { NewScaledF2Estimator(ScaledF2Config{P: 0}, rng.New(1)) },
-		func() { NewNaiveFkEstimator(0, 0.5) },
-		func() { NewNaiveFkEstimator(2, 0) },
-		func() { NewNaiveF0Estimator(0, 16, rng.New(1)) },
+		func() { newScaledF2(0, 4096, 5, rng.New(1)) },
+		func() { newNaiveF0(0, 16, rng.New(1)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -152,23 +119,8 @@ func TestBaselinePanics(t *testing.T) {
 }
 
 func TestBaselineSpaceAccounting(t *testing.T) {
-	se := NewScaledF2Estimator(ScaledF2Config{P: 0.5, Width: 64, Depth: 2}, rng.New(8))
+	se := newScaledF2(0.5, 64, 2, rng.New(8))
 	if se.SpaceBytes() < 8*128 {
 		t.Fatalf("scaled F2 space %d too small", se.SpaceBytes())
-	}
-	nf := NewNaiveFkEstimator(2, 0.5)
-	nf.Observe(1)
-	// One slab entry of 16 bytes plus the item index while it is fed; the
-	// estimate orders the store, which drops the index.
-	if fed := nf.SpaceBytes(); fed <= 16 {
-		t.Fatalf("naive Fk space while fed = %d, want the slab and an index", fed)
-	}
-	nf.Estimate()
-	if nf.SpaceBytes() != 16 {
-		t.Fatalf("naive Fk space = %d", nf.SpaceBytes())
-	}
-	n0 := NewNaiveF0Estimator(0.5, 16, rng.New(9))
-	if n0.SpaceBytes() <= 0 {
-		t.Fatal("naive F0 space not positive")
 	}
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"math"
+	"sort"
 
 	"substream/internal/core"
+	"substream/internal/rng"
 	"substream/internal/stats"
 	"substream/internal/stream"
 	"substream/internal/workload"
@@ -92,7 +94,7 @@ func e6EntropyRatio() Experiment {
 					var plugin, hpn, sk stats.Summary
 					for tr := 0; tr < trials; tr++ {
 						pe := core.NewEntropyEstimator(core.EntropyConfig{P: p}, r.Split())
-						se := core.NewEntropyEstimator(core.EntropyConfig{P: p, Backend: core.EntropySketch}, r.Split())
+						se := newEntropySketch(7, 400, r.Split())
 						runSampled(wl.Stream, p, r.Split(), pe, se)
 						plugin.Add(pe.Estimate() / exact)
 						hpn.Add(pe.EstimateHpn(uint64(n)) / exact)
@@ -109,3 +111,91 @@ func e6EntropyRatio() Experiment {
 		},
 	}
 }
+
+// entropySketch is E6's small-space comparator: a one-pass multiplicative
+// estimator of the empirical entropy H = Σ (f_i/n)·lg(n/f_i) in the style
+// of Chakrabarti–Cormode–McGregor, the black box Theorem 5's space bound
+// refers to. Each of several independent probes holds a uniformly random
+// stream position J (maintained by reservoir sampling) together with R,
+// the number of occurrences of a_J from position J to the end. The
+// telescoping estimator
+//
+//	X = R·lg(n/R) − (R−1)·lg(n/(R−1))
+//
+// satisfies E[X] = H exactly; averaging within groups and taking the
+// median across groups concentrates it. A probe's run length cannot be
+// continued across a shard boundary, so it has no merge.
+type entropySketch struct {
+	groups   int
+	perGroup int
+	items    []stream.Item
+	counts   []uint64
+	n        uint64
+	r        *rng.Xoshiro256
+}
+
+// newEntropySketch builds an estimator with groups×perGroup probes.
+func newEntropySketch(groups, perGroup int, r *rng.Xoshiro256) *entropySketch {
+	if groups < 1 || perGroup < 1 {
+		panic("experiments: entropySketch groups and perGroup must be >= 1")
+	}
+	total := groups * perGroup
+	return &entropySketch{
+		groups:   groups,
+		perGroup: perGroup,
+		items:    make([]stream.Item, total),
+		counts:   make([]uint64, total),
+		r:        r,
+	}
+}
+
+// Observe feeds one item.
+func (e *entropySketch) Observe(it stream.Item) {
+	e.n++
+	for probe := range e.items {
+		// Reservoir step: the current position replaces the probe with
+		// probability 1/n, giving a uniform position overall.
+		if e.r.Uint64n(e.n) == 0 {
+			e.items[probe] = it
+			e.counts[probe] = 1
+		} else if e.items[probe] == it && e.counts[probe] > 0 {
+			e.counts[probe]++
+		}
+	}
+}
+
+// Estimate returns the entropy estimate in bits; 0 for an empty stream.
+func (e *entropySketch) Estimate() float64 {
+	if e.n == 0 {
+		return 0
+	}
+	n := float64(e.n)
+	means := make([]float64, e.groups)
+	for g := 0; g < e.groups; g++ {
+		var sum float64
+		for j := 0; j < e.perGroup; j++ {
+			r := float64(e.counts[g*e.perGroup+j])
+			x := r * math.Log2(n/r)
+			if r > 1 {
+				x -= (r - 1) * math.Log2(n/(r-1))
+			}
+			sum += x
+		}
+		means[g] = sum / float64(e.perGroup)
+	}
+	sort.Float64s(means)
+	mid := e.groups / 2
+	var est float64
+	if e.groups%2 == 1 {
+		est = means[mid]
+	} else {
+		est = (means[mid-1] + means[mid]) / 2
+	}
+	if est < 0 {
+		return 0
+	}
+	return est
+}
+
+// SpaceBytes returns the approximate memory footprint.
+func (e *entropySketch) SpaceBytes() int { return 16 * len(e.items) }

@@ -1,14 +1,15 @@
-package sketch
+package experiments
 
 import (
 	"math"
 	"testing"
 
 	"substream/internal/rng"
+	"substream/internal/sample"
 	"substream/internal/stream"
 )
 
-func TestEntropyEstimatorUniform(t *testing.T) {
+func TestEntropySketchUniform(t *testing.T) {
 	// 64 items, uniform: H = 6 bits.
 	var s stream.Slice
 	for rep := 0; rep < 200; rep++ {
@@ -16,7 +17,7 @@ func TestEntropyEstimatorUniform(t *testing.T) {
 			s = append(s, stream.Item(i))
 		}
 	}
-	e := NewEntropyEstimator(9, 200, rng.New(1))
+	e := newEntropySketch(9, 200, rng.New(1))
 	for _, it := range s {
 		e.Observe(it)
 	}
@@ -26,8 +27,8 @@ func TestEntropyEstimatorUniform(t *testing.T) {
 	}
 }
 
-func TestEntropyEstimatorConstantStream(t *testing.T) {
-	e := NewEntropyEstimator(3, 50, rng.New(2))
+func TestEntropySketchConstantStream(t *testing.T) {
+	e := newEntropySketch(3, 50, rng.New(2))
 	for i := 0; i < 10000; i++ {
 		e.Observe(7)
 	}
@@ -36,14 +37,14 @@ func TestEntropyEstimatorConstantStream(t *testing.T) {
 	}
 }
 
-func TestEntropyEstimatorEmpty(t *testing.T) {
-	e := NewEntropyEstimator(3, 10, rng.New(3))
+func TestEntropySketchEmpty(t *testing.T) {
+	e := newEntropySketch(3, 10, rng.New(3))
 	if got := e.Estimate(); got != 0 {
 		t.Fatalf("empty estimate %v", got)
 	}
 }
 
-func TestEntropyEstimatorUnbiased(t *testing.T) {
+func TestEntropySketchUnbiased(t *testing.T) {
 	// E[X] = H exactly; verify the probe-level estimator over many seeds
 	// on a skewed stream.
 	s := zipfStream(4000, 50, 1.0, 4)
@@ -52,7 +53,7 @@ func TestEntropyEstimatorUnbiased(t *testing.T) {
 	var sum float64
 	r := rng.New(5)
 	for tr := 0; tr < trials; tr++ {
-		e := NewEntropyEstimator(1, 16, r.Split())
+		e := newEntropySketch(1, 16, r.Split())
 		for _, it := range s {
 			e.Observe(it)
 		}
@@ -60,14 +61,14 @@ func TestEntropyEstimatorUnbiased(t *testing.T) {
 	}
 	mean := sum / trials
 	if math.Abs(mean-exact)/exact > 0.1 {
-		t.Fatalf("entropy estimator mean %v, exact %v", mean, exact)
+		t.Fatalf("entropy sketch mean %v, exact %v", mean, exact)
 	}
 }
 
-func TestEntropyEstimatorSkewed(t *testing.T) {
+func TestEntropySketchSkewed(t *testing.T) {
 	s := zipfStream(60000, 1000, 1.2, 6)
 	exact := stream.NewFreq(s).Entropy()
-	e := NewEntropyEstimator(9, 300, rng.New(7))
+	e := newEntropySketch(9, 300, rng.New(7))
 	for _, it := range s {
 		e.Observe(it)
 	}
@@ -77,32 +78,45 @@ func TestEntropyEstimatorSkewed(t *testing.T) {
 	}
 }
 
-func TestEntropyEstimatorPanics(t *testing.T) {
+func TestEntropySketchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewEntropyEstimator(0,1) did not panic")
+			t.Fatal("newEntropySketch(0,1) did not panic")
 		}
 	}()
-	NewEntropyEstimator(0, 1, rng.New(1))
+	newEntropySketch(0, 1, rng.New(1))
 }
 
-func TestEntropyEstimatorSpaceConstant(t *testing.T) {
-	e := NewEntropyEstimator(5, 100, rng.New(8))
+func TestEntropySketchSpaceConstant(t *testing.T) {
+	e := newEntropySketch(5, 100, rng.New(8))
 	before := e.SpaceBytes()
 	for i := 0; i < 100000; i++ {
 		e.Observe(stream.Item(i%997 + 1))
 	}
 	if e.SpaceBytes() != before {
-		t.Fatalf("entropy estimator space grew: %d → %d", before, e.SpaceBytes())
+		t.Fatalf("entropy sketch space grew: %d → %d", before, e.SpaceBytes())
 	}
 	if e.n != 100000 {
 		t.Fatalf("N = %d", e.n)
 	}
 }
 
-func BenchmarkEntropyObserve(b *testing.B) {
-	e := NewEntropyEstimator(5, 100, rng.New(1))
-	for i := 0; i < b.N; i++ {
-		e.Observe(stream.Item(i%1000 + 1))
+func TestEntropySketchOnSampledStream(t *testing.T) {
+	// E6's arm at its size: on the sampled stream of a Zipf(1.0) stream
+	// at p = 0.3 the sketch lands within a factor 2 of H(f).
+	s := zipfStream(80000, 1000, 1.0, 7)
+	exact := stream.NewFreq(s).Entropy()
+	const p = 0.3
+	r := rng.New(8)
+	L := sample.NewBernoulli(p).Apply(s, r.Split())
+	e := newEntropySketch(7, 400, r.Split())
+	for _, it := range L {
+		e.Observe(it)
+	}
+	if ratio := e.Estimate() / exact; ratio < 0.5 || ratio > 2 {
+		t.Fatalf("sketch entropy %v, exact %v", e.Estimate(), exact)
+	}
+	if e.n != uint64(len(L)) {
+		t.Fatalf("n = %d, want %d", e.n, len(L))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"substream/internal/core"
+	"substream/internal/rng"
 	"substream/internal/stats"
 	"substream/internal/stream"
 	"substream/internal/workload"
@@ -74,30 +75,43 @@ func e7F1HeavyHitters() Experiment {
 			trials := cfg.trials(7)
 
 			var tables []*stats.Table
+			ps := []float64{0.5, 0.2, 0.1, 0.05}
+			// Theorem 6's premise does not depend on the sampled-stream
+			// algorithm: the CountMin arm runs first and reads it off
+			// core, and both tables print it.
+			premises := make([]float64, len(ps))
 			for _, backend := range []struct {
-				name string
-				b    core.F1Backend
-			}{{"CountMin", core.F1CountMin}, {"MisraGries", core.F1MisraGries}} {
+				name  string
+				build func(p float64, r *rng.Xoshiro256) f1HeavyHitters
+			}{
+				{"CountMin", func(p float64, r *rng.Xoshiro256) f1HeavyHitters {
+					return core.NewF1HeavyHitters(core.F1HHConfig{P: p, Alpha: alpha, Epsilon: eps}, r)
+				}},
+				// Misra–Gries draws nothing; the split keeps both arms'
+				// trials on the same generator schedule.
+				{"MisraGries", func(p float64, _ *rng.Xoshiro256) f1HeavyHitters {
+					return newMGHeavyHitters(p, alpha, eps)
+				}},
+			} {
 				t := stats.NewTable("E7: "+wl.Name+" backend="+backend.name,
 					"p", "premise F1≥", "recall", "false pos", "worst freq err", "thm holds")
-				for _, p := range []float64{0.5, 0.2, 0.1, 0.05} {
+				for i, p := range ps {
 					var rec, fe stats.Summary
 					fp := 0
-					var premise float64
 					for tr := 0; tr < trials; tr++ {
-						hh := core.NewF1HeavyHitters(core.F1HHConfig{
-							P: p, Alpha: alpha, Epsilon: eps, Backend: backend.b,
-						}, r.Split())
+						hh := backend.build(p, r.Split())
 						runSampled(wl.Stream, p, r.Split(), hh)
-						premise = hh.MinStreamLength(uint64(n), 0.05)
+						if cm, ok := hh.(*core.F1HeavyHitters); ok {
+							premises[i] = cm.MinStreamLength(uint64(n), 0.05)
+						}
 						recall, falsePos, freqErr := hhScore(hh.Report(), f, include, gray)
 						rec.Add(recall)
 						fe.Add(freqErr)
 						fp += falsePos
 					}
 					ok := rec.Min() == 1 && fp == 0 && fe.Max() <= eps
-					t.AddRow(p, premise, rec.Mean(), fp, fe.Max(),
-						verdict(ok || float64(n) < premise))
+					t.AddRow(p, premises[i], rec.Mean(), fp, fe.Max(),
+						verdict(ok || float64(n) < premises[i]))
 				}
 				t.AddNote("%d planted hitters at %.1f%% each; trials=%d", 6, alpha*150, trials)
 				tables = append(tables, t)
@@ -106,6 +120,100 @@ func e7F1HeavyHitters() Experiment {
 		},
 	}
 }
+
+// f1HeavyHitters is what E7 reads off either arm.
+type f1HeavyHitters interface {
+	observer
+	Report() []core.ReportedHitter
+}
+
+// mgHeavyHitters is E7's second arm: Theorem 6's recipe run on
+// Misra–Gries, the insert-only alternative to CountMin the paper notes.
+// It keeps core.F1HeavyHitters' deflated threshold α′ = (1 − 2ε/5)·α and
+// sizes the summary so its undercount N/(k+1) is at most (ε/20)·α′·N.
+// Misra–Gries lists its own counters, so it needs no candidate tracker:
+// an item whose count clears the threshold holds a counter. It is
+// deterministic and has no merge.
+type mgHeavyHitters struct {
+	p, alphaPr float64
+	mg         *misraGries
+	observed   uint64
+}
+
+func newMGHeavyHitters(p, alpha, eps float64) *mgHeavyHitters {
+	alphaPr := (1 - 2*eps/5) * alpha
+	return &mgHeavyHitters{
+		p: p, alphaPr: alphaPr,
+		mg: newMisraGries(int(math.Ceil(20 / (eps * alphaPr)))),
+	}
+}
+
+// Observe feeds one element of the sampled stream L.
+func (h *mgHeavyHitters) Observe(it stream.Item) {
+	h.observed++
+	h.mg.Observe(it)
+}
+
+// Report returns the counted items whose count clears α′·F₁(L), scaled
+// by 1/p. Misra–Gries undercounts by at most N/(k+1), so the threshold
+// is lowered by that much: every item whose upper bound clears it is
+// admitted. The report is unordered.
+func (h *mgHeavyHitters) Report() []core.ReportedHitter {
+	threshold := h.alphaPr*float64(h.observed) - h.mg.ErrorBound()
+	var out []core.ReportedHitter
+	for it, c := range h.mg.counters {
+		if est := float64(c); est >= threshold {
+			out = append(out, core.ReportedHitter{Item: it, Freq: est / h.p})
+		}
+	}
+	return out
+}
+
+// misraGries is the deterministic frequent-items summary of Misra and
+// Gries [33]: with k counters, every item's reported count underestimates
+// its true count by at most N/(k+1), so all items with f_i > N/(k+1) are
+// guaranteed to be present.
+type misraGries struct {
+	k        int
+	counters map[stream.Item]uint64
+	n        uint64
+}
+
+// newMisraGries returns a summary with k counters. It panics if k < 1.
+func newMisraGries(k int) *misraGries {
+	if k < 1 {
+		panic("experiments: misraGries requires k >= 1")
+	}
+	return &misraGries{k: k, counters: make(map[stream.Item]uint64, k+1)}
+}
+
+// Observe feeds one item.
+func (mg *misraGries) Observe(it stream.Item) {
+	mg.n++
+	if _, ok := mg.counters[it]; ok {
+		mg.counters[it]++
+		return
+	}
+	if len(mg.counters) < mg.k {
+		mg.counters[it] = 1
+		return
+	}
+	// Decrement-all step; delete counters that reach zero.
+	for key, c := range mg.counters {
+		if c == 1 {
+			delete(mg.counters, key)
+		} else {
+			mg.counters[key] = c - 1
+		}
+	}
+}
+
+// Estimate returns the (under-)estimate of item's count: true count minus
+// at most N/(k+1).
+func (mg *misraGries) Estimate(it stream.Item) uint64 { return mg.counters[it] }
+
+// ErrorBound returns the maximum undercount N/(k+1).
+func (mg *misraGries) ErrorBound() float64 { return float64(mg.n) / float64(mg.k+1) }
 
 // e8F2HeavyHitters validates Theorem 7.
 func e8F2HeavyHitters() Experiment {

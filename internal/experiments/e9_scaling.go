@@ -4,6 +4,8 @@ import (
 	"strconv"
 
 	"substream/internal/core"
+	"substream/internal/rng"
+	"substream/internal/sketch"
 	"substream/internal/stats"
 	"substream/internal/stream"
 	"substream/internal/workload"
@@ -46,9 +48,7 @@ func e9F2VsScaling() Experiment {
 					ce := core.NewFkEstimator(core.FkConfig{
 						K: 2, P: p, Epsilon: 0.2, Budget: 512,
 					}, r.Split())
-					se := core.NewScaledF2Estimator(core.ScaledF2Config{
-						P: p, Width: 1638, Depth: 5,
-					}, r.Split())
+					se := newScaledF2(p, 1638, 5, r.Split())
 					runSampled(wl.Stream, p, r.Split(), ce, se)
 					coll.Add(stats.RelErr(ce.Estimate(), exact))
 					scal.Add(stats.RelErr(se.Estimate(), exact))
@@ -87,7 +87,7 @@ func e9F2VsScaling() Experiment {
 				var errs stats.Summary
 				var space int
 				for tr := 0; tr < trials; tr++ {
-					se := core.NewScaledF2Estimator(core.ScaledF2Config{P: p, Width: width, Depth: 5}, r.Split())
+					se := newScaledF2(p, width, 5, r.Split())
 					runSampled(wl.Stream, p, r.Split(), se)
 					errs.Add(stats.RelErr(se.Estimate(), exact))
 					space = se.SpaceBytes()
@@ -108,3 +108,48 @@ func degradation(errs []float64) float64 {
 	}
 	return errs[len(errs)-1] / first
 }
+
+// scaledF2 is the Rusu–Dobra-style baseline E9 measures the collision
+// method against: it sketches F₂(L) and inverts
+//
+//	E[F₂(L)] = p²·F₂(P) + p(1−p)·F₁(P)
+//
+// giving F̂₂(P) = (F̂₂(L) − (1−p)·F₁(L)) / p², with F₁(L) counted exactly.
+// It is unbiased given an unbiased F̂₂(L), but dividing by p² amplifies
+// the sketch's error by 1/p², which is why matching the collision
+// method's accuracy takes quadratically more space (§1.3).
+type scaledF2 struct {
+	p  float64
+	cs *sketch.CountSketch
+	nL uint64
+}
+
+// newScaledF2 builds the baseline over a width×depth CountSketch.
+func newScaledF2(p float64, width, depth int, r *rng.Xoshiro256) *scaledF2 {
+	if p <= 0 || p > 1 {
+		panic("experiments: scaledF2 P must be in (0, 1]")
+	}
+	return &scaledF2{p: p, cs: sketch.NewCountSketch(width, depth, r)}
+}
+
+// Observe feeds one element of the sampled stream L.
+func (e *scaledF2) Observe(it stream.Item) {
+	e.nL++
+	e.cs.Observe(it)
+}
+
+// Estimate returns the inverted estimate of F₂(P). Noise can push the
+// raw inversion below the information floor F₁(P) ≈ F₁(L)/p; the result
+// is clamped there.
+func (e *scaledF2) Estimate() float64 {
+	f2L := e.cs.F2Estimate()
+	f1L := float64(e.nL)
+	est := (f2L - (1-e.p)*f1L) / (e.p * e.p)
+	if floor := f1L / e.p; est < floor {
+		return floor
+	}
+	return est
+}
+
+// SpaceBytes returns the approximate memory footprint.
+func (e *scaledF2) SpaceBytes() int { return e.cs.SpaceBytes() + 16 }

@@ -1,9 +1,11 @@
 // Package experiments defines the reproduction harness: one registered
-// experiment per quantitative claim of the paper (DESIGN.md §3 maps each
-// to its theorem). Every experiment produces plain-text tables; the same
-// runners back cmd/experiments and the repository-level benchmarks, so
-// "the numbers in EXPERIMENTS.md" and "what the benches measure" cannot
-// drift apart.
+// experiment per quantitative claim of the paper (the table in README.md
+// here maps each to its theorem). Every experiment produces plain-text
+// tables; the same runners back cmd/experiments and the repository-level
+// benchmarks, so the printed numbers and what the benches measure cannot
+// drift apart. The comparators the experiments measure the paper's
+// estimators against live here too, beside the experiment that uses
+// each: none of them merges or has a wire form, so none is served.
 //
 // The paper is a theory paper with no measured tables of its own; each
 // experiment therefore states the theoretical prediction it validates and
@@ -20,8 +22,8 @@ import (
 	"substream/internal/stream"
 )
 
-// Config controls experiment scale; the defaults reproduce the numbers in
-// EXPERIMENTS.md in a few minutes on a laptop.
+// Config controls experiment scale; the defaults run the full-scale
+// tables in a few minutes on a laptop.
 type Config struct {
 	// Scale multiplies workload sizes; 1.0 is the full run, benches and
 	// unit tests use smaller values. Values ≤ 0 mean 1.0.
@@ -67,7 +69,7 @@ func (c Config) rng() *rng.Xoshiro256 {
 
 // Experiment is one registered reproduction.
 type Experiment struct {
-	// ID is the experiment identifier (E1…E10).
+	// ID is the experiment identifier (E1…E12).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -1,7 +1,9 @@
 // Package internal_test guards the internal/ tree against regrowth, from
 // one type-check of the module's non-test files: TestNoDeadExports fails
 // when an exported name under internal/ is used by no non-test file of the
-// module, TestOneDecodePath when a payload finds a second way in.
+// module, TestOneDecodePath when a payload finds a second way in, and
+// TestServedTypesAreWireFormed when a served package holds a summary that
+// cannot be shipped.
 package internal_test
 
 import (
@@ -265,5 +267,35 @@ func TestOneDecodePath(t *testing.T) {
 	slices.Sort(sites)
 	if want := []string{"internal/faults.UnmarshalPlan", "internal/server.decodeSnapshot", "internal/wire.Decode"}; !slices.Equal(sites, want) {
 		t.Errorf("wire.NewReader is called in %v, want exactly %v: a payload has one Reader and one decode budget", sites, want)
+	}
+}
+
+// TestServedTypesAreWireFormed keeps the packages the daemon serves from
+// holding in-process-only summaries: every exported type of core, sketch
+// and levelset that observes a stream also has a wire form (Encode) and a
+// merge (Merge, or MergeCounter for a collision counter). A comparator
+// without them lives in internal/experiments, beside its experiment.
+func TestServedTypesAreWireFormed(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []string
+	for _, rel := range []string{"internal/core", "internal/sketch", "internal/levelset"} {
+		scope := m.pkgs[rel].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			methods := types.NewMethodSet(types.NewPointer(tn.Type()))
+			has := func(method string) bool { return methods.Lookup(tn.Pkg(), method) != nil }
+			if has("Observe") && (!has("Encode") || !has("Merge") && !has("MergeCounter")) {
+				bad = append(bad, rel+"."+name)
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("%v observe a stream but have no Encode or no Merge/MergeCounter: a served package holds only shippable summaries; move an in-process comparator into internal/experiments", bad)
 	}
 }

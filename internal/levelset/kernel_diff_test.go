@@ -7,11 +7,10 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
-	"substream/internal/wire"
 )
 
-// Differential tests for the level-first slab repetitions and the fused
-// IW observe against the map-first / two-call references.
+// Differential tests for the level-first slab repetitions against the
+// map-first reference.
 
 // refFeed feeds s into e item by item with the reference repetition
 // (table probe first, level second); the heavy summary has its own
@@ -26,21 +25,6 @@ func refFeed(e *Estimator, s stream.Slice) {
 	}
 	for _, it := range s {
 		e.heavy.Observe(it)
-	}
-}
-
-// refIWObserve is IWEstimator.Observe as it stood before ObserveEstimate
-// fused the per-level sketch update and point query.
-func refIWObserve(e *IWEstimator, it stream.Item) {
-	e.nL++
-	deepest := e.levelOf(it)
-	for t := 0; t <= deepest; t++ {
-		lvl := &e.levels[t]
-		lvl.count++
-		lvl.cs.Observe(it)
-		if est := lvl.cs.Estimate(it); est > 0 {
-			lvl.cands.Update(it, float64(est))
-		}
 	}
 }
 
@@ -139,32 +123,6 @@ func TestEstimatorUpdateMatchesReference(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-func TestIWObserveMatchesReference(t *testing.T) {
-	cfg := IWConfig{EpsPrime: 0.1, Width: 64, Depth: 5, Candidates: 16, Levels: 8}
-	// iwBytes is the estimator's state: IW has no payload of its own, so
-	// each level's count, sketch and candidates in their wire forms.
-	iwBytes := func(e *IWEstimator) []byte {
-		w := &wire.Writer{}
-		w.U64(e.nL)
-		for t := range e.levels {
-			w.U64(e.levels[t].count)
-			w.Nest(e.levels[t].cs)
-			w.Nest(e.levels[t].cands)
-		}
-		return w.Bytes()
-	}
-	for name, s := range diffStreams(16) {
-		ref, one := NewIW(cfg, rng.New(5)), NewIW(cfg, rng.New(5))
-		for _, it := range s {
-			refIWObserve(ref, it)
-			one.Observe(it)
-		}
-		if !bytes.Equal(iwBytes(one), iwBytes(ref)) {
-			t.Fatalf("%s: fused observe differs from Observe+Estimate", name)
 		}
 	}
 }

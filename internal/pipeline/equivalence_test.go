@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -142,16 +141,6 @@ func TestMergeEquivalenceEntropyPlugin(t *testing.T) {
 	}
 	if single.SampledLength() != merged.SampledLength() {
 		t.Fatalf("sampled length %d vs %d", single.SampledLength(), merged.SampledLength())
-	}
-}
-
-func TestEntropySketchBackendNotMergeable(t *testing.T) {
-	mk := func() *core.EntropyEstimator {
-		return core.NewEntropyEstimator(core.EntropyConfig{P: eqP, Backend: core.EntropySketch}, rng.New(3))
-	}
-	a, b := mk(), mk()
-	if err := a.Merge(b); !errors.Is(err, core.ErrNotMergeable) {
-		t.Fatalf("expected ErrNotMergeable, got %v", err)
 	}
 }
 

@@ -132,27 +132,3 @@ func (ss *SpaceSaving) UpdateBatch(items []stream.Item) {
 		i = j
 	}
 }
-
-// UpdateBatch feeds every item in items, probe-major: each reservoir
-// probe's state stays in registers while it scans the batch. The probes'
-// generator draws interleave differently than per-item Observe, so the
-// resulting state is statistically — not bit-for-bit — identical; this
-// sketch has no wire form, and the registered entropy kind uses the
-// plugin backend.
-func (e *EntropyEstimator) UpdateBatch(items []stream.Item) {
-	n := e.n
-	for probe := range e.items {
-		cur, cnt := e.items[probe], e.counts[probe]
-		pos := n
-		for _, it := range items {
-			pos++
-			if e.r.Uint64n(pos) == 0 {
-				cur, cnt = it, 1
-			} else if cur == it && cnt > 0 {
-				cnt++
-			}
-		}
-		e.items[probe], e.counts[probe] = cur, cnt
-	}
-	e.n = n + uint64(len(items))
-}

@@ -1,10 +1,10 @@
 // Package sketch implements the streaming summaries the paper's
 // estimators are built from: CountMin (Cormode–Muthukrishnan, used by
 // Theorem 6), CountSketch (Charikar–Chen–Farach-Colton, used by
-// Theorem 7), Misra–Gries frequent items, KMV and stochastic-averaging
-// distinct-count estimators (used by Algorithm 2), a reservoir-position
-// entropy estimator in the style of Chakrabarti–Cormode–McGregor (used by
-// Theorem 5), and a top-k tracker.
+// Theorem 7), the KMV distinct-count estimator (used by Algorithm 2),
+// SpaceSaving (the level set's heavy part), a top-k tracker, and
+// ItemCounts, the exact frequency vector. Each merges and has a wire
+// form, nested in its parent's payload.
 //
 // Every sketch is seeded explicitly from an rng.Xoshiro256 so experiments
 // are reproducible, and every sketch reports its approximate memory
@@ -19,11 +19,11 @@
 // estimators pair a table sketch with a TopK through ObserveEstimate,
 // which is Observe followed by Estimate at one hash evaluation per row.
 //
-// The exact summaries — levelset.ExactCounter, core's entropy plug-in,
-// GEE and naive F_k, each the full frequency vector of the observed
-// stream — share the other store, ItemCounts: an item slab and a count
-// slab that Merge and Decode leave in key order, with an ItemIndex only
-// while it is fed. Its ordering contract: Merge never writes its
+// The exact summaries — levelset.ExactCounter, core's entropy plug-in
+// and GEE, each the full frequency vector of the observed stream —
+// share the other store, ItemCounts: an item slab and a count slab that
+// Merge and Decode leave in key order, with an ItemIndex only while it
+// is fed. Its ordering contract: Merge never writes its
 // argument (an ordered one is read in place by a linear two-finger join,
 // a fed one's arrivals are sorted in a copy), so decoded states may be
 // folded by any number of goroutines at once; Encode and OrderedCounts

@@ -8,8 +8,8 @@ import (
 )
 
 // ItemCounts is the exact counting store — the frequency vector of the
-// observed stream — under levelset.ExactCounter, core's entropy plugin,
-// the GEE baseline and naive F_k: an item slab with its count slab
+// observed stream — under levelset.ExactCounter, core's entropy plug-in
+// and the GEE baseline: an item slab with its count slab
 // beside it, and an ItemIndex over the slab only while the store is being
 // updated. The zero value is an empty store.
 //

@@ -7,86 +7,6 @@ import (
 	"substream/internal/stream"
 )
 
-func TestMisraGriesGuarantee(t *testing.T) {
-	// Undercount is at most N/(k+1) for every item.
-	s := zipfStream(100000, 2000, 1.1, 1)
-	const k = 100
-	mg := NewMisraGries(k)
-	for _, it := range s {
-		mg.Observe(it)
-	}
-	f := stream.NewFreq(s)
-	bound := mg.ErrorBound()
-	for it, c := range f {
-		est := mg.Estimate(it)
-		if est > c {
-			t.Fatalf("item %d: Misra-Gries overestimated %d > %d", it, est, c)
-		}
-		if float64(c)-float64(est) > bound+1e-9 {
-			t.Fatalf("item %d: undercount %d exceeds bound %v", it, c-est, bound)
-		}
-	}
-}
-
-func TestMisraGriesFindsMajority(t *testing.T) {
-	// An item with frequency > N/(k+1) must survive.
-	var s stream.Slice
-	for i := 0; i < 600; i++ {
-		s = append(s, 1)
-	}
-	for i := 0; i < 400; i++ {
-		s = append(s, stream.Item(i+2)) // all distinct
-	}
-	mg := NewMisraGries(9) // bound N/10 = 100 < 600
-	for _, it := range s {
-		mg.Observe(it)
-	}
-	if mg.Estimate(1) == 0 {
-		t.Fatal("majority item evicted")
-	}
-	if !containsItem(mg.counters, 1) {
-		t.Fatal("majority item not in candidates")
-	}
-}
-
-func containsItem(m map[stream.Item]uint64, it stream.Item) bool {
-	_, ok := m[it]
-	return ok
-}
-
-func TestMisraGriesCounterCap(t *testing.T) {
-	mg := NewMisraGries(5)
-	for i := 0; i < 10000; i++ {
-		mg.Observe(stream.Item(i%100 + 1))
-	}
-	if len(mg.counters) > 5 {
-		t.Fatalf("tracked %d > k=5 counters", len(mg.counters))
-	}
-	if mg.n != 10000 {
-		t.Fatalf("N = %d", mg.n)
-	}
-}
-
-func TestMisraGriesExactWhenFits(t *testing.T) {
-	mg := NewMisraGries(10)
-	s := stream.Slice{1, 1, 2, 3, 3, 3}
-	for _, it := range s {
-		mg.Observe(it)
-	}
-	if mg.Estimate(1) != 2 || mg.Estimate(2) != 1 || mg.Estimate(3) != 3 {
-		t.Fatalf("exact counts wrong: %v", mg.counters)
-	}
-}
-
-func TestMisraGriesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMisraGries(0) did not panic")
-		}
-	}()
-	NewMisraGries(0)
-}
-
 func TestTopKBasic(t *testing.T) {
 	tk := NewTopK(3)
 	tk.Update(1, 10)

@@ -3,7 +3,6 @@ package sketch
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"maps"
 	"math"
 	"slices"
@@ -314,17 +313,12 @@ func TestEmptyTableCostsBytesNotCells(t *testing.T) {
 	}
 }
 
-// failingEncoder is a nested child whose encode fails.
-type failingEncoder struct{ err error }
-
-func (f failingEncoder) Encode(w *wire.Writer) { w.Fail(f.err) }
-
 // encoderFunc is an encoder written in place.
 type encoderFunc func(w *wire.Writer)
 
 func (f encoderFunc) Encode(w *wire.Writer) { f(w) }
 
-func TestNestWritesInPlaceAndKeepsTheFirstError(t *testing.T) {
+func TestNestWritesInPlace(t *testing.T) {
 	ss := NewSpaceSaving(4)
 	for i := 0; i < 20; i++ {
 		ss.Observe(stream.Item(i % 6))
@@ -343,19 +337,6 @@ func TestNestWritesInPlaceAndKeepsTheFirstError(t *testing.T) {
 	want.U8(0x7e)
 	if !bytes.Equal(w.Bytes(), want.Bytes()) {
 		t.Fatalf("Nest wrote % x, want % x", w.Bytes(), want.Bytes())
-	}
-	first := bytes.ErrTooLarge
-	_, err = wire.Marshal(encoderFunc(func(w *wire.Writer) {
-		w.Nest(ss)
-		w.Nest(failingEncoder{first})
-		w.Nest(failingEncoder{io.ErrUnexpectedEOF})
-		w.Nest(ss)
-	}))
-	if err != first {
-		t.Fatalf("err = %v, want the first child's error", err)
-	}
-	if _, err := wire.Marshal(failingEncoder{first}); err != first {
-		t.Fatalf("Marshal returned %v, want the encoder's error", err)
 	}
 }
 

@@ -47,12 +47,11 @@ var MaxDecodedBytes = 256 << 20
 // its own Writer to each child (Nest), so a whole payload is written into
 // one buffer in one pass, whatever its nesting. On a sizing pass a Writer
 // only counts the bytes the same calls would append, which is how Marshal
-// sizes that buffer. The first error reported with Fail sticks.
+// sizes that buffer.
 type Writer struct {
 	buf    []byte
 	sizing bool
 	size   int
-	err    error
 }
 
 // Encoder is a summary with a wire form: Encode writes its payload, header
@@ -61,14 +60,14 @@ type Writer struct {
 type Encoder interface{ Encode(w *Writer) }
 
 // Marshal is every kind's MarshalBinary: a sizing pass over e, then its
-// payload written into one buffer of that size.
+// payload written into one buffer of that size. Every summary can be
+// written, so the error, there for encoding.BinaryMarshaler, is nil.
 func Marshal(e Encoder) ([]byte, error) {
 	w := &Writer{sizing: true}
-	if e.Encode(w); w.err == nil {
-		*w = Writer{buf: make([]byte, 0, w.size)}
-		e.Encode(w)
-	}
-	return w.buf, w.err
+	e.Encode(w)
+	*w = Writer{buf: make([]byte, 0, w.size)}
+	e.Encode(w)
+	return w.buf, nil
 }
 
 // Sizing reports whether this is a sizing pass, for an encoder that can
@@ -178,14 +177,6 @@ func (w *Writer) Nest(child Encoder) {
 
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Fail records that the payload cannot be written (first error sticks);
-// Marshal returns it.
-func (w *Writer) Fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
 
 // RunWriter writes the entries of one sorted item run; see Writer.Run.
 type RunWriter struct {

@@ -5,9 +5,9 @@
 // and a NetFlow-like packet trace.
 //
 // Real sampled-NetFlow traces are proprietary; the generator substitutes
-// them (DESIGN.md §4.1) — the estimators' guarantees depend only on the
-// frequency vector and the Bernoulli sampling process, both of which
-// these generators control exactly.
+// them. The estimators' guarantees depend only on the frequency vector
+// and the Bernoulli sampling process, both of which these generators
+// control exactly.
 package workload
 
 import (

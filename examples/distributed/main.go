@@ -21,7 +21,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"substream/internal/core"
 	"substream/internal/pipeline"
@@ -83,7 +85,11 @@ func (rt *router) Merge(other *router) error {
 	return nil
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the collector's answers to w; the traffic and every
+// router's sampling are seeded, so it prints the same every time.
+func run(w io.Writer) {
 	r := rng.New(5)
 	wl, _ := workload.NetFlow(packets, 15000, 1.05, 1.3, 4, r.Uint64())
 	traffic := stream.Collect(wl.Stream)
@@ -109,29 +115,29 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%d routers exported %d of %d packets (p=%.2f each)\n\n",
+	fmt.Fprintf(w, "%d routers exported %d of %d packets (p=%.2f each)\n\n",
 		routers, collector.saw, packets, p)
 
 	// Distinct flows in the original traffic: Algorithm 2 on the merged
 	// sample (X/√p).
 	sampledDistinct := collector.kmv.Estimate()
 	estF0 := sampledDistinct / math.Sqrt(p) // Algorithm 2: X/√p
-	fmt.Printf("distinct flows: merged-sample estimate %.0f → original-traffic estimate %.0f (true %d)\n",
+	fmt.Fprintf(w, "distinct flows: merged-sample estimate %.0f → original-traffic estimate %.0f (true %d)\n",
 		sampledDistinct, estF0, truth.F0())
 
 	// Traffic skew: Algorithm 1's F₂ of the original traffic from the
 	// merged collision counts.
 	estF2 := collector.f2.Estimate()
 	trueF2 := truth.Fk(2)
-	fmt.Printf("traffic F2 (skew): merged estimate %.3g (true %.3g, %+.1f%%)\n",
+	fmt.Fprintf(w, "traffic F2 (skew): merged estimate %.3g (true %.3g, %+.1f%%)\n",
 		estF2, trueF2, 100*(estF2-trueF2)/trueF2)
 
 	// Top flows: CountMin estimates on the merged sketch, scaled by 1/p.
-	fmt.Printf("\ntop flows from the merged CountMin (scaled by 1/p):\n")
-	fmt.Printf("%-8s %-14s %-12s %-8s\n", "flow", "est packets", "true", "err")
+	fmt.Fprintf(w, "\ntop flows from the merged CountMin (scaled by 1/p):\n")
+	fmt.Fprintf(w, "%-8s %-14s %-12s %s\n", "flow", "est packets", "true", "err")
 	for _, hh := range truth.TopK(5) {
 		est := float64(collector.cm.Estimate(hh.Item)) / p
-		fmt.Printf("%-8d %-14.0f %-12d %+.1f%%\n",
+		fmt.Fprintf(w, "%-8d %-14.0f %-12d %+.1f%%\n",
 			hh.Item, est, hh.Freq, 100*(est-float64(hh.Freq))/float64(hh.Freq))
 	}
 
@@ -141,6 +147,6 @@ func main() {
 	kmvWire, _ := lastRouter.kmv.MarshalBinary()
 	cmWire, _ := lastRouter.cm.MarshalBinary()
 	f2Wire, _ := lastRouter.f2.MarshalBinary()
-	fmt.Printf("\nbytes shipped per router: %d (KMV) + %d (CountMin) + %d (F2) vs %d for the raw sampled packets\n",
+	fmt.Fprintf(w, "\nbytes shipped per router: %d (KMV) + %d (CountMin) + %d (F2) vs %d for the raw sampled packets\n",
 		len(kmvWire), len(cmWire), len(f2Wire), lastRouter.saw*8)
 }

@@ -14,6 +14,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"substream/internal/quantile"
@@ -25,7 +27,11 @@ const (
 	shards = 8
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the comparison to w; the stream is seeded, so it prints the
+// same every time.
+func run(w io.Writer) {
 	// A Pareto-distributed value stream: most values tiny, the tail
 	// enormous — flow sizes, latencies. Exact quantiles would need the
 	// full sorted data; the summary keeps a few hundred samples.
@@ -54,13 +60,13 @@ func main() {
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
 
-	fmt.Printf("stream: n=%d values across %d shards\n\n", n, shards)
+	fmt.Fprintf(w, "stream: n=%d values across %d shards\n\n", n, shards)
 	for _, tg := range quantile.DefaultTargets() {
 		got := merged.Query(tg.Quantile)
 		exact := sorted[int(tg.Quantile*float64(n))]
-		fmt.Printf("%-5s estimate %10.3f   exact %10.3f   guarantee ±%.2g%% of ranks\n",
+		fmt.Fprintf(w, "%-5s estimate %10.3f   exact %10.3f   guarantee ±%.2g%% of ranks\n",
 			quantile.QuantileKey(tg.Quantile), got, exact, 200*tg.Epsilon)
 	}
-	fmt.Printf("\nspace: %d samples, %dB total (raw sorted data: %dMB)\n",
+	fmt.Fprintf(w, "\nspace: %d samples, %dB total (raw sorted data: %dMB)\n",
 		merged.SampleCount(), merged.SpaceBytes(), 8*n>>20)
 }

@@ -24,6 +24,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"substream/internal/estimator"
@@ -43,7 +45,11 @@ const (
 	W        = 3 // window span in epochs
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the epoch table to w; the traffic is seeded and the clock
+// manual, so it prints the same every time.
+func run(w io.Writer) {
 	spec := estimator.Spec{Stat: "f0", P: 1, Seed: 42}
 	clock := window.NewManualClock()
 	ring, err := window.New(window.Config{
@@ -56,9 +62,9 @@ func main() {
 		panic(err)
 	}
 
-	fmt.Printf("port-scan detection with a %d-epoch window (scan during epochs %d-%d)\n\n",
+	fmt.Fprintf(w, "port-scan detection with a %d-epoch window (scan during epochs %d-%d)\n\n",
 		W, scanFrom, scanTo-1)
-	fmt.Printf("%-7s %-10s %-14s %-16s %s\n", "epoch", "flows", "window F0", "cumulative F0", "verdict")
+	fmt.Fprintf(w, "%-7s %-10s %-14s %-16s %s\n", "epoch", "flows", "window F0", "cumulative F0", "verdict")
 
 	scanID := stream.Item(1_000_000)
 	for e := 0; e < epochs; e++ {
@@ -84,12 +90,12 @@ func main() {
 		if est["window_f0"] > 3*4000 {
 			verdict = "ALERT: flow explosion in window"
 		}
-		fmt.Printf("%-7d %-10d %-14.0f %-16.0f %s\n",
+		fmt.Fprintf(w, "%-7d %-10d %-14.0f %-16.0f %s\n",
 			e, len(traffic), est["window_f0"], est["f0"], verdict)
 	}
 
 	est := ring.Estimates()
-	fmt.Printf("\nafter the scan: window F0 %.0f (back to normal) vs cumulative F0 %.0f"+
+	fmt.Fprintf(w, "\nafter the scan: window F0 %.0f (back to normal) vs cumulative F0 %.0f"+
 		" (scarred forever by %d scan flows)\n",
 		est["window_f0"], est["f0"], (scanTo-scanFrom)*perEpoch)
 
@@ -104,6 +110,6 @@ func main() {
 		panic(err)
 	}
 	epoch, _ := window.EpochOf(revived)
-	fmt.Printf("serialized ring: %d bytes, revives at epoch %d with window F0 %.0f\n",
+	fmt.Fprintf(w, "serialized ring: %d bytes, revives at epoch %d with window F0 %.0f\n",
 		len(payload), epoch, revived.Estimates()["window_f0"])
 }

@@ -49,25 +49,15 @@ func (h *F2HeavyHitters) UpdateBatch(items []stream.Item) {
 	}
 }
 
-// UpdateBatch feeds a batch of sampled-stream elements to every enabled
+// UpdateBatch feeds a batch of sampled-stream elements to every
 // estimator.
 func (m *Monitor) UpdateBatch(items []stream.Item) {
 	m.nL += uint64(len(items))
-	if m.fk != nil {
-		m.fk.UpdateBatch(items)
-	}
-	if m.f0 != nil {
-		m.f0.UpdateBatch(items)
-	}
-	if m.entropy != nil {
-		m.entropy.UpdateBatch(items)
-	}
-	if m.hh1 != nil {
-		m.hh1.UpdateBatch(items)
-	}
-	if m.hh2 != nil {
-		m.hh2.UpdateBatch(items)
-	}
+	m.fk.UpdateBatch(items)
+	m.f0.UpdateBatch(items)
+	m.entropy.UpdateBatch(items)
+	m.hh1.UpdateBatch(items)
+	m.hh2.UpdateBatch(items)
 }
 
 // Settle is the hook a pipeline's shard worker runs on its replica before
@@ -88,10 +78,6 @@ func (e *EntropyEstimator) Settle() { e.counts.Settle() }
 
 // Settle settles the two parts that may hold an exact counting store.
 func (m *Monitor) Settle() {
-	if m.fk != nil {
-		m.fk.Settle()
-	}
-	if m.entropy != nil {
-		m.entropy.Settle()
-	}
+	m.fk.Settle()
+	m.entropy.Settle()
 }

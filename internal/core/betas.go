@@ -11,8 +11,8 @@
 //     the exact frequencies of L;
 //   - F1HeavyHitters / F2HeavyHitters: Theorems 6 and 7, on CountMin and
 //     CountSketch respectively;
-//   - Monitor: F_k, F₀, entropy and both heavy-hitter estimators over
-//     one sampled stream.
+//   - Monitor: always all five — F_k, F₀, entropy and both heavy-hitter
+//     estimators — over one sampled stream.
 //
 // Every one merges and has a wire form. All take the sampling
 // probability p as a known parameter, as the paper assumes (§2).

@@ -142,7 +142,7 @@ func (h *F2HeavyHitters) EstimatorReport() estimator.Report {
 	}
 }
 
-// Estimates returns the scalar estimates of every enabled estimator.
+// Estimates returns the scalar estimates of the monitor's estimators.
 func (m *Monitor) Estimates() map[string]float64 { return m.EstimatorReport().Values }
 
 // EstimatorReport returns the full monitor report including both hitter

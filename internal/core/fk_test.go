@@ -279,6 +279,9 @@ func TestMinSamplingP(t *testing.T) {
 	if got := MinSamplingP(10000, 1<<40, 2); math.Abs(got-0.01) > 1e-9 {
 		t.Fatalf("MinSamplingP = %v, want 0.01", got)
 	}
+	if got := MinSamplingP(1<<30, 10000, 2); math.Abs(got-0.01) > 1e-9 {
+		t.Fatalf("MinSamplingP (n smaller) = %v, want 0.01", got)
+	}
 	if got := MinSamplingP(0, 0, 2); got != 1 {
 		t.Fatalf("MinSamplingP empty = %v", got)
 	}

@@ -44,9 +44,10 @@ type F1HHConfig struct {
 	Alpha float64
 	// Epsilon is the exclusion/estimation slack ε. Default 0.2.
 	Epsilon float64
-	// Delta is the failure probability budget. Default 0.05.
-	Delta float64
 }
+
+// f1HHDelta is F1HeavyHitters' failure probability budget δ.
+const f1HHDelta = 0.05
 
 // NewF1HeavyHitters builds the estimator.
 func NewF1HeavyHitters(cfg F1HHConfig, r *rng.Xoshiro256) *F1HeavyHitters {
@@ -63,10 +64,6 @@ func NewF1HeavyHitters(cfg F1HHConfig, r *rng.Xoshiro256) *F1HeavyHitters {
 	if eps < 0 || eps >= 1 {
 		panic("core: F1HeavyHitters Epsilon must be in (0, 1)")
 	}
-	delta := cfg.Delta
-	if delta == 0 {
-		delta = 0.05
-	}
 	alphaPr := (1 - 2*eps/5) * cfg.Alpha
 	return &F1HeavyHitters{
 		p:       cfg.P,
@@ -75,7 +72,7 @@ func NewF1HeavyHitters(cfg F1HHConfig, r *rng.Xoshiro256) *F1HeavyHitters {
 		alphaPr: alphaPr,
 		// Point error ≤ (ε/20)·α′·F₁(L) so thresholding at α′·F₁(L)
 		// separates the (1−ε/2) band, per Theorem 6's proof.
-		cm:      sketch.NewCountMinWithError(eps*alphaPr/20, delta/4, r),
+		cm:      sketch.NewCountMinWithError(eps*alphaPr/20, f1HHDelta/4, r),
 		tracker: sketch.NewTopK(trackerCapacity(cfg.Alpha)),
 	}
 }
@@ -152,12 +149,13 @@ type F2HHConfig struct {
 	Alpha float64
 	// Epsilon is the exclusion slack ε. Default 0.2.
 	Epsilon float64
-	// Depth is the CountSketch depth. Default 5.
-	Depth int
 	// MaxWidth caps the derived sketch width (0 = 1<<18), protecting
 	// callers who pass extreme (ε, α, p) combinations.
 	MaxWidth int
 }
+
+// f2HHDepth is F2HeavyHitters' CountSketch depth.
+const f2HHDepth = 5
 
 // NewF2HeavyHitters builds the estimator.
 func NewF2HeavyHitters(cfg F2HHConfig, r *rng.Xoshiro256) *F2HeavyHitters {
@@ -173,10 +171,6 @@ func NewF2HeavyHitters(cfg F2HHConfig, r *rng.Xoshiro256) *F2HeavyHitters {
 	}
 	if eps < 0 || eps >= 1 {
 		panic("core: F2HeavyHitters Epsilon must be in (0, 1)")
-	}
-	depth := cfg.Depth
-	if depth == 0 {
-		depth = 5
 	}
 	alphaPr := (1 - 2*eps/5) * cfg.Alpha * math.Sqrt(cfg.P)
 	// Additive point error ≈ √(F₂(L)/width) must be ≤ (ε/10)·α′·√F₂(L):
@@ -197,7 +191,7 @@ func NewF2HeavyHitters(cfg F2HHConfig, r *rng.Xoshiro256) *F2HeavyHitters {
 		alpha:   cfg.Alpha,
 		eps:     eps,
 		alphaPr: alphaPr,
-		cs:      sketch.NewCountSketch(width, depth, r),
+		cs:      sketch.NewCountSketch(width, f2HHDepth, r),
 		tracker: sketch.NewTopK(trackerCapacity(cfg.Alpha)),
 	}
 }

@@ -228,59 +228,36 @@ func DecodeF2HeavyHitters(r *wire.Reader) (*F2HeavyHitters, error) {
 	return h, err
 }
 
-// Monitor sub-estimator presence bits.
-const (
-	monHasFk byte = 1 << iota
-	monHasF0
-	monHasEntropy
-	monHasHH1
-	monHasHH2
-)
+// monAllParts is the Monitor's presence byte: one bit per part, fk, f0,
+// entropy, hh1 and hh2 from the low bit up. A Monitor holds all five, so
+// the byte is fixed.
+const monAllParts byte = 0x1f
 
 // MarshalBinary serializes the monitor.
 func (m *Monitor) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
 
-// Encode writes the monitor: a presence bitmap followed by each enabled
-// estimator nested in place.
+// Encode writes the monitor: the fixed presence byte, then its five
+// estimators nested in place.
 func (m *Monitor) Encode(w *wire.Writer) {
 	w.Header(TagMonitor)
 	w.F64(m.p)
 	w.U64(m.nL)
-	var flags byte
-	parts := make([]wire.Encoder, 0, 5)
-	if m.fk != nil {
-		flags |= monHasFk
-		parts = append(parts, m.fk)
-	}
-	if m.f0 != nil {
-		flags |= monHasF0
-		parts = append(parts, m.f0)
-	}
-	if m.entropy != nil {
-		flags |= monHasEntropy
-		parts = append(parts, m.entropy)
-	}
-	if m.hh1 != nil {
-		flags |= monHasHH1
-		parts = append(parts, m.hh1)
-	}
-	if m.hh2 != nil {
-		flags |= monHasHH2
-		parts = append(parts, m.hh2)
-	}
-	w.U8(flags)
-	for _, part := range parts {
-		w.Nest(part)
-	}
+	w.U8(monAllParts)
+	w.Nest(m.fk)
+	w.Nest(m.f0)
+	w.Nest(m.entropy)
+	w.Nest(m.hh1)
+	w.Nest(m.hh2)
 }
 
-// DecodeMonitor reads a Monitor written by Encode.
+// DecodeMonitor reads a Monitor written by Encode; it refuses a presence
+// byte other than the fixed one.
 func DecodeMonitor(r *wire.Reader) (*Monitor, error) {
 	r.Header(TagMonitor)
 	p := r.F64()
 	nL := r.U64()
-	flags := r.U8()
-	if r.Err() == nil && (!validP(p) || flags >= 1<<5) {
+	parts := r.U8()
+	if r.Err() == nil && (!validP(p) || parts != monAllParts) {
 		r.Fail()
 	}
 	if err := r.Err(); err != nil {
@@ -288,30 +265,20 @@ func DecodeMonitor(r *wire.Reader) (*Monitor, error) {
 	}
 	m := &Monitor{p: p, nL: nL}
 	var err error
-	if flags&monHasFk != 0 {
-		if m.fk, err = wire.Nest(r, DecodeFkEstimator); err != nil {
-			return nil, err
-		}
+	if m.fk, err = wire.Nest(r, DecodeFkEstimator); err != nil {
+		return nil, err
 	}
-	if flags&monHasF0 != 0 {
-		if m.f0, err = wire.Nest(r, DecodeF0Estimator); err != nil {
-			return nil, err
-		}
+	if m.f0, err = wire.Nest(r, DecodeF0Estimator); err != nil {
+		return nil, err
 	}
-	if flags&monHasEntropy != 0 {
-		if m.entropy, err = wire.Nest(r, DecodeEntropyEstimator); err != nil {
-			return nil, err
-		}
+	if m.entropy, err = wire.Nest(r, DecodeEntropyEstimator); err != nil {
+		return nil, err
 	}
-	if flags&monHasHH1 != 0 {
-		if m.hh1, err = wire.Nest(r, DecodeF1HeavyHitters); err != nil {
-			return nil, err
-		}
+	if m.hh1, err = wire.Nest(r, DecodeF1HeavyHitters); err != nil {
+		return nil, err
 	}
-	if flags&monHasHH2 != 0 {
-		if m.hh2, err = wire.Nest(r, DecodeF2HeavyHitters); err != nil {
-			return nil, err
-		}
+	if m.hh2, err = wire.Nest(r, DecodeF2HeavyHitters); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"substream/internal/estimator"
 	"substream/internal/rng"
 	"substream/internal/stream"
 	"substream/internal/wire"
@@ -225,24 +227,46 @@ func TestMonitorMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMonitorMarshalDisabledEstimators(t *testing.T) {
-	m := NewMonitor(MonitorConfig{P: 0.5, DisableFk: true, DisableHH2: true}, rng.New(37))
+// TestDecodeMonitorRefusesPartialMonitor hand-builds the payloads a
+// Monitor with parts switched off used to write — the presence byte with
+// a bit cleared, and only the parts it names behind it — and checks that
+// both decode paths refuse them. build with every bit set reproduces
+// MarshalBinary byte for byte, so the refusal is the presence byte's and
+// not a layout slip.
+func TestDecodeMonitorRefusesPartialMonitor(t *testing.T) {
+	m := NewMonitor(MonitorConfig{P: 0.5}, rng.New(37))
 	for _, it := range marshalSample(5000, 9) {
 		m.Observe(it)
 	}
-	data, err := m.MarshalBinary()
+	parts := []wire.Encoder{m.fk, m.f0, m.entropy, m.hh1, m.hh2}
+	build := func(presence byte) []byte {
+		w := &wire.Writer{}
+		w.Header(TagMonitor)
+		w.F64(m.p)
+		w.U64(m.nL)
+		w.U8(presence)
+		for i, part := range parts {
+			if presence&(1<<i) != 0 {
+				w.Nest(part)
+			}
+		}
+		return w.Bytes()
+	}
+	want, err := m.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := wire.Decode(data, DecodeMonitor)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(build(0x1f), want) {
+		t.Fatal("hand-built five-part payload differs from MarshalBinary")
 	}
-	if back.Report().Fk != 0 {
-		t.Fatal("disabled Fk came back enabled")
-	}
-	if back.Report().F0 != m.Report().F0 {
-		t.Fatal("F0 differs after round trip")
+	for _, presence := range []byte{0x0f, 0x1e, 0x01, 0x00} {
+		data := build(presence)
+		if _, err := wire.Decode(data, DecodeMonitor); err == nil {
+			t.Errorf("DecodeMonitor accepted presence byte %#02x", presence)
+		}
+		if _, err := estimator.Decode(data); err == nil {
+			t.Errorf("estimator.Decode accepted presence byte %#02x", presence)
+		}
 	}
 }
 
@@ -255,7 +279,7 @@ func TestCoreUnmarshalTruncatedAndBitFlipped(t *testing.T) {
 	ent := NewEntropyEstimator(EntropyConfig{P: 0.3}, rng.New(3))
 	hh1 := NewF1HeavyHitters(F1HHConfig{P: 0.3, Alpha: 0.1}, rng.New(4))
 	hh2 := NewF2HeavyHitters(F2HHConfig{P: 0.3, Alpha: 0.3, MaxWidth: 64}, rng.New(5))
-	mon := NewMonitor(MonitorConfig{P: 0.3, HHAlpha: 0.1, DisableHH2: true, DisableFk: true}, rng.New(6))
+	mon := NewMonitor(MonitorConfig{P: 0.3, HHAlpha: 0.1}, rng.New(6))
 	for _, it := range s {
 		fk.Observe(it)
 		f0.Observe(it)

@@ -111,42 +111,26 @@ func (h *F2HeavyHitters) Merge(other *F2HeavyHitters) error {
 	return nil
 }
 
-// Merge folds other into m, merging every enabled estimator pairwise.
-// Both monitors must enable the same estimators with identical
-// configurations and construction seeds.
+// Merge folds other into m, merging the five estimators pairwise. Both
+// monitors must share their configuration and construction seed.
 func (m *Monitor) Merge(other *Monitor) error {
 	if m.p != other.p {
 		return fmt.Errorf("%w: Monitor P %g vs %g", sketch.ErrIncompatible, m.p, other.p)
 	}
-	if (m.fk == nil) != (other.fk == nil) || (m.f0 == nil) != (other.f0 == nil) ||
-		(m.entropy == nil) != (other.entropy == nil) ||
-		(m.hh1 == nil) != (other.hh1 == nil) || (m.hh2 == nil) != (other.hh2 == nil) {
-		return fmt.Errorf("%w: Monitors enable different estimators", sketch.ErrIncompatible)
+	if err := m.fk.Merge(other.fk); err != nil {
+		return err
 	}
-	if m.fk != nil {
-		if err := m.fk.Merge(other.fk); err != nil {
-			return err
-		}
+	if err := m.f0.Merge(other.f0); err != nil {
+		return err
 	}
-	if m.f0 != nil {
-		if err := m.f0.Merge(other.f0); err != nil {
-			return err
-		}
+	if err := m.entropy.Merge(other.entropy); err != nil {
+		return err
 	}
-	if m.entropy != nil {
-		if err := m.entropy.Merge(other.entropy); err != nil {
-			return err
-		}
+	if err := m.hh1.Merge(other.hh1); err != nil {
+		return err
 	}
-	if m.hh1 != nil {
-		if err := m.hh1.Merge(other.hh1); err != nil {
-			return err
-		}
-	}
-	if m.hh2 != nil {
-		if err := m.hh2.Merge(other.hh2); err != nil {
-			return err
-		}
+	if err := m.hh2.Merge(other.hh2); err != nil {
+		return err
 	}
 	m.nL += other.nL
 	return nil

@@ -5,11 +5,10 @@ import (
 	"substream/internal/stream"
 )
 
-// Monitor bundles the paper's estimators behind a single Observe loop —
-// the shape a sampled-NetFlow collector actually takes: one pass over the
-// exported (sampled) packet stream, every statistic of the original
-// traffic available at the end. Individual estimators can be disabled to
-// save their space.
+// Monitor bundles the paper's five estimators behind a single Observe
+// loop — the shape a sampled-NetFlow collector actually takes: one pass
+// over the exported (sampled) packet stream, every statistic of the
+// original traffic available at the end.
 type Monitor struct {
 	p       float64
 	fk      *FkEstimator
@@ -20,8 +19,7 @@ type Monitor struct {
 	nL      uint64
 }
 
-// MonitorConfig configures a Monitor. Zero-valued sections use defaults;
-// setting a Disable flag drops that estimator entirely.
+// MonitorConfig configures a Monitor. Zero-valued fields use defaults.
 type MonitorConfig struct {
 	// P is the Bernoulli sampling probability of the observed stream.
 	P float64
@@ -31,13 +29,6 @@ type MonitorConfig struct {
 	Epsilon float64
 	// HHAlpha is the heavy-hitter threshold for both hitters. Default 0.01.
 	HHAlpha float64
-	// DisableFk, DisableF0, DisableEntropy, DisableHH1 and DisableHH2
-	// turn individual estimators off.
-	DisableFk      bool
-	DisableF0      bool
-	DisableEntropy bool
-	DisableHH1     bool
-	DisableHH2     bool
 }
 
 // NewMonitor builds a Monitor. It panics on an invalid P, like the
@@ -58,64 +49,42 @@ func NewMonitor(cfg MonitorConfig, r *rng.Xoshiro256) *Monitor {
 	if alpha == 0 {
 		alpha = 0.01
 	}
-	m := &Monitor{p: cfg.P}
-	if !cfg.DisableFk {
-		m.fk = NewFkEstimator(FkConfig{K: k, P: cfg.P, Epsilon: eps}, r.Split())
+	// F₂ heaviness is measured against √F₂ rather than F₁, so the same
+	// intent needs a larger α; clamp the heuristic into range.
+	alpha2 := min(alpha*10, 0.9)
+	// The parts draw their generators from r in field order (fk, f0,
+	// entropy, hh1, hh2); a seeded Monitor's bytes depend on that order.
+	return &Monitor{
+		p:       cfg.P,
+		fk:      NewFkEstimator(FkConfig{K: k, P: cfg.P, Epsilon: eps}, r.Split()),
+		f0:      NewF0Estimator(F0Config{P: cfg.P}, r.Split()),
+		entropy: NewEntropyEstimator(EntropyConfig{P: cfg.P}, r.Split()),
+		hh1:     NewF1HeavyHitters(F1HHConfig{P: cfg.P, Alpha: alpha, Epsilon: eps}, r.Split()),
+		hh2:     NewF2HeavyHitters(F2HHConfig{P: cfg.P, Alpha: alpha2, Epsilon: eps}, r.Split()),
 	}
-	if !cfg.DisableF0 {
-		m.f0 = NewF0Estimator(F0Config{P: cfg.P}, r.Split())
-	}
-	if !cfg.DisableEntropy {
-		m.entropy = NewEntropyEstimator(EntropyConfig{P: cfg.P}, r.Split())
-	}
-	if !cfg.DisableHH1 {
-		m.hh1 = NewF1HeavyHitters(F1HHConfig{P: cfg.P, Alpha: alpha, Epsilon: eps}, r.Split())
-	}
-	if !cfg.DisableHH2 {
-		// F₂ heaviness is measured against √F₂ rather than F₁, so the
-		// same intent needs a larger α; clamp the heuristic into range.
-		alpha2 := alpha * 10
-		if alpha2 > 0.9 {
-			alpha2 = 0.9
-		}
-		m.hh2 = NewF2HeavyHitters(F2HHConfig{P: cfg.P, Alpha: alpha2, Epsilon: eps}, r.Split())
-	}
-	return m
 }
 
-// Observe feeds one element of the sampled stream to every enabled
-// estimator.
+// Observe feeds one element of the sampled stream to every estimator.
 func (m *Monitor) Observe(it stream.Item) {
 	m.nL++
-	if m.fk != nil {
-		m.fk.Observe(it)
-	}
-	if m.f0 != nil {
-		m.f0.Observe(it)
-	}
-	if m.entropy != nil {
-		m.entropy.Observe(it)
-	}
-	if m.hh1 != nil {
-		m.hh1.Observe(it)
-	}
-	if m.hh2 != nil {
-		m.hh2.Observe(it)
-	}
+	m.fk.Observe(it)
+	m.f0.Observe(it)
+	m.entropy.Observe(it)
+	m.hh1.Observe(it)
+	m.hh2.Observe(it)
 }
 
-// Report summarizes every enabled estimator. Disabled estimators report
-// zero values and nil slices.
+// Report summarizes every estimator of a Monitor.
 type Report struct {
 	// SampledLength is F1(L), the number of observed elements.
 	SampledLength uint64
 	// EstimatedLength is the estimate of n = F1(P).
 	EstimatedLength float64
-	// Fk is the estimate of the configured moment (0 when disabled).
+	// Fk is the estimate of the configured moment.
 	Fk float64
-	// F0 is the distinct-count estimate (0 when disabled).
+	// F0 is the distinct-count estimate.
 	F0 float64
-	// Entropy is the entropy estimate in bits (0 when disabled).
+	// Entropy is the entropy estimate in bits.
 	Entropy float64
 	// F1HeavyHitters and F2HeavyHitters list detected hitters.
 	F1HeavyHitters []ReportedHitter
@@ -124,46 +93,20 @@ type Report struct {
 
 // Report produces the point-in-time summary.
 func (m *Monitor) Report() Report {
-	rep := Report{
+	return Report{
 		SampledLength:   m.nL,
 		EstimatedLength: float64(m.nL) / m.p,
+		Fk:              m.fk.Estimate(),
+		F0:              m.f0.Estimate(),
+		Entropy:         m.entropy.Estimate(),
+		F1HeavyHitters:  m.hh1.Report(),
+		F2HeavyHitters:  m.hh2.Report(),
 	}
-	if m.fk != nil {
-		rep.Fk = m.fk.Estimate()
-	}
-	if m.f0 != nil {
-		rep.F0 = m.f0.Estimate()
-	}
-	if m.entropy != nil {
-		rep.Entropy = m.entropy.Estimate()
-	}
-	if m.hh1 != nil {
-		rep.F1HeavyHitters = m.hh1.Report()
-	}
-	if m.hh2 != nil {
-		rep.F2HeavyHitters = m.hh2.Report()
-	}
-	return rep
 }
 
-// SpaceBytes returns the combined approximate footprint of the enabled
+// SpaceBytes returns the combined approximate footprint of the
 // estimators.
 func (m *Monitor) SpaceBytes() int {
-	total := 16
-	if m.fk != nil {
-		total += m.fk.SpaceBytes()
-	}
-	if m.f0 != nil {
-		total += m.f0.SpaceBytes()
-	}
-	if m.entropy != nil {
-		total += m.entropy.SpaceBytes()
-	}
-	if m.hh1 != nil {
-		total += m.hh1.SpaceBytes()
-	}
-	if m.hh2 != nil {
-		total += m.hh2.SpaceBytes()
-	}
-	return total
+	return 16 + m.fk.SpaceBytes() + m.f0.SpaceBytes() + m.entropy.SpaceBytes() +
+		m.hh1.SpaceBytes() + m.hh2.SpaceBytes()
 }

@@ -55,36 +55,6 @@ func TestMonitorAllStats(t *testing.T) {
 	}
 }
 
-func TestMonitorDisableFlags(t *testing.T) {
-	mon := NewMonitor(MonitorConfig{
-		P:          0.5,
-		DisableFk:  true,
-		DisableF0:  true,
-		DisableHH2: true,
-	}, rng.New(4))
-	for i := 0; i < 1000; i++ {
-		mon.Observe(stream.Item(i%50 + 1))
-	}
-	rep := mon.Report()
-	if rep.Fk != 0 || rep.F0 != 0 || rep.F2HeavyHitters != nil {
-		t.Fatalf("disabled estimators produced output: %+v", rep)
-	}
-	if rep.Entropy == 0 {
-		t.Fatal("enabled entropy produced nothing")
-	}
-	if rep.SampledLength != 1000 {
-		t.Fatalf("SampledLength = %d", rep.SampledLength)
-	}
-}
-
-func TestMonitorDisabledSmallerSpace(t *testing.T) {
-	full := NewMonitor(MonitorConfig{P: 0.5}, rng.New(5))
-	lean := NewMonitor(MonitorConfig{P: 0.5, DisableFk: true, DisableHH1: true, DisableHH2: true}, rng.New(5))
-	if lean.SpaceBytes() >= full.SpaceBytes() {
-		t.Fatalf("lean monitor not smaller: %d vs %d", lean.SpaceBytes(), full.SpaceBytes())
-	}
-}
-
 func TestMonitorLargeAlphaClamped(t *testing.T) {
 	// Regression: HHAlpha near 1 must not push the derived F₂ threshold
 	// out of its (0, 1) domain.

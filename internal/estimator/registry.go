@@ -133,12 +133,17 @@ func Stats() []string {
 	return out
 }
 
-// WithDefaults fills unset numeric fields with the library-wide
-// defaults, the only place they are spelled. New applies them, which
-// guarantees every entry path — daemon config, CLI, direct library use —
-// builds structurally identical (and therefore mergeable) estimators from
-// equal logical specs; the daemon also applies them up front, so the
-// config it validates, compares and reports is the one it builds from.
+// WithDefaults fills unset numeric fields with the registry's defaults.
+// New applies them before any constructor runs, which guarantees every
+// entry path that builds through the registry — daemon config, CLI,
+// estimator.New — builds structurally identical (and therefore
+// mergeable) estimators from equal logical specs; the daemon also applies
+// them up front, so the config it validates, compares and reports is the
+// one it builds from. The core constructors keep zero-value defaults of
+// their own for direct callers (FkConfig's Epsilon and Budget,
+// MonitorConfig's K, Epsilon and HHAlpha), which a registry-built
+// estimator never reaches; they need not agree with these —
+// MonitorConfig's HHAlpha defaults to 0.01 where Alpha here is 0.05.
 func (s Spec) WithDefaults() Spec {
 	if s.K == 0 {
 		s.K = 2

@@ -8,8 +8,6 @@
 package sample
 
 import (
-	"math"
-
 	"substream/internal/rng"
 	"substream/internal/stream"
 )
@@ -185,19 +183,4 @@ func (a AdaptiveBernoulli) EffectiveRate(n int) float64 {
 		total += float64(n-prev) * a.Probs[len(a.Probs)-1]
 	}
 	return total / float64(n)
-}
-
-// MinRecommendedP returns the paper's minimum sampling probability for
-// estimating F_k (Theorem 1): p must be Ω̃(min(m, n)^(−1/k)). The constant
-// is taken as 1; callers compare their p against this floor when deciding
-// whether an Fk estimate is information-theoretically meaningful.
-func MinRecommendedP(m, n uint64, k int) float64 {
-	mn := m
-	if n < mn {
-		mn = n
-	}
-	if mn == 0 {
-		return 1
-	}
-	return math.Pow(float64(mn), -1/float64(k))
 }

@@ -188,16 +188,3 @@ func TestEffectiveRate(t *testing.T) {
 		t.Fatalf("EffectiveRate(0) = %v", got)
 	}
 }
-
-func TestMinRecommendedP(t *testing.T) {
-	// k=2, min(m,n)=10000 → 10000^(-1/2) = 0.01.
-	if got := MinRecommendedP(10000, 1<<30, 2); math.Abs(got-0.01) > 1e-9 {
-		t.Fatalf("MinRecommendedP = %v, want 0.01", got)
-	}
-	if got := MinRecommendedP(1<<30, 10000, 2); math.Abs(got-0.01) > 1e-9 {
-		t.Fatalf("MinRecommendedP (n smaller) = %v, want 0.01", got)
-	}
-	if got := MinRecommendedP(0, 0, 3); got != 1 {
-		t.Fatalf("MinRecommendedP empty = %v, want 1", got)
-	}
-}

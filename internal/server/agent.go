@@ -53,14 +53,11 @@ type AgentConfig struct {
 	// counted after its retries) that trips the upstream circuit
 	// breaker from closed to open. While open, ships fail fast with
 	// the breaker_open cause instead of burning their retry schedule
-	// against a dead collector. 0 means the default of 5; negative
-	// disables the breaker.
+	// against a dead collector. After one FlushInterval open — the
+	// next tick — the breaker admits a single half-open probe ship;
+	// the probe's success closes it, its failure re-opens it. 0 means
+	// the default of 5; negative disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// admitting a single half-open probe ship; the probe's success
-	// closes the breaker, its failure re-opens it. 0 means the flush
-	// interval — the natural "probe on the next tick" cadence.
-	BreakerCooldown time.Duration
 	// Logger receives structured operational logs (stream lifecycle at
 	// Info, flush failures at Warn, per-request lines at Debug). Nil
 	// discards them.
@@ -154,9 +151,6 @@ func NewAgent(cfg AgentConfig) *Agent {
 	case cfg.BreakerThreshold < 0:
 		cfg.BreakerThreshold = 0 // disabled (breaker treats <= 0 as off)
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = cfg.FlushInterval
-	}
 	if cfg.Client == nil {
 		// The default client's timeout must not silently cap an
 		// explicitly longer shutdown-flush bound; callers supplying
@@ -176,7 +170,7 @@ func NewAgent(cfg AgentConfig) *Agent {
 		logger:  logger.With("role", "agent", "agent", cfg.ID),
 		boot:    uint64(time.Now().UnixNano()),
 		metrics: newMetrics(),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+		breaker: newBreaker(cfg.BreakerThreshold, cfg.FlushInterval, nil),
 		streams: make(map[string]*agentStream),
 	}
 	a.registerPipelineMetrics()

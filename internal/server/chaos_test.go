@@ -81,9 +81,9 @@ func TestChaosConvergenceWithCollectorRestart(t *testing.T) {
 			Upstream: front.ts.URL,
 			Client:   &http.Client{Transport: tr, Timeout: 5 * time.Second},
 			// Tight schedule so the bounded-tick budget is wall-clock
-			// cheap: one retry, 1ms backoff, breaker probing every tick.
+			// cheap: one retry, 1ms backoff, breaker probing after 1ms.
 			ShipRetries: 1, ShipBackoff: time.Millisecond,
-			BreakerThreshold: 3, BreakerCooldown: time.Millisecond,
+			BreakerThreshold: 3, FlushInterval: time.Millisecond,
 		})
 		t.Cleanup(a.Close)
 		for name, cfg := range map[string]StreamConfig{"cum": cumCfg, "win": winCfg} {
@@ -199,7 +199,7 @@ func TestChaosOutageRevival(t *testing.T) {
 		ID: "o", Upstream: front.ts.URL,
 		Client:      &http.Client{Transport: tr, Timeout: 5 * time.Second},
 		ShipRetries: -1, ShipBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: time.Millisecond,
+		BreakerThreshold: 2, FlushInterval: time.Millisecond,
 	})
 	t.Cleanup(agent.Close)
 	cfg := StreamConfig{Stat: "f0", P: 0.5, Seed: 3, Presampled: true}

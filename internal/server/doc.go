@@ -100,11 +100,10 @@
 //   - A per-upstream circuit breaker (AgentConfig.BreakerThreshold,
 //     default 5 consecutive failures; -breaker-threshold) fails flushes
 //     fast while open — before the pipeline is even quiesced for a
-//     snapshot — then admits a single probe per cooldown
-//     (AgentConfig.BreakerCooldown, default the flush interval) whose
-//     outcome closes or re-opens it. Ship attempts are accounted by
-//     cause in ship_errors (retry, breaker_open, gave_up alongside the
-//     transport causes), and the gauges agent_breaker_state,
+//     snapshot — then admits a single probe per flush interval (the
+//     next tick) whose outcome closes or re-opens it. Ship attempts are
+//     accounted by cause in ship_errors (retry, breaker_open, gave_up
+//     alongside the transport causes), and the gauges agent_breaker_state,
 //     agent_ship_success_age_seconds, and agent_stream_dirty expose the
 //     loop's health; POST /v1/flush attempts every stream and reports
 //     {"shipped": n, "failed": m}.

@@ -264,7 +264,7 @@ func TestShipErrorCausesAudit(t *testing.T) {
 
 	t.Run("breaker open fails fast", func(t *testing.T) {
 		a := newShipper(AgentConfig{Upstream: deadUpstream(), ShipRetries: -1,
-			BreakerThreshold: 1, BreakerCooldown: time.Hour})
+			BreakerThreshold: 1, FlushInterval: time.Hour})
 		// First flush trips the one-failure breaker...
 		if _, err := a.FlushAll(context.Background()); err == nil {
 			t.Fatal("flush to dead upstream succeeded")

@@ -10,6 +10,7 @@ package substream_bench
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -508,6 +509,58 @@ func BenchmarkCollectorEstimateFk16(b *testing.B) {
 		if err != nil || g.Agents != 16 {
 			b.Fatalf("estimate: %+v, %v", g, err)
 		}
+	}
+}
+
+// BenchmarkCollectEnvelope prices the collector's side of the budget's
+// ship layer: one op POSTs one json.Marshal'ed agent envelope through
+// Collector.Handler — body read, envelope parse, payload Decode, trial
+// fold and accept (every op repeats the first delivery's Seq, so the table
+// keeps one row while each op still pays the whole door). fk is the level
+// set at p = 0.05 over a Bernoulli(0.05) sample of the standard stream, the
+// first 2^20 items of Zipf(1.1) over 2^20 keys; all is the full Monitor
+// over the whole stream at p = 1.
+func BenchmarkCollectEnvelope(b *testing.B) {
+	items := stream.Collect(workload.Zipf(1<<20, 1<<20, 1.1, 21).Stream)
+	for _, c := range []struct {
+		cfg   server.StreamConfig
+		items stream.Slice
+	}{
+		{server.StreamConfig{Stat: "fk", K: 2, P: 0.05, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 1},
+			sample.NewBernoulli(0.05).Apply(items, rng.New(1))},
+		{server.StreamConfig{Stat: "all", K: 2, P: 1, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 1}, items},
+	} {
+		b.Run(c.cfg.Stat, func(b *testing.B) {
+			e, err := estimator.New(estimator.Spec{
+				Stat: c.cfg.Stat, P: c.cfg.P, K: c.cfg.K, Epsilon: c.cfg.Epsilon, Alpha: c.cfg.Alpha, Budget: c.cfg.Budget, Seed: c.cfg.Seed,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.UpdateBatch(c.items)
+			payload, err := e.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			body, err := json.Marshal(server.Summary{
+				Agent: "a00", Stream: c.cfg.Stat, Seq: 1, Config: c.cfg,
+				Fed: uint64(len(items)), Kept: uint64(len(c.items)), Payload: payload,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := server.NewCollector(server.CollectorConfig{}).Handler()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/collect", bytes.NewReader(body)))
+				if rr.Code != http.StatusAccepted {
+					b.Fatalf("status %d: %s", rr.Code, rr.Body)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "bytes/envelope")
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -390,18 +390,35 @@ func (c *Collector) query(name string, q query) (answer, folded, error) {
 }
 
 func (c *Collector) handleCollect(w http.ResponseWriter, r *http.Request) {
-	var sum Summary
 	arrival := time.Now()
-	// The whole body is read before it is parsed, so that json.Unmarshal
-	// sees — and refuses — anything that follows the envelope; a streaming
-	// Decoder would stop at the end of the first value and accept the rest
-	// unseen. The buffer is sized from the declared length only up to
-	// 1 MiB and grows with what actually arrives, so a header alone
-	// reserves no more than that.
+	// A declared length over the limit is refused before any byte is
+	// read, the way ingest refuses one; a body with no declared length
+	// that MaxBytesReader cuts off gets the same answer.
+	if r.ContentLength > maxSummaryBytes {
+		c.metrics.CollectRejects.With(causeTooLarge).Inc()
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"summary body %d bytes exceeds the %d-byte limit", r.ContentLength, int64(maxSummaryBytes))
+		return
+	}
+	// The whole body is read before it is parsed. decodeSummary cuts only
+	// the payload string out of it and hands everything else — the rest
+	// of the envelope and anything after it — to json.Unmarshal as one
+	// document, so data following the envelope is still refused; a
+	// streaming Decoder would stop at the end of the first value and
+	// accept the rest unseen. The buffer is sized from the declared
+	// length only up to 1 MiB and grows with what actually arrives, so a
+	// header alone reserves no more than that.
 	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), 1<<20)+bytes.MinRead))
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSummaryBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		c.metrics.CollectRejects.With(causeTooLarge).Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, "summary body exceeds the %d-byte limit", tooLarge.Limit)
+		return
+	}
+	var sum Summary
 	if err == nil {
-		err = json.Unmarshal(body.Bytes(), &sum)
+		sum, err = decodeSummary(body.Bytes())
 	}
 	if err != nil {
 		c.metrics.CollectRejects.With(causeEnvelope).Inc()

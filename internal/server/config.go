@@ -244,7 +244,11 @@ type Summary struct {
 	// acceptance and ordering never depend on them.
 	TraceID   uint64    `json:"trace_id,omitempty"`
 	FlushedAt time.Time `json:"flushed_at,omitzero"`
-	Payload   []byte    `json:"payload"`
+	// Payload is nearly all of an envelope's bytes, so the collector's
+	// envelope reader (decodeSummary) cuts its base64 string out of the
+	// body and decodes it directly instead of passing it through
+	// encoding/json's scanner with the rest.
+	Payload []byte `json:"payload"`
 }
 
 // pipe is the pipeline type every agent-side stream runs.

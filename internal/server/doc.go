@@ -138,7 +138,17 @@
 // Summaries travel as a JSON envelope (Summary) whose Payload field is
 // the binary serialization of one estimator, built from the primitives
 // in internal/wire (little-endian fields, length-prefixed nesting).
-// The rules:
+// Agents write the envelope with json.Marshal. The collector reads it,
+// at the live door and out of a snapshot alike, with encoding/json's
+// semantics exactly: members in any order, unknown and case-folded keys,
+// escapes, duplicate keys (the last wins) and the refusal of trailing
+// data are json.Unmarshal's. Only the payload string is read apart, once:
+// its base64 is found by a memchr walk and decoded directly, so it never
+// passes through json's scanner (an escaped or otherwise unusual payload
+// is left to json whole). POST /v1/collect refuses an envelope over the
+// 64 MiB limit with 413 (summaries_rejected cause too_large), before the
+// first byte when Content-Length declares it, as ingest does. The
+// payload's rules:
 //
 //   - Every payload starts with a one-byte TYPE TAG and a one-byte
 //     FORMAT VERSION (wire.WireVersion, currently 3). Version 2 kept

@@ -41,7 +41,8 @@ const (
 	causeBreakerOpen = "breaker_open"
 	causeGaveUp      = "gave_up"
 
-	// summaries_rejected causes
+	// summaries_rejected causes, besides too_large for an envelope over
+	// the size limit
 	causeEnvelope = "envelope"
 	causeConfig   = "config"
 	causePayload  = "payload"

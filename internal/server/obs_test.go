@@ -25,7 +25,7 @@ import (
 // tests below sweep, so a counter bumped under an unexpected cause fails
 // the "all others unchanged" check instead of hiding.
 var ingestCauses = []string{causeUnknownStream, causeContentType, causeTooLarge, causeDecode, causeBadWeight}
-var collectCauses = []string{causeEnvelope, causeConfig, causePayload, causeConflict}
+var collectCauses = []string{causeTooLarge, causeEnvelope, causeConfig, causePayload, causeConflict}
 
 // causeValues captures every cause child of a vec.
 func causeValues(v *obs.CounterVec, causes []string) map[string]uint64 {
@@ -403,6 +403,32 @@ func TestCollectErrorCausesAudit(t *testing.T) {
 				t.Fatalf("status %d, want 400", code)
 			}
 			assertCauseDelta(t, before, causeValues(rejects, collectCauses), tc.cause)
+		})
+	}
+
+	// Oversized bodies go straight to the handler, as in the ingest
+	// audit: a client cannot send a declared length its body does not
+	// have, and an endless body needs no socket to be cut off.
+	for _, tc := range []struct {
+		name       string
+		body       io.Reader
+		contentLen int64
+	}{
+		{"declared oversize", strings.NewReader("{}"), 65 << 20},
+		// No declared length to refuse up front: MaxBytesReader cuts the
+		// body off once it passes the limit.
+		{"undeclared oversize", onesReader{}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := causeValues(rejects, collectCauses)
+			req := httptest.NewRequest(http.MethodPost, "/v1/collect", tc.body)
+			req.ContentLength = tc.contentLen
+			rr := httptest.NewRecorder()
+			collector.Handler().ServeHTTP(rr, req)
+			if rr.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413 (%s)", rr.Code, rr.Body)
+			}
+			assertCauseDelta(t, before, causeValues(rejects, collectCauses), causeTooLarge)
 		})
 	}
 }

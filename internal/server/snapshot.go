@@ -130,8 +130,8 @@ func decodeSnapshot(data []byte) ([]snapEntry, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		var sum Summary
-		if err := json.Unmarshal(js, &sum); err != nil {
+		sum, err := decodeSummary(js)
+		if err != nil {
 			return nil, fmt.Errorf("snapshot entry %d: %w", i, err)
 		}
 		out = append(out, snapEntry{sum: sum, lastSeen: time.Unix(0, lastSeen)})

@@ -324,11 +324,12 @@ func TestRestoreDiscardsWireV2Snapshot(t *testing.T) {
 	}
 }
 
-// TestAdmissionParity drives one table of bad summaries through both
-// doors into the retained table, each time behind one good row: the live
-// door (POST /v1/collect) must reject every one with its audited
+// TestAdmissionParity drives one table of rows through both doors into
+// the retained table, each time behind one good row. For a bad row the
+// live door (POST /v1/collect) must reject it with its audited
 // summaries_rejected cause and keep the good row, and a valid-CRC
-// snapshot carrying the same two rows must be abandoned whole.
+// snapshot carrying the same two rows must be abandoned whole. A row
+// whose envelope shape json accepts must be admitted at both doors.
 func TestAdmissionParity(t *testing.T) {
 	cfg := StreamConfig{Stat: "f0", P: 0.5, Seed: 7}
 	good := f0Summary("a", "flows", cfg, 1)
@@ -344,15 +345,24 @@ func TestAdmissionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okRow, _ := json.Marshal(with(func(*Summary) {}))
-	cases := []struct {
+	// okRow's state is fed until its payload's base64 holds some '/'s,
+	// which the envelope shapes below escape.
+	okRow, _ := json.Marshal(with(func(s *Summary) {
+		e := core.NewF0Estimator(core.F0Config{P: cfg.P}, rng.New(cfg.Seed))
+		for i := range 64 {
+			e.Observe(stream.Item(i + 1))
+		}
+		s.Payload, _ = e.MarshalBinary()
+	}))
+	type admissionCase struct {
 		name  string
 		sum   Summary
-		cause string
+		cause string // "" = admitted at both doors
 		// raw, when set, is the row as it arrives in place of sum's JSON:
-		// a defect of the envelope bytes that no Summary value can carry.
+		// a shape of the envelope bytes that no Summary value can carry.
 		raw []byte
-	}{
+	}
+	cases := []admissionCase{
 		{name: "empty stream", sum: with(func(s *Summary) { s.Stream = "" }), cause: causeConfig},
 		{name: "empty agent", sum: with(func(s *Summary) { s.Agent = "" }), cause: causeConfig},
 		{name: "invalid config", sum: with(func(s *Summary) { s.Config.P = 42 }), cause: causeConfig},
@@ -364,6 +374,16 @@ func TestAdmissionParity(t *testing.T) {
 		// earlier row pinned the stream to.
 		{name: "config conflicts with an earlier row", sum: f0Summary("b", "flows", foreign, 1), cause: causeConflict},
 		{name: "bytes after a valid envelope", raw: append(okRow, `{"x":1} trailing garbage ###`...), cause: causeEnvelope},
+	}
+	// The envelope shapes whose reading encoding/json decides: each gets
+	// json's verdict at both doors — the row admitted beside the good
+	// one, or refused as an envelope defect.
+	for _, s := range envelopeShapes(t, okRow) {
+		row := admissionCase{name: s.name, raw: s.raw, cause: causeEnvelope}
+		if s.ok {
+			row.cause = ""
+		}
+		cases = append(cases, row)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -380,10 +400,29 @@ func TestAdmissionParity(t *testing.T) {
 				t.Fatalf("good row: status %d", resp.StatusCode)
 			}
 			before := causeValues(live.Metrics().CollectRejects, collectCauses)
-			if resp := do(t, http.MethodPost, cts.URL+"/v1/collect", "application/json", badRow, nil); resp.StatusCode != http.StatusBadRequest {
+			resp := do(t, http.MethodPost, cts.URL+"/v1/collect", "application/json", badRow, nil)
+			assertCauseDelta(t, before, causeValues(live.Metrics().CollectRejects, collectCauses), tc.cause)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), forgeSnapshot([][]byte{goodRow, badRow}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cause == "" {
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("live door: status %d, want 202", resp.StatusCode)
+				}
+				restored := NewCollector(CollectorConfig{SnapshotDir: dir})
+				if n := restored.Metrics().SnapshotErrors.With(causeSnapshotRestore).Value(); n != 0 {
+					t.Fatalf("snapshot door refused the row: snapshot_errors{snapshot_restore} = %d", n)
+				}
+				want := estimateAll(t, live, "flows")
+				if got := estimateAll(t, restored, "flows"); want["flows"].Agents != 2 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("the doors disagree: live %+v, snapshot %+v", want, got)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("live door: status %d, want 400", resp.StatusCode)
 			}
-			assertCauseDelta(t, before, causeValues(live.Metrics().CollectRejects, collectCauses), tc.cause)
 			if tc.raw == nil {
 				if err := live.Accept(tc.sum); err == nil {
 					t.Fatal("Accept admitted the row the HTTP door rejected")
@@ -391,11 +430,6 @@ func TestAdmissionParity(t *testing.T) {
 			}
 			if est, err := live.Estimate("flows"); err != nil || est.Agents != 1 {
 				t.Fatalf("live door let the rejected row touch the table: %+v, %v", est, err)
-			}
-
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, snapshotFile), forgeSnapshot([][]byte{goodRow, badRow}), 0o644); err != nil {
-				t.Fatal(err)
 			}
 			assertEmptyRestore(t, dir)
 		})

@@ -475,14 +475,13 @@ func BenchmarkLevelsetMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorEstimateFk16 prices one dashboard query against a
-// fleet-shaped table: Collector.Estimate folds 16 retained fk states
-// into a fresh accumulator and reports. The states are decoded, so every
-// slab the fold reads — heavy summary and repetitions alike — is in item
-// order and each merge is a join; no index is built or probed.
-func BenchmarkCollectorEstimateFk16(b *testing.B) {
+// fk16Collector builds the fleet-shaped table the two CollectorEstimateFk16
+// benchmarks query: 16 retained fk states, one per agent of fleetSamples,
+// and the summaries they were accepted from.
+func fk16Collector(b *testing.B) (*server.Collector, []server.Summary) {
 	cfg := server.StreamConfig{Stat: "fk", K: 2, P: 0.05, Epsilon: 0.2, Alpha: 0.05, Budget: 4096, Seed: 1}
 	c := server.NewCollector(server.CollectorConfig{})
+	var sums []server.Summary
 	for i, L := range fleetSamples() {
 		e, err := estimator.New(estimator.Spec{
 			Stat: cfg.Stat, P: cfg.P, K: cfg.K, Epsilon: cfg.Epsilon, Alpha: cfg.Alpha, Budget: cfg.Budget, Seed: cfg.Seed,
@@ -495,12 +494,53 @@ func BenchmarkCollectorEstimateFk16(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Accept(server.Summary{
+		sum := server.Summary{
 			Agent: fmt.Sprintf("a%02d", i), Stream: "fk", Seq: 1, Config: cfg,
 			Fed: 200_000, Kept: uint64(len(L)), Payload: payload,
-		}); err != nil {
+		}
+		if err := c.Accept(sum); err != nil {
 			b.Fatal(err)
 		}
+		sums = append(sums, sum)
+	}
+	return c, sums
+}
+
+// BenchmarkCollectorEstimateFk16 prices one dashboard query against a
+// fleet-shaped table that changed since the last one: Collector.Estimate
+// folds 16 retained fk states into a fresh accumulator and reports. Before
+// each op, outside the timer, one agent re-ships its state at a new Seq,
+// so the stream's cached report never matches and every op pays the fold.
+// The states are decoded, so every slab the fold reads — heavy summary and
+// repetitions alike — is in item order and each merge is a join; no index
+// is built or probed.
+func BenchmarkCollectorEstimateFk16(b *testing.B) {
+	c, sums := fk16Collector(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sum := &sums[i%len(sums)]
+		sum.Seq++
+		if err := c.Accept(*sum); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		g, err := c.Estimate("fk")
+		if err != nil || g.Agents != 16 {
+			b.Fatalf("estimate: %+v, %v", g, err)
+		}
+	}
+}
+
+// BenchmarkCollectorEstimateFk16Cached prices the same query against an
+// unchanged table — a dashboard polling between shipments: the stream's
+// cached report answers, and the op is the selection under the read lock
+// plus the copy of the report Estimate hands its caller.
+func BenchmarkCollectorEstimateFk16Cached(b *testing.B) {
+	c, _ := fk16Collector(b)
+	if _, err := c.Estimate("fk"); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

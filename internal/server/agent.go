@@ -383,7 +383,7 @@ type streamInfo struct {
 }
 
 func (a *Agent) handleList(w http.ResponseWriter, _ *http.Request) {
-	var out []streamInfo
+	out := []streamInfo{}
 	for _, st := range a.snapshotStreams() {
 		fed, kept := st.run.counts()
 		out = append(out, streamInfo{Name: st.name, Config: st.cfg, Fed: fed, Kept: kept})

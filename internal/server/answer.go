@@ -50,19 +50,26 @@ type answer struct {
 }
 
 // run is the one answer path — fold → scope → ask — behind all four query
-// routes of both roles, and so the one place a query is counted and timed.
-// folded runs between the fold and the question: from there on only the
-// private accumulator is read, so the agent gives its stream lock back
-// there and the question stalls no ingest handler.
+// routes of both roles, and so the one place a query is counted and timed
+// (served; the collector's cached report, which skips run, is counted
+// there too). folded runs between the fold and the question: from there
+// on only the private accumulator is read, so the agent gives its stream
+// lock back there and the question stalls no ingest handler.
 func (q query) run(m *Metrics, newAcc func() (estimator.Estimator, error), states []estimator.Estimator, folded func()) (answer, error) {
-	m.EstimateQueries.Inc()
-	defer m.Query.Since(time.Now())
+	defer m.served(time.Now())
 	acc, err := fold(newAcc, states)
 	folded()
 	if err != nil {
 		return answer{}, err
 	}
 	return q.ask(acc)
+}
+
+// served counts one answered query and times it from t0: estimate_queries
+// and query_seconds cover every query, folded or cached.
+func (m *Metrics) served(t0 time.Time) {
+	m.EstimateQueries.Inc()
+	m.Query.Since(t0)
 }
 
 // ask puts q to one folded estimator. A windowed stream's ring holds two

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"substream/internal/estimator"
 	"substream/internal/obs"
+	"substream/internal/window"
 )
 
 // CollectorConfig configures a collector daemon.
@@ -45,9 +49,10 @@ type CollectorConfig struct {
 // into the global estimate — the central site of the paper's
 // sampled-NetFlow scenario.
 type Collector struct {
-	cfg     CollectorConfig
-	logger  *slog.Logger
-	metrics *Metrics
+	cfg       CollectorConfig
+	logger    *slog.Logger
+	metrics   *Metrics
+	cacheHits *obs.Counter
 
 	mu      sync.RWMutex
 	streams map[string]*collectorStream
@@ -55,11 +60,52 @@ type Collector struct {
 
 // collectorStream is the retained state of one logical stream: the
 // config pinned at first sight, the constructor of the accumulator every
-// fold of the stream starts from, and the latest state per agent.
+// fold of the stream starts from (and, for a windowed stream, the epoch
+// clock its rings share), the latest state per agent, and the last full
+// report a query folded.
 type collectorStream struct {
 	cfg    StreamConfig
 	newAcc func() (estimator.Estimator, error)
+	clock  window.Clock
 	agents map[string]agentState
+	// gen counts the replacements of an agent's state, the table's only
+	// change in place (accept, under the write lock): a restore or a
+	// delete builds or drops the whole stream, cache and all.
+	gen uint64
+	// report is published by one atomic store after a fold, so a query
+	// never takes the write lock to fill it.
+	report atomic.Pointer[cachedReport]
+}
+
+// reportKey names what a nil-predicate answer is a function of: the
+// table's generation and the fresh agents selected from it (so expiry
+// under MaxSummaryAge changes the key), and for a windowed stream the
+// epoch the accumulator sat at.
+type reportKey struct {
+	gen   uint64
+	ids   []string
+	epoch uint64
+}
+
+func (k reportKey) equal(o reportKey) bool {
+	return k.gen == o.gen && k.epoch == o.epoch && slices.Equal(k.ids, o.ids)
+}
+
+// cachedReport is a stream's last full report and the key it was folded
+// under. It holds no accumulator and no state: a superseded state is
+// garbage the moment accept drops it.
+type cachedReport struct {
+	key    reportKey
+	report Estimates
+}
+
+// epochOf reads a windowed stream's epoch clock; an unwindowed stream has
+// no clock and one epoch, 0.
+func epochOf(clock window.Clock) uint64 {
+	if clock == nil {
+		return 0
+	}
+	return clock.Epoch()
 }
 
 // agentState is one agent's newest shipped summary, decoded once on
@@ -94,6 +140,8 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		metrics: newMetrics(),
 		streams: make(map[string]*collectorStream),
 	}
+	c.cacheHits = c.metrics.reg.Counter("estimate_cache_hits",
+		"estimate queries answered from the stream's cached report, with no fold")
 	c.registerAgentMetrics()
 	if cfg.SnapshotDir != "" {
 		c.removeOrphanTemps()
@@ -260,6 +308,7 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 	}
 	adm.state.lastSeen = c.cfg.Now()
 	st.agents[sum.Agent] = adm.state
+	st.gen++
 	return "", nil
 }
 
@@ -270,6 +319,7 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 type admission struct {
 	cfg              StreamConfig
 	newAcc           func() (estimator.Estimator, error)
+	clock            window.Clock
 	state            agentState
 	decodeNs, foldNs int64
 }
@@ -289,7 +339,7 @@ func (c *Collector) admit(sum Summary) (adm admission, cause string, err error) 
 	if err := adm.cfg.validate(); err != nil {
 		return adm, causeConfig, fmt.Errorf("summary config: %w", err)
 	}
-	adm.newAcc = adm.cfg.newEstimator()
+	adm.newAcc, adm.clock = adm.cfg.newClocked()
 	t0 := time.Now()
 	decoded, err := estimator.Decode(sum.Payload)
 	adm.decodeNs = time.Since(t0).Nanoseconds()
@@ -316,7 +366,7 @@ func (adm admission) adopt(table map[string]*collectorStream) (*collectorStream,
 	sum := adm.state.sum
 	st, ok := table[sum.Stream]
 	if !ok {
-		st = &collectorStream{cfg: adm.cfg, newAcc: adm.newAcc, agents: make(map[string]agentState)}
+		st = &collectorStream{cfg: adm.cfg, newAcc: adm.newAcc, clock: adm.clock, agents: make(map[string]agentState)}
 		table[sum.Stream] = st
 	} else if !st.cfg.sharedEquals(adm.cfg) {
 		return nil, fmt.Errorf("stream %q: agent %q ships config incompatible with the registered one",
@@ -341,10 +391,16 @@ type GlobalEstimate struct {
 // Estimate folds the latest summary of every fresh agent of the stream
 // into the global estimate. Agents whose retained state has outlived
 // MaxSummaryAge are skipped (and counted), so a long-dead agent cannot
-// silently pin the estimate to its final snapshot.
+// silently pin the estimate to its final snapshot. The report is the
+// caller's own copy: the stream's cached one is shared by every query.
 func (c *Collector) Estimate(name string) (GlobalEstimate, error) {
 	ans, f, err := c.query(name, query{})
-	return GlobalEstimate{Estimates: ans.report, Agents: f.agents, Skipped: f.skipped, Fed: f.fed, Kept: f.kept}, err
+	rep := Estimates{
+		Values:    maps.Clone(ans.report.Values),
+		F1Hitters: slices.Clone(ans.report.F1Hitters),
+		F2Hitters: slices.Clone(ans.report.F2Hitters),
+	}
+	return GlobalEstimate{Estimates: rep, Agents: f.agents, Skipped: f.skipped, Fed: f.fed, Kept: f.kept}, err
 }
 
 // query answers q for one stream: it selects the stream's fresh agents
@@ -352,6 +408,13 @@ func (c *Collector) Estimate(name string) (GlobalEstimate, error) {
 // retained state has outlived MaxSummaryAge — then folds their states in
 // sorted agent order (so repeated queries are deterministic) and asks,
 // both outside the lock: retained estimators are never mutated.
+//
+// The full report (a nil pred) is a function of the key the selection
+// read — the generation, the fresh agents and, for a windowed stream, the
+// epoch — so it is folded once per key: a query whose key matches the
+// stream's cached report is answered from it, and a miss publishes what
+// it folded unless the epoch moved during the fold. The shared report is
+// only read after that (encoded, or cloned by Estimate).
 func (c *Collector) query(name string, q query) (answer, folded, error) {
 	var f folded
 	c.mu.RLock()
@@ -371,6 +434,7 @@ func (c *Collector) query(name string, q query) (answer, folded, error) {
 	}
 	sort.Strings(ids)
 	f.agents = len(ids)
+	key := reportKey{gen: st.gen, ids: ids}
 	states := make([]estimator.Estimator, len(ids))
 	for i, id := range ids {
 		state := st.agents[id]
@@ -385,7 +449,21 @@ func (c *Collector) query(name string, q query) (answer, folded, error) {
 		return answer{}, f, fmt.Errorf("stream %q: all %d retained summaries are older than the max age",
 			name, f.skipped)
 	}
+	if q.pred != nil {
+		ans, err := q.run(c.metrics, newAcc, states, func() {})
+		return ans, f, err
+	}
+	t0 := time.Now()
+	key.epoch = epochOf(st.clock)
+	if hit := st.report.Load(); hit != nil && hit.key.equal(key) {
+		c.cacheHits.Inc()
+		c.metrics.served(t0)
+		return answer{report: hit.report, ok: true}, f, nil
+	}
 	ans, err := q.run(c.metrics, newAcc, states, func() {})
+	if err == nil && epochOf(st.clock) == key.epoch {
+		st.report.Store(&cachedReport{key: key, report: ans.report})
+	}
 	return ans, f, err
 }
 
@@ -463,7 +541,7 @@ type collectorInfo struct {
 func (c *Collector) handleList(w http.ResponseWriter, _ *http.Request) {
 	c.mu.RLock()
 	now := c.cfg.Now()
-	var out []collectorInfo
+	out := []collectorInfo{}
 	for name, st := range c.streams {
 		info := collectorInfo{Name: name, Config: st.cfg, Agents: len(st.agents)}
 		for id, state := range st.agents {

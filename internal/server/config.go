@@ -197,10 +197,18 @@ var newEpochClock = func(epochLen time.Duration) window.Clock {
 // ONE returned constructor, so they share the clock and rotate in
 // lockstep.
 func (c StreamConfig) newEstimator() func() (estimator.Estimator, error) {
+	newEst, _ := c.newClocked()
+	return newEst
+}
+
+// newClocked is newEstimator plus the epoch clock every ring it builds
+// shares, nil for an unwindowed stream: the collector keys its cached
+// report by that clock's epoch.
+func (c StreamConfig) newClocked() (func() (estimator.Estimator, error), window.Clock) {
 	spec := c.spec()
 	inner := func() (estimator.Estimator, error) { return estimator.New(spec) }
 	if c.Window <= 0 {
-		return inner
+		return inner, nil
 	}
 	clock := newEpochClock(time.Duration(c.Epoch))
 	return func() (estimator.Estimator, error) {
@@ -210,7 +218,7 @@ func (c StreamConfig) newEstimator() func() (estimator.Estimator, error) {
 			Clock:    clock,
 			New:      inner,
 		})
-	}
+	}, clock
 }
 
 // Estimates is the statistic report of one stream, local or global: the

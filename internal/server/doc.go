@@ -69,6 +69,33 @@
 // and the one error mapping: unknown stream 404, every retained agent
 // stale 503, a fold that failed anyway 500.
 //
+// The collector folds a stream's full report (the estimate route, no
+// predicate) once per table change, not once per query: a dashboard
+// polls far more often than summaries arrive. The report is a function of
+// three things, which together key the stream's one cached answer:
+//
+//   - the stream's generation, bumped under the write lock where accept
+//     replaces an agent's state — the table's only change in place; a
+//     stale or duplicate delivery leaves it, and a snapshot restore or a
+//     DELETE builds or drops the whole stream, cache included;
+//   - the fresh agents selected under the read lock, so an agent aging
+//     past MaxSummaryAge changes the key;
+//   - for a windowed stream, the epoch of the clock its accumulators are
+//     built around, read before the fold and after the ask: a report
+//     folded across a rotation is served but not kept.
+//
+// A query whose key matches is answered from the cache, counted and timed
+// like any other and also in estimate_cache_hits; a miss runs fold → ask
+// unchanged and publishes {key, report} with one atomic store, so no query
+// takes the write lock and accept pays only the increment. The cache
+// holds the report and nothing else: never the accumulator (an `all`
+// accumulator is megabytes) and never an estimator or the slice of folded
+// states, which would keep a superseded state alive after accept dropped
+// it. The report is shared between queries and only read: the route
+// encodes it, and Collector.Estimate hands out a copy. The subset-sum
+// routes, the agent's routes and the admission door's trial fold always
+// fold.
+//
 // Summaries enter the retained table through one admission door,
 // Collector.admit: identity check, config defaults and validation,
 // registry decode, then a trial fold of the summary alone that is merge

@@ -267,7 +267,9 @@ func TestSpaceSavingFold16StaleMatchesReference(t *testing.T) {
 }
 
 // TestSpaceSavingMergeAllocs pins the kernel's allocation shape: the
-// matched bitmap plus at most the receiver's heap growing — no map.
+// scratch the receiver keeps for a fed argument's sorted copy, grown only
+// while too small, plus at most the receiver's three slab slices growing
+// in the join — no map and no index.
 func TestSpaceSavingMergeAllocs(t *testing.T) {
 	const k = 1024
 	a := ssOf(k, zipfStream(20000, 1<<16, 1.1, 1))

@@ -139,6 +139,7 @@ func TestGoldenPrometheusFormat(t *testing.T) {
 	r.SetFunc("agent_age_seconds", "per-agent staleness", KindGauge, func(emit func(float64, ...Label)) {
 		emit(9, Label{Key: "agent", Value: "a1"}, Label{Key: "stream", Value: "flows"})
 	})
+	addGoldenShapes(r)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -165,6 +166,77 @@ flush_seconds_count 1
 # HELP agent_age_seconds per-agent staleness
 # TYPE agent_age_seconds gauge
 agent_age_seconds{agent="a1",stream="flows"} 9
+# HELP ship_errors ship errors by cause
+# TYPE ship_errors counter
+# HELP breaker_state breaker \\ "state"\nsecond line
+# TYPE breaker_state gauge
+breaker_state 1e+21
+# HELP stream_batches batches, by stream
+# TYPE stream_batches counter
+stream_batches{stream="b\\q\"n\n"} 7
+stream_batches{stream="a"} 0.5
+`
+	if sb.String() != want {
+		t.Fatalf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+	}
+}
+
+// addGoldenShapes registers the family shapes both goldens pin beyond
+// the basic ones: a labelled counter family with no series yet, an
+// unlabelled dynamic family whose help needs escaping and whose value
+// has an exponent, and a labelled dynamic counter family, which (unlike
+// a CounterVec) has no bare-name sum in the JSON view.
+func addGoldenShapes(r *Registry) {
+	r.CounterVec("ship_errors", "ship errors by cause", "cause")
+	r.SetFunc("breaker_state", "breaker \\ \"state\"\nsecond line", KindGauge, func(emit func(float64, ...Label)) {
+		emit(1e21)
+	})
+	r.SetFunc("stream_batches", "batches, by stream", KindCounter, func(emit func(float64, ...Label)) {
+		emit(7, Label{Key: "stream", Value: "b\\q\"n\n"})
+		emit(0.5, Label{Key: "stream", Value: "a"})
+	})
+}
+
+// TestGoldenJSONPanel pins the JSON view end to end: key rendering and
+// escaping, the bare-name sum of labelled counter families, the nested
+// histogram object, dynamic series and value formatting.
+func TestGoldenJSONPanel(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ingest_items", "items ingested").Add(12)
+	v := r.CounterVec("ingest_errors", "ingest errors by cause", "cause")
+	v.With("decode").Add(2)
+	v.With("bad\\quote\"and\nnewline").Inc()
+	r.Gauge("queue_len", "current queue length").Set(1.5)
+	r.Histogram("flush_seconds", "flush latency").Observe(0.25)
+	r.SetFunc("agent_age_seconds", "per-agent staleness", KindGauge, func(emit func(float64, ...Label)) {
+		emit(9, Label{Key: "agent", Value: "a1"}, Label{Key: "stream", Value: "flows"})
+	})
+	addGoldenShapes(r)
+
+	var sb strings.Builder
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "agent_age_seconds{agent=\"a1\",stream=\"flows\"}": 9,
+  "breaker_state": 1e+21,
+  "flush_seconds": {
+    "count": 1,
+    "p50": 0.25,
+    "p90": 0.25,
+    "p99": 0.25,
+    "p999": 0.25,
+    "sum": 0.25
+  },
+  "ingest_errors": 3,
+  "ingest_errors{cause=\"bad\\\\quote\\\"and\\nnewline\"}": 1,
+  "ingest_errors{cause=\"decode\"}": 2,
+  "ingest_items": 12,
+  "queue_len": 1.5,
+  "ship_errors": 0,
+  "stream_batches{stream=\"a\"}": 0.5,
+  "stream_batches{stream=\"b\\\\q\\\"n\\n\"}": 7
+}
 `
 	if sb.String() != want {
 		t.Fatalf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)

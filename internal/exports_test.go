@@ -212,9 +212,9 @@ func TestNoDeadExports(t *testing.T) {
 
 // TestOneDecodePath keeps decoding the mirror image of encoding: a payload
 // enters through one Reader — wire.Decode's — and every kind reads from the
-// Reader it is handed. So wire.NewReader has exactly three non-test call
-// sites (the other two read a snapshot file and a fault plan, which are not
-// payloads), and outside internal/wire no non-test function takes bytes and
+// Reader it is handed. So wire.NewReader has exactly two non-test call
+// sites (the other reads a snapshot file, which is not a payload), and
+// outside internal/wire no non-test function takes bytes and
 // returns something with a wire form, estimator.Decode excepted: it is the
 // registry's name for wire.Decode, and benchmark/ calls it.
 func TestOneDecodePath(t *testing.T) {
@@ -265,7 +265,7 @@ func TestOneDecodePath(t *testing.T) {
 		}
 	}
 	slices.Sort(sites)
-	if want := []string{"internal/faults.UnmarshalPlan", "internal/server.decodeSnapshot", "internal/wire.Decode"}; !slices.Equal(sites, want) {
+	if want := []string{"internal/server.decodeSnapshot", "internal/wire.Decode"}; !slices.Equal(sites, want) {
 		t.Errorf("wire.NewReader is called in %v, want exactly %v: a payload has one Reader and one decode budget", sites, want)
 	}
 }

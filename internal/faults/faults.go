@@ -1,8 +1,9 @@
 // Package faults is the deterministic fault-injection harness the
 // chaos tests drive the daemon through: a seeded plan of network
 // failure modes (drops, delays, 5xx rejections, connection resets,
-// truncated responses) applied by an http.RoundTripper or a reverse
-// proxy, so "collector dead for three ticks" and "30% of shipments
+// truncated responses) applied by an http.RoundTripper that an agent
+// takes as its client's transport, or by a reverse proxy in front of a
+// collector, so "collector dead for three ticks" and "30% of shipments
 // lost" are reproducible test inputs instead of flaky sleeps.
 //
 // Determinism is the point. A Plan carries a seed; every request draws
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"substream/internal/rng"
-	"substream/internal/wire"
 )
 
 // Plan is one seeded chaos schedule: independent probabilities for each
@@ -91,71 +91,6 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("faults: max_delay must be >= 0, got %v", p.MaxDelay)
 	}
 	return nil
-}
-
-// Wire format: plans travel between test harnesses and CLI flags as a
-// compact versioned binary blob, built from the same Writer/Reader
-// primitives as the estimator payloads (and fuzzed the same way —
-// corrupt plans must fail cleanly, never panic).
-const (
-	// planMagic0/planMagic1 prefix every serialized plan ("FP"). Plans
-	// are not estimator payloads — they never enter the estimator
-	// registry — so the prefix deliberately sits outside the registry's
-	// partitioned tag ranges.
-	planMagic0 byte = 'F'
-	planMagic1 byte = 'P'
-	// planVersion is the plan wire version; decoders reject others.
-	planVersion byte = 1
-)
-
-// MarshalBinary serializes the plan.
-func (p Plan) MarshalBinary() ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	var w wire.Writer
-	w.U8(planMagic0)
-	w.U8(planMagic1)
-	w.U8(planVersion)
-	w.U64(p.Seed)
-	w.F64(p.Drop)
-	w.F64(p.Delay)
-	w.I64(int64(p.MaxDelay))
-	w.F64(p.Err5xx)
-	w.F64(p.Reset)
-	w.F64(p.Truncate)
-	return w.Bytes(), nil
-}
-
-// UnmarshalPlan decodes a serialized plan, rejecting bad magic, unknown
-// versions, truncation, trailing bytes, and any field Validate would
-// refuse — the same clean-failure discipline as the estimator decoders.
-func UnmarshalPlan(data []byte) (Plan, error) {
-	r := wire.NewReader(data)
-	if m0, m1 := r.U8(), r.U8(); r.Err() != nil || m0 != planMagic0 || m1 != planMagic1 {
-		return Plan{}, fmt.Errorf("faults: bad plan magic")
-	}
-	if v := r.U8(); r.Err() != nil || v != planVersion {
-		return Plan{}, fmt.Errorf("faults: unsupported plan version %d", v)
-	}
-	var p Plan
-	p.Seed = r.U64()
-	p.Drop = r.F64()
-	p.Delay = r.F64()
-	p.MaxDelay = time.Duration(r.I64())
-	p.Err5xx = r.F64()
-	p.Reset = r.F64()
-	p.Truncate = r.F64()
-	if err := r.Err(); err != nil {
-		return Plan{}, fmt.Errorf("faults: plan: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return Plan{}, fmt.Errorf("faults: plan has %d trailing bytes", r.Remaining())
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
 }
 
 // Stats counts what the transport actually did — the test-side ledger
@@ -211,9 +146,6 @@ func NewTransport(plan Plan, next http.RoundTripper) *Transport {
 // fault coins — so scripted kill windows ("collector dead for k flush
 // ticks") do not shift the seeded fault sequence around them.
 func (t *Transport) SetDown(down bool) { t.down.Store(down) }
-
-// Down reports whether the forced outage is active.
-func (t *Transport) Down() bool { return t.down.Load() }
 
 // decision is one request's drawn fate.
 type decision struct {

@@ -35,77 +35,6 @@ func get(t *testing.T, client *http.Client, url string) (*http.Response, error) 
 	return client.Do(req)
 }
 
-// TestPlanRoundTrip pins the wire encoding: marshal → unmarshal is the
-// identity for a fully populated plan.
-func TestPlanRoundTrip(t *testing.T) {
-	p := Plan{
-		Seed: 42, Drop: 0.3, Delay: 0.25, MaxDelay: 5 * time.Millisecond,
-		Err5xx: 0.1, Reset: 0.05, Truncate: 0.02,
-	}
-	data, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Fatalf("round trip: got %+v, want %+v", got, p)
-	}
-}
-
-// TestPlanDecodeRejects sweeps the malformed-input classes every decoder
-// in this repository must fail cleanly on.
-func TestPlanDecodeRejects(t *testing.T) {
-	good, err := Plan{Seed: 7, Drop: 0.5}.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"bad magic", append([]byte{'X', 'P'}, good[2:]...)},
-		{"bad version", append([]byte{'F', 'P', 99}, good[3:]...)},
-		{"trailing bytes", append(append([]byte{}, good...), 0)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := UnmarshalPlan(tc.data); err == nil {
-				t.Fatal("decode accepted malformed plan")
-			}
-		})
-	}
-	// Every truncation of a valid plan fails cleanly.
-	for n := 0; n < len(good); n++ {
-		if _, err := UnmarshalPlan(good[:n]); err == nil {
-			t.Fatalf("decode accepted %d-byte truncation", n)
-		}
-	}
-	// A structurally valid plan with an out-of-range probability fails
-	// Validate at decode time.
-	bad := Plan{Seed: 1, Drop: 0.5}
-	data, _ := bad.MarshalBinary()
-	// Drop sits after magic(2)+version(1)+seed(8); overwrite with 2.0.
-	for i, b := range f64bytes(2.0) {
-		data[11+i] = b
-	}
-	if _, err := UnmarshalPlan(data); err == nil {
-		t.Fatal("decode accepted probability 2.0")
-	}
-}
-
-func f64bytes(v float64) [8]byte {
-	var out [8]byte
-	bits := math.Float64bits(v)
-	for i := range out {
-		out[i] = byte(bits >> (8 * i))
-	}
-	return out
-}
-
 // TestPlanValidate covers the rejection table.
 func TestPlanValidate(t *testing.T) {
 	cases := []struct {
@@ -278,13 +207,14 @@ func TestTransportOutage(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if i == 10 {
 			tr.SetDown(true)
+			before := processed.Load()
 			for j := 0; j < 5; j++ {
 				if _, err := get(t, client, ts.URL); err == nil {
 					t.Fatal("request during outage succeeded")
 				}
 			}
-			if !tr.Down() {
-				t.Fatal("Down() false during outage")
+			if processed.Load() != before {
+				t.Fatal("a request reached the upstream during the outage")
 			}
 			tr.SetDown(false)
 		}

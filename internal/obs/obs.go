@@ -1,7 +1,8 @@
 // Package obs is the daemon's self-hosted observability layer: typed
 // metrics (counters, gauges, histograms) collected into per-instance
 // registries and served in Prometheus text format or as a flat JSON
-// expvar-style view.
+// expvar-style view. Both formats are encoders driven by one walk over
+// the registry, so they list the same series in the same order.
 //
 // The layer observes the system with the system's own machinery: latency
 // histograms are backed by the mergeable CKMS quantile summaries of
@@ -59,8 +60,8 @@ func NewRegistry() *Registry {
 }
 
 // family is one named metric family: a help string, a kind, and either
-// static series (counters, gauges, funcs, histograms) or a collect
-// callback generating series at scrape time.
+// static series (counters, gauges, histograms) or a collect callback
+// generating series at scrape time.
 type family struct {
 	name string
 	help string
@@ -86,7 +87,6 @@ type series struct {
 	labels []Label
 	c      *Counter
 	g      *Gauge
-	fn     func() float64
 	h      *Histogram
 }
 
@@ -98,8 +98,6 @@ func (s *series) value() float64 {
 		return float64(s.c.Value())
 	case s.g != nil:
 		return s.g.Value()
-	case s.fn != nil:
-		return s.fn()
 	}
 	return 0
 }
@@ -148,18 +146,10 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.series[0].g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.lookup(name, help, KindGauge)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.series = append(f.series, &series{fn: fn})
-}
-
 // SetFunc registers a dynamic family: collect runs at every scrape and
 // emits however many (value, labels) series currently exist — the shape
 // of per-agent staleness gauges, whose label set changes as agents come
-// and go.
+// and go, and of a value read at scrape time, one unlabeled emit.
 func (r *Registry) SetFunc(name, help, kind string, collect func(emit func(v float64, labels ...Label))) {
 	f := r.lookup(name, help, kind)
 	f.collect = collect

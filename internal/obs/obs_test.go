@@ -84,7 +84,7 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 3.5 {
 		t.Fatalf("gauge = %v", g.Value())
 	}
-	r.GaugeFunc("uptime", "seconds up", func() float64 { return 7 })
+	r.SetFunc("uptime", "seconds up", KindGauge, func(emit func(float64, ...Label)) { emit(7) })
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -10,182 +10,134 @@ import (
 	"substream/internal/quantile"
 )
 
+// encoder is one exposition format: walk calls family once per family,
+// then sample for each scalar series and histogram for each histogram.
+type encoder interface {
+	family(f *family)
+	sample(name string, labels []Label, v float64)
+	histogram(name string, h *Histogram)
+}
+
+// walk drives e over every registered family in registration order:
+// static series in label order, dynamic series as collect emits them.
+func (r *Registry) walk(e encoder) {
+	for _, f := range r.families() {
+		e.family(f)
+		if f.collect != nil {
+			f.collect(func(v float64, labels ...Label) { e.sample(f.name, labels, v) })
+			continue
+		}
+		for _, s := range f.snapshotSeries() {
+			if s.h != nil {
+				e.histogram(f.name, s.h)
+			} else {
+				e.sample(f.name, s.labels, s.value())
+			}
+		}
+	}
+}
+
 // WritePrometheus renders every registered family in the Prometheus
 // text exposition format (version 0.0.4): a # HELP and # TYPE line per
 // family, then one sample line per series, label values escaped per the
-// format's rules. Families appear in registration order, series within
-// a family in label order, so the output is deterministic — the golden
-// test relies on that.
+// format's rules. A histogram renders as a summary: one
+// {quantile="φ"} sample per target, then _sum and _count. The order is
+// walk's, so the output is deterministic — the golden test relies on
+// that.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range r.families() {
-		writeHeader(bw, f)
-		if f.collect != nil {
-			f.collect(func(v float64, labels ...Label) {
-				writeSample(bw, f.name, labels, v)
-			})
-			continue
-		}
-		for _, s := range f.snapshotSeries() {
-			if s.h != nil {
-				writeHistogram(bw, f.name, s.h)
-				continue
-			}
-			writeSample(bw, f.name, s.labels, s.value())
-		}
-	}
-	return bw.Flush()
+	e := promEncoder{bufio.NewWriter(w)}
+	r.walk(e)
+	return e.w.Flush()
 }
 
-func writeHeader(w *bufio.Writer, f *family) {
-	w.WriteString("# HELP ")
-	w.WriteString(f.name)
-	w.WriteByte(' ')
-	w.WriteString(escapeHelp(f.help))
-	w.WriteString("\n# TYPE ")
-	w.WriteString(f.name)
-	w.WriteByte(' ')
-	w.WriteString(f.kind)
-	w.WriteByte('\n')
+type promEncoder struct{ w *bufio.Writer }
+
+func (e promEncoder) family(f *family) {
+	e.w.WriteString("# HELP " + f.name + " " + helpEscaper.Replace(f.help) + "\n")
+	e.w.WriteString("# TYPE " + f.name + " " + f.kind + "\n")
 }
 
-func writeSample(w *bufio.Writer, name string, labels []Label, v float64) {
-	w.WriteString(name)
-	writeLabels(w, labels)
-	w.WriteByte(' ')
-	w.WriteString(formatValue(v))
-	w.WriteByte('\n')
+func (e promEncoder) sample(name string, labels []Label, v float64) {
+	e.w.WriteString(seriesKey(name, labels) + " " + formatValue(v) + "\n")
 }
 
-// writeHistogram renders a summary-typed family: quantile samples, then
-// _sum and _count.
-func writeHistogram(w *bufio.Writer, name string, h *Histogram) {
+func (e promEncoder) histogram(name string, h *Histogram) {
 	count, sum, qs := h.snapshot()
 	for _, q := range qs {
-		writeSample(w, name, []Label{{Key: "quantile", Value: strconv.FormatFloat(q.Quantile, 'g', -1, 64)}}, q.Value)
+		e.sample(name, []Label{{Key: "quantile", Value: strconv.FormatFloat(q.Quantile, 'g', -1, 64)}}, q.Value)
 	}
-	writeSample(w, name+"_sum", nil, sum)
-	writeSample(w, name+"_count", nil, float64(count))
-}
-
-func writeLabels(w *bufio.Writer, labels []Label) {
-	if len(labels) == 0 {
-		return
-	}
-	w.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			w.WriteByte(',')
-		}
-		w.WriteString(l.Key)
-		w.WriteString(`="`)
-		w.WriteString(escapeLabel(l.Value))
-		w.WriteByte('"')
-	}
-	w.WriteByte('}')
-}
-
-// escapeLabel escapes a label value per the exposition format:
-// backslash, double-quote, and newline.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var sb strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
-}
-
-// escapeHelp escapes a help string: backslash and newline (quotes are
-// legal in help text).
-func escapeHelp(v string) string {
-	if !strings.ContainsAny(v, "\\\n") {
-		return v
-	}
-	var sb strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
+	e.sample(name+"_sum", nil, sum)
+	e.sample(name+"_count", nil, float64(count))
 }
 
 // WriteJSON renders the registry as the flat expvar-style JSON panel
-// the daemon has always served: {"name": value, ...}. Labeled series
-// render as "name{key=\"value\"}" entries, labeled counter families
-// additionally surface their sum under the bare name (backward
-// compatibility with consumers of the pre-obs panel), and histograms
-// render as one nested object with count, sum, and per-target
-// quantiles.
+// the daemon has always served: {"name": value, ...}, keys sorted.
+// Labeled series render as "name{key=\"value\"}" entries, labeled
+// counter families (CounterVec) additionally surface their sum under
+// the bare name (backward compatibility with consumers of the pre-obs
+// panel), and histograms render as one nested object with count, sum,
+// and per-target quantiles.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	out := make(map[string]any)
-	for _, f := range r.families() {
-		if f.collect != nil {
-			f.collect(func(v float64, labels ...Label) {
-				out[seriesKey(f.name, labels)] = v
-			})
-			continue
-		}
-		var sum float64
-		for _, s := range f.snapshotSeries() {
-			if s.h != nil {
-				count, hsum, qs := s.h.snapshot()
-				nested := map[string]any{"count": count, "sum": hsum}
-				for _, q := range qs {
-					nested[quantile.QuantileKey(q.Quantile)] = q.Value
-				}
-				out[f.name] = nested
-				continue
-			}
-			v := s.value()
-			sum += v
-			out[seriesKey(f.name, s.labels)] = v
-		}
-		if f.sumJSON {
-			out[f.name] = sum
-		}
-	}
+	e := &jsonEncoder{out: make(map[string]any)}
+	r.walk(e)
 	// encoding/json sorts map keys, so the panel is deterministic.
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(e.out)
 }
 
-// seriesKey renders one series' JSON key: the bare name when unlabeled,
-// prometheus-style name{k="v"} otherwise.
+type jsonEncoder struct {
+	out map[string]any
+	sum bool // the current family sums its series under its bare name
+}
+
+func (e *jsonEncoder) family(f *family) {
+	e.sum = f.sumJSON
+	if e.sum {
+		e.out[f.name] = 0.0
+	}
+}
+
+func (e *jsonEncoder) sample(name string, labels []Label, v float64) {
+	e.out[seriesKey(name, labels)] = v
+	if e.sum {
+		e.out[name] = e.out[name].(float64) + v
+	}
+}
+
+func (e *jsonEncoder) histogram(name string, h *Histogram) {
+	count, sum, qs := h.snapshot()
+	nested := map[string]any{"count": count, "sum": sum}
+	for _, q := range qs {
+		nested[quantile.QuantileKey(q.Quantile)] = q.Value
+	}
+	e.out[name] = nested
+}
+
+// seriesKey renders one series' name with its labels, the same in both
+// formats: the bare name when unlabeled, name{k="v",...} otherwise.
 func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
 	var sb strings.Builder
 	sb.WriteString(name)
-	sb.WriteByte('{')
 	for i, l := range labels {
-		if i > 0 {
+		if i == 0 {
+			sb.WriteByte('{')
+		} else {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(l.Key)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.Value))
-		sb.WriteByte('"')
+		sb.WriteString(l.Key + `="` + labelEscaper.Replace(l.Value) + `"`)
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
+
+// The exposition format escapes backslash, double-quote and newline in
+// a label value, and backslash and newline in help text (quotes are
+// legal there).
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)

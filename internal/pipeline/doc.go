@@ -69,11 +69,11 @@
 // passes through is written once, generically over that type: the
 // producer-side lane (the partial batch and its buffer pool), the
 // worker-side consume step (sample, count, apply, give the buffer back)
-// and the Bernoulli filter. Two entries per item type are all that
-// differ — which slot of the ring message a batch travels in, and how a
-// batch's weight is summed — so a weighted batch runs exactly the code
-// an unweighted one does. The exported feeds are thin instantiations,
-// three per item type, built from two primitives:
+// and the Bernoulli filter. One entry per item type is all that
+// differs — which slot of the ring message a batch travels in — so a
+// weighted batch runs exactly the code an unweighted one does, and the
+// pipeline counts items, never weight. The exported feeds are thin
+// instantiations, three per item type, built from two primitives:
 //
 //   - copy in: FeedCopy / FeedWeightedCopy bulk-copy the caller's items
 //     into the pooled partial batch and dispatch it each time it reaches

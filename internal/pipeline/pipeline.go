@@ -119,39 +119,28 @@ type batchMsg struct {
 	ack     chan<- struct{}
 }
 
-// keptCell is one shard's post-sampling item count and weight, padded to
-// a cache line so adjacent shard workers' per-batch increments never
-// share (and so never invalidate) one line — the false-sharing fix the
-// flat []atomic.Uint64 layout was vulnerable to. The weight lives as
-// float64 bits under the single-writer discipline: only the owning
-// worker stores it, so a plain load-add-store is race-free.
+// keptCell is one shard's post-sampling item count, padded to a cache
+// line so adjacent shard workers' per-batch increments never share (and
+// so never invalidate) one line — the false-sharing fix the flat
+// []atomic.Uint64 layout was vulnerable to.
 type keptCell struct {
 	n atomic.Uint64
-	w atomic.Uint64 // kept weight, float64 bits
-	_ [48]byte
+	_ [56]byte
 }
 
-func (c *keptCell) addWeight(d float64) {
-	c.w.Store(math.Float64bits(math.Float64frombits(c.w.Load()) + d))
-}
-
-// lane is one item type's path through the pipeline. The two function
-// fields are everything that differs between the item types: wrap puts a
-// batch in its batchMsg slot, weigh adds a batch's weights onto acc in
-// item order (float addition does not re-associate, so FedWeight and
-// KeptWeight depend on that order; a bare key weighs 1). The pool is
-// shared with the shard workers; buf, the partial batch, belongs to the
-// producer and is drawn lazily, so a pipeline that never feeds a lane
-// never allocates a buffer for it.
+// lane is one item type's path through the pipeline. Its wrap function is
+// all that differs between the item types: it puts a batch in its
+// batchMsg slot. The pool is shared with the shard workers; buf, the
+// partial batch, belongs to the producer and is drawn lazily, so a
+// pipeline that never feeds a lane never allocates a buffer for it.
 type lane[T item] struct {
-	wrap  func([]T) batchMsg
-	weigh func(acc float64, batch []T) float64
-	pool  sync.Pool
-	buf   []T
+	wrap func([]T) batchMsg
+	pool sync.Pool
+	buf  []T
 }
 
-func (l *lane[T]) init(batchSize int, wrap func([]T) batchMsg, weigh func(float64, []T) float64) {
-	l.wrap, l.weigh = wrap, weigh
+func (l *lane[T]) init(batchSize int, wrap func([]T) batchMsg) {
+	l.wrap = wrap
 	l.pool.New = func() any { return make([]T, 0, batchSize) }
 }
 
@@ -163,10 +152,9 @@ func (l *lane[T]) init(batchSize int, wrap func([]T) batchMsg, weigh func(float6
 type feeder struct {
 	batchSize int
 	rings     []*spscRing
-	next      int     // round-robin cursor
-	fed       uint64  // items fed
-	fedW      float64 // weight fed (1 per unweighted item)
-	batches   uint64  // batches dispatched
+	next      int    // round-robin cursor
+	fed       uint64 // items fed
+	batches   uint64 // batches dispatched
 	closed    bool
 	plain     lane[stream.Item]
 	weighted  lane[stream.WItem]
@@ -216,7 +204,6 @@ func (l *lane[T]) copyIn(f *feeder, items []T) {
 		n := min(f.batchSize-len(l.buf), len(items))
 		l.buf = append(l.buf, items[:n]...)
 		f.fed += uint64(n)
-		f.fedW = l.weigh(f.fedW, items[:n])
 		items = items[n:]
 		if len(l.buf) == f.batchSize {
 			l.flush(f)
@@ -229,7 +216,6 @@ func (l *lane[T]) copyIn(f *feeder, items []T) {
 // which point release (if non-nil) runs.
 func (l *lane[T]) hand(f *feeder, items []T, release func()) {
 	f.fed += uint64(len(items))
-	f.fedW = l.weigh(f.fedW, items)
 	msg := l.wrap(items)
 	msg.release = release
 	f.dispatch(msg)
@@ -295,17 +281,8 @@ func New[E any](cfg Config, newShard func(shard int) E) *Pipeline[E] {
 	}
 	p.batchSize = cfg.BatchSize
 	p.rings = make([]*spscRing, cfg.Shards)
-	p.plain.init(cfg.BatchSize,
-		func(b []stream.Item) batchMsg { return batchMsg{items: b} },
-		func(acc float64, b []stream.Item) float64 { return acc + float64(len(b)) })
-	p.weighted.init(cfg.BatchSize,
-		func(b []stream.WItem) batchMsg { return batchMsg{witems: b} },
-		func(acc float64, b []stream.WItem) float64 {
-			for _, it := range b {
-				acc += it.Weight
-			}
-			return acc
-		})
+	p.plain.init(cfg.BatchSize, func(b []stream.Item) batchMsg { return batchMsg{items: b} })
+	p.weighted.init(cfg.BatchSize, func(b []stream.WItem) batchMsg { return batchMsg{witems: b} })
 
 	master := rng.New(cfg.Seed)
 	for i := 0; i < cfg.Shards; i++ {
@@ -444,7 +421,6 @@ func (s *sink[T]) consume(w *worker, batch []T, msg batchMsg) {
 		kept = s.scratch
 	}
 	w.kept.n.Add(uint64(len(kept)))
-	w.kept.addWeight(s.lane.weigh(0, kept))
 	if len(kept) > 0 {
 		s.apply(kept)
 	}
@@ -658,22 +634,12 @@ func (p *Pipeline[E]) Kept() uint64 {
 	return total
 }
 
-// KeptWeight returns the total weight that reached the estimators, the
-// weight analogue of Kept, with the same trailing-while-feeding caveat.
-func (p *Pipeline[E]) KeptWeight() float64 {
-	var total float64
-	for i := range p.kept {
-		total += math.Float64frombits(p.kept[i].w.Load())
-	}
-	return total
-}
-
 // Stats is a point-in-time instrumentation snapshot of a pipeline: the
 // shape (shards, batch size, queue capacity), the producer's progress
 // (items fed, batches dispatched, Sync rounds and cumulative Sync
 // stall), the workers' progress (items kept post-sampling), and the
 // current ring occupancy — the numbers the daemon's /metricsz gauges
-// surface per stream.
+// surface per stream. Fed and Kept count items whatever their weight.
 type Stats struct {
 	Shards    int
 	BatchSize int
@@ -682,12 +648,6 @@ type Stats struct {
 	Fed     uint64
 	Kept    uint64
 	Batches uint64
-
-	// FedWeight and KeptWeight are the weight analogues of Fed and Kept;
-	// unweighted items count at weight 1, so on an unweighted stream
-	// FedWeight equals float64(Fed).
-	FedWeight  float64
-	KeptWeight float64
 
 	Syncs    uint64
 	SyncWait time.Duration
@@ -705,16 +665,14 @@ type Stats struct {
 // and atomics.
 func (p *Pipeline[E]) Stats() Stats {
 	s := Stats{
-		Shards:     len(p.rings),
-		BatchSize:  p.cfg.BatchSize,
-		QueueCap:   p.rings[0].cap(),
-		Fed:        p.fed,
-		Kept:       p.Kept(),
-		FedWeight:  p.fedW,
-		KeptWeight: p.KeptWeight(),
-		Batches:    p.batches,
-		Syncs:      p.syncs,
-		SyncWait:   p.syncWait,
+		Shards:    len(p.rings),
+		BatchSize: p.cfg.BatchSize,
+		QueueCap:  p.rings[0].cap(),
+		Fed:       p.fed,
+		Kept:      p.Kept(),
+		Batches:   p.batches,
+		Syncs:     p.syncs,
+		SyncWait:  p.syncWait,
 	}
 	for _, r := range p.rings {
 		s.Queued += r.len()

@@ -106,11 +106,8 @@ func TestWeightedFeedsDeliverAllWeight(t *testing.T) {
 		if p.Fed() != uint64(len(s)) {
 			t.Errorf("%s: Fed=%d, want %d", name, p.Fed(), len(s))
 		}
-		if got := p.Stats().FedWeight; math.Abs(got-want) > 1e-6*want {
-			t.Errorf("%s: FedWeight=%v, want %v", name, got, want)
-		}
-		if got := p.KeptWeight(); math.Abs(got-want) > 1e-6*want {
-			t.Errorf("%s: KeptWeight=%v, want %v", name, got, want)
+		if p.Kept() != uint64(len(s)) {
+			t.Errorf("%s: Kept=%d, want %d", name, p.Kept(), len(s))
 		}
 	}
 }
@@ -171,17 +168,20 @@ func TestWeightedInterleavingPreservesOrderAndCounts(t *testing.T) {
 	p := New(Config{Shards: 3, BatchSize: 50}, func(int) *wReplica { return &wReplica{} })
 	const rounds = 1_000
 	var wantWeight float64
+	var wantItems uint64
 	for i := 0; i < rounds; i++ {
 		p.FeedCopy(stream.Slice{stream.Item(i%90 + 1)})
 		wantWeight++
+		wantItems++
 		if i%3 == 0 {
 			p.FeedWeightedCopy(stream.WSlice{{Key: stream.Item(i%90 + 1), Weight: 2.5}})
 			wantWeight += 2.5
+			wantItems++
 		}
 	}
 	p.Sync()
-	if got := p.KeptWeight(); math.Abs(got-wantWeight) > 1e-9*wantWeight {
-		t.Fatalf("KeptWeight=%v after Sync, want %v", got, wantWeight)
+	if got := p.Kept(); got != wantItems {
+		t.Fatalf("Kept=%d after Sync, want %d", got, wantItems)
 	}
 	shards := p.Close()
 	var weight float64
@@ -192,8 +192,8 @@ func TestWeightedInterleavingPreservesOrderAndCounts(t *testing.T) {
 		t.Fatalf("replicas saw weight %v, want %v", weight, wantWeight)
 	}
 	st := p.Stats()
-	if st.FedWeight != wantWeight || math.Abs(st.KeptWeight-wantWeight) > 1e-9*wantWeight {
-		t.Fatalf("Stats weight snapshot %+v inconsistent (want %v)", st, wantWeight)
+	if st.Fed != wantItems || st.Kept != wantItems {
+		t.Fatalf("Stats snapshot %+v inconsistent (want %d items)", st, wantItems)
 	}
 }
 

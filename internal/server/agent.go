@@ -206,13 +206,6 @@ func (a *Agent) registerPipelineMetrics() {
 			func(s pipeline.Stats) float64 { return float64(s.Fed) }},
 		{"agent_stream_kept", "items kept after in-shard sampling, by stream", obs.KindCounter,
 			func(s pipeline.Stats) float64 { return float64(s.Kept) }},
-		// The weight families count WEIGHT, not items: unweighted items
-		// contribute 1 each, so on a purely unweighted stream they shadow
-		// agent_stream_fed / agent_stream_kept.
-		{"agent_stream_fed_weight", "total weight fed to the pipeline, by stream", obs.KindCounter,
-			func(s pipeline.Stats) float64 { return s.FedWeight }},
-		{"agent_stream_kept_weight", "total weight kept after in-shard sampling, by stream", obs.KindCounter,
-			func(s pipeline.Stats) float64 { return s.KeptWeight }},
 	}
 	for _, fam := range families {
 		read := fam.read
@@ -232,8 +225,8 @@ func (a *Agent) registerPipelineMetrics() {
 // the shipping path only touches atomics.
 func (a *Agent) registerShipMetrics() {
 	reg := a.metrics.reg
-	reg.GaugeFunc("agent_breaker_state", "upstream circuit breaker state (0 closed, 1 half-open, 2 open)",
-		func() float64 { return float64(a.breaker.snapshot()) })
+	reg.SetFunc("agent_breaker_state", "upstream circuit breaker state (0 closed, 1 half-open, 2 open)", obs.KindGauge,
+		func(emit func(v float64, labels ...obs.Label)) { emit(float64(a.breaker.snapshot())) })
 	reg.SetFunc("agent_ship_success_age_seconds", "seconds since the last successful ship (-1 before the first), by stream", obs.KindGauge,
 		func(emit func(v float64, labels ...obs.Label)) {
 			now := time.Now()

@@ -507,6 +507,29 @@ func TestMetricszPromFormat(t *testing.T) {
 	}
 }
 
+// TestMetricszSurvivesHugeWeights feeds two valid weights whose sum
+// overflows a float64: ingest accepts them, and the panel must still
+// answer with a JSON object, not an empty body.
+func TestMetricszSurvivesHugeWeights(t *testing.T) {
+	agent := NewAgent(AgentConfig{ID: "huge"})
+	defer agent.Close()
+	if err := agent.CreateStream("bytes", StreamConfig{Stat: "varopt", P: 1, Presampled: true}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(agent.Handler())
+	defer ts.Close()
+	if resp := do(t, http.MethodPost, ts.URL+"/v1/streams/bytes/ingest", ContentTypeTextWeighted, []byte("1 1e308\n2 1e308\n"), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("weighted ingest: status %d", resp.StatusCode)
+	}
+	var panel map[string]any
+	if resp := do(t, http.MethodGet, ts.URL+"/metricsz", "", nil, &panel); resp.StatusCode != http.StatusOK {
+		t.Fatalf("metricsz: status %d", resp.StatusCode)
+	}
+	if panel["ingest_items"] != 2.0 {
+		t.Fatalf("ingest_items = %v, want 2", panel["ingest_items"])
+	}
+}
+
 // TestCollectorStalenessGauges drives the fake clock past the max age
 // for one of two agents and checks the per-agent and per-stream gauges.
 func TestCollectorStalenessGauges(t *testing.T) {

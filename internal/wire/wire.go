@@ -285,7 +285,7 @@ func Decode[T any](data []byte, decode func(*Reader) (T, error)) (T, error) {
 // decode runs, and fails unless decode consumed exactly those. The child
 // shares r's sticky error and decode budget.
 func Nest[T any](r *Reader, decode func(*Reader) (T, error)) (T, error) {
-	n := r.Count(len(r.buf)-r.off, 1)
+	n := r.Count(r.Remaining(), 1)
 	if r.err != nil {
 		var zero T
 		return zero, r.err
@@ -383,7 +383,7 @@ func (r *Reader) Count(max, elemBytes int) int {
 		r.Fail()
 		return 0
 	}
-	if r.err == nil && elemBytes > 0 && int64(v)*int64(elemBytes) > int64(len(r.buf)-r.off) {
+	if r.err == nil && elemBytes > 0 && int64(v)*int64(elemBytes) > int64(r.Remaining()) {
 		r.Fail()
 		return 0
 	}
@@ -430,7 +430,7 @@ func (r *Reader) Hash4() rng.Hash4 {
 // Raw reads n bytes as they are, returning a sub-slice of the input (no
 // copy).
 func (r *Reader) Raw(n int) []byte {
-	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
+	if r.err != nil || n < 0 || n > r.Remaining() {
 		r.Fail()
 		return nil
 	}
@@ -441,7 +441,7 @@ func (r *Reader) Raw(n int) []byte {
 
 // Nested reads a length-prefixed blob that is not a payload of this
 // format (a snapshot row's JSON), returning a sub-slice of the input.
-func (r *Reader) Nested() []byte { return r.Raw(r.Count(len(r.buf)-r.off, 1)) }
+func (r *Reader) Nested() []byte { return r.Raw(r.Count(r.Remaining(), 1)) }
 
 // Tag returns the tag byte of the payload r is about to read without
 // consuming it, for a reader that dispatches on its child's kind.
@@ -613,7 +613,7 @@ func (r *Reader) Done() error {
 		return r.err
 	}
 	if r.off != len(r.buf) {
-		return fmt.Errorf("sketch: %d trailing bytes after sketch", len(r.buf)-r.off)
+		return fmt.Errorf("sketch: %d trailing bytes after sketch", r.Remaining())
 	}
 	return nil
 }

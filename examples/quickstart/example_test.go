@@ -14,5 +14,5 @@ func Example() {
 	// F0       estimate      1.572e+04   exact           8159   error +92.64%
 	// entropy  estimate          8.092   exact          8.224   error  -1.61%
 	//
-	// space used: F2=952640B  F0=24592B  entropy=81920B  (stream was 500000 items)
+	// space used: F2=952640B  F0=24592B  entropy=147456B  (stream was 500000 items)
 }

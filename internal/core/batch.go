@@ -24,10 +24,7 @@ func (e *F0Estimator) UpdateBatch(items []stream.Item) { e.kmv.UpdateBatch(items
 func (e *GEEF0Estimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch(items) }
 
 // UpdateBatch feeds a batch of sampled-stream elements.
-func (e *EntropyEstimator) UpdateBatch(items []stream.Item) {
-	e.nL += uint64(len(items))
-	e.counts.UpdateBatch(items)
-}
+func (e *EntropyEstimator) UpdateBatch(items []stream.Item) { e.counts.UpdateBatch(items) }
 
 // UpdateBatch feeds a batch of sampled-stream elements. The candidate
 // tracker's scores depend on the sketch state at each item's own

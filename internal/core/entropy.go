@@ -17,11 +17,11 @@ import (
 //
 // H(g) is the plug-in: the exact frequency vector of L (space O(F₀(L)),
 // no estimation error beyond sampling) kept in a sketch.ItemCounts and
-// summed in key order, so its estimates are a function of the vector
-// alone and every path to the same frequencies answers bit for bit.
+// summed over its profile (ItemCounts.Sum), so its estimates are a
+// function of the vector alone — not of item labels — and every path to
+// the same frequencies answers bit for bit. F₁(L) is the store's N.
 type EntropyEstimator struct {
 	p      float64
-	nL     uint64
 	counts sketch.ItemCounts
 }
 
@@ -43,29 +43,26 @@ func NewEntropyEstimator(cfg EntropyConfig, r *rng.Xoshiro256) *EntropyEstimator
 }
 
 // Observe feeds one element of the sampled stream L.
-func (e *EntropyEstimator) Observe(it stream.Item) {
-	e.nL++
-	e.counts.Observe(it)
-}
+func (e *EntropyEstimator) Observe(it stream.Item) { e.counts.Observe(it) }
 
 // Estimate returns the estimate of H(f) in bits: the entropy of the
 // sampled stream, which by Lemma 10 is a constant-factor approximation
 // whenever H(f) = ω(p^(−1/2)·n^(−1/6)).
-func (e *EntropyEstimator) Estimate() float64 { return e.entropyOver(float64(e.nL)) }
+func (e *EntropyEstimator) Estimate() float64 { return e.entropyOver(float64(e.counts.N())) }
 
-// entropyOver returns Σ (g_i/n)·lg(n/g_i) over the frequencies of L, in
-// key order: the empirical entropy of L for n = F₁(L), H_pn(g) for
-// n = pn. Rounding (or a single-item stream's −0) can leave the sum
-// below zero; the entropy is 0 there, as it is for n = 0.
+// entropyOver returns Σ (g_i/n)·lg(n/g_i) over the frequencies of L, one
+// term per distinct frequency (ItemCounts.Sum): the empirical entropy of
+// L for n = F₁(L), H_pn(g) for n = pn. Rounding (or a single-item
+// stream's −0) can leave the sum below zero; the entropy is 0 there, as
+// it is for n = 0.
 func (e *EntropyEstimator) entropyOver(n float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	var h float64
-	for _, g := range e.counts.OrderedCounts() {
+	h := -e.counts.Sum(func(g uint64) float64 {
 		q := float64(g) / n
-		h -= q * math.Log2(q)
-	}
+		return q * math.Log2(q)
+	})
 	if h <= 0 {
 		return 0
 	}
@@ -80,7 +77,7 @@ func (e *EntropyEstimator) EstimateHpn(n uint64) float64 {
 }
 
 // SampledLength returns F₁(L).
-func (e *EntropyEstimator) SampledLength() uint64 { return e.nL }
+func (e *EntropyEstimator) SampledLength() uint64 { return e.counts.N() }
 
 // AdditiveFloor returns the additive term below which no constant-factor
 // guarantee holds (Theorem 5): H(f) must be ω(p^(−1/2)·n^(−1/6)).

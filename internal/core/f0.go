@@ -88,17 +88,12 @@ func NewGEEF0Estimator(p float64) *GEEF0Estimator {
 // Observe feeds one element of the sampled stream L.
 func (e *GEEF0Estimator) Observe(it stream.Item) { e.counts.Observe(it) }
 
-// Estimate returns the GEE estimate of F₀(P).
+// Estimate returns the GEE estimate of F₀(P), φ₁/√p + Σ_{j≥2} φ_j over
+// the profile of L. Both counts are exact integers (1/c is 1 for a
+// singleton, 0 for any larger count).
 func (e *GEEF0Estimator) Estimate() float64 {
-	var singletons, repeated float64
-	for _, c := range e.counts.OrderedCounts() {
-		if c == 1 {
-			singletons++
-		} else {
-			repeated++
-		}
-	}
-	return singletons/math.Sqrt(e.p) + repeated
+	singletons := e.counts.Sum(func(c uint64) float64 { return float64(1 / c) })
+	return singletons/math.Sqrt(e.p) + (float64(e.counts.Len()) - singletons)
 }
 
 // SpaceBytes returns the memory footprint (linear in F₀(L) — GEE trades

@@ -151,11 +151,17 @@ func TestF0SpaceAccounting(t *testing.T) {
 	gee.Observe(1)
 	gee.Observe(2)
 	// Two slab entries of 16 bytes plus the item index while it is fed;
-	// the estimate orders the store, which drops the index.
-	if fed := gee.SpaceBytes(); fed <= 32 {
+	// the estimate only reads, and settling orders the store, which drops
+	// the index.
+	fed := gee.SpaceBytes()
+	if fed <= 32 {
 		t.Fatalf("GEE SpaceBytes while fed = %d, want the slab and an index", fed)
 	}
 	gee.Estimate()
+	if gee.SpaceBytes() != fed {
+		t.Fatalf("GEE SpaceBytes after an estimate = %d, want %d: an estimate writes nothing", gee.SpaceBytes(), fed)
+	}
+	gee.Settle()
 	if gee.SpaceBytes() != 32 {
 		t.Fatalf("GEE SpaceBytes = %d, want 32", gee.SpaceBytes())
 	}

@@ -114,6 +114,11 @@ func (e *FkEstimator) Moments() []float64 {
 		}
 		// A frequency moment is at least F1 for any nonempty stream;
 		// clamp pathological negatives from noisy collision estimates.
+		// Over the exact counter the clamp adds no bias: φ̃_ℓ is then
+		// Σ_j S(ℓ,j)·j!·C_j(L)/p^j with Stirling numbers S(ℓ,j) ≥ 0, never
+		// below φ̃₁ but by rounding (TestExactSamplingOracle: exact bias 0
+		// on every instance). Over the level set it lifts a low C̃_ℓ, a
+		// bias of E[(φ̃₁ − est)⁺] ≥ 0 upward.
 		if est < phi[1] {
 			est = phi[1]
 		}

@@ -129,7 +129,7 @@ func (e *EntropyEstimator) MarshalBinary() ([]byte, error) { return wire.Marshal
 func (e *EntropyEstimator) Encode(w *wire.Writer) {
 	w.Header(TagEntropy)
 	w.F64(e.p)
-	w.U64(e.nL)
+	w.U64(e.counts.N())
 	e.counts.Encode(w)
 }
 
@@ -141,7 +141,7 @@ func DecodeEntropyEstimator(r *wire.Reader) (*EntropyEstimator, error) {
 	if r.Err() == nil && !validP(p) {
 		r.Fail()
 	}
-	e := &EntropyEstimator{p: p, nL: nL}
+	e := &EntropyEstimator{p: p}
 	e.counts.Decode(r, nL)
 	if r.Err() == nil && e.counts.N() != nL {
 		r.Failf("core: entropy frequencies sum to %d, header says %d", e.counts.N(), nL)

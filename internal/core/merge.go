@@ -60,7 +60,6 @@ func (e *EntropyEstimator) Merge(other *EntropyEstimator) error {
 		return fmt.Errorf("%w: EntropyEstimator P %g vs %g", sketch.ErrIncompatible, e.p, other.p)
 	}
 	e.counts.Merge(&other.counts)
-	e.nL += other.nL
 	return nil
 }
 

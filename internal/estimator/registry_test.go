@@ -219,8 +219,8 @@ func TestEveryKindRoundTripsEncodeDecodeMerge(t *testing.T) {
 			want := a.Estimates()
 			got := decoded.Estimates()
 			for name, v := range want {
-				// Exactly: every float aggregate sums in key order, so an
-				// estimate is a function of the state alone.
+				// Exactly: every float aggregate sums over the profile of
+				// the counts, so an estimate is a function of the state alone.
 				if got[name] != v {
 					t.Errorf("decoded estimate %q = %v, want %v", name, got[name], v)
 				}

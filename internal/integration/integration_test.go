@@ -158,8 +158,8 @@ func TestPipelineDeterministic(t *testing.T) {
 	if a.SampledLength != b.SampledLength || len(a.F1HeavyHitters) != len(b.F1HeavyHitters) {
 		t.Fatalf("pipeline not deterministic:\n%+v\n%+v", a, b)
 	}
-	// Float aggregates sum in key order, so identical runs agree to the
-	// last bit.
+	// Float aggregates sum over the profile of the counts, so identical
+	// runs agree to the last bit.
 	if a.Fk != b.Fk || a.F0 != b.F0 || a.Entropy != b.Entropy {
 		t.Fatalf("pipeline not deterministic:\n%+v\n%+v", a, b)
 	}

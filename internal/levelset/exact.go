@@ -12,8 +12,8 @@ import (
 // against, and the backend of choice when the sampled stream's support is
 // known to be small. The vector lives in a sketch.ItemCounts, whose
 // ordering contract says which calls only read a counter that other
-// goroutines share (a decoded or merged one: all but Observe and
-// UpdateBatch).
+// goroutines share: EstimateCollisions in any layout, Encode on a decoded
+// or merged one.
 type ExactCounter struct {
 	counts sketch.ItemCounts
 }
@@ -25,16 +25,13 @@ func NewExactCounter() *ExactCounter { return &ExactCounter{} }
 func (c *ExactCounter) Observe(it stream.Item) { c.counts.Observe(it) }
 
 // EstimateCollisions returns the exact C_ℓ of the observed stream,
-// summed in key order. It panics if ℓ < 1.
+// Lemma 1's Σ_j φ_j·C(j, ℓ) over its profile; it only reads the counter.
+// It panics if ℓ < 1.
 func (c *ExactCounter) EstimateCollisions(l int) float64 {
 	if l < 1 {
 		panic("levelset: EstimateCollisions with l < 1")
 	}
-	var total float64
-	for _, f := range c.counts.OrderedCounts() {
-		total += stream.BinomialCoeff(f, l)
-	}
-	return total
+	return c.counts.Sum(func(f uint64) float64 { return stream.BinomialCoeff(f, l) })
 }
 
 // SpaceBytes returns the memory footprint of the frequency vector.
@@ -44,8 +41,8 @@ func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 // consumes: something that observes the sampled stream and can produce an
 // estimate of C_ℓ(L) for each ℓ, folds another counter of its own concrete
 // type into itself (so Algorithm 1 runs sharded), and has a wire form.
-// ExactCounter and Estimator satisfy it; the space/accuracy tradeoff is the
-// caller's choice.
+// ExactCounter and Estimator satisfy it (DecodeCollisionCounter returns
+// either); the space/accuracy tradeoff is the caller's choice.
 type CollisionCounter interface {
 	Observe(it stream.Item)
 	UpdateBatch(items []stream.Item)
@@ -54,8 +51,3 @@ type CollisionCounter interface {
 	Encode(w *wire.Writer)
 	SpaceBytes() int
 }
-
-var (
-	_ CollisionCounter = (*ExactCounter)(nil)
-	_ CollisionCounter = (*Estimator)(nil)
-)

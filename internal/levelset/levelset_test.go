@@ -32,14 +32,19 @@ func TestExactCounter(t *testing.T) {
 	if c.counts.N() != 6 {
 		t.Fatalf("N = %d", c.counts.N())
 	}
+	fed := c.SpaceBytes()
 	if got := c.EstimateCollisions(2); got != 3+1 {
 		t.Fatalf("C2 = %v, want 4", got)
 	}
 	if got := c.EstimateCollisions(3); got != 1 {
 		t.Fatalf("C3 = %v, want 1", got)
 	}
-	// The estimates ordered the store where it lies: the two slabs three
-	// appends grew (four entries each), no index. Merged, they are exact.
+	if c.SpaceBytes() != fed {
+		t.Fatalf("SpaceBytes after the estimates = %d, want %d: an estimate writes nothing", c.SpaceBytes(), fed)
+	}
+	// Settling orders the store where it lies: the two slabs three appends
+	// grew (four entries each), no index. Merged, they are exact.
+	c.Settle()
 	if c.SpaceBytes() != 16*4 {
 		t.Fatalf("SpaceBytes = %d", c.SpaceBytes())
 	}

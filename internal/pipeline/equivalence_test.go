@@ -135,7 +135,7 @@ func TestMergeEquivalenceEntropyPlugin(t *testing.T) {
 	single := mk(0)
 	single.UpdateBatch(L)
 	merged := shardMerge(t, L, 4, mk)
-	// Exactly: the plug-in sum runs in key order on both sides.
+	// Exactly: the plug-in sum runs over the same profile on both sides.
 	if s, m := single.Estimate(), merged.Estimate(); s != m {
 		t.Fatalf("entropy: single %.17g vs sharded-merged %.17g", s, m)
 	}

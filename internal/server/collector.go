@@ -264,8 +264,9 @@ func (c *Collector) Accept(sum Summary) error {
 }
 
 // accept is Accept plus observability: it reports which
-// summaries_rejected cause a failure maps to and records the "fold" leg
-// of the shipment's trace — decode and trial-fold latency, end-to-end
+// summaries_rejected cause a failure maps to, observes the live
+// collect_decode_seconds and collect_fold_seconds, and records the "fold"
+// leg of the shipment's trace — decode and trial-fold latency, end-to-end
 // time from the agent's flush stamp, and the error if rejected.
 func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause string, err error) {
 	span := obs.Span{
@@ -287,6 +288,14 @@ func (c *Collector) accept(sum Summary, arrival time.Time, bytes int) (cause str
 	}()
 	adm, cause, err := c.admit(sum)
 	span.DecodeNs, span.FoldNs = adm.decodeNs, adm.foldNs
+	// Observed here, not in admit: a snapshot restore's rows pass admit
+	// too, and snapshot_restore_seconds times that whole.
+	if adm.decodeNs > 0 {
+		c.metrics.CollectDecode.Observe(float64(adm.decodeNs) / 1e9)
+	}
+	if adm.foldNs > 0 {
+		c.metrics.CollectFold.Observe(float64(adm.foldNs) / 1e9)
+	}
 	if err != nil {
 		return cause, err
 	}
@@ -343,14 +352,12 @@ func (c *Collector) admit(sum Summary) (adm admission, cause string, err error) 
 	t0 := time.Now()
 	decoded, err := estimator.Decode(sum.Payload)
 	adm.decodeNs = time.Since(t0).Nanoseconds()
-	c.metrics.CollectDecode.Since(t0)
 	if err != nil {
 		return adm, causePayload, fmt.Errorf("summary payload: %w", err)
 	}
 	t0 = time.Now()
 	_, err = fold(adm.newAcc, []estimator.Estimator{decoded})
 	adm.foldNs = time.Since(t0).Nanoseconds()
-	c.metrics.CollectFold.Since(t0)
 	if err != nil {
 		return adm, causePayload, fmt.Errorf("summary payload does not match its declared config: %w", err)
 	}

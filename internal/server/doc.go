@@ -36,7 +36,10 @@
 //     fingers, linear; a store with unsorted arrivals is read too, the
 //     arrivals sorted in a copy), which is why one retained state can
 //     serve concurrent queries, admission and the snapshot writer at
-//     once. An agent folds its shard replicas after quiescing the
+//     once. Asking writes nothing either: an exact kind's answer is a
+//     sum over the profile of its counts (ItemCounts.Sum) in whatever
+//     layout the store is in, and only Merge, Encode and Settle order
+//     a store. An agent folds its shard replicas after quiescing the
 //     pipeline, and a quiesced pipeline's replicas are settled: each
 //     shard worker orders its own exact counting store before it
 //     acknowledges the Sync barrier (pipeline.Settler), all workers at

@@ -127,9 +127,10 @@ func TestEveryMetricFamilyIsAsserted(t *testing.T) {
 		{"ingest_decode_seconds", count(eq(2)), count(eq(0))},
 		{"shard_feed_seconds", count(eq(2)), count(eq(0))},
 		{"agent_flush_seconds", count(eq(1)), count(eq(0))},
-		// The shipment and its restored row each pass the admission door.
-		{"collect_decode_seconds", count(eq(0)), count(eq(2))},
-		{"collect_fold_seconds", count(eq(0)), count(eq(2))},
+		// The shipment passes the live door once; its restored row is
+		// timed by snapshot_restore_seconds alone.
+		{"collect_decode_seconds", count(eq(0)), count(eq(1))},
+		{"collect_fold_seconds", count(eq(0)), count(eq(1))},
 		{"query_seconds", count(eq(2)), count(eq(2))},
 		{"snapshot_write_seconds", count(eq(0)), count(eq(1))},
 		{"snapshot_restore_seconds", count(eq(0)), count(eq(1))},
@@ -156,5 +157,35 @@ func TestEveryMetricFamilyIsAsserted(t *testing.T) {
 				t.Errorf("%s panel lacks %s", role, key)
 			}
 		}
+	}
+}
+
+// TestRestoreLeavesLiveLatencyHistograms pins collect_decode_seconds and
+// collect_fold_seconds to live summaries: a snapshot's rows pass the same
+// admission door, but restoring them — at startup or on request — adds no
+// observation to either.
+func TestRestoreLeavesLiveLatencyHistograms(t *testing.T) {
+	dir := t.TempDir()
+	c1 := NewCollector(CollectorConfig{SnapshotDir: dir})
+	acceptWorkload(t, c1)
+	const rows = 4
+	if err := c1.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c1.RestoreSnapshot(); err != nil || n != rows {
+		t.Fatalf("restore: %d rows, %v; want %d", n, err, rows)
+	}
+	c2 := NewCollector(CollectorConfig{SnapshotDir: dir})
+	for name, c := range map[string]*Collector{"live": c1, "restored at startup": c2} {
+		want := uint64(0)
+		if c == c1 {
+			want = rows
+		}
+		if d, f := c.Metrics().CollectDecode.Count(), c.Metrics().CollectFold.Count(); d != want || f != want {
+			t.Errorf("%s collector: decode/fold histograms hold %d/%d observations, want %d/%d", name, d, f, want, want)
+		}
+	}
+	if n := c2.Metrics().SnapshotRestore.Count(); n != 1 {
+		t.Fatalf("snapshot_restore_seconds observations: %d, want 1", n)
 	}
 }

@@ -117,7 +117,7 @@ func splitChunks(s stream.Slice, n int) []stream.Slice {
 // substreams, shipped over HTTP to a collector, must reproduce the
 // estimate of one sequential estimator that observed the concatenated
 // stream — exactly, the entropy estimate included: its plug-in sum runs
-// in key order whatever path the frequencies took.
+// over the profile of the counts whatever path the frequencies took.
 func TestAgentCollectorMatchesSequential(t *testing.T) {
 	const agents = 3
 	const p = 0.25

@@ -26,11 +26,12 @@
 // is fed. Its ordering contract: Merge never writes its
 // argument (an ordered one is read in place by a linear two-finger join,
 // a fed one's arrivals are sorted in a copy), so decoded states may be
-// folded by any number of goroutines at once; Encode and OrderedCounts
-// only read an ordered store and order a fed one in place, which makes
-// them, on a fed store, calls for whoever may Observe it. The sorted item
-// run and every float aggregate are walked in key order, so payloads and
-// estimates depend on the frequency vector alone.
+// folded by any number of goroutines at once; only Merge (its receiver),
+// Encode and Settle order a store, in place, which makes Encode and
+// Settle, on a fed store, calls for whoever may Observe it. Every answer
+// is a write-free ItemCounts.Sum over the profile of the counts, in any
+// layout. Payloads are the sorted item run and answers ignore item
+// labels, so both depend on the frequency vector alone.
 package sketch
 
 import (

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"maps"
 	"slices"
 
 	"substream/internal/stream"
@@ -31,12 +32,16 @@ import (
 //     call Observe — a pipeline's shard worker settles its replica at
 //     every Sync barrier, so what a flush folds is ordered already and a
 //     later Settle sorts only the keys that are new since. Merge settles
-//     its receiver, and Encode and OrderedCounts the store they are
-//     called on.
+//     its receiver and Encode the store it is called on; nothing else
+//     orders a store.
+//   - Sum, the one aggregate a holder computes, only reads: it runs over
+//     the counts' profile in any layout, so an answer writes nothing and
+//     any number of goroutines may ask a shared state at once.
 //
 // Serialized state is the sorted item run whatever order the slab is in,
-// and every aggregate a holder computes walks OrderedCounts, so payloads
-// and estimates are functions of the frequency vector alone.
+// and Sum depends on the multiset of counts alone, so payloads and
+// estimates are functions of the frequency vector — not of item labels,
+// arrival or merge order.
 type ItemCounts struct {
 	items  []stream.Item
 	counts []uint64
@@ -176,13 +181,32 @@ func (s *ItemCounts) Settle() {
 	s.sorted, s.index = len(s.items), ItemIndex{}
 }
 
-// OrderedCounts returns the counts in increasing key order, settling the
-// store first; the caller must not change them. It is what every
-// aggregate over the frequency vector walks, so a float sum does not
-// depend on the order the items arrived or were merged in.
-func (s *ItemCounts) OrderedCounts() []uint64 {
-	s.Settle()
-	return s.counts
+// Sum returns Σ g(count) over the stored items, summed over their profile
+// φ_j = |{items counted j times}|: one pass tallies φ (in a fixed array
+// for small counts, in a map sorted afterwards for the few larger ones),
+// then g is called once per distinct count and the terms φ_j·g(j) are
+// added in increasing j. It only reads the store, in whatever layout it
+// is in.
+func (s *ItemCounts) Sum(g func(count uint64) float64) float64 {
+	var small [256]uint64
+	tail := map[uint64]uint64{}
+	for _, c := range s.counts {
+		if c < uint64(len(small)) {
+			small[c]++
+		} else {
+			tail[c]++
+		}
+	}
+	var total float64
+	for c, phi := range small {
+		if phi != 0 {
+			total += float64(phi) * g(uint64(c))
+		}
+	}
+	for _, c := range slices.Sorted(maps.Keys(tail)) {
+		total += float64(tail[c]) * g(c)
+	}
+	return total
 }
 
 // Merge adds other's counts to s — a linear two-finger join of the two

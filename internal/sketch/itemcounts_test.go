@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -56,8 +57,8 @@ func decodeRefCounts(t *testing.T, payload []byte) *refCounts {
 	return &refCounts{counts: counts, n: sum}
 }
 
-// orderedCounts is the walk every aggregate makes: counts by increasing
-// key.
+// orderedCounts is the counts by increasing key: what a settled store's
+// count slab holds.
 func (c *refCounts) orderedCounts() []uint64 {
 	out := make([]uint64, 0, len(c.counts))
 	for _, it := range sortedKeys(c.counts) {
@@ -65,6 +66,24 @@ func (c *refCounts) orderedCounts() []uint64 {
 	}
 	return out
 }
+
+// sum is ItemCounts.Sum's definition over the map: Σ φ_j·g(j), the
+// terms added in increasing j.
+func (c *refCounts) sum(g func(uint64) float64) float64 {
+	phi := map[uint64]uint64{}
+	for _, cnt := range c.counts {
+		phi[cnt]++
+	}
+	var total float64
+	for _, j := range slices.Sorted(maps.Keys(phi)) {
+		total += float64(phi[j]) * g(j)
+	}
+	return total
+}
+
+// sqrtCount is a g whose terms round, so a change in the order Sum adds
+// them in shows.
+func sqrtCount(c uint64) float64 { return math.Sqrt(float64(c)) }
 
 // clone copies a store slab for slab, arrival order included, so a check
 // can order the copy and leave the store under test as fed as it was.
@@ -109,7 +128,8 @@ func checkAgainstRef(t *testing.T, s *ItemCounts, ref *refCounts) {
 	if cap(payload) != len(payload) {
 		t.Fatalf("sizing pass of an ordered store counted %d bytes, wrote %d", cap(payload), len(payload))
 	}
-	if !slices.Equal(c.OrderedCounts(), ref.orderedCounts()) {
+	c.Settle()
+	if !slices.Equal(c.counts, ref.orderedCounts()) {
 		t.Fatal("counts in key order differ from the map reference's")
 	}
 	if !slices.IsSorted(c.items) {
@@ -125,7 +145,7 @@ func scheduleKey(r *rng.Xoshiro256) stream.Item {
 
 // TestItemCountsMatchesMapReference drives a pool of stores and map
 // references through one random schedule of observe / batch / merge /
-// encode+decode / order / settle / reset, checking every touched store
+// encode+decode / sum / settle / reset, checking every touched store
 // against its reference after every step, and requires the schedule to
 // have merged every shape: ordered into ordered, fed into ordered, ordered
 // into fed, fed into fed, and each into an empty receiver. A settle is
@@ -139,7 +159,7 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 	for i := range stores {
 		stores[i], refs[i] = new(ItemCounts), newRefCounts()
 	}
-	shapes, settles := map[string]int{}, map[string]int{}
+	shapes, settles, sums := map[string]int{}, map[string]int{}, map[string]int{}
 	for step := 0; step < 6000; step++ {
 		i := int(r.Uint64n(pool))
 		s, ref := stores[i], refs[i]
@@ -193,7 +213,19 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 			case 0:
 				stores[i], refs[i] = new(ItemCounts), newRefCounts()
 			case 1:
-				s.OrderedCounts()
+				// Sum reads the store as it lies: slabs, ordered prefix and
+				// index stay, and the answer is the reference's.
+				before, index := s.clone(), s.index
+				index.ids = slices.Clone(index.ids)
+				got := s.Sum(sqrtCount)
+				if !slices.Equal(s.items, before.items) || !slices.Equal(s.counts, before.counts) ||
+					s.sorted != before.sorted || s.index.n != index.n || !slices.Equal(s.index.ids, index.ids) {
+					t.Fatalf("step %d: Sum wrote to a %s store", step, s.state())
+				}
+				if want := ref.sum(sqrtCount); got != want {
+					t.Fatalf("step %d: Sum = %v, the reference's profile sum %v", step, got, want)
+				}
+				sums[s.state()]++
 			default:
 				was, slabCap := s.state(), cap(s.items)
 				settles[was]++
@@ -224,6 +256,9 @@ func TestItemCountsMatchesMapReference(t *testing.T) {
 		if settles[state] == 0 {
 			t.Errorf("the schedule never settled a store that was %s", state)
 		}
+		if sums[state] == 0 {
+			t.Errorf("the schedule never summed a store that was %s", state)
+		}
 	}
 	for _, shape := range []string{"ordered into ordered", "fed into ordered", "ordered into fed", "fed into fed",
 		"ordered into empty", "fed into empty"} {
@@ -250,7 +285,7 @@ func TestItemCountsSpaceBytes(t *testing.T) {
 	// Ordered in place, the store keeps the slabs it grew; ordered by Merge
 	// (or Decode), it gets exact ones. Neither has an index.
 	slabs := 8*cap(s.items) + 8*cap(s.counts)
-	s.OrderedCounts()
+	s.Settle()
 	if s.SpaceBytes() != slabs || slabs <= 16*s.Len() {
 		t.Fatalf("store ordered in place reports %d bytes, want the %d of the slabs it had: index dropped", s.SpaceBytes(), slabs)
 	}
@@ -370,4 +405,75 @@ func FuzzItemCountsSplit(f *testing.F) {
 		}
 		checkAgainstRef(t, back, ref)
 	})
+}
+
+// zipfCounts feeds a store n Zipf(1.1) draws over 2¹⁸ keys, relabelled by
+// x ↦ a·x + b (a odd; a = 1, b = 0 is the identity), and leaves it fed.
+func zipfCounts(n int, a, b stream.Item) *ItemCounts {
+	r, z := rng.New(3), rng.NewZipf(1<<18, 1.1)
+	var s ItemCounts
+	for range n {
+		s.Observe(a*stream.Item(z.Draw(r)) + b)
+	}
+	return &s
+}
+
+// TestItemCountsSumMatchesCompensatedReference holds Sum, which adds one
+// rounded term per distinct count, to a compensated (Neumaier) sum of the
+// per-item terms, to 1e-12 relative, for the entropy plug-in's term, a
+// binomial coefficient and a square root.
+func TestItemCountsSumMatchesCompensatedReference(t *testing.T) {
+	s := zipfCounts(400000, 1, 0)
+	n := float64(s.N())
+	for name, g := range map[string]func(uint64) float64{
+		"q·lg q": func(c uint64) float64 { q := float64(c) / n; return q * math.Log2(q) },
+		"C(c,2)": func(c uint64) float64 { return stream.BinomialCoeff(c, 2) },
+		"√c":     sqrtCount,
+	} {
+		var sum, comp float64
+		for _, c := range s.counts {
+			x := g(c)
+			next := sum + x
+			if math.Abs(sum) >= math.Abs(x) {
+				comp += (sum - next) + x
+			} else {
+				comp += (x - next) + sum
+			}
+			sum = next
+		}
+		want, got := sum+comp, s.Sum(g)
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%s: Sum = %v, compensated reference %v (relative %.2g)", name, got, want, math.Abs(got-want)/math.Abs(want))
+		}
+	}
+}
+
+// TestItemCountsSumIgnoresRelabelling requires Sum to be bit-identical
+// whatever the items are called and whatever layout the store is in: fed,
+// settled, merged and decoded, under the identity and a random bijection
+// on the keys.
+func TestItemCountsSumIgnoresRelabelling(t *testing.T) {
+	r := rng.New(4)
+	a, b := stream.Item(r.Uint64()|1), stream.Item(r.Uint64())
+	base := zipfCounts(200000, 1, 0)
+	n := float64(base.N())
+	g := func(c uint64) float64 { q := float64(c) / n; return q * math.Log2(q) }
+	want := base.Sum(g)
+	for _, label := range [][2]stream.Item{{1, 0}, {a, b}} {
+		s := zipfCounts(200000, label[0], label[1])
+		var merged, back ItemCounts
+		merged.Merge(s)
+		rd := wire.NewReader(mustMarshalRun(t, s.clone()))
+		back.Decode(rd, math.MaxUint64)
+		if err := rd.Done(); err != nil {
+			t.Fatal(err)
+		}
+		fed := s.Sum(g)
+		s.Settle()
+		for layout, got := range map[string]float64{"fed": fed, "settled": s.Sum(g), "merged": merged.Sum(g), "decoded": back.Sum(g)} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("keys ×%#x + %#x, %s: Sum = %v, want %v bit for bit", label[0], label[1], layout, got, want)
+			}
+		}
+	}
 }

@@ -60,7 +60,8 @@ func epochStream(t *testing.T, epochs, perEpoch int) []stream.Slice {
 }
 
 // near compares two estimates up to float-summation-order drift (the
-// kinds over the exact counting store need none: they sum in key order).
+// kinds over the exact counting store need none: they sum over the
+// profile of the counts).
 func near(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
@@ -542,15 +543,17 @@ func TestSettleReachesEveryReplicaOfTheRing(t *testing.T) {
 		ring.UpdateBatch(slices[1])
 	}
 	// What one store's index weighs: a generation's worth of items, fed,
-	// then ordered by its own Estimates.
+	// then settled (an answer only reads, so it drops nothing).
 	inner, err := estimator.New(innerSpec("entropy"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner.UpdateBatch(slices[0])
 	index := inner.SpaceBytes()
-	inner.Estimates()
-	index -= inner.SpaceBytes()
+	estimator.Unwrap(inner).(interface{ Settle() }).Settle()
+	if index -= inner.SpaceBytes(); index <= 0 {
+		t.Fatalf("settling a fed store freed %d bytes, want its index", index)
+	}
 
 	fed := e.SpaceBytes()
 	e.Settle()

@@ -27,9 +27,18 @@
 //   - -max-regression (percent, default 0 = disabled) exits with status
 //     3 when any compared benchmark's ns/op regressed by more than the
 //     bound — the red-gate mode.
+//   - -paired reads its files as alternating parent/change runs on one
+//     machine and gives one verdict per benchmark instead (paired.go):
+//     the median of the pairwise ns/op ratios with a sign count, banded
+//     by -threshold, and allocs/op and B/op compared exactly. It exits 3
+//     when a case is slower or allocates more.
 //
-// More than two files may be given: every file after the first is a
-// head artifact, merged (last-wins, or best-of under -best-of). Exit
+// The paired mode is CI's per-layer verdict against the PR's base:
+//
+//	benchcompare -paired -match LevelsetMerge parent-1.txt change-1.txt parent-2.txt change-2.txt
+//
+// Otherwise more than two files may be given: every file after the first
+// is a head artifact, merged (last-wins, or best-of under -best-of). Exit
 // status: 0 ok, 1 unreadable input, 2 usage, 3 regression gate tripped.
 package main
 
@@ -48,9 +57,11 @@ import (
 
 // benchResult is one benchmark's parsed metrics.
 type benchResult struct {
-	NsPerOp float64
-	MBPerS  float64
-	HasMBs  bool
+	NsPerOp     float64
+	MBPerS      float64
+	HasMBs      bool
+	BytesPerOp  float64
+	AllocsPerOp float64
 }
 
 // testEvent is the subset of a test2json event the parser needs.
@@ -65,15 +76,29 @@ func main() {
 	bestOf := flag.Bool("best-of", false, "keep the lowest ns/op per benchmark across repeated results (-count runs, multiple head files) instead of the last")
 	match := flag.String("match", "", "compare only benchmarks whose name matches this regular expression")
 	maxReg := flag.Float64("max-regression", 0, "exit 3 if any compared benchmark's ns/op regressed by more than this percentage (0 = never fail)")
+	pairedMode := flag.Bool("paired", false, "read alternating PARENT CHANGE file pairs and give one verdict per benchmark; exit 3 if any is slower or allocates more")
 	flag.Parse()
 	if flag.NArg() < 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcompare [flags] BASE.json HEAD.json [HEAD2.json ...]")
+		fmt.Fprintln(os.Stderr, "       benchcompare -paired [flags] PARENT1 CHANGE1 [PARENT2 CHANGE2 ...]")
 		os.Exit(2)
 	}
 	matchRE, err := regexp.Compile(*match)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcompare: -match:", err)
 		os.Exit(2)
+	}
+	if *pairedMode {
+		failed, err := runPaired(os.Stdout, flag.Args(), matchRE, *threshold)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcompare:", err)
+			os.Exit(1)
+		}
+		if failed {
+			fmt.Fprintln(os.Stderr, "benchcompare: paired verdict failed: a case is slower or allocates more")
+			os.Exit(3)
+		}
+		return
 	}
 	base, err := parseFile(flag.Arg(0), *bestOf)
 	if err != nil {
@@ -166,6 +191,13 @@ func gate(base, head map[string]benchResult, maxReg float64) []string {
 // lowest ns/op under bestOf.
 func parse(r io.Reader, bestOf bool) (map[string]benchResult, error) {
 	out := make(map[string]benchResult)
+	err := scan(r, func(name string, res benchResult) { merge(out, name, res, bestOf) })
+	return out, err
+}
+
+// scan hands every benchmark result in a test2json stream (or raw go
+// test output) to each, in the order the stream carries them.
+func scan(r io.Reader, each func(name string, res benchResult)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -183,16 +215,16 @@ func parse(r io.Reader, bestOf bool) (map[string]benchResult, error) {
 			test = ev.Test
 		}
 		if name, res, ok := parseBenchLine(line); ok {
-			merge(out, name, res, bestOf)
+			each(name, res)
 			continue
 		}
 		if test != "" && strings.HasPrefix(test, "Benchmark") {
 			if res, ok := parseMetrics(strings.Fields(line)); ok {
-				merge(out, test, res, bestOf)
+				each(test, res)
 			}
 		}
 	}
-	return out, sc.Err()
+	return sc.Err()
 }
 
 // parseBenchLine parses a single-line `Benchmark... ns/op` result.
@@ -233,6 +265,10 @@ func parseMetrics(fields []string) (benchResult, bool) {
 		case "MB/s":
 			res.MBPerS = v
 			res.HasMBs = true
+		case "B/op":
+			res.BytesPerOp = v
+		case "allocs/op":
+			res.AllocsPerOp = v
 		}
 	}
 	return res, found

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -194,5 +199,145 @@ func TestRenderThresholdHidesNoise(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "| Same |") {
 		t.Fatalf("threshold 0 must show every row:\n%s", sb.String())
+	}
+}
+
+// pairedSides builds a parent and a change side for one case from
+// per-pair ns/op readings and per-run allocs/op.
+func pairedSides(parentNs, changeNs []float64, parentAllocs, changeAllocs float64) (map[string][]benchResult, map[string][]benchResult) {
+	parent, change := map[string][]benchResult{}, map[string][]benchResult{}
+	for i := range parentNs {
+		parent["BenchmarkX"] = append(parent["BenchmarkX"], benchResult{NsPerOp: parentNs[i], AllocsPerOp: parentAllocs, BytesPerOp: 64 * parentAllocs})
+		change["BenchmarkX"] = append(change["BenchmarkX"], benchResult{NsPerOp: changeNs[i], AllocsPerOp: changeAllocs, BytesPerOp: 64 * changeAllocs})
+	}
+	return parent, change
+}
+
+// noisy returns eight readings of base ns/op drifting as a shared box
+// does between minutes: ±12 % from pair to pair, with ±3 % jitter on top.
+func noisy(base float64, jitter []float64) []float64 {
+	drift := []float64{1.00, 1.12, 0.90, 1.05, 0.95, 1.10, 0.88, 1.02}
+	out := make([]float64, len(drift))
+	for i := range drift {
+		out[i] = base * drift[i] * (1 + jitter[i])
+	}
+	return out
+}
+
+// TestPairedVerdict pins the paired mode's contract: a real 10 % slip
+// under box drift wider than itself fails, an A/A run under the same
+// drift passes, a real gain reads faster, and one allocation added to an
+// alloc-free case fails whatever the time says.
+func TestPairedVerdict(t *testing.T) {
+	jitterA := []float64{0.02, -0.03, 0.01, -0.01, 0.03, -0.02, 0.00, 0.01}
+	jitterB := []float64{-0.01, 0.02, -0.03, 0.03, -0.02, 0.01, 0.02, -0.03}
+	cases := []struct {
+		name                   string
+		parentNs, changeNs     []float64
+		parentAllocs, chAllocs float64
+		wantTime               string
+		wantFail               bool
+	}{
+		{"10% slower, noisy", noisy(100, jitterA), noisy(110, jitterB), 3, 3, "slower", true},
+		{"A/A", noisy(100, jitterA), noisy(100, jitterB), 3, 3, "flat", false},
+		{"20% faster", noisy(100, jitterA), noisy(80, jitterB), 3, 3, "faster", false},
+		{"one allocation on a 0-alloc case", noisy(100, jitterA), noisy(100, jitterB), 0, 1, "flat", true},
+		{"fewer allocations", noisy(100, jitterA), noisy(100, jitterB), 4, 3, "flat", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, change := pairedSides(tc.parentNs, tc.changeNs, tc.parentAllocs, tc.chAllocs)
+			vs := paired(parent, change, 5)
+			if len(vs) != 1 || vs[0].Pairs != 8 {
+				t.Fatalf("verdicts %+v, want one case over 8 pairs", vs)
+			}
+			if v := vs[0]; v.TimeVerdict != tc.wantTime || v.failed() != tc.wantFail {
+				t.Fatalf("verdict %+v: time %q failed %v, want %q %v", v, v.TimeVerdict, v.failed(), tc.wantTime, tc.wantFail)
+			}
+			var sb strings.Builder
+			if failed := renderPaired(&sb, vs, 5); failed != tc.wantFail || strings.Contains(sb.String(), "FAIL") != tc.wantFail {
+				t.Fatalf("rendered failed=%v, want %v:\n%s", failed, tc.wantFail, sb.String())
+			}
+		})
+	}
+}
+
+// TestSignTail pins the sign test's tail against hand-counted values and
+// the pair counts the verdict needs.
+func TestSignTail(t *testing.T) {
+	for _, tc := range []struct {
+		k, n int
+		want float64
+	}{{0, 5, 1}, {5, 5, 1.0 / 32}, {4, 5, 6.0 / 32}, {5, 6, 7.0 / 64}, {7, 8, 9.0 / 256}, {9, 10, 11.0 / 1024}, {8, 10, 56.0 / 1024}} {
+		if got := signTail(tc.k, tc.n); math.Abs(got-tc.want) > 1e-12 {
+			t.Fatalf("signTail(%d, %d) = %g, want %g", tc.k, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestPairedMajorityIsNotAVerdict checks the case the sign test exists
+// for: an untouched case whose pairs read 4 of 6 slower with a median
+// above the band stays flat.
+func TestPairedMajorityIsNotAVerdict(t *testing.T) {
+	parent, change := pairedSides([]float64{100, 100, 100, 100, 100, 100}, []float64{120, 115, 111, 98, 104, 90}, 0, 0)
+	if v := paired(parent, change, 5)[0]; v.Slower != 4 || v.TimeVerdict != "flat" || v.failed() {
+		t.Fatalf("4 of 6 pairs slower gave %+v, want flat", v)
+	}
+}
+
+// TestPairedAllocsWithinOwnSpread checks the exact allocation compare
+// does not fail a case whose amortised count moves by one within both
+// sides' own runs, as CollectEnvelope's 118/119 does.
+func TestPairedAllocsWithinOwnSpread(t *testing.T) {
+	ns := noisy(100, make([]float64, 8))
+	parent, change := pairedSides(ns, ns, 118, 118)
+	parent["BenchmarkX"][3].AllocsPerOp = 119
+	change["BenchmarkX"][5].AllocsPerOp = 119
+	if v := paired(parent, change, 5)[0]; v.failed() {
+		t.Fatalf("one amortised allocation inside the parent's spread failed the verdict: %+v", v)
+	}
+	change["BenchmarkX"] = slices.Clone(change["BenchmarkX"])
+	for i := range change["BenchmarkX"] {
+		change["BenchmarkX"][i].AllocsPerOp = 120
+	}
+	if v := paired(parent, change, 5)[0]; !v.MoreAllocs || !v.failed() {
+		t.Fatalf("every change run above the parent's most passed: %+v", v)
+	}
+}
+
+// TestRunPairedReadsAlternatingFiles drives the paired mode from files:
+// odd files are the parent's runs, even ones the change's, with the
+// B/op and allocs/op go test prints; only -match'ed cases are judged.
+func TestRunPairedReadsAlternatingFiles(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for i, run := range []string{
+		"BenchmarkMerge-2 \t 100 \t 1000 ns/op\t 4096 B/op\t 10 allocs/op\nBenchmarkOther-2 \t 10 \t 50 ns/op\t 0 B/op\t 0 allocs/op\n",
+		"BenchmarkMerge-2 \t 100 \t 700 ns/op\t 4104 B/op\t 10 allocs/op\nBenchmarkOther-2 \t 10 \t 99 ns/op\t 0 B/op\t 0 allocs/op\n",
+		"BenchmarkMerge-2 \t 100 \t 1100 ns/op\t 4096 B/op\t 10 allocs/op\n",
+		"BenchmarkMerge-2 \t 100 \t 760 ns/op\t 4100 B/op\t 10 allocs/op\n",
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("run-%d.txt", i))
+		if err := os.WriteFile(path, []byte(run), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	var sb strings.Builder
+	failed, err := runPaired(&sb, paths, regexp.MustCompile("Merge"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	// Two pairs cannot make a sign count significant, so the 30 % gain
+	// reads flat; the bytes still fail.
+	if !failed || !strings.Contains(out, "| Merge | 2 |") || !strings.Contains(out, "flat, +4 B/op, **FAIL**") {
+		t.Fatalf("want Merge flat over 2 pairs but failed on +4 B/op:\n%s", out)
+	}
+	if strings.Contains(out, "Other") {
+		t.Fatalf("an unmatched case was judged:\n%s", out)
+	}
+	if _, err := runPaired(&sb, paths[:3], regexp.MustCompile(""), 5); err == nil {
+		t.Fatal("an odd number of files was accepted")
 	}
 }

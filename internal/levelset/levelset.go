@@ -55,7 +55,10 @@
 // its argument, so a collector's decoded states are only ever read,
 // whatever the number of queries folding them. The heavy part is
 // sketch.SpaceSaving, whose own contract is the same; Bands reads both
-// parts' slabs in any layout.
+// parts' slabs in any layout. Because each part writes only its own state
+// and only reads the argument's, Merge folds the parts concurrently: the
+// repetitions on goroutines of their own, the heavy summary on the
+// caller's.
 package levelset
 
 import (

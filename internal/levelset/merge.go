@@ -3,6 +3,7 @@ package levelset
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"substream/internal/sketch"
 	"substream/internal/stream"
@@ -53,7 +54,16 @@ func (c *ExactCounter) Settle() { c.counts.Settle() }
 // below the merged threshold (and is dropped) — so surviving counts add
 // exactly, and the merged repetition is the state a single monitor with
 // threshold T would have reached over the concatenated substream.
+//
+// Every check that can fail runs before any part is written, so a refused
+// argument leaves e unchanged. Then the parts fold concurrently: each
+// repetition on its own goroutine, the heavy summary on the caller's.
+// Each part writes only its own receiver state and only reads its
+// argument's, so a self-merge, and several merges reading one argument at
+// once, stay safe; the result is the serial fold's, bit for bit.
 func (e *Estimator) Merge(other *Estimator) error {
+	// The heavy summary's k is the budget (New and DecodeEstimator hold
+	// it so), which makes SpaceSaving.Merge's one refusal a shape mismatch.
 	if e.epsPrime != other.epsPrime || e.budget != other.budget || len(e.reps) != len(other.reps) {
 		return fmt.Errorf("%w: levelset shape (eps'=%g,budget=%d,reps=%d) vs (eps'=%g,budget=%d,reps=%d)",
 			sketch.ErrIncompatible, e.epsPrime, e.budget, len(e.reps),
@@ -69,13 +79,17 @@ func (e *Estimator) Merge(other *Estimator) error {
 			}
 		}
 	}
-	if err := e.heavy.Merge(other.heavy); err != nil {
-		return err
+	var wg sync.WaitGroup
+	wg.Add(len(e.reps))
+	for i, rs := range e.reps {
+		go func() {
+			defer wg.Done()
+			rs.merge(other.reps[i])
+		}()
 	}
-	for i := range e.reps {
-		e.reps[i].merge(other.reps[i])
-	}
-	return nil
+	err := e.heavy.Merge(other.heavy)
+	wg.Wait()
+	return err
 }
 
 // merge folds os into rs and leaves rs unfed (see the ordering contract).

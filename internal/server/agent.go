@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	rand "math/rand/v2"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -568,18 +569,49 @@ func (a *Agent) FlushAll(ctx context.Context) (int, error) {
 
 // flushAll ships every stream, continuing past failures so one dead
 // stream (or an open breaker) never starves the rest, and reports both
-// counts. The joined error preserves every per-stream failure.
+// counts. The streams ship concurrently, on min(GOMAXPROCS, streams)
+// workers — the caller and goroutines beside it — pulling from the
+// name-sorted list; each outcome lands at its stream's index, so the
+// joined error keeps every per-stream failure in stream order. When the
+// breaker is not closed the first stream ships alone, as the probe, and
+// the rest fan out after its outcome: a revived collector sees one
+// request, and that same flush ships every stream.
 func (a *Agent) flushAll(ctx context.Context) (shipped, failed int, err error) {
-	var errs []error
-	for _, st := range a.snapshotStreams() {
-		if err := a.shipStream(ctx, st); err != nil {
-			errs = append(errs, fmt.Errorf("stream %q: %w", st.name, err))
-			failed++
-			continue
+	streams := a.snapshotStreams()
+	errs := make([]error, len(streams))
+	ship := func(i int) {
+		if err := a.shipStream(ctx, streams[i]); err != nil {
+			errs[i] = fmt.Errorf("stream %q: %w", streams[i].name, err)
 		}
-		shipped++
 	}
-	return shipped, failed, errors.Join(errs...)
+	var next atomic.Int64
+	if len(streams) > 0 && a.breaker.snapshot() != breakerClosed {
+		ship(0)
+		next.Store(1)
+	}
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(streams); i = int(next.Add(1)) - 1 {
+			ship(i)
+		}
+	}
+	// The caller is one of the workers, so a one-stream flush starts no
+	// goroutine.
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(streams)-int(next.Load())) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			failed++
+		}
+	}
+	return len(streams) - failed, failed, errors.Join(errs...)
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler that

@@ -127,16 +127,23 @@
 //     never retried — the collector answered; repeating the question
 //     will not change its mind.
 //
+//   - A flush ships its streams concurrently, on min(GOMAXPROCS,
+//     streams) workers, so one stream's snapshot, marshal and POST overlap
+//     another's; the response and the joined error keep stream order.
+//
 //   - A per-upstream circuit breaker (AgentConfig.BreakerThreshold,
 //     default 5 consecutive failures; -breaker-threshold) fails flushes
 //     fast while open — before the pipeline is even quiesced for a
 //     snapshot — then admits a single probe per flush interval (the
-//     next tick) whose outcome closes or re-opens it. Ship attempts are
-//     accounted by cause in ship_errors (retry, breaker_open, gave_up
-//     alongside the transport causes), and the gauges agent_breaker_state,
-//     agent_ship_success_age_seconds, and agent_stream_dirty expose the
-//     loop's health; POST /v1/flush attempts every stream and reports
-//     {"shipped": n, "failed": m}.
+//     next tick) whose outcome closes or re-opens it. While the breaker
+//     is not closed a flush ships its first stream alone, as the probe,
+//     and fans the rest out after its outcome, so a revived collector
+//     sees one request and that same flush ships every stream. Ship
+//     attempts are accounted by cause in ship_errors (retry,
+//     breaker_open, gave_up alongside the transport causes), and the
+//     gauges agent_breaker_state, agent_ship_success_age_seconds, and
+//     agent_stream_dirty expose the loop's health; POST /v1/flush
+//     attempts every stream and reports {"shipped": n, "failed": m}.
 //
 //   - Collectors configured with CollectorConfig.SnapshotDir
 //     (-snapshot-dir) checkpoint the retained summary table atomically

@@ -10,7 +10,7 @@ func Example() {
 	// Output:
 	// original stream: n=500000, distinct=8159 — monitor saw only 50043 items (10.0%)
 	//
-	// F2       estimate      8.425e+09   exact       8.72e+09   error  -3.38%
+	// F2       estimate       8.73e+09   exact       8.72e+09   error  +0.12%
 	// F0       estimate      1.572e+04   exact           8159   error +92.64%
 	// entropy  estimate          8.092   exact          8.224   error  -1.61%
 	//

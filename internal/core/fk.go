@@ -36,8 +36,8 @@ type FkConfig struct {
 	// P is the Bernoulli sampling probability of the observed stream.
 	P float64
 	// Epsilon is the target relative error ε of the final estimate; it
-	// drives the per-order schedule of Lemma 3 and the level-set band
-	// width ε′ = ε_{k−1}/4. Default 0.2.
+	// drives the per-order schedule of Lemma 3 and the bound ε′ = ε_{k−1}/4
+	// within which the level set certifies a heavy item. Default 0.2.
 	Epsilon float64
 	// Budget bounds the tracked items of the default level-set counter —
 	// the paper's Õ(p⁻¹·m^(1−2/k)) knob. Ignored when Exact is set.
@@ -86,6 +86,16 @@ func NewFkEstimator(cfg FkConfig, r *rng.Xoshiro256) *FkEstimator {
 	}
 }
 
+// binomial[ℓ] is G = C(·, ℓ), so a collision counter's Sum(binomial[ℓ])
+// is C̃_ℓ. The funcs are made once: one built per query would escape
+// through the CollisionCounter interface and allocate.
+var binomial = func() (b [maxMomentOrder + 1]func(count uint64) float64) {
+	for l := range b {
+		b[l] = func(c uint64) float64 { return stream.BinomialCoeff(c, l) }
+	}
+	return b
+}()
+
 // Observe feeds one element of the sampled stream L.
 func (e *FkEstimator) Observe(it stream.Item) {
 	e.nL++
@@ -104,7 +114,7 @@ func (e *FkEstimator) Moments() []float64 {
 	phi := make([]float64, e.k+1)
 	phi[1] = float64(e.nL) / e.p
 	for l := 2; l <= e.k; l++ {
-		cl := e.collisions.EstimateCollisions(l)
+		cl := e.collisions.Sum(binomial[l])
 		est := cl * Factorial(l) / math.Pow(e.p, float64(l))
 		for i, beta := range Betas(l) {
 			if i == 0 {
@@ -131,9 +141,9 @@ func (e *FkEstimator) Moments() []float64 {
 // φ̃_ℓ due to Bernoulli sampling, from Lemma 2's variance bound
 // V[C_ℓ(L)] = O(p^(2ℓ−1)·F_ℓ^(2−1/ℓ)): the returned value is
 // √(p^(2ℓ−1)·φ̃_ℓ^(2−1/ℓ))·ℓ!/p^ℓ, using the estimator's own moments as
-// the plug-in for F_ℓ. It quantifies sampling noise only — collision-
-// counter error (level-set banding) is separate — and is intended for
-// error bars on reports, not as a proved confidence interval.
+// the plug-in for F_ℓ. It quantifies sampling noise only — the level
+// set's sketch error is separate — and is intended for error bars on
+// reports, not as a proved confidence interval.
 func (e *FkEstimator) StdErrEstimate(l int) float64 {
 	if l < 2 || l > e.k {
 		panic("core: StdErrEstimate order must be in [2, K]")

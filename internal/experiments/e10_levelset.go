@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"substream/internal/levelset"
@@ -16,9 +18,9 @@ import (
 
 // e10LevelSetAblation validates the Theorem 2 machinery: the level-set
 // collision estimator C̃_ℓ(L) against the exact C_ℓ(L), across collision
-// orders and space budgets, plus two design choices — banded
-// (paper-faithful) vs direct (Horvitz–Thompson) estimation, and the
-// literal Indyk–Woodruff construction (iwEstimator) — and the
+// orders and space budgets, plus two ablations — the paper's banded sum
+// (banding.sum) in place of the served direct one, and the literal
+// Indyk–Woodruff construction (iwEstimator) — and the
 // no-gross-overestimate property on collision-free streams.
 func e10LevelSetAblation() Experiment {
 	return Experiment{
@@ -35,15 +37,17 @@ func e10LevelSetAblation() Experiment {
 			// Materialize one sampled stream so every backend sees the
 			// same L per trial.
 			t1 := stats.NewTable("E10a: C̃_ℓ(L) accuracy vs budget — "+wl.Name+", p=0.2",
-				"l", "budget", "banded relerr", "direct relerr", "IW relerr", "space KB", "IW space KB")
+				"l", "budget", "served relerr", "banded relerr", "IW relerr", "space KB", "IW space KB")
 			for _, l := range []int{2, 3, 4} {
+				binom := func(c uint64) float64 { return stream.BinomialCoeff(c, l) }
 				for _, budget := range []int{512, 2048, 8192} {
-					var banded, direct, iw stats.Summary
+					var served, banded, iw stats.Summary
 					var space, iwSpace int
 					for tr := 0; tr < trials; tr++ {
 						b := sample.NewBernoulli(p)
 						L := b.Apply(wl.Stream, r.Split())
-						exactC := stream.NewFreq(L).Collisions(l)
+						g := stream.NewFreq(L)
+						exactC := g.Collisions(l)
 						if exactC == 0 {
 							continue
 						}
@@ -55,17 +59,20 @@ func e10LevelSetAblation() Experiment {
 							est.Observe(it)
 							iwEst.Observe(it)
 						}
-						banded.Add(stats.RelErr(est.EstimateCollisions(l), exactC))
-						direct.Add(stats.RelErr(est.DirectEstimateCollisions(l), exactC))
+						maxFreq := slices.Max(slices.Collect(maps.Values(g)))
+						bands := banding{epsPrime: 0.05, eta: r.Float64Open()}
+						served.Add(stats.RelErr(est.Sum(binom), exactC))
+						banded.Add(stats.RelErr(bands.sum(est, l, maxFreq), exactC))
 						iw.Add(stats.RelErr(iwEst.EstimateCollisions(l), exactC))
 						space = est.SpaceBytes()
 						iwSpace = iwEst.SpaceBytes()
 					}
-					t1.AddRow(l, budget, banded.Mean(), direct.Mean(), iw.Mean(),
+					t1.AddRow(l, budget, served.Mean(), banded.Mean(), iw.Mean(),
 						float64(space)/1024, float64(iwSpace)/1024)
 				}
 			}
-			t1.AddNote("banded = paper's Σ s̃ᵢ·C(η(1+ε')^i, ℓ); direct = Horvitz–Thompson ablation;")
+			t1.AddNote("served = Sum(C(·, ℓ)): heavy items at count−err, median over reps of 2^T·Σ light C(g, ℓ);")
+			t1.AddNote("banded = paper's Σ s̃ᵢ·C(η(1+ε')^i, ℓ) over the same states (ablation);")
 			t1.AddNote("IW = literal per-level CountSketch construction (approximate recovery)")
 
 			// No-gross-overestimate on a collision-free stream.
@@ -81,7 +88,7 @@ func e10LevelSetAblation() Experiment {
 						est.Observe(it)
 						return nil
 					})
-					if v := est.EstimateCollisions(2); v > worst {
+					if v := est.Sum(func(c uint64) float64 { return stream.BinomialCoeff(c, 2) }); v > worst {
 						worst = v
 					}
 				}
@@ -90,6 +97,54 @@ func e10LevelSetAblation() Experiment {
 			return []*stats.Table{t1, t2}
 		},
 	}
+}
+
+// banding is the paper's geometric level-set grid: band i holds the
+// frequencies in [η(1+ε′)^i, η(1+ε′)^(i+1)), represented by its lower
+// edge η(1+ε′)^i.
+type banding struct {
+	epsPrime float64
+	eta      float64 // band offset η ∈ (0, 1]
+}
+
+// band returns the index of the band holding frequency g ≥ 1.
+func (bg banding) band(g float64) int {
+	return max(0, int(math.Floor(math.Log(g/bg.eta)/math.Log1p(bg.epsPrime))))
+}
+
+// rep returns band i's representative, its lower edge.
+func (bg banding) rep(i int) float64 {
+	return bg.eta * math.Pow(1+bg.epsPrime, float64(i))
+}
+
+// sum is the paper's banded estimate Σ_i s̃_i·C(η(1+ε′)^i, ℓ) (Theorem 2),
+// which prices every member of band i at the band's lower edge, read off
+// the served estimator one band at a time: s̃_i·C(rep_i, ℓ) is
+// est.Sum(g ↦ 1[band(g) = i]·C(rep_i, ℓ)), because the median over
+// repetitions commutes with scaling by C ≥ 0. No estimated frequency
+// exceeds the stream's maxFreq, so no band above its band is non-empty.
+func (bg banding) sum(est *levelset.Estimator, l int, maxFreq uint64) float64 {
+	var total float64
+	for i := 0; i <= bg.band(float64(maxFreq)); i++ {
+		c := stream.BinomialCoeffFloat(bg.rep(i), l)
+		if c == 0 {
+			continue
+		}
+		total += est.Sum(func(g uint64) float64 {
+			if bg.band(float64(g)) == i {
+				return c
+			}
+			return 0
+		})
+	}
+	return total
+}
+
+// bandStats is one level set the IW construction recovered.
+type bandStats struct {
+	Band int     // the band index i
+	Rep  float64 // the band's representative η(1+ε′)^i
+	Size float64 // the estimate s̃_i of |S_i|
 }
 
 // iwEstimator is E10's comparator, the literal Indyk–Woodruff
@@ -107,8 +162,7 @@ func e10LevelSetAblation() Experiment {
 // is how the original analysis goes; E10 measures the practical cost of
 // that fidelity. It has no wire form and no merge.
 type iwEstimator struct {
-	epsPrime float64
-	eta      float64
+	bands    banding
 	universe rng.Hash2 // decides each item's deepest level
 	levels   []iwLevel
 	nL       uint64
@@ -131,9 +185,8 @@ func newIW(epsPrime float64, width, depth int, r *rng.Xoshiro256) *iwEstimator {
 	}
 	cands := max(width/4, 16)
 	e := &iwEstimator{
-		epsPrime: epsPrime,
-		eta:      r.Float64Open(),
-		levels:   make([]iwLevel, 16),
+		bands:  banding{epsPrime: epsPrime, eta: r.Float64Open()},
+		levels: make([]iwLevel, 16),
 	}
 	e.universe = rng.NewHash2(r)
 	for t := range e.levels {
@@ -187,7 +240,7 @@ func (e *iwEstimator) recoveryThreshold(t int) float64 {
 // level's recovered candidates falling in the band and scaling by 2^t*.
 // Bands unrecoverable at every level contribute nothing, which the
 // Theorem 2 analysis tolerates: such bands are never "contributing".
-func (e *iwEstimator) Bands() []levelset.BandStats {
+func (e *iwEstimator) Bands() []bandStats {
 	if e.nL == 0 {
 		return nil
 	}
@@ -202,15 +255,15 @@ func (e *iwEstimator) Bands() []levelset.BandStats {
 			if c.Count < thresh[t] || c.Count < 1 {
 				continue
 			}
-			b := e.bandOfIW(c.Count)
+			b := e.bands.band(c.Count)
 			m[b]++
 			bandSet[b] = struct{}{}
 		}
 		perLevel[t] = m
 	}
-	out := make([]levelset.BandStats, 0, len(bandSet))
+	out := make([]bandStats, 0, len(bandSet))
 	for b := range bandSet {
-		rep := e.repValueIW(b)
+		rep := e.bands.rep(b)
 		tStar := -1
 		for t := 0; t < nLevels; t++ {
 			if thresh[t] <= rep {
@@ -223,23 +276,11 @@ func (e *iwEstimator) Bands() []levelset.BandStats {
 		}
 		size := perLevel[tStar][b] * math.Pow(2, float64(tStar))
 		if size > 0 {
-			out = append(out, levelset.BandStats{Band: b, Rep: rep, Size: size})
+			out = append(out, bandStats{Band: b, Rep: rep, Size: size})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Band < out[j].Band })
 	return out
-}
-
-func (e *iwEstimator) bandOfIW(g float64) int {
-	i := int(math.Floor(math.Log(g/e.eta) / math.Log1p(e.epsPrime)))
-	if i < 0 {
-		i = 0
-	}
-	return i
-}
-
-func (e *iwEstimator) repValueIW(i int) float64 {
-	return e.eta * math.Pow(1+e.epsPrime, float64(i))
 }
 
 // EstimateCollisions returns C̃_ℓ = Σ_i s̃_i·C(rep_i, ℓ).

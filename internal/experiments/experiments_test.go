@@ -27,8 +27,8 @@ var tableDigests = map[string]string{
 	"E6":  "ee5043018f91fe1d879f8ed38bec2128c6135c8ea16617cbe0a37409b0e21f61",
 	"E7":  "5a119710bcd95369c505680858c158045fd098d81c74698163a210c719bd7f0e",
 	"E8":  "00c2c583ae3d529d650da8defefbf77c7d8416f1cfa4aa768b02c9ad9faa34a5",
-	"E9":  "fdccb09f6b8b8be8a18a10006dbc203181f7277a9da16c92bd4d756464d413ca",
-	"E10": "48a8eaff6d3f40baae53b6658a18fa31f81eae647094e497d74bf47806f6f053",
+	"E9":  "31e3cad6dffc41a7655d8bf01e9a79ee3def6f500f07da0c11362546bcc934d8",
+	"E10": "2b827c1fac7cb5f368fd3dcba35b335abb6b9073feb44cf66695c13537de5454",
 	"E11": "b3b26c04ee8e44a3b11c689e2cacfc9a5be430d9306a134ba31c99075a26c4a7",
 	"E12": "a75d0dcbdfaa1f8d6717cf3bdd3ada71ba8700fea195d848fa5a3ffa812dcd2a",
 }

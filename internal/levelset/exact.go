@@ -12,8 +12,7 @@ import (
 // against, and the backend of choice when the sampled stream's support is
 // known to be small. The vector lives in a sketch.ItemCounts, whose
 // ordering contract says which calls only read a counter that other
-// goroutines share: EstimateCollisions in any layout, Encode on a decoded
-// or merged one.
+// goroutines share: Sum in any layout, Encode on a decoded or merged one.
 type ExactCounter struct {
 	counts sketch.ItemCounts
 }
@@ -24,29 +23,25 @@ func NewExactCounter() *ExactCounter { return &ExactCounter{} }
 // Observe feeds one element of the sampled stream.
 func (c *ExactCounter) Observe(it stream.Item) { c.counts.Observe(it) }
 
-// EstimateCollisions returns the exact C_ℓ of the observed stream,
-// Lemma 1's Σ_j φ_j·C(j, ℓ) over its profile; it only reads the counter.
-// It panics if ℓ < 1.
-func (c *ExactCounter) EstimateCollisions(l int) float64 {
-	if l < 1 {
-		panic("levelset: EstimateCollisions with l < 1")
-	}
-	return c.counts.Sum(func(f uint64) float64 { return stream.BinomialCoeff(f, l) })
-}
+// Sum returns the exact Σ_j G(g_j) of the observed stream, summed over
+// its profile (sketch.ItemCounts.Sum); C_ℓ is Lemma 1's Σ_j φ_j·C(j, ℓ).
+// It only reads the counter.
+func (c *ExactCounter) Sum(g func(count uint64) float64) float64 { return c.counts.Sum(g) }
 
 // SpaceBytes returns the memory footprint of the frequency vector.
 func (c *ExactCounter) SpaceBytes() int { return c.counts.SpaceBytes() }
 
 // CollisionCounter is the estimator-facing abstraction Algorithm 1
-// consumes: something that observes the sampled stream and can produce an
-// estimate of C_ℓ(L) for each ℓ, folds another counter of its own concrete
-// type into itself (so Algorithm 1 runs sharded), and has a wire form.
-// ExactCounter and Estimator satisfy it (DecodeCollisionCounter returns
-// either); the space/accuracy tradeoff is the caller's choice.
+// consumes: something that observes the sampled stream and can estimate
+// Σ_j G(g_j) over its frequencies (C_ℓ(L) is Sum(C(·, ℓ))), folds another
+// counter of its own concrete type into itself (so Algorithm 1 runs
+// sharded), and has a wire form. ExactCounter and Estimator satisfy it
+// (DecodeCollisionCounter returns either); the space/accuracy tradeoff is
+// the caller's choice.
 type CollisionCounter interface {
 	Observe(it stream.Item)
 	UpdateBatch(items []stream.Item)
-	EstimateCollisions(l int) float64
+	Sum(g func(count uint64) float64) float64
 	MergeCounter(other CollisionCounter) error
 	Encode(w *wire.Writer)
 	SpaceBytes() int

@@ -142,7 +142,7 @@ func poison(rs *repState) {
 
 // TestUnfedRepsAreNeverProbed is kernel_diff_test's index invariant turned
 // around: a decoded or merged repetition is item-ordered, and no path
-// probes the index it lacks. With that index poisoned, Bands, Encode and
+// probes the index it lacks. With that index poisoned, Sum, Encode and
 // Merge on either side agree with an untouched twin, and an update, which
 // indexes the slab first, matches the twin's.
 func TestUnfedRepsAreNeverProbed(t *testing.T) {
@@ -159,8 +159,8 @@ func TestUnfedRepsAreNeverProbed(t *testing.T) {
 				}
 				poison(rs)
 			}
-			if !slices.Equal(e.Bands(), twin.Bands()) {
-				t.Fatal("Bands differs on a poisoned index")
+			if e.Sum(binom(2)) != twin.Sum(binom(2)) {
+				t.Fatal("Sum differs on a poisoned index")
 			}
 			if !bytes.Equal(lsBytes(t, e), lsBytes(t, twin)) {
 				t.Fatal("Encode differs on a poisoned index")

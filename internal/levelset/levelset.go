@@ -1,21 +1,27 @@
-// Package levelset implements the machinery Algorithm 1 uses to estimate
-// collision counts C_ℓ(L) on the sampled stream: an Indyk–Woodruff-style
-// estimator of the geometric level-set sizes
+// Package levelset implements the collision counters Algorithm 1 uses to
+// estimate C_ℓ(L) on the sampled stream. Each answers one question,
+// Sum(G): an estimate of Σ_j G(g_j) over the frequencies g of the stream
+// it observed, so C_ℓ is Sum(C(·, ℓ)). ExactCounter is the
+// unlimited-space reference; Estimator is the bounded-space one, standing
+// in for the Indyk–Woodruff machinery behind Theorem 2 of the paper.
+//
+// The paper sums over geometric level sets
 //
 //	S_i = { j : η(1+ε')^i ≤ g_j < η(1+ε')^(i+1) }
 //
-// (Theorem 2 of the paper), plus an exact collision counter used as the
-// unlimited-space reference.
+// as Σ_i s̃_i·C(η(1+ε′)^i, ℓ), which prices every member of a band at the
+// band's lower edge. That error is one-sided (C̃₂ reads 2–4 % low on Zipf
+// and uniform streams), so Estimator prices each item at its own
+// frequency instead; the banded form is an ablation row of experiment E10.
 //
 // The estimator substitutes the black box of Indyk–Woodruff [27] with its
 // standard practical rendering, a heavy/light decomposition:
 //
 //   - Heavy part: a SpaceSaving summary with B counters tracks the
 //     frequent items of L deterministically. Counters whose certified
-//     relative error is below ε' form the heavy set H; their frequencies
-//     are known to within (1±ε'), exactly the accuracy Theorem 2 promises
-//     for "contributing" level sets, which are always frequency-heavy
-//     (Lemma 6 shows contributing sets satisfy an F₂-heaviness bound).
+//     relative error is below ε' form the heavy set H; each counts once,
+//     at its certified lower bound count−err, which is within (1±ε') of
+//     its frequency. Certifying H is all ε' does.
 //
 //   - Light part: geometric universe sub-sampling. A pairwise-independent
 //     hash assigns each universe element a level ≥ t with probability
@@ -23,11 +29,12 @@
 //     above an adaptive threshold T, raising T (and evicting) whenever
 //     the tracked set exceeds B. Because T only rises and an item's level
 //     is fixed by its hash, every item at level ≥ final T was tracked for
-//     its whole lifetime, so its frequency in L is exact. Light level-set
-//     sizes are estimated by s̃_i = 2^T·|{tracked j ∉ H : g_j ∈ band i}|,
-//     medianed across repetitions — the median also enforces the
-//     "never grossly overestimates" property (s̃_i ≤ 3|S_i| w.h.p.) that
-//     Lemma 7's Case I relies on.
+//     its whole lifetime, so its frequency in L is exact. A repetition
+//     estimates the light items' share as 2^T·Σ_{tracked j ∉ H} G(g_j),
+//     and Sum takes the median across repetitions, which keeps the
+//     "never grossly overestimates" property Lemma 7's Case I relies on:
+//     a nonnegative repetition reads above three times its mean with
+//     probability at most 1/3, and the median only when most of them do.
 //
 // H membership is decided by item identity, so the heavy and light parts
 // partition the support of g: no item is counted twice and none is lost
@@ -54,15 +61,18 @@
 // surviving positions into scratch the receiver owns, and never writes
 // its argument, so a collector's decoded states are only ever read,
 // whatever the number of queries folding them. The heavy part is
-// sketch.SpaceSaving, whose own contract is the same; Bands reads both
+// sketch.SpaceSaving, whose own contract is the same; Sum reads both
 // parts' slabs in any layout. Because each part writes only its own state
 // and only reads the argument's, Merge folds the parts concurrently: the
 // repetitions on goroutines of their own, the heavy summary on the
 // caller's.
+//
+// The band offset η is still drawn by New, encoded and checked by Merge,
+// but no estimate reads it: it stays in the payload only until the light
+// repetitions' wire form next changes (ROADMAP item 22).
 package levelset
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -76,12 +86,12 @@ import (
 // distinct count.
 const maxLevel = 60
 
-// Estimator estimates level-set sizes and collision counts of the stream
-// it observes. Feed it the *sampled* stream L; its estimates concern g,
-// the frequency vector of L.
+// Estimator estimates sums Σ_j G(g_j), collision counts among them, over
+// the stream it observes. Feed it the *sampled* stream L; its estimates
+// concern g, the frequency vector of L.
 type Estimator struct {
-	epsPrime float64 // band growth ε′ (paper: ε_{ℓ−1}/4)
-	eta      float64 // random band offset η ∈ (0, 1]
+	epsPrime float64 // heavy-certification bound ε′ (paper: ε_{ℓ−1}/4)
+	eta      float64 // band offset η ∈ (0, 1]: drawn, encoded, merge-checked, never read
 	budget   int     // max tracked items per structure
 	heavy    *sketch.SpaceSaving
 	reps     []*repState
@@ -92,7 +102,7 @@ type Estimator struct {
 // slab id) whose layout fed says (see the package comment). Unfed — as
 // New, Decode and Merge leave it — the slab is in increasing item order
 // and index is empty or stale; fed — after observe — index covers the
-// slab, which is in no particular order. Readers (Bands, Encode, Merge's
+// slab, which is in no particular order. Readers (Sum, Encode, Merge's
 // argument) take either layout; own, observe and order are the owner's.
 type repState struct {
 	hash   rng.Hash2
@@ -108,16 +118,17 @@ type repState struct {
 
 // Config configures an Estimator.
 type Config struct {
-	// EpsPrime is the band growth factor ε′ > 0; bands are
-	// [η(1+ε′)^i, η(1+ε′)^(i+1)).
+	// EpsPrime is ε′ > 0, the heavy part's certification bound: a
+	// SpaceSaving counter is heavy when its error is at most ε′ times its
+	// lower bound count−err.
 	EpsPrime float64
 	// Budget is the maximum number of items tracked by the heavy summary
 	// and by each light repetition. Larger budgets certify more heavy
 	// items and keep lower sampling levels alive. This is the paper's
 	// Õ(p⁻¹m^(1−2/k)) knob.
 	Budget int
-	// Reps is the number of independent light repetitions medianed per
-	// band; odd values ≥ 3 give the no-gross-overestimate guarantee.
+	// Reps is the number of independent light repetitions Sum medians;
+	// odd values ≥ 3 give the no-gross-overestimate guarantee.
 	// Default 5.
 	Reps int
 }
@@ -227,100 +238,45 @@ func (rs *repState) keep(T int) {
 }
 
 // heavySet returns the certified heavy items: SpaceSaving counters whose
-// error interval is within a (1+ε') relative factor. The returned map
-// gives each heavy item its certified frequency lower bound count−err
-// (which is within (1±ε') of the true g).
-func (e *Estimator) heavySet() map[stream.Item]float64 {
-	h := make(map[stream.Item]float64)
+// error interval is within a (1+ε') relative factor, each mapped to its
+// certified frequency lower bound count−err (which is within (1±ε') of
+// the true g).
+func (e *Estimator) heavySet() map[stream.Item]uint64 {
+	h := make(map[stream.Item]uint64)
 	e.heavy.Each(func(c sketch.Counter) {
-		low := float64(c.Count - c.Err)
-		if low > 0 && float64(c.Err) <= e.epsPrime*low {
+		low := c.Count - c.Err
+		if low > 0 && float64(c.Err) <= e.epsPrime*float64(low) {
 			h[c.Item] = low
 		}
 	})
 	return h
 }
 
-// BandStats describes one estimated level set.
-type BandStats struct {
-	// Band is the index i of the level set.
-	Band int
-	// Rep is the representative frequency η(1+ε′)^i (the band's lower
-	// edge), at which collision contributions are evaluated.
-	Rep float64
-	// Size is the estimate s̃_i of |S_i| (heavy members counted exactly,
-	// light members via the median-of-reps universe-sampling estimate).
-	Size float64
-}
-
-// bandOf returns the band index of a frequency g ≥ 1 under offset eta and
-// growth 1+ε′: the unique i with η(1+ε′)^i ≤ g < η(1+ε′)^(i+1).
-func (e *Estimator) bandOf(g float64) int {
-	i := int(math.Floor(math.Log(g/e.eta) / math.Log1p(e.epsPrime)))
-	if i < 0 {
-		i = 0
-	}
-	return i
-}
-
-// repValue returns the representative frequency of band i.
-func (e *Estimator) repValue(i int) float64 {
-	return e.eta * math.Pow(1+e.epsPrime, float64(i))
-}
-
-// Bands returns the estimated level sets with non-zero size estimates,
-// sorted by band index.
-func (e *Estimator) Bands() []BandStats {
+// Sum returns the estimate of Σ_j G(g_j) over the frequencies g of the
+// observed stream, for a G with G(0) = 0: Σ_{j∈H} G(count_j − err_j) over
+// the certified heavy items, plus the median over repetitions of
+// 2^T·Σ G(g_j) over each repetition's tracked items outside H. Each part
+// is summed over its count profile (sketch.ProfileSum), so the estimate
+// depends on neither the layout nor the item labels; it only reads the
+// estimator.
+func (e *Estimator) Sum(g func(count uint64) float64) float64 {
 	heavy := e.heavySet()
-	// One row of cells per band seen: its heavy member count, then one
-	// light size estimate per repetition. Band indices are sparse — they
-	// grow like log(g)/ε′ — so rows are handed out on first sight and a
-	// single map finds them, instead of a map per repetition.
-	width := 1 + len(e.reps)
-	rowOf := make(map[int]int)
-	var bands []int
-	var cells []float64
-	// Every frequency here is an integer, nearly all of them small, so
-	// those bands are memoized (band+1, 0 until first asked): bandOf takes
-	// a logarithm.
-	var memo [1024]int
-	cell := func(g float64, col int) *float64 {
-		var b int
-		if small := g < float64(len(memo)); small && memo[int(g)] != 0 {
-			b = memo[int(g)] - 1
-		} else if b = e.bandOf(g); small {
-			memo[int(g)] = b + 1
-		}
-		row, ok := rowOf[b]
-		if !ok {
-			row = len(bands)
-			rowOf[b] = row
-			bands = append(bands, b)
-			cells = append(cells, make([]float64, width)...)
-		}
-		return &cells[row*width+col]
+	counts := make([]uint64, 0, max(len(heavy), e.budget))
+	for _, low := range heavy {
+		counts = append(counts, low)
 	}
-	for _, g := range heavy {
-		*cell(g, 0)++
-	}
+	total := sketch.ProfileSum(counts, g)
+	vals := make([]float64, len(e.reps))
 	for ri, rs := range e.reps {
-		scale := math.Pow(2, float64(rs.T))
+		counts = counts[:0]
 		for id, it := range rs.items {
 			if _, isHeavy := heavy[it]; !isHeavy {
-				*cell(float64(rs.counts[id]), 1+ri) += scale
+				counts = append(counts, rs.counts[id])
 			}
 		}
+		vals[ri] = math.Ldexp(sketch.ProfileSum(counts, g), rs.T)
 	}
-
-	out := make([]BandStats, 0, len(bands))
-	for row, b := range bands {
-		cs := cells[row*width : (row+1)*width]
-		if size := cs[0] + median(cs[1:]); size > 0 {
-			out = append(out, BandStats{Band: b, Rep: e.repValue(b), Size: size})
-		}
-	}
-	slices.SortFunc(out, func(a, b BandStats) int { return cmp.Compare(a.Band, b.Band) })
-	return out
+	return total + median(vals)
 }
 
 // median sorts vals in place and returns the median.
@@ -331,47 +287,6 @@ func median(vals []float64) float64 {
 		return vals[mid]
 	}
 	return (vals[mid-1] + vals[mid]) / 2
-}
-
-// EstimateCollisions returns the paper's band-sum estimate
-// C̃_ℓ = Σ_i s̃_i · C(η(1+ε′)^i, ℓ) for the observed stream (Section 3.1).
-func (e *Estimator) EstimateCollisions(l int) float64 {
-	if l < 1 {
-		panic("levelset: collision order must be >= 1")
-	}
-	var total float64
-	for _, b := range e.Bands() {
-		total += b.Size * stream.BinomialCoeffFloat(b.Rep, l)
-	}
-	return total
-}
-
-// DirectEstimateCollisions returns the heavy/light estimate without band
-// discretization: Σ_{j∈H} C(ĝ_j, ℓ) plus the median over reps of
-// 2^T·Σ_{tracked j∉H} C(g_j, ℓ). It is not part of the paper's algorithm
-// (which needs the banded form for its analysis) but is the natural
-// practical alternative; the E10 ablation compares the two.
-func (e *Estimator) DirectEstimateCollisions(l int) float64 {
-	if l < 1 {
-		panic("levelset: collision order must be >= 1")
-	}
-	heavy := e.heavySet()
-	var heavySum float64
-	for _, g := range heavy {
-		heavySum += stream.BinomialCoeffFloat(g, l)
-	}
-	vals := make([]float64, len(e.reps))
-	for ri, rs := range e.reps {
-		scale := math.Pow(2, float64(rs.T))
-		var sum float64
-		for id, it := range rs.items {
-			if _, isHeavy := heavy[it]; !isHeavy {
-				sum += stream.BinomialCoeff(rs.counts[id], l)
-			}
-		}
-		vals[ri] = scale * sum
-	}
-	return heavySum + median(vals)
 }
 
 // HeavyCount reports how many items are currently certified heavy, for

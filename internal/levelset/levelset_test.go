@@ -6,6 +6,7 @@ import (
 
 	"substream/internal/rng"
 	"substream/internal/stream"
+	"substream/internal/workload"
 )
 
 func zipfStream(n, m int, s float64, seed uint64) stream.Slice {
@@ -16,6 +17,11 @@ func zipfStream(n, m int, s float64, seed uint64) stream.Slice {
 		out[i] = stream.Item(z.Draw(r))
 	}
 	return out
+}
+
+// binom returns G = C(·, ℓ), so Sum(binom(ℓ)) is C̃_ℓ.
+func binom(l int) func(uint64) float64 {
+	return func(c uint64) float64 { return stream.BinomialCoeff(c, l) }
 }
 
 func feed(e *Estimator, s stream.Slice) {
@@ -33,10 +39,10 @@ func TestExactCounter(t *testing.T) {
 		t.Fatalf("N = %d", c.counts.N())
 	}
 	fed := c.SpaceBytes()
-	if got := c.EstimateCollisions(2); got != 3+1 {
+	if got := c.Sum(binom(2)); got != 3+1 {
 		t.Fatalf("C2 = %v, want 4", got)
 	}
-	if got := c.EstimateCollisions(3); got != 1 {
+	if got := c.Sum(binom(3)); got != 1 {
 		t.Fatalf("C3 = %v, want 1", got)
 	}
 	if c.SpaceBytes() != fed {
@@ -56,7 +62,7 @@ func TestExactCounter(t *testing.T) {
 
 func TestEstimatorExactModeWhenBudgetLarge(t *testing.T) {
 	// With budget ≥ distinct items, T stays 0 and counts are exact, so
-	// the direct estimate equals the exact C_ℓ.
+	// the estimate equals the exact C_ℓ, and Sum(1) the distinct count.
 	s := zipfStream(20000, 500, 1.1, 1)
 	f := stream.NewFreq(s)
 	e := New(Config{EpsPrime: 0.1, Budget: 10000, Reps: 3}, rng.New(2))
@@ -68,39 +74,18 @@ func TestEstimatorExactModeWhenBudgetLarge(t *testing.T) {
 	}
 	for l := 2; l <= 4; l++ {
 		exact := f.Collisions(l)
-		direct := e.DirectEstimateCollisions(l)
-		if math.Abs(direct-exact) > 1e-6*exact {
-			t.Fatalf("direct C%d = %v, exact %v", l, direct, exact)
+		got := e.Sum(binom(l))
+		if math.Abs(got-exact) > 1e-6*exact {
+			t.Fatalf("C%d = %v, exact %v", l, got, exact)
 		}
 	}
-}
-
-func TestEstimatorBandedWithinEpsOfExactInExactMode(t *testing.T) {
-	// In exact mode the only error in the banded estimate is band
-	// discretization: representative ∈ (g/(1+ε'), g], so
-	// C̃_ℓ ∈ [C_ℓ/(1+ε')^ℓ, C_ℓ] approximately.
-	s := zipfStream(30000, 300, 1.2, 3)
-	f := stream.NewFreq(s)
-	const epsPrime = 0.05
-	e := New(Config{EpsPrime: epsPrime, Budget: 10000, Reps: 3}, rng.New(4))
-	feed(e, s)
-	for l := 2; l <= 4; l++ {
-		exact := f.Collisions(l)
-		banded := e.EstimateCollisions(l)
-		if banded > exact*1.0001 {
-			t.Fatalf("banded C%d = %v exceeds exact %v", l, banded, exact)
-		}
-		// Allow the full discretization factor plus slack for items near
-		// band edges with small frequencies.
-		floor := exact / math.Pow(1+epsPrime, float64(l)+2)
-		if banded < floor*0.5 {
-			t.Fatalf("banded C%d = %v too far below exact %v (floor %v)", l, banded, exact, floor)
-		}
+	if got, d := e.Sum(func(uint64) float64 { return 1 }), float64(f.F0()); got != d {
+		t.Fatalf("Sum(1) = %v, distinct = %v", got, d)
 	}
 }
 
 func TestEstimatorUnderBudgetPressure(t *testing.T) {
-	// Budget forces subsampling; the direct estimate should still land
+	// Budget forces subsampling; the estimate should still land
 	// within a reasonable factor of the truth for C2 on a collision-rich
 	// stream.
 	s := zipfStream(200000, 20000, 1.3, 5)
@@ -117,14 +102,14 @@ func TestEstimatorUnderBudgetPressure(t *testing.T) {
 	if !raised {
 		t.Fatal("budget pressure did not raise any threshold (test not exercising eviction)")
 	}
-	direct := e.DirectEstimateCollisions(2)
-	if direct < exact/3 || direct > exact*3 {
-		t.Fatalf("direct C2 under pressure = %v, exact %v", direct, exact)
+	got := e.Sum(binom(2))
+	if got < exact/3 || got > exact*3 {
+		t.Fatalf("C2 under pressure = %v, exact %v", got, exact)
 	}
 }
 
 func TestEstimatorMedianUnbiasedUnderSampling(t *testing.T) {
-	// Average the direct estimate across seeds; should approach truth.
+	// Average the estimate across seeds; should approach truth.
 	s := zipfStream(50000, 5000, 1.2, 7)
 	exact := stream.NewFreq(s).Collisions(2)
 	const trials = 30
@@ -133,11 +118,40 @@ func TestEstimatorMedianUnbiasedUnderSampling(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		e := New(Config{EpsPrime: 0.1, Budget: 1000, Reps: 5}, r.Split())
 		feed(e, s)
-		sum += e.DirectEstimateCollisions(2)
+		sum += e.Sum(binom(2))
 	}
 	mean := sum / trials
 	if math.Abs(mean-exact)/exact > 0.25 {
-		t.Fatalf("mean direct C2 = %v, exact %v", mean, exact)
+		t.Fatalf("mean C2 = %v, exact %v", mean, exact)
+	}
+}
+
+// TestServedSumIsUnbiased feeds one stream of 2²⁰ draws over 2¹⁸ keys
+// per workload — Zipf(1.1), Zipf(0.8) and uniform — to 16 estimators at
+// Budget 4096 and ε′ = 0.025, and requires the mean relative error of C̃₂
+// to stay within ±1 % on each. The paper's banded sum, which prices every
+// band member at its band's lower edge, reads 2–4 % low here.
+func TestServedSumIsUnbiased(t *testing.T) {
+	const n, m, seeds = 1 << 20, 1 << 18, 16
+	for _, wl := range []workload.Workload{
+		workload.Zipf(n, m, 1.1, 1),
+		workload.Zipf(n, m, 0.8, 2),
+		workload.Uniform(n, m, 3),
+	} {
+		s := stream.Collect(wl.Stream)
+		exact := stream.NewFreq(s).Collisions(2)
+		r := rng.New(4)
+		var sum float64
+		for range seeds {
+			e := New(Config{EpsPrime: 0.025, Budget: 4096}, r.Split())
+			e.UpdateBatch(s)
+			sum += (e.Sum(binom(2)) - exact) / exact
+		}
+		if bias := sum / seeds; math.Abs(bias) > 0.01 {
+			t.Errorf("%s: mean relative error of C̃₂ %+.2f %%, want within ±1 %%", wl.Name, 100*bias)
+		} else {
+			t.Logf("%s: mean relative error of C̃₂ %+.3f %%", wl.Name, 100*bias)
+		}
 	}
 }
 
@@ -152,53 +166,8 @@ func TestEstimatorNoGrossOverestimate(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		e := New(Config{EpsPrime: 0.1, Budget: 500, Reps: 5}, rng.New(seed))
 		feed(e, s)
-		if got := e.EstimateCollisions(2); got != 0 {
+		if got := e.Sum(binom(2)); got != 0 {
 			t.Fatalf("seed %d: C2 estimate %v on collision-free stream", seed, got)
-		}
-	}
-}
-
-func TestBandsSorted(t *testing.T) {
-	s := zipfStream(30000, 100, 1.0, 9)
-	e := New(Config{EpsPrime: 0.2, Budget: 10000, Reps: 3}, rng.New(10))
-	feed(e, s)
-	bands := e.Bands()
-	if len(bands) == 0 {
-		t.Fatal("no bands")
-	}
-	for i := 1; i < len(bands); i++ {
-		if bands[i].Band <= bands[i-1].Band {
-			t.Fatalf("bands not sorted: %+v", bands)
-		}
-	}
-	for _, b := range bands {
-		if b.Size <= 0 || b.Rep <= 0 {
-			t.Fatalf("degenerate band %+v", b)
-		}
-	}
-	// Σ s̃_i should approximate the distinct count in exact mode.
-	var total float64
-	for _, b := range bands {
-		total += b.Size
-	}
-	d := float64(stream.NewFreq(s).F0())
-	if math.Abs(total-d) > 1e-9 {
-		t.Fatalf("band sizes sum to %v, distinct = %v", total, d)
-	}
-}
-
-func TestBandRepresentativeBelowFrequency(t *testing.T) {
-	// Every tracked item's representative must not exceed its frequency:
-	// rep = η(1+ε')^i ≤ g for the band containing g.
-	e := New(Config{EpsPrime: 0.3, Budget: 100, Reps: 1}, rng.New(11))
-	for g := float64(1); g <= 1000; g *= 3 {
-		band := e.bandOf(g)
-		rep := e.repValue(band)
-		if rep > float64(g)*1.0000001 {
-			t.Fatalf("g=%v: rep %v exceeds frequency", g, rep)
-		}
-		if float64(g) >= rep*(1+e.epsPrime)*(1+1e-9) {
-			t.Fatalf("g=%v: band upper edge violated (rep %v)", g, rep)
 		}
 	}
 }
@@ -233,14 +202,6 @@ func TestEstimatorPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(Config{EpsPrime: 0, Budget: 10}, rng.New(1)) },
 		func() { New(Config{EpsPrime: 0.1, Budget: 0}, rng.New(1)) },
-		func() {
-			e := New(Config{EpsPrime: 0.1, Budget: 10}, rng.New(1))
-			e.EstimateCollisions(0)
-		},
-		func() {
-			e := New(Config{EpsPrime: 0.1, Budget: 10}, rng.New(1))
-			e.DirectEstimateCollisions(0)
-		},
 	}
 	for i, fn := range cases {
 		func() {
@@ -275,7 +236,7 @@ func BenchmarkLevelSetEstimate(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += e.EstimateCollisions(2)
+		sink += e.Sum(binom(2))
 	}
 	_ = sink
 }

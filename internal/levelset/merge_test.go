@@ -36,7 +36,7 @@ func TestExactCounterMerge(t *testing.T) {
 		}
 	}
 	for l := 2; l <= 4; l++ {
-		if s, m := single.EstimateCollisions(l), merged.EstimateCollisions(l); s != m {
+		if s, m := single.Sum(binom(l)), merged.Sum(binom(l)); s != m {
 			t.Fatalf("C_%d: single %.0f vs merged %.0f", l, s, m)
 		}
 	}
@@ -74,7 +74,7 @@ func TestEstimatorMergeExactRegime(t *testing.T) {
 		}
 	}
 	for l := 2; l <= 3; l++ {
-		s, m := single.EstimateCollisions(l), merged.EstimateCollisions(l)
+		s, m := single.Sum(binom(l)), merged.Sum(binom(l))
 		if diff := math.Abs(s - m); diff > 1e-6*math.Max(s, 1) {
 			t.Fatalf("C_%d: single %.6g vs merged %.6g", l, s, m)
 		}
@@ -107,8 +107,8 @@ func TestEstimatorMergeTightBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	truth := exact.EstimateCollisions(2)
-	got := merged.EstimateCollisions(2)
+	truth := exact.Sum(binom(2))
+	got := merged.Sum(binom(2))
 	if rel := math.Abs(got-truth) / truth; rel > 0.5 {
 		t.Fatalf("tight-budget merged C_2 %.4g strays %.0f%% from exact %.4g", got, 100*rel, truth)
 	}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"testing"
 
 	"substream/internal/rng"
+	"substream/internal/sketch"
 	"substream/internal/stream"
 	"substream/internal/wire"
 )
@@ -247,72 +247,61 @@ func TestEstimatorFold16MatchesReference(t *testing.T) {
 	}
 }
 
-// refBands is Bands as it stood before the single-map accumulation (a
-// map[int]float64 per repetition plus a band set), kept verbatim: the
-// level-set sizes, and so every F_k estimate, must not move by a bit.
-func refBands(e *Estimator) []BandStats {
-	heavy := e.heavySet()
-	bandSet := make(map[int]struct{})
-
-	heavyBands := make(map[int]float64)
-	for _, g := range heavy {
-		b := e.bandOf(g)
-		heavyBands[b]++
-		bandSet[b] = struct{}{}
-	}
-
-	perRep := make([]map[int]float64, len(e.reps))
-	for ri, rs := range e.reps {
-		m := make(map[int]float64)
-		scale := math.Pow(2, float64(rs.T))
-		for it, tr := range refRepOf(rs).counts {
-			if _, isHeavy := heavy[it]; isHeavy {
-				continue
-			}
-			b := e.bandOf(float64(tr.count))
-			m[b] += scale
-			bandSet[b] = struct{}{}
+// refSum is Sum written out directly: the heavy set re-derived from the
+// summary's counters, then map-ordered sums over each repetition's
+// tracked items, scaled by 2^T, and the middle of the sorted per-repetition
+// sums.
+func refSum(e *Estimator, g func(uint64) float64) float64 {
+	heavy := make(map[stream.Item]uint64)
+	e.heavy.Each(func(c sketch.Counter) {
+		if low := c.Count - c.Err; low > 0 && float64(c.Err) <= e.epsPrime*float64(low) {
+			heavy[c.Item] = low
 		}
-		perRep[ri] = m
-	}
-
-	out := make([]BandStats, 0, len(bandSet))
-	vals := make([]float64, len(e.reps))
-	for b := range bandSet {
-		for ri := range e.reps {
-			vals[ri] = perRep[ri][b]
-		}
-		size := heavyBands[b] + median(vals)
-		if size > 0 {
-			out = append(out, BandStats{Band: b, Rep: e.repValue(b), Size: size})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Band < out[j].Band })
-	return out
-}
-
-func TestBandsMatchReference(t *testing.T) {
-	for i, e := range []*Estimator{
-		lsOf(256, nil),
-		lsOf(256, zipfStream(200, 100, 1.1, 1)),
-		lsOf(256, zipfStream(30000, 5000, 1.1, 2)),
-		lsOf(4096, zipfStream(100000, 1<<16, 1.1, 3)),
-		lsOf(64, runOfItems(0, 5000)),
-	} {
-		got, want := e.Bands(), refBands(e)
-		if !slices.Equal(got, want) {
-			t.Fatalf("estimator %d: Bands differ from the reference:\n got %v\nwant %v", i, got, want)
-		}
-		if l := 2; e.EstimateCollisions(l) != refCollisions(e, l) {
-			t.Fatalf("estimator %d: C_2 differs from the reference", i)
-		}
-	}
-}
-
-func refCollisions(e *Estimator, l int) float64 {
+	})
 	var total float64
-	for _, b := range refBands(e) {
-		total += b.Size * stream.BinomialCoeffFloat(b.Rep, l)
+	for _, low := range heavy {
+		total += g(low)
 	}
-	return total
+	var vals []float64
+	for _, rs := range e.reps {
+		var sum float64
+		for it, tr := range refRepOf(rs).counts {
+			if _, isHeavy := heavy[it]; !isHeavy {
+				sum += g(tr.count)
+			}
+		}
+		vals = append(vals, sum*math.Pow(2, float64(rs.T)))
+	}
+	sort.Float64s(vals)
+	return total + vals[len(vals)/2]
+}
+
+// TestSumMatchesReference checks Sum against refSum for G = C(·, 2), c³
+// and 1 (integer terms whose totals stay below 2^53, so the sum's order
+// cannot round) on fed, decoded and merged estimators.
+func TestSumMatchesReference(t *testing.T) {
+	gs := map[string]func(uint64) float64{
+		"C2":   binom(2),
+		"cube": func(c uint64) float64 { return float64(c * c * c) },
+		"one":  func(uint64) float64 { return 1 },
+	}
+	for i, c := range []struct {
+		budget int
+		s      stream.Slice
+	}{
+		{256, nil},
+		{256, zipfStream(200, 100, 1.1, 1)},
+		{256, zipfStream(30000, 5000, 1.1, 2)},
+		{4096, zipfStream(100000, 1<<16, 1.1, 3)},
+		{64, runOfItems(0, 5000)},
+	} {
+		for layout, mk := range layouts(t, c.budget) {
+			e := mk(c.s)
+			for name, g := range gs {
+				if got, want := e.Sum(g), refSum(e, g); got != want {
+					t.Fatalf("case %d, %s, G = %s: Sum = %v, reference %v", i, layout, name, got, want)
+				}
+			}
+		}
+	}
 }

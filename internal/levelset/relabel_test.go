@@ -23,7 +23,7 @@ func TestExactCounterIgnoresRelabelling(t *testing.T) {
 		moved[i] = a*it + b
 	}
 	answer := func(c *ExactCounter) [3]float64 {
-		return [3]float64{c.EstimateCollisions(2), c.EstimateCollisions(3), c.EstimateCollisions(4)}
+		return [3]float64{c.Sum(binom(2)), c.Sum(binom(3)), c.Sum(binom(4))}
 	}
 	want := NewExactCounter()
 	for _, it := range s {

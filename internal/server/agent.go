@@ -745,7 +745,13 @@ func (a *Agent) shipStream(ctx context.Context, st *agentStream) error {
 			break
 		}
 	}
-	a.breaker.onFailure()
+	if ctx.Err() != nil {
+		// The caller gave up on the ship, which says nothing about the
+		// upstream: release the (possible) probe slot unjudged.
+		a.breaker.release()
+	} else {
+		a.breaker.onFailure()
+	}
 	return fail(causeGaveUp, lastErr)
 }
 
@@ -810,7 +816,9 @@ func (a *Agent) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ticker.C:
-			if a.cfg.Upstream == "" {
+			// A tick that select takes after the cancel would ship on a
+			// dead context; the next pass takes ctx.Done() instead.
+			if a.cfg.Upstream == "" || ctx.Err() != nil {
 				continue
 			}
 			if _, err := a.FlushAll(ctx); err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -123,6 +124,58 @@ func TestFlushAllProbesAloneAfterCooldown(t *testing.T) {
 	}
 }
 
+// TestCancelledShipsLeaveBreakerClosed cancels a flush while its ship is
+// in flight at the upstream, more times than the breaker's threshold. A
+// cancelled ship says nothing about the upstream, so the breaker stays
+// closed and the next flush, on a live context, ships every stream.
+func TestCancelledShipsLeaveBreakerClosed(t *testing.T) {
+	const threshold = 2
+	var hang atomic.Bool
+	arrived := make(chan struct{}, 1)
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hang.Load() {
+			// Read the body first: only then does the server watch the
+			// connection, so that the client's cancel ends r's context.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer up.Close()
+	streams := []string{"a", "b", "c"}
+	a := newFlushAgent(t, AgentConfig{ID: "cx", Upstream: up.URL, BreakerThreshold: threshold, FlushInterval: time.Hour}, streams...)
+	hang.Store(true)
+	for i := range threshold + 1 {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := a.FlushAll(ctx)
+			done <- err
+		}()
+		select {
+		case <-arrived:
+		case err := <-done:
+			t.Fatalf("flush %d ended before a ship reached the upstream: %v", i+1, err)
+		}
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatal("a flush cancelled mid-ship reported no error")
+		}
+	}
+	hang.Store(false)
+	if got := a.breaker.snapshot(); got != breakerClosed {
+		t.Fatalf("breaker state %d after cancelled ships, want closed", got)
+	}
+	if shipped, err := a.FlushAll(context.Background()); err != nil || shipped != len(streams) {
+		t.Fatalf("flush after the cancelled ones: shipped %d, err %v; want every stream", shipped, err)
+	}
+}
+
 // TestFlushAllOverlapKeepsSeqOrder overlaps Run's ticks with POST
 // /v1/flush while the streams are fed, in front of a real collector. Each
 // time a stream's retained state changes, its Seq must rise and its fed
@@ -153,10 +206,7 @@ func TestFlushAllOverlapKeepsSeqOrder(t *testing.T) {
 	}))
 	defer up.Close()
 	streams := []string{"a", "b", "c"}
-	// The breaker stays off: a tick that Run's select takes after the
-	// cancel ships on a dead context, and those failures could trip it
-	// before the final flush.
-	a := newFlushAgent(t, AgentConfig{ID: "ov", Upstream: up.URL, FlushInterval: time.Millisecond, BreakerThreshold: -1}, streams...)
+	a := newFlushAgent(t, AgentConfig{ID: "ov", Upstream: up.URL, FlushInterval: time.Millisecond}, streams...)
 	ats := httptest.NewServer(a.Handler())
 	defer ats.Close()
 

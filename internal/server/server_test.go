@@ -171,7 +171,7 @@ func TestAgentCollectorMatchesSequential(t *testing.T) {
 		url := agentFleet(t, cfg, "skew-ls", chunks)
 
 		// The level-set backend merges with bounded (not zero) error:
-		// check agreement within the configured band width rather than
+		// check agreement within a 15 % tolerance rather than
 		// exact equality, and against the true moment for sanity.
 		seq := core.NewFkEstimator(core.FkConfig{K: 2, P: p, Budget: 512}, rng.New(42))
 		for _, it := range L {

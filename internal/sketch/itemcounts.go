@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"maps"
 	"slices"
 
 	"substream/internal/stream"
@@ -181,20 +180,25 @@ func (s *ItemCounts) Settle() {
 	s.sorted, s.index = len(s.items), ItemIndex{}
 }
 
-// Sum returns Σ g(count) over the stored items, summed over their profile
-// φ_j = |{items counted j times}|: one pass tallies φ (in a fixed array
-// for small counts, in a map sorted afterwards for the few larger ones),
-// then g is called once per distinct count and the terms φ_j·g(j) are
-// added in increasing j. It only reads the store, in whatever layout it
-// is in.
-func (s *ItemCounts) Sum(g func(count uint64) float64) float64 {
+// Sum returns ProfileSum(g) over the store's counts: it only reads the
+// store, in whatever layout it is in.
+func (s *ItemCounts) Sum(g func(count uint64) float64) float64 { return ProfileSum(s.counts, g) }
+
+// ProfileSum returns Σ g(c) over counts, summed over their profile
+// φ_j = |{counts equal to j}|: one pass tallies φ for small counts in a
+// fixed array and gathers the few larger ones, which are sorted
+// afterwards, then g is called once per distinct count and the terms
+// φ_j·g(j) are added in increasing j. The result depends on the multiset
+// of counts alone, not on their order.
+func ProfileSum(counts []uint64, g func(count uint64) float64) float64 {
 	var small [256]uint64
-	tail := map[uint64]uint64{}
-	for _, c := range s.counts {
+	var buf [64]uint64 // holds the usual few large counts off the heap
+	tail := buf[:0]
+	for _, c := range counts {
 		if c < uint64(len(small)) {
 			small[c]++
 		} else {
-			tail[c]++
+			tail = append(tail, c)
 		}
 	}
 	var total float64
@@ -203,8 +207,11 @@ func (s *ItemCounts) Sum(g func(count uint64) float64) float64 {
 			total += float64(phi) * g(uint64(c))
 		}
 	}
-	for _, c := range slices.Sorted(maps.Keys(tail)) {
-		total += float64(tail[c]) * g(c)
+	slices.Sort(tail)
+	for i, j := 0, 0; i < len(tail); i = j {
+		for j = i + 1; j < len(tail) && tail[j] == tail[i]; j++ {
+		}
+		total += float64(j-i) * g(tail[i])
 	}
 	return total
 }

@@ -62,7 +62,7 @@ func TestExactCounter(t *testing.T) {
 
 func TestEstimatorExactModeWhenBudgetLarge(t *testing.T) {
 	// With budget ≥ distinct items, T stays 0 and counts are exact, so
-	// the estimate equals the exact C_ℓ, and Sum(1) the distinct count.
+	// the estimate equals the exact C_ℓ.
 	s := zipfStream(20000, 500, 1.1, 1)
 	f := stream.NewFreq(s)
 	e := New(Config{EpsPrime: 0.1, Budget: 10000, Reps: 3}, rng.New(2))
@@ -79,7 +79,15 @@ func TestEstimatorExactModeWhenBudgetLarge(t *testing.T) {
 			t.Fatalf("C%d = %v, exact %v", l, got, exact)
 		}
 	}
-	if got, d := e.Sum(func(uint64) float64 { return 1 }), float64(f.F0()); got != d {
+}
+
+func TestSumOfOneIsDistinctCount(t *testing.T) {
+	// In exact mode every item is tracked at its true count, so G ≡ 1
+	// sums to the number of distinct items.
+	s := zipfStream(30000, 100, 1.0, 9)
+	e := New(Config{EpsPrime: 0.2, Budget: 10000, Reps: 3}, rng.New(10))
+	feed(e, s)
+	if got, d := e.Sum(func(uint64) float64 { return 1 }), float64(stream.NewFreq(s).F0()); got != d {
 		t.Fatalf("Sum(1) = %v, distinct = %v", got, d)
 	}
 }
